@@ -1,14 +1,13 @@
 package drift
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 
 	"fairrank/internal/dataset"
 	"fairrank/internal/emd"
+	"fairrank/internal/monitor"
 )
 
 // rescaleAbove bounds the growing observation weight: when the next
@@ -35,8 +34,7 @@ const rescaleAbove = 1e200
 //
 // Decay is not safe for concurrent use.
 type Decay struct {
-	schema   *dataset.Schema
-	attrs    []int
+	keys     monitor.GroupKeyer
 	halfLife float64
 	bins     int
 	unit     float64
@@ -68,11 +66,9 @@ type decayWorker struct {
 // the named protected attributes. halfLife is in events and must be
 // positive; bins defaults to 10 when <= 0.
 func NewDecay(schema *dataset.Schema, attrs []string, bins int, halfLife float64) (*Decay, error) {
-	if err := schema.Validate(); err != nil {
+	keys, err := monitor.NewGroupKeyer(schema, attrs)
+	if err != nil {
 		return nil, err
-	}
-	if len(attrs) == 0 {
-		return nil, errors.New("drift: need at least one attribute")
 	}
 	if !(halfLife > 0) || math.IsInf(halfLife, 1) {
 		return nil, fmt.Errorf("drift: half-life must be positive and finite, got %v", halfLife)
@@ -80,8 +76,8 @@ func NewDecay(schema *dataset.Schema, attrs []string, bins int, halfLife float64
 	if bins <= 0 {
 		bins = 10
 	}
-	d := &Decay{
-		schema:   schema.Clone(),
+	return &Decay{
+		keys:     keys,
 		halfLife: halfLife,
 		bins:     bins,
 		unit:     1 / float64(bins),
@@ -89,65 +85,7 @@ func NewDecay(schema *dataset.Schema, attrs []string, bins int, halfLife float64
 		weight:   1,
 		groups:   map[string]*decayGroup{},
 		workers:  map[string]decayWorker{},
-	}
-	for _, name := range attrs {
-		i := schema.ProtectedIndex(name)
-		if i < 0 {
-			return nil, fmt.Errorf("drift: %q is not a protected attribute", name)
-		}
-		d.attrs = append(d.attrs, i)
-	}
-	return d, nil
-}
-
-// appendGroupKey mirrors the monitor's group keying (attribute index =
-// code, joined by '|') into the reusable scratch.
-func (d *Decay) appendGroupKey(dst []byte, protected map[string]any) ([]byte, error) {
-	for _, a := range d.attrs {
-		attr := d.schema.Protected[a]
-		v, ok := protected[attr.Name]
-		if !ok {
-			return nil, fmt.Errorf("drift: missing attribute %q", attr.Name)
-		}
-		var code int
-		switch attr.Kind {
-		case dataset.Categorical:
-			s, ok := v.(string)
-			if !ok {
-				return nil, fmt.Errorf("drift: attribute %q wants a string, got %T", attr.Name, v)
-			}
-			code = attr.CategoryIndex(s)
-			if code < 0 {
-				return nil, fmt.Errorf("drift: attribute %q has no value %q", attr.Name, s)
-			}
-		case dataset.Numeric:
-			f, ok := toFloat(v)
-			if !ok {
-				return nil, fmt.Errorf("drift: attribute %q wants a number, got %T", attr.Name, v)
-			}
-			code = attr.BucketIndex(f)
-		}
-		dst = strconv.AppendInt(dst, int64(a), 10)
-		dst = append(dst, '=')
-		dst = strconv.AppendInt(dst, int64(code), 10)
-		dst = append(dst, '|')
-	}
-	return dst, nil
-}
-
-func toFloat(v any) (float64, bool) {
-	switch x := v.(type) {
-	case float64:
-		return x, true
-	case float32:
-		return float64(x), true
-	case int:
-		return float64(x), true
-	case int64:
-		return float64(x), true
-	default:
-		return 0, false
-	}
+	}, nil
 }
 
 // binIndex clamps like histogram.BinIndex over [0, 1].
@@ -210,7 +148,7 @@ func (d *Decay) Join(id string, protected map[string]any, score float64) error {
 	if _, dup := d.workers[id]; dup {
 		return fmt.Errorf("drift: worker %q already present", id)
 	}
-	buf, err := d.appendGroupKey(d.keyBuf[:0], protected)
+	buf, err := d.keys.AppendKey(d.keyBuf[:0], protected)
 	if err != nil {
 		return err
 	}

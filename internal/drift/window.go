@@ -24,7 +24,7 @@ const (
 type entry struct {
 	kind      entryKind
 	id        string
-	protected map[string]any // Join entries only: the replayable attributes
+	protected map[string]any // Join entries only: the cell's shared attributes
 	score     float64
 	next      int // seq of the next entry in this worker's span, -1 if last
 	dead      bool
@@ -37,7 +37,7 @@ type entry struct {
 // monitor's O(k + log k) delta path and retractions undo the aged-out
 // event through the same machinery — so the estimate is O(1) to read after
 // every event and bit-identical to the replay (the differential suite in
-// window_diff_test.go pins this).
+// differential_test.go pins this).
 //
 // Raw stream events are normalized at admission so the window's contents
 // always replay cleanly from empty:
@@ -55,6 +55,13 @@ type entry struct {
 // position (if the Join had been retracted the entry would be dead), so
 // retraction never has to undo a bare Leave/Rescore.
 //
+// Memory tracks the live population plus the window, never the stream's
+// history: the registry holds one entry per worker on the platform (Leave
+// drops it, whether or not the worker's span is still in the window), and
+// every registry entry and ring Join points at one attribute map per
+// partition cell, whichever the cell's first Join carried. Replaying that
+// map keys to the same cell, so the window's contents replay exactly.
+//
 // Window is not safe for concurrent use.
 type Window struct {
 	mon      *monitor.Monitor
@@ -67,9 +74,13 @@ type Window struct {
 	head, tail  int
 	live        int // non-dead entries in [head, tail)
 	retractions int64
-	// registry remembers every worker's protected attributes for the life
-	// of the stream, so an aged-out worker's Rescore can re-enter it.
+	// registry maps every worker on the platform (joined, not yet left) to
+	// its cell's attribute map, so an aged-out worker's Rescore can
+	// re-enter it.
 	registry map[string]map[string]any
+	// cells holds the one attribute map per partition cell, keyed by the
+	// inner monitor's group key.
+	cells map[string]map[string]any
 	// chainTail maps each worker currently in the windowed population to
 	// the seq of its newest live entry; a worker is in the inner monitor
 	// iff it has a chainTail entry.
@@ -92,6 +103,7 @@ func NewWindow(schema *dataset.Schema, attrs []string, bins, capacity int) (*Win
 		capacity:  capacity,
 		ring:      make([]entry, 16),
 		registry:  map[string]map[string]any{},
+		cells:     map[string]map[string]any{},
 		chainTail: map[string]int{},
 	}, nil
 }
@@ -159,29 +171,39 @@ func (w *Window) trim() {
 }
 
 // Join records a worker arriving with the given protected attributes and
-// score. The caller must not mutate protected afterwards: the window keeps
-// a reference for replay and re-admission.
+// score. The caller must not mutate protected afterwards: if it is the
+// first map seen for its partition cell, the window keeps it for replay
+// and re-admission of every worker in that cell.
 func (w *Window) Join(id string, protected map[string]any, score float64) error {
-	if _, in := w.chainTail[id]; in {
+	if _, on := w.registry[id]; on {
 		return fmt.Errorf("drift: worker %q already present", id)
 	}
-	if err := w.mon.Join(id, protected, score); err != nil {
+	key, err := w.mon.JoinCell(id, protected, score)
+	if err != nil {
 		return err
 	}
-	w.registry[id] = protected
-	w.chainTail[id] = w.push(entry{kind: entryJoin, id: id, protected: protected, score: score, next: -1})
+	shared, seen := w.cells[key]
+	if !seen {
+		shared = protected
+		w.cells[key] = shared
+	}
+	w.registry[id] = shared
+	w.chainTail[id] = w.push(entry{kind: entryJoin, id: id, protected: shared, score: score, next: -1})
 	w.trim()
 	return nil
 }
 
-// Leave records a worker departing. If the worker's span already aged out
-// of the window, the departure is already reflected and admits nothing.
+// Leave records a worker departing the platform. If the worker's span
+// already aged out of the window, the departure is already reflected and
+// admits nothing. Either way the worker is forgotten: a later Leave or
+// Rescore for it is an unknown worker.
 func (w *Window) Leave(id string) error {
 	tailSeq, in := w.chainTail[id]
 	if !in {
-		if _, known := w.registry[id]; !known {
+		if _, on := w.registry[id]; !on {
 			return fmt.Errorf("drift: unknown worker %q", id)
 		}
+		delete(w.registry, id)
 		return nil
 	}
 	if err := w.mon.Leave(id); err != nil {
@@ -190,6 +212,7 @@ func (w *Window) Leave(id string) error {
 	seq := w.push(entry{kind: entryLeave, id: id, next: -1})
 	w.slot(tailSeq).next = seq
 	delete(w.chainTail, id)
+	delete(w.registry, id)
 	w.trim()
 	return nil
 }

@@ -11,7 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"fairrank/internal/dataset"
 	"fairrank/internal/query"
@@ -133,37 +133,38 @@ func (m *Marketplace) RankQuery(taskID, queryText string, k int) ([]RankedWorker
 	if len(matched) == 0 {
 		return nil, fmt.Errorf("marketplace: no workers match %s", q)
 	}
+	scores := scoring.Scores(m.workers, f)
 	ranked := make([]RankedWorker, len(matched))
 	for j, i := range matched {
-		ranked[j] = RankedWorker{Worker: i, Score: f.Score(m.workers, i)}
+		ranked[j] = RankedWorker{Worker: i, Score: scores[i]}
 	}
-	sort.SliceStable(ranked, func(a, b int) bool {
-		if ranked[a].Score != ranked[b].Score {
-			return ranked[a].Score > ranked[b].Score
-		}
-		return ranked[a].Worker < ranked[b].Worker
-	})
-	if k > 0 && k < len(ranked) {
-		ranked = ranked[:k]
-	}
-	for i := range ranked {
-		ranked[i].Rank = i + 1
-	}
-	return ranked, nil
+	return page(ranked, k), nil
 }
 
 // RankBy ranks the workers of any dataset under any scoring function; it is
 // the core of the platform's result page.
 func RankBy(ds *dataset.Dataset, f scoring.Func, k int) []RankedWorker {
-	ranked := make([]RankedWorker, ds.N())
-	for i := range ranked {
-		ranked[i] = RankedWorker{Worker: i, Score: f.Score(ds, i)}
+	scores := scoring.Scores(ds, f)
+	ranked := make([]RankedWorker, len(scores))
+	for i, s := range scores {
+		ranked[i] = RankedWorker{Worker: i, Score: s}
 	}
-	sort.SliceStable(ranked, func(a, b int) bool {
-		if ranked[a].Score != ranked[b].Score {
-			return ranked[a].Score > ranked[b].Score
+	return page(ranked, k)
+}
+
+// page orders scored candidates by descending score, then ascending worker
+// index, keeps the top k (all when k <= 0) and numbers them from 1. For
+// non-NaN scores the order is total — no two candidates share a worker
+// index — so an unstable sort yields the one page a stable sort would.
+func page(ranked []RankedWorker, k int) []RankedWorker {
+	slices.SortFunc(ranked, func(a, b RankedWorker) int {
+		switch {
+		case a.Score > b.Score:
+			return -1
+		case a.Score < b.Score:
+			return 1
 		}
-		return ranked[a].Worker < ranked[b].Worker
+		return a.Worker - b.Worker
 	})
 	if k > 0 && k < len(ranked) {
 		ranked = ranked[:k]

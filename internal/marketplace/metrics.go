@@ -34,26 +34,62 @@ func NDCG(relevance []float64, ranked []RankedWorker) (float64, error) {
 	return dcg / idcg, nil
 }
 
-// topK returns the k largest values of xs in descending order.
+// topK returns the k largest values of xs in descending order. It keeps
+// the best k seen so far in a min-heap, O(n log k) time and k floats of
+// space, then heap-sorts them in place. For finite input the top-k
+// multiset in descending order is unique, so this is the same sequence a
+// full sort of xs would prefix.
 func topK(xs []float64, k int) []float64 {
-	if k > len(xs) {
-		k = len(xs)
+	k = min(k, len(xs))
+	if k <= 0 {
+		return nil
 	}
-	// Simple selection via a copy + partial sort; populations are small
-	// enough that O(n log n) is irrelevant here.
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	sortDescending(cp)
-	return cp[:k]
+	h := make([]float64, 0, k)
+	for _, x := range xs {
+		switch {
+		case len(h) < k:
+			h = append(h, x)
+			siftUp(h)
+		case x > h[0]:
+			h[0] = x
+			siftDown(h)
+		}
+	}
+	// Popping the minimum to the back each round leaves h descending.
+	for end := k - 1; end > 0; end-- {
+		h[0], h[end] = h[end], h[0]
+		siftDown(h[:end])
+	}
+	return h
 }
 
-func sortDescending(xs []float64) {
-	// insertion-free: use sort.Float64s then reverse would allocate less
-	// thought; keep explicit for clarity.
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] > xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
+// siftUp restores the min-heap order of h after an append.
+func siftUp(h []float64) {
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[p] <= h[i] {
+			return
 		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+}
+
+// siftDown restores the min-heap order of h after its root changed.
+func siftDown(h []float64) {
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1] < h[c] {
+			c++
+		}
+		if h[i] <= h[c] {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
 }
 

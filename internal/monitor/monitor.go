@@ -28,8 +28,7 @@ import (
 // and re-scores. It is not safe for concurrent use; wrap it with a mutex
 // if events arrive from multiple goroutines.
 type Monitor struct {
-	schema    *dataset.Schema
-	attrs     []int // monitored protected attribute indices
+	keys      GroupKeyer
 	bins      int
 	threshold float64
 	unit      float64 // EMD ground distance between adjacent bins
@@ -85,11 +84,9 @@ type workerState struct {
 // protected attributes. threshold is the unfairness level at which Alert
 // reports true; bins defaults to 10 when <= 0.
 func New(schema *dataset.Schema, attrs []string, bins int, threshold float64) (*Monitor, error) {
-	if err := schema.Validate(); err != nil {
+	keys, err := NewGroupKeyer(schema, attrs)
+	if err != nil {
 		return nil, err
-	}
-	if len(attrs) == 0 {
-		return nil, errors.New("monitor: need at least one attribute")
 	}
 	if threshold < 0 {
 		return nil, errors.New("monitor: negative threshold")
@@ -97,33 +94,54 @@ func New(schema *dataset.Schema, attrs []string, bins int, threshold float64) (*
 	if bins <= 0 {
 		bins = 10
 	}
-	m := &Monitor{
-		schema:    schema.Clone(),
+	return &Monitor{
+		keys:      keys,
 		bins:      bins,
 		threshold: threshold,
 		unit:      1 / float64(bins), // GroundScore over [0,1]: the bin width
 		groups:    map[string]*group{},
 		workers:   map[string]workerState{},
+	}, nil
+}
+
+// GroupKeyer maps a worker's protected attribute values to the key of its
+// partition cell. It is the one key builder of continuous auditing: the
+// monitor and the drift estimators all key their groups with it, so they
+// partition a stream identically. Immutable once built.
+type GroupKeyer struct {
+	schema *dataset.Schema
+	attrs  []int // monitored protected attribute indices
+}
+
+// NewGroupKeyer resolves the named protected attributes of a validated
+// schema into a key builder.
+func NewGroupKeyer(schema *dataset.Schema, attrs []string) (GroupKeyer, error) {
+	if err := schema.Validate(); err != nil {
+		return GroupKeyer{}, err
 	}
+	if len(attrs) == 0 {
+		return GroupKeyer{}, errors.New("monitor: need at least one attribute")
+	}
+	k := GroupKeyer{schema: schema.Clone()}
 	for _, name := range attrs {
 		i := schema.ProtectedIndex(name)
 		if i < 0 {
-			return nil, fmt.Errorf("monitor: %q is not a protected attribute", name)
+			return GroupKeyer{}, fmt.Errorf("monitor: %q is not a protected attribute", name)
 		}
-		m.attrs = append(m.attrs, i)
+		k.attrs = append(k.attrs, i)
 	}
-	return m, nil
+	return k, nil
 }
 
-// appendGroupKey appends the partition cell of a worker with the given
+// AppendKey appends the partition cell of a worker with the given
 // protected attribute values (raw strings for categorical, numbers for
-// numeric) to dst and returns the extended slice. Building into the
-// monitor's reusable scratch keeps the per-event path allocation-free:
-// group lookup converts the bytes in place (the compiler elides the string
-// copy for map reads) and only a group birth materializes a real string.
-func (m *Monitor) appendGroupKey(dst []byte, protected map[string]any) ([]byte, error) {
-	for _, a := range m.attrs {
-		attr := m.schema.Protected[a]
+// numeric) to dst and returns the extended slice. Building into a
+// reusable scratch keeps the per-event path allocation-free: group lookup
+// converts the bytes in place (the compiler elides the string copy for
+// map reads) and only a group birth materializes a real string.
+func (k *GroupKeyer) AppendKey(dst []byte, protected map[string]any) ([]byte, error) {
+	for _, a := range k.attrs {
+		attr := k.schema.Protected[a]
 		v, ok := protected[attr.Name]
 		if !ok {
 			return nil, fmt.Errorf("monitor: missing attribute %q", attr.Name)
@@ -286,15 +304,24 @@ func (m *Monitor) removeGroup(g *group) {
 // Join records a worker arriving (or being hired onto) the platform with
 // the given protected attributes and current score.
 func (m *Monitor) Join(id string, protected map[string]any, score float64) error {
+	_, err := m.JoinCell(id, protected, score)
+	return err
+}
+
+// JoinCell is Join that also returns the worker's partition cell key, the
+// group key Join resolves anyway, so a caller that tracks workers by cell
+// need not build it a second time. The string is the group's own key, so
+// returning it allocates nothing.
+func (m *Monitor) JoinCell(id string, protected map[string]any, score float64) (string, error) {
 	if id == "" {
-		return errors.New("monitor: empty worker id")
+		return "", errors.New("monitor: empty worker id")
 	}
 	if _, dup := m.workers[id]; dup {
-		return fmt.Errorf("monitor: worker %q already present", id)
+		return "", fmt.Errorf("monitor: worker %q already present", id)
 	}
-	buf, err := m.appendGroupKey(m.keyBuf[:0], protected)
+	buf, err := m.keys.AppendKey(m.keyBuf[:0], protected)
 	if err != nil {
-		return err
+		return "", err
 	}
 	m.keyBuf = buf
 	g := m.groups[string(buf)]
@@ -306,7 +333,7 @@ func (m *Monitor) Join(id string, protected map[string]any, score float64) error
 	m.workers[id] = workerState{g: g, score: score}
 	m.met.joins.Inc()
 	m.met.sync(m)
-	return nil
+	return g.key, nil
 }
 
 // Leave records a worker departing the platform.
@@ -410,16 +437,16 @@ func (m *Monitor) Recompute() (float64, error) {
 }
 
 // Clone returns a deep copy of the monitor: groups, histograms, the
-// distance triangle, the sum tree and the worker table are all duplicated,
-// so events applied to either side never affect the other. Windowed
-// estimators and tests use it to checkpoint state without replaying the
-// stream. Telemetry handles are NOT copied — the clone starts with metrics
-// disabled (attach its own registry via SetMetrics if needed) so counters
-// never double-count a forked monitor.
+// distance triangle, the sum tree and the worker table are all duplicated
+// (the immutable key builder is shared), so events applied to either side
+// never affect the other. Windowed estimators and tests use it to
+// checkpoint state without replaying the stream. Telemetry handles are NOT
+// copied — the clone starts with metrics disabled (attach its own registry
+// via SetMetrics if needed) so counters never double-count a forked
+// monitor.
 func (m *Monitor) Clone() *Monitor {
 	c := &Monitor{
-		schema:     m.schema.Clone(),
-		attrs:      append([]int(nil), m.attrs...),
+		keys:       m.keys,
 		bins:       m.bins,
 		threshold:  m.threshold,
 		unit:       m.unit,

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 
@@ -60,10 +61,36 @@ type rankPostResponse struct {
 // defaultPageSize matches GET /v1/rank's default k.
 const defaultPageSize = 10
 
+// maxRankBody bounds a POST /v1/rank body, a handful of short fields.
+const maxRankBody = 64 << 10
+
+// decodeBody decodes exactly one JSON value of at most limit bytes from
+// the request body into v, rejecting unknown fields and trailing data. A
+// body over the limit fails with an *http.MaxBytesError.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	_, err := dec.Token()
+	switch {
+	case err == io.EOF:
+		return nil
+	case errors.As(err, new(*http.MaxBytesError)):
+		return err
+	}
+	return errors.New("trailing data after json value")
+}
+
 func (s *Server) handleRankPost(w http.ResponseWriter, r *http.Request) {
 	var req rankPostRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad rank json: %w", err))
+	if err := decodeBody(w, r, maxRankBody, &req); err != nil {
+		status := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, status, fmt.Errorf("bad rank json: %w", err))
 		return
 	}
 	if req.Task == "" {

@@ -210,6 +210,45 @@ func TestRankPostValidation(t *testing.T) {
 	}
 }
 
+// The POST /v1/rank body is bounded and strictly decoded: unknown fields
+// (top-level or in params), trailing data and oversized bodies are
+// rejected before any ranking work, while trailing whitespace is fine.
+func TestRankPostStrictBody(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	uploadSkewed(t, ts, "skew", 120)
+	task := postBiasedTask(t, ts, "skew")
+	plain := `{"task":"` + task + `","k":5}`
+
+	cases := []struct {
+		name, body string
+		code       int
+		msg        string
+	}{
+		{"plain", plain, http.StatusOK, ""},
+		{"trailing whitespace", plain + " \n", http.StatusOK, ""},
+		{"unknown field", `{"task":"` + task + `","kk":5}`, http.StatusBadRequest, "unknown field"},
+		{"unknown param", `{"task":"` + task + `","algorithm":"fair-topk","attribute":"Language","params":{"alpah":0.1}}`,
+			http.StatusBadRequest, "unknown field"},
+		{"second value", plain + plain, http.StatusBadRequest, "trailing data"},
+		{"trailing garbage", plain + " x", http.StatusBadRequest, "trailing data"},
+		{"oversized", `{"task":"` + task + `","q":"` + strings.Repeat("a", maxRankBody) + `"}`,
+			http.StatusRequestEntityTooLarge, "too large"},
+		{"oversized tail", plain + strings.Repeat(" ", maxRankBody), http.StatusRequestEntityTooLarge, "too large"},
+	}
+	for _, c := range cases {
+		resp, err := http.Post(ts.URL+"/v1/rank", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		_, _ = out.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.code || !strings.Contains(out.String(), c.msg) {
+			t.Errorf("%s: status %d %s, want %d with %q", c.name, resp.StatusCode, out.String(), c.code, c.msg)
+		}
+	}
+}
+
 // Serving through the endpoint must populate the per-algorithm telemetry
 // series on /metrics.
 func TestRankPostTelemetry(t *testing.T) {
