@@ -17,7 +17,8 @@
 //	curl localhost:8080/healthz
 //	curl -X POST localhost:8080/v1/tasks -d '{"id":"gig","dataset":"demo","weights":{"LanguageTest":1}}'
 //	curl 'localhost:8080/v1/rank?task=gig&k=5&q=Gender%20%3D%20%27Female%27'
-//	curl -X POST localhost:8080/v1/audits -d '{"dataset":"demo","algorithm":"balanced","weights":{"LanguageTest":1}}'
+//	curl -X POST localhost:8080/v1/jobs -d '{"dataset":"demo","algorithm":"balanced","weights":{"LanguageTest":1}}'
+//	curl localhost:8080/v1/jobs/job-000001          # poll until "state":"done"
 package main
 
 import (
@@ -62,7 +63,6 @@ func main() {
 		sync       = flag.Bool("sync", false, "fsync after every write")
 		bootstrap  = flag.Int("bootstrap", 0, "preload a synthetic population of this size as dataset \"demo\"")
 		seed       = flag.Uint64("seed", 42, "bootstrap generation seed")
-		auditLimit = flag.Int("audit-limit", 4, "maximum concurrent audit requests (excess get 503)")
 		pprofOn    = flag.Bool("pprof", false, "expose /debug/pprof/ profiling endpoints")
 		jobWorkers = flag.Int("job-workers", 2, "async audit job worker pool size")
 		jobQueue   = flag.Int("job-queue", 64, "maximum queued+running async jobs (excess get 429)")
@@ -94,7 +94,6 @@ func main() {
 
 	srvOpts := []server.ServerOption{
 		server.WithRequestLog(log.Printf),
-		server.WithAuditLimit(*auditLimit),
 		server.WithMetrics(metrics),
 		server.WithJobWorkers(*jobWorkers),
 		server.WithJobQueueLimit(*jobQueue),

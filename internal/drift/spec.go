@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"regexp"
 )
@@ -62,7 +63,7 @@ func DecodeSpec(data []byte) (Spec, error) {
 	if err := dec.Decode(&s); err != nil {
 		return Spec{}, fmt.Errorf("drift: bad spec json: %w", err)
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return Spec{}, errors.New("drift: trailing data after spec json")
 	}
 	if err := s.Validate(); err != nil {
@@ -202,7 +203,7 @@ func DecodeEvents(data []byte) ([]Event, error) {
 	if err := dec.Decode(&b); err != nil {
 		return nil, fmt.Errorf("drift: bad events json: %w", err)
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return nil, errors.New("drift: trailing data after events json")
 	}
 	if len(b.Events) == 0 {

@@ -38,17 +38,19 @@ func TestDecodeSpec(t *testing.T) {
 
 func TestDecodeSpecRejects(t *testing.T) {
 	cases := map[string]string{
-		"unknown field":  `{"id":"m","dataset":"d","attributes":["A"],"weights":{"w":1},"surprise":1}`,
-		"trailing data":  validSpecJSON() + `{"again":true}`,
-		"bad id":         `{"id":"NOT OK","dataset":"d","attributes":["A"],"weights":{"w":1}}`,
-		"no dataset":     `{"id":"m","attributes":["A"],"weights":{"w":1}}`,
-		"no attributes":  `{"id":"m","dataset":"d","weights":{"w":1}}`,
-		"no weights":     `{"id":"m","dataset":"d","attributes":["A"]}`,
-		"negative bins":  `{"id":"m","dataset":"d","attributes":["A"],"weights":{"w":1},"bins":-1}`,
-		"nan weight":     `{"id":"m","dataset":"d","attributes":["A"],"weights":{"w":"nan"}}`,
-		"huge window":    `{"id":"m","dataset":"d","attributes":["A"],"weights":{"w":1},"window":999999999}`,
-		"inf half life":  `{"id":"m","dataset":"d","attributes":["A"],"weights":{"w":1},"half_life":1e999}`,
-		"duplicate rule": `{"id":"m","dataset":"d","attributes":["A"],"weights":{"w":1},"rules":[{"name":"r","type":"threshold","threshold":0.1},{"name":"r","type":"threshold","threshold":0.2}]}`,
+		"unknown field":              `{"id":"m","dataset":"d","attributes":["A"],"weights":{"w":1},"surprise":1}`,
+		"trailing data":              validSpecJSON() + `{"again":true}`,
+		"trailing brace":             validSpecJSON() + `}`,
+		"trailing bracket":           validSpecJSON() + `]`,
+		"bad id":                     `{"id":"NOT OK","dataset":"d","attributes":["A"],"weights":{"w":1}}`,
+		"no dataset":                 `{"id":"m","attributes":["A"],"weights":{"w":1}}`,
+		"no attributes":              `{"id":"m","dataset":"d","weights":{"w":1}}`,
+		"no weights":                 `{"id":"m","dataset":"d","attributes":["A"]}`,
+		"negative bins":              `{"id":"m","dataset":"d","attributes":["A"],"weights":{"w":1},"bins":-1}`,
+		"nan weight":                 `{"id":"m","dataset":"d","attributes":["A"],"weights":{"w":"nan"}}`,
+		"huge window":                `{"id":"m","dataset":"d","attributes":["A"],"weights":{"w":1},"window":999999999}`,
+		"inf half life":              `{"id":"m","dataset":"d","attributes":["A"],"weights":{"w":1},"half_life":1e999}`,
+		"duplicate rule":             `{"id":"m","dataset":"d","attributes":["A"],"weights":{"w":1},"rules":[{"name":"r","type":"threshold","threshold":0.1},{"name":"r","type":"threshold","threshold":0.2}]}`,
 		"window rule without window": `{"id":"m","dataset":"d","attributes":["A"],"weights":{"w":1},"rules":[{"name":"r","type":"threshold","threshold":0.1,"source":"window"}]}`,
 	}
 	for name, body := range cases {
@@ -77,6 +79,8 @@ func TestDecodeEvents(t *testing.T) {
 		"join no protected": `{"events":[{"type":"join","worker":"w"}]}`,
 		"unknown type":      `{"events":[{"type":"promote","worker":"w"}]}`,
 		"trailing":          `{"events":[{"type":"leave","worker":"w"}]} true`,
+		"trailing brace":    `{"events":[{"type":"leave","worker":"w"}]}}`,
+		"trailing bracket":  `{"events":[{"type":"leave","worker":"w"}]}]`,
 	}
 	for name, body := range bad {
 		if _, err := DecodeEvents([]byte(body)); err == nil {

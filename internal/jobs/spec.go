@@ -5,15 +5,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 
 	"fairrank/internal/emd"
 )
 
 // Spec is the wire-format audit specification a client submits to
-// POST /v1/jobs. It mirrors the synchronous audit request, plus the
-// scheduling fields (priority, max attempts) that only make sense for
-// background jobs. The HTTP layer resolves it against its dataset table
+// POST /v1/jobs: the audit's inputs plus the scheduling fields (priority,
+// max attempts). The HTTP layer resolves it against its dataset table
 // into a core.Spec at execution time, so a job survives restarts as pure
 // data.
 type Spec struct {
@@ -40,6 +40,9 @@ type Spec struct {
 	Seed uint64 `json:"seed,omitempty"`
 	// Budget caps exhaustive enumeration (0 = engine default).
 	Budget int `json:"budget,omitempty"`
+	// SignificanceRounds > 0 adds a permutation-test p-value
+	// (core.Significance, seeded by Seed) to the result.
+	SignificanceRounds int `json:"significance_rounds,omitempty"`
 	// Priority orders dispatch in [MinPriority, MaxPriority]; higher runs
 	// first. 0 is the default service class.
 	Priority int `json:"priority,omitempty"`
@@ -54,6 +57,9 @@ const (
 	// MaxBins bounds the requested histogram resolution; the engine
 	// allocates O(bins) per partition representation.
 	MaxBins = 10000
+	// MaxSignificanceRounds bounds the permutation test; each round
+	// shuffles and re-bins the whole score column.
+	MaxSignificanceRounds = 10000
 	// MaxAttemptsLimit bounds per-job retry budgets.
 	MaxAttemptsLimit = 10
 )
@@ -69,7 +75,7 @@ func DecodeSpec(data []byte) (Spec, error) {
 	if err := dec.Decode(&s); err != nil {
 		return Spec{}, fmt.Errorf("jobs: bad spec json: %w", err)
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return Spec{}, errors.New("jobs: trailing data after spec json")
 	}
 	if err := s.Validate(); err != nil {
@@ -108,6 +114,9 @@ func (s Spec) Validate() error {
 	}
 	if s.Bins < 0 || s.Bins > MaxBins {
 		return fmt.Errorf("jobs: bins %d out of range [0, %d]", s.Bins, MaxBins)
+	}
+	if s.SignificanceRounds < 0 || s.SignificanceRounds > MaxSignificanceRounds {
+		return fmt.Errorf("jobs: significance_rounds %d out of range [0, %d]", s.SignificanceRounds, MaxSignificanceRounds)
 	}
 	if s.Budget < 0 {
 		return fmt.Errorf("jobs: negative budget %d", s.Budget)

@@ -47,7 +47,7 @@ func (e *CompareExpr) String() string {
 	if e.IsString {
 		return fmt.Sprintf("%s %s '%s'", e.Attr, e.Op, e.Str)
 	}
-	return fmt.Sprintf("%s %s %s", e.Attr, e.Op, strconv.FormatFloat(e.Num, 'g', -1, 64))
+	return fmt.Sprintf("%s %s %s", e.Attr, e.Op, strconv.FormatFloat(e.Num, 'f', -1, 64))
 }
 
 // InExpr tests membership of an attribute in a literal list.
@@ -63,7 +63,7 @@ func (e *InExpr) String() string {
 	parts := make([]string, 0, len(e.Strs)+len(e.Nums))
 	if e.Numeric {
 		for _, n := range e.Nums {
-			parts = append(parts, strconv.FormatFloat(n, 'g', -1, 64))
+			parts = append(parts, strconv.FormatFloat(n, 'f', -1, 64))
 		}
 	} else {
 		for _, s := range e.Strs {

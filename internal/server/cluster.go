@@ -55,21 +55,14 @@ func (n clusterNode) Datasets() []string {
 }
 
 // SubmitLocal enqueues a raw wire spec on the local queue — the landing
-// path for stolen and re-placed jobs. The canonical hash is recomputed
-// here rather than trusted from the peer: it binds the dataset *content*
-// this node will actually audit, so cluster-wide dedup can never
-// coalesce two specs that would produce different results.
+// path for stolen and re-placed jobs. decodeJob recomputes the dedup key
+// here, so cluster-wide dedup can never coalesce two specs that would
+// produce different results.
 func (n clusterNode) SubmitLocal(spec json.RawMessage) error {
-	sp, err := jobs.DecodeSpec(spec)
+	sp, hash, err := n.s.decodeJob(spec)
 	if err != nil {
 		return err
 	}
-	cspec, release, err := n.s.resolveJobSpec(sp)
-	if err != nil {
-		return err
-	}
-	hash := cspec.Hash()
-	release()
 	_, _, err = n.s.jobs.Submit(sp, hash)
 	return err
 }
@@ -139,18 +132,6 @@ func (s *Server) handleClusterPing(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, c.Ping(queued, running, s.jobs.Claimed()))
 }
 
-// readClusterBody reads one bounded peer-protocol body.
-func readClusterBody(r *http.Request) ([]byte, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, cluster.MaxMessageBytes+1))
-	if err != nil {
-		return nil, err
-	}
-	if len(body) > cluster.MaxMessageBytes {
-		return nil, fmt.Errorf("message exceeds %d bytes", cluster.MaxMessageBytes)
-	}
-	return body, nil
-}
-
 // handleClusterSteal is the victim side of work-stealing: atomically
 // claim up to Max dispatchable queued jobs whose dataset the thief
 // holds, and park them awaiting the ack.
@@ -160,9 +141,8 @@ func (s *Server) handleClusterSteal(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, errors.New("clustering disabled"))
 		return
 	}
-	body, err := readClusterBody(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	body, ok := readBody(w, r, cluster.MaxMessageBytes)
+	if !ok {
 		return
 	}
 	req, err := cluster.DecodeStealRequest(body)
@@ -206,9 +186,8 @@ func (s *Server) handleClusterAck(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, errors.New("clustering disabled"))
 		return
 	}
-	body, err := readClusterBody(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	body, ok := readBody(w, r, cluster.MaxMessageBytes)
+	if !ok {
 		return
 	}
 	req, err := cluster.DecodeAckRequest(body)
@@ -254,8 +233,7 @@ func (s *Server) handleClusterHydrate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req hydrateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad hydrate json: %w", err))
+	if !decodeBody(w, r, maxRequestBody, &req) {
 		return
 	}
 	if req.Name == "" || req.Peer == "" {

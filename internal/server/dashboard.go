@@ -5,10 +5,14 @@ import (
 	"html/template"
 	"net/http"
 	"sort"
+
+	"fairrank/internal/jobs"
 )
 
 // dashboardTmpl renders the single-page overview served at GET /.
-var dashboardTmpl = template.Must(template.New("dashboard").Parse(`<!DOCTYPE html>
+var dashboardTmpl = template.Must(template.New("dashboard").Funcs(template.FuncMap{
+	"deref": func(p *float64) float64 { return *p },
+}).Parse(`<!DOCTYPE html>
 <html lang="en">
 <head>
 <meta charset="utf-8">
@@ -44,23 +48,32 @@ under task-qualification scoring functions (EDBT 2019 reproduction).</p>
 {{end}}</table>
 {{else}}<p class="muted">none — post with <code>POST /v1/tasks</code></p>{{end}}
 
-<h2>Audits ({{len .Audits}})</h2>
+<h2>Recent audits ({{len .Audits}})</h2>
 {{if .Audits}}
-<table><tr><th>id</th><th>dataset</th><th>algorithm</th><th class="num">unfairness</th><th class="num">groups</th><th class="num">p-value</th></tr>
-{{range .Audits}}<tr><td><code>{{.ID}}</code></td><td><code>{{.Dataset}}</code></td><td>{{.Algorithm}}</td>
+<table><tr><th>job</th><th>data</th><th>algorithm</th><th class="num">unfairness</th><th class="num">groups</th><th class="num">p-value</th></tr>
+{{range .Audits}}<tr><td><code>{{.ID}}</code></td><td><code>{{.Dataset}}{{.Snapshot}}</code></td><td>{{.Algorithm}}</td>
 <td class="num{{if gt .Unfairness 0.4}} sig{{end}}">{{printf "%.3f" .Unfairness}}</td>
 <td class="num">{{len .Partitions}}</td>
-<td class="num">{{if .PValue}}{{printf "%.3f" .PValue}}{{else}}–{{end}}</td></tr>
+<td class="num">{{with .PValue}}{{printf "%.3f" (deref .)}}{{else}}–{{end}}</td></tr>
 {{end}}</table>
-{{else}}<p class="muted">none — run with <code>POST /v1/audits</code></p>{{end}}
+{{else}}<p class="muted">none — submit with <code>POST /v1/jobs</code></p>{{end}}
 </body>
 </html>
 `))
 
+// dashboardAudits caps the audit table at the most recent done jobs.
+const dashboardAudits = 20
+
+// dashboardAudit is one row of the audit table: a done job's result.
+type dashboardAudit struct {
+	ID string
+	jobResult
+}
+
 type dashboardData struct {
 	Datasets []datasetInfo
 	Tasks    []taskSpec
-	Audits   []auditResponse
+	Audits   []dashboardAudit
 }
 
 func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
@@ -85,13 +98,10 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 			data.Tasks = append(data.Tasks, t)
 		}
 	}
-	for _, id := range s.db.Keys(bucketAudits) {
-		raw, ok := s.db.Get(bucketAudits, id)
-		if !ok {
-			continue
-		}
-		var a auditResponse
-		if json.Unmarshal(raw, &a) == nil {
+	done, _ := s.jobs.List(jobs.StateDone, 0, dashboardAudits)
+	for _, j := range done {
+		a := dashboardAudit{ID: j.ID}
+		if json.Unmarshal(j.Result, &a.jobResult) == nil {
 			data.Audits = append(data.Audits, a)
 		}
 	}

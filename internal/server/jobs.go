@@ -1,15 +1,17 @@
-// Async audit jobs: the HTTP surface over internal/jobs. Synchronous
-// POST /v1/audits stays for small interactive runs; everything heavy goes
-// through here — submit, poll, follow as SSE, cancel — with admission
-// control shedding load instead of monopolizing connections.
+// Audit jobs: the HTTP surface over internal/jobs and the one way to run
+// an audit — submit, poll, follow as SSE, cancel — with dedup, admission
+// control shedding load instead of monopolizing connections, and cluster
+// placement.
 package server
 
 import (
+	"cmp"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -23,7 +25,6 @@ import (
 )
 
 const (
-	maxJobBodyBytes = 1 << 20
 	// defaultJobPage and maxJobPage bound GET /v1/jobs pages: a
 	// long-running server accumulates unbounded job history in the store,
 	// and serializing it all in one response would balloon without limit.
@@ -31,10 +32,10 @@ const (
 	maxJobPage     = 500
 )
 
-// jobResult is the stored output of an async audit. It deliberately
-// carries no wall-clock fields (unlike the synchronous auditResponse's
-// elapsed_seconds): crash recovery re-runs interrupted jobs and promises
-// a bit-identical result, so everything here must be a pure function of
+// jobResult is the stored output of an audit job. It deliberately
+// carries no wall-clock fields (the job's started_at/finished_at hold
+// those): crash recovery re-runs interrupted jobs and promises a
+// bit-identical result, so everything here must be a pure function of
 // the spec.
 type jobResult struct {
 	Dataset    string           `json:"dataset,omitempty"`
@@ -42,6 +43,14 @@ type jobResult struct {
 	Algorithm  string           `json:"algorithm"`
 	Unfairness float64          `json:"unfairness"`
 	Partitions []auditPartition `json:"partitions"`
+	// PValue is the permutation-test p-value, present when the spec set
+	// significance_rounds.
+	PValue *float64 `json:"p_value,omitempty"`
+}
+
+type auditPartition struct {
+	Label string `json:"label"`
+	Size  int    `json:"size"`
 }
 
 // jobPage is the paginated GET /v1/jobs response.
@@ -56,8 +65,7 @@ type jobPage struct {
 // validating every reference against live server state. It is called at
 // submit time (for validation and the canonical hash) and again at
 // execution time (datasets can change between the two — the run uses
-// whatever the name resolves to then, exactly like a synchronous audit
-// issued at that moment).
+// whatever the name resolves to then).
 //
 // A spec naming a Snapshot gets its own memory-mapped view of the stored
 // snapshot file, independent of the registered-dataset table; the returned
@@ -65,6 +73,9 @@ type jobPage struct {
 // fully materialized. For Dataset specs release is a no-op — the shared
 // mapping belongs to the registry.
 func (s *Server) resolveJobSpec(sp jobs.Spec) (core.Spec, func(), error) {
+	if _, err := core.Lookup(cmp.Or(sp.Algorithm, "balanced")); err != nil {
+		return core.Spec{}, nil, err
+	}
 	release := func() {}
 	var ds *dataset.Dataset
 	if sp.Snapshot != "" {
@@ -127,8 +138,34 @@ func (s *Server) resolveJobSpec(sp jobs.Spec) (core.Spec, func(), error) {
 	}, release, nil
 }
 
+// decodeJob parses a wire spec, resolves it against live server state —
+// so a bad submission fails fast as a 4xx instead of becoming a failed
+// job — and derives its dedup key: the canonical core.Spec hash, which
+// binds the dataset content this node would audit (so every node a spec
+// lands on recomputes it), with the significance rounds folded in when
+// the spec asks for a p-value. Without rounds the key is the plain hash,
+// so persisted result-cache keys stay valid.
+func (s *Server) decodeJob(raw []byte) (jobs.Spec, string, error) {
+	sp, err := jobs.DecodeSpec(raw)
+	if err != nil {
+		return jobs.Spec{}, "", err
+	}
+	cspec, release, err := s.resolveJobSpec(sp)
+	if err != nil {
+		return jobs.Spec{}, "", err
+	}
+	hash := cspec.Hash()
+	release()
+	if sp.SignificanceRounds > 0 {
+		sum := sha256.Sum256(fmt.Appendf(nil, "%s significance_rounds=%d", hash, sp.SignificanceRounds))
+		hash = hex.EncodeToString(sum[:])
+	}
+	return sp, hash, nil
+}
+
 // execJob is the queue's executor: resolve the spec, drive the engine
-// under the job's context, and serialize the deterministic result.
+// (and the permutation test, when asked) under the job's context, and
+// serialize the deterministic result.
 func (s *Server) execJob(ctx context.Context, j jobs.Job, progress func(core.TraceStep)) ([]byte, error) {
 	spec, release, err := s.resolveJobSpec(j.Spec)
 	if err != nil {
@@ -137,6 +174,12 @@ func (s *Server) execJob(ctx context.Context, j jobs.Job, progress func(core.Tra
 	// Labels and sizes below are materialized values, so releasing after
 	// the marshal is safe even for a job-private snapshot mapping.
 	defer release()
+	// One evaluator serves both the search and the permutation test.
+	e, err := core.NewEvaluator(spec.Dataset, spec.Func, spec.Config)
+	if err != nil {
+		return nil, err
+	}
+	spec.Evaluator = e
 	spec.Progress = progress
 	res, err := core.Run(ctx, spec)
 	if err != nil {
@@ -156,33 +199,26 @@ func (s *Server) execJob(ctx context.Context, j jobs.Job, progress func(core.Tra
 	sort.Slice(out.Partitions, func(i, k int) bool {
 		return out.Partitions[i].Label < out.Partitions[k].Label
 	})
+	if n := j.Spec.SignificanceRounds; n > 0 {
+		p, _, err := core.Significance(e, res.Partitioning, n, j.Spec.Seed)
+		if err != nil {
+			return nil, err
+		}
+		out.PValue = &p
+	}
 	return json.Marshal(out)
 }
 
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxJobBodyBytes+1))
+	body, ok := readBody(w, r, maxSpecBody)
+	if !ok {
+		return
+	}
+	spec, hash, err := s.decodeJob(body)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	if len(body) > maxJobBodyBytes {
-		writeErr(w, http.StatusRequestEntityTooLarge, errors.New("job spec exceeds size limit"))
-		return
-	}
-	spec, err := jobs.DecodeSpec(body)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	// Resolve now so bad submissions fail fast with a 4xx instead of
-	// becoming failed jobs, and to derive the canonical dedup hash.
-	cspec, release, err := s.resolveJobSpec(spec)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	hash := cspec.Hash()
-	release()
 	// Clustered placement: the canonical hash's ring owner runs the job,
 	// so identical specs submitted anywhere in the cluster dedup onto one
 	// run. A stamped submission is never re-forwarded (loop guard), and

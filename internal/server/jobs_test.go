@@ -343,18 +343,23 @@ func TestJobsCancelAndErrorsHTTP(t *testing.T) {
 	_, ts, _ := newTestServer(t)
 	uploadDataset(t, ts, "demo", 40)
 
-	// Unknown dataset and malformed specs are 4xx at submit, not failed jobs.
-	resp, _ := postJSON(t, ts.URL+"/v1/jobs", map[string]any{"dataset": "nope", "weights": map[string]float64{"LanguageTest": 1}})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown dataset status %d", resp.StatusCode)
-	}
-	resp, _ = postJSON(t, ts.URL+"/v1/jobs", map[string]any{"dataset": "demo", "weights": map[string]float64{"LanguageTest": 1}, "typo": 1})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown field status %d", resp.StatusCode)
-	}
-	resp, _ = postJSON(t, ts.URL+"/v1/jobs", map[string]any{"dataset": "demo", "weights": map[string]float64{"Bogus": 1}})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad weight attribute status %d", resp.StatusCode)
+	// Unknown references and malformed specs are 400 at submit, not failed
+	// jobs.
+	lang := map[string]float64{"LanguageTest": 1}
+	for name, spec := range map[string]map[string]any{
+		"unknown dataset":   {"dataset": "nope", "weights": lang},
+		"unknown field":     {"dataset": "demo", "weights": lang, "typo": 1},
+		"bad weight":        {"dataset": "demo", "weights": map[string]float64{"Bogus": 1}},
+		"empty weights":     {"dataset": "demo", "weights": map[string]float64{}},
+		"unknown algorithm": {"dataset": "demo", "weights": lang, "algorithm": "quantum"},
+		"bad metric":        {"dataset": "demo", "weights": lang, "metric": "nope"},
+		"bad attribute":     {"dataset": "demo", "weights": lang, "attributes": []string{"Nope"}},
+		"negative rounds":   {"dataset": "demo", "weights": lang, "significance_rounds": -1},
+	} {
+		resp, body := postJSON(t, ts.URL+"/v1/jobs", spec)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s)", name, resp.StatusCode, body)
+		}
 	}
 
 	// Cancel: unknown id 404; terminal job 409.

@@ -63,23 +63,22 @@ func withLogging(logf func(format string, args ...any), next http.Handler) http.
 	})
 }
 
-// withSemaphore bounds the number of concurrent requests through a
-// handler; excess requests receive 503. Audits are CPU-heavy (a full
-// partitioning search), so unbounded concurrency lets a burst of audit
-// requests starve the ranking path.
-func withSemaphore(limit int, next http.Handler) http.Handler {
-	if limit <= 0 {
-		return next
-	}
+// withSemaphore returns a middleware that bounds the concurrent requests
+// through every handler it wraps to limit, shedding the excess with 429
+// and a Retry-After hint — the same answer job admission gives.
+func withSemaphore(limit int) func(http.Handler) http.Handler {
 	sem := make(chan struct{}, limit)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case sem <- struct{}{}:
-			defer func() { <-sem }()
-			next.ServeHTTP(w, r)
-		default:
-			writeErr(w, http.StatusServiceUnavailable,
-				fmt.Errorf("too many concurrent audits (limit %d)", limit))
-		}
-	})
+	return func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			select {
+			case sem <- struct{}{}:
+				defer func() { <-sem }()
+				next.ServeHTTP(w, r)
+			default:
+				w.Header().Set("Retry-After", "1")
+				writeErr(w, http.StatusTooManyRequests,
+					fmt.Errorf("too many concurrent requests (limit %d)", limit))
+			}
+		})
+	}
 }

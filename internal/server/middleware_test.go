@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -74,18 +75,25 @@ func TestSemaphoreMiddleware(t *testing.T) {
 	release := make(chan struct{})
 	entered := make(chan struct{}, 2)
 	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		entered <- struct{}{}
-		<-release
+		if r.URL.Path == "/slow" {
+			entered <- struct{}{}
+			<-release
+		}
 		w.WriteHeader(http.StatusOK)
 	})
-	ts := httptest.NewServer(withSemaphore(2, slow))
+	// Two routes behind one gate share its slots.
+	gate := withSemaphore(2)
+	mux := http.NewServeMux()
+	mux.Handle("/slow", gate(slow))
+	mux.Handle("/fast", gate(slow))
+	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
 	// Fill both slots.
 	errs := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			resp, err := http.Get(ts.URL)
+			resp, err := http.Get(ts.URL + "/slow")
 			if err == nil {
 				resp.Body.Close()
 			}
@@ -96,13 +104,16 @@ func TestSemaphoreMiddleware(t *testing.T) {
 	// the third request deterministically see a full semaphore.
 	<-entered
 	<-entered
-	resp, err := http.Get(ts.URL)
+	resp, err := http.Get(ts.URL + "/fast")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("over-limit status = %d, want 503", resp.StatusCode)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("over-limit status = %d, want 429", resp.StatusCode)
+	}
+	if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 {
+		t.Fatalf("Retry-After = %q, want a positive integer", resp.Header.Get("Retry-After"))
 	}
 	close(release)
 	for i := 0; i < 2; i++ {
@@ -111,26 +122,12 @@ func TestSemaphoreMiddleware(t *testing.T) {
 		}
 	}
 	// Slots free again.
-	resp, err = http.Get(ts.URL)
+	resp, err = http.Get(ts.URL + "/fast")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-release status = %d", resp.StatusCode)
-	}
-}
-
-func TestSemaphoreZeroDisables(t *testing.T) {
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {})
-	ts := httptest.NewServer(withSemaphore(0, h))
-	defer ts.Close()
-	resp, err := http.Get(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("status = %d", resp.StatusCode)
 	}
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -140,9 +139,8 @@ type monitorStatus struct {
 }
 
 func (s *Server) handleCreateMonitor(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	body, ok := readBody(w, r, maxSpecBody)
+	if !ok {
 		return
 	}
 	spec, err := drift.DecodeSpec(body)
@@ -259,9 +257,8 @@ func (s *Server) handleMonitorEvents(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("monitor %q not found", id))
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	body, ok := readBody(w, r, maxEventsBody)
+	if !ok {
 		return
 	}
 	events, err := drift.DecodeEvents(body)

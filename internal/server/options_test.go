@@ -26,13 +26,9 @@ func TestServerOptions(t *testing.T) {
 			mu.Lock()
 			defer mu.Unlock()
 			logged = append(logged, fmt.Sprintf(format, args...))
-		}),
-		WithAuditLimit(2))
+		}))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if s.auditLimit != 2 {
-		t.Fatalf("audit limit = %d", s.auditLimit)
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -4,20 +4,20 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
+	"strconv"
 
 	"fairrank/internal/dataset"
 	"fairrank/internal/marketplace"
 	"fairrank/internal/rerank"
 )
 
-// rankPostRequest is the POST /v1/rank body: the GET query parameters
-// plus a re-ranking algorithm selection. Algorithm "" serves the plain
-// score-ranked page, exactly like GET /v1/rank; any registered re-ranker
-// name (GET /v1/rerankers) re-ranks the task's full candidate pool and
-// serves the fairness-constrained page.
+// rankPostRequest is the POST /v1/rank body, and what GET /v1/rank's
+// task, k and q parameters parse into. Algorithm "" serves the plain
+// score-ranked page; any registered re-ranker name (GET /v1/rerankers)
+// re-ranks the task's full candidate pool and serves the
+// fairness-constrained page.
 type rankPostRequest struct {
 	Task string `json:"task"`
 	// Q optionally restricts the pool to a keyword query, as GET's q=.
@@ -58,48 +58,55 @@ type rankPostResponse struct {
 	UnfairnessAfter  *float64 `json:"unfairness_after,omitempty"`
 }
 
-// defaultPageSize matches GET /v1/rank's default k.
+type rankedEntry struct {
+	Rank   int     `json:"rank"`
+	Worker string  `json:"worker"`
+	Score  float64 `json:"score"`
+}
+
+// defaultPageSize is the page size when a request omits k or sends 0.
 const defaultPageSize = 10
 
-// maxRankBody bounds a POST /v1/rank body, a handful of short fields.
-const maxRankBody = 64 << 10
-
-// decodeBody decodes exactly one JSON value of at most limit bytes from
-// the request body into v, rejecting unknown fields and trailing data. A
-// body over the limit fails with an *http.MaxBytesError.
-func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
+// handleRank serves GET /v1/rank: its query parameters as a plain
+// rankPostRequest, answered with the bare ranking array.
+func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
+	qp := r.URL.Query()
+	req := rankPostRequest{Task: qp.Get("task"), Q: qp.Get("q")}
+	if ks := qp.Get("k"); ks != "" {
+		k, err := strconv.Atoi(ks)
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad k %q", ks))
+			return
+		}
+		req.K = k
 	}
-	_, err := dec.Token()
-	switch {
-	case err == io.EOF:
-		return nil
-	case errors.As(err, new(*http.MaxBytesError)):
-		return err
+	if resp, ok := s.rank(w, r, req); ok {
+		writeJSON(w, http.StatusOK, resp.Ranking)
 	}
-	return errors.New("trailing data after json value")
 }
 
 func (s *Server) handleRankPost(w http.ResponseWriter, r *http.Request) {
 	var req rankPostRequest
-	if err := decodeBody(w, r, maxRankBody, &req); err != nil {
-		status := http.StatusBadRequest
-		if errors.As(err, new(*http.MaxBytesError)) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeErr(w, status, fmt.Errorf("bad rank json: %w", err))
+	if !decodeBody(w, r, maxRequestBody, &req) {
 		return
+	}
+	if resp, ok := s.rank(w, r, req); ok {
+		writeJSON(w, http.StatusOK, resp)
+	}
+}
+
+// rank serves one ranked page for both methods of /v1/rank. On failure it
+// writes the error response and reports false.
+func (s *Server) rank(w http.ResponseWriter, r *http.Request, req rankPostRequest) (rankPostResponse, bool) {
+	fail := func(status int, err error) (rankPostResponse, bool) {
+		writeErr(w, status, err)
+		return rankPostResponse{}, false
 	}
 	if req.Task == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("task is required"))
-		return
+		return fail(http.StatusBadRequest, errors.New("task is required"))
 	}
 	if req.K < 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad k %d", req.K))
-		return
+		return fail(http.StatusBadRequest, fmt.Errorf("bad k %d", req.K))
 	}
 	k := req.K
 	if k == 0 {
@@ -107,29 +114,22 @@ func (s *Server) handleRankPost(w http.ResponseWriter, r *http.Request) {
 	}
 	raw, ok := s.db.Get(bucketTasks, req.Task)
 	if !ok {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("task %q not found", req.Task))
-		return
+		return fail(http.StatusNotFound, fmt.Errorf("task %q not found", req.Task))
 	}
 	var t taskSpec
 	if err := json.Unmarshal(raw, &t); err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
+		return fail(http.StatusInternalServerError, err)
 	}
-	s.mu.RLock()
-	ds, ok := s.datasets[t.Dataset]
-	s.mu.RUnlock()
+	ds, ok := s.lookupDataset(w, t.Dataset)
 	if !ok {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("dataset %q not found", t.Dataset))
-		return
+		return rankPostResponse{}, false
 	}
 	m, err := marketplace.New(ds)
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
+		return fail(http.StatusInternalServerError, err)
 	}
 	if err := m.PostTask(marketplace.Task{ID: t.ID, Title: t.Title, Weights: t.Weights}); err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
+		return fail(http.StatusInternalServerError, err)
 	}
 	// Rank the whole (possibly query-filtered) pool, not just the page: a
 	// re-ranker must be able to promote candidates from beyond the top-k.
@@ -140,16 +140,11 @@ func (s *Server) handleRankPost(w http.ResponseWriter, r *http.Request) {
 		pool, err = m.Rank(t.ID, 0)
 	}
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+		return fail(http.StatusBadRequest, err)
 	}
-	if k > len(pool) {
-		k = len(pool)
-	}
-
+	k = min(k, len(pool))
 	if req.Algorithm == "" {
-		writeJSON(w, http.StatusOK, rankPostResponse{Ranking: entries(ds, pool[:k])})
-		return
+		return rankPostResponse{Ranking: entries(ds, pool[:k])}, true
 	}
 
 	// An empty attribute is attr = -1: proxy-free re-rankers accept it
@@ -158,18 +153,15 @@ func (s *Server) handleRankPost(w http.ResponseWriter, r *http.Request) {
 	attr := -1
 	if req.Attribute != "" {
 		if attr = ds.Schema().ProtectedIndex(req.Attribute); attr < 0 {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("%q is not a protected attribute", req.Attribute))
-			return
+			return fail(http.StatusBadRequest, fmt.Errorf("%q is not a protected attribute", req.Attribute))
 		}
 	}
 	page, err := rerank.Serve(s.metrics, req.Algorithm, ds, attr, pool, k, req.Params)
 	switch {
 	case errors.Is(err, rerank.ErrInfeasible):
-		writeErr(w, http.StatusUnprocessableEntity, err)
-		return
+		return fail(http.StatusUnprocessableEntity, err)
 	case err != nil:
-		writeErr(w, http.StatusBadRequest, err)
-		return
+		return fail(http.StatusBadRequest, err)
 	}
 	before := pool[:len(page)]
 
@@ -195,18 +187,16 @@ func (s *Server) handleRankPost(w http.ResponseWriter, r *http.Request) {
 		// every protected column".
 		ub, err := rerank.AuditPage(r.Context(), ds, before, attr)
 		if err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
+			return fail(http.StatusInternalServerError, err)
 		}
 		ua, err := rerank.AuditPage(r.Context(), ds, page, attr)
 		if err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
+			return fail(http.StatusInternalServerError, err)
 		}
 		resp.UnfairnessBefore = &ub
 		resp.UnfairnessAfter = &ua
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, true
 }
 
 // finitePtr boxes v for an omitempty pointer field, dropping the

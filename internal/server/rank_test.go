@@ -193,6 +193,8 @@ func TestRankPostValidation(t *testing.T) {
 		{"missing attribute", rankPostRequest{Task: task, Algorithm: "fair-topk"}, http.StatusBadRequest},
 		{"bad alpha", rankPostRequest{Task: task, Algorithm: "fair-topk", Attribute: "Language",
 			Params: rerank.Params{Alpha: 2}}, http.StatusBadRequest},
+		{"negative epsilon", rankPostRequest{Task: task, Algorithm: "exposure-parity", Attribute: "Language",
+			Params: rerank.Params{Epsilon: -1}}, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp, body := postJSON(t, ts.URL+"/v1/rank", c.req)
@@ -207,6 +209,11 @@ func TestRankPostValidation(t *testing.T) {
 	})
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "fair-topk") {
 		t.Fatalf("unknown-algorithm error unhelpful: %d %s", resp.StatusCode, body)
+	}
+	// The pre-registry exposure-parity route is gone: POST /v1/rank with
+	// "algorithm":"exposure-parity" serves it.
+	if resp, _ := postJSON(t, ts.URL+"/v1/rerank", map[string]any{"task": task}); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /v1/rerank = %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -231,9 +238,9 @@ func TestRankPostStrictBody(t *testing.T) {
 			http.StatusBadRequest, "unknown field"},
 		{"second value", plain + plain, http.StatusBadRequest, "trailing data"},
 		{"trailing garbage", plain + " x", http.StatusBadRequest, "trailing data"},
-		{"oversized", `{"task":"` + task + `","q":"` + strings.Repeat("a", maxRankBody) + `"}`,
+		{"oversized", `{"task":"` + task + `","q":"` + strings.Repeat("a", maxRequestBody) + `"}`,
 			http.StatusRequestEntityTooLarge, "too large"},
-		{"oversized tail", plain + strings.Repeat(" ", maxRankBody), http.StatusRequestEntityTooLarge, "too large"},
+		{"oversized tail", plain + strings.Repeat(" ", maxRequestBody), http.StatusRequestEntityTooLarge, "too large"},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(ts.URL+"/v1/rank", "application/json", strings.NewReader(c.body))

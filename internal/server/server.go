@@ -1,7 +1,7 @@
 // Package server exposes the fairrank platform over HTTP: dataset upload,
 // task posting, filtered ranking (the marketplace result page), and
-// fairness audits — with tasks, audit results and dataset snapshots held
-// durably in the embedded store.
+// fairness audits as durable jobs — with tasks, job records and dataset
+// snapshots held in the embedded store.
 //
 // API (all JSON unless noted):
 //
@@ -19,15 +19,14 @@
 //	DELETE /v1/datasets/{name}/uploads/{token} abort session
 //	POST /v1/tasks                    post a task {id,title,dataset,weights}
 //	GET  /v1/tasks                    list tasks
-//	GET  /v1/rank?task=&k=&q=         ranked (optionally query-filtered) workers
-//	POST /v1/rank                     ranked page through a registered fair
-//	                                  re-ranker (see rankPostRequest)
+//	GET  /v1/rank?task=&k=&q=         plain ranked page (k defaults to 10);
+//	                                  the query form of POST /v1/rank
+//	POST /v1/rank                     ranked page, optionally through a
+//	                                  registered fair re-ranker (rankPostRequest)
 //	GET  /v1/rerankers                list registered re-ranker names
 //	GET  /v1/algorithms               list registered audit algorithms
-//	POST /v1/audits                   run an audit synchronously (see auditRequest)
-//	GET  /v1/audits                   list stored audit results
-//	GET  /v1/audits/{id}              one stored audit result
-//	POST /v1/jobs                     submit an async audit job (202; 429 when full)
+//	POST /v1/jobs                     submit an audit job (jobs.Spec; 202,
+//	                                  200 on dedup, 429 when full)
 //	GET  /v1/jobs                     list jobs (paginated: limit/offset/state)
 //	GET  /v1/jobs/{id}                job status + result
 //	DELETE /v1/jobs/{id}              cancel a queued or running job
@@ -41,7 +40,6 @@
 //	                                  returns alarm transitions
 //	GET  /v1/monitors/{id}/events     follow alarm transitions (SSE)
 //	POST /v1/monitors/{id}/baseline   seal window-vs-baseline comparison levels
-//	POST /v1/rerank                   exposure-parity re-rank a task's page
 //	POST /v1/repair                   before/after unfairness of score repair
 //	POST /v1/explain                  per-attribute importance for a function
 //	GET  /v1/cluster                  cluster membership + placement status
@@ -50,6 +48,11 @@
 //	POST /v1/cluster/ack              peer protocol: finalize a steal handoff
 //	POST /v1/cluster/hydrate          pull a snapshot from a peer {name, peer}
 //	GET  /                            HTML dashboard
+//
+// Every JSON body is read through readBody, bounded (413 when over), and
+// decoded strictly (400 on unknown fields or trailing data). Repair and
+// explain run the engine inside the request and share one admission gate
+// that sheds with 429 + Retry-After, as job admission does.
 package server
 
 import (
@@ -63,16 +66,13 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"strconv"
 	"sync"
 
 	"fairrank/internal/cluster"
 	"fairrank/internal/core"
 	"fairrank/internal/dataset"
-	"fairrank/internal/emd"
 	"fairrank/internal/explain"
 	"fairrank/internal/jobs"
-	"fairrank/internal/marketplace"
 	"fairrank/internal/partition"
 	"fairrank/internal/repair"
 	"fairrank/internal/rerank"
@@ -85,7 +85,6 @@ import (
 const (
 	bucketDatasets = "datasets"
 	bucketTasks    = "tasks"
-	bucketAudits   = "audits"
 	maxUploadBytes = 256 << 20
 )
 
@@ -94,8 +93,6 @@ type Server struct {
 	db *store.DB
 	// logf receives request log lines; nil disables request logging.
 	logf func(format string, args ...any)
-	// auditLimit bounds concurrent audit computations (default 4).
-	auditLimit int
 	// metrics receives per-route HTTP series and the engine series of
 	// every audit evaluator; served at GET /metrics.
 	metrics *telemetry.Registry
@@ -132,8 +129,7 @@ type Server struct {
 	// job workers hold *Dataset pointers across long runs without the lock,
 	// and unmapping under them would fault. Address space is the only cost
 	// of keeping a retired mapping until drain.
-	retired  []io.Closer
-	auditSeq int
+	retired []io.Closer
 }
 
 // ServerOption configures a Server.
@@ -142,11 +138,6 @@ type ServerOption func(*Server)
 // WithRequestLog enables request logging through logf (e.g. log.Printf).
 func WithRequestLog(logf func(format string, args ...any)) ServerOption {
 	return func(s *Server) { s.logf = logf }
-}
-
-// WithAuditLimit bounds concurrent audit requests; excess requests get 503.
-func WithAuditLimit(n int) ServerOption {
-	return func(s *Server) { s.auditLimit = n }
 }
 
 // WithJobWorkers sets the async-audit worker pool size (default 2).
@@ -167,20 +158,19 @@ func WithJobQueueLimit(n int) ServerOption {
 // to snapshot files on first boot.
 func New(db *store.DB, opts ...ServerOption) (*Server, error) {
 	s := &Server{
-		db:         db,
-		datasets:   map[string]*dataset.Dataset{},
-		sessions:   map[string]*uploadSession{},
-		monitors:   map[string]*serverMonitor{},
-		hydrating:  map[string]bool{},
-		auditLimit: 4,
-		metrics:    telemetry.NewRegistry(),
+		db:        db,
+		datasets:  map[string]*dataset.Dataset{},
+		sessions:  map[string]*uploadSession{},
+		monitors:  map[string]*serverMonitor{},
+		hydrating: map[string]bool{},
+		metrics:   telemetry.NewRegistry(),
 	}
 	for _, o := range opts {
 		o(s)
 	}
 	// Engine series appear on /metrics from boot, not after the first
-	// audit request creates an evaluator; same for the re-rank serving
-	// series behind POST /v1/rank.
+	// audit creates an evaluator; same for the re-rank serving series
+	// behind POST /v1/rank.
 	core.PreregisterMetrics(s.metrics)
 	rerank.PreregisterMetrics(s.metrics)
 	// Build identity on every scrape: heterogeneous cluster rollouts show
@@ -234,7 +224,6 @@ func New(db *store.DB, opts ...ServerOption) (*Server, error) {
 	if err := s.reloadMonitors(); err != nil {
 		return nil, fmt.Errorf("server: reload monitors: %w", err)
 	}
-	s.auditSeq = db.Len(bucketAudits)
 	// The queue starts after datasets reload so recovered jobs can
 	// resolve their specs the moment a worker picks them up.
 	exec := jobs.Executor(s.execJob)
@@ -318,9 +307,6 @@ func (s *Server) Handler() http.Handler {
 	handleFunc("POST /v1/rank", s.handleRankPost)
 	handleFunc("GET /v1/rerankers", s.handleRerankers)
 	handleFunc("GET /v1/algorithms", s.handleAlgorithms)
-	handle("POST /v1/audits", withSemaphore(s.auditLimit, http.HandlerFunc(s.handleRunAudit)))
-	handleFunc("GET /v1/audits", s.handleListAudits)
-	handleFunc("GET /v1/audits/{id}", s.handleGetAudit)
 	handleFunc("POST /v1/jobs", s.handleSubmitJob)
 	handleFunc("GET /v1/jobs", s.handleListJobs)
 	handleFunc("GET /v1/jobs/{id}", s.handleGetJob)
@@ -338,9 +324,9 @@ func (s *Server) Handler() http.Handler {
 	handleFunc("POST /v1/cluster/steal", s.handleClusterSteal)
 	handleFunc("POST /v1/cluster/ack", s.handleClusterAck)
 	handleFunc("POST /v1/cluster/hydrate", s.handleClusterHydrate)
-	handleFunc("POST /v1/rerank", s.handleRerank)
-	handleFunc("POST /v1/repair", s.handleRepair)
-	handle("POST /v1/explain", withSemaphore(s.auditLimit, http.HandlerFunc(s.handleExplain)))
+	gate := withSemaphore(maxSyncEvals)
+	handle("POST /v1/repair", gate(http.HandlerFunc(s.handleRepair)))
+	handle("POST /v1/explain", gate(http.HandlerFunc(s.handleExplain)))
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.Handle("GET /debug/vars", expvar.Handler())
 	if s.pprof {
@@ -361,6 +347,68 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, apiError{Error: err.Error()})
+}
+
+// Request body bounds; the peer protocol's is cluster.MaxMessageBytes. A
+// body over its route's bound is answered 413.
+const (
+	// maxRequestBody bounds the plain request structs (tasks, rank,
+	// repair, explain, upload sessions, hydrate): a handful of short
+	// fields.
+	maxRequestBody = 64 << 10
+	// maxSpecBody bounds a job or monitor spec.
+	maxSpecBody   = 1 << 20
+	maxEventsBody = 8 << 20
+)
+
+// readBody reads a request body of at most limit bytes: the one way every
+// JSON route reads its body. It answers 413 to a body over the limit and
+// 400 to one that cannot be read, and reports whether to go on.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	switch {
+	case errors.As(err, new(*http.MaxBytesError)):
+		writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes: %w", limit, err))
+	case err != nil:
+		writeErr(w, http.StatusBadRequest, err)
+	default:
+		return body, true
+	}
+	return nil, false
+}
+
+// decodeBody reads a body through readBody and decodes exactly one JSON
+// value from it into v, answering 400 to unknown fields and trailing
+// data. Routes whose package owns a strict []byte decoder (jobs, drift,
+// cluster) call readBody and that decoder instead.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	body, ok := readBody(w, r, limit)
+	if !ok {
+		return false
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request json: %w", err))
+		return false
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		writeErr(w, http.StatusBadRequest, errors.New("bad request json: trailing data after json value"))
+		return false
+	}
+	return true
+}
+
+// lookupDataset returns the live dataset registered under name, answering
+// 404 when there is none.
+func (s *Server) lookupDataset(w http.ResponseWriter, name string) (*dataset.Dataset, bool) {
+	s.mu.RLock()
+	ds, ok := s.datasets[name]
+	s.mu.RUnlock()
+	if !ok {
+		writeErr(w, http.StatusNotFound, fmt.Errorf("dataset %q not found", name))
+	}
+	return ds, ok
 }
 
 type datasetInfo struct {
@@ -503,14 +551,9 @@ func (s *Server) uploadSnapshotOneShot(w http.ResponseWriter, r *http.Request, n
 
 func (s *Server) handleGetDataset(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	s.mu.RLock()
-	ds, ok := s.datasets[name]
-	s.mu.RUnlock()
-	if !ok {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("dataset %q not found", name))
-		return
+	if ds, ok := s.lookupDataset(w, name); ok {
+		writeJSON(w, http.StatusOK, describe(name, ds))
 	}
-	writeJSON(w, http.StatusOK, describe(name, ds))
 }
 
 func (s *Server) handleDeleteDataset(w http.ResponseWriter, r *http.Request) {
@@ -577,8 +620,7 @@ type taskSpec struct {
 
 func (s *Server) handlePostTask(w http.ResponseWriter, r *http.Request) {
 	var t taskSpec
-	if err := json.NewDecoder(r.Body).Decode(&t); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad task json: %w", err))
+	if !decodeBody(w, r, maxRequestBody, &t) {
 		return
 	}
 	if t.ID == "" || t.Dataset == "" {
@@ -633,288 +675,30 @@ func (s *Server) handleListTasks(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-type rankedEntry struct {
-	Rank   int     `json:"rank"`
-	Worker string  `json:"worker"`
-	Score  float64 `json:"score"`
-}
+// maxSyncEvals bounds the routes that run the engine inside the request
+// (repair, explain) together. Each builds an evaluator and may run a
+// full search, so unbounded concurrency lets a burst of them starve the
+// ranking path.
+const maxSyncEvals = 4
 
-func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
-	taskID := r.URL.Query().Get("task")
-	if taskID == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("task parameter required"))
-		return
-	}
-	raw, ok := s.db.Get(bucketTasks, taskID)
+// evaluatorFor is the prelude repair and explain share: look the dataset
+// up (404), build the linear scoring function and its evaluator (400).
+func (s *Server) evaluatorFor(w http.ResponseWriter, name string, weights map[string]float64, bins int) (*core.Evaluator, bool) {
+	ds, ok := s.lookupDataset(w, name)
 	if !ok {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("task %q not found", taskID))
-		return
+		return nil, false
 	}
-	var t taskSpec
-	if err := json.Unmarshal(raw, &t); err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.mu.RLock()
-	ds, ok := s.datasets[t.Dataset]
-	s.mu.RUnlock()
-	if !ok {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("dataset %q not found", t.Dataset))
-		return
-	}
-	k := 10
-	if ks := r.URL.Query().Get("k"); ks != "" {
-		var err error
-		if k, err = strconv.Atoi(ks); err != nil || k < 0 {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad k %q", ks))
-			return
-		}
-	}
-	m, err := marketplace.New(ds)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	if err := m.PostTask(marketplace.Task{ID: t.ID, Title: t.Title, Weights: t.Weights}); err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	var ranked []marketplace.RankedWorker
-	if q := r.URL.Query().Get("q"); q != "" {
-		ranked, err = m.RankQuery(t.ID, q, k)
-	} else {
-		ranked, err = m.Rank(t.ID, k)
-	}
+	f, err := scoring.NewLinear("request-fn", weights)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
-		return
+		return nil, false
 	}
-	out := make([]rankedEntry, len(ranked))
-	for i, rw := range ranked {
-		out[i] = rankedEntry{Rank: rw.Rank, Worker: ds.ID(rw.Worker), Score: rw.Score}
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// auditRequest describes an audit to run.
-type auditRequest struct {
-	Dataset string `json:"dataset"`
-	// Algorithm is a registered algorithm name (GET /v1/algorithms lists
-	// them); empty selects "balanced".
-	Algorithm string `json:"algorithm"`
-	// Weights defines the scoring function over observed attributes.
-	Weights map[string]float64 `json:"weights"`
-	Bins    int                `json:"bins,omitempty"`
-	Metric  string             `json:"metric,omitempty"`
-	// Attributes restricts the audit to these protected attributes.
-	Attributes []string `json:"attributes,omitempty"`
-	// SignificanceRounds > 0 adds a permutation-test p-value.
-	SignificanceRounds int    `json:"significance_rounds,omitempty"`
-	Seed               uint64 `json:"seed,omitempty"`
-	// Budget caps exhaustive enumeration (0 = engine default).
-	Budget int `json:"budget,omitempty"`
-}
-
-// auditResponse is the stored, returned audit result.
-type auditResponse struct {
-	ID          string           `json:"id"`
-	Dataset     string           `json:"dataset"`
-	Algorithm   string           `json:"algorithm"`
-	Unfairness  float64          `json:"unfairness"`
-	Partitions  []auditPartition `json:"partitions"`
-	ElapsedSecs float64          `json:"elapsed_seconds"`
-	PValue      *float64         `json:"p_value,omitempty"`
-}
-
-type auditPartition struct {
-	Label string `json:"label"`
-	Size  int    `json:"size"`
-}
-
-func (s *Server) handleRunAudit(w http.ResponseWriter, r *http.Request) {
-	var req auditRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad audit json: %w", err))
-		return
-	}
-	s.mu.RLock()
-	ds, ok := s.datasets[req.Dataset]
-	s.mu.RUnlock()
-	if !ok {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("dataset %q not found", req.Dataset))
-		return
-	}
-	f, err := scoring.NewLinear("audit-fn", req.Weights)
+	e, err := core.NewEvaluator(ds, f, core.Config{Bins: bins, Metrics: s.metrics})
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
-		return
+		return nil, false
 	}
-	cfg := core.Config{Bins: req.Bins, Metrics: s.metrics}
-	if req.Metric != "" {
-		m, err := emd.ParseMetric(req.Metric)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		cfg.Metric = m
-	}
-	e, err := core.NewEvaluator(ds, f, cfg)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	var attrs []int
-	if req.Attributes != nil {
-		for _, name := range req.Attributes {
-			i := ds.Schema().ProtectedIndex(name)
-			if i < 0 {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("%q is not a protected attribute", name))
-				return
-			}
-			attrs = append(attrs, i)
-		}
-		if len(attrs) == 0 {
-			writeErr(w, http.StatusBadRequest, errors.New("attributes list is empty"))
-			return
-		}
-	}
-	// The request's context flows into the engine: a client that
-	// disconnects mid-audit aborts the search instead of burning an audit
-	// slot to completion.
-	res, err := core.Run(r.Context(), core.Spec{
-		Algorithm: req.Algorithm,
-		Evaluator: e,
-		Attrs:     attrs,
-		Seed:      req.Seed,
-		Budget:    req.Budget,
-	})
-	if err != nil {
-		if r.Context().Err() != nil {
-			// Client is gone; nothing to write and nothing to store.
-			return
-		}
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-
-	resp := auditResponse{
-		Dataset:     req.Dataset,
-		Algorithm:   res.Algorithm,
-		Unfairness:  res.Unfairness,
-		ElapsedSecs: res.Elapsed.Seconds(),
-	}
-	for _, p := range res.Partitioning.Parts {
-		resp.Partitions = append(resp.Partitions, auditPartition{
-			Label: p.Label(ds.Schema()), Size: p.Size(),
-		})
-	}
-	sort.Slice(resp.Partitions, func(i, j int) bool {
-		return resp.Partitions[i].Label < resp.Partitions[j].Label
-	})
-	if req.SignificanceRounds > 0 {
-		p, _, err := core.Significance(e, res.Partitioning, req.SignificanceRounds, req.Seed)
-		if err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
-		}
-		resp.PValue = &p
-	}
-
-	s.mu.Lock()
-	s.auditSeq++
-	resp.ID = fmt.Sprintf("audit-%06d", s.auditSeq)
-	s.mu.Unlock()
-	raw, err := json.Marshal(resp)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	if err := s.db.Put(bucketAudits, resp.ID, raw); err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, resp)
-}
-
-// rerankRequest asks for an exposure-parity re-ranking of a task's result
-// page.
-type rerankRequest struct {
-	Task      string  `json:"task"`
-	K         int     `json:"k"`
-	Attribute string  `json:"attribute"`
-	Epsilon   float64 `json:"epsilon"`
-}
-
-type rerankResponse struct {
-	Ranking         []rankedEntry `json:"ranking"`
-	DisparityBefore float64       `json:"disparity_before"`
-	DisparityAfter  float64       `json:"disparity_after"`
-}
-
-func (s *Server) handleRerank(w http.ResponseWriter, r *http.Request) {
-	var req rerankRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad rerank json: %w", err))
-		return
-	}
-	raw, ok := s.db.Get(bucketTasks, req.Task)
-	if !ok {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("task %q not found", req.Task))
-		return
-	}
-	var t taskSpec
-	if err := json.Unmarshal(raw, &t); err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.mu.RLock()
-	ds, ok := s.datasets[t.Dataset]
-	s.mu.RUnlock()
-	if !ok {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("dataset %q not found", t.Dataset))
-		return
-	}
-	attr := ds.Schema().ProtectedIndex(req.Attribute)
-	if attr < 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("%q is not a protected attribute", req.Attribute))
-		return
-	}
-	f, err := scoring.NewLinear(t.ID, t.Weights)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	// Re-rank the full pool, then return the requested page.
-	pool := marketplace.RankBy(ds, f, 0)
-	out, err := rerank.ExposureParity(ds, attr, pool, rerank.Options{Epsilon: req.Epsilon})
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	k := req.K
-	if k <= 0 || k > len(out) {
-		k = len(out)
-	}
-	beforeExp, err := marketplace.GroupExposure(ds, attr, pool[:k])
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	afterExp, err := marketplace.GroupExposure(ds, attr, out[:k])
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	resp := rerankResponse{
-		DisparityBefore: marketplace.ExposureDisparity(beforeExp),
-		DisparityAfter:  marketplace.ExposureDisparity(afterExp),
-	}
-	for _, rw := range out[:k] {
-		resp.Ranking = append(resp.Ranking, rankedEntry{
-			Rank: rw.Rank, Worker: ds.ID(rw.Worker), Score: rw.Score,
-		})
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return e, true
 }
 
 // repairRequest asks for a before/after unfairness evaluation of
@@ -939,27 +723,14 @@ type repairResponse struct {
 
 func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	var req repairRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad repair json: %w", err))
+	if !decodeBody(w, r, maxRequestBody, &req) {
 		return
 	}
-	s.mu.RLock()
-	ds, ok := s.datasets[req.Dataset]
-	s.mu.RUnlock()
+	e, ok := s.evaluatorFor(w, req.Dataset, req.Weights, req.Bins)
 	if !ok {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("dataset %q not found", req.Dataset))
 		return
 	}
-	f, err := scoring.NewLinear("repair-fn", req.Weights)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	e, err := core.NewEvaluator(ds, f, core.Config{Bins: req.Bins, Metrics: s.metrics})
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
+	ds := e.Dataset()
 	var pt *partition.Partitioning
 	if len(req.GroupBy) > 0 {
 		parts := []*partition.Partition{partition.Root(ds)}
@@ -1017,25 +788,11 @@ type explainRequest struct {
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	var req explainRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad explain json: %w", err))
+	if !decodeBody(w, r, maxRequestBody, &req) {
 		return
 	}
-	s.mu.RLock()
-	ds, ok := s.datasets[req.Dataset]
-	s.mu.RUnlock()
+	e, ok := s.evaluatorFor(w, req.Dataset, req.Weights, req.Bins)
 	if !ok {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("dataset %q not found", req.Dataset))
-		return
-	}
-	f, err := scoring.NewLinear("explain-fn", req.Weights)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	e, err := core.NewEvaluator(ds, f, core.Config{Bins: req.Bins, Metrics: s.metrics})
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	imps, err := explain.AttributesContext(r.Context(), e)
@@ -1050,35 +807,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleAlgorithms lists the registered audit algorithm names — the
-// authoritative validation set for auditRequest.Algorithm.
+// authoritative validation set for jobs.Spec.Algorithm.
 func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, core.Algorithms())
-}
-
-func (s *Server) handleListAudits(w http.ResponseWriter, r *http.Request) {
-	out := []auditResponse{}
-	for _, id := range s.db.Keys(bucketAudits) {
-		raw, ok := s.db.Get(bucketAudits, id)
-		if !ok {
-			continue
-		}
-		var a auditResponse
-		if err := json.Unmarshal(raw, &a); err != nil {
-			continue
-		}
-		out = append(out, a)
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleGetAudit(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	raw, ok := s.db.Get(bucketAudits, id)
-	if !ok {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("audit %q not found", id))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(raw)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,7 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"fairrank/internal/cluster"
 	"fairrank/internal/core"
+	"fairrank/internal/jobs"
 	"fairrank/internal/simulate"
 	"fairrank/internal/store"
 )
@@ -86,6 +89,21 @@ func getJSON(t *testing.T, url string, into any) int {
 	return resp.StatusCode
 }
 
+// runJob submits spec to POST /v1/jobs, requires a 202, and returns the
+// job once it is done.
+func runJob(t *testing.T, baseURL string, spec map[string]any) jobs.Job {
+	t.Helper()
+	resp, body := postJSON(t, baseURL+"/v1/jobs", spec)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit = %d: %s", resp.StatusCode, body)
+	}
+	var j jobs.Job
+	if err := json.Unmarshal(body, &j); err != nil {
+		t.Fatal(err)
+	}
+	return waitJobHTTP(t, baseURL, j.ID, jobs.StateDone)
+}
+
 func TestDashboard(t *testing.T) {
 	_, ts, _ := newTestServer(t)
 	uploadDataset(t, ts, "workers", 60)
@@ -93,9 +111,14 @@ func TestDashboard(t *testing.T) {
 		"id": "gig", "title": "a <script> test", "dataset": "workers",
 		"weights": map[string]float64{"LanguageTest": 1},
 	})
-	postJSON(t, ts.URL+"/v1/audits", map[string]any{
+	j := runJob(t, ts.URL, map[string]any{
 		"dataset": "workers", "weights": map[string]float64{"LanguageTest": 1},
+		"significance_rounds": 20,
 	})
+	var res jobResult
+	if err := json.Unmarshal(j.Result, &res); err != nil || res.PValue == nil {
+		t.Fatalf("job result %s: %v", j.Result, err)
+	}
 	resp, err := http.Get(ts.URL + "/")
 	if err != nil {
 		t.Fatal(err)
@@ -110,10 +133,14 @@ func TestDashboard(t *testing.T) {
 	var body bytes.Buffer
 	body.ReadFrom(resp.Body)
 	html := body.String()
-	for _, want := range []string{"fairrank", "workers", "gig", "audit-000001"} {
+	pv := fmt.Sprintf("%.3f", *res.PValue)
+	for _, want := range []string{"fairrank", "workers", "gig", j.ID, pv} {
 		if !strings.Contains(html, want) {
 			t.Errorf("dashboard missing %q", want)
 		}
+	}
+	if strings.Contains(html, "%!") {
+		t.Error("dashboard has a bad format verb (a pointer printed as a number?)")
 	}
 	// Task title must be HTML-escaped.
 	if strings.Contains(html, "<script>") {
@@ -225,6 +252,14 @@ func TestTaskLifecycleAndRank(t *testing.T) {
 		prev = s
 	}
 
+	// Omitting k or sending 0 means the default page of 10, not the whole
+	// population.
+	for _, q := range []string{"", "&k=0"} {
+		if code := getJSON(t, ts.URL+"/v1/rank?task=gig1"+q, &ranked); code != 200 || len(ranked) != 10 {
+			t.Fatalf("rank%s = %d with %d entries, want 10", q, code, len(ranked))
+		}
+	}
+
 	// Filtered ranking.
 	var filtered []map[string]any
 	url := ts.URL + "/v1/rank?task=gig1&k=5&q=" + urlQueryEscape("Gender = 'Female'")
@@ -288,128 +323,106 @@ func TestRankErrors(t *testing.T) {
 	}
 }
 
+// TestAuditEndToEnd runs an audit the one way there is — as a job — and
+// reads it back. The synchronous audit routes are gone.
 func TestAuditEndToEnd(t *testing.T) {
 	_, ts, _ := newTestServer(t)
 	uploadDataset(t, ts, "workers", 200)
 
-	req := map[string]any{
+	j := runJob(t, ts.URL, map[string]any{
 		"dataset":   "workers",
 		"algorithm": "balanced",
 		"weights":   map[string]float64{"LanguageTest": 1},
 		"bins":      10,
-	}
-	resp, body := postJSON(t, ts.URL+"/v1/audits", req)
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("audit = %d: %s", resp.StatusCode, body)
-	}
+	})
 	var audit map[string]any
-	if err := json.Unmarshal(body, &audit); err != nil {
+	if err := json.Unmarshal(j.Result, &audit); err != nil {
 		t.Fatal(err)
 	}
-	id := audit["id"].(string)
 	if audit["unfairness"].(float64) <= 0 {
 		t.Fatal("zero unfairness on random data (suspicious)")
 	}
 	if len(audit["partitions"].([]any)) < 2 {
 		t.Fatal("too few partitions")
 	}
+	if _, ok := audit["p_value"]; ok {
+		t.Fatal("p_value without significance_rounds")
+	}
+	if j.StartedAt.IsZero() || j.FinishedAt.Before(j.StartedAt) {
+		t.Fatalf("job timestamps: started %v, finished %v", j.StartedAt, j.FinishedAt)
+	}
 
-	// Stored and retrievable.
-	var fetched map[string]any
-	if code := getJSON(t, ts.URL+"/v1/audits/"+id, &fetched); code != 200 {
-		t.Fatalf("get audit = %d", code)
+	// Stored and listed.
+	var page struct {
+		Jobs []jobs.Job `json:"jobs"`
 	}
-	if fetched["unfairness"] != audit["unfairness"] {
-		t.Fatal("stored audit differs")
+	if code := getJSON(t, ts.URL+"/v1/jobs?state=done", &page); code != 200 || len(page.Jobs) != 1 {
+		t.Fatalf("list jobs = %d, %d items", code, len(page.Jobs))
 	}
-	var all []map[string]any
-	if code := getJSON(t, ts.URL+"/v1/audits", &all); code != 200 || len(all) != 1 {
-		t.Fatalf("list audits = %d, %d items", code, len(all))
+	if !bytes.Equal(page.Jobs[0].Result, j.Result) {
+		t.Fatal("listed result differs")
 	}
-	if code := getJSON(t, ts.URL+"/v1/audits/audit-999999", nil); code != 404 {
-		t.Fatalf("missing audit = %d", code)
+	if code := getJSON(t, ts.URL+"/v1/jobs/job-999999", nil); code != 404 {
+		t.Fatalf("missing job = %d", code)
+	}
+	for _, route := range []string{"POST /v1/audits", "GET /v1/audits", "GET /v1/audits/audit-000001"} {
+		method, path, _ := strings.Cut(route, " ")
+		req, _ := http.NewRequest(method, ts.URL+path, strings.NewReader(`{}`))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s = %d, want 404", route, resp.StatusCode)
+		}
 	}
 }
 
+// TestAuditWithSignificanceAndAttrs: significance_rounds adds a p-value
+// to a job's result and is part of its dedup key — the same spec with
+// and without rounds makes two jobs, and only the second carries p_value.
 func TestAuditWithSignificanceAndAttrs(t *testing.T) {
 	_, ts, _ := newTestServer(t)
 	uploadDataset(t, ts, "workers", 150)
-	req := map[string]any{
-		"dataset":             "workers",
-		"algorithm":           "all-attributes",
-		"weights":             map[string]float64{"ApprovalRate": 1},
-		"attributes":          []string{"Gender", "Country"},
-		"significance_rounds": 50,
-		"seed":                7,
+	spec := map[string]any{
+		"dataset":    "workers",
+		"algorithm":  "all-attributes",
+		"weights":    map[string]float64{"ApprovalRate": 1},
+		"attributes": []string{"Gender", "Country"},
+		"seed":       7,
 	}
-	resp, body := postJSON(t, ts.URL+"/v1/audits", req)
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("audit = %d: %s", resp.StatusCode, body)
+	plain := runJob(t, ts.URL, spec)
+	spec["significance_rounds"] = 50
+	sig := runJob(t, ts.URL, spec)
+	if sig.ID == plain.ID || sig.SpecHash == plain.SpecHash {
+		t.Fatalf("rounds 0 and 50 deduplicated onto %s", sig.ID)
 	}
-	var audit map[string]any
-	if err := json.Unmarshal(body, &audit); err != nil {
+	var plainRes, sigRes jobResult
+	if err := json.Unmarshal(plain.Result, &plainRes); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := audit["p_value"]; !ok {
-		t.Fatal("p_value missing")
+	if err := json.Unmarshal(sig.Result, &sigRes); err != nil {
+		t.Fatal(err)
+	}
+	if plainRes.PValue != nil {
+		t.Fatal("p_value without significance_rounds")
+	}
+	if sigRes.PValue == nil || *sigRes.PValue <= 0 || *sigRes.PValue > 1 {
+		t.Fatalf("p_value = %v, want one in (0, 1]", sigRes.PValue)
+	}
+	if sigRes.Unfairness != plainRes.Unfairness {
+		t.Fatalf("rounds changed the audit: %v vs %v", sigRes.Unfairness, plainRes.Unfairness)
 	}
 	// Only Gender×Country cells (≤ 6 partitions).
-	if n := len(audit["partitions"].([]any)); n > 6 {
+	if n := len(sigRes.Partitions); n > 6 {
 		t.Fatalf("%d partitions from a 2x3 attribute subset", n)
 	}
-}
-
-func TestAuditErrors(t *testing.T) {
-	_, ts, _ := newTestServer(t)
-	uploadDataset(t, ts, "workers", 50)
-	cases := []map[string]any{
-		{"dataset": "missing", "weights": map[string]float64{"LanguageTest": 1}},
-		{"dataset": "workers", "weights": map[string]float64{}},
-		{"dataset": "workers", "weights": map[string]float64{"LanguageTest": 1}, "algorithm": "quantum"},
-		{"dataset": "workers", "weights": map[string]float64{"LanguageTest": 1}, "metric": "nope"},
-		{"dataset": "workers", "weights": map[string]float64{"LanguageTest": 1}, "attributes": []string{"Nope"}},
-		{"dataset": "workers", "weights": map[string]float64{"LanguageTest": 1}, "attributes": []string{}},
-	}
-	for i, c := range cases {
-		resp, _ := postJSON(t, ts.URL+"/v1/audits", c)
-		if resp.StatusCode < 400 {
-			t.Errorf("case %d accepted with %d", i, resp.StatusCode)
-		}
-	}
-}
-
-func TestRerankEndpoint(t *testing.T) {
-	_, ts, _ := newTestServer(t)
-	uploadDataset(t, ts, "workers", 300)
-	postJSON(t, ts.URL+"/v1/tasks", map[string]any{
-		"id": "t1", "dataset": "workers",
-		"weights": map[string]float64{"LanguageTest": 1},
-	})
-	req := map[string]any{"task": "t1", "k": 20, "attribute": "Gender", "epsilon": 1.0}
-	resp, body := postJSON(t, ts.URL+"/v1/rerank", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("rerank = %d: %s", resp.StatusCode, body)
-	}
-	var out map[string]any
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out["ranking"].([]any)) != 20 {
-		t.Fatalf("ranking size = %d", len(out["ranking"].([]any)))
-	}
-	if out["disparity_after"].(float64) > out["disparity_before"].(float64) {
-		t.Fatalf("disparity worsened: %v -> %v", out["disparity_before"], out["disparity_after"])
-	}
-	// Errors.
-	for i, bad := range []map[string]any{
-		{"task": "missing", "attribute": "Gender"},
-		{"task": "t1", "attribute": "Charisma"},
-		{"task": "t1", "attribute": "Gender", "epsilon": -1},
-	} {
-		resp, _ := postJSON(t, ts.URL+"/v1/rerank", bad)
-		if resp.StatusCode < 400 {
-			t.Errorf("bad rerank %d accepted with %d", i, resp.StatusCode)
-		}
+	// A resubmission with rounds coalesces onto the job that has them.
+	resp, body := postJSON(t, ts.URL+"/v1/jobs", spec)
+	var again jobs.Job
+	if err := json.Unmarshal(body, &again); err != nil || resp.StatusCode != http.StatusOK || again.ID != sig.ID {
+		t.Fatalf("resubmission = %d %s", resp.StatusCode, body)
 	}
 }
 
@@ -462,16 +475,30 @@ func TestRepairEndpoint(t *testing.T) {
 }
 
 func TestPersistenceAcrossRestart(t *testing.T) {
-	_, ts, path := newTestServer(t)
+	s, ts, path := newTestServer(t)
 	uploadDataset(t, ts, "workers", 80)
 	postJSON(t, ts.URL+"/v1/tasks", map[string]any{
 		"id": "t1", "dataset": "workers",
 		"weights": map[string]float64{"LanguageTest": 1},
 	})
-	postJSON(t, ts.URL+"/v1/audits", map[string]any{
+	first := runJob(t, ts.URL, map[string]any{
 		"dataset": "workers", "weights": map[string]float64{"LanguageTest": 1},
 	})
+	// A record a synchronous audit route once wrote: nothing reads it, and
+	// boot must leave it in place, so a downgrade still serves it.
+	legacy := []byte(`{"id":"audit-000001","unfairness":0.1}`)
+	if err := s.db.Put("audits", "audit-000001", legacy); err != nil {
+		t.Fatal(err)
+	}
 	ts.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.db.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	// Restart over the same store file.
 	db, err := store.Open(path, store.Options{})
@@ -494,19 +521,19 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	if code := getJSON(t, ts2.URL+"/v1/tasks", &tasks); code != 200 || len(tasks) != 1 {
 		t.Fatalf("tasks after restart = %v", tasks)
 	}
-	var audits []map[string]any
-	if code := getJSON(t, ts2.URL+"/v1/audits", &audits); code != 200 || len(audits) != 1 {
-		t.Fatalf("audits after restart = %v", audits)
+	var got jobs.Job
+	if code := getJSON(t, ts2.URL+"/v1/jobs/"+first.ID, &got); code != 200 || !bytes.Equal(got.Result, first.Result) {
+		t.Fatalf("job after restart = %d %s", code, got.Result)
 	}
-	// New audits continue the ID sequence rather than clobbering.
-	resp, body := postJSON(t, ts2.URL+"/v1/audits", map[string]any{
+	// New jobs continue the ID sequence rather than clobbering.
+	second := runJob(t, ts2.URL, map[string]any{
 		"dataset": "workers", "weights": map[string]float64{"ApprovalRate": 1},
 	})
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("post-restart audit = %d: %s", resp.StatusCode, body)
+	if second.ID == first.ID {
+		t.Fatalf("post-restart job reused ID %s", second.ID)
 	}
-	if code := getJSON(t, ts2.URL+"/v1/audits", &audits); code != 200 || len(audits) != 2 {
-		t.Fatalf("expected 2 audits after restart, got %d", len(audits))
+	if raw, ok := db.Get("audits", "audit-000001"); !ok || !bytes.Equal(raw, legacy) {
+		t.Fatalf("legacy audit record after restart: %q, %v", raw, ok)
 	}
 }
 
@@ -519,7 +546,7 @@ func TestRankUsesStoredTaskAcrossDatasets(t *testing.T) {
 		"weights": map[string]float64{"ApprovalRate": 1},
 	})
 	var ranked []map[string]any
-	if code := getJSON(t, ts.URL+"/v1/rank?task=tb&k=0", &ranked); code != 200 {
+	if code := getJSON(t, ts.URL+"/v1/rank?task=tb&k=1000", &ranked); code != 200 {
 		t.Fatalf("rank = %d", code)
 	}
 	if len(ranked) != 90 {
@@ -584,73 +611,120 @@ func TestAlgorithmsEndpoint(t *testing.T) {
 	}
 }
 
-// TestAuditClientDisconnect drives the audit handler in-process with a
-// cancellable request context — the server-side view of a client that
-// disconnects mid-audit. The search must abort promptly and leave nothing
-// in the audit store.
-func TestAuditClientDisconnect(t *testing.T) {
+// TestJobCancelRunning cancels a runaway audit mid-run over HTTP: the
+// search must abort promptly and the job end canceled, with no result.
+func TestJobCancelRunning(t *testing.T) {
 	s, ts, _ := newTestServer(t)
 	uploadDataset(t, ts, "workers", 500)
 
 	// exhaustive-cells over all six attributes streams candidates from a
 	// Bell-number space: it cannot finish, so only the cancellation can
-	// end the request.
-	raw, err := json.Marshal(map[string]any{
+	// end the job.
+	resp, body := postJSON(t, ts.URL+"/v1/jobs", map[string]any{
 		"dataset":   "workers",
 		"algorithm": "exhaustive-cells",
 		"budget":    1 << 40,
 		"weights":   map[string]float64{"LanguageTest": 1},
 	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit = %d: %s", resp.StatusCode, body)
+	}
+	var j jobs.Job
+	if err := json.Unmarshal(body, &j); err != nil {
+		t.Fatal(err)
+	}
+	waitJobHTTP(t, ts.URL, j.ID, jobs.StateRunning)
+	if code := doDelete(t, ts.URL+"/v1/jobs/"+j.ID); code != http.StatusOK {
+		t.Fatalf("cancel running job = %d", code)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		got, _ := s.Jobs().Get(j.ID)
+		if got.State == jobs.StateCanceled {
+			if len(got.Result) != 0 {
+				t.Fatalf("canceled job has a result: %s", got.Result)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job still %s 5s after DELETE", got.State)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestJSONBodiesBoundedAndStrict sends every JSON POST route a body over
+// its bound (413), one with an unknown field (400) and one with a
+// trailing brace (400), then the valid body, which neither check may
+// reject. No handler reads an unbounded or lenient body. (POST
+// .../baseline takes no body; dataset uploads and chunks carry raw bytes
+// under maxUploadBytes.)
+func TestJSONBodiesBoundedAndStrict(t *testing.T) {
+	s, ts, _ := newTestServer(t)
+	uploadDataset(t, ts, "workers", 60)
+	const lang = `"weights":{"LanguageTest":1}`
+	for _, setup := range []struct{ path, body string }{
+		{"/v1/tasks", `{"id":"t1","dataset":"workers",` + lang + `}`},
+		{"/v1/monitors", `{"id":"m1","dataset":"workers","attributes":["Gender"],` + lang + `}`},
+	} {
+		if resp, body := postRaw(t, ts.URL+setup.path, setup.body); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("setup %s = %d: %s", setup.path, resp.StatusCode, body)
+		}
+	}
+	if err := s.EnableCluster(cluster.Config{Self: ts.URL, NodeID: "solo"}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Cluster().Close)
+
+	routes := []struct {
+		path  string
+		limit int
+		body  string
+	}{
+		{"/v1/tasks", maxRequestBody, `{"id":"t2","dataset":"workers",` + lang + `}`},
+		{"/v1/rank", maxRequestBody, `{"task":"t1","k":5}`},
+		{"/v1/jobs", maxSpecBody, `{"dataset":"workers",` + lang + `}`},
+		{"/v1/monitors", maxSpecBody, `{"id":"m2","dataset":"workers","attributes":["Gender"],` + lang + `}`},
+		{"/v1/monitors/m1/events", maxEventsBody, `{"events":[{"type":"join","worker":"new-1","protected":{"Gender":"Female"},"score":0.5}]}`},
+		{"/v1/repair", maxRequestBody, `{"dataset":"workers",` + lang + `,"group_by":["Gender"],"amount":1}`},
+		{"/v1/explain", maxRequestBody, `{"dataset":"workers",` + lang + `}`},
+		{"/v1/datasets/up/uploads", maxRequestBody, `{"size":1024}`},
+		{"/v1/cluster/steal", cluster.MaxMessageBytes, `{"thief":"peer","max":1}`},
+		{"/v1/cluster/ack", cluster.MaxMessageBytes, `{"thief":"peer","tokens":["tok"]}`},
+		{"/v1/cluster/hydrate", maxRequestBody, `{"name":"workers","peer":"http://127.0.0.1:1"}`},
+	}
+	for _, rt := range routes {
+		for _, c := range []struct {
+			name, body string
+			code       int
+			msg        string
+		}{
+			{"oversize", `{"pad":"` + strings.Repeat("a", rt.limit) + `"}`, http.StatusRequestEntityTooLarge, "too large"},
+			{"unknown field", `{"zz":1,` + rt.body[1:], http.StatusBadRequest, "unknown field"},
+			{"trailing brace", rt.body + `}`, http.StatusBadRequest, "trailing data"},
+		} {
+			resp, body := postRaw(t, ts.URL+rt.path, c.body)
+			if resp.StatusCode != c.code || !strings.Contains(string(body), c.msg) {
+				t.Errorf("%s %s: %d %.200s, want %d with %q", rt.path, c.name, resp.StatusCode, body, c.code, c.msg)
+			}
+		}
+		if resp, body := postRaw(t, ts.URL+rt.path, rt.body); resp.StatusCode == http.StatusBadRequest ||
+			resp.StatusCode == http.StatusRequestEntityTooLarge {
+			t.Errorf("%s valid body: %d %s", rt.path, resp.StatusCode, body)
+		}
+	}
+}
+
+func postRaw(t *testing.T, url, body string) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	// The body reader signals when the handler has drained the request, so
-	// the cancel deterministically lands after the audit is underway instead
-	// of racing a fixed sleep against the scheduler.
-	bodyRead := make(chan struct{})
-	body := &eofSignalReader{r: bytes.NewReader(raw), eof: bodyRead, remain: len(raw)}
-	req := httptest.NewRequest(http.MethodPost, "/v1/audits", body).WithContext(ctx)
-	rec := httptest.NewRecorder()
-	done := make(chan struct{})
-	go func() {
-		s.Handler().ServeHTTP(rec, req)
-		close(done)
-	}()
-	<-bodyRead
-	cancel()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("audit handler did not return within 5s of client disconnect")
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// The aborted audit must not have been assigned an ID or stored.
-	var all []map[string]any
-	if code := getJSON(t, ts.URL+"/v1/audits", &all); code != http.StatusOK || len(all) != 0 {
-		t.Fatalf("audits after disconnect: code %d, %d stored", code, len(all))
-	}
-}
-
-// eofSignalReader closes eof once every one of the remain expected bytes
-// has been delivered (or the underlying reader reports EOF), marking the
-// moment a handler has consumed the request body. Counting bytes matters:
-// json.Decoder stops after the final close brace without ever reading the
-// terminal EOF, so an EOF-only signal would never fire.
-type eofSignalReader struct {
-	r        io.Reader
-	eof      chan struct{}
-	remain   int
-	signaled bool
-}
-
-func (s *eofSignalReader) Read(p []byte) (int, error) {
-	n, err := s.r.Read(p)
-	s.remain -= n
-	if (s.remain <= 0 || err == io.EOF) && !s.signaled {
-		s.signaled = true
-		close(s.eof)
-	}
-	return n, err
+	return resp, out
 }

@@ -69,13 +69,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	uploadDataset(t, ts, "crowd", 300)
-	resp, raw := postJSON(t, ts.URL+"/v1/audits", map[string]any{
+	// Jobs validate weights against the schema ("Rating" is not an
+	// observed attribute of the paper schema).
+	runJob(t, ts.URL, map[string]any{
 		"dataset": "crowd",
-		"weights": map[string]float64{"Rating": 1},
+		"weights": map[string]float64{"LanguageTest": 1},
 	})
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("audit status %d: %s", resp.StatusCode, raw)
-	}
 
 	body = scrape(t, ts)
 	if v, ok := metricValue(body, core.MetricEMDEvaluations); !ok || v <= 0 {
@@ -87,7 +86,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if v, ok := metricValue(body, core.MetricRuns); !ok || v != 1 {
 		t.Errorf("%s = %v, %v; want 1", core.MetricRuns, v, ok)
 	}
-	series := MetricHTTPRequests + `{code="201",route="POST /v1/audits"}`
+	series := MetricHTTPRequests + `{code="202",route="POST /v1/jobs"}`
 	if v, ok := metricValue(body, series); !ok || v != 1 {
 		t.Errorf("%s = %v, %v; want 1", series, v, ok)
 	}

@@ -257,8 +257,7 @@ func (s *Server) handleCreateUpload(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Size int64 `json:"size"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad upload json: %w", err))
+	if !decodeBody(w, r, maxRequestBody, &req) {
 		return
 	}
 	if req.Size <= 0 {

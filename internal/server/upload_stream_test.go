@@ -250,13 +250,10 @@ func TestUploadResumesAcrossRestart(t *testing.T) {
 	assertDatasetWorkers(t, ts2, "big", 60)
 
 	// And the finalized dataset is audit-ready.
-	audit, body := postJSON(t, ts2.URL+"/v1/audits", map[string]any{
+	runJob(t, ts2.URL, map[string]any{
 		"dataset": "big",
 		"weights": map[string]float64{"LanguageTest": 1, "ApprovalRate": 1},
 	})
-	if audit.StatusCode != http.StatusCreated {
-		t.Fatalf("audit over resumed upload: %d (%s)", audit.StatusCode, body)
-	}
 }
 
 func TestUploadCorruptSnapshotRejectedAtFinalize(t *testing.T) {
