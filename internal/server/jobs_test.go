@@ -344,17 +344,13 @@ func TestJobsCancelAndErrorsHTTP(t *testing.T) {
 	uploadDataset(t, ts, "demo", 40)
 
 	// Unknown references and malformed specs are 400 at submit, not failed
-	// jobs.
+	// jobs. TestAuditErrors covers the audit fields of the spec.
 	lang := map[string]float64{"LanguageTest": 1}
 	for name, spec := range map[string]map[string]any{
-		"unknown dataset":   {"dataset": "nope", "weights": lang},
-		"unknown field":     {"dataset": "demo", "weights": lang, "typo": 1},
-		"bad weight":        {"dataset": "demo", "weights": map[string]float64{"Bogus": 1}},
-		"empty weights":     {"dataset": "demo", "weights": map[string]float64{}},
-		"unknown algorithm": {"dataset": "demo", "weights": lang, "algorithm": "quantum"},
-		"bad metric":        {"dataset": "demo", "weights": lang, "metric": "nope"},
-		"bad attribute":     {"dataset": "demo", "weights": lang, "attributes": []string{"Nope"}},
-		"negative rounds":   {"dataset": "demo", "weights": lang, "significance_rounds": -1},
+		"unknown dataset": {"dataset": "nope", "weights": lang},
+		"unknown field":   {"dataset": "demo", "weights": lang, "typo": 1},
+		"bad weight":      {"dataset": "demo", "weights": map[string]float64{"Bogus": 1}},
+		"negative rounds": {"dataset": "demo", "weights": lang, "significance_rounds": -1},
 	} {
 		resp, body := postJSON(t, ts.URL+"/v1/jobs", spec)
 		if resp.StatusCode != http.StatusBadRequest {

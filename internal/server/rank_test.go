@@ -193,8 +193,6 @@ func TestRankPostValidation(t *testing.T) {
 		{"missing attribute", rankPostRequest{Task: task, Algorithm: "fair-topk"}, http.StatusBadRequest},
 		{"bad alpha", rankPostRequest{Task: task, Algorithm: "fair-topk", Attribute: "Language",
 			Params: rerank.Params{Alpha: 2}}, http.StatusBadRequest},
-		{"negative epsilon", rankPostRequest{Task: task, Algorithm: "exposure-parity", Attribute: "Language",
-			Params: rerank.Params{Epsilon: -1}}, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp, body := postJSON(t, ts.URL+"/v1/rank", c.req)
@@ -209,11 +207,6 @@ func TestRankPostValidation(t *testing.T) {
 	})
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "fair-topk") {
 		t.Fatalf("unknown-algorithm error unhelpful: %d %s", resp.StatusCode, body)
-	}
-	// The pre-registry exposure-parity route is gone: POST /v1/rank with
-	// "algorithm":"exposure-parity" serves it.
-	if resp, _ := postJSON(t, ts.URL+"/v1/rerank", map[string]any{"task": task}); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("POST /v1/rerank = %d, want 404", resp.StatusCode)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"fairrank/internal/cluster"
 	"fairrank/internal/core"
 	"fairrank/internal/jobs"
+	"fairrank/internal/rerank"
 	"fairrank/internal/simulate"
 	"fairrank/internal/store"
 )
@@ -423,6 +424,85 @@ func TestAuditWithSignificanceAndAttrs(t *testing.T) {
 	var again jobs.Job
 	if err := json.Unmarshal(body, &again); err != nil || resp.StatusCode != http.StatusOK || again.ID != sig.ID {
 		t.Fatalf("resubmission = %d %s", resp.StatusCode, body)
+	}
+}
+
+// TestAuditErrors: a malformed audit spec is a 400 at submit, not a
+// failed job.
+func TestAuditErrors(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	uploadDataset(t, ts, "workers", 50)
+	lang := map[string]float64{"LanguageTest": 1}
+	cases := []map[string]any{
+		{"dataset": "missing", "weights": lang},
+		{"dataset": "workers", "weights": map[string]float64{}},
+		{"dataset": "workers", "weights": lang, "algorithm": "quantum"},
+		{"dataset": "workers", "weights": lang, "metric": "nope"},
+		{"dataset": "workers", "weights": lang, "attributes": []string{"Nope"}},
+	}
+	for i, c := range cases {
+		resp, body := postJSON(t, ts.URL+"/v1/jobs", c)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("case %d: status %d (%s)", i, resp.StatusCode, body)
+		}
+	}
+	// An empty attribute list is not an error on a job: jobs.Spec reads it
+	// as "every attribute", so it coalesces onto the spec without one.
+	plain := runJob(t, ts.URL, map[string]any{"dataset": "workers", "weights": lang})
+	resp, body := postJSON(t, ts.URL+"/v1/jobs", map[string]any{"dataset": "workers", "weights": lang, "attributes": []string{}})
+	var again jobs.Job
+	if err := json.Unmarshal(body, &again); err != nil || resp.StatusCode != http.StatusOK || again.ID != plain.ID {
+		t.Fatalf("empty attributes = %d %s, want a dedup onto %s", resp.StatusCode, body, plain.ID)
+	}
+}
+
+// TestRerankEndpoint: the exposure-parity re-ranker is served by POST
+// /v1/rank with "algorithm":"exposure-parity"; the old POST /v1/rerank
+// route is gone.
+func TestRerankEndpoint(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	uploadDataset(t, ts, "workers", 300)
+	postJSON(t, ts.URL+"/v1/tasks", map[string]any{
+		"id": "t1", "dataset": "workers",
+		"weights": map[string]float64{"LanguageTest": 1},
+	})
+	resp, body := postJSON(t, ts.URL+"/v1/rank", rankPostRequest{
+		Task: "t1", K: 20, Algorithm: "exposure-parity", Attribute: "Gender",
+		Params: rerank.Params{Epsilon: 1},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("rerank = %d: %s", resp.StatusCode, body)
+	}
+	var out rankPostResponse
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Ranking) != 20 {
+		t.Fatalf("ranking size = %d", len(out.Ranking))
+	}
+	if out.DisparityBefore == nil || out.DisparityAfter == nil {
+		t.Fatalf("disparity missing: %s", body)
+	}
+	if *out.DisparityAfter > *out.DisparityBefore {
+		t.Fatalf("disparity worsened: %v -> %v", *out.DisparityBefore, *out.DisparityAfter)
+	}
+	// Errors.
+	for i, c := range []struct {
+		req  rankPostRequest
+		code int
+	}{
+		{rankPostRequest{Task: "missing", Algorithm: "exposure-parity", Attribute: "Gender"}, http.StatusNotFound},
+		{rankPostRequest{Task: "t1", Algorithm: "exposure-parity", Attribute: "Charisma"}, http.StatusBadRequest},
+		{rankPostRequest{Task: "t1", Algorithm: "exposure-parity", Attribute: "Gender",
+			Params: rerank.Params{Epsilon: -1}}, http.StatusBadRequest},
+	} {
+		resp, body := postJSON(t, ts.URL+"/v1/rank", c.req)
+		if resp.StatusCode != c.code {
+			t.Errorf("bad rerank %d: status %d (want %d): %s", i, resp.StatusCode, c.code, body)
+		}
+	}
+	if resp, _ := postJSON(t, ts.URL+"/v1/rerank", map[string]any{"task": "t1", "attribute": "Gender"}); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /v1/rerank = %d, want 404", resp.StatusCode)
 	}
 }
 
