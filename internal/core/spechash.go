@@ -42,18 +42,21 @@ import (
 // Hash returns the canonical SHA-256 content hash of the audit this spec
 // describes, in lowercase hex. It is stable across processes and releases
 // of the same serialization version (the leading version tag below guards
-// against silent drift).
+// against silent drift; it covers the definition of the dataset digest
+// too, so a change to the snapshot encoding needs a bump).
 //
-// The dataset contributes through its full binary snapshot; the scoring
-// function through its Name plus, when it exposes
-// Weights() map[string]float64 (e.g. scoring.Linear), its weight table in
-// sorted key order. Custom Funcs without Weights are identified by Name
-// alone — callers minting ad-hoc functions must give distinct audits
-// distinct names.
+// The dataset contributes through its content digest (dataset.Digest, the
+// SHA-256 of its columnar snapshot), which is computed once per Dataset
+// and cached, so after a dataset's first hash Hash costs O(1) in the
+// worker count. The scoring function contributes through its Name plus,
+// when it exposes Weights() map[string]float64 (e.g. scoring.Linear), its
+// weight table in sorted key order. Custom Funcs without Weights are
+// identified by Name alone — callers minting ad-hoc functions must give
+// distinct audits distinct names.
 func (s Spec) Hash() string {
 	h := sha256.New()
 	w := specWriter{w: h}
-	w.str("fairrank-spec-v1")
+	w.str("fairrank-spec-v2")
 
 	name := s.Algorithm
 	if name == "" {
@@ -103,15 +106,19 @@ func (s Spec) Hash() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// hashDataset writes the dataset's identity: a "nil" tag, or a "sha256"
+// tag followed by its 32-byte content digest. The digest covers every byte
+// of the canonical snapshot encoding (schema, ids, every column), so two
+// datasets share it exactly when their contents are equal, whatever backs
+// them; the fixed width after the tag leaves no boundary to forge.
 func hashDataset(w *specWriter, ds *dataset.Dataset) {
 	if ds == nil {
 		w.str("nil")
 		return
 	}
-	w.str("binary")
-	// WriteBinary is deterministic for a given dataset, so the snapshot is
-	// a content address. Errors cannot occur on a hash.Hash sink.
-	_ = ds.WriteBinary(w.w)
+	sum := ds.Digest()
+	w.str("sha256")
+	_, _ = w.w.Write(sum[:])
 }
 
 func hashFunc(w *specWriter, f scoring.Func) {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
+	"fairrank/internal/dataset"
 	"fairrank/internal/scoring"
 	"fairrank/internal/testkit"
 )
@@ -120,19 +122,103 @@ func TestSpecHashWeightsCanonical(t *testing.T) {
 	}
 }
 
+// pinnedDataset is a literal 3-worker population for TestSpecHashStable:
+// spelled out here, not generated, so the pin moves only when the dataset
+// digest's encoding does.
+func pinnedDataset(t *testing.T) *dataset.Dataset {
+	t.Helper()
+	schema := &dataset.Schema{
+		Protected: []dataset.Attribute{
+			dataset.Cat("Gender", "Male", "Female"),
+			dataset.Num("YearOfBirth", 1950, 2010, 4),
+		},
+		Observed: []dataset.Attribute{dataset.Num("Score", 0, 1, 1)},
+	}
+	ds, err := dataset.NewBuilder(schema).
+		Add("w1", map[string]any{"Gender": "Male", "YearOfBirth": 1960.5}, map[string]any{"Score": 0.25}).
+		Add("w2", map[string]any{"Gender": "Female", "YearOfBirth": 1984}, map[string]any{"Score": 0.75}).
+		Add("w3", map[string]any{"Gender": "Female", "YearOfBirth": 2001}, map[string]any{"Score": 0.5}).
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
 // TestSpecHashStable guards the serialization against accidental drift:
 // the hash is persisted in job records, so changing it silently would
 // orphan every deduplicated result after an upgrade. Update the pinned
-// value only with a version bump in the serialization tag.
+// values only with a version bump in the serialization tag. The second
+// pin covers the dataset digest's encoding, which the nil-dataset pin
+// never reaches.
 func TestSpecHashStable(t *testing.T) {
 	f, err := scoring.NewLinear("fn", map[string]float64{"Score": 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Dataset nil keeps the pin independent of generator internals.
-	s := Spec{Algorithm: "balanced", Func: f, Seed: 1}
-	const want = "9055ff20a3ede4b26518e577609b1890c4433e3bc8e68e71934abc69092b59f5"
-	if got := s.Hash(); got != want {
-		t.Fatalf("canonical hash drifted:\n  got  %s\n  want %s", got, want)
+	for _, c := range []struct {
+		name string
+		spec Spec
+		want string
+	}{
+		// Dataset nil keeps this pin independent of generator internals.
+		{"nil dataset", Spec{Algorithm: "balanced", Func: f, Seed: 1},
+			"c070c482627b43f3b19e76a62368d233989c38fef4b5fbcecd881900aa936583"},
+		{"3-worker dataset", Spec{Algorithm: "balanced", Dataset: pinnedDataset(t), Func: f, Seed: 1},
+			"28962a724f3156f0f0fc6aa6f1844120dce70a571a6dcd12719c778402b3dab3"},
+	} {
+		if got := c.spec.Hash(); got != c.want {
+			t.Errorf("%s: canonical hash drifted:\n  got  %s\n  want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestSpecHashLongWorkerID: the dataset's identity covers every byte, so
+// two populations that differ only after a worker id too long for the
+// legacy row format (64 KiB per id) are two audits.
+func TestSpecHashLongWorkerID(t *testing.T) {
+	schema := &dataset.Schema{
+		Protected: []dataset.Attribute{dataset.Cat("Gender", "Male", "Female")},
+		Observed:  []dataset.Attribute{dataset.Num("Score", 0, 1, 1)},
+	}
+	build := func(lastScore float64) *dataset.Dataset {
+		ds, err := dataset.NewBuilder(schema).
+			Add("w1", map[string]any{"Gender": "Male"}, map[string]any{"Score": 0.1}).
+			Add(strings.Repeat("x", 70000), map[string]any{"Gender": "Female"}, map[string]any{"Score": 0.2}).
+			Add("w3", map[string]any{"Gender": "Male"}, map[string]any{"Score": lastScore}).
+			Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds
+	}
+	f := testkit.ScoreFunc()
+	a := Spec{Dataset: build(0.3), Func: f}
+	b := Spec{Dataset: build(0.9), Func: f}
+	if ha, hb := a.Hash(), b.Hash(); ha == hb {
+		t.Fatalf("datasets differing after a 70000-byte id share spec hash %s", ha)
+	}
+}
+
+// TestSpecHashAllocsFlatInN is the "spec hash flat in N" gate, made
+// deterministic: once a dataset's digest is cached, hashing a spec over it
+// allocates the same at 100 and at 100000 workers, so no pass over the
+// population remains on the submit path.
+func TestSpecHashAllocsFlatInN(t *testing.T) {
+	g := testkit.NewGen(5)
+	schema := g.Schema()
+	f := testkit.ScoreFunc()
+	allocs := map[int]float64{}
+	for _, n := range []int{100, 100000} {
+		ds, err := g.Dataset(schema, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := Spec{Dataset: ds, Func: f, Seed: 2}
+		s.Hash() // computes and caches the digest
+		allocs[n] = testing.AllocsPerRun(20, func() { _ = s.Hash() })
+	}
+	if allocs[100] != allocs[100000] {
+		t.Fatalf("Spec.Hash allocates %v at 100 workers but %v at 100000", allocs[100], allocs[100000])
 	}
 }

@@ -1,9 +1,11 @@
 package dataset
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 )
 
 var (
@@ -36,6 +38,12 @@ type Dataset struct {
 	rawProtected [][]float64
 	// observed[a][i] is worker i's value for observed attribute a.
 	observed [][]float64
+
+	// digestOnce guards digest and digestErr: the SHA-256 of the
+	// WriteSnapshot stream, computed on the first Digest call.
+	digestOnce sync.Once
+	digest     [sha256.Size]byte
+	digestErr  error
 }
 
 // Builder incrementally assembles an in-memory Dataset.

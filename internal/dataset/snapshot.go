@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bufio"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -262,4 +263,35 @@ func (d *Dataset) WriteSnapshot(w io.Writer) error {
 		return sw.err
 	}
 	return sw.w.Flush()
+}
+
+// Digest returns the SHA-256 of the dataset's WriteSnapshot stream: a
+// content address under which two datasets are equal exactly when their
+// contents are, whatever backs them. The columnar snapshot is the one
+// canonical encoding — the writer is deterministic, ReadSnapshot inverts
+// it, and it re-serializes byte-identically from heap and mmap backings —
+// so a dataset built in memory, decoded from CSV or the legacy binary
+// format, mapped from a snapshot, or produced by Concat or Subset digests
+// by its contents alone.
+//
+// The first call pays one pass over the columns; the result is cached on
+// the immutable Dataset, so later calls cost O(1) in the worker count.
+// Digest is safe for concurrent use.
+//
+// Digest covers every byte or panics: WriteSnapshot fails only for a
+// dataset no snapshot can hold — worker ids totalling more than 4 GiB, or
+// a numeric attribute bound of ±Inf, which its schema JSON cannot encode
+// — so it never fails for a dataset opened with OpenSnapshot. Digest never
+// returns the hash of a partial stream.
+func (d *Dataset) Digest() [sha256.Size]byte {
+	d.digestOnce.Do(func() {
+		h := sha256.New()
+		if d.digestErr = d.WriteSnapshot(h); d.digestErr == nil {
+			h.Sum(d.digest[:0])
+		}
+	})
+	if d.digestErr != nil {
+		panic(fmt.Sprintf("dataset: digest: %v", d.digestErr))
+	}
+	return d.digest
 }

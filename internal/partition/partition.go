@@ -107,34 +107,55 @@ func Split(ds *dataset.Dataset, p *Partition, attr int) []*Partition {
 // builds the child index slices, instead of re-walking each child
 // afterwards. The returned children are exactly Split's: one per value of
 // attr that occurs in p, in ascending value order, empty children elided.
+//
+// The children's index slices are carved from one backing array of
+// exactly p.Size() rows: a counting pass sizes each value's range, and the
+// scatter writes every row straight into place, so no child grows by
+// append. Each child is capacity-capped at its own end, so an append to
+// one child reallocates instead of writing into its sibling.
 func SplitObserve(ds *dataset.Dataset, p *Partition, attr int, observe func(value, row int)) []*Partition {
 	card := ds.Schema().Protected[attr].Cardinality()
-	buckets := make([][]int, card)
-	// One column fetch, then pure slice indexing: the scan reads the
+	// One column fetch, then pure slice indexing: the scans read the
 	// attribute's code block directly (mapped bytes for snapshot-backed
 	// datasets) instead of paying a per-row accessor call.
 	codes := ds.CodeColumn(attr)
+	// end[v] is value v's next free slot: it starts at the range's first
+	// slot and, once the scatter is done, sits at the range's end.
+	end := make([]int, card)
+	for _, i := range p.Indices {
+		end[codes[i]]++
+	}
+	start := 0
+	for v, n := range end {
+		end[v] = start
+		start += n
+	}
+	backing := make([]int, len(p.Indices))
 	if observe == nil {
 		for _, i := range p.Indices {
-			c := int(codes[i])
-			buckets[c] = append(buckets[c], i)
+			c := codes[i]
+			backing[end[c]] = i
+			end[c]++
 		}
 	} else {
 		for _, i := range p.Indices {
 			c := int(codes[i])
-			buckets[c] = append(buckets[c], i)
+			backing[end[c]] = i
+			end[c]++
 			observe(c, i)
 		}
 	}
 	var out []*Partition
-	for v, idx := range buckets {
-		if len(idx) == 0 {
+	lo := 0
+	for v, hi := range end {
+		if hi == lo {
 			continue
 		}
 		cons := make([]Constraint, len(p.Constraints)+1)
 		copy(cons, p.Constraints)
 		cons[len(cons)-1] = Constraint{Attr: attr, Value: v}
-		out = append(out, &Partition{Constraints: cons, Indices: idx})
+		out = append(out, &Partition{Constraints: cons, Indices: backing[lo:hi:hi]})
+		lo = hi
 	}
 	return out
 }

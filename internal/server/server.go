@@ -682,13 +682,18 @@ func (s *Server) handleListTasks(w http.ResponseWriter, r *http.Request) {
 const maxSyncEvals = 4
 
 // evaluatorFor is the prelude repair and explain share: look the dataset
-// up (404), build the linear scoring function and its evaluator (400).
+// up (404), build the linear scoring function, check its weights name
+// observed attributes of the dataset as jobs and tasks do, and build its
+// evaluator (400).
 func (s *Server) evaluatorFor(w http.ResponseWriter, name string, weights map[string]float64, bins int) (*core.Evaluator, bool) {
 	ds, ok := s.lookupDataset(w, name)
 	if !ok {
 		return nil, false
 	}
 	f, err := scoring.NewLinear("request-fn", weights)
+	if err == nil {
+		err = f.Validate(ds.Schema())
+	}
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return nil, false

@@ -546,6 +546,8 @@ func TestRepairEndpoint(t *testing.T) {
 		{"dataset": "workers", "weights": map[string]float64{}, "amount": 1},
 		{"dataset": "workers", "weights": map[string]float64{"LanguageTest": 1}, "amount": 2},
 		{"dataset": "workers", "weights": map[string]float64{"LanguageTest": 1}, "group_by": []string{"Nope"}, "amount": 1},
+		// A weight on an attribute the dataset does not observe.
+		{"dataset": "workers", "weights": map[string]float64{"Rating": 1}, "amount": 1},
 	} {
 		resp, _ := postJSON(t, ts.URL+"/v1/repair", bad)
 		if resp.StatusCode < 400 {
@@ -666,6 +668,12 @@ func TestExplainEndpoint(t *testing.T) {
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty weights = %d", resp.StatusCode)
+	}
+	resp, body = postJSON(t, ts.URL+"/v1/explain", map[string]any{
+		"dataset": "workers", "weights": map[string]float64{"Rating": 1},
+	})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `\"Rating\" is not an observed attribute`) {
+		t.Errorf("unobserved weight = %d: %s", resp.StatusCode, body)
 	}
 }
 
