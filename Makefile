@@ -35,10 +35,12 @@ bench-jobs:
 		| $(GO) run ./cmd/benchjson -out BENCH_5.json
 
 # bench-prune is the CI gate for the branch-and-bound pruning cascade
-# (core.Config.Prune, DESIGN.md §9) and emits BENCH_6.json. BENCHCOUNT
-# single-shot rounds of the prune suite plus the untouched BenchmarkTable2
-# cells accumulate in one file (per-round pairing rationale as in
-# telemetry-overhead below), then three benchdiff gates run:
+# (DESIGN.md §9), which runs by mode (binned EMD, the default), and emits
+# BENCH_6.json. BENCHCOUNT single-shot rounds of the prune suite
+# (./internal/core/, whose prune=off arm sets the engine's unexported
+# switch) plus the untouched BenchmarkTable2 cells accumulate in one file
+# (per-round pairing rationale as in telemetry-overhead below), then three
+# benchdiff gates run:
 #   1. speedup: the greedy worst-attribute-scan cells (unbalanced and
 #      r-unbalanced, the cascade's target) must be >=5x faster pruned
 #      (overhead <= -80%). The balanced family and all-attributes sit at
@@ -46,25 +48,25 @@ bench-jobs:
 #      evaluated exactly — so they are measured and recorded but not held
 #      to 5x; EXPERIMENTS.md works through the floor argument.
 #   2. no harm: over the full suite, pruning on must never lose to off.
-#   3. control: prune=off must match BenchmarkTable2 cell for cell — the
-#      default unpruned path is untouched by the cascade. The control runs
-#      prune=off cells in their own process (same cell sequence as
-#      BenchmarkTable2) because interleaved prune=on cells shrink the live
-#      heap and reshape GC pacing for the cell after them — a benchmark
-#      artifact, not an engine cost — and into a separate file so the
-#      off-lines of the full-suite rounds don't pollute the pool.
+#   3. control: prune=on — the default path — must match BenchmarkTable2
+#      cell for cell. The control runs prune=on cells in their own process
+#      (same cell sequence as BenchmarkTable2) because interleaved
+#      prune=off cells grow the live heap and reshape GC pacing for the
+#      cell after them — a benchmark artifact, not an engine cost — and
+#      into a separate file so the on-lines of the full-suite rounds don't
+#      pollute the pool.
 bench-prune:
 	@rm -f /tmp/prune-bench.txt /tmp/prune-ctrl.txt
 	@for i in $$(seq $(BENCHCOUNT)); do \
-		$(GO) test -run '^$$' -bench 'BenchmarkPruneTable2$$' -benchtime 1x -count 1 . >> /tmp/prune-bench.txt || exit 1; \
+		$(GO) test -run '^$$' -bench 'BenchmarkPruneTable2$$' -benchtime 1x -count 1 ./internal/core/ >> /tmp/prune-bench.txt || exit 1; \
 		$(GO) test -run '^$$' -bench 'BenchmarkTable2$$' -benchtime 1x -count 1 . >> /tmp/prune-ctrl.txt || exit 1; \
-		$(GO) test -run '^$$' -bench 'BenchmarkPruneTable2$$/./prune=off$$' -benchtime 1x -count 1 . >> /tmp/prune-ctrl.txt || exit 1; \
+		$(GO) test -run '^$$' -bench 'BenchmarkPruneTable2$$/./prune=on$$' -benchtime 1x -count 1 ./internal/core/ >> /tmp/prune-ctrl.txt || exit 1; \
 	done
 	@grep ns/op /tmp/prune-bench.txt
 	grep -E 'a=(r-)?unbalanced/' /tmp/prune-bench.txt | $(GO) run ./cmd/benchdiff -baseline 'prune=off' -candidate 'prune=on' -max-overhead -80
 	$(GO) run ./cmd/benchdiff -baseline 'prune=off' -candidate 'prune=on' -max-overhead 0 < /tmp/prune-bench.txt
-	$(GO) run ./cmd/benchdiff -baseline 'BenchmarkTable2/' -candidate 'prune=off' -max-overhead 10 < /tmp/prune-ctrl.txt
-	$(GO) run ./cmd/benchjson -prune -algo balanced -workers 7300 -out BENCH_6.json < /tmp/prune-bench.txt
+	$(GO) run ./cmd/benchdiff -baseline 'BenchmarkTable2/' -candidate 'prune=on' -max-overhead 10 < /tmp/prune-ctrl.txt
+	$(GO) run ./cmd/benchjson -algo balanced -workers 7300 -out BENCH_6.json < /tmp/prune-bench.txt
 
 # bench-snapshot is the CI gate for the mmap snapshot engine (DESIGN.md
 # §10) and emits BENCH_7.json. Each of the BENCHCOUNT rounds emits every

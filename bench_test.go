@@ -9,7 +9,6 @@ package fairrank_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"testing"
 
@@ -101,57 +100,6 @@ func BenchmarkTable2(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchTable(b, population(b, simulate.LargePopulation), []scoring.Func{funcs[0], funcs[3]})
-}
-
-// BenchmarkPruneTable2 measures the branch-and-bound pruning cascade
-// (core.Config.Prune, DESIGN.md §9) on the Table 2 suite — the paper's
-// five algorithms, in simulate.AllAlgorithms row order: each cell runs
-// the same audit with pruning off and on, and `make bench-prune` gates the
-// paired per-round speedup with cmd/benchdiff. Cell order matters twice:
-// prune=off/prune=on are adjacent sub-runs of the same cell so benchdiff's
-// per-round pairing compares like with like, and the cell order mirrors
-// BenchmarkTable2's row order so the no-regression control gate can pair
-// the two benchmarks' lines cell for cell.
-func BenchmarkPruneTable2(b *testing.B) {
-	funcs, err := simulate.RandomFunctions()
-	if err != nil {
-		b.Fatal(err)
-	}
-	ds, err := simulate.PaperWorkers(population(b, simulate.LargePopulation), 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cells := []struct {
-		alg    string
-		budget int
-	}{
-		{alg: "unbalanced"},
-		{alg: "r-unbalanced"},
-		{alg: "balanced"},
-		{alg: "r-balanced"},
-		{alg: "all-attributes"},
-	}
-	for _, f := range []scoring.Func{funcs[0], funcs[3]} {
-		for _, c := range cells {
-			for _, variant := range []string{"off", "on"} {
-				prune := variant == "on"
-				b.Run(fmt.Sprintf("f=%s,a=%s/prune=%s", f.Name(), c.alg, variant), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						e, err := core.NewEvaluator(ds, f, core.Config{Bins: 10, Prune: prune})
-						if err != nil {
-							b.Fatal(err)
-						}
-						_, err = core.Run(context.Background(), core.Spec{
-							Algorithm: c.alg, Evaluator: e, Seed: 42, Budget: c.budget,
-						})
-						if err != nil && !errors.Is(err, partition.ErrBudgetExceeded) {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
-		}
-	}
 }
 
 // BenchmarkTable3 measures Table 3: 7300 workers, biased functions. It

@@ -42,7 +42,6 @@ type auditInfo struct {
 	Seed       uint64  `json:"seed"`
 	Algorithm  string  `json:"algorithm"`
 	Bins       int     `json:"bins"`
-	Prune      bool    `json:"prune"`
 	Unfairness float64 `json:"unfairness"`
 	ElapsedNS  int64   `json:"elapsed_ns"`
 }
@@ -56,10 +55,9 @@ func main() {
 		seed    = flag.Uint64("seed", 42, "reference-audit seed")
 		bins    = flag.Int("bins", 10, "histogram bins for the reference audit")
 		algo    = flag.String("algo", "balanced", "reference-audit algorithm")
-		prune   = flag.Bool("prune", false, "enable the branch-and-bound pruning cascade in the reference audit")
 	)
 	flag.Parse()
-	a, err := build(os.Stdin, *workers, *seed, *bins, *algo, *prune)
+	a, err := build(os.Stdin, *workers, *seed, *bins, *algo)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,12 +77,12 @@ func main() {
 		*out, len(a.Benchmarks), len(a.Telemetry.Counters))
 }
 
-func build(in io.Reader, workers int, seed uint64, bins int, algo string, prune bool) (*artifact, error) {
+func build(in io.Reader, workers int, seed uint64, bins int, algo string) (*artifact, error) {
 	results, err := benchfmt.Parse(in)
 	if err != nil {
 		return nil, err
 	}
-	audit, snap, err := referenceAudit(workers, seed, bins, algo, prune)
+	audit, snap, err := referenceAudit(workers, seed, bins, algo)
 	if err != nil {
 		return nil, err
 	}
@@ -100,7 +98,7 @@ func build(in io.Reader, workers int, seed uint64, bins int, algo string, prune 
 
 // referenceAudit runs one fully instrumented audit and returns its
 // headline result plus the complete telemetry snapshot.
-func referenceAudit(workers int, seed uint64, bins int, algo string, prune bool) (auditInfo, telemetry.Snapshot, error) {
+func referenceAudit(workers int, seed uint64, bins int, algo string) (auditInfo, telemetry.Snapshot, error) {
 	fail := func(err error) (auditInfo, telemetry.Snapshot, error) {
 		return auditInfo{}, telemetry.Snapshot{}, fmt.Errorf("reference audit: %w", err)
 	}
@@ -116,7 +114,7 @@ func referenceAudit(workers int, seed uint64, bins int, algo string, prune bool)
 		return fail(err)
 	}
 	reg := telemetry.NewRegistry()
-	e, err := core.NewEvaluator(ds, f, core.Config{Bins: bins, Metrics: reg, Prune: prune})
+	e, err := core.NewEvaluator(ds, f, core.Config{Bins: bins, Metrics: reg})
 	if err != nil {
 		return fail(err)
 	}
@@ -129,7 +127,6 @@ func referenceAudit(workers int, seed uint64, bins int, algo string, prune bool)
 		Seed:       seed,
 		Algorithm:  res.Algorithm,
 		Bins:       bins,
-		Prune:      prune,
 		Unfairness: res.Unfairness,
 		ElapsedNS:  int64(res.Elapsed),
 	}, reg.Snapshot(), nil

@@ -13,7 +13,7 @@ func TestBuildArtifact(t *testing.T) {
 		"BenchmarkTelemetryOverhead/telemetry=off-8 \t 5\t 90000000 ns/op\t 2048 B/op\t 30 allocs/op\n" +
 		"BenchmarkTelemetryOverhead/telemetry=on-8 \t 5\t 91000000 ns/op\t 2100 B/op\t 31 allocs/op\n" +
 		"PASS\n"
-	a, err := build(strings.NewReader(bench), 150, 7, 10, "balanced", false)
+	a, err := build(strings.NewReader(bench), 150, 7, 10, "balanced")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestBuildArtifact(t *testing.T) {
 }
 
 func TestBuildBadAlgorithm(t *testing.T) {
-	if _, err := build(strings.NewReader(""), 50, 1, 10, "quantum", false); err == nil {
+	if _, err := build(strings.NewReader(""), 50, 1, 10, "quantum"); err == nil {
 		t.Fatal("expected error for unknown algorithm")
 	}
 }

@@ -55,7 +55,6 @@ func main() {
 		weights  = flag.String("weights", "", "explicit weights, e.g. \"LanguageTest=0.7,ApprovalRate=0.3\" (overrides -alpha)")
 		bins     = flag.Int("bins", 10, "histogram bins")
 		metric   = flag.String("metric", "emd", "distance metric: emd|l1|tv|chi2|js|ks|hellinger")
-		prune    = flag.Bool("prune", false, "enable the branch-and-bound pruning cascade (bit-identical results, see DESIGN.md §9)")
 		attrs    = flag.String("attrs", "", "comma-separated protected attributes to audit (default: all)")
 		figure   = flag.Bool("figure", false, "render per-partition score histograms")
 		tree     = flag.Bool("tree", false, "render the splitting-decision trace")
@@ -71,7 +70,7 @@ func main() {
 		telJSON  = flag.String("telemetry-json", "", "write engine metrics and the audit's span tree as JSON to this file (\"-\" for stdout)")
 	)
 	flag.Parse()
-	if err := run(os.Stdout, *dataFile, *snapFile, *gen, *seed, *algo, *alpha, *weights, *bins, *metric, *prune, *attrs, *figure, *tree, *sig, *expl, *prot, *obs, *idCol, *describe, *timeout, *telJSON); err != nil {
+	if err := run(os.Stdout, *dataFile, *snapFile, *gen, *seed, *algo, *alpha, *weights, *bins, *metric, *attrs, *figure, *tree, *sig, *expl, *prot, *obs, *idCol, *describe, *timeout, *telJSON); err != nil {
 		log.Fatal(err)
 	}
 	if *window > 0 || *halfLife > 0 {
@@ -83,7 +82,7 @@ func main() {
 }
 
 func run(w io.Writer, dataFile, snapFile string, gen int, seed uint64, algo string, alpha float64,
-	weightSpec string, bins int, metricName string, prune bool, attrSpec string, figure, tree bool, sigRounds int, explainAttrs bool,
+	weightSpec string, bins int, metricName string, attrSpec string, figure, tree bool, sigRounds int, explainAttrs bool,
 	protCols, obsCols, idCol string, describe bool, timeout time.Duration, telJSON string) error {
 
 	ds, err := loadDataset(dataFile, snapFile, gen, seed, protCols, obsCols, idCol)
@@ -106,7 +105,7 @@ func run(w io.Writer, dataFile, snapFile string, gen int, seed uint64, algo stri
 	if err != nil {
 		return err
 	}
-	cfg := core.Config{Bins: bins, Metric: metric, Prune: prune}
+	cfg := core.Config{Bins: bins, Metric: metric}
 	var (
 		reg    *telemetry.Registry
 		tracer *telemetry.Tracer

@@ -15,7 +15,7 @@ import (
 
 func TestRunGeneratedDataset(t *testing.T) {
 	var b strings.Builder
-	err := run(&b, "", "", 150, 42, "balanced", 0.5, "", 10, "emd", false, "", false, false, 0, false, "", "", "", false, 0, "")
+	err := run(&b, "", "", 150, 42, "balanced", 0.5, "", 10, "emd", "", false, false, 0, false, "", "", "", false, 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,10 +48,10 @@ func TestRunSnapshotMatchesGenerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	var mem, mapped strings.Builder
-	if err := run(&mem, "", "", 150, 42, "balanced", 0.5, "", 10, "emd", false, "", false, true, 0, false, "", "", "", false, 0, ""); err != nil {
+	if err := run(&mem, "", "", 150, 42, "balanced", 0.5, "", 10, "emd", "", false, true, 0, false, "", "", "", false, 0, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(&mapped, "", path, 0, 42, "balanced", 0.5, "", 10, "emd", false, "", false, true, 0, false, "", "", "", false, 0, ""); err != nil {
+	if err := run(&mapped, "", path, 0, 42, "balanced", 0.5, "", 10, "emd", "", false, true, 0, false, "", "", "", false, 0, ""); err != nil {
 		t.Fatal(err)
 	}
 	memOut := elapsed.ReplaceAllString(mem.String(), "T")
@@ -61,30 +61,10 @@ func TestRunSnapshotMatchesGenerated(t *testing.T) {
 	}
 }
 
-// TestRunPruneIdenticalOutput pins the CLI contract of -prune: the full
-// report — unfairness, trace, partitions — is byte-identical with the
-// pruning cascade on and off, once the wall-clock duration fields are
-// masked.
-func TestRunPruneIdenticalOutput(t *testing.T) {
-	elapsed := regexp.MustCompile(`\d+(\.\d+)?(n|µ|m)?s\b`)
-	outputs := make([]string, 2)
-	for i, prune := range []bool{false, true} {
-		var b strings.Builder
-		err := run(&b, "", "", 150, 42, "balanced", 0.5, "", 10, "emd", prune, "", false, true, 0, false, "", "", "", false, 0, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		outputs[i] = elapsed.ReplaceAllString(b.String(), "X")
-	}
-	if outputs[0] != outputs[1] {
-		t.Errorf("-prune changed the report:\noff:\n%s\non:\n%s", outputs[0], outputs[1])
-	}
-}
-
 func TestRunAllAlgorithms(t *testing.T) {
 	for _, algo := range []string{"balanced", "unbalanced", "r-balanced", "r-unbalanced", "all-attributes"} {
 		var b strings.Builder
-		if err := run(&b, "", "", 100, 1, algo, 1, "", 10, "emd", false, "", false, false, 0, false, "", "", "", false, 0, ""); err != nil {
+		if err := run(&b, "", "", 100, 1, algo, 1, "", 10, "emd", "", false, false, 0, false, "", "", "", false, 0, ""); err != nil {
 			t.Errorf("%s: %v", algo, err)
 		}
 	}
@@ -92,7 +72,7 @@ func TestRunAllAlgorithms(t *testing.T) {
 
 func TestRunWithTreeAndFigure(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b, "", "", 100, 2, "unbalanced", 0.5, "", 10, "emd", false, "", true, true, 0, false, "", "", "", false, 0, ""); err != nil {
+	if err := run(&b, "", "", 100, 2, "unbalanced", 0.5, "", 10, "emd", "", true, true, 0, false, "", "", "", false, 0, ""); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -119,7 +99,7 @@ func TestRunFromCSVFile(t *testing.T) {
 	}
 	f.Close()
 	var b strings.Builder
-	if err := run(&b, path, "", 0, 3, "all-attributes", 0.5, "", 10, "emd", false, "", false, false, 0, false, "", "", "", false, 0, ""); err != nil {
+	if err := run(&b, path, "", 0, 3, "all-attributes", 0.5, "", 10, "emd", "", false, false, 0, false, "", "", "", false, 0, ""); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "60 workers") {
@@ -134,28 +114,28 @@ func TestRunErrors(t *testing.T) {
 		err  func() error
 	}{
 		{"data and gen exclusive", func() error {
-			return run(&b, "x.csv", "", 10, 1, "balanced", 0.5, "", 10, "emd", false, "", false, false, 0, false, "", "", "", false, 0, "")
+			return run(&b, "x.csv", "", 10, 1, "balanced", 0.5, "", 10, "emd", "", false, false, 0, false, "", "", "", false, 0, "")
 		}},
 		{"missing file", func() error {
-			return run(&b, "/nonexistent/x.csv", "", 0, 1, "balanced", 0.5, "", 10, "emd", false, "", false, false, 0, false, "", "", "", false, 0, "")
+			return run(&b, "/nonexistent/x.csv", "", 0, 1, "balanced", 0.5, "", 10, "emd", "", false, false, 0, false, "", "", "", false, 0, "")
 		}},
 		{"bad algorithm", func() error {
-			return run(&b, "", "", 50, 1, "quantum", 0.5, "", 10, "emd", false, "", false, false, 0, false, "", "", "", false, 0, "")
+			return run(&b, "", "", 50, 1, "quantum", 0.5, "", 10, "emd", "", false, false, 0, false, "", "", "", false, 0, "")
 		}},
 		{"bad alpha", func() error {
-			return run(&b, "", "", 50, 1, "balanced", 1.5, "", 10, "emd", false, "", false, false, 0, false, "", "", "", false, 0, "")
+			return run(&b, "", "", 50, 1, "balanced", 1.5, "", 10, "emd", "", false, false, 0, false, "", "", "", false, 0, "")
 		}},
 		{"bad metric", func() error {
-			return run(&b, "", "", 50, 1, "balanced", 0.5, "", 10, "manhattan2", false, "", false, false, 0, false, "", "", "", false, 0, "")
+			return run(&b, "", "", 50, 1, "balanced", 0.5, "", 10, "manhattan2", "", false, false, 0, false, "", "", "", false, 0, "")
 		}},
 		{"bad weights", func() error {
-			return run(&b, "", "", 50, 1, "balanced", 0.5, "LanguageTest", 10, "emd", false, "", false, false, 0, false, "", "", "", false, 0, "")
+			return run(&b, "", "", 50, 1, "balanced", 0.5, "LanguageTest", 10, "emd", "", false, false, 0, false, "", "", "", false, 0, "")
 		}},
 		{"bad weight value", func() error {
-			return run(&b, "", "", 50, 1, "balanced", 0.5, "LanguageTest=lots", 10, "emd", false, "", false, false, 0, false, "", "", "", false, 0, "")
+			return run(&b, "", "", 50, 1, "balanced", 0.5, "LanguageTest=lots", 10, "emd", "", false, false, 0, false, "", "", "", false, 0, "")
 		}},
 		{"bad attr", func() error {
-			return run(&b, "", "", 50, 1, "balanced", 0.5, "", 10, "emd", false, "Charisma", false, false, 0, false, "", "", "", false, 0, "")
+			return run(&b, "", "", 50, 1, "balanced", 0.5, "", 10, "emd", "Charisma", false, false, 0, false, "", "", "", false, 0, "")
 		}},
 	}
 	for _, c := range cases {
@@ -167,7 +147,7 @@ func TestRunErrors(t *testing.T) {
 
 func TestRunWithSignificance(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b, "", "", 100, 6, "balanced", 0.5, "", 10, "emd", false, "", false, false, 50, false, "", "", "", false, 0, ""); err != nil {
+	if err := run(&b, "", "", 100, 6, "balanced", 0.5, "", 10, "emd", "", false, false, 50, false, "", "", "", false, 0, ""); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -181,7 +161,7 @@ func TestRunWithSignificance(t *testing.T) {
 
 func TestRunWithExplain(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b, "", "", 150, 8, "balanced", 1, "", 10, "emd", false, "", false, false, 0, true, "", "", "", false, 0, ""); err != nil {
+	if err := run(&b, "", "", 150, 8, "balanced", 1, "", 10, "emd", "", false, false, 0, true, "", "", "", false, 0, ""); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -193,7 +173,7 @@ func TestRunWithExplain(t *testing.T) {
 func TestRunWithWeightsAndAttrs(t *testing.T) {
 	var b strings.Builder
 	err := run(&b, "", "", 120, 5, "balanced", 0.5,
-		"LanguageTest=0.8,ApprovalRate=0.2", 10, "l1", false, "Gender,Country", false, false, 0, false, "", "", "", false, 0, "")
+		"LanguageTest=0.8,ApprovalRate=0.2", 10, "l1", "Gender,Country", false, false, 0, false, "", "", "", false, 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +191,7 @@ func TestRunWithInferredSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	err := run(&b, path, "", 0, 1, "all-attributes", 0.5, "rating=1", 5, "emd", false, "",
+	err := run(&b, path, "", 0, 1, "all-attributes", 0.5, "rating=1", 5, "emd", "",
 		false, false, 0, false, "gender,city,age", "rating", "worker", true, 0, "")
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +205,7 @@ func TestRunWithInferredSchema(t *testing.T) {
 func TestRunTelemetryJSON(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "telemetry.json")
 	var b strings.Builder
-	err := run(&b, "", "", 120, 9, "balanced", 0.5, "", 10, "emd", false, "", false, false, 0, false, "", "", "", false, 0, path)
+	err := run(&b, "", "", 120, 9, "balanced", 0.5, "", 10, "emd", "", false, false, 0, false, "", "", "", false, 0, path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,6 @@ func main() {
 		snap    = flag.String("snapshot", "", "audit this columnar snapshot (mmap, zero-copy) instead of generating workers")
 		seed    = flag.Uint64("seed", 42, "experiment seed")
 		bins    = flag.Int("bins", 10, "histogram bins")
-		prune   = flag.Bool("prune", false, "enable the branch-and-bound pruning cascade (bit-identical results, see DESIGN.md §9)")
 		csvOut  = flag.String("csv", "", "also write results as CSV to this file")
 		mdOut   = flag.String("md", "", "also write results as Markdown to this file")
 		jsonOut = flag.String("json", "", "also write results as JSON to this file")
@@ -182,7 +181,7 @@ func main() {
 		}
 	}
 	if *table != "" {
-		if err := runTables(os.Stdout, snapDS, *table, *workers, *seed, *bins, *prune, *csvOut, *mdOut, *jsonOut, *par, *nSeeds, bt); err != nil {
+		if err := runTables(os.Stdout, snapDS, *table, *workers, *seed, *bins, *csvOut, *mdOut, *jsonOut, *par, *nSeeds, bt); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -193,7 +192,7 @@ func main() {
 	}
 }
 
-func runTables(w io.Writer, ds *dataset.Dataset, table string, workers int, seed uint64, bins int, prune bool, csvOut, mdOut, jsonOut string, parallel, nSeeds int, bt *benchTelemetry) error {
+func runTables(w io.Writer, ds *dataset.Dataset, table string, workers int, seed uint64, bins int, csvOut, mdOut, jsonOut string, parallel, nSeeds int, bt *benchTelemetry) error {
 	var specs []simulate.Spec
 	add := func(s simulate.Spec, err error) error {
 		if err != nil {
@@ -203,7 +202,7 @@ func runTables(w io.Writer, ds *dataset.Dataset, table string, workers int, seed
 			s.Workers = workers
 		}
 		s.Dataset = ds // nil = generate s.Workers synthetic workers
-		s.Config = core.Config{Bins: bins, Prune: prune, Metrics: bt.registry()}
+		s.Config = core.Config{Bins: bins, Metrics: bt.registry()}
 		specs = append(specs, s)
 		return nil
 	}

@@ -15,7 +15,7 @@ import (
 
 func TestRunTablesReducedScale(t *testing.T) {
 	var b strings.Builder
-	if err := runTables(&b, nil, "1", 100, 7, 10, false, "", "", "", 1, 1, nil); err != nil {
+	if err := runTables(&b, nil, "1", 100, 7, 10, "", "", "", 1, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -29,7 +29,7 @@ func TestRunTablesReducedScale(t *testing.T) {
 func TestRunTablesAllWithCSV(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "out.csv")
 	var b strings.Builder
-	if err := runTables(&b, nil, "all", 60, 7, 10, false, path, "", "", 2, 1, nil); err != nil {
+	if err := runTables(&b, nil, "all", 60, 7, 10, path, "", "", 2, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -59,7 +59,7 @@ func TestRunTablesMarkdownAndJSON(t *testing.T) {
 	md := filepath.Join(dir, "out.md")
 	js := filepath.Join(dir, "out.json")
 	var b strings.Builder
-	if err := runTables(&b, nil, "1", 60, 7, 10, false, "", md, js, 1, 1, nil); err != nil {
+	if err := runTables(&b, nil, "1", 60, 7, 10, "", md, js, 1, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	mdData, err := os.ReadFile(md)
@@ -80,14 +80,14 @@ func TestRunTablesMarkdownAndJSON(t *testing.T) {
 
 func TestRunTablesUnknown(t *testing.T) {
 	var b strings.Builder
-	if err := runTables(&b, nil, "9", 50, 1, 10, false, "", "", "", 1, 1, nil); err == nil {
+	if err := runTables(&b, nil, "9", 50, 1, 10, "", "", "", 1, 1, nil); err == nil {
 		t.Error("unknown table accepted")
 	}
 }
 
 func TestRunTablesBadCSVPath(t *testing.T) {
 	var b strings.Builder
-	if err := runTables(&b, nil, "1", 50, 1, 10, false, "/nonexistent/dir/out.csv", "", "", 1, 1, nil); err == nil {
+	if err := runTables(&b, nil, "1", 50, 1, 10, "/nonexistent/dir/out.csv", "", "", 1, 1, nil); err == nil {
 		t.Error("bad csv path accepted")
 	}
 }
@@ -134,7 +134,7 @@ func TestVerdict(t *testing.T) {
 
 func TestRunTablesMultiSeed(t *testing.T) {
 	var b strings.Builder
-	if err := runTables(&b, nil, "1", 60, 7, 10, false, "", "", "", 2, 3, nil); err != nil {
+	if err := runTables(&b, nil, "1", 60, 7, 10, "", "", "", 2, 3, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -187,7 +187,7 @@ func TestBenchTelemetry(t *testing.T) {
 	if err := runSweep(&b, nil, 60, 7, 10, 3, bt); err != nil {
 		t.Fatal(err)
 	}
-	if err := runTables(&b, nil, "1", 50, 7, 10, false, "", "", "", 1, 1, bt); err != nil {
+	if err := runTables(&b, nil, "1", 50, 7, 10, "", "", "", 1, 1, bt); err != nil {
 		t.Fatal(err)
 	}
 	snap := bt.reg.Snapshot()

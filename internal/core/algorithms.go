@@ -61,9 +61,9 @@ func worstAttribute(s *matState, attrs []int) (int, *matState) {
 
 // randomAttribute is the baseline choice used by r-balanced and
 // r-unbalanced: a uniformly random remaining attribute. A single random
-// candidate offers nothing to prune, but under Config.Prune the probe
-// routes through the lean allocation-free fill (probeLean) so the random
-// baselines share the pruned runs' constant factors.
+// candidate offers nothing to prune, but where the pruning cascade runs
+// the probe routes through the lean allocation-free fill (probeLean) so
+// the random baselines share the pruned runs' constant factors.
 func randomAttribute(r *rng.RNG) chooser {
 	return func(s *matState, attrs []int) (int, *matState) {
 		a := attrs[r.Intn(len(attrs))]
@@ -115,10 +115,10 @@ func balancedWith(ctx context.Context, e *Evaluator, attrs []int, choose chooser
 			progress(step)
 		}
 	}
-	state := newMatState(e, []*partition.Partition{partition.Root(e.ds)})
+	state := newMatState(e, []*partition.Partition{e.searchRoot()})
 	state.ctx = ctx
 	if len(attrs) == 0 {
-		res.Partitioning = &partition.Partitioning{Parts: state.parts}
+		res.Partitioning = &partition.Partitioning{Parts: e.rows.workerParts(state.parts)}
 		res.Elapsed = time.Since(start)
 		return res, nil
 	}
@@ -147,7 +147,7 @@ func balancedWith(ctx context.Context, e *Evaluator, attrs []int, choose chooser
 		emit(step)
 		state = children
 	}
-	res.Partitioning = &partition.Partitioning{Parts: state.parts}
+	res.Partitioning = &partition.Partitioning{Parts: e.rows.workerParts(state.parts)}
 	res.Unfairness = state.avg
 	res.Elapsed = time.Since(start)
 	return res, nil
@@ -181,14 +181,13 @@ func unbalancedWith(ctx context.Context, e *Evaluator, attrs []int, choose choos
 			progress(step)
 		}
 	}
-	root := partition.Root(e.ds)
 	if len(attrs) == 0 {
-		res.Partitioning = &partition.Partitioning{Parts: []*partition.Partition{root}}
+		res.Partitioning = &partition.Partitioning{Parts: []*partition.Partition{partition.Root(e.ds)}}
 		res.Elapsed = time.Since(start)
 		return res, nil
 	}
 
-	first := newMatState(e, []*partition.Partition{root})
+	first := newMatState(e, []*partition.Partition{e.searchRoot()})
 	first.ctx = ctx
 	a, parts := choose(first, attrs)
 	if err := ctx.Err(); err != nil {
@@ -240,8 +239,8 @@ func unbalancedWith(ctx context.Context, e *Evaluator, attrs []int, choose choos
 		}
 	}
 
-	res.Partitioning = &partition.Partitioning{Parts: output}
 	res.Unfairness = e.avgPairwiseAuto(output)
+	res.Partitioning = &partition.Partitioning{Parts: e.rows.workerParts(output)}
 	res.Elapsed = time.Since(start)
 	return res, nil
 }
@@ -258,7 +257,7 @@ func allAttributesCtx(ctx context.Context, e *Evaluator, attrs []int, progress f
 	if attrs == nil {
 		attrs = e.Attrs()
 	}
-	state := newMatState(e, []*partition.Partition{partition.Root(e.ds)})
+	state := newMatState(e, []*partition.Partition{e.searchRoot()})
 	state.ctx = ctx
 	res := &Result{Algorithm: "all-attributes"}
 	for _, a := range attrs {
@@ -279,7 +278,7 @@ func allAttributesCtx(ctx context.Context, e *Evaluator, attrs []int, progress f
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	res.Partitioning = &partition.Partitioning{Parts: state.parts}
+	res.Partitioning = &partition.Partitioning{Parts: e.rows.workerParts(state.parts)}
 	res.Unfairness = state.avg
 	if len(res.Steps) > 0 {
 		res.Steps[len(res.Steps)-1].AvgDistance = res.Unfairness

@@ -31,7 +31,7 @@ func quickDataset(n int, seed uint64) (*dataset.Dataset, error) {
 // the min-size guard), the incrementally maintained average of every
 // intermediate state — balanced probes, unbalanced groupings, and
 // replaceFirst merges — agrees with a from-scratch AvgPairwise evaluation
-// to 1e-12.
+// of its parts, mapped back to worker rows, to 1e-12.
 func TestQuickIncrementalDelta(t *testing.T) {
 	prop := func(seed uint64, exact bool, minSize uint8) bool {
 		n := 150 + int(seed%150)
@@ -48,11 +48,12 @@ func TestQuickIncrementalDelta(t *testing.T) {
 			return false
 		}
 		// Fresh evaluator for the from-scratch side so no cache is shared.
-		ref, err := NewEvaluator(ds, scoreFunc, cfg)
+		refEval, err := NewEvaluator(ds, scoreFunc, cfg)
 		if err != nil {
 			return false
 		}
 		close := func(got, want float64) bool { return math.Abs(got-want) <= 1e-12 }
+		ref := func(s *matState) float64 { return refAvg(refEval, e.rows.workerParts(s.parts)) }
 
 		r := rng.New(seed ^ 0x9E3779B9)
 		attrs := e.Attrs()
@@ -60,29 +61,29 @@ func TestQuickIncrementalDelta(t *testing.T) {
 
 		// Balanced-style chain: probe each attribute in sequence, checking
 		// the running average at every step.
-		s := newMatState(e, []*partition.Partition{partition.Root(ds)})
+		s := newMatState(e, []*partition.Partition{e.searchRoot()})
 		for _, a := range attrs {
 			s = s.probe(a, e.cfg.Parallelism, true)
-			if !close(s.avg, refAvg(ref, s.parts)) {
+			if !close(s.avg, ref(s)) {
 				return false
 			}
 		}
 
 		// Unbalanced-style delta: from a first split, regroup around a
 		// random part, locally split it, and merge against the siblings.
-		s = newMatState(e, []*partition.Partition{partition.Root(ds)})
+		s = newMatState(e, []*partition.Partition{e.searchRoot()})
 		s = s.probe(attrs[0], e.cfg.Parallelism, true)
 		if len(s.parts) > 1 && len(attrs) > 1 {
 			g := s.group(r.Intn(len(s.parts)))
-			if !close(g.avg, refAvg(ref, g.parts)) {
+			if !close(g.avg, ref(g)) {
 				return false
 			}
 			children := g.single(0).probe(attrs[1], e.cfg.Parallelism, true)
-			if !close(children.avg, refAvg(ref, children.parts)) {
+			if !close(children.avg, ref(children)) {
 				return false
 			}
 			merged := g.replaceFirst(children)
-			if !close(merged.avg, refAvg(ref, merged.parts)) {
+			if !close(merged.avg, ref(merged)) {
 				return false
 			}
 		}

@@ -20,8 +20,8 @@ import (
 // decision) — computes only distances that touch changed parts; everything
 // else is copied from the existing triangle. Child representations are
 // derived in the same single pass that scatters the parent's rows
-// (partition.SplitObserve), so probing an attribute never re-touches the
-// score column per child.
+// (partition.SplitCodes over the row space of rows.go), so probing an
+// attribute never re-touches the score column per child.
 //
 // Invariant: every average is reduced serially in (i, j) pair order over
 // the state's own part ordering, which is exactly the order the from-
@@ -69,14 +69,15 @@ func avgOf(d []float64) float64 {
 	return sum / float64(len(d))
 }
 
-// newMatState interns the parts' representations and materializes the
-// full distance triangle (through the shared pair cache), establishing
+// newMatState interns the search parts' representations (their Indices are
+// rows of the evaluator's row space) and materializes the full distance
+// triangle (through the shared pair cache), establishing
 // the running pairwise sum that later probes evolve by delta.
 func newMatState(e *Evaluator, parts []*partition.Partition) *matState {
 	k := len(parts)
 	s := &matState{e: e, parts: parts, reps: make([]*rep, k)}
 	for i, p := range parts {
-		s.reps[i] = e.repFor(p)
+		s.reps[i] = e.rowRep(p)
 	}
 	s.dist = make([]float64, k*(k-1)/2)
 	m := 0
@@ -103,38 +104,54 @@ type splitPart struct {
 
 // scatterSplit splits p on attr in a single pass over its rows, deriving
 // each child's representation from the same scan that builds its index
-// slice. Child reps are interned under (parent handle, attr, value) —
-// which fully determines the child's content — so re-probes of the same
-// split are served from the cache without touching the score column.
+// slice: binned rows add their weights into per-child bin counts (a worker
+// row weighs one), Exact rows append their scores. p's Indices are rows of the evaluator's row
+// space (rows.go). Child reps are interned under (parent handle, attr,
+// value) — which fully determines the child's content — so re-probes of
+// the same split are served from the cache without touching the rows.
 func (e *Evaluator) scatterSplit(r *rep, p *partition.Partition, attr int) splitPart {
+	rs := e.rows
 	card := e.ds.Schema().Protected[attr].Cardinality()
 	var (
-		counts   [][]float64 // binned mode: per-value count rows
-		vals     [][]float64 // exact mode: per-value score samples
-		children []*partition.Partition
+		counts  [][]float64 // binned mode: per-value count rows
+		vals    [][]float64 // exact mode: per-value score samples
+		observe func(v, row int)
 	)
 	if e.cfg.Exact {
 		vals = make([][]float64, card)
-		children = partition.SplitObserve(e.ds, p, attr, func(v, row int) {
+		observe = func(v, row int) {
 			vals[v] = append(vals[v], e.scores[row])
-		})
-	} else {
+		}
+	} else if rs.weight == nil {
+		// Worker rows: each row is one worker in bin binIdx[row].
 		counts = make([][]float64, card)
-		bins := e.cfg.Bins
-		children = partition.SplitObserve(e.ds, p, attr, func(v, row int) {
+		bins, bin := e.cfg.Bins, e.binIdx
+		observe = func(v, row int) {
 			c := counts[v]
 			if c == nil {
 				c = make([]float64, bins)
 				counts[v] = c
 			}
-			c[e.binIdx[row]]++
-		})
+			c[bin[row]]++
+		}
+	} else {
+		counts = make([][]float64, card)
+		bins, bin, weight := e.cfg.Bins, rs.bin, rs.weight
+		observe = func(v, row int) {
+			c := counts[v]
+			if c == nil {
+				c = make([]float64, bins)
+				counts[v] = c
+			}
+			c[bin[row]] += float64(weight[row])
+		}
 	}
+	children := partition.SplitCodes(rs.codes[attr], card, p, attr, observe)
 	if e.cfg.MinPartitionSize > 1 {
-		// A split that would create a too-small child keeps the parent
-		// whole, mirroring splitAll.
+		// A split that would create a child with too few workers keeps
+		// the parent whole.
 		for _, c := range children {
-			if c.Size() < e.cfg.MinPartitionSize {
+			if rs.size(c) < e.cfg.MinPartitionSize {
 				return splitPart{children: []*partition.Partition{p}, reps: []*rep{r}, aliased: true}
 			}
 		}
@@ -396,7 +413,9 @@ func (s *matState) replaceFirst(children *matState) *matState {
 }
 
 // materialize fills the distance triangle of a state produced with
-// withDist=false, computing every pair concurrently when allowed.
+// withDist=false, computing rows concurrently when allowed. Rows fill in
+// place, as exactProbe's do: no per-pair work list, which at the full
+// split of the paper's population would outweigh the triangle itself.
 func (s *matState) materialize(workers int) {
 	if s.dist != nil {
 		return
@@ -404,21 +423,16 @@ func (s *matState) materialize(workers int) {
 	k := len(s.parts)
 	n := k * (k - 1) / 2
 	s.dist = make([]float64, n)
-	pairs := make([]pairRef, n)
-	m := 0
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			pairs[m] = pairRef{int32(m), int32(i), int32(j)}
-			m++
-		}
-	}
 	_, esp := telemetry.StartSpan(s.ctx, "emd")
-	parfill(n, workers, func(lo, hi int) {
-		for x, t := range pairs[lo:hi] {
-			if x&(ctxCheckStride-1) == ctxCheckStride-1 && s.canceled() {
-				return
-			}
-			s.dist[t.slot] = s.e.distOf(s.reps[t.i].data, s.reps[t.j].data)
+	parforeach(k-1, workers, func(i int) {
+		if s.canceled() {
+			return
+		}
+		m := tri(k, i, i+1)
+		ri := s.reps[i].data
+		for j := i + 1; j < k; j++ {
+			s.dist[m] = s.e.distOf(ri, s.reps[j].data)
+			m++
 		}
 	})
 	esp.SetInt("pairs", int64(n))

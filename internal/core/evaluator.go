@@ -52,20 +52,6 @@ type Config struct {
 	// binned histogram EMD. More faithful, somewhat slower; ignores Bins,
 	// Ground and Metric.
 	Exact bool
-	// Prune enables the branch-and-bound pruning cascade (DESIGN.md §9):
-	// candidate-attribute scans bracket each probe's average with
-	// fixed-point lower/upper bound kernels and evaluate exactly only the
-	// candidates whose interval can still affect the argmax; the
-	// exhaustive solvers skip candidates provably below the running best;
-	// and very large pairwise averages bypass the shared pair cache.
-	// Results are bit-identical with pruning on or off — the bounds carry
-	// their quantization-error term, the winner of every decision is
-	// always evaluated exactly, and the differential suite pins the
-	// equivalence — so the knob trades nothing but bookkeeping detail
-	// (RunStats.PairsPruned vs computed/hit counts) for speed. Off by
-	// default; a no-op in Exact mode and under non-EMD metrics, whose
-	// distances the bounds do not cover. Excluded from Spec.Hash.
-	Prune bool
 	// Metrics, when non-nil, receives engine telemetry: EMD-evaluation
 	// and cache hit/miss counters, probe counts, and cache-occupancy
 	// gauges (aggregate and per shard). Several evaluators may share one
@@ -104,8 +90,16 @@ type Evaluator struct {
 	pairs *pairCache
 	tel   engineMetrics
 
-	// prune is the effective pruning gate: Config.Prune restricted to the
-	// modes the bound kernels cover (binned histograms under MetricEMD).
+	// rows is the row space the searching algorithms scatter (rows.go),
+	// built by the first search; rowsOnce guards it.
+	rowsOnce sync.Once
+	rows     *rowSpace
+
+	// prune gates the branch-and-bound pruning cascade (prune.go): on in
+	// exactly the mode its bound kernels cover — binned histograms under
+	// MetricEMD. It is not a knob: the cascade changes no emitted bit, so
+	// the mode alone decides. Tests in this package clear it to run the
+	// unpruned oracle side of the prune differentials.
 	prune bool
 	// pruned and copied are always-on run-accounting counters (unlike the
 	// nil-gated telemetry mirrors): pair slots the cascade skipped, and
@@ -151,7 +145,7 @@ func NewEvaluator(ds *dataset.Dataset, f scoring.Func, cfg Config) (*Evaluator, 
 	if !cfg.Exact {
 		e.binIdx = histogram.MustNew(cfg.Bins, 0, 1).BinIndices(e.scores)
 	}
-	e.prune = cfg.Prune && !cfg.Exact && cfg.Metric == emd.MetricEMD
+	e.prune = !cfg.Exact && cfg.Metric == emd.MetricEMD
 	if e.prune {
 		// Quantize every rep's CDF at intern time, before publication, so
 		// the bound kernels always find qcdf present and race-free.
@@ -218,9 +212,16 @@ func (e *Evaluator) buildData(indices []int) []float64 {
 }
 
 // repFor interns a partition's representation under its canonical
-// constraint key, returning the dense-handle rep.
+// constraint key, returning the dense-handle rep. p's Indices are workers.
 func (e *Evaluator) repFor(p *partition.Partition) *rep {
 	return e.reps.internKey(p.Key(), func() []float64 { return e.buildData(p.Indices) })
+}
+
+// rowRep is repFor for a search partition, whose Indices are rows of the
+// evaluator's row space. Both share the string-keyed layer: a key's
+// payload is the same whichever row form built it.
+func (e *Evaluator) rowRep(p *partition.Partition) *rep {
+	return e.reps.internKey(p.Key(), func() []float64 { return e.rowData(p.Indices) })
 }
 
 // dist computes the configured distance between two PMFs.
@@ -416,32 +417,6 @@ func (e *Evaluator) unfairnessCtx(ctx context.Context, pt *partition.Partitionin
 		reps[i] = e.repFor(p)
 	}
 	return e.avgRepsCtx(ctx, reps)
-}
-
-// splitAll splits every partition on attr, subject to MinPartitionSize:
-// a partition whose split would create a child smaller than the minimum is
-// kept whole instead.
-func (e *Evaluator) splitAll(parts []*partition.Partition, attr int) []*partition.Partition {
-	if e.cfg.MinPartitionSize <= 1 {
-		return partition.SplitAll(e.ds, parts, attr)
-	}
-	var out []*partition.Partition
-	for _, p := range parts {
-		children := partition.Split(e.ds, p, attr)
-		ok := true
-		for _, c := range children {
-			if c.Size() < e.cfg.MinPartitionSize {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, children...)
-		} else {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // CacheStats reports cache sizes, used by the ablation benchmarks:

@@ -30,7 +30,7 @@ func Beam(e *Evaluator, attrs []int, width int) (*Result, error) {
 		left []int
 	}
 	res := &Result{Algorithm: "beam"}
-	frontier := []state{{st: newMatState(e, []*partition.Partition{partition.Root(e.ds)}), left: attrs}}
+	frontier := []state{{st: newMatState(e, []*partition.Partition{e.searchRoot()}), left: attrs}}
 	best := frontier[0]
 
 	for {
@@ -88,7 +88,7 @@ func Beam(e *Evaluator, attrs []int, width int) (*Result, error) {
 		}
 		frontier = next
 	}
-	res.Partitioning = &partition.Partitioning{Parts: best.st.parts}
+	res.Partitioning = &partition.Partitioning{Parts: e.rows.workerParts(best.st.parts)}
 	res.Unfairness = best.st.avg
 	res.Elapsed = time.Since(start)
 	return res, nil

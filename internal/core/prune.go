@@ -8,8 +8,9 @@ import (
 	"fairrank/internal/telemetry"
 )
 
-// This file implements the branch-and-bound pruning cascade (Config.Prune,
-// DESIGN.md §9). The paper's greedy choosers and exhaustive solvers only
+// This file implements the branch-and-bound pruning cascade (DESIGN.md
+// §9), which runs wherever its bound kernels apply — binned histograms
+// under MetricEMD, the default mode (Evaluator.prune). The paper's greedy choosers and exhaustive solvers only
 // ever consult a candidate partitioning's average pairwise EMD through
 // order comparisons — argmax over a candidate scan, or "does it beat the
 // running best". The cascade brackets each candidate's average with the
@@ -73,8 +74,9 @@ func (e *Evaluator) prunedAcct(n int64) {
 	e.tel.pairsPruned.Add(n)
 }
 
-// worstChooser returns the greedy attribute chooser honoring the
-// evaluator's pruning gate.
+// worstChooser returns the greedy attribute chooser for the evaluator's
+// mode: the pruned scan where the bound kernels apply, the unpruned
+// worstAttribute otherwise (Exact mode, non-EMD metrics).
 func (e *Evaluator) worstChooser() chooser {
 	if e.prune {
 		return worstAttributePruned
@@ -206,7 +208,7 @@ func (s *matState) exactProbe(attr int, splits []splitPart, nk, workers int) *ma
 }
 
 // probeLean is probe (scatter + exact fill + reduce) through the lean
-// exactProbe path; used by the random choosers when pruning is on — a
+// exactProbe path; used by the random choosers where pruning runs — a
 // single random candidate offers nothing to prune, but the allocation-free
 // fill still applies.
 func (s *matState) probeLean(attr, workers int) *matState {
@@ -322,20 +324,24 @@ func worstAttributePruned(s *matState, attrs []int) (int, *matState) {
 	return attrs[best], cands[best].state
 }
 
-// avgPairwiseAuto is AvgPairwise that bypasses the shared pair cache for
-// very large terminal averages when pruning is on. The bypass computes
-// every distance directly (same distOf, same canonical serial reduction),
-// so the value is bit-identical; only the accounting split differs — all
-// slots count as computed instead of hit-or-computed — which the slot
+// avgPairwiseAuto is AvgPairwise over search parts (rows of the
+// evaluator's row space) that bypasses the shared pair cache for very
+// large terminal averages when pruning is on. The bypass computes every
+// distance directly (same distOf, same canonical serial reduction), so the
+// value is bit-identical; only the accounting split differs — all slots
+// count as computed instead of hit-or-computed — which the slot
 // conservation law still balances.
 func (e *Evaluator) avgPairwiseAuto(parts []*partition.Partition) float64 {
 	k := len(parts)
-	if !e.prune || k*(k-1)/2 < cacheBypassPairs {
-		return e.AvgPairwise(parts)
+	if k < 2 {
+		return 0
 	}
 	reps := make([]*rep, k)
 	for i, p := range parts {
-		reps[i] = e.repFor(p)
+		reps[i] = e.rowRep(p)
+	}
+	if !e.prune || k*(k-1)/2 < cacheBypassPairs {
+		return e.avgReps(reps)
 	}
 	return e.avgRepsDirect(reps)
 }

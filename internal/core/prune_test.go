@@ -12,11 +12,38 @@ import (
 	"fairrank/internal/testkit"
 )
 
-// Tests for the branch-and-bound pruning cascade (Config.Prune): the
-// differential pruned≡unpruned oracle across every registered algorithm,
-// the pair-slot conservation law, the gate conditions, and the Spec.Hash
-// exclusion. The equivalence checks compare exact floats and full traces —
-// the contract is bit-identical, not approximately equal.
+// Tests for the branch-and-bound pruning cascade: the differential
+// pruned≡unpruned oracle across every registered algorithm, the pair-slot
+// conservation law, and the mode gate. The cascade runs by mode (binned
+// histograms under MetricEMD), so the unpruned side of every differential
+// comes from the unexported switch (unprune). The equivalence checks
+// compare exact floats and full traces — the contract is bit-identical,
+// not approximately equal.
+
+// unprune turns the evaluator's pruning cascade off: the greedy choosers
+// fall back to the unpruned worstAttribute scan, and the exhaustive
+// solvers and terminal averages skip their bound paths. Call it before the
+// evaluator's first run.
+func unprune(e *Evaluator) *Evaluator {
+	e.prune = false
+	e.reps.quant = nil
+	return e
+}
+
+// pruneSpec returns spec bound to a fresh evaluator (never sharing caches
+// with the paired run) with the pruning cascade on — the default — or off.
+func pruneSpec(t *testing.T, spec Spec, on bool) Spec {
+	t.Helper()
+	e, err := NewEvaluator(spec.Dataset, spec.Func, spec.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !on {
+		unprune(e)
+	}
+	spec.Evaluator = e
+	return spec
+}
 
 // pruneDigest is the full observable outcome of one run, compared deeply
 // across the prune on/off pair.
@@ -27,8 +54,7 @@ type pruneDigest struct {
 	Err        string
 }
 
-// digestRun executes spec against a fresh evaluator (never sharing caches
-// with the paired run) and digests the result.
+// digestRun executes spec and digests the result.
 func digestRun(t *testing.T, spec Spec) pruneDigest {
 	t.Helper()
 	res, err := Run(context.Background(), spec)
@@ -130,7 +156,7 @@ func TestPrunedEquivalenceAllAlgorithms(t *testing.T) {
 				Algorithm: name,
 				Dataset:   ds,
 				Func:      testkit.ScoreFunc(),
-				Config:    Config{Bins: 10, Prune: on},
+				Config:    Config{Bins: 10},
 				Seed:      seed,
 			}
 			if name == "exhaustive" || name == "exhaustive-cells" {
@@ -147,7 +173,7 @@ func TestPrunedEquivalenceAllAlgorithms(t *testing.T) {
 				}
 				spec.Budget = 500
 			}
-			return digestRun(t, spec)
+			return digestRun(t, pruneSpec(t, spec, on))
 		})
 	}
 }
@@ -160,12 +186,12 @@ func TestPruneFiresOnDeepScan(t *testing.T) {
 	ds := pruneDataset(t, 2000, 5)
 	for _, alg := range []string{"balanced", "unbalanced"} {
 		run := func(on bool) (*Result, error) {
-			return Run(context.Background(), Spec{
+			return Run(context.Background(), pruneSpec(t, Spec{
 				Algorithm: alg,
 				Dataset:   ds,
 				Func:      testkit.ScoreFunc(),
-				Config:    Config{Bins: 10, Prune: on},
-			})
+				Config:    Config{Bins: 10},
+			}, on))
 		}
 		base, err := run(false)
 		if err != nil {
@@ -209,12 +235,12 @@ func TestPruneFiresOnDeepScan(t *testing.T) {
 func TestPruneExhaustiveBranchAndBound(t *testing.T) {
 	ds := wideDataset(t, 900)
 	run := func(on bool) *Result {
-		res, err := Run(context.Background(), Spec{
+		res, err := Run(context.Background(), pruneSpec(t, Spec{
 			Algorithm: "exhaustive",
 			Dataset:   ds,
 			Func:      testkit.ScoreFunc(),
-			Config:    Config{Bins: 10, Prune: on},
-		})
+			Config:    Config{Bins: 10},
+		}, on))
 		if err != nil {
 			t.Fatalf("exhaustive (prune=%v): %v", on, err)
 		}
@@ -248,13 +274,13 @@ func TestPruneSlotConservation(t *testing.T) {
 		var sums [2]int
 		for i, on := range []bool{false, true} {
 			reg := telemetry.NewRegistry()
-			res, err := Run(context.Background(), Spec{
+			res, err := Run(context.Background(), pruneSpec(t, Spec{
 				Algorithm: alg,
 				Dataset:   ds,
 				Func:      testkit.ScoreFunc(),
-				Config:    Config{Bins: 10, Prune: on, Metrics: reg},
+				Config:    Config{Bins: 10, Metrics: reg},
 				Seed:      3,
-			})
+			}, on))
 			if err != nil {
 				t.Fatalf("%s (prune=%v): %v", alg, on, err)
 			}
@@ -290,7 +316,7 @@ func TestPruneSlotConservation(t *testing.T) {
 // same candidate against a losing best evaluates to the exact unfairness.
 func TestUnfairnessBoundedContract(t *testing.T) {
 	ds := wideDataset(t, 600)
-	e, err := NewEvaluator(ds, testkit.ScoreFunc(), Config{Bins: 10, Prune: true})
+	e, err := NewEvaluator(ds, testkit.ScoreFunc(), Config{Bins: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +346,9 @@ func TestUnfairnessBoundedContract(t *testing.T) {
 	}
 }
 
-// The gate: Prune is inert outside binned-EMD mode and off by default.
+// The mode gate: the cascade runs exactly where its bound kernels apply —
+// binned histograms under MetricEMD, whatever the ground distance — and
+// nowhere else, with no option to turn it on or off.
 func TestPruneGate(t *testing.T) {
 	g := testkit.NewGen(5)
 	ds, err := g.WorkerDataset(60)
@@ -332,10 +360,10 @@ func TestPruneGate(t *testing.T) {
 		cfg  Config
 		want bool
 	}{
-		{"default-off", Config{}, false},
-		{"on", Config{Prune: true}, true},
-		{"exact-mode", Config{Prune: true, Exact: true}, false},
-		{"non-emd-metric", Config{Prune: true, Metric: emd.MetricL1}, false},
+		{"default-binned-emd", Config{}, true},
+		{"index-ground", Config{Ground: emd.GroundIndex}, true},
+		{"exact-mode", Config{Exact: true}, false},
+		{"non-emd-metric", Config{Metric: emd.MetricL1}, false},
 	}
 	for _, c := range cases {
 		e, err := NewEvaluator(ds, testkit.ScoreFunc(), c.cfg)
@@ -348,25 +376,5 @@ func TestPruneGate(t *testing.T) {
 		if got := e.reps.quant != nil; got != c.want {
 			t.Fatalf("%s: quantizer installed = %v, want %v", c.name, got, c.want)
 		}
-	}
-}
-
-// Prune cannot affect results, so it must not affect the audit identity.
-func TestSpecHashIgnoresPrune(t *testing.T) {
-	g := testkit.NewGen(9)
-	ds, err := g.WorkerDataset(40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := Spec{Dataset: ds, Func: testkit.ScoreFunc(), Config: Config{Bins: 10}}
-	withPrune := base
-	withPrune.Config.Prune = true
-	if base.Hash() != withPrune.Hash() {
-		t.Fatal("Spec.Hash changed with Config.Prune")
-	}
-	other := base
-	other.Config.Bins = 12
-	if base.Hash() == other.Hash() {
-		t.Fatal("Spec.Hash ignored Config.Bins (sanity check)")
 	}
 }

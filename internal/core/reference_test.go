@@ -53,6 +53,32 @@ func refAvg(e *Evaluator, parts []*partition.Partition) float64 {
 	return sum / float64(k*(k-1)/2)
 }
 
+// splitAll splits every partition on attr, subject to MinPartitionSize:
+// a partition whose split would create a child smaller than the minimum is
+// kept whole instead.
+func (e *Evaluator) splitAll(parts []*partition.Partition, attr int) []*partition.Partition {
+	if e.cfg.MinPartitionSize <= 1 {
+		return partition.SplitAll(e.ds, parts, attr)
+	}
+	var out []*partition.Partition
+	for _, p := range parts {
+		children := partition.Split(e.ds, p, attr)
+		ok := true
+		for _, c := range children {
+			if c.Size() < e.cfg.MinPartitionSize {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			out = append(out, children...)
+		} else {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
 type refChooser func(e *Evaluator, parts []*partition.Partition, attrs []int) (int, []*partition.Partition, float64)
 
 func refWorst(e *Evaluator, parts []*partition.Partition, attrs []int) (int, []*partition.Partition, float64) {

@@ -83,12 +83,12 @@ type RunStats struct {
 	// re-fetching.
 	PairsCopied int
 	// PairsPruned is how many pair slots the branch-and-bound cascade
-	// (Config.Prune) skipped outright — slots that were neither computed,
-	// copied, nor served from the cache. Always 0 with pruning off. For
-	// any fixed Spec, PairsComputed + CacheHits + PairsCopied +
-	// PairsPruned is invariant across pruning on/off: pruning moves slots
-	// between buckets, never changes the total (the conservation law the
-	// accounting tests pin).
+	// skipped outright — slots that were neither computed, copied, nor
+	// served from the cache. Always 0 in Exact mode and under non-EMD
+	// metrics, where the cascade does not run. For any fixed Spec,
+	// PairsComputed + CacheHits + PairsCopied + PairsPruned equals the
+	// unpruned scan's total: pruning moves slots between buckets, never
+	// changes the total (the conservation law the accounting tests pin).
 	PairsPruned int
 	// Rounds is the number of splitting decisions traced (len(Steps)).
 	Rounds int

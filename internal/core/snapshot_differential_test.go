@@ -85,7 +85,6 @@ func TestSnapshotAuditBitIdentical(t *testing.T) {
 			wantStats bool // serial runs have fully deterministic pair accounting
 		}{
 			{"serial", core.Config{Parallelism: 1}, true},
-			{"serial-prune", core.Config{Parallelism: 1, Prune: true}, true},
 			{"parallel", core.Config{}, false},
 		} {
 			spec := core.Spec{

@@ -21,10 +21,6 @@ import (
 //
 //   - Parallelism is excluded: results are bit-identical at every level
 //     (distances reduce in canonical pair order regardless).
-//   - Prune is excluded: the pruning cascade is bit-identical by
-//     construction (every emitted decision comes from an exact
-//     evaluation; the differential suite pins it), so a pruned and an
-//     unpruned run of the same audit are the same audit.
 //   - Metrics and Progress are excluded: observation does not change the
 //     audit.
 //   - Evaluator identity is excluded: an evaluator is hashed through its

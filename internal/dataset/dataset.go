@@ -44,6 +44,11 @@ type Dataset struct {
 	digestOnce sync.Once
 	digest     [sha256.Size]byte
 	digestErr  error
+
+	// cellsOnce guards cells: the protected-cell grouping, computed on
+	// the first Cells call.
+	cellsOnce sync.Once
+	cells     *Cells
 }
 
 // Builder incrementally assembles an in-memory Dataset.

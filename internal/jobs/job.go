@@ -76,7 +76,9 @@ type Job struct {
 	// Error is the most recent attempt's error, kept across retries so a
 	// queued-for-retry job explains why it is waiting.
 	Error string `json:"error,omitempty"`
-	// Result is the executor's output once State is done.
+	// Result is the executor's output once State is done. Queue methods
+	// fill it in; a durable queue stores it under its own key and leaves
+	// it out of the persisted record, so each result is held once.
 	Result json.RawMessage `json:"result,omitempty"`
 
 	// Scheduler-private state, never persisted or copied out.

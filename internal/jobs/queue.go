@@ -67,6 +67,13 @@ const (
 // bucketJobs is the store bucket holding one JSON record per job.
 const bucketJobs = "jobs"
 
+// bucketResults holds each done job's result bytes under its job ID. A
+// done job's record omits its result and the queue drops its own copy,
+// so every result is held in memory once: by the store, which hands out
+// copies. Records written before results had their own bucket embed the
+// result and keep it.
+const bucketResults = "results"
+
 // ErrNotFound is returned for operations on unknown job IDs.
 var ErrNotFound = errors.New("jobs: no such job")
 
@@ -279,7 +286,7 @@ func (q *Queue) Submit(spec Spec, specHash string) (Job, bool, error) {
 	// Singleflight: an active job with this hash absorbs the submission.
 	if j := q.active[specHash]; j != nil {
 		inc(q.met.deduped)
-		return j.snapshot(), false, nil
+		return q.view(j), false, nil
 	}
 	// TTL result cache: a recently completed identical spec answers
 	// directly.
@@ -288,7 +295,7 @@ func (q *Queue) Submit(spec Spec, specHash string) (Job, bool, error) {
 		if now.Before(e.expires) {
 			if j := q.jobs[e.id]; j != nil && j.State == StateDone {
 				inc(q.met.cacheHits)
-				return j.snapshot(), false, nil
+				return q.view(j), false, nil
 			}
 		}
 		delete(q.results, specHash)
@@ -348,7 +355,7 @@ func (q *Queue) Get(id string) (Job, bool) {
 	if !ok {
 		return Job{}, false
 	}
-	return j.snapshot(), true
+	return q.view(j), true
 }
 
 // List returns one page of job snapshots, newest first, plus the total
@@ -381,7 +388,7 @@ func (q *Queue) List(state State, offset, limit int) ([]Job, int) {
 	}
 	out := make([]Job, len(ids))
 	for i, id := range ids {
-		out[i] = q.jobs[id].snapshot()
+		out[i] = q.view(q.jobs[id])
 	}
 	return out, total
 }
@@ -413,8 +420,21 @@ func (q *Queue) Cancel(id string) (Job, error) {
 		}
 		return j.snapshot(), nil
 	default:
-		return j.snapshot(), ErrTerminal
+		return q.view(j), ErrTerminal
 	}
+}
+
+// view is the snapshot handed to callers: a done job's result is read
+// back from the store (a copy, not a decode) when the queue holds none.
+// Caller holds q.mu.
+func (q *Queue) view(j *Job) Job {
+	snap := j.snapshot()
+	if snap.State == StateDone && snap.Result == nil && q.db != nil {
+		if raw, ok := q.db.Get(bucketResults, j.ID); ok {
+			snap.Result = raw
+		}
+	}
+	return snap
 }
 
 // Runs reports how many executor attempts have started — the "engine
@@ -577,7 +597,7 @@ func (q *Queue) finishLocked(j *Job, state State, errMsg string, result []byte) 
 	j.State = state
 	j.Error = errMsg
 	j.FinishedAt = time.Now()
-	if result != nil {
+	if result != nil && !q.storeResult(j.ID, result) {
 		j.Result = json.RawMessage(result)
 	}
 	delete(q.active, j.SpecHash)
@@ -684,6 +704,23 @@ func (q *Queue) Kill() {
 	q.mu.Unlock()
 	q.baseCancel()
 	q.workers.Wait()
+}
+
+// storeResult writes a done job's result under its own key, before the
+// record that marks the job done, so a crash in between leaves a running
+// record that recovery re-runs. It reports false — the caller then keeps
+// the result on the job, embedded in its record — for memory-only and
+// killed queues and on a store error.
+func (q *Queue) storeResult(id string, result []byte) bool {
+	if q.db == nil || q.killed.Load() {
+		return false
+	}
+	if err := q.db.Put(bucketResults, id, result); err != nil {
+		inc(q.met.persistErrors)
+		q.logf("jobs: persist result of %s: %v", id, err)
+		return false
+	}
+	return true
 }
 
 // persist writes one job record; failures degrade durability, not

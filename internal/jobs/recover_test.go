@@ -199,3 +199,116 @@ func TestRecoverTerminalHistory(t *testing.T) {
 		t.Fatalf("reload triggered %d runs, want 0", q2.Runs())
 	}
 }
+
+// resultCopies counts the places that hold a result's bytes in memory:
+// the queue's own job, and every record of the store's job and result
+// buckets.
+func resultCopies(q *Queue, db *store.DB, id string, result []byte) int {
+	n := 0
+	q.mu.Lock()
+	if bytes.Contains(q.jobs[id].Result, result) {
+		n++
+	}
+	q.mu.Unlock()
+	for _, bucket := range []string{bucketJobs, bucketResults} {
+		for _, key := range db.Keys(bucket) {
+			if raw, _ := db.Get(bucket, key); bytes.Contains(raw, result) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestDoneResultHeldOnce: a finished job's result bytes are held once —
+// by the store, under the job's result key — not by both the queue's job
+// and the store's job record. Get, List, Cancel and a result-cache hit
+// still answer with the executor's exact bytes, before and after a
+// restart.
+func TestDoneResultHeldOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.db")
+	db := openStore(t, path)
+	result := []byte(`{"unfairness":0.25,"partitions":["held-once"]}`)
+	exec := func(ctx context.Context, j Job, progress func(core.TraceStep)) ([]byte, error) {
+		return append([]byte(nil), result...), nil
+	}
+	q1, err := New(db, exec, Options{Workers: 1, ResultTTL: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, _, _ := q1.Submit(testSpec("once"), "h-once")
+	waitState(t, q1, j.ID, StateDone)
+	if n := resultCopies(q1, db, j.ID, result); n != 1 {
+		t.Fatalf("result held %d times, want once", n)
+	}
+	check := func(q *Queue) {
+		t.Helper()
+		got, _ := q.Get(j.ID)
+		page, _ := q.List(StateDone, 0, 10)
+		canceled, cerr := q.Cancel(j.ID)
+		hit, created, err := q.Submit(testSpec("once"), "h-once")
+		if err != nil || created || cerr != ErrTerminal || len(page) != 1 {
+			t.Fatalf("resubmit = (%v, %v), cancel = %v, list = %d jobs", created, err, cerr, len(page))
+		}
+		for name, v := range map[string]Job{"Get": got, "List": page[0], "Cancel": canceled, "cache hit": hit} {
+			if !bytes.Equal(v.Result, result) {
+				t.Fatalf("%s result = %s, want %s", name, v.Result, result)
+			}
+		}
+	}
+	check(q1)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	_ = q1.Shutdown(ctx)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2 := openStore(t, path)
+	defer db2.Close()
+	q2, err := New(db2, exec, Options{Workers: 1, ResultTTL: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q2.Shutdown(ctx)
+	check(q2)
+	if n := resultCopies(q2, db2, j.ID, result); n != 1 {
+		t.Fatalf("recovered result held %d times, want once", n)
+	}
+	if q2.Runs() != 0 {
+		t.Fatalf("recovery ran %d jobs, want 0", q2.Runs())
+	}
+}
+
+// TestRecoverLegacyEmbeddedResult: a done record written before results
+// had their own key embeds its result; it still recovers and answers Get
+// with identical bytes.
+func TestRecoverLegacyEmbeddedResult(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.db")
+	db := openStore(t, path)
+	result := `{"algo":"legacy","seed":0}`
+	record := fmt.Sprintf(`{"id":"job-000007","spec_hash":"h-legacy","spec":{"dataset":"demo","weights":{"Score":1},"algorithm":"legacy"},`+
+		`"priority":0,"state":"done","attempt":1,"max_attempts":3,"enqueued_at":%q,"finished_at":%q,"result":%s}`,
+		time.Now().Format(time.RFC3339Nano), time.Now().Format(time.RFC3339Nano), result)
+	if err := db.Put(bucketJobs, "job-000007", []byte(record)); err != nil {
+		t.Fatal(err)
+	}
+	q, err := New(db, deterministicExec, Options{Workers: 1, ResultTTL: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = q.Shutdown(ctx)
+		db.Close()
+	}()
+	got, ok := q.Get("job-000007")
+	if !ok || got.State != StateDone || string(got.Result) != result {
+		t.Fatalf("legacy job = %+v (result %s)", got, got.Result)
+	}
+	hit, created, err := q.Submit(testSpec("legacy"), "h-legacy")
+	if err != nil || created || string(hit.Result) != result {
+		t.Fatalf("legacy cache hit = (%v, %v, %s)", created, err, hit.Result)
+	}
+}

@@ -114,11 +114,19 @@ func Split(ds *dataset.Dataset, p *Partition, attr int) []*Partition {
 // append. Each child is capacity-capped at its own end, so an append to
 // one child reallocates instead of writing into its sibling.
 func SplitObserve(ds *dataset.Dataset, p *Partition, attr int, observe func(value, row int)) []*Partition {
-	card := ds.Schema().Protected[attr].Cardinality()
 	// One column fetch, then pure slice indexing: the scans read the
 	// attribute's code block directly (mapped bytes for snapshot-backed
 	// datasets) instead of paying a per-row accessor call.
-	codes := ds.CodeColumn(attr)
+	return SplitCodes(ds.CodeColumn(attr), ds.Schema().Protected[attr].Cardinality(), p, attr, observe)
+}
+
+// SplitCodes is SplitObserve over an explicit code column: p's Indices
+// are rows of codes, row i is bucketed under codes[i] (which must be
+// below card), and the children are constrained on attr. It lets callers
+// split row spaces other than a dataset's workers — the engine's weighted
+// (cell, bin) rows — with the same scatter, child order and backing
+// layout.
+func SplitCodes(codes []uint16, card int, p *Partition, attr int, observe func(value, row int)) []*Partition {
 	// end[v] is value v's next free slot: it starts at the range's first
 	// slot and, once the scatter is done, sits at the range's end.
 	end := make([]int, card)

@@ -681,11 +681,17 @@ func (s *Server) handleListTasks(w http.ResponseWriter, r *http.Request) {
 // ranking path.
 const maxSyncEvals = 4
 
-// evaluatorFor is the prelude repair and explain share: look the dataset
-// up (404), build the linear scoring function, check its weights name
-// observed attributes of the dataset as jobs and tasks do, and build its
-// evaluator (400).
+// evaluatorFor is the prelude repair and explain share: bound the bins as
+// jobs do (400), look the dataset up (404), build the linear scoring
+// function, check its weights name observed attributes of the dataset as
+// jobs and tasks do, and build its evaluator (400).
 func (s *Server) evaluatorFor(w http.ResponseWriter, name string, weights map[string]float64, bins int) (*core.Evaluator, bool) {
+	if bins < 0 || bins > jobs.MaxBins {
+		// The evaluator allocates per-bin state: an unbounded count is an
+		// allocation the process cannot survive, not an error it returns.
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("bins %d out of range [0, %d]", bins, jobs.MaxBins))
+		return nil, false
+	}
 	ds, ok := s.lookupDataset(w, name)
 	if !ok {
 		return nil, false

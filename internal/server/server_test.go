@@ -554,6 +554,16 @@ func TestRepairEndpoint(t *testing.T) {
 			t.Errorf("bad repair %d accepted with %d", i, resp.StatusCode)
 		}
 	}
+	// Bins outside [0, jobs.MaxBins], as jobs bound them.
+	for _, bins := range []int{-1, jobs.MaxBins + 1} {
+		resp, body := postJSON(t, ts.URL+"/v1/repair", map[string]any{
+			"dataset": "workers", "weights": map[string]float64{"LanguageTest": 1},
+			"group_by": []string{"Gender"}, "amount": 1, "bins": bins,
+		})
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "out of range") {
+			t.Errorf("repair bins %d = %d: %s", bins, resp.StatusCode, body)
+		}
+	}
 }
 
 func TestPersistenceAcrossRestart(t *testing.T) {
@@ -674,6 +684,14 @@ func TestExplainEndpoint(t *testing.T) {
 	})
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `\"Rating\" is not an observed attribute`) {
 		t.Errorf("unobserved weight = %d: %s", resp.StatusCode, body)
+	}
+	for _, bins := range []int{-1, jobs.MaxBins + 1} {
+		resp, body = postJSON(t, ts.URL+"/v1/explain", map[string]any{
+			"dataset": "workers", "weights": map[string]float64{"LanguageTest": 1}, "bins": bins,
+		})
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "out of range") {
+			t.Errorf("explain bins %d = %d: %s", bins, resp.StatusCode, body)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"fairrank/internal/core"
+	"fairrank/internal/simulate"
 	"fairrank/internal/store"
 	"fairrank/internal/telemetry"
 )
@@ -92,6 +93,24 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if !strings.Contains(body, "# TYPE "+MetricHTTPRequestSeconds+" histogram") {
 		t.Errorf("missing histogram TYPE line for %s", MetricHTTPRequestSeconds)
+	}
+}
+
+// TestServedAuditsPrune: an audit served as a job runs the engine's
+// branch-and-bound cascade — served audits are binned EMD, the mode the
+// cascade covers, with no option to leave it off — so a balanced job over
+// the paper population leaves pruned pair slots on /metrics.
+func TestServedAuditsPrune(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	uploadDataset(t, ts, "paper", simulate.LargePopulation)
+	runJob(t, ts.URL, map[string]any{
+		"dataset":   "paper",
+		"algorithm": "balanced",
+		"weights":   map[string]float64{"LanguageTest": 0.6, "ApprovalRate": 0.4},
+	})
+	body := scrape(t, ts)
+	if v, ok := metricValue(body, core.MetricPairsPruned); !ok || v <= 0 {
+		t.Fatalf("%s = %v, %v; want > 0 after a served balanced audit", core.MetricPairsPruned, v, ok)
 	}
 }
 

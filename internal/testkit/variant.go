@@ -13,8 +13,9 @@ import (
 type VariantRunner func(name string, on bool) any
 
 // CheckVariantEquivalence is the differential oracle for switches that
-// promise bit-identical results (e.g. Config.Prune): every named case runs
-// twice — variant off, then on — and the outcomes must be deeply equal.
+// promise bit-identical results (e.g. the engine's pruning cascade): every
+// named case runs twice — variant off, then on — and the outcomes must be
+// deeply equal.
 // Digests should carry exact floats, not rounded summaries, so the check
 // really is bit-level.
 func CheckVariantEquivalence(t *testing.T, variant string, names []string, run VariantRunner) {
