@@ -21,8 +21,8 @@ type Result struct {
 	Procs       int     `json:"procs"`      // GOMAXPROCS suffix, 1 if absent
 	Iterations  int64   `json:"iterations"` // b.N
 	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`   // -1 when run without -benchmem
-	AllocsPerOp int64   `json:"allocs_per_op"`  // -1 when run without -benchmem
+	BytesPerOp  int64   `json:"bytes_per_op"`  // -1 when run without -benchmem
+	AllocsPerOp int64   `json:"allocs_per_op"` // -1 when run without -benchmem
 	MBPerSec    float64 `json:"mb_per_sec,omitempty"`
 }
 

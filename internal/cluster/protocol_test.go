@@ -41,9 +41,9 @@ func TestDecodeStealRequest(t *testing.T) {
 		t.Fatalf("steal request decoded wrong: %+v", req)
 	}
 	bad := []string{
-		`{"thief":"n2"}`,           // max missing (0)
-		`{"thief":"n2","max":-1}`,  // negative
-		`{"thief":"","max":4}`,     // empty thief
+		`{"thief":"n2"}`,          // max missing (0)
+		`{"thief":"n2","max":-1}`, // negative
+		`{"thief":"","max":4}`,    // empty thief
 		`{"thief":"n2","max":4,"datasets":[` + strings.Repeat(`"d",`, maxWireDatasets) + `"d"]}`,
 		`{"max":999999,"thief":"n2"}`, // over batch bound
 	}

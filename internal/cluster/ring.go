@@ -100,7 +100,7 @@ func (r *ring) share() map[string]float64 {
 	if len(r.points) == 0 {
 		return out
 	}
-	const whole = float64(1 << 63) * 2 // 2^64 as float
+	const whole = float64(1<<63) * 2 // 2^64 as float
 	for i, p := range r.points {
 		var arc uint64
 		if i == 0 {

@@ -374,7 +374,8 @@ func TestEventsReplayAndLive(t *testing.T) {
 	}
 	defer cancel2()
 	if len(replay2) != 1 || replay2[0].State != StateDone {
-		t.Fatalf("terminal replay = %+v", replay2)	}
+		t.Fatalf("terminal replay = %+v", replay2)
+	}
 	if _, ok := <-live2; ok {
 		t.Fatal("terminal live channel must be closed")
 	}

@@ -167,7 +167,7 @@ func TestNDCGMatchesInsertionSortOracle(t *testing.T) {
 		}
 		for ri, rel := range relevances {
 			for _, k := range append(diffKs(n), -1) {
-				if got, want := topK(rel, k), oracleTopK(rel, max(k, 0)); !slices.Equal(got, want) {
+				if got, want := TopK(rel, k, descending), oracleTopK(rel, max(k, 0)); !slices.Equal(got, want) {
 					t.Fatalf("n=%d relevance %d k=%d: topK %v, oracle %v", n, ri, k, got, want)
 				}
 			}

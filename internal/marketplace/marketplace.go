@@ -117,6 +117,31 @@ func (m *Marketplace) Rank(taskID string, k int) ([]RankedWorker, error) {
 // ranked list of people". Ranks are positions within the filtered result
 // page; Worker indices refer to the full population dataset.
 func (m *Marketplace) RankQuery(taskID, queryText string, k int) ([]RankedWorker, error) {
+	pool, err := m.queryPool(taskID, queryText)
+	if err != nil {
+		return nil, err
+	}
+	return page(pool, k), nil
+}
+
+// Pool scores the task's candidates — every worker when queryText is
+// empty, else the workers matching it, as RankQuery filters them — and
+// returns them unsorted and unnumbered (Rank 0), in worker order. It is
+// the input of a page that is selected (TopPage) or re-ranked rather
+// than sorted whole.
+func (m *Marketplace) Pool(taskID, queryText string) ([]RankedWorker, error) {
+	if queryText != "" {
+		return m.queryPool(taskID, queryText)
+	}
+	f, err := m.ScoringFunc(taskID)
+	if err != nil {
+		return nil, err
+	}
+	return scored(scoring.Scores(m.workers, f)), nil
+}
+
+// queryPool is Pool for a query, which must parse and match some worker.
+func (m *Marketplace) queryPool(taskID, queryText string) ([]RankedWorker, error) {
 	f, err := m.ScoringFunc(taskID)
 	if err != nil {
 		return nil, err
@@ -134,41 +159,62 @@ func (m *Marketplace) RankQuery(taskID, queryText string, k int) ([]RankedWorker
 		return nil, fmt.Errorf("marketplace: no workers match %s", q)
 	}
 	scores := scoring.Scores(m.workers, f)
-	ranked := make([]RankedWorker, len(matched))
+	pool := make([]RankedWorker, len(matched))
 	for j, i := range matched {
-		ranked[j] = RankedWorker{Worker: i, Score: scores[i]}
+		pool[j] = RankedWorker{Worker: i, Score: scores[i]}
 	}
-	return page(ranked, k), nil
+	return pool, nil
 }
 
 // RankBy ranks the workers of any dataset under any scoring function; it is
 // the core of the platform's result page.
 func RankBy(ds *dataset.Dataset, f scoring.Func, k int) []RankedWorker {
-	scores := scoring.Scores(ds, f)
-	ranked := make([]RankedWorker, len(scores))
-	for i, s := range scores {
-		ranked[i] = RankedWorker{Worker: i, Score: s}
-	}
-	return page(ranked, k)
+	return page(scored(scoring.Scores(ds, f)), k)
 }
 
-// page orders scored candidates by descending score, then ascending worker
-// index, keeps the top k (all when k <= 0) and numbers them from 1. For
-// non-NaN scores the order is total — no two candidates share a worker
-// index — so an unstable sort yields the one page a stable sort would.
-func page(ranked []RankedWorker, k int) []RankedWorker {
-	slices.SortFunc(ranked, func(a, b RankedWorker) int {
-		switch {
-		case a.Score > b.Score:
-			return -1
-		case a.Score < b.Score:
-			return 1
-		}
-		return a.Worker - b.Worker
-	})
-	if k > 0 && k < len(ranked) {
-		ranked = ranked[:k]
+// scored pairs every worker with its score.
+func scored(scores []float64) []RankedWorker {
+	pool := make([]RankedWorker, len(scores))
+	for i, s := range scores {
+		pool[i] = RankedWorker{Worker: i, Score: s}
 	}
+	return pool
+}
+
+// ByScore orders candidates as a page does: by descending score, then
+// ascending worker index. For non-NaN scores it is a total order on
+// distinct workers, so every sort or selection under it agrees with a
+// stable sort.
+func ByScore(a, b RankedWorker) int {
+	switch {
+	case a.Score > b.Score:
+		return -1
+	case a.Score < b.Score:
+		return 1
+	}
+	return a.Worker - b.Worker
+}
+
+// TopPage returns the best min(k, len(pool)) candidates of pool under
+// ByScore as a page numbered from 1, in O(len(pool)·log k) and without
+// reordering pool.
+func TopPage(pool []RankedWorker, k int) []RankedWorker {
+	return numbered(TopK(pool, k, ByScore))
+}
+
+// page orders scored candidates under ByScore, keeps the top k (all when
+// k <= 0) and numbers them from 1. A proper page is selected from ranked;
+// the whole pool is sorted in place.
+func page(ranked []RankedWorker, k int) []RankedWorker {
+	if k > 0 && k < len(ranked) {
+		return TopPage(ranked, k)
+	}
+	slices.SortFunc(ranked, ByScore)
+	return numbered(ranked)
+}
+
+// numbered sets each candidate's Rank to its 1-based position.
+func numbered(ranked []RankedWorker) []RankedWorker {
 	for i := range ranked {
 		ranked[i].Rank = i + 1
 	}

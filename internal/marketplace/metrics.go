@@ -22,10 +22,10 @@ func NDCG(relevance []float64, ranked []RankedWorker) (float64, error) {
 		}
 		dcg += relevance[rw.Worker] * PositionBias(rw.Rank)
 	}
-	// Ideal: the len(ranked) highest relevance values in order.
-	top := topK(relevance, len(ranked))
+	// Ideal: the len(ranked) highest relevance values in order, from a
+	// k-bounded selection, O(n log k).
 	idcg := 0.0
-	for i, rel := range top {
+	for i, rel := range TopK(relevance, len(ranked), descending) {
 		idcg += rel * PositionBias(i+1)
 	}
 	if idcg == 0 {
@@ -34,63 +34,43 @@ func NDCG(relevance []float64, ranked []RankedWorker) (float64, error) {
 	return dcg / idcg, nil
 }
 
-// topK returns the k largest values of xs in descending order. It keeps
-// the best k seen so far in a min-heap, O(n log k) time and k floats of
-// space, then heap-sorts them in place. For finite input the top-k
-// multiset in descending order is unique, so this is the same sequence a
-// full sort of xs would prefix.
-func topK(xs []float64, k int) []float64 {
-	k = min(k, len(xs))
-	if k <= 0 {
-		return nil
+// PageNDCG is NDCG for a page served from a candidate pool, measured
+// against best, the pool's score-optimal page (TopPage) of at least as
+// many candidates: a candidate's relevance is its pool score. Scores are
+// read from the pages, so no per-worker relevance vector is built. When
+// the pool's scores are non-negative — the platform's are clamped to
+// [0, 1] — it equals NDCG over a relevance vector holding each pool
+// member's score and 0 for every other worker, bit for bit.
+func PageNDCG(page, best []RankedWorker) (float64, error) {
+	if len(page) == 0 {
+		return 0, errors.New("marketplace: empty ranking")
 	}
-	h := make([]float64, 0, k)
-	for _, x := range xs {
-		switch {
-		case len(h) < k:
-			h = append(h, x)
-			siftUp(h)
-		case x > h[0]:
-			h[0] = x
-			siftDown(h)
-		}
+	if len(best) < len(page) {
+		return 0, errors.New("marketplace: ideal page shorter than the ranking")
 	}
-	// Popping the minimum to the back each round leaves h descending.
-	for end := k - 1; end > 0; end-- {
-		h[0], h[end] = h[end], h[0]
-		siftDown(h[:end])
+	dcg := 0.0
+	for _, rw := range page {
+		dcg += rw.Score * PositionBias(rw.Rank)
 	}
-	return h
+	idcg := 0.0
+	for i, rw := range best[:len(page)] {
+		idcg += rw.Score * PositionBias(i+1)
+	}
+	if idcg == 0 {
+		return 1, nil
+	}
+	return dcg / idcg, nil
 }
 
-// siftUp restores the min-heap order of h after an append.
-func siftUp(h []float64) {
-	for i := len(h) - 1; i > 0; {
-		p := (i - 1) / 2
-		if h[p] <= h[i] {
-			return
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
+// descending orders floats from largest to smallest.
+func descending(a, b float64) int {
+	switch {
+	case a > b:
+		return -1
+	case a < b:
+		return 1
 	}
-}
-
-// siftDown restores the min-heap order of h after its root changed.
-func siftDown(h []float64) {
-	for i := 0; ; {
-		c := 2*i + 1
-		if c >= len(h) {
-			return
-		}
-		if c+1 < len(h) && h[c+1] < h[c] {
-			c++
-		}
-		if h[i] <= h[c] {
-			return
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
-	}
+	return 0
 }
 
 // TopKOverlap returns the fraction of workers shared by the top-k prefixes

@@ -13,9 +13,10 @@ import (
 )
 
 // benchPool is the shared serving-benchmark population: large enough that
-// re-ranking does real work (a full-pool pass for exposure-parity), biased
-// enough that every re-ranker has something to fix, and built once per
-// process because RankBy over 5000 workers dwarfs a single serve call.
+// re-ranking does real work (every re-ranker splits or scans the whole
+// pool to place its page), biased enough that every re-ranker has
+// something to fix, and built once per process because RankBy over 5000
+// workers dwarfs a single serve call.
 const (
 	benchWorkers = 5000
 	benchSeed    = 97
@@ -60,10 +61,11 @@ func benchPool(tb testing.TB) (*dataset.Dataset, int, []marketplace.RankedWorker
 
 // BenchmarkRerankServe times one page serve per registered re-ranker
 // through the registry (the POST /v1/rank path: Lookup + telemetry + the
-// algorithm), plus a path=direct baseline that calls ExposureParity the
-// way pre-registry callers did. `make bench-rerank` holds the registry
-// path to within 5% of direct via benchdiff — the registry wrapper and
-// nil-registry telemetry must stay free — and emits BENCH_8.json.
+// algorithm), plus a path=direct baseline that calls the page-bounded
+// exposure-parity function the registry entry calls. `make bench-rerank`
+// holds the registry path to within 5% of direct via benchdiff — the
+// registry wrapper and nil-registry telemetry must stay free — and emits
+// BENCH_8.json.
 func BenchmarkRerankServe(b *testing.B) {
 	ds, attr, pool := benchPool(b)
 	p := Params{Epsilon: 1}
@@ -71,11 +73,9 @@ func BenchmarkRerankServe(b *testing.B) {
 	b.Run("algo=exposure-parity/path=direct", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			out, err := ExposureParity(ds, attr, pool, Options{Epsilon: p.Epsilon})
-			if err != nil {
+			if _, err := exposureParity(ds, attr, pool, benchK, Options{Epsilon: p.Epsilon}); err != nil {
 				b.Fatal(err)
 			}
-			_ = out[:benchK]
 		}
 	})
 	for _, name := range Rerankers() {

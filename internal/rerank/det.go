@@ -50,7 +50,7 @@ const (
 
 // detState carries the shared per-position bookkeeping of one Det* run.
 type detState struct {
-	queues [][]candidate
+	queues [][]marketplace.RankedWorker
 	cnt    []int // pool count per group (fixed)
 	counts []int // placed so far per group
 	n      int   // pool size
@@ -66,60 +66,58 @@ func (s *detState) better(a, b int) bool {
 	if b < 0 {
 		return true
 	}
-	ha, hb := s.queues[a][0], s.queues[b][0]
-	if ha.score != hb.score {
-		return ha.score > hb.score
-	}
-	return ha.worker < hb.worker
+	return marketplace.ByScore(s.queues[a][0], s.queues[b][0]) < 0
 }
 
 func detReranker(variant detVariant) Func {
 	return func(ds *dataset.Dataset, attr int, pool []marketplace.RankedWorker, k int, p Params) ([]marketplace.RankedWorker, error) {
-		queues, err := splitPool(ds, attr, pool)
+		n := pageSize(k, len(pool))
+		sp, err := splitPool(ds, attr, pool, n)
 		if err != nil {
 			return nil, err
 		}
-		s := &detState{
-			queues: queues,
-			cnt:    make([]int, len(queues)),
-			counts: make([]int, len(queues)),
-			n:      len(pool),
+		return detPage(sp, n, variant), nil
+	}
+}
+
+// detPage places a page of n candidates from a split pool.
+func detPage(sp split, n int, variant detVariant) []marketplace.RankedWorker {
+	s := &detState{
+		queues: sp.queues,
+		cnt:    sp.counts,
+		counts: make([]int, len(sp.queues)),
+		n:      sp.size,
+	}
+	out := make([]marketplace.RankedWorker, 0, n)
+	for pos := 1; pos <= n; pos++ {
+		// Groups below their prefix minimum must be served first:
+		// skipping one would leave prefix pos short of its floor.
+		pick := -1
+		for g, q := range s.queues {
+			if len(q) > 0 && s.counts[g] < s.minAt(g, pos) && s.better(g, pick) {
+				pick = g
+			}
 		}
-		for g, q := range queues {
-			s.cnt[g] = len(q)
+		if pick < 0 {
+			pick = s.pickVariant(variant, pos)
 		}
-		n := pageSize(k, len(pool))
-		out := make([]marketplace.RankedWorker, 0, n)
-		for pos := 1; pos <= n; pos++ {
-			// Groups below their prefix minimum must be served first:
-			// skipping one would leave prefix pos short of its floor.
-			pick := -1
+		if pick < 0 {
+			// Every group with candidates sits at its ceiling (or the
+			// below-ceiling groups are exhausted): relax the ceiling
+			// rather than truncate the page — the constraints are
+			// vacuous for groups whose pool ran dry.
 			for g, q := range s.queues {
-				if len(q) > 0 && s.counts[g] < s.minAt(g, pos) && s.better(g, pick) {
+				if len(q) > 0 && s.better(g, pick) {
 					pick = g
 				}
 			}
-			if pick < 0 {
-				pick = s.pickVariant(variant, pos)
-			}
-			if pick < 0 {
-				// Every group with candidates sits at its ceiling (or the
-				// below-ceiling groups are exhausted): relax the ceiling
-				// rather than truncate the page — the constraints are
-				// vacuous for groups whose pool ran dry.
-				for g, q := range s.queues {
-					if len(q) > 0 && s.better(g, pick) {
-						pick = g
-					}
-				}
-			}
-			c := s.queues[pick][0]
-			s.queues[pick] = s.queues[pick][1:]
-			s.counts[pick]++
-			out = append(out, marketplace.RankedWorker{Worker: c.worker, Score: c.score, Rank: pos})
 		}
-		return out, nil
+		c := s.queues[pick][0]
+		s.queues[pick] = s.queues[pick][1:]
+		s.counts[pick]++
+		out = append(out, marketplace.RankedWorker{Worker: c.Worker, Score: c.Score, Rank: pos})
 	}
+	return out
 }
 
 // pickVariant chooses among the groups still below their prefix-pos

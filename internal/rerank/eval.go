@@ -88,18 +88,15 @@ func AuditPage(ctx context.Context, ds *dataset.Dataset, page []marketplace.Rank
 	return res.Unfairness, nil
 }
 
-// evaluatePage computes one page's Outcome against the pool's scores.
-func evaluatePage(ctx context.Context, ds *dataset.Dataset, attr int, pool, page []marketplace.RankedWorker, algorithm string) (Outcome, error) {
+// evaluatePage computes one page's Outcome against best, the pool's
+// score-optimal page of the same size.
+func evaluatePage(ctx context.Context, ds *dataset.Dataset, attr int, best, page []marketplace.RankedWorker, algorithm string) (Outcome, error) {
 	out := Outcome{Algorithm: algorithm}
 	var err error
 	if out.Unfairness, err = AuditPage(ctx, ds, page, attr); err != nil {
 		return out, err
 	}
-	relevance := make([]float64, ds.N())
-	for _, rw := range pool {
-		relevance[rw.Worker] = rw.Score
-	}
-	if out.NDCG, err = marketplace.NDCG(relevance, page); err != nil {
+	if out.NDCG, err = marketplace.PageNDCG(page, best); err != nil {
 		return out, err
 	}
 	exp, err := marketplace.GroupExposure(ds, attr, page)
@@ -113,15 +110,18 @@ func evaluatePage(ctx context.Context, ds *dataset.Dataset, attr int, pool, page
 // Evaluate runs every named re-ranker (all registered ones when names is
 // nil) over the pool at page size k and scores each page on both axes,
 // alongside the unmitigated score-optimal baseline (Algorithm ""). The
-// pool must already be ranked (as from marketplace.RankBy); the baseline
-// page is its k-prefix. Re-rankers that reject the pool (e.g. fair-topk
-// on an infeasible one) surface their error.
+// pool may be in any order; the baseline page is its top k, selected as
+// marketplace.TopPage does. NDCG treats pool scores as relevance, so they
+// should be non-negative (see marketplace.PageNDCG). Re-rankers that
+// reject the pool (e.g. fair-topk on an infeasible one) surface their
+// error.
 func Evaluate(ctx context.Context, ds *dataset.Dataset, attr int, pool []marketplace.RankedWorker, k int, p Params, names []string) (base Outcome, outcomes []Outcome, err error) {
 	if names == nil {
 		names = Rerankers()
 	}
 	n := pageSize(k, len(pool))
-	if base, err = evaluatePage(ctx, ds, attr, pool, pool[:n], ""); err != nil {
+	best := marketplace.TopPage(pool, n)
+	if base, err = evaluatePage(ctx, ds, attr, best, best, ""); err != nil {
 		return base, nil, err
 	}
 	for _, name := range names {
@@ -129,7 +129,7 @@ func Evaluate(ctx context.Context, ds *dataset.Dataset, attr int, pool []marketp
 		if err != nil {
 			return base, outcomes, fmt.Errorf("%s: %w", name, err)
 		}
-		o, err := evaluatePage(ctx, ds, attr, pool, page, name)
+		o, err := evaluatePage(ctx, ds, attr, best, page, name)
 		if err != nil {
 			return base, outcomes, fmt.Errorf("%s: %w", name, err)
 		}

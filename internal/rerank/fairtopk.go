@@ -64,21 +64,27 @@ func FairTopK(ds *dataset.Dataset, attr int, pool []marketplace.RankedWorker, k 
 	if alpha <= 0 || alpha >= 1 || math.IsNaN(alpha) {
 		return nil, fmt.Errorf("rerank: alpha %v outside (0,1)", alpha)
 	}
-	queues, err := splitPool(ds, attr, pool)
+	n := pageSize(k, len(pool))
+	sp, err := splitPool(ds, attr, pool, n)
 	if err != nil {
 		return nil, err
 	}
-	n := pageSize(k, len(pool))
+	return fairTopKPage(sp, n, alpha)
+}
 
+// fairTopKPage places a page of n candidates from a split pool under the
+// tables at significance alpha.
+func fairTopKPage(sp split, n int, alpha float64) ([]marketplace.RankedWorker, error) {
+	queues := sp.queues
 	// One minimum-count table per group present in the pool, from its
 	// pool share. Groups absent from the pool have share 0 and need no
 	// table (m ≡ 0).
 	tables := make([][]int, len(queues))
-	for g, q := range queues {
-		if len(q) == 0 {
+	for g, cnt := range sp.counts {
+		if cnt == 0 {
 			continue
 		}
-		share := float64(len(q)) / float64(len(pool))
+		share := float64(cnt) / float64(sp.size)
 		tables[g] = AdjustedMTable(n, share, alpha)
 	}
 
@@ -96,9 +102,9 @@ func FairTopK(ds *dataset.Dataset, attr int, pool []marketplace.RankedWorker, k 
 		}
 	}
 	for g, tbl := range tables {
-		if tbl != nil && tbl[n] > len(queues[g]) {
+		if tbl != nil && tbl[n] > sp.counts[g] {
 			return nil, fmt.Errorf("%w: group %d has %d candidates, table requires %d",
-				ErrInfeasible, g, len(queues[g]), tbl[n])
+				ErrInfeasible, g, sp.counts[g], tbl[n])
 		}
 	}
 
@@ -137,11 +143,8 @@ func FairTopK(ds *dataset.Dataset, attr int, pool []marketplace.RankedWorker, k 
 			if len(q) == 0 {
 				continue
 			}
-			if pick >= 0 {
-				head, best := q[0], queues[pick][0]
-				if head.score < best.score || (head.score == best.score && head.worker > best.worker) {
-					continue
-				}
+			if pick >= 0 && marketplace.ByScore(q[0], queues[pick][0]) > 0 {
+				continue
 			}
 			if safe(g) {
 				pick = g
@@ -153,7 +156,7 @@ func FairTopK(ds *dataset.Dataset, attr int, pool []marketplace.RankedWorker, k 
 		c := queues[pick][0]
 		queues[pick] = queues[pick][1:]
 		counts[pick]++
-		out = append(out, marketplace.RankedWorker{Worker: c.worker, Score: c.score, Rank: pos})
+		out = append(out, marketplace.RankedWorker{Worker: c.Worker, Score: c.Score, Rank: pos})
 	}
 	return out, nil
 }
@@ -245,6 +248,12 @@ type tableKey struct {
 	p, a uint64
 }
 
+// tableCacheCap bounds the adjusted-table cache. α comes from the
+// client, so the distinct keys are unbounded; past the cap a table is
+// computed and not stored. Tables are a pure function of their key, so
+// pages do not change.
+const tableCacheCap = 1024
+
 var tableCache = struct {
 	sync.RWMutex
 	m map[tableKey][]int
@@ -256,7 +265,9 @@ var tableHits, tableMisses atomic.Int64
 // for (k, p, alpha), computing and caching it on first use — the cache
 // is what keeps fair-topk inside the serving-latency budget, exactly
 // like the fixed-point quantization intern hooks of the pruning cascade.
-// The returned slice is the shared cached copy: treat it as read-only.
+// Once tableCacheCap tables are cached, new ones are computed on every
+// use. The returned slice may be the shared cached copy: treat it as
+// read-only.
 func AdjustedMTable(k int, p, alpha float64) []int {
 	key := tableKey{k, math.Float64bits(p), math.Float64bits(alpha)}
 	tableCache.RLock()
@@ -271,7 +282,7 @@ func AdjustedMTable(k int, p, alpha float64) []int {
 	tableCache.Lock()
 	if prev, dup := tableCache.m[key]; dup {
 		tbl = prev // keep the first computation on a race
-	} else {
+	} else if len(tableCache.m) < tableCacheCap {
 		tableCache.m[key] = tbl
 	}
 	tableCache.Unlock()

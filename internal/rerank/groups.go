@@ -2,48 +2,64 @@ package rerank
 
 import (
 	"fmt"
-	"sort"
 
 	"fairrank/internal/dataset"
 	"fairrank/internal/marketplace"
 )
 
-// candidate is one pool entry inside a per-group queue.
-type candidate struct {
-	worker int
-	score  float64
-}
-
-// splitPool validates the pool against ds and splits it into per-group
-// candidate queues indexed by the protected attribute's value code, each
-// sorted by descending score with worker index as the deterministic
-// tiebreak. Queues of absent groups are empty. Iterating queues by code
+// split is a candidate pool split by the value code of a protected
+// attribute, for a page of n candidates. Iterating groups by code
 // (0..cardinality-1) is the package's canonical deterministic group
 // order — no map iteration anywhere on a serving path.
-func splitPool(ds *dataset.Dataset, attr int, pool []marketplace.RankedWorker) ([][]candidate, error) {
+type split struct {
+	// queues holds each group's best min(n, count) candidates in page
+	// order (marketplace.ByScore). A page of n never places more than n
+	// from one group, so a queue can run dry only once the group's whole
+	// pool is placed or the page is full.
+	queues [][]marketplace.RankedWorker
+	// counts holds each group's full pool count: shares and interval
+	// bounds read these, never a queue's length.
+	counts []int
+	// size is the pool size, the sum of counts.
+	size int
+}
+
+// splitPool validates the pool against ds and splits it by the protected
+// attribute for a page of n candidates. One pass counts the groups; a
+// second offers every candidate to its group's k-bounded selection, held
+// in one exactly sized buffer, so a page costs O(len(pool)·log n).
+// Queues of absent groups are empty.
+func splitPool(ds *dataset.Dataset, attr int, pool []marketplace.RankedWorker, n int) (split, error) {
 	if len(pool) == 0 {
-		return nil, errEmptyPool
+		return split{}, errEmptyPool
 	}
 	if attr < 0 || attr >= len(ds.Schema().Protected) {
-		return nil, fmt.Errorf("rerank: protected attribute %d out of range", attr)
+		return split{}, fmt.Errorf("rerank: protected attribute %d out of range", attr)
 	}
-	card := ds.Schema().Protected[attr].Cardinality()
-	queues := make([][]candidate, card)
+	counts := make([]int, ds.Schema().Protected[attr].Cardinality())
 	for _, rw := range pool {
 		if rw.Worker < 0 || rw.Worker >= ds.N() {
-			return nil, fmt.Errorf("rerank: worker %d out of range", rw.Worker)
+			return split{}, fmt.Errorf("rerank: worker %d out of range", rw.Worker)
 		}
-		g := ds.Code(attr, rw.Worker)
-		queues[g] = append(queues[g], candidate{rw.Worker, rw.Score})
+		counts[ds.Code(attr, rw.Worker)]++
 	}
-	for g := range queues {
-		q := queues[g]
-		sort.SliceStable(q, func(a, b int) bool {
-			if q[a].score != q[b].score {
-				return q[a].score > q[b].score
-			}
-			return q[a].worker < q[b].worker
-		})
+	total := 0
+	for _, c := range counts {
+		total += min(n, c)
 	}
-	return queues, nil
+	buf := make([]marketplace.RankedWorker, total)
+	tops := make([]marketplace.Top[marketplace.RankedWorker], len(counts))
+	for g, c := range counts {
+		c = min(n, c)
+		tops[g] = marketplace.NewTop(buf[:c:c], marketplace.ByScore)
+		buf = buf[c:]
+	}
+	for _, rw := range pool {
+		tops[ds.Code(attr, rw.Worker)].Offer(rw)
+	}
+	queues := make([][]marketplace.RankedWorker, len(counts))
+	for g := range tops {
+		queues[g] = tops[g].Sorted()
+	}
+	return split{queues: queues, counts: counts, size: len(pool)}, nil
 }

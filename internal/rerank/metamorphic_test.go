@@ -12,7 +12,7 @@ import (
 // the output is known exactly, with no oracle needed.
 
 // Re-rankers consume the pool as a set — shuffling the input order must
-// not change the page (splitPool re-sorts per group; nothing may depend
+// not change the page (splitPool selects per group; nothing may depend
 // on arrival order).
 func TestInputPermutationInvariance(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {

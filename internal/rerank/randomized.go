@@ -3,7 +3,7 @@ package rerank
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"fairrank/internal/dataset"
 	"fairrank/internal/marketplace"
@@ -32,6 +32,16 @@ import (
 // re-sorting — so two identical calls return identical pages, and the
 // input pool's order cannot leak into the result (permutation
 // invariance, same as every other re-ranker).
+//
+// Only a canonical prefix can reach a page of n. Noise lies in [−A, A]
+// and rounding is monotone, so a candidate's perturbed score lies in
+// [fl(score − A), fl(score + A)]. The n best canonical candidates all
+// perturb to at least fl(s_n − A), s_n being the n-th best score, so a
+// candidate with fl(score + A) < fl(s_n − A) has n candidates strictly
+// above it and cannot make the page. The rest are a canonical prefix
+// (fl(score + A) never falls as score rises), so they draw the same noise
+// a whole pool would, in the same order, and the page selected from them
+// by perturbed score is the whole pool's.
 //
 // Displacement bound: with amplitude A = Spread·range/2, candidate i can
 // finish below candidate j only if score_i − score_j < 2A = Spread·range.
@@ -62,47 +72,58 @@ func Randomized(ds *dataset.Dataset, attr int, pool []marketplace.RankedWorker, 
 	if math.IsNaN(spread) || spread < 0 || spread > 1 {
 		return nil, fmt.Errorf("rerank: spread %v out of range [0, 1]", p.Spread)
 	}
-	// Canonical order first: noise is a function of (seed, canonical
-	// position), never of the caller's pool order.
-	cands := make([]candidate, len(pool))
 	lo, hi := math.Inf(1), math.Inf(-1)
-	for i, rw := range pool {
+	for _, rw := range pool {
 		if math.IsNaN(rw.Score) || math.IsInf(rw.Score, 0) {
 			return nil, fmt.Errorf("rerank: worker %d has non-finite score", rw.Worker)
 		}
-		cands[i] = candidate{rw.Worker, rw.Score}
 		lo, hi = math.Min(lo, rw.Score), math.Max(hi, rw.Score)
 	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].score != cands[b].score {
-			return cands[a].score > cands[b].score
-		}
-		return cands[a].worker < cands[b].worker
-	})
 	// Uniform noise in ±A with A = spread·range/2. A constant-score pool
 	// has range 0: the jitter is a no-op and the canonical order serves.
 	amp := 0.5 * spread * (hi - lo)
+	n := pageSize(k, len(pool))
+	// s_n, the n-th best score, is the lowest when the page is the pool.
+	sn := lo
+	if n < len(pool) {
+		sn = marketplace.TopK(pool, n, marketplace.ByScore)[n-1].Score
+	}
+	// Canonical order first: noise is a function of (seed, canonical
+	// position), never of the caller's pool order. Only the prefix that
+	// can reach the page is sorted (see the file comment).
+	floor := sn - amp
+	size := 0
+	for _, rw := range pool {
+		if rw.Score+amp >= floor {
+			size++
+		}
+	}
+	cands := make([]marketplace.RankedWorker, 0, size)
+	for _, rw := range pool {
+		if rw.Score+amp >= floor {
+			cands = append(cands, rw)
+		}
+	}
+	slices.SortFunc(cands, marketplace.ByScore)
 	r := rng.New(p.Seed)
 	perturbed := make([]float64, len(cands))
-	for i := range cands {
-		perturbed[i] = cands[i].score + amp*(2*r.Float64()-1)
-	}
 	order := make([]int, len(cands))
-	for i := range order {
+	for i := range cands {
+		perturbed[i] = cands[i].Score + amp*(2*r.Float64()-1)
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if perturbed[ia] != perturbed[ib] {
-			return perturbed[ia] > perturbed[ib]
+	order = marketplace.TopK(order, n, func(a, b int) int {
+		switch {
+		case perturbed[a] > perturbed[b]:
+			return -1
+		case perturbed[a] < perturbed[b]:
+			return 1
 		}
-		return cands[ia].worker < cands[ib].worker
+		return cands[a].Worker - cands[b].Worker
 	})
-	n := pageSize(k, len(cands))
 	out := make([]marketplace.RankedWorker, n)
-	for pos := 0; pos < n; pos++ {
-		c := cands[order[pos]]
-		out[pos] = marketplace.RankedWorker{Worker: c.worker, Score: c.score, Rank: pos + 1}
+	for pos, i := range order {
+		out[pos] = marketplace.RankedWorker{Worker: cands[i].Worker, Score: cands[i].Score, Rank: pos + 1}
 	}
 	return out, nil
 }

@@ -1,9 +1,11 @@
 package rerank
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"fairrank/internal/marketplace"
 	"fairrank/internal/telemetry"
 )
 
@@ -93,6 +95,9 @@ func TestServeNilRegistry(t *testing.T) {
 }
 
 func TestTableCacheHits(t *testing.T) {
+	// Earlier tests may have filled the cache to its cap, past which a
+	// miss is not stored.
+	resetTableCache()
 	h0, m0, _ := TableCacheStats()
 	// A parameter triple no other test uses, so the first call must miss
 	// and the second must hit.
@@ -107,6 +112,55 @@ func TestTableCacheHits(t *testing.T) {
 	}
 	if size < 1 {
 		t.Fatalf("cache size %d", size)
+	}
+}
+
+// resetTableCache empties the fair-topk table cache.
+func resetTableCache() {
+	tableCache.Lock()
+	tableCache.m = map[tableKey][]int{}
+	tableCache.Unlock()
+}
+
+// Alphas come from clients, so the table cache stops growing at its cap:
+// serving past it computes tables without storing them, the size gauge
+// stays at the cap, and every page equals the one served from a cached
+// table.
+func TestTableCacheCap(t *testing.T) {
+	resetTableCache()
+	t.Cleanup(resetTableCache)
+	reg := telemetry.NewRegistry()
+	PreregisterMetrics(reg)
+	ds, attr, pool := overlapBiasedRanking(t, 200, 5)
+
+	// Two Gender groups: each request with a fresh alpha adds two keys,
+	// so these requests offer twice the cap.
+	const requests = tableCacheCap
+	serve := func(i int) []marketplace.RankedWorker {
+		alpha := 0.01 + 0.19*float64(i)/requests
+		page, err := Serve(reg, "fair-topk", ds, attr, pool, 10, Params{Alpha: alpha})
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		return page
+	}
+	pages := make([][]marketplace.RankedWorker, requests)
+	for i := range pages {
+		pages[i] = serve(i)
+	}
+	if got := reg.Snapshot().Gauges[MetricTableCacheSize]; got != tableCacheCap {
+		t.Fatalf("table cache size gauge %v after %d keys, want the cap %d", got, 2*requests, tableCacheCap)
+	}
+	// Served in reverse from an empty cache, the pages uncached above are
+	// cached now and the cached ones are not.
+	resetTableCache()
+	for i := requests - 1; i >= 0; i-- {
+		if got := serve(i); !slices.Equal(got, pages[i]) {
+			t.Fatalf("request %d: page %v, want %v", i, got, pages[i])
+		}
+	}
+	if _, _, size := TableCacheStats(); size != tableCacheCap {
+		t.Fatalf("table cache size %d, want the cap %d", size, tableCacheCap)
 	}
 }
 

@@ -45,11 +45,7 @@ type Options struct {
 
 func init() {
 	Register("exposure-parity", func(ds *dataset.Dataset, attr int, pool []marketplace.RankedWorker, k int, p Params) ([]marketplace.RankedWorker, error) {
-		out, err := ExposureParity(ds, attr, pool, Options{Epsilon: p.Epsilon})
-		if err != nil {
-			return nil, err
-		}
-		return out[:pageSize(k, len(out))], nil
+		return exposureParity(ds, attr, pool, pageSize(k, len(pool)), Options{Epsilon: p.Epsilon})
 	})
 }
 
@@ -61,28 +57,42 @@ func init() {
 // is deterministic: groups are always scanned in value-code order, so two
 // identical calls return identical pages even when scores tie.
 func ExposureParity(ds *dataset.Dataset, attr int, ranked []marketplace.RankedWorker, opts Options) ([]marketplace.RankedWorker, error) {
+	return exposureParity(ds, attr, ranked, len(ranked), opts)
+}
+
+// exposureParity places the first n positions of ExposureParity's
+// re-ranking, which is all the registry's page needs: each placement
+// reads only the positions before it, so the page is the whole
+// re-ranking's n-prefix, at O(len(ranked)·log n + n·groups).
+func exposureParity(ds *dataset.Dataset, attr int, ranked []marketplace.RankedWorker, n int, opts Options) ([]marketplace.RankedWorker, error) {
 	if opts.Epsilon < 0 {
 		return nil, errors.New("rerank: negative epsilon")
 	}
-	groups, err := splitPool(ds, attr, ranked)
+	sp, err := splitPool(ds, attr, ranked, n)
 	if err != nil {
 		return nil, err
 	}
+	return exposurePage(sp, n, opts.Epsilon), nil
+}
+
+// exposurePage places a page of n candidates from a split pool.
+func exposurePage(sp split, n int, epsilon float64) []marketplace.RankedWorker {
+	groups := sp.queues
 	share := make([]float64, len(groups))
-	for g := range groups {
-		share[g] = float64(len(groups[g])) / float64(len(ranked))
+	for g, cnt := range sp.counts {
+		share[g] = float64(cnt) / float64(sp.size)
 	}
 
 	exposure := make([]float64, len(groups))
 	totalExposure := 0.0
-	out := make([]marketplace.RankedWorker, 0, len(ranked))
-	for pos := 1; len(out) < len(ranked); pos++ {
+	out := make([]marketplace.RankedWorker, 0, n)
+	for pos := 1; len(out) < n; pos++ {
 		bias := marketplace.PositionBias(pos)
 		// Best remaining candidate overall (for the epsilon bound).
 		bestScore := -1.0
 		for _, gs := range groups {
-			if len(gs) > 0 && gs[0].score > bestScore {
-				bestScore = gs[0].score
+			if len(gs) > 0 && gs[0].Score > bestScore {
+				bestScore = gs[0].Score
 			}
 		}
 		// Most exposure-deprived group whose best candidate is eligible.
@@ -91,7 +101,7 @@ func ExposureParity(ds *dataset.Dataset, attr int, ranked []marketplace.RankedWo
 		pick := -1
 		worstDeficit := 0.0
 		for g, gs := range groups {
-			if len(gs) == 0 || gs[0].score < bestScore-opts.Epsilon {
+			if len(gs) == 0 || gs[0].Score < bestScore-epsilon {
 				continue
 			}
 			deficit := share[g]*(totalExposure+bias) - exposure[g]
@@ -99,7 +109,7 @@ func ExposureParity(ds *dataset.Dataset, attr int, ranked []marketplace.RankedWo
 			case pick < 0:
 				pick, worstDeficit = g, deficit
 			case deficit > worstDeficit,
-				deficit == worstDeficit && gs[0].score > groups[pick][0].score:
+				deficit == worstDeficit && gs[0].Score > groups[pick][0].Score:
 				pick, worstDeficit = g, deficit
 			}
 		}
@@ -108,7 +118,7 @@ func ExposureParity(ds *dataset.Dataset, attr int, ranked []marketplace.RankedWo
 			// deprived groups' candidates score too low): fall back to
 			// the lowest-coded group holding the best remaining score.
 			for g, gs := range groups {
-				if len(gs) > 0 && gs[0].score == bestScore {
+				if len(gs) > 0 && gs[0].Score == bestScore {
 					pick = g
 					break
 				}
@@ -118,7 +128,7 @@ func ExposureParity(ds *dataset.Dataset, attr int, ranked []marketplace.RankedWo
 		groups[pick] = groups[pick][1:]
 		exposure[pick] += bias
 		totalExposure += bias
-		out = append(out, marketplace.RankedWorker{Worker: c.worker, Score: c.score, Rank: pos})
+		out = append(out, marketplace.RankedWorker{Worker: c.Worker, Score: c.Score, Rank: pos})
 	}
-	return out, nil
+	return out
 }

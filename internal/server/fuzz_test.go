@@ -153,6 +153,9 @@ func FuzzRankRequest(f *testing.F) {
 		f.Add(uint8(i+1), []byte(body))
 		f.Add(uint8(i+1), []byte(body+`}`))
 	}
+	// A page past maxPageSize, added last so the seeds above keep their
+	// numbers.
+	f.Add(uint8(0), []byte(`{"task":"fuzz-task","k":1001,"algorithm":"fair-topk","attribute":"Language"}`))
 	f.Fuzz(func(t *testing.T, route uint8, body []byte) {
 		s, err := fuzzServer()
 		if err != nil {

@@ -22,7 +22,8 @@ type rankPostRequest struct {
 	Task string `json:"task"`
 	// Q optionally restricts the pool to a keyword query, as GET's q=.
 	Q string `json:"q,omitempty"`
-	// K is the page size; 0 selects the default (10), negative is an error.
+	// K is the page size; 0 selects the default (10), negative or past
+	// maxPageSize (1000) is an error.
 	K int `json:"k,omitempty"`
 	// Algorithm is a registered re-ranker name, or "" for no mitigation.
 	Algorithm string `json:"algorithm,omitempty"`
@@ -67,6 +68,11 @@ type rankedEntry struct {
 // defaultPageSize is the page size when a request omits k or sends 0.
 const defaultPageSize = 10
 
+// maxPageSize bounds k. Selecting a page costs O(N log k), but fair-topk
+// builds one in O(k²·groups) without checking for cancellation, so a k
+// near the size of a million-worker pool would pin a core for hours.
+const maxPageSize = 1000
+
 // handleRank serves GET /v1/rank: its query parameters as a plain
 // rankPostRequest, answered with the bare ranking array.
 func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
@@ -108,6 +114,9 @@ func (s *Server) rank(w http.ResponseWriter, r *http.Request, req rankPostReques
 	if req.K < 0 {
 		return fail(http.StatusBadRequest, fmt.Errorf("bad k %d", req.K))
 	}
+	if req.K > maxPageSize {
+		return fail(http.StatusBadRequest, fmt.Errorf("k %d exceeds the maximum page size %d", req.K, maxPageSize))
+	}
 	k := req.K
 	if k == 0 {
 		k = defaultPageSize
@@ -131,20 +140,17 @@ func (s *Server) rank(w http.ResponseWriter, r *http.Request, req rankPostReques
 	if err := m.PostTask(marketplace.Task{ID: t.ID, Title: t.Title, Weights: t.Weights}); err != nil {
 		return fail(http.StatusInternalServerError, err)
 	}
-	// Rank the whole (possibly query-filtered) pool, not just the page: a
+	// Score the whole (possibly query-filtered) pool, not just the page: a
 	// re-ranker must be able to promote candidates from beyond the top-k.
-	var pool []marketplace.RankedWorker
-	if req.Q != "" {
-		pool, err = m.RankQuery(t.ID, req.Q, 0)
-	} else {
-		pool, err = m.Rank(t.ID, 0)
-	}
+	// Nothing sorts it whole; the plain page is selected from it.
+	pool, err := m.Pool(t.ID, req.Q)
 	if err != nil {
 		return fail(http.StatusBadRequest, err)
 	}
 	k = min(k, len(pool))
+	plain := marketplace.TopPage(pool, k)
 	if req.Algorithm == "" {
-		return rankPostResponse{Ranking: entries(ds, pool[:k])}, true
+		return rankPostResponse{Ranking: entries(ds, plain)}, true
 	}
 
 	// An empty attribute is attr = -1: proxy-free re-rankers accept it
@@ -163,18 +169,12 @@ func (s *Server) rank(w http.ResponseWriter, r *http.Request, req rankPostReques
 	case err != nil:
 		return fail(http.StatusBadRequest, err)
 	}
-	before := pool[:len(page)]
-
 	resp := rankPostResponse{Ranking: entries(ds, page), Algorithm: req.Algorithm}
-	relevance := make([]float64, ds.N())
-	for _, rw := range pool {
-		relevance[rw.Worker] = rw.Score
-	}
-	if ndcg, err := marketplace.NDCG(relevance, page); err == nil {
+	if ndcg, err := marketplace.PageNDCG(page, plain); err == nil {
 		resp.NDCG = &ndcg
 	}
 	if attr >= 0 {
-		if exp, err := marketplace.GroupExposure(ds, attr, before); err == nil {
+		if exp, err := marketplace.GroupExposure(ds, attr, plain); err == nil {
 			resp.DisparityBefore = finitePtr(marketplace.ExposureDisparity(exp))
 		}
 		if exp, err := marketplace.GroupExposure(ds, attr, page); err == nil {
@@ -185,7 +185,7 @@ func (s *Server) rank(w http.ResponseWriter, r *http.Request, req rankPostReques
 		// The audit is restricted to the mitigated attribute: it answers
 		// "what did this re-ranker change", not "is the page fair along
 		// every protected column".
-		ub, err := rerank.AuditPage(r.Context(), ds, before, attr)
+		ub, err := rerank.AuditPage(r.Context(), ds, plain, attr)
 		if err != nil {
 			return fail(http.StatusInternalServerError, err)
 		}

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -188,6 +189,10 @@ func TestRankPostValidation(t *testing.T) {
 		{"missing task", rankPostRequest{}, http.StatusBadRequest},
 		{"unknown task", rankPostRequest{Task: "nope"}, http.StatusNotFound},
 		{"negative k", rankPostRequest{Task: task, K: -1}, http.StatusBadRequest},
+		{"largest k", rankPostRequest{Task: task, K: maxPageSize}, http.StatusOK},
+		{"k past the bound", rankPostRequest{Task: task, K: maxPageSize + 1}, http.StatusBadRequest},
+		{"re-ranked k past the bound", rankPostRequest{Task: task, K: maxPageSize + 1, Algorithm: "fair-topk", Attribute: "Language"},
+			http.StatusBadRequest},
 		{"unknown algorithm", rankPostRequest{Task: task, Algorithm: "nope", Attribute: "Language"}, http.StatusBadRequest},
 		{"bad attribute", rankPostRequest{Task: task, Algorithm: "fair-topk", Attribute: "LanguageTest"}, http.StatusBadRequest},
 		{"missing attribute", rankPostRequest{Task: task, Algorithm: "fair-topk"}, http.StatusBadRequest},
@@ -198,6 +203,13 @@ func TestRankPostValidation(t *testing.T) {
 		resp, body := postJSON(t, ts.URL+"/v1/rank", c.req)
 		if resp.StatusCode != c.code {
 			t.Errorf("%s: status %d (want %d): %s", c.name, resp.StatusCode, c.code, body)
+		}
+	}
+	// GET bounds k the same way.
+	for k, code := range map[int]int{maxPageSize: http.StatusOK, maxPageSize + 1: http.StatusBadRequest} {
+		var out any
+		if got := getJSON(t, fmt.Sprintf("%s/v1/rank?task=%s&k=%d", ts.URL, task, k), &out); got != code {
+			t.Errorf("GET k=%d: status %d (want %d): %v", k, got, code, out)
 		}
 	}
 

@@ -20,7 +20,7 @@ func TestBinomialPMFKnownValues(t *testing.T) {
 		{2, 0, 0.5, 0.25},
 		{2, 1, 0.5, 0.5},
 		{2, 2, 0.5, 0.25},
-		{4, 2, 0.5, 6.0 / 16},  // C(4,2)/2^4
+		{4, 2, 0.5, 6.0 / 16}, // C(4,2)/2^4
 		{3, 1, 0.25, 3 * 0.25 * 0.75 * 0.75},
 		{5, 0, 0.2, math.Pow(0.8, 5)},
 		{5, 5, 0.2, math.Pow(0.2, 5)},

@@ -177,10 +177,10 @@ func (Oracle) WpFlow(xs, ys []float64, p float64) float64 {
 	stepA := 1 / float64(len(a))
 	stepB := 1 / float64(len(b))
 	var (
-		i, j           int
-		remainA        = stepA
-		remainB        = stepB
-		total  float64 = 0
+		i, j    int
+		remainA         = stepA
+		remainB         = stepB
+		total   float64 = 0
 	)
 	for i < len(a) && j < len(b) {
 		m := remainA

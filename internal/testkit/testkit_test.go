@@ -16,10 +16,10 @@ func TestEMDFlowKnownValues(t *testing.T) {
 		unit float64
 		want float64
 	}{
-		{[]float64{1, 0}, []float64{0, 1}, 1, 1},            // one bin apart
-		{[]float64{1, 0, 0}, []float64{0, 0, 1}, 0.5, 1},    // two bins × 0.5
-		{[]float64{0.5, 0.5}, []float64{0.5, 0.5}, 3, 0},    // identical
-		{[]float64{0.5, 0, 0.5}, []float64{0, 1, 0}, 1, 1},  // split to center
+		{[]float64{1, 0}, []float64{0, 1}, 1, 1},             // one bin apart
+		{[]float64{1, 0, 0}, []float64{0, 0, 1}, 0.5, 1},     // two bins × 0.5
+		{[]float64{0.5, 0.5}, []float64{0.5, 0.5}, 3, 0},     // identical
+		{[]float64{0.5, 0, 0.5}, []float64{0, 1, 0}, 1, 1},   // split to center
 		{[]float64{0.25, 0.75}, []float64{0.75, 0.25}, 2, 1}, // 0.5 mass × 1 bin × 2
 	}
 	for i, c := range cases {
