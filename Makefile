@@ -133,15 +133,21 @@ bench-cluster:
 #      an occasional retraction on top of the same delta machinery).
 #   3. alarm overhead: evaluating the standard 3-rule set after every
 #      event must stay within 5% of running the same watch with no rules.
-# BENCHCOUNT separate short rounds, per-round pairing rationale as in
-# telemetry-overhead below.
+# The alarm overhead is a few ns on a few hundred, far below the host's
+# run-to-run noise, so the gate pairs many short adjacent runs instead of
+# a few long ones: each of 100 rounds is one process running the arms in
+# ABBA order (BenchmarkDriftAlarm), 20 000 events a run, and benchdiff
+# takes the median of the 200 per-pair ratios. Adjacent pairs share the
+# host's load, ABBA cancels any edge of the arm that runs second, and
+# every run builds fresh watches, so memory-layout luck averages out too.
 bench-drift:
-	@rm -f /tmp/drift-bench.txt
+	@rm -f /tmp/drift-bench.txt /tmp/drift-bench.test
 	$(GO) test -run '^TestWindowSteadyStateAllocs$$' -v ./internal/drift/
-	@for i in $$(seq $(BENCHCOUNT)); do \
-		$(GO) test -run '^$$' -bench 'BenchmarkDrift(PerEvent|Alarm)$$' -benchtime 50000x -count 1 ./internal/drift/ >> /tmp/drift-bench.txt || exit 1; \
+	$(GO) test -c -o /tmp/drift-bench.test ./internal/drift/
+	@for i in $$(seq 100); do \
+		(cd internal/drift && /tmp/drift-bench.test -test.run '^$$' -test.bench 'BenchmarkDrift(PerEvent|Alarm)$$' -test.benchtime 20000x) >> /tmp/drift-bench.txt || exit 1; \
 	done
-	@grep ns/op /tmp/drift-bench.txt
+	@grep -c ns/op /tmp/drift-bench.txt
 	$(GO) run ./cmd/benchdiff -baseline 'estimator=unbounded' -candidate 'estimator=window' -max-overhead 100 < /tmp/drift-bench.txt
 	$(GO) run ./cmd/benchdiff -baseline 'alarms=off' -candidate 'alarms=on' -max-overhead 5 < /tmp/drift-bench.txt
 	$(GO) run ./cmd/benchjson -algo balanced -out BENCH_10.json < /tmp/drift-bench.txt
@@ -193,6 +199,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRankRequest$$' -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzClusterMessage$$' -fuzztime $(FUZZTIME) ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz '^FuzzMonitorSpecJSON$$' -fuzztime $(FUZZTIME) ./internal/drift/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEvents$$' -fuzztime $(FUZZTIME) ./internal/drift/
 
 # cover writes a module-wide coverage profile (uploaded as a CI artifact).
 cover:

@@ -144,30 +144,14 @@ type AlarmState struct {
 	BaselineSet bool    `json:"baseline_set,omitempty"`
 }
 
-// Integer discriminants for the per-event hot path: alarms are evaluated
-// after every stream event, and switching on small ints there is
-// measurably cheaper than re-comparing the spec's type/source strings.
-const (
-	kindThreshold = iota
-	kindDelta
-	kindBaseline
-)
-
+// Source indices for the per-event hot path: a rule's source as an
+// integer, so evaluation indexes the event's values instead of comparing
+// strings.
 const (
 	srcIdxTotal = iota
 	srcIdxWindow
 	srcIdxDecay
 )
-
-func (t RuleType) kind() uint8 {
-	switch t {
-	case RuleDelta:
-		return kindDelta
-	case RuleBaseline:
-		return kindBaseline
-	}
-	return kindThreshold
-}
 
 func (s Source) index() uint8 {
 	switch s {
@@ -179,37 +163,40 @@ func (s Source) index() uint8 {
 	return srcIdxTotal
 }
 
-// alarm is one rule's runtime state machine.
+// alarm is one rule's runtime state machine. The fields every event's
+// evaluation touches come first, so a rule's hot state shares a cache
+// line; the spec and transition bookkeeping follow.
 type alarm struct {
-	spec RuleSpec
-	// kind and srcIdx are the spec's type and source as integers.
-	kind   uint8
-	srcIdx uint8
-	active bool
-	fired  int64
-	// lastTransition is the event index of the last transition (0 =
-	// never), enforcing the cooldown.
-	lastTransition int64
-	// seen counts events observed by this rule instance; it is never
-	// restored, so Warmup re-applies after a restart.
-	seen int64
+	// The per-event check: the signal is the estimate (less its value
+	// Lookback events ago, for delta rules) less offset, and it crosses
+	// when above hi or below lo. arm keeps offset, hi and lo in step with
+	// the rule's state, so checking costs no branch on it.
+	offset float64
+	hi, lo float64
 	// hist is the delta-over-window value ring; histIdx is the cursor of
-	// the value Lookback events ago once primed (histN observations in).
+	// the value Lookback events ago once primed (the ring has wrapped).
 	hist    []float64
 	histIdx int
-	histN   int64
+	primed  bool
+	srcIdx  uint8 // the spec's source as an integer
+	active  bool
 	// baseline is the sealed comparison level for window-vs-baseline.
-	baseline    float64
 	baselineSet bool
+	baseline    float64
 	// limit is the fire level (Threshold or Delta, fixed by the spec);
 	// clearLimit is the precomputed hysteresis floor an active alarm must
 	// drop below to clear.
 	limit      float64
 	clearLimit float64
+	fired      int64
+	// lastTransition is the event index of the last transition (0 =
+	// never), enforcing the cooldown.
+	lastTransition int64
+	spec           RuleSpec
 }
 
 func newAlarm(spec RuleSpec) *alarm {
-	a := &alarm{spec: spec, kind: spec.Type.kind(), srcIdx: spec.Source.index()}
+	a := &alarm{spec: spec, srcIdx: spec.Source.index()}
 	if spec.Type == RuleDelta {
 		a.hist = make([]float64, spec.Lookback)
 	}
@@ -219,70 +206,84 @@ func newAlarm(spec RuleSpec) *alarm {
 		a.limit = spec.Delta
 	}
 	a.clearLimit = a.limit - spec.Hysteresis*math.Abs(a.limit)
+	a.arm()
 	return a
 }
 
-// step is the per-event hot path for threshold and baseline rules: it
-// updates the rule's rolling state and reports whether the signal crossed
-// the rule's fire level (inactive) or cleared level (active). Almost
-// every event resolves here in a handful of compares; only a crossing
-// goes on to transition, which applies the warmup and cooldown
-// suppressions. Delta rules go through stepDelta instead — the two are
-// split (with the caller dispatching on kind) so each stays within the
-// compiler's inlining budget; a single function with the ring arm inside
-// does not inline, and these run per rule per event.
-func (a *alarm) step(v float64) (signal float64, crossed bool) {
-	a.seen++
-	signal = v
-	if a.kind == kindBaseline {
+// arm sets the levels the signal must cross next: an inactive rule fires
+// above limit, an active one clears below clearLimit, and a
+// window-vs-baseline rule whose baseline is not sealed never crosses. The
+// infinite level of each pair can never be crossed, NaN crosses neither.
+func (a *alarm) arm() {
+	a.offset = 0
+	if a.spec.Type == RuleBaseline {
 		if !a.baselineSet {
-			return 0, false
+			a.hi, a.lo = math.Inf(1), math.Inf(-1)
+			return
 		}
-		signal = v - a.baseline
+		a.offset = a.baseline
 	}
 	if a.active {
-		return signal, signal < a.clearLimit
+		a.hi, a.lo = math.Inf(1), a.clearLimit
+	} else {
+		a.hi, a.lo = a.limit, math.Inf(-1)
 	}
-	return signal, signal > a.limit
 }
 
-// stepDelta is the per-event hot path for delta-over-window rules: it
-// rotates the lookback ring and compares the rise. See step.
-func (a *alarm) stepDelta(v float64) (signal float64, crossed bool) {
-	a.seen++
-	primed := a.histN >= int64(len(a.hist))
-	old := a.hist[a.histIdx]
-	a.hist[a.histIdx] = v
-	a.histN++
-	if a.histIdx++; a.histIdx == len(a.hist) {
-		a.histIdx = 0
+// seal records v as a window-vs-baseline rule's comparison level.
+func (a *alarm) seal(v float64) {
+	a.baseline, a.baselineSet = v, true
+	a.arm()
+}
+
+// restore re-applies a persisted state.
+func (a *alarm) restore(st AlarmState) {
+	a.active, a.fired = st.Active, st.Fired
+	a.baseline, a.baselineSet = st.Baseline, st.BaselineSet
+	a.arm()
+}
+
+// step is the per-event hot path: it updates the rule's rolling state and
+// reports the signal and whether it crossed the rule's armed level.
+// Almost every event resolves here in a handful of compares; only a
+// crossing goes on to transition, which applies the warmup and cooldown
+// suppressions.
+func (a *alarm) step(v float64) (signal float64, crossed bool) {
+	signal = v
+	if a.hist != nil {
+		primed := a.primed
+		old := a.hist[a.histIdx]
+		a.hist[a.histIdx] = v
+		if a.histIdx++; a.histIdx == len(a.hist) {
+			a.histIdx, a.primed = 0, true
+		}
+		if !primed {
+			return 0, false // lookback ring not primed yet
+		}
+		signal = v - old
 	}
-	if !primed {
-		return 0, false // lookback ring not primed yet
-	}
-	signal = v - old
-	if a.active {
-		return signal, signal < a.clearLimit
-	}
-	return signal, signal > a.limit
+	signal -= a.offset
+	return signal, signal > a.hi || signal < a.lo
 }
 
 // transition is the cold path behind step: the signal crossed a level,
 // but warmup (rule too young) or cooldown (too soon after the last
-// transition) may still suppress the flip.
+// transition) may still suppress the flip. eventIdx counts the events
+// this rule instance has observed, as the watch's event count does: it
+// is never restored, so Warmup re-applies after a restart.
 func (a *alarm) transition(eventIdx int64) (kind string, ok bool) {
-	if a.seen <= int64(a.spec.Warmup) {
+	if eventIdx <= int64(a.spec.Warmup) {
 		return "", false
 	}
 	if a.lastTransition != 0 && eventIdx-a.lastTransition < int64(a.spec.Cooldown) {
 		return "", false
 	}
 	a.lastTransition = eventIdx
-	if a.active {
-		a.active = false
+	a.active = !a.active
+	a.arm()
+	if !a.active {
 		return AlarmCleared, true
 	}
-	a.active = true
 	a.fired++
 	return AlarmFired, true
 }
@@ -292,12 +293,7 @@ func (a *alarm) transition(eventIdx int64) (kind string, ok bool) {
 // event index. Unit-test entry point; Watch.evaluate drives step and
 // transition directly.
 func (a *alarm) observe(v float64, eventIdx int64) (kind string, signal, limit float64, ok bool) {
-	var crossed bool
-	if a.kind == kindDelta {
-		signal, crossed = a.stepDelta(v)
-	} else {
-		signal, crossed = a.step(v)
-	}
+	signal, crossed := a.step(v)
 	if !crossed {
 		return "", 0, 0, false
 	}

@@ -4,12 +4,17 @@ import (
 	"testing"
 )
 
+// observed counts each alarm's observations across observeAll calls: the
+// event index a watch would pass, 1-based from the alarm's creation.
+var observed = map[*alarm]int64{}
+
 // observeAll feeds a value sequence through an alarm, returning the
 // transition kinds in order.
 func observeAll(a *alarm, values []float64) []string {
 	var out []string
-	for i, v := range values {
-		if kind, _, _, ok := a.observe(v, int64(i+1)); ok {
+	for _, v := range values {
+		observed[a]++
+		if kind, _, _, ok := a.observe(v, observed[a]); ok {
 			out = append(out, kind)
 		}
 	}
@@ -83,7 +88,7 @@ func TestBaselineRule(t *testing.T) {
 	if got := observeAll(a, []float64{0.9, 0.9}); got != nil {
 		t.Fatalf("unsealed baseline rule transitioned: %v", got)
 	}
-	a.baseline, a.baselineSet = 0.3, true
+	a.seal(0.3)
 	// signal = v − 0.3 vs delta 0.1, clear below 0.1·0.5 = 0.05.
 	got := observeAll(a, []float64{0.35, 0.45, 0.38, 0.34, 0.45})
 	want := []string{AlarmFired, AlarmCleared, AlarmFired}
@@ -99,7 +104,7 @@ func TestBaselineRule(t *testing.T) {
 func TestRestoreNoRefire(t *testing.T) {
 	spec := RuleSpec{Name: "b", Type: RuleBaseline, Delta: 0.1, Hysteresis: 0.3, Warmup: 5}
 	a := newAlarm(spec)
-	a.baseline, a.baselineSet = 0.2, true
+	a.seal(0.2)
 	fired := observeAll(a, []float64{0.2, 0.2, 0.2, 0.2, 0.2, 0.5, 0.5})
 	if !eq(fired, []string{AlarmFired}) {
 		t.Fatalf("pre-restart transitions %v", fired)
@@ -108,8 +113,7 @@ func TestRestoreNoRefire(t *testing.T) {
 	st := AlarmState{Rule: "b", Active: a.active, Fired: a.fired,
 		Baseline: a.baseline, BaselineSet: a.baselineSet}
 	b := newAlarm(spec)
-	b.active, b.fired = st.Active, st.Fired
-	b.baseline, b.baselineSet = st.Baseline, st.BaselineSet
+	b.restore(st)
 	// While re-seeding, the estimate climbs from 0 back to 0.5: without
 	// warmup this would emit a spurious clear + re-fire pair.
 	got := observeAll(b, []float64{0.0, 0.1, 0.3, 0.5, 0.5, 0.5, 0.5})

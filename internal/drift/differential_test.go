@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fairrank/internal/dataset"
+	"fairrank/internal/emd"
 	"fairrank/internal/monitor"
 	"fairrank/internal/testkit"
 )
@@ -199,6 +200,81 @@ func TestDecayMatchesOracle(t *testing.T) {
 					seed, i, halfLife, got, want)
 			}
 		}
+	}
+}
+
+// recomputeDecay is the full read Decay.Unfairness replaced: every
+// group's PMF and every pairwise distance from scratch, reduced in (i, j)
+// order.
+func recomputeDecay(d *Decay) float64 {
+	k := len(d.order)
+	if k < 2 {
+		return 0
+	}
+	pmfs := make([][]float64, k)
+	for i, g := range d.order {
+		total := 0.0
+		for _, c := range g.bins {
+			total += c
+		}
+		pmfs[i] = make([]float64, d.bins)
+		for j, c := range g.bins {
+			if total == 0 {
+				pmfs[i][j] = 1 / float64(d.bins)
+			} else {
+				pmfs[i][j] = c / total
+			}
+		}
+	}
+	sum := 0.0
+	for i := 0; i < k; i++ {
+		for j := i + 1; j < k; j++ {
+			sum += emd.PMFDistance(pmfs[i], pmfs[j], d.unit)
+		}
+	}
+	return sum / float64(k*(k-1)/2)
+}
+
+// TestDecayIncrementalMatchesRecompute pins the decay estimator's cached
+// read bit for bit against the full recompute — after every event, or
+// every second or third so several groups change between reads — across
+// group births and deaths and the weight rescales a 1.5-event half-life
+// forces every ~1000 events.
+func TestDecayIncrementalMatchesRecompute(t *testing.T) {
+	rescales := 0
+	for seed := uint64(1); seed <= 12; seed++ {
+		events := testkit.NewGen(seed).Events(streamGroups, 2500)
+		every := 1 + int(seed%3)
+		d, err := NewDecay(streamSchema(), []string{"G"}, 10, 1.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, ev := range events {
+			weight := d.weight
+			switch ev.Kind {
+			case testkit.EventJoin:
+				err = d.Join(ev.ID, groupAttrMaps[ev.Group], ev.Score)
+			case testkit.EventLeave:
+				err = d.Leave(ev.ID)
+			case testkit.EventRescore:
+				err = d.Rescore(ev.ID, ev.Score)
+			}
+			if err != nil {
+				t.Fatalf("seed %d event %d: %v", seed, i, err)
+			}
+			if d.weight < weight {
+				rescales++
+			}
+			if i%every != 0 {
+				continue
+			}
+			if got, want := d.Unfairness(), recomputeDecay(d); got != want {
+				t.Fatalf("seed %d event %d: cached read %v != recompute %v", seed, i, got, want)
+			}
+		}
+	}
+	if rescales < 12 {
+		t.Fatalf("only %d weight rescales across the streams", rescales)
 	}
 }
 

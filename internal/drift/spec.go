@@ -186,36 +186,3 @@ func (e Event) Validate() error {
 	}
 	return nil
 }
-
-// MaxEventBatch bounds one POST /v1/monitors/{id}/events body.
-const MaxEventBatch = 10000
-
-// eventBatch is the wire shape of an ingest body.
-type eventBatch struct {
-	Events []Event `json:"events"`
-}
-
-// DecodeEvents parses and validates an ingest batch, strictly.
-func DecodeEvents(data []byte) ([]Event, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var b eventBatch
-	if err := dec.Decode(&b); err != nil {
-		return nil, fmt.Errorf("drift: bad events json: %w", err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return nil, errors.New("drift: trailing data after events json")
-	}
-	if len(b.Events) == 0 {
-		return nil, errors.New("drift: empty event batch")
-	}
-	if len(b.Events) > MaxEventBatch {
-		return nil, fmt.Errorf("drift: batch of %d exceeds limit %d", len(b.Events), MaxEventBatch)
-	}
-	for i, e := range b.Events {
-		if err := e.Validate(); err != nil {
-			return nil, fmt.Errorf("drift: event %d: %w", i, err)
-		}
-	}
-	return b.Events, nil
-}

@@ -1,0 +1,59 @@
+package drift
+
+import "fairrank/internal/monitor"
+
+// worker is one row of a worker table: the worker's partition cell and
+// each estimator's state for it. A Watch keeps one table for all of its
+// estimators, so an event costs one id lookup however many it feeds; a
+// standalone Window or Decay keeps its own and uses its fields only.
+type worker struct {
+	cell int
+	// total is the worker's state in the unbounded monitor, window its
+	// state in the window's inner monitor.
+	total  monitor.Worker
+	window monitor.Worker
+	// tail is the seq of the newest live window entry of the worker's
+	// membership span, -1 once the span aged out: the worker is in the
+	// window's inner monitor iff tail >= 0.
+	tail int
+	// decayBin and decayWeight are the worker's stored decay observation.
+	decayBin    int
+	decayWeight float64
+}
+
+// workerTable maps every worker on the platform (joined, not yet left) to
+// a dense slot of rows, reusing departed workers' slots.
+type workerTable struct {
+	slots map[string]int
+	rows  []worker
+	free  []int
+}
+
+func newWorkerTable() *workerTable { return &workerTable{slots: map[string]int{}} }
+
+func (t *workerTable) lookup(id string) (int, bool) {
+	slot, ok := t.slots[id]
+	return slot, ok
+}
+
+// add gives id a slot whose row holds only its cell.
+func (t *workerTable) add(id string, cell int) int {
+	row := worker{cell: cell}
+	var slot int
+	if n := len(t.free); n > 0 {
+		slot = t.free[n-1]
+		t.free = t.free[:n-1]
+		t.rows[slot] = row
+	} else {
+		slot = len(t.rows)
+		t.rows = append(t.rows, row)
+	}
+	t.slots[id] = slot
+	return slot
+}
+
+// remove forgets id and frees its slot.
+func (t *workerTable) remove(id string, slot int) {
+	delete(t.slots, id)
+	t.free = append(t.free, slot)
+}

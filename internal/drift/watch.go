@@ -14,7 +14,12 @@ import (
 // after every event. It is the engine behind a server-side monitor; the
 // CLIs drive it directly. Not safe for concurrent use.
 type Watch struct {
-	spec   Spec
+	spec Spec
+	// cells and tab are shared by every estimator: an event costs one
+	// worker lookup and a join one cell-key build, however many
+	// estimators it feeds.
+	cells  *monitor.Cells
+	tab    *workerTable
 	window *Window
 	decay  *Decay
 	total  *monitor.Monitor
@@ -34,19 +39,23 @@ func NewWatch(schema *dataset.Schema, spec Spec) (*Watch, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	total, err := monitor.New(schema, spec.Attributes, spec.Bins, 0)
+	cells, err := monitor.NewCells(schema, spec.Attributes)
 	if err != nil {
 		return nil, err
 	}
-	w := &Watch{spec: spec, total: total}
+	total, err := monitor.NewWithCells(cells, spec.Bins, 0)
+	if err != nil {
+		return nil, err
+	}
+	w := &Watch{spec: spec, cells: cells, tab: newWorkerTable(), total: total}
 	if spec.Window > 0 {
-		w.window, err = NewWindow(schema, spec.Attributes, spec.Bins, spec.Window)
+		w.window, err = newWindow(cells, w.tab, spec.Bins, spec.Window)
 		if err != nil {
 			return nil, err
 		}
 	}
 	if spec.HalfLife > 0 {
-		w.decay, err = NewDecay(schema, spec.Attributes, spec.Bins, spec.HalfLife)
+		w.decay, err = newDecay(cells, w.tab, spec.Bins, spec.HalfLife)
 		if err != nil {
 			return nil, err
 		}
@@ -104,49 +113,60 @@ func (w *Watch) Seed(ev Event) error {
 }
 
 // applyEstimators validates and applies one event to every estimator.
-// The unbounded monitor is the strictest view — it goes first so a
-// rejected event mutates nothing else.
+// The worker table and the unbounded monitor are the strictest view —
+// they go first so a rejected event mutates nothing else; the error texts
+// are the monitor's own.
 func (w *Watch) applyEstimators(ev Event) error {
 	if err := ev.Validate(); err != nil {
 		return err
 	}
-	var err error
-	switch ev.Type {
-	case EventJoin:
-		err = w.total.Join(ev.Worker, ev.Protected, ev.Score)
-	case EventLeave:
-		err = w.total.Leave(ev.Worker)
-	case EventRescore:
-		err = w.total.Rescore(ev.Worker, ev.Score)
+	slot, on := w.tab.lookup(ev.Worker)
+	if ev.Type == EventJoin {
+		if on {
+			return fmt.Errorf("monitor: worker %q already present", ev.Worker)
+		}
+		cell, err := w.cells.Cell(ev.Protected)
+		if err != nil {
+			return err
+		}
+		slot = w.tab.add(ev.Worker, cell)
+		w.total.JoinCell(&w.tab.rows[slot].total, cell, ev.Score)
+		if w.window != nil {
+			w.window.join(slot, ev.Worker, ev.Protected, ev.Score)
+		}
+		if w.decay != nil {
+			w.decay.join(slot, ev.Score)
+		}
+		return nil
 	}
-	if err != nil {
+	if !on {
+		return fmt.Errorf("monitor: unknown worker %q", ev.Worker)
+	}
+	if ev.Type == EventLeave {
+		if err := w.total.LeaveWorker(ev.Worker, &w.tab.rows[slot].total); err != nil {
+			return err
+		}
+		if w.window != nil {
+			if err := w.window.leave(slot, ev.Worker); err != nil {
+				return err
+			}
+		}
+		if w.decay != nil {
+			w.decay.leave(slot)
+		}
+		w.tab.remove(ev.Worker, slot)
+		return nil
+	}
+	if err := w.total.RescoreWorker(ev.Worker, &w.tab.rows[slot].total, ev.Score); err != nil {
 		return err
 	}
 	if w.window != nil {
-		switch ev.Type {
-		case EventJoin:
-			err = w.window.Join(ev.Worker, ev.Protected, ev.Score)
-		case EventLeave:
-			err = w.window.Leave(ev.Worker)
-		case EventRescore:
-			err = w.window.Rescore(ev.Worker, ev.Score)
-		}
-		if err != nil {
+		if err := w.window.rescore(slot, ev.Worker, ev.Score); err != nil {
 			return err
 		}
 	}
 	if w.decay != nil {
-		switch ev.Type {
-		case EventJoin:
-			err = w.decay.Join(ev.Worker, ev.Protected, ev.Score)
-		case EventLeave:
-			err = w.decay.Leave(ev.Worker)
-		case EventRescore:
-			err = w.decay.Rescore(ev.Worker, ev.Score)
-		}
-		if err != nil {
-			return err
-		}
+		w.decay.rescore(slot, ev.Score)
 	}
 	return nil
 }
@@ -155,7 +175,7 @@ func (w *Watch) applyEstimators(ev Event) error {
 // Each source is read at most once per event; no allocation happens
 // unless a rule transitions.
 func (w *Watch) evaluate() []AlarmEvent {
-	var vals [3]float64
+	var vals [4]float64 // indexed by srcIdx&3: no bounds check in the loop
 	if w.needSrc[srcIdxTotal] {
 		vals[srcIdxTotal] = w.total.Unfairness()
 	}
@@ -166,36 +186,36 @@ func (w *Watch) evaluate() []AlarmEvent {
 		vals[srcIdxDecay] = w.decay.Unfairness()
 	}
 	var out []AlarmEvent
-	for i := range w.alarms {
-		a := &w.alarms[i]
-		v := vals[a.srcIdx]
-		var signal float64
-		var crossed bool
-		if a.kind == kindDelta {
-			signal, crossed = a.stepDelta(v)
-		} else {
-			signal, crossed = a.step(v)
+	alarms := w.alarms
+	for i := range alarms {
+		a := &alarms[i]
+		v := vals[a.srcIdx&3]
+		if signal, crossed := a.step(v); crossed {
+			out = w.cross(out, a, v, signal)
 		}
-		if !crossed {
-			continue
-		}
-		kind, ok := a.transition(w.events)
-		if !ok {
-			continue
-		}
-		out = append(out, AlarmEvent{
-			Monitor:  w.spec.ID,
-			Rule:     a.spec.Name,
-			RuleType: a.spec.Type,
-			Type:     kind,
-			Value:    v,
-			Signal:   signal,
-			Limit:    a.limit,
-			Event:    w.events,
-		})
-		w.met.transition(kind)
 	}
 	return out
+}
+
+// cross is evaluate's cold path, kept out of its loop: the rule's signal
+// crossed a level, and unless warmup or cooldown suppresses the flip, the
+// transition is appended to out.
+func (w *Watch) cross(out []AlarmEvent, a *alarm, v, signal float64) []AlarmEvent {
+	kind, ok := a.transition(w.events)
+	if !ok {
+		return out
+	}
+	w.met.transition(kind)
+	return append(out, AlarmEvent{
+		Monitor:  w.spec.ID,
+		Rule:     a.spec.Name,
+		RuleType: a.spec.Type,
+		Type:     kind,
+		Value:    v,
+		Signal:   signal,
+		Limit:    a.limit,
+		Event:    w.events,
+	})
 }
 
 // Unfairness reads one estimator's current value.
@@ -228,8 +248,7 @@ func (w *Watch) SealBaseline() map[string]float64 {
 			continue
 		}
 		v, _ := w.Unfairness(a.spec.Source)
-		a.baseline = v
-		a.baselineSet = true
+		a.seal(v)
 		out[a.spec.Name] = v
 	}
 	return out
@@ -265,10 +284,7 @@ func (w *Watch) RestoreAlarms(states []AlarmState) {
 		if !ok {
 			continue
 		}
-		a.active = st.Active
-		a.fired = st.Fired
-		a.baseline = st.Baseline
-		a.baselineSet = st.BaselineSet
+		a.restore(st)
 	}
 }
 
@@ -357,10 +373,11 @@ func (w *Watch) ActiveAlarms() int {
 	return n
 }
 
-// Window returns the sliding-window estimator, or nil.
+// Window returns the sliding-window estimator, or nil. It shares the
+// watch's worker table: read it, but feed events through the watch.
 func (w *Watch) Window() *Window { return w.window }
 
-// Decay returns the decay estimator, or nil.
+// Decay returns the decay estimator, or nil; like Window, read only.
 func (w *Watch) Decay() *Decay { return w.decay }
 
 // Total returns the unbounded-history monitor.

@@ -22,12 +22,13 @@ const (
 // the span's Join, so retracting the Join can tombstone the whole span in
 // one walk.
 type entry struct {
-	kind      entryKind
-	id        string
-	protected map[string]any // Join entries only: the cell's shared attributes
-	score     float64
-	next      int // seq of the next entry in this worker's span, -1 if last
-	dead      bool
+	id    string
+	score float64
+	next  int // seq of the next entry in this worker's span, -1 if last
+	slot  int // the worker's row in the worker table
+	cell  int // Join entries only: the worker's partition cell
+	kind  entryKind
+	dead  bool
 }
 
 // Window is the sliding-window unfairness estimator: its value is, by
@@ -43,7 +44,7 @@ type entry struct {
 // always replay cleanly from empty:
 //
 //   - a Rescore whose Join already aged out re-enters the worker as a
-//     Join, using the protected attributes remembered in the registry;
+//     Join, using the protected attributes remembered for its cell;
 //   - a Leave whose Join already aged out admits nothing — the worker's
 //     absence is already reflected in the windowed population;
 //   - retracting a Join tombstones every later entry of that membership
@@ -56,15 +57,17 @@ type entry struct {
 // retraction never has to undo a bare Leave/Rescore.
 //
 // Memory tracks the live population plus the window, never the stream's
-// history: the registry holds one entry per worker on the platform (Leave
-// drops it, whether or not the worker's span is still in the window), and
-// every registry entry and ring Join points at one attribute map per
-// partition cell, whichever the cell's first Join carried. Replaying that
-// map keys to the same cell, so the window's contents replay exactly.
+// history: the worker table holds one row per worker on the platform
+// (Leave frees it, whether or not the worker's span is still in the
+// window), and every ring Join names its partition cell, whose one
+// attribute map — whichever the cell's first Join carried — the window
+// keeps. Replaying that map keys to the same cell, so the window's
+// contents replay exactly.
 //
 // Window is not safe for concurrent use.
 type Window struct {
 	mon      *monitor.Monitor
+	cells    *monitor.Cells
 	capacity int
 	// ring is a power-of-two buffer indexed by seq & (len(ring)-1); seqs
 	// are monotonic, head..tail is the occupied span. Tombstoned entries
@@ -74,17 +77,12 @@ type Window struct {
 	head, tail  int
 	live        int // non-dead entries in [head, tail)
 	retractions int64
-	// registry maps every worker on the platform (joined, not yet left) to
-	// its cell's attribute map, so an aged-out worker's Rescore can
-	// re-enter it.
-	registry map[string]map[string]any
-	// cells holds the one attribute map per partition cell, keyed by the
-	// inner monitor's group key.
-	cells map[string]map[string]any
-	// chainTail maps each worker currently in the windowed population to
-	// the seq of its newest live entry; a worker is in the inner monitor
-	// iff it has a chainTail entry.
-	chainTail map[string]int
+	// tab is the worker table: a standalone window's own, or the table of
+	// the Watch that built it, which then feeds it every event.
+	tab *workerTable
+	// cellAttrs holds the one attribute map per partition cell, by cell
+	// index, so an aged-out worker's Rescore can re-enter it.
+	cellAttrs []map[string]any
 }
 
 // NewWindow creates a sliding-window estimator over the partitioning
@@ -94,18 +92,19 @@ func NewWindow(schema *dataset.Schema, attrs []string, bins, capacity int) (*Win
 	if capacity < 1 {
 		return nil, errors.New("drift: window capacity must be positive")
 	}
-	m, err := monitor.New(schema, attrs, bins, 0)
+	cells, err := monitor.NewCells(schema, attrs)
 	if err != nil {
 		return nil, err
 	}
-	return &Window{
-		mon:       m,
-		capacity:  capacity,
-		ring:      make([]entry, 16),
-		registry:  map[string]map[string]any{},
-		cells:     map[string]map[string]any{},
-		chainTail: map[string]int{},
-	}, nil
+	return newWindow(cells, newWorkerTable(), bins, capacity)
+}
+
+func newWindow(cells *monitor.Cells, tab *workerTable, bins, capacity int) (*Window, error) {
+	m, err := monitor.NewWithCells(cells, bins, 0)
+	if err != nil {
+		return nil, err
+	}
+	return &Window{mon: m, cells: cells, capacity: capacity, ring: make([]entry, 16), tab: tab}, nil
 }
 
 func (w *Window) slot(seq int) *entry { return &w.ring[seq&(len(w.ring)-1)] }
@@ -156,11 +155,13 @@ func (w *Window) retractOldest() {
 	w.head++
 	w.retractions++
 	if !closed {
-		// Span still open: the worker ages out of the windowed population.
-		// A removal failure here is a bookkeeping bug; the inner monitor
-		// records it and UnfairnessErr surfaces it.
-		_ = w.mon.Leave(e.id)
-		delete(w.chainTail, e.id)
+		// Span still open: the worker, still on the platform at the same
+		// slot, ages out of the windowed population. A removal failure
+		// here is a bookkeeping bug; the inner monitor records it and
+		// UnfairnessErr surfaces it.
+		r := &w.tab.rows[e.slot]
+		_ = w.mon.LeaveWorker(e.id, &r.window)
+		r.tail = -1
 	}
 }
 
@@ -175,21 +176,17 @@ func (w *Window) trim() {
 // first map seen for its partition cell, the window keeps it for replay
 // and re-admission of every worker in that cell.
 func (w *Window) Join(id string, protected map[string]any, score float64) error {
-	if _, on := w.registry[id]; on {
+	if _, on := w.tab.lookup(id); on {
 		return fmt.Errorf("drift: worker %q already present", id)
 	}
-	key, err := w.mon.JoinCell(id, protected, score)
+	if id == "" {
+		return errors.New("monitor: empty worker id")
+	}
+	cell, err := w.cells.Cell(protected)
 	if err != nil {
 		return err
 	}
-	shared, seen := w.cells[key]
-	if !seen {
-		shared = protected
-		w.cells[key] = shared
-	}
-	w.registry[id] = shared
-	w.chainTail[id] = w.push(entry{kind: entryJoin, id: id, protected: shared, score: score, next: -1})
-	w.trim()
+	w.join(w.tab.add(id, cell), id, protected, score)
 	return nil
 }
 
@@ -198,48 +195,78 @@ func (w *Window) Join(id string, protected map[string]any, score float64) error 
 // admits nothing. Either way the worker is forgotten: a later Leave or
 // Rescore for it is an unknown worker.
 func (w *Window) Leave(id string) error {
-	tailSeq, in := w.chainTail[id]
-	if !in {
-		if _, on := w.registry[id]; !on {
-			return fmt.Errorf("drift: unknown worker %q", id)
-		}
-		delete(w.registry, id)
-		return nil
+	slot, on := w.tab.lookup(id)
+	if !on {
+		return fmt.Errorf("drift: unknown worker %q", id)
 	}
-	if err := w.mon.Leave(id); err != nil {
+	if err := w.leave(slot, id); err != nil {
 		return err
 	}
-	seq := w.push(entry{kind: entryLeave, id: id, next: -1})
-	w.slot(tailSeq).next = seq
-	delete(w.chainTail, id)
-	delete(w.registry, id)
-	w.trim()
+	w.tab.remove(id, slot)
 	return nil
 }
 
 // Rescore updates a worker's score. If the worker's span aged out of the
-// window it re-enters as a Join with its registered protected attributes —
+// window it re-enters as a Join with its cell's protected attributes —
 // the rescore proves the worker is still on the platform.
 func (w *Window) Rescore(id string, score float64) error {
-	tailSeq, in := w.chainTail[id]
-	if !in {
-		prot, known := w.registry[id]
-		if !known {
-			return fmt.Errorf("drift: unknown worker %q", id)
-		}
-		if err := w.mon.Join(id, prot, score); err != nil {
-			return err
-		}
-		w.chainTail[id] = w.push(entry{kind: entryJoin, id: id, protected: prot, score: score, next: -1})
-		w.trim()
+	slot, on := w.tab.lookup(id)
+	if !on {
+		return fmt.Errorf("drift: unknown worker %q", id)
+	}
+	return w.rescore(slot, id, score)
+}
+
+// join admits a worker just added to the table at slot.
+func (w *Window) join(slot int, id string, protected map[string]any, score float64) {
+	cell := w.tab.rows[slot].cell
+	for len(w.cellAttrs) <= cell {
+		w.cellAttrs = append(w.cellAttrs, nil)
+	}
+	if w.cellAttrs[cell] == nil {
+		w.cellAttrs[cell] = protected
+	}
+	w.admit(slot, id, score)
+}
+
+// admit opens a membership span: the worker joins the windowed population
+// and its Join entry enters the ring.
+func (w *Window) admit(slot int, id string, score float64) {
+	r := &w.tab.rows[slot]
+	w.mon.JoinCell(&r.window, r.cell, score)
+	r.tail = w.push(entry{kind: entryJoin, id: id, slot: slot, cell: r.cell, score: score, next: -1})
+	w.trim()
+}
+
+// leave records the departure of the worker at slot; the caller frees the
+// slot.
+func (w *Window) leave(slot int, id string) error {
+	r := &w.tab.rows[slot]
+	if r.tail < 0 {
 		return nil
 	}
-	if err := w.mon.Rescore(id, score); err != nil {
+	if err := w.mon.LeaveWorker(id, &r.window); err != nil {
 		return err
 	}
-	seq := w.push(entry{kind: entryRescore, id: id, score: score, next: -1})
-	w.slot(tailSeq).next = seq
-	w.chainTail[id] = seq
+	seq := w.push(entry{kind: entryLeave, id: id, slot: slot, next: -1})
+	w.slot(r.tail).next = seq
+	r.tail = -1
+	w.trim()
+	return nil
+}
+
+func (w *Window) rescore(slot int, id string, score float64) error {
+	r := &w.tab.rows[slot]
+	if r.tail < 0 {
+		w.admit(slot, id, score)
+		return nil
+	}
+	if err := w.mon.RescoreWorker(id, &r.window, score); err != nil {
+		return err
+	}
+	seq := w.push(entry{kind: entryRescore, id: id, slot: slot, score: score, next: -1})
+	w.slot(r.tail).next = seq
+	r.tail = seq
 	w.trim()
 	return nil
 }
@@ -267,10 +294,6 @@ func (w *Window) Capacity() int { return w.capacity }
 // Retractions returns how many span heads have aged out.
 func (w *Window) Retractions() int64 { return w.retractions }
 
-// Snapshot returns a deep copy of the windowed monitor state, detached
-// from the stream — cheap offline inspection without pausing ingest.
-func (w *Window) Snapshot() *monitor.Monitor { return w.mon.Clone() }
-
 // Contents returns the window's live effective events in admission order,
 // as wire events. Replaying them into a fresh monitor reconstructs the
 // windowed state exactly; the differential suite leans on this.
@@ -283,7 +306,7 @@ func (w *Window) Contents() []Event {
 		}
 		switch e.kind {
 		case entryJoin:
-			out = append(out, Event{Type: EventJoin, Worker: e.id, Protected: e.protected, Score: e.score})
+			out = append(out, Event{Type: EventJoin, Worker: e.id, Protected: w.cellAttrs[e.cell], Score: e.score})
 		case entryLeave:
 			out = append(out, Event{Type: EventLeave, Worker: e.id})
 		case entryRescore:

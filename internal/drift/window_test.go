@@ -9,9 +9,10 @@ import (
 
 // TestWindowRegistryTracksLivePopulation churns a constant live
 // population through 100k join/leave cycles, most of them after the
-// worker's span aged out of a small window. The registry must hold exactly
-// the live workers, every entry must share one attribute map per cell, and
-// the windowed state must still replay bit-identically.
+// worker's span aged out of a small window. The worker table must hold
+// exactly the live workers in as many rows, every ring Join must share one
+// attribute map per cell, and the windowed state must still replay
+// bit-identically.
 func TestWindowRegistryTracksLivePopulation(t *testing.T) {
 	const live, cycles = 64, 100_000
 	w, err := NewWindow(streamSchema(), []string{"G"}, 10, 32)
@@ -43,25 +44,22 @@ func TestWindowRegistryTracksLivePopulation(t *testing.T) {
 			}
 		}
 	}
-	if len(w.registry) != live {
-		t.Fatalf("registry holds %d entries for %d live workers", len(w.registry), live)
+	if len(w.tab.slots) != live || len(w.tab.rows) != live {
+		t.Fatalf("worker table holds %d entries in %d rows for %d live workers", len(w.tab.slots), len(w.tab.rows), live)
 	}
 	for _, id := range ids {
-		if _, ok := w.registry[id]; !ok {
-			t.Fatalf("live worker %q missing from the registry", id)
+		if _, ok := w.tab.lookup(id); !ok {
+			t.Fatalf("live worker %q missing from the worker table", id)
 		}
 	}
 	records := map[uintptr]bool{}
-	for _, prot := range w.registry {
-		records[reflect.ValueOf(prot).Pointer()] = true
-	}
-	for s := w.head; s < w.tail; s++ {
-		if e := w.slot(s); e.kind == entryJoin {
-			records[reflect.ValueOf(e.protected).Pointer()] = true
+	for _, ev := range w.Contents() {
+		if ev.Type == EventJoin {
+			records[reflect.ValueOf(ev.Protected).Pointer()] = true
 		}
 	}
-	if len(records) > streamGroups || len(w.cells) > streamGroups {
-		t.Fatalf("%d distinct attribute maps, %d cell records for %d cells", len(records), len(w.cells), streamGroups)
+	if len(records) > streamGroups || len(w.cellAttrs) > streamGroups {
+		t.Fatalf("%d distinct attribute maps, %d cell records for %d cells", len(records), len(w.cellAttrs), streamGroups)
 	}
 	ref := replayContents(t, w)
 	got, err := w.UnfairnessErr()
@@ -116,7 +114,7 @@ func TestWindowForgetsDepartedWorkers(t *testing.T) {
 	// A departed worker may come back as a new arrival.
 	must(w.Join("a", groupAttrMaps[0], 0.6))
 	must(w.Rescore("a", 0.7))
-	if len(w.registry) != 3 {
-		t.Fatalf("registry holds %d entries, want c, d and a", len(w.registry))
+	if len(w.tab.slots) != 3 {
+		t.Fatalf("worker table holds %d entries, want c, d and a", len(w.tab.slots))
 	}
 }

@@ -82,7 +82,7 @@ func TestEventErrorsNameWorker(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Corrupt the bookkeeping so the histogram removal must fail.
-		m.workers["victim-42"] = workerState{g: m.workers["victim-42"].g, score: 0.95}
+		m.workers["victim-42"] = Worker{g: m.workers["victim-42"].g, score: 0.95}
 		var err error
 		if op == "leave" {
 			err = m.Leave("victim-42")

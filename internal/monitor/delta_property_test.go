@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -87,17 +86,12 @@ func TestQuickMonitorDelta(t *testing.T) {
 // refAveragePairwise evaluates the monitor's grouping from scratch with
 // the serial batch reduction the old monitor used.
 func refAveragePairwise(m *Monitor) float64 {
-	if len(m.groups) < 2 {
+	if len(m.order) < 2 {
 		return 0
 	}
-	keys := make([]string, 0, len(m.groups))
-	for k := range m.groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	hs := make([]*histogram.Histogram, len(keys))
-	for i, k := range keys {
-		hs[i] = m.groups[k].hist
+	hs := make([]*histogram.Histogram, len(m.order)) // order is sorted by key
+	for i, g := range m.order {
+		hs[i] = g.hist
 	}
 	d, err := emd.AveragePairwise(hs, emd.GroundScore)
 	if err != nil {
@@ -123,7 +117,7 @@ func TestUnfairnessErrSurfacesFailures(t *testing.T) {
 	}
 	// Corrupt the bookkeeping: claim m's worker was scored into a bin that
 	// holds no mass, so the departure's histogram removal must fail.
-	m.workers["m"] = workerState{g: m.workers["m"].g, score: 0.95}
+	m.workers["m"] = Worker{g: m.workers["m"].g, score: 0.95}
 	if err := m.Leave("m"); err == nil {
 		t.Fatal("corrupted removal succeeded")
 	}

@@ -28,12 +28,14 @@ import (
 // and re-scores. It is not safe for concurrent use; wrap it with a mutex
 // if events arrive from multiple goroutines.
 type Monitor struct {
-	keys      GroupKeyer
+	cells     *Cells
 	bins      int
 	threshold float64
 	unit      float64 // EMD ground distance between adjacent bins
 
-	groups map[string]*group
+	// byCell holds each interned cell's group, nil while the cell is
+	// empty, so an event finds its group by index.
+	byCell []*group
 	// order holds the non-empty groups sorted by key; a group's index in
 	// order addresses its rows in the distance triangle.
 	order []*group
@@ -46,20 +48,18 @@ type Monitor struct {
 	// order fixed by the leaf count, so the incremental value is
 	// bit-identical to Recompute's from-scratch rebuild.
 	sum *sumTree
-	// workers maps worker ID → (group key, score) so departures and
-	// re-scores need only the ID.
-	workers map[string]workerState
+	// workers maps worker ID → state for the string-id methods. A caller
+	// that keeps its own worker table holds the Worker values itself and
+	// calls JoinCell, LeaveWorker and RescoreWorker, which these wrap.
+	workers map[string]Worker
+	// n counts tracked workers, whichever path added them.
+	n int
 	// minWorkers suppresses alerts until the population is large enough
 	// for the unfairness estimate to be more than sampling noise.
 	minWorkers int
 	// lastErr records the first event-processing failure that may have
 	// left the triangle inconsistent; UnfairnessErr surfaces it.
 	lastErr error
-	// keyBuf is the reusable scratch for group-key construction, so the
-	// steady state (every group already known) allocates nothing: the key
-	// is built here and only materialized as a string when a new group is
-	// born.
-	keyBuf []byte
 	// met holds telemetry handles (see SetMetrics); its zero value is the
 	// disabled state and costs a few predicted branches per event.
 	met monitorMetrics
@@ -70,12 +70,16 @@ type Monitor struct {
 // histogram changes, so an event never re-normalizes untouched groups).
 type group struct {
 	key  string
+	cell int // index in the monitor's Cells
 	idx  int // position in Monitor.order
 	hist *histogram.Histogram
 	pmf  []float64
 }
 
-type workerState struct {
+// Worker is one tracked worker's state in a Monitor: the group it counts
+// in and its current score. JoinCell fills it; LeaveWorker and
+// RescoreWorker take it back. The zero Worker is not tracked.
+type Worker struct {
 	g     *group
 	score float64
 }
@@ -84,10 +88,16 @@ type workerState struct {
 // protected attributes. threshold is the unfairness level at which Alert
 // reports true; bins defaults to 10 when <= 0.
 func New(schema *dataset.Schema, attrs []string, bins int, threshold float64) (*Monitor, error) {
-	keys, err := NewGroupKeyer(schema, attrs)
+	cells, err := NewCells(schema, attrs)
 	if err != nil {
 		return nil, err
 	}
+	return NewWithCells(cells, bins, threshold)
+}
+
+// NewWithCells creates a monitor whose groups are the cells of cells,
+// which it may share with other estimators fed from the same stream.
+func NewWithCells(cells *Cells, bins int, threshold float64) (*Monitor, error) {
 	if threshold < 0 {
 		return nil, errors.New("monitor: negative threshold")
 	}
@@ -95,53 +105,84 @@ func New(schema *dataset.Schema, attrs []string, bins int, threshold float64) (*
 		bins = 10
 	}
 	return &Monitor{
-		keys:      keys,
+		cells:     cells,
 		bins:      bins,
 		threshold: threshold,
 		unit:      1 / float64(bins), // GroundScore over [0,1]: the bin width
-		groups:    map[string]*group{},
-		workers:   map[string]workerState{},
+		workers:   map[string]Worker{},
 	}, nil
 }
 
-// GroupKeyer maps a worker's protected attribute values to the key of its
-// partition cell. It is the one key builder of continuous auditing: the
-// monitor and the drift estimators all key their groups with it, so they
-// partition a stream identically. Immutable once built.
-type GroupKeyer struct {
+// Cells interns the partition cells of one set of protected attributes:
+// each distinct cell gets a dense index the first time a worker's values
+// resolve to it. It is the one key builder of continuous auditing — the
+// monitor and the drift estimators all partition with it — and
+// estimators fed from one stream share one Cells, so an arrival builds
+// its cell key once and each estimator finds its group for the cell by
+// index. The index only grows, bounded by the product of the attributes'
+// category and bucket counts. Not safe for concurrent use.
+type Cells struct {
 	schema *dataset.Schema
 	attrs  []int // monitored protected attribute indices
+	index  map[string]int
+	keys   []string
+	// buf is the key scratch: resolving a known cell converts it in place
+	// for the map read, so only a new cell materializes a string.
+	buf []byte
 }
 
-// NewGroupKeyer resolves the named protected attributes of a validated
-// schema into a key builder.
-func NewGroupKeyer(schema *dataset.Schema, attrs []string) (GroupKeyer, error) {
+// NewCells resolves the named protected attributes of a validated schema
+// into an empty cell index.
+func NewCells(schema *dataset.Schema, attrs []string) (*Cells, error) {
 	if err := schema.Validate(); err != nil {
-		return GroupKeyer{}, err
+		return nil, err
 	}
 	if len(attrs) == 0 {
-		return GroupKeyer{}, errors.New("monitor: need at least one attribute")
+		return nil, errors.New("monitor: need at least one attribute")
 	}
-	k := GroupKeyer{schema: schema.Clone()}
+	c := &Cells{schema: schema.Clone(), index: map[string]int{}}
 	for _, name := range attrs {
 		i := schema.ProtectedIndex(name)
 		if i < 0 {
-			return GroupKeyer{}, fmt.Errorf("monitor: %q is not a protected attribute", name)
+			return nil, fmt.Errorf("monitor: %q is not a protected attribute", name)
 		}
-		k.attrs = append(k.attrs, i)
+		c.attrs = append(c.attrs, i)
 	}
-	return k, nil
+	return c, nil
 }
 
-// AppendKey appends the partition cell of a worker with the given
+// Cell returns the index of the partition cell of a worker with the given
 // protected attribute values (raw strings for categorical, numbers for
-// numeric) to dst and returns the extended slice. Building into a
-// reusable scratch keeps the per-event path allocation-free: group lookup
-// converts the bytes in place (the compiler elides the string copy for
-// map reads) and only a group birth materializes a real string.
-func (k *GroupKeyer) AppendKey(dst []byte, protected map[string]any) ([]byte, error) {
-	for _, a := range k.attrs {
-		attr := k.schema.Protected[a]
+// numeric), interning the cell on first sight.
+func (c *Cells) Cell(protected map[string]any) (int, error) {
+	buf, err := c.appendKey(c.buf[:0], protected)
+	if err != nil {
+		return 0, err
+	}
+	c.buf = buf
+	if i, ok := c.index[string(buf)]; ok {
+		return i, nil
+	}
+	key := string(buf)
+	c.index[key] = len(c.keys)
+	c.keys = append(c.keys, key)
+	return len(c.keys) - 1, nil
+}
+
+// Key returns a cell's key; keys order the groups of every estimator.
+func (c *Cells) Key(cell int) string { return c.keys[cell] }
+
+func (c *Cells) clone() *Cells {
+	out := &Cells{schema: c.schema, attrs: c.attrs, index: make(map[string]int, len(c.index)), keys: append([]string(nil), c.keys...)}
+	for k, i := range c.index {
+		out.index[k] = i
+	}
+	return out
+}
+
+func (c *Cells) appendKey(dst []byte, protected map[string]any) ([]byte, error) {
+	for _, a := range c.attrs {
+		attr := c.schema.Protected[a]
 		v, ok := protected[attr.Name]
 		if !ok {
 			return nil, fmt.Errorf("monitor: missing attribute %q", attr.Name)
@@ -259,11 +300,16 @@ func (m *Monitor) rebuild(oldK int, oldTri []float64, oldIdx []int) {
 	m.met.rebuilds.Inc()
 }
 
-// insertGroup adds a new empty group at its sorted position. Its triangle
-// row is left zero; the caller must touch it after adding the first score.
-func (m *Monitor) insertGroup(key string) *group {
-	g := &group{key: key, hist: histogram.MustNew(m.bins, 0, 1), pmf: make([]float64, m.bins)}
-	m.groups[key] = g
+// insertGroup adds a new empty group for cell at its sorted position. Its
+// triangle row is left zero; the caller must touch it after adding the
+// first score.
+func (m *Monitor) insertGroup(cell int) *group {
+	key := m.cells.Key(cell)
+	g := &group{key: key, cell: cell, hist: histogram.MustNew(m.bins, 0, 1), pmf: make([]float64, m.bins)}
+	for len(m.byCell) <= cell {
+		m.byCell = append(m.byCell, nil)
+	}
+	m.byCell[cell] = g
 	pos := sort.Search(len(m.order), func(i int) bool { return m.order[i].key >= key })
 	oldK, oldTri := len(m.order), m.tri
 	m.order = append(m.order, nil)
@@ -286,7 +332,7 @@ func (m *Monitor) insertGroup(key string) *group {
 
 // removeGroup drops an emptied group, compacting the triangle.
 func (m *Monitor) removeGroup(g *group) {
-	delete(m.groups, g.key)
+	m.byCell[g.cell] = nil
 	pos := g.idx
 	oldK, oldTri := len(m.order), m.tri
 	m.order = append(m.order[:pos], m.order[pos+1:]...)
@@ -304,46 +350,72 @@ func (m *Monitor) removeGroup(g *group) {
 // Join records a worker arriving (or being hired onto) the platform with
 // the given protected attributes and current score.
 func (m *Monitor) Join(id string, protected map[string]any, score float64) error {
-	_, err := m.JoinCell(id, protected, score)
-	return err
-}
-
-// JoinCell is Join that also returns the worker's partition cell key, the
-// group key Join resolves anyway, so a caller that tracks workers by cell
-// need not build it a second time. The string is the group's own key, so
-// returning it allocates nothing.
-func (m *Monitor) JoinCell(id string, protected map[string]any, score float64) (string, error) {
 	if id == "" {
-		return "", errors.New("monitor: empty worker id")
+		return errors.New("monitor: empty worker id")
 	}
 	if _, dup := m.workers[id]; dup {
-		return "", fmt.Errorf("monitor: worker %q already present", id)
+		return fmt.Errorf("monitor: worker %q already present", id)
 	}
-	buf, err := m.keys.AppendKey(m.keyBuf[:0], protected)
+	cell, err := m.cells.Cell(protected)
 	if err != nil {
-		return "", err
+		return err
 	}
-	m.keyBuf = buf
-	g := m.groups[string(buf)]
-	if g == nil {
-		g = m.insertGroup(string(buf))
-	}
-	g.hist.Add(score)
-	m.touch(g)
-	m.workers[id] = workerState{g: g, score: score}
-	m.met.joins.Inc()
-	m.met.sync(m)
-	return g.key, nil
+	var w Worker
+	m.JoinCell(&w, cell, score)
+	m.workers[id] = w
+	return nil
 }
 
 // Leave records a worker departing the platform.
 func (m *Monitor) Leave(id string) error {
-	st, ok := m.workers[id]
+	w, ok := m.workers[id]
 	if !ok {
 		return fmt.Errorf("monitor: unknown worker %q", id)
 	}
-	g := st.g
-	if err := g.hist.Remove(st.score); err != nil {
+	if err := m.LeaveWorker(id, &w); err != nil {
+		return err
+	}
+	delete(m.workers, id)
+	return nil
+}
+
+// Rescore updates a worker's score (e.g. after new reviews arrive).
+func (m *Monitor) Rescore(id string, score float64) error {
+	w, ok := m.workers[id]
+	if !ok {
+		return fmt.Errorf("monitor: unknown worker %q", id)
+	}
+	if err := m.RescoreWorker(id, &w, score); err != nil {
+		return err
+	}
+	m.workers[id] = w
+	return nil
+}
+
+// JoinCell records a worker arriving in cell (an index of the monitor's
+// Cells) with the given score, storing its state in w. It is Join for a
+// caller that tracks workers itself and has resolved the cell already.
+func (m *Monitor) JoinCell(w *Worker, cell int, score float64) {
+	var g *group
+	if cell < len(m.byCell) {
+		g = m.byCell[cell]
+	}
+	if g == nil {
+		g = m.insertGroup(cell)
+	}
+	g.hist.Add(score)
+	m.touch(g)
+	*w = Worker{g: g, score: score}
+	m.n++
+	m.met.joins.Inc()
+	m.met.sync(m)
+}
+
+// LeaveWorker records the departure of the worker whose state JoinCell
+// stored in w; id only names the worker in errors.
+func (m *Monitor) LeaveWorker(id string, w *Worker) error {
+	g := w.g
+	if err := g.hist.Remove(w.score); err != nil {
 		err = fmt.Errorf("monitor: leave %q: %w", id, err)
 		m.lastErr = err
 		return err
@@ -353,38 +425,35 @@ func (m *Monitor) Leave(id string) error {
 	} else {
 		m.touch(g)
 	}
-	delete(m.workers, id)
+	*w = Worker{}
+	m.n--
 	m.met.leaves.Inc()
 	m.met.sync(m)
 	return nil
 }
 
-// Rescore updates a worker's score (e.g. after new reviews arrive).
-func (m *Monitor) Rescore(id string, score float64) error {
-	st, ok := m.workers[id]
-	if !ok {
-		return fmt.Errorf("monitor: unknown worker %q", id)
-	}
-	g := st.g
-	if err := g.hist.Remove(st.score); err != nil {
+// RescoreWorker updates the score of the worker whose state is w; id only
+// names the worker in errors.
+func (m *Monitor) RescoreWorker(id string, w *Worker, score float64) error {
+	g := w.g
+	if err := g.hist.Remove(w.score); err != nil {
 		err = fmt.Errorf("monitor: rescore %q: %w", id, err)
 		m.lastErr = err
 		return err
 	}
 	g.hist.Add(score)
 	m.touch(g)
-	st.score = score
-	m.workers[id] = st
+	w.score = score
 	m.met.rescores.Inc()
 	m.met.sync(m)
 	return nil
 }
 
 // Workers returns the number of tracked workers.
-func (m *Monitor) Workers() int { return len(m.workers) }
+func (m *Monitor) Workers() int { return m.n }
 
 // Groups returns the number of non-empty groups.
-func (m *Monitor) Groups() int { return len(m.groups) }
+func (m *Monitor) Groups() int { return len(m.order) }
 
 // UnfairnessErr returns the current average pairwise EMD between the
 // non-empty groups' score histograms, read off the incrementally
@@ -436,29 +505,30 @@ func (m *Monitor) Recompute() (float64, error) {
 	return newSumTree(tri).root() / float64(len(tri)), m.lastErr
 }
 
-// Clone returns a deep copy of the monitor: groups, histograms, the
-// distance triangle, the sum tree and the worker table are all duplicated
-// (the immutable key builder is shared), so events applied to either side
-// never affect the other. Windowed estimators and tests use it to
-// checkpoint state without replaying the stream. Telemetry handles are NOT
-// copied — the clone starts with metrics disabled (attach its own registry
-// via SetMetrics if needed) so counters never double-count a forked
-// monitor.
+// Clone returns a deep copy of the monitor: the cell index, groups,
+// histograms, the distance triangle, the sum tree and the worker table
+// are all duplicated, so events applied to either side never affect the
+// other. It is for monitors fed through Join, Leave and Rescore: workers a
+// caller tracks in its own table have no id here to clone. Tests use it
+// to checkpoint state without replaying the stream. Telemetry handles are NOT copied — the clone
+// starts with metrics disabled (attach its own registry via SetMetrics if
+// needed) so counters never double-count a forked monitor.
 func (m *Monitor) Clone() *Monitor {
 	c := &Monitor{
-		keys:       m.keys,
+		cells:      m.cells.clone(),
 		bins:       m.bins,
 		threshold:  m.threshold,
 		unit:       m.unit,
 		minWorkers: m.minWorkers,
 		lastErr:    m.lastErr,
-		groups:     make(map[string]*group, len(m.groups)),
-		workers:    make(map[string]workerState, len(m.workers)),
+		n:          m.n,
+		byCell:     make([]*group, len(m.byCell)),
+		workers:    make(map[string]Worker, len(m.workers)),
 		order:      make([]*group, 0, len(m.order)),
 	}
 	for _, g := range m.order {
-		ng := &group{key: g.key, idx: g.idx, hist: g.hist.Clone(), pmf: append([]float64(nil), g.pmf...)}
-		c.groups[ng.key] = ng
+		ng := &group{key: g.key, cell: g.cell, idx: g.idx, hist: g.hist.Clone(), pmf: append([]float64(nil), g.pmf...)}
+		c.byCell[ng.cell] = ng
 		c.order = append(c.order, ng)
 	}
 	c.tri = append([]float64(nil), m.tri...)
@@ -467,8 +537,8 @@ func (m *Monitor) Clone() *Monitor {
 		// sumTree reduction order is a pure function of the leaf count).
 		c.sum = newSumTree(c.tri)
 	}
-	for id, st := range m.workers {
-		c.workers[id] = workerState{g: c.groups[st.g.key], score: st.score}
+	for id, w := range m.workers {
+		c.workers[id] = Worker{g: c.byCell[w.g.cell], score: w.score}
 	}
 	return c
 }
@@ -490,5 +560,5 @@ func (m *Monitor) SetMinWorkers(n int) { m.minWorkers = n }
 // that on top of this monitor.
 func (m *Monitor) Alert() (unfairness float64, breached bool) {
 	u := m.Unfairness()
-	return u, u > m.threshold && len(m.workers) >= m.minWorkers
+	return u, u > m.threshold && m.n >= m.minWorkers
 }

@@ -31,8 +31,8 @@ type monitorMetrics struct {
 // rather than read live on scrape, so a concurrent /metrics handler never
 // touches the monitor's (unsynchronized) maps.
 func (mm *monitorMetrics) sync(m *Monitor) {
-	mm.groups.Set(float64(len(m.groups)))
-	mm.workers.Set(float64(len(m.workers)))
+	mm.groups.Set(float64(len(m.order)))
+	mm.workers.Set(float64(m.n))
 }
 
 // SetMetrics attaches a telemetry registry: event rates, delta-path work

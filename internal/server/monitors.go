@@ -267,14 +267,13 @@ func (s *Server) handleMonitorEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := monitorEventsResponse{Alarms: []drift.AlarmEvent{}}
+	var applyErr error
 	m.mu.Lock()
 	for i, ev := range events {
 		alarms, err := m.watch.Apply(ev)
 		if err != nil {
-			m.mu.Unlock()
-			writeErr(w, http.StatusBadRequest,
-				fmt.Errorf("event %d (after %d applied): %w", i, resp.Applied, err))
-			return
+			applyErr = fmt.Errorf("event %d (after %d applied): %w", i, resp.Applied, err)
+			break
 		}
 		resp.Applied++
 		for _, a := range alarms {
@@ -283,17 +282,21 @@ func (s *Server) handleMonitorEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	var persistErr error
 	if len(resp.Alarms) > 0 {
-		// Transitions changed durable alarm state; persist before
-		// acknowledging so a crash cannot resurrect a cleared alarm or
-		// forget a fired one.
+		// Transitions changed durable alarm state — also when a later
+		// event failed, since the applied prefix stays applied and its
+		// transitions are already published. Persist before answering so
+		// a crash cannot resurrect a cleared alarm or forget a fired one.
 		persistErr = s.persistMonitor(m)
 	}
 	m.mu.Unlock()
-	if persistErr != nil {
+	switch {
+	case persistErr != nil:
 		writeErr(w, http.StatusInternalServerError, persistErr)
-		return
+	case applyErr != nil:
+		writeErr(w, http.StatusBadRequest, applyErr)
+	default:
+		writeJSON(w, http.StatusOK, resp)
 	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleMonitorBaseline(w http.ResponseWriter, r *http.Request) {

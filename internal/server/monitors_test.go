@@ -270,6 +270,45 @@ func TestMonitorEventIngest(t *testing.T) {
 	}
 }
 
+// TestMonitorPartialBatchPersistsAlarms: when a batch fails part way, the
+// events before the failure stay applied and their alarm transitions are
+// published, so the alarm state they changed must be durable too — a
+// restart must come back with the alarm the applied prefix fired.
+func TestMonitorPartialBatchPersistsAlarms(t *testing.T) {
+	_, ts, path := newTestServer(t)
+	uploadDataset(t, ts, "workers", 60)
+	spec := e2eMonitorSpec("partial", "workers")
+	spec.Rules = []drift.RuleSpec{{Name: "any", Type: drift.RuleThreshold, Source: drift.SourceTotal, Threshold: 1e-9}}
+	createMonitor(t, ts, spec)
+
+	resp, body := postJSON(t, ts.URL+"/v1/monitors/partial/events", map[string]any{"events": []drift.Event{
+		{Type: drift.EventJoin, Worker: "fresh", Protected: map[string]any{"Gender": "Female"}, Score: 0.5},
+		{Type: drift.EventRescore, Worker: "no-such-worker", Score: 0.9},
+	}})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "event 1 (after 1 applied)") {
+		t.Fatalf("partial batch: status %d: %s", resp.StatusCode, body)
+	}
+	if a := alarmByRule(t, getMonitor(t, ts.URL, "partial"), "any"); !a.Active || a.Fired != 1 {
+		t.Fatalf("alarm after the applied prefix = %+v, want fired once", a)
+	}
+
+	ts.Close()
+	db, err := store.Open(path, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	s2, err := New(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	if a := alarmByRule(t, getMonitor(t, ts2.URL, "partial"), "any"); !a.Active || a.Fired != 1 {
+		t.Fatalf("alarm after restart = %+v, want the fire the applied prefix persisted", a)
+	}
+}
+
 // TestMonitorDriftE2E is the acceptance scenario end to end over HTTP: a
 // served-page drift scenario feeds a 3-rule monitor through the REST
 // surface, the window-vs-baseline rule fires exactly once on the shift
