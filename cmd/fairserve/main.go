@@ -22,7 +22,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -40,18 +39,15 @@ import (
 	"fairrank/internal/telemetry"
 )
 
-// bootstrapDemo generates a synthetic population and stores it under the
-// dataset name "demo", so a fresh server has something to rank and audit.
-func bootstrapDemo(db *store.DB, n int, seed uint64) error {
+// bootstrapDemo generates a synthetic population and registers it as the
+// dataset "demo", as an upload would, so a fresh server has something to
+// rank and audit.
+func bootstrapDemo(srv *server.Server, n int, seed uint64) error {
 	ds, err := simulate.PaperWorkers(n, seed)
 	if err != nil {
 		return err
 	}
-	var snap bytes.Buffer
-	if err := ds.WriteBinary(&snap); err != nil {
-		return err
-	}
-	return db.Put("datasets", "demo", snap.Bytes())
+	return srv.PutDataset("demo", ds)
 }
 
 func main() {
@@ -85,13 +81,6 @@ func main() {
 	}
 	defer db.Close()
 
-	if *bootstrap > 0 {
-		if err := bootstrapDemo(db, *bootstrap, *seed); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("bootstrapped dataset %q with %d workers", "demo", *bootstrap)
-	}
-
 	srvOpts := []server.ServerOption{
 		server.WithRequestLog(log.Printf),
 		server.WithMetrics(metrics),
@@ -104,6 +93,12 @@ func main() {
 	srv, err := server.New(db, srvOpts...)
 	if err != nil {
 		log.Fatal(err)
+	}
+	if *bootstrap > 0 {
+		if err := bootstrapDemo(srv, *bootstrap, *seed); err != nil {
+			log.Fatal(err)
+		}
+		log.Printf("bootstrapped dataset %q with %d workers", "demo", *bootstrap)
 	}
 
 	if *peers != "" {

@@ -16,13 +16,17 @@ func TestBootstrapDemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if err := bootstrapDemo(db, 50, 1); err != nil {
-		t.Fatal(err)
-	}
-	// The server must reload the snapshot and expose it.
 	srv, err := server.New(db)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := bootstrapDemo(srv, 50, 1); err != nil {
+		t.Fatal(err)
+	}
+	// Bootstrap registers a snapshot like an upload; it writes no legacy
+	// WAL record, whose size limit once capped the population.
+	if keys := db.Keys("datasets"); len(keys) != 0 {
+		t.Fatalf("bootstrap wrote legacy dataset records %v", keys)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -43,7 +47,11 @@ func TestBootstrapDemoValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if err := bootstrapDemo(db, 0, 1); err == nil {
+	srv, err := server.New(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bootstrapDemo(srv, 0, 1); err == nil {
 		t.Error("n=0 accepted")
 	}
 }

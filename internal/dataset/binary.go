@@ -8,13 +8,14 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 )
 
-// Binary snapshot format. Unlike CSV/JSON, the binary form is
-// self-describing (the schema travels with the data), column-oriented, and
-// integrity-checked: a trailing CRC32 covers everything after the magic,
-// so truncation and bit rot are detected at load time.
+// Legacy binary format, read-only. Older stores kept datasets in this form
+// as WAL values; the server's boot migration reads them once into columnar
+// snapshots (snapshot.go), the one format written today. The form is
+// self-describing (the schema travels with the data) and integrity-checked:
+// a trailing CRC32 covers everything after the magic, so truncation and
+// bit rot are detected at load time.
 //
 // Layout (little-endian):
 //
@@ -35,60 +36,7 @@ type binarySchema struct {
 	Observed  []Attribute `json:"observed"`
 }
 
-// WriteBinary serializes the dataset in the binary snapshot format.
-func (d *Dataset) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	crc := crc32.NewIEEE()
-	out := io.MultiWriter(bw, crc)
-
-	schemaJSON, err := json.Marshal(binarySchema{Protected: d.schema.Protected, Observed: d.schema.Observed})
-	if err != nil {
-		return fmt.Errorf("dataset: encode schema: %w", err)
-	}
-	if err := binary.Write(out, binary.LittleEndian, uint32(len(schemaJSON))); err != nil {
-		return err
-	}
-	if _, err := out.Write(schemaJSON); err != nil {
-		return err
-	}
-	if err := binary.Write(out, binary.LittleEndian, uint32(d.n)); err != nil {
-		return err
-	}
-	for i := 0; i < d.n; i++ {
-		id := d.ID(i)
-		if len(id) > math.MaxUint16 {
-			return fmt.Errorf("dataset: worker id longer than %d bytes", math.MaxUint16)
-		}
-		if err := binary.Write(out, binary.LittleEndian, uint16(len(id))); err != nil {
-			return err
-		}
-		if _, err := out.Write([]byte(id)); err != nil {
-			return err
-		}
-	}
-	for a := range d.schema.Protected {
-		if err := binary.Write(out, binary.LittleEndian, d.codes[a]); err != nil {
-			return err
-		}
-		if err := binary.Write(out, binary.LittleEndian, d.rawProtected[a]); err != nil {
-			return err
-		}
-	}
-	for a := range d.schema.Observed {
-		if err := binary.Write(out, binary.LittleEndian, d.observed[a]); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, crc.Sum32()); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ReadBinary loads a dataset from its binary snapshot form, verifying the
+// ReadBinary loads a dataset from the legacy binary form, verifying the
 // trailing checksum. It returns ErrCorrupt (possibly wrapped) on any
 // integrity failure.
 func ReadBinary(r io.Reader) (*Dataset, error) {

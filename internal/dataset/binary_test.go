@@ -1,138 +1,76 @@
-package dataset
+package dataset_test
 
 import (
 	"bytes"
 	"errors"
+	"os"
 	"strings"
 	"testing"
-	"testing/quick"
 
-	"fairrank/internal/rng"
+	"fairrank/internal/dataset"
+	"fairrank/internal/simulate"
 )
 
-func randomDataset(t *testing.T, n int, seed uint64) *Dataset {
+// legacyFixture holds simulate.PaperWorkers(40, 42) in the legacy binary
+// format, written by that format's last writer.
+const legacyFixture = "testdata/paper-40-seed-42.frnkds1"
+
+func readFixture(t *testing.T) []byte {
 	t.Helper()
-	r := rng.New(seed)
-	b := NewBuilder(testSchema())
-	genders := []string{"Male", "Female"}
-	countries := []string{"America", "India", "Other"}
-	for i := 0; i < n; i++ {
-		b.Add("w", map[string]any{
-			"Gender":      rng.Pick(r, genders),
-			"Country":     rng.Pick(r, countries),
-			"YearOfBirth": r.IntRange(1950, 2009),
-		}, map[string]any{
-			"LanguageTest": r.FloatRange(25, 100),
-			"ApprovalRate": r.FloatRange(25, 100),
-		})
-	}
-	ds, err := b.Build()
+	raw, err := os.ReadFile(legacyFixture)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ds
+	return raw
 }
 
+// TestBinaryRoundTrip: the reader inverts what the last writer wrote. The
+// fixture decodes to the population it was generated from, equal in every
+// byte of the canonical snapshot encoding (Digest).
 func TestBinaryRoundTrip(t *testing.T) {
-	ds := randomDataset(t, 137, 1)
-	var buf bytes.Buffer
-	if err := ds.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadBinary(&buf)
+	want, err := simulate.PaperWorkers(40, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.N() != ds.N() {
-		t.Fatalf("N = %d", back.N())
+	got, err := dataset.ReadBinary(bytes.NewReader(readFixture(t)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < ds.N(); i++ {
-		if back.ID(i) != ds.ID(i) {
-			t.Fatalf("id %d mismatch", i)
-		}
-		for a := range ds.Schema().Protected {
-			if back.Code(a, i) != ds.Code(a, i) {
-				t.Fatalf("code %d/%d mismatch", a, i)
-			}
-			ra, rb := ds.RawProtected(a, i), back.RawProtected(a, i)
-			if ra != rb && !(ra != ra && rb != rb) { // NaN-safe compare
-				t.Fatalf("raw %d/%d mismatch: %v vs %v", a, i, ra, rb)
-			}
-		}
-		for a := range ds.Schema().Observed {
-			if back.Observed(a, i) != ds.Observed(a, i) {
-				t.Fatalf("observed %d/%d mismatch", a, i)
-			}
-		}
+	if got.N() != want.N() {
+		t.Fatalf("N = %d, want %d", got.N(), want.N())
 	}
-	// Schema survives.
-	if back.Schema().Protected[0].Name != "Gender" || back.Schema().Protected[0].Values[1] != "Female" {
-		t.Fatal("schema did not round-trip")
+	if got.Digest() != want.Digest() {
+		t.Fatalf("digest %x, want %x", got.Digest(), want.Digest())
 	}
 }
 
 func TestBinaryDetectsBadMagic(t *testing.T) {
-	if _, err := ReadBinary(strings.NewReader("NOTMAGIC rest")); !errors.Is(err, ErrCorrupt) {
+	if _, err := dataset.ReadBinary(strings.NewReader("NOTMAGIC rest")); !errors.Is(err, dataset.ErrCorrupt) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := ReadBinary(strings.NewReader("")); !errors.Is(err, ErrCorrupt) {
+	if _, err := dataset.ReadBinary(strings.NewReader("")); !errors.Is(err, dataset.ErrCorrupt) {
 		t.Fatalf("empty err = %v", err)
 	}
 }
 
 func TestBinaryDetectsTruncation(t *testing.T) {
-	ds := randomDataset(t, 50, 2)
-	var buf bytes.Buffer
-	if err := ds.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := readFixture(t)
 	for _, cut := range []int{len(full) - 1, len(full) - 5, len(full) / 2, 12} {
-		if _, err := ReadBinary(bytes.NewReader(full[:cut])); !errors.Is(err, ErrCorrupt) {
+		if _, err := dataset.ReadBinary(bytes.NewReader(full[:cut])); !errors.Is(err, dataset.ErrCorrupt) {
 			t.Errorf("truncation at %d not detected: %v", cut, err)
 		}
 	}
 }
 
+// TestBinaryDetectsBitFlips: the trailing checksum covers every byte after
+// the magic, so no single flipped byte decodes.
 func TestBinaryDetectsBitFlips(t *testing.T) {
-	ds := randomDataset(t, 50, 3)
-	var buf bytes.Buffer
-	if err := ds.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	// Flip a byte in the middle of the payload (past magic+schema).
-	for _, pos := range []int{len(full) / 2, len(full) - 10} {
+	full := readFixture(t)
+	for pos := range full {
 		corrupted := append([]byte(nil), full...)
 		corrupted[pos] ^= 0xFF
-		if _, err := ReadBinary(bytes.NewReader(corrupted)); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("bit flip at %d not detected: %v", pos, err)
+		if _, err := dataset.ReadBinary(bytes.NewReader(corrupted)); !errors.Is(err, dataset.ErrCorrupt) {
+			t.Fatalf("bit flip at %d not detected: %v", pos, err)
 		}
-	}
-}
-
-func TestBinaryRoundTripProperty(t *testing.T) {
-	f := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw)%100 + 1
-		ds := randomDataset(&testing.T{}, n, seed)
-		var buf bytes.Buffer
-		if err := ds.WriteBinary(&buf); err != nil {
-			return false
-		}
-		back, err := ReadBinary(&buf)
-		if err != nil || back.N() != n {
-			return false
-		}
-		for i := 0; i < n; i++ {
-			for a := range ds.Schema().Protected {
-				if back.Code(a, i) != ds.Code(a, i) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }

@@ -48,14 +48,11 @@ func TestDigestEqualAcrossBackings(t *testing.T) {
 		t.Fatalf("Digest = %x, want SHA-256 of the snapshot stream %x", got, want)
 	}
 
-	var csvBuf, jsonBuf, binBuf bytes.Buffer
+	var csvBuf, jsonBuf bytes.Buffer
 	if err := base.WriteCSV(&csvBuf); err != nil {
 		t.Fatal(err)
 	}
 	if err := base.WriteJSON(&jsonBuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := base.WriteBinary(&binBuf); err != nil {
 		t.Fatal(err)
 	}
 	mapped := openMapped(t, base)
@@ -68,7 +65,6 @@ func TestDigestEqualAcrossBackings(t *testing.T) {
 		"builder":  func() (*Dataset, error) { return buildMany(t, 97), nil },
 		"csv":      func() (*Dataset, error) { return ReadCSV(bytes.NewReader(csvBuf.Bytes()), testSchema()) },
 		"json":     func() (*Dataset, error) { return ReadJSON(bytes.NewReader(jsonBuf.Bytes()), testSchema()) },
-		"binary":   func() (*Dataset, error) { return ReadBinary(bytes.NewReader(binBuf.Bytes())) },
 		"snapshot": func() (*Dataset, error) { return ReadSnapshot(snap.Bytes()) },
 		"mmap":     func() (*Dataset, error) { return openMapped(t, base), nil },
 		"subset of every mapped row": func() (*Dataset, error) {
@@ -204,5 +200,22 @@ func TestDigestConcurrentFirstCall(t *testing.T) {
 		if d != want {
 			t.Errorf("goroutine %d: digest %x, want %x", g, d, want)
 		}
+	}
+}
+
+// TestSeedDigest: Digest returns a seeded digest without hashing — the
+// caller vouches for it, so even a wrong seed comes back — and a seed
+// after the first Digest changes nothing.
+func TestSeedDigest(t *testing.T) {
+	base := buildMany(t, 50)
+	want := base.Digest()
+	seeded := openMapped(t, base)
+	seeded.SeedDigest([sha256.Size]byte{1})
+	if got := seeded.Digest(); got != ([sha256.Size]byte{1}) {
+		t.Fatalf("seeded digest %x, want the seed", got)
+	}
+	base.SeedDigest([sha256.Size]byte{1})
+	if got := base.Digest(); got != want {
+		t.Fatalf("seed after the first Digest changed it to %x", got)
 	}
 }

@@ -10,21 +10,14 @@ import (
 	"testing"
 )
 
-// FuzzReadBinary ensures arbitrary bytes never panic the snapshot reader
-// and that a valid snapshot embedded in the corpus still round-trips.
+// FuzzReadBinary ensures arbitrary bytes never panic the legacy reader.
+// Its valid seed is the committed fixture the format's last writer wrote.
 func FuzzReadBinary(f *testing.F) {
-	ds, err := NewBuilder(testSchema()).
-		Add("w1", map[string]any{"Gender": "Male", "Country": "India", "YearOfBirth": 1984},
-			map[string]any{"LanguageTest": 80.0, "ApprovalRate": 55.0}).
-		Build()
+	valid, err := os.ReadFile("testdata/paper-40-seed-42.frnkds1")
 	if err != nil {
 		f.Fatal(err)
 	}
-	var valid bytes.Buffer
-	if err := ds.WriteBinary(&valid); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid.Bytes())
+	f.Add(valid)
 	f.Add([]byte("FRNKDS1\n"))
 	f.Add([]byte(""))
 	f.Add([]byte("garbage that is long enough to not be magic"))

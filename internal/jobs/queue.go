@@ -215,6 +215,19 @@ func (q *Queue) recover() error {
 		if j.ID != id {
 			return fmt.Errorf("jobs: job record %q claims id %q", id, j.ID)
 		}
+		if j.Spec.Dataset == "" {
+			// Records from when a spec could name a stored snapshot: that
+			// file is the dataset of the same name. raw decoded above, so
+			// only a mistyped field can fail here, and it leaves the spec
+			// without a dataset, as it was.
+			var legacy struct {
+				Spec struct {
+					Snapshot string `json:"snapshot"`
+				} `json:"spec"`
+			}
+			_ = json.Unmarshal(raw, &legacy)
+			j.Spec.Dataset = legacy.Spec.Snapshot
+		}
 		q.idSeq = max(q.idSeq, parseJobSeq(id))
 		job := &j
 		job.seq = q.nextSeq()

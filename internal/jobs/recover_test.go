@@ -312,3 +312,30 @@ func TestRecoverLegacyEmbeddedResult(t *testing.T) {
 		t.Fatalf("legacy cache hit = (%v, %v, %s)", created, err, hit.Result)
 	}
 }
+
+// TestRecoverLegacySnapshotSpec: a record written while a spec could
+// name a stored snapshot ("snapshot":"x") recovers as a spec on dataset
+// x, and the requeued record is rewritten in that form.
+func TestRecoverLegacySnapshotSpec(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.db")
+	db := openStore(t, path)
+	defer db.Close()
+	legacy := `{"id":"job-000007","spec_hash":"h-legacy","spec":{"snapshot":"x","weights":{"a":1}},` +
+		`"priority":0,"state":"queued","attempt":0,"max_attempts":3,"enqueued_at":"2026-01-02T03:04:05Z"}`
+	if err := db.Put(bucketJobs, "job-000007", []byte(legacy)); err != nil {
+		t.Fatal(err)
+	}
+	q, err := New(db, deterministicExec, Options{Workers: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Kill()
+	j, ok := q.Get("job-000007")
+	if !ok || j.Spec.Dataset != "x" || j.State != StateQueued {
+		t.Fatalf("recovered %+v, %v; want a queued job on dataset x", j, ok)
+	}
+	raw, _ := db.Get(bucketJobs, "job-000007")
+	if !bytes.Contains(raw, []byte(`"dataset":"x"`)) || bytes.Contains(raw, []byte("snapshot")) {
+		t.Fatalf("requeued record %s", raw)
+	}
+}

@@ -17,14 +17,14 @@ import (
 // into a core.Spec at execution time, so a job survives restarts as pure
 // data.
 type Spec struct {
-	// Dataset names the uploaded dataset under audit. Exactly one of
-	// Dataset and Snapshot must be set.
+	// Dataset names the uploaded dataset under audit.
 	Dataset string `json:"dataset,omitempty"`
-	// Snapshot names a stored columnar snapshot to audit instead of a
-	// registered dataset. The executor opens a private memory-mapped view
-	// per run and closes it when the job finishes, so arbitrarily large
-	// populations can be audited without a resident dataset entry.
-	Snapshot string `json:"snapshot,omitempty"`
+	// Digest pins the content the job audits: the hex content digest
+	// Dataset held when the server accepted the job, which the executor
+	// runs whatever the name holds by then. Only the server sets it
+	// (DecodeSpec refuses it); a spec without one runs the content its
+	// name holds at run time.
+	Digest string `json:"digest,omitempty"`
 	// Algorithm is a registered audit algorithm; empty means "balanced".
 	Algorithm string `json:"algorithm,omitempty"`
 	// Weights defines the linear scoring function over observed
@@ -67,17 +67,25 @@ const (
 // DecodeSpec parses and validates a submitted job spec. It is strict —
 // unknown fields and trailing garbage are rejected — because specs are
 // persisted and replayed: a typo silently ignored at submission would
-// come back as a surprising audit after a crash.
+// come back as a surprising audit after a crash. A digest key is refused
+// whatever its value: only the server pins content.
 func DecodeSpec(data []byte) (Spec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	var s Spec
-	if err := dec.Decode(&s); err != nil {
+	var wire struct {
+		Spec
+		Digest json.RawMessage `json:"digest"` // shadows Spec.Digest
+	}
+	if err := dec.Decode(&wire); err != nil {
 		return Spec{}, fmt.Errorf("jobs: bad spec json: %w", err)
 	}
 	if _, err := dec.Token(); err != io.EOF {
 		return Spec{}, errors.New("jobs: trailing data after spec json")
 	}
+	if wire.Digest != nil {
+		return Spec{}, errors.New("jobs: digest is set by the server, not in a submitted spec")
+	}
+	s := wire.Spec
 	if err := s.Validate(); err != nil {
 		return Spec{}, err
 	}
@@ -88,8 +96,8 @@ func DecodeSpec(data []byte) (Spec, error) {
 // and attribute names are checked against live server state at submit and
 // execution time, not here.
 func (s Spec) Validate() error {
-	if (s.Dataset == "") == (s.Snapshot == "") {
-		return errors.New("jobs: spec needs exactly one of dataset or snapshot")
+	if s.Dataset == "" {
+		return errors.New("jobs: spec needs a dataset")
 	}
 	if len(s.Weights) == 0 {
 		return errors.New("jobs: spec needs scoring weights")

@@ -34,21 +34,14 @@ type clusterNode struct{ s *Server }
 
 func (n clusterNode) Depth() (queued, running int) { return n.s.jobs.Depth() }
 
-// Datasets is the local inventory: every registered dataset plus every
-// stored snapshot (a superset in steady state — snapshot-spec jobs
-// resolve against the store even when no live mapping is registered).
+// Datasets is the local inventory: every registered dataset name. It
+// stays keyed by name, not content: placement and stealing ask whether a
+// peer can resolve the name a spec carries.
 func (n clusterNode) Datasets() []string {
-	names := map[string]bool{}
 	n.s.mu.RLock()
+	defer n.s.mu.RUnlock()
+	out := make([]string, 0, len(n.s.datasets))
 	for name := range n.s.datasets {
-		names[name] = true
-	}
-	n.s.mu.RUnlock()
-	for _, name := range n.s.snaps.Names() {
-		names[name] = true
-	}
-	out := make([]string, 0, len(names))
-	for name := range names {
 		out = append(out, name)
 	}
 	return out
@@ -56,8 +49,8 @@ func (n clusterNode) Datasets() []string {
 
 // SubmitLocal enqueues a raw wire spec on the local queue — the landing
 // path for stolen and re-placed jobs. decodeJob recomputes the dedup key
-// here, so cluster-wide dedup can never coalesce two specs that would
-// produce different results.
+// and pins this node's own content here, so cluster-wide dedup can never
+// coalesce two specs that would produce different results.
 func (n clusterNode) SubmitLocal(spec json.RawMessage) error {
 	sp, hash, err := n.s.decodeJob(spec)
 	if err != nil {
@@ -68,7 +61,8 @@ func (n clusterNode) SubmitLocal(spec json.RawMessage) error {
 }
 
 func (n clusterNode) Hydrate(name, peerURL string) error {
-	return n.s.hydrateFromPeer(name, peerURL)
+	_, err := n.s.hydrateFromPeer(name, peerURL)
+	return err
 }
 
 // EnableCluster joins this server to a fairserve cluster. Call after New
@@ -154,17 +148,15 @@ func (s *Server) handleClusterSteal(w http.ResponseWriter, r *http.Request) {
 	for _, name := range req.Datasets {
 		have[name] = true
 	}
-	eligible := func(sp jobs.Spec) bool {
-		name := sp.Dataset
-		if name == "" {
-			name = sp.Snapshot
-		}
-		return have[name]
-	}
+	eligible := func(sp jobs.Spec) bool { return have[sp.Dataset] }
 	claims := s.jobs.ClaimQueued(req.Max, eligible, req.Thief, 0)
 	resp := cluster.StealResponse{}
 	for _, cl := range claims {
-		raw, err := json.Marshal(cl.Spec)
+		// The digest pins this node's content; the thief pins its own, and
+		// its submit path refuses a spec that carries one.
+		sp := cl.Spec
+		sp.Digest = ""
+		raw, err := json.Marshal(sp)
 		if err != nil {
 			continue // unmarshalable spec cannot travel; its claim expires
 		}
@@ -240,18 +232,12 @@ func (s *Server) handleClusterHydrate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, errors.New("name and peer are required"))
 		return
 	}
-	if err := s.hydrateFromPeer(req.Name, req.Peer); err != nil {
+	info, err := s.hydrateFromPeer(req.Name, req.Peer)
+	if err != nil {
 		writeErr(w, http.StatusBadGateway, err)
 		return
 	}
-	s.mu.RLock()
-	ds, ok := s.datasets[req.Name]
-	s.mu.RUnlock()
-	if !ok {
-		writeErr(w, http.StatusInternalServerError, fmt.Errorf("hydrated %q did not register", req.Name))
-		return
-	}
-	writeJSON(w, http.StatusCreated, describe(req.Name, ds))
+	writeJSON(w, http.StatusCreated, info)
 }
 
 // hydrateChunkBytes is the Range-request granularity for snapshot
@@ -270,12 +256,13 @@ var hydrateClient = &http.Client{Timeout: 60 * time.Second}
 // their offset, and completion runs the same validate→adopt→register
 // tail as a client upload — including the snapshot CRC check at open.
 // One hydration per name runs at a time; a failed transfer leaves the
-// session behind and the next call resumes where it stopped.
-func (s *Server) hydrateFromPeer(name, peerURL string) error {
+// session behind and the next call resumes where it stopped. It returns
+// the registered dataset's description.
+func (s *Server) hydrateFromPeer(name, peerURL string) (datasetInfo, error) {
 	s.mu.Lock()
 	if s.hydrating[name] {
 		s.mu.Unlock()
-		return fmt.Errorf("hydration of %q already in flight", name)
+		return datasetInfo{}, fmt.Errorf("hydration of %q already in flight", name)
 	}
 	s.hydrating[name] = true
 	s.mu.Unlock()
@@ -288,18 +275,18 @@ func (s *Server) hydrateFromPeer(name, peerURL string) error {
 	src := peerURL + "/v1/datasets/" + url.PathEscape(name) + "/snapshot"
 	size, err := s.probeSnapshotSize(src)
 	if err != nil {
-		return err
+		return datasetInfo{}, err
 	}
 	sess, err := s.hydrationSession(name, peerURL, size)
 	if err != nil {
-		return err
+		return datasetInfo{}, err
 	}
 	for {
 		s.mu.Lock()
 		if sess.closed {
 			// Lost a race with expiry/abort; restart next tick.
 			s.mu.Unlock()
-			return fmt.Errorf("hydration session for %q closed underneath", name)
+			return datasetInfo{}, fmt.Errorf("hydration session for %q closed underneath", name)
 		}
 		if sess.complete() {
 			sess.closed = true // elected finalizer
@@ -317,7 +304,7 @@ func (s *Server) hydrateFromPeer(name, peerURL string) error {
 		err := s.fetchHydrateChunk(src, sess, chunk)
 		sess.writers.Done()
 		if err != nil {
-			return fmt.Errorf("hydrate %q from %s: %w", name, peerURL, err)
+			return datasetInfo{}, fmt.Errorf("hydrate %q from %s: %w", name, peerURL, err)
 		}
 		s.mu.Lock()
 		if !sess.closed {
@@ -327,11 +314,11 @@ func (s *Server) hydrateFromPeer(name, peerURL string) error {
 		}
 		s.mu.Unlock()
 		if err != nil {
-			return err
+			return datasetInfo{}, err
 		}
 	}
-	_, _, err = s.completeSession(sess)
-	return err
+	info, _, err := s.completeSession(sess)
+	return info, err
 }
 
 // probeSnapshotSize HEADs the export route for the authoritative size.
@@ -385,48 +372,7 @@ func (s *Server) hydrationSession(name, peerURL string, size int64) (*uploadSess
 	if stale != nil {
 		os.Remove(stale.spillPath(s.uploadDir))
 	}
-
-	token, err := newUploadToken()
-	if err != nil {
-		return nil, err
-	}
-	sess := &uploadSession{
-		Token:   token,
-		Dataset: name,
-		Size:    size,
-		File:    "spill-" + token,
-		Source:  peerURL,
-		Updated: time.Now().Unix(),
-	}
-	f, err := os.OpenFile(sess.spillPath(s.uploadDir), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	if err := f.Truncate(size); err != nil {
-		f.Close()
-		os.Remove(sess.spillPath(s.uploadDir))
-		return nil, err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(sess.spillPath(s.uploadDir))
-		return nil, err
-	}
-	s.mu.Lock()
-	if len(s.sessions) >= maxUploadSessions {
-		s.mu.Unlock()
-		os.Remove(sess.spillPath(s.uploadDir))
-		return nil, errors.New("too many concurrent upload sessions")
-	}
-	err = s.persistSession(sess)
-	if err == nil {
-		s.sessions[token] = sess
-	}
-	s.mu.Unlock()
-	if err != nil {
-		os.Remove(sess.spillPath(s.uploadDir))
-		return nil, err
-	}
-	return sess, nil
+	return s.newSession(name, size, peerURL)
 }
 
 // fetchHydrateChunk GETs one byte range from the peer and writes it at

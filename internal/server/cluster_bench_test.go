@@ -61,18 +61,7 @@ func benchUpload(b *testing.B, ts *httptest.Server, name string, n int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := ds.WriteBinary(&buf); err != nil {
-		b.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/v1/datasets/"+name, "application/octet-stream", &buf)
-	if err != nil {
-		b.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		b.Fatalf("upload status %d", resp.StatusCode)
-	}
+	uploadSnapshot(b, ts, name, ds)
 }
 
 // benchDrain submits b.N distinct specs round-robin over submitURLs and

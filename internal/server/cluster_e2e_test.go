@@ -298,6 +298,17 @@ func TestClusterWorkStealingDrains(t *testing.T) {
 	if steals != sB.Jobs().Runs() {
 		t.Fatalf("steal counter %d != thief runs %d", steals, sB.Jobs().Runs())
 	}
+	// The victim clears its pin at handoff and the thief pins its own
+	// content, as its submit path would refuse a spec carrying one.
+	sB.mu.RLock()
+	own := digestOf(sB.datasets["demo"])
+	sB.mu.RUnlock()
+	landed, _ := sB.Jobs().List("", 0, n)
+	for _, j := range landed {
+		if j.Spec.Digest != own {
+			t.Fatalf("stolen job %s pinned %q, want the thief's content %s", j.ID, j.Spec.Digest, own)
+		}
+	}
 }
 
 // TestClusterKillNodeZeroLossBitIdentical: jobs forwarded to a node
@@ -488,10 +499,10 @@ func TestHydrateResumesMidTransfer(t *testing.T) {
 	failNext = true
 
 	sC, tsC := startNode(t)
-	if err := sC.hydrateFromPeer("big", proxy.URL); err == nil {
+	if _, err := sC.hydrateFromPeer("big", proxy.URL); err == nil {
 		t.Fatal("first hydration should fail at the second chunk")
 	}
-	if err := sC.hydrateFromPeer("big", proxy.URL); err != nil {
+	if _, err := sC.hydrateFromPeer("big", proxy.URL); err != nil {
 		t.Fatalf("resumed hydration failed: %v", err)
 	}
 	mu.Lock()

@@ -51,7 +51,7 @@ under task-qualification scoring functions (EDBT 2019 reproduction).</p>
 <h2>Recent audits ({{len .Audits}})</h2>
 {{if .Audits}}
 <table><tr><th>job</th><th>data</th><th>algorithm</th><th class="num">unfairness</th><th class="num">groups</th><th class="num">p-value</th></tr>
-{{range .Audits}}<tr><td><code>{{.ID}}</code></td><td><code>{{.Dataset}}{{.Snapshot}}</code></td><td>{{.Algorithm}}</td>
+{{range .Audits}}<tr><td><code>{{.ID}}</code></td><td><code>{{.Dataset}}</code></td><td>{{.Algorithm}}</td>
 <td class="num{{if gt .Unfairness 0.4}} sig{{end}}">{{printf "%.3f" .Unfairness}}</td>
 <td class="num">{{len .Partitions}}</td>
 <td class="num">{{with .PValue}}{{printf "%.3f" (deref .)}}{{else}}–{{end}}</td></tr>

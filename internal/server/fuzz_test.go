@@ -59,7 +59,9 @@ func newFuzzServer() (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.registerDataset("fuzz", ds)
+	if err := s.PutDataset("fuzz", ds); err != nil {
+		return nil, err
+	}
 	raw, err := json.Marshal(taskSpec{
 		ID: "fuzz-task", Title: "fuzz", Dataset: "fuzz",
 		Weights: map[string]float64{"LanguageTest": 1},

@@ -39,7 +39,6 @@ const (
 // the spec.
 type jobResult struct {
 	Dataset    string           `json:"dataset,omitempty"`
-	Snapshot   string           `json:"snapshot,omitempty"`
 	Algorithm  string           `json:"algorithm"`
 	Unfairness float64          `json:"unfairness"`
 	Partitions []auditPartition `json:"partitions"`
@@ -61,59 +60,52 @@ type jobPage struct {
 	Limit  int        `json:"limit"`
 }
 
+// jobDataset returns the content a job audits: the mapping its pinned
+// digest names, whatever the name holds by now, or — for a spec without
+// a digest (decodeJob's own input, or a job recorded before jobs pinned
+// content) — what the name holds now.
+func (s *Server) jobDataset(sp jobs.Spec) (*dataset.Dataset, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if sp.Digest != "" {
+		ds, ok := s.contents[sp.Digest]
+		if !ok {
+			return nil, fmt.Errorf("dataset %q: pinned content %s is no longer stored", sp.Dataset, sp.Digest)
+		}
+		return ds, nil
+	}
+	ds, ok := s.datasets[sp.Dataset]
+	if !ok {
+		return nil, fmt.Errorf("dataset %q not found", sp.Dataset)
+	}
+	return ds, nil
+}
+
 // resolveJobSpec turns a wire spec into the core.Spec it will execute,
-// validating every reference against live server state. It is called at
-// submit time (for validation and the canonical hash) and again at
-// execution time (datasets can change between the two — the run uses
-// whatever the name resolves to then).
-//
-// A spec naming a Snapshot gets its own memory-mapped view of the stored
-// snapshot file, independent of the registered-dataset table; the returned
-// release func unmaps it and must be called once the run's results are
-// fully materialized. For Dataset specs release is a no-op — the shared
-// mapping belongs to the registry.
-func (s *Server) resolveJobSpec(sp jobs.Spec) (core.Spec, func(), error) {
+// on the content jobDataset names, validating the spec's references
+// against that content's schema. It is called at submit time (for
+// validation and the canonical hash) and again at execution time, on the
+// same content.
+func (s *Server) resolveJobSpec(sp jobs.Spec) (core.Spec, error) {
 	if _, err := core.Lookup(cmp.Or(sp.Algorithm, "balanced")); err != nil {
-		return core.Spec{}, nil, err
+		return core.Spec{}, err
 	}
-	release := func() {}
-	var ds *dataset.Dataset
-	if sp.Snapshot != "" {
-		path, ok := s.snaps.Path(sp.Snapshot)
-		if !ok {
-			return core.Spec{}, nil, fmt.Errorf("snapshot %q not found", sp.Snapshot)
-		}
-		mapped, err := dataset.OpenSnapshot(path)
-		if err != nil {
-			return core.Spec{}, nil, fmt.Errorf("snapshot %q: %w", sp.Snapshot, err)
-		}
-		ds = mapped
-		release = func() { mapped.Close() }
-	} else {
-		s.mu.RLock()
-		var ok bool
-		ds, ok = s.datasets[sp.Dataset]
-		s.mu.RUnlock()
-		if !ok {
-			return core.Spec{}, nil, fmt.Errorf("dataset %q not found", sp.Dataset)
-		}
-	}
-	fail := func(err error) (core.Spec, func(), error) {
-		release()
-		return core.Spec{}, nil, err
+	ds, err := s.jobDataset(sp)
+	if err != nil {
+		return core.Spec{}, err
 	}
 	f, err := scoring.NewLinear("job-fn", sp.Weights)
 	if err != nil {
-		return fail(err)
+		return core.Spec{}, err
 	}
 	if err := f.Validate(ds.Schema()); err != nil {
-		return fail(err)
+		return core.Spec{}, err
 	}
 	cfg := core.Config{Bins: sp.Bins, Metrics: s.metrics}
 	if sp.Metric != "" {
 		m, err := emd.ParseMetric(sp.Metric)
 		if err != nil {
-			return fail(err)
+			return core.Spec{}, err
 		}
 		cfg.Metric = m
 	}
@@ -122,7 +114,7 @@ func (s *Server) resolveJobSpec(sp jobs.Spec) (core.Spec, func(), error) {
 		for _, name := range sp.Attributes {
 			i := ds.Schema().ProtectedIndex(name)
 			if i < 0 {
-				return fail(fmt.Errorf("%q is not a protected attribute", name))
+				return core.Spec{}, fmt.Errorf("%q is not a protected attribute", name)
 			}
 			attrs = append(attrs, i)
 		}
@@ -135,27 +127,29 @@ func (s *Server) resolveJobSpec(sp jobs.Spec) (core.Spec, func(), error) {
 		Attrs:     attrs,
 		Seed:      sp.Seed,
 		Budget:    sp.Budget,
-	}, release, nil
+	}, nil
 }
 
 // decodeJob parses a wire spec, resolves it against live server state —
 // so a bad submission fails fast as a 4xx instead of becoming a failed
-// job — and derives its dedup key: the canonical core.Spec hash, which
-// binds the dataset content this node would audit (so every node a spec
-// lands on recomputes it), with the significance rounds folded in when
-// the spec asks for a p-value. Without rounds the key is the plain hash,
-// so persisted result-cache keys stay valid.
+// job — pins the content its dataset name holds now (Spec.Digest), and
+// derives its dedup key: the canonical core.Spec hash, which binds that
+// same content (so every node a spec lands on recomputes it), with the
+// significance rounds folded in when the spec asks for a p-value. Without
+// rounds the key is the plain hash, so persisted result-cache keys stay
+// valid. The content's digest was computed when the dataset was
+// registered, so no step here is O(N).
 func (s *Server) decodeJob(raw []byte) (jobs.Spec, string, error) {
 	sp, err := jobs.DecodeSpec(raw)
 	if err != nil {
 		return jobs.Spec{}, "", err
 	}
-	cspec, release, err := s.resolveJobSpec(sp)
+	cspec, err := s.resolveJobSpec(sp)
 	if err != nil {
 		return jobs.Spec{}, "", err
 	}
 	hash := cspec.Hash()
-	release()
+	sp.Digest = digestOf(cspec.Dataset)
 	if sp.SignificanceRounds > 0 {
 		sum := sha256.Sum256(fmt.Appendf(nil, "%s significance_rounds=%d", hash, sp.SignificanceRounds))
 		hash = hex.EncodeToString(sum[:])
@@ -163,17 +157,14 @@ func (s *Server) decodeJob(raw []byte) (jobs.Spec, string, error) {
 	return sp, hash, nil
 }
 
-// execJob is the queue's executor: resolve the spec, drive the engine
-// (and the permutation test, when asked) under the job's context, and
-// serialize the deterministic result.
+// execJob is the queue's executor: resolve the spec on its pinned
+// content, drive the engine (and the permutation test, when asked) under
+// the job's context, and serialize the deterministic result.
 func (s *Server) execJob(ctx context.Context, j jobs.Job, progress func(core.TraceStep)) ([]byte, error) {
-	spec, release, err := s.resolveJobSpec(j.Spec)
+	spec, err := s.resolveJobSpec(j.Spec)
 	if err != nil {
 		return nil, err
 	}
-	// Labels and sizes below are materialized values, so releasing after
-	// the marshal is safe even for a job-private snapshot mapping.
-	defer release()
 	// One evaluator serves both the search and the permutation test.
 	e, err := core.NewEvaluator(spec.Dataset, spec.Func, spec.Config)
 	if err != nil {
@@ -187,7 +178,6 @@ func (s *Server) execJob(ctx context.Context, j jobs.Job, progress func(core.Tra
 	}
 	out := jobResult{
 		Dataset:    j.Spec.Dataset,
-		Snapshot:   j.Spec.Snapshot,
 		Algorithm:  res.Algorithm,
 		Unfairness: res.Unfairness,
 		Partitions: []auditPartition{},
@@ -224,11 +214,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	// run. A stamped submission is never re-forwarded (loop guard), and
 	// any placement failure falls through to local execution.
 	if c := s.clusterRef(); c != nil && r.Header.Get(cluster.HeaderForwarded) == "" {
-		dsName := spec.Dataset
-		if dsName == "" {
-			dsName = spec.Snapshot
-		}
-		if fw := c.PlaceJob(hash, dsName, body); fw != nil {
+		if fw := c.PlaceJob(hash, spec.Dataset, body); fw != nil {
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(fw.Status)
 			_, _ = w.Write(fw.Body)

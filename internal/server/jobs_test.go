@@ -19,20 +19,16 @@ import (
 	"fairrank/internal/store"
 )
 
-// putDataset writes a deterministic population straight into the store,
-// so a server built over it (including after a simulated crash) reloads
-// the exact same dataset bytes.
-func putDataset(t *testing.T, db *store.DB, name string, n int) {
+// putDataset registers a deterministic population on s through the one
+// registration path, so a server rebuilt over the same store (including
+// after a simulated crash) reloads the exact same dataset bytes.
+func putDataset(t *testing.T, s *Server, name string, n int) {
 	t.Helper()
 	ds, err := simulate.PaperWorkers(n, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := ds.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Put(bucketDatasets, name, buf.Bytes()); err != nil {
+	if err := s.PutDataset(name, ds); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -143,8 +139,6 @@ func TestJobsRestartMidRunBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	putDataset(t, db, "demo", 80)
-
 	// Server 1: the executor signals and then stalls until the crash.
 	started := make(chan struct{})
 	stall := func(jobs.Executor) jobs.Executor {
@@ -158,6 +152,7 @@ func TestJobsRestartMidRunBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	putDataset(t, s1, "demo", 80)
 	ts1 := httptest.NewServer(s1.Handler())
 	spec := jobSpecBody(map[string]float64{"LanguageTest": 1, "ApprovalRate": 3}, 7)
 	resp, body := postJSON(t, ts1.URL+"/v1/jobs", spec)
@@ -222,7 +217,6 @@ func TestJobsAdmissionShedsOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	putDataset(t, db, "demo", 40)
 	release := make(chan struct{})
 	gate := func(exec jobs.Executor) jobs.Executor {
 		return func(ctx context.Context, j jobs.Job, progress func(core.TraceStep)) ([]byte, error) {
@@ -241,6 +235,7 @@ func TestJobsAdmissionShedsOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	putDataset(t, s, "demo", 40)
 	t.Cleanup(func() {
 		close(release)
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -388,7 +383,6 @@ func TestJobsEventsSSE(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	putDataset(t, db, "demo", 80)
 	// Gate the run until the SSE client is attached, so live progress and
 	// the terminal transition are observed on the wire, not just replayed.
 	release := make(chan struct{})
@@ -406,6 +400,7 @@ func TestJobsEventsSSE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	putDataset(t, s, "demo", 80)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()

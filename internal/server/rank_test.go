@@ -31,18 +31,7 @@ func uploadSkewed(t *testing.T, ts *httptest.Server, name string, n int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := ds.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/v1/datasets/"+name, "application/octet-stream", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("upload status %d", resp.StatusCode)
-	}
+	uploadSnapshot(t, ts, name, ds)
 }
 
 // postBiasedTask posts the LanguageTest-weighted task over the skewed

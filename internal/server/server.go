@@ -7,10 +7,11 @@
 //
 //	GET  /healthz                     liveness probe
 //	GET  /v1/datasets                 list datasets
-//	POST /v1/datasets/{name}          upload: text/csv (paper schema),
-//	                                  application/octet-stream (legacy binary) or
+//	POST /v1/datasets/{name}          upload: text/csv (paper schema) or
 //	                                  application/x-fairrank-snapshot (columnar,
-//	                                  streamed to disk and served mmap'd)
+//	                                  streamed to disk and served mmap'd); the
+//	                                  name then holds that content, stored once
+//	                                  per content digest
 //	GET  /v1/datasets/{name}          dataset metadata
 //	GET  /v1/datasets/{name}/snapshot columnar snapshot bytes (Range-capable)
 //	POST /v1/datasets/{name}/uploads  start a chunked upload session {"size":N}
@@ -58,6 +59,8 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"expvar"
@@ -65,6 +68,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 
@@ -107,7 +111,8 @@ type Server struct {
 	jobExecWrap func(jobs.Executor) jobs.Executor
 
 	// snaps owns the columnar snapshot files backing every registered
-	// dataset; the WAL holds only refs (see store.Snapshots).
+	// dataset, named by content digest; the WAL holds only name refs (see
+	// store.Snapshots).
 	snaps *store.Snapshots
 	// uploadDir holds chunked-upload spill files (see upload.go).
 	uploadDir string
@@ -117,19 +122,23 @@ type Server struct {
 	// hot paths).
 	cluster *cluster.Cluster
 
-	mu       sync.RWMutex
+	mu sync.RWMutex
+	// datasets maps each dataset name to the mapping of the content it
+	// holds.
 	datasets map[string]*dataset.Dataset
+	// contents maps a content digest to its one mapping. It keeps every
+	// content registered in this process, including what a name held
+	// before it was replaced or deleted, so a job pinned to that digest
+	// still runs it. Audit handlers and job workers hold *Dataset pointers
+	// across long runs without the lock, so a mapping no name serves is
+	// unmapped at Shutdown, after the drain, never earlier; address space
+	// is the only cost of keeping it.
+	contents map[string]*dataset.Dataset
 	sessions map[string]*uploadSession
 	// monitors are the live continuous-audit watches (see monitors.go).
 	monitors map[string]*serverMonitor
 	// hydrating guards per-dataset snapshot hydration (cluster.go).
 	hydrating map[string]bool
-	// retired holds mmap-backed datasets that were replaced or deleted.
-	// They are closed at Shutdown, not at retire time: audit handlers and
-	// job workers hold *Dataset pointers across long runs without the lock,
-	// and unmapping under them would fault. Address space is the only cost
-	// of keeping a retired mapping until drain.
-	retired []io.Closer
 }
 
 // ServerOption configures a Server.
@@ -155,11 +164,12 @@ func WithJobQueueLimit(n int) ServerOption {
 // columnar snapshot files next to the WAL and are reopened memory-mapped,
 // so boot cost and resident memory stay independent of population size.
 // Legacy databases that inlined dataset bytes as WAL values are migrated
-// to snapshot files on first boot.
+// to snapshot files on first boot, through the path every upload takes.
 func New(db *store.DB, opts ...ServerOption) (*Server, error) {
 	s := &Server{
 		db:        db,
 		datasets:  map[string]*dataset.Dataset{},
+		contents:  map[string]*dataset.Dataset{},
 		sessions:  map[string]*uploadSession{},
 		monitors:  map[string]*serverMonitor{},
 		hydrating: map[string]bool{},
@@ -185,37 +195,29 @@ func New(db *store.DB, opts ...ServerOption) (*Server, error) {
 	if err := os.MkdirAll(s.uploadDir, 0o755); err != nil {
 		return nil, fmt.Errorf("server: upload dir: %w", err)
 	}
-	// Migrate pre-snapshot databases: decode each inlined dataset record
-	// once, write it out as a snapshot file, and drop the fat WAL value.
+	if _, err := snaps.Sweep(); err != nil {
+		return nil, fmt.Errorf("server: snapshot sweep: %w", err)
+	}
+	if err := s.reloadDatasets(); err != nil {
+		return nil, fmt.Errorf("server: %w", err)
+	}
+	// Migrate pre-snapshot databases: register each dataset inlined as a
+	// legacy binary WAL value like an upload, then drop the fat value.
 	for _, name := range db.Keys(bucketDatasets) {
 		raw, ok := db.Get(bucketDatasets, name)
 		if !ok {
 			continue
 		}
 		ds, err := dataset.ReadBinary(bytes.NewReader(raw))
+		if err == nil {
+			err = s.PutDataset(name, ds)
+		}
+		if err == nil {
+			err = db.Delete(bucketDatasets, name)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("server: migrate dataset %q: %w", name, err)
 		}
-		if _, err := snaps.Save(name, ds.WriteSnapshot); err != nil {
-			return nil, fmt.Errorf("server: migrate dataset %q: %w", name, err)
-		}
-		if err := db.Delete(bucketDatasets, name); err != nil {
-			return nil, fmt.Errorf("server: migrate dataset %q: %w", name, err)
-		}
-	}
-	if _, err := snaps.Sweep(); err != nil {
-		return nil, fmt.Errorf("server: snapshot sweep: %w", err)
-	}
-	for _, name := range snaps.Names() {
-		path, ok := snaps.Path(name)
-		if !ok {
-			continue
-		}
-		ds, err := dataset.OpenSnapshot(path)
-		if err != nil {
-			return nil, fmt.Errorf("server: reload dataset %q: %w", name, err)
-		}
-		s.datasets[name] = ds
 	}
 	if err := s.reloadUploads(); err != nil {
 		return nil, fmt.Errorf("server: reload uploads: %w", err)
@@ -247,8 +249,8 @@ func (s *Server) Jobs() *jobs.Queue { return s.jobs }
 // worker pool drains until ctx expires, and whatever remains is parked
 // durably for the next process. The HTTP listener is owned by the caller
 // (cmd/fairserve) and must be shut down first so no new jobs arrive.
-// Retired dataset mappings — replaced or deleted while audits may still
-// have been reading them — are unmapped here, after the drain.
+// Mappings no name serves any more — replaced or deleted while audits may
+// still have been reading them — are unmapped here, after the drain.
 func (s *Server) Shutdown(ctx context.Context) error {
 	// The cluster loop goes first: no more steals, forwards, or
 	// hydrations may touch the queue or the dataset table mid-drain.
@@ -257,24 +259,126 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	err := s.jobs.Shutdown(ctx)
 	s.mu.Lock()
-	retired := s.retired
-	s.retired = nil
-	s.mu.Unlock()
-	for _, c := range retired {
-		c.Close()
+	defer s.mu.Unlock()
+	served := map[*dataset.Dataset]bool{}
+	for _, ds := range s.datasets {
+		served[ds] = true
+	}
+	for digest, ds := range s.contents {
+		if !served[ds] {
+			ds.Close()
+			delete(s.contents, digest)
+		}
 	}
 	return err
 }
 
-// registerDataset swaps name's live dataset to ds, retiring (not closing)
-// any previous mapping.
-func (s *Server) registerDataset(name string, ds *dataset.Dataset) {
+// errInvalidSnapshot marks registered bytes that do not open as a
+// columnar snapshot: the client's fault, not the server's.
+var errInvalidSnapshot = errors.New("uploaded snapshot invalid")
+
+// register is the one way a dataset arrives: snapshot and CSV uploads,
+// chunked sessions, peer hydration, the legacy migration and PutDataset
+// all end here. It maps the complete snapshot file at spill once, hashes
+// that mapping once, moves the file into the snapshot store under its
+// digest, and serves the same mapping under name. The spill is consumed
+// either way.
+func (s *Server) register(name, spill string) (*dataset.Dataset, error) {
+	ds, err := dataset.OpenSnapshot(spill)
+	if err != nil {
+		os.Remove(spill)
+		return nil, fmt.Errorf("%w: %w", errInvalidSnapshot, err)
+	}
+	digest := digestOf(ds)
+	// The stored ref and the served table change under one lock, so
+	// concurrent registrations of a name cannot leave them disagreeing.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if old, ok := s.datasets[name]; ok {
-		s.retired = append(s.retired, old)
+	if err := s.snaps.Adopt(name, digest, spill); err != nil {
+		ds.Close()
+		os.Remove(spill)
+		return nil, err
+	}
+	return s.serveLocked(name, digest, ds), nil
+}
+
+// PutDataset stores ds as dataset name, replacing any dataset of that
+// name, through the path every upload takes: ds is written out as a
+// columnar snapshot spill and registered.
+func (s *Server) PutDataset(name string, ds *dataset.Dataset) error {
+	path, err := s.spill(ds.WriteSnapshot)
+	if err == nil {
+		_, err = s.register(name, path)
+	}
+	return err
+}
+
+// spill writes a new file in the upload directory through write and
+// syncs it, the form register takes. On error no file is left.
+func (s *Server) spill(write func(io.Writer) error) (string, error) {
+	f, err := os.CreateTemp(s.uploadDir, "put-*")
+	if err != nil {
+		return "", err
+	}
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return "", err
+	}
+	return f.Name(), nil
+}
+
+// serveLocked points name at the content digest, mapped by ds unless
+// contents already maps it; then ds is closed and the existing mapping
+// serves. It returns the serving mapping. Callers hold s.mu.
+func (s *Server) serveLocked(name, digest string, ds *dataset.Dataset) *dataset.Dataset {
+	if have, ok := s.contents[digest]; ok {
+		ds.Close()
+		ds = have
+	} else {
+		s.contents[digest] = ds
 	}
 	s.datasets[name] = ds
+	return ds
+}
+
+// reloadDatasets maps every stored snapshot at boot and serves it under
+// its name. A ref's stored digest seeds its mapping's, so boot hashes
+// nothing again; a ref written before refs carried a digest is hashed
+// once here and rewritten with it.
+func (s *Server) reloadDatasets() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for name, ref := range s.snaps.Refs() {
+		ds, err := dataset.OpenSnapshot(filepath.Join(s.snaps.Dir(), ref.File))
+		if err != nil {
+			return fmt.Errorf("reload dataset %q: %w", name, err)
+		}
+		if sum, err := hex.DecodeString(ref.Digest); err == nil && len(sum) == sha256.Size {
+			ds.SeedDigest([sha256.Size]byte(sum))
+		} else {
+			ref.Digest = digestOf(ds)
+			if err := s.snaps.SetDigest(name, ref.Digest); err != nil {
+				ds.Close()
+				return fmt.Errorf("reload dataset %q: %w", name, err)
+			}
+		}
+		s.serveLocked(name, ref.Digest, ds)
+	}
+	return nil
+}
+
+// digestOf is ds's content digest in hex: its key in Server.contents, its
+// snapshot file's name and what a job auditing it pins.
+func digestOf(ds *dataset.Dataset) string {
+	sum := ds.Digest()
+	return hex.EncodeToString(sum[:])
 }
 
 // Handler returns the HTTP handler with all routes mounted. Every route
@@ -455,98 +559,67 @@ func (s *Server) handleUploadDataset(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, errors.New("dataset name required"))
 		return
 	}
-	ct := r.Header.Get("Content-Type")
-	if ct == contentTypeSnapshot {
-		s.uploadSnapshotOneShot(w, r, name)
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxUploadBytes+1))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(body) > maxUploadBytes {
-		writeErr(w, http.StatusRequestEntityTooLarge, errors.New("upload exceeds size limit"))
-		return
-	}
 	var ds *dataset.Dataset
-	switch ct {
+	var err error
+	switch ct := r.Header.Get("Content-Type"); ct {
+	case contentTypeSnapshot:
+		spill, ok := s.spillBody(w, r)
+		if !ok {
+			return
+		}
+		ds, err = s.register(name, spill)
 	case "text/csv":
+		body, rerr := io.ReadAll(io.LimitReader(r.Body, maxUploadBytes+1))
+		switch {
+		case rerr != nil:
+			writeErr(w, http.StatusBadRequest, rerr)
+			return
+		case len(body) > maxUploadBytes:
+			writeErr(w, http.StatusRequestEntityTooLarge, errors.New("upload exceeds size limit"))
+			return
+		}
 		ds, err = dataset.ReadCSV(bytes.NewReader(body), simulate.PaperSchema())
-	case "application/octet-stream", "":
-		ds, err = dataset.ReadBinary(bytes.NewReader(body))
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return
+		}
+		// describe reads only the size and schema, which the parsed copy
+		// shares with the stored mapping.
+		err = s.PutDataset(name, ds)
 	default:
 		writeErr(w, http.StatusUnsupportedMediaType,
-			fmt.Errorf("content type %q (want text/csv, application/octet-stream or %s)", ct, contentTypeSnapshot))
+			fmt.Errorf("content type %q (want text/csv or %s)", ct, contentTypeSnapshot))
 		return
 	}
-	if err != nil {
+	switch {
+	case errors.Is(err, errInvalidSnapshot):
 		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	// Persist as a columnar snapshot file whatever the upload format, then
-	// serve the mapped view; the decoded heap copy dies with this request.
-	path, err := s.snaps.Save(name, ds.WriteSnapshot)
-	if err != nil {
+	case err != nil:
 		writeErr(w, http.StatusInternalServerError, err)
-		return
+	default:
+		writeJSON(w, http.StatusCreated, describe(name, ds))
 	}
-	mapped, err := dataset.OpenSnapshot(path)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.registerDataset(name, mapped)
-	writeJSON(w, http.StatusCreated, describe(name, mapped))
 }
 
-// uploadSnapshotOneShot ingests a whole snapshot body in one request,
-// spilling to disk as it arrives. For resumable transfers use the chunked
-// session routes (upload.go); the validate-adopt-register tail is shared.
-func (s *Server) uploadSnapshotOneShot(w http.ResponseWriter, r *http.Request, name string) {
-	tmp, err := os.CreateTemp(s.uploadDir, "oneshot-*")
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	spill := tmp.Name()
-	n, err := io.Copy(tmp, io.LimitReader(r.Body, maxUploadBytes+1))
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(spill)
+// spillBody streams a body of at most maxUploadBytes into a spill and
+// returns its path. On failure it answers the request itself and reports
+// false.
+func (s *Server) spillBody(w http.ResponseWriter, r *http.Request) (string, bool) {
+	var n int64
+	path, err := s.spill(func(f io.Writer) (err error) {
+		n, err = io.Copy(f, io.LimitReader(r.Body, maxUploadBytes+1))
+		return err
+	})
+	switch {
+	case err != nil:
 		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if n > maxUploadBytes {
-		os.Remove(spill)
+	case n > maxUploadBytes:
+		os.Remove(path)
 		writeErr(w, http.StatusRequestEntityTooLarge, errors.New("upload exceeds size limit"))
-		return
+	default:
+		return path, true
 	}
-	probe, err := dataset.OpenSnapshot(spill)
-	if err != nil {
-		os.Remove(spill)
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("uploaded snapshot invalid: %w", err))
-		return
-	}
-	probe.Close()
-	path, err := s.snaps.Adopt(name, spill)
-	if err != nil {
-		os.Remove(spill)
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	mapped, err := dataset.OpenSnapshot(path)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.registerDataset(name, mapped)
-	writeJSON(w, http.StatusCreated, describe(name, mapped))
+	return "", false
 }
 
 func (s *Server) handleGetDataset(w http.ResponseWriter, r *http.Request) {
@@ -591,9 +664,8 @@ func (s *Server) handleDeleteDataset(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	// Retire rather than close: an in-flight audit may still be reading
-	// the mapping (see Server.retired).
-	s.retired = append(s.retired, s.datasets[name])
+	// The mapping stays in s.contents: an in-flight audit may still be
+	// reading it, and a job pinned to its digest still runs it.
 	delete(s.datasets, name)
 	w.WriteHeader(http.StatusNoContent)
 }

@@ -16,6 +16,7 @@ import (
 
 	"fairrank/internal/cluster"
 	"fairrank/internal/core"
+	"fairrank/internal/dataset"
 	"fairrank/internal/jobs"
 	"fairrank/internal/rerank"
 	"fairrank/internal/simulate"
@@ -45,11 +46,18 @@ func uploadDataset(t *testing.T, ts *httptest.Server, name string, n int) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	uploadSnapshot(t, ts, name, ds)
+}
+
+// uploadSnapshot uploads ds as name in one snapshot request and requires
+// a 201.
+func uploadSnapshot(t testing.TB, ts *httptest.Server, name string, ds *dataset.Dataset) {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := ds.WriteBinary(&buf); err != nil {
+	if err := ds.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/v1/datasets/"+name, "application/octet-stream", &buf)
+	resp, err := http.Post(ts.URL+"/v1/datasets/"+name, contentTypeSnapshot, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +204,7 @@ func TestDatasetUploadCSV(t *testing.T) {
 
 func TestDatasetUploadErrors(t *testing.T) {
 	_, ts, _ := newTestServer(t)
-	resp, err := http.Post(ts.URL+"/v1/datasets/x", "application/octet-stream",
+	resp, err := http.Post(ts.URL+"/v1/datasets/x", contentTypeSnapshot,
 		strings.NewReader("not a snapshot"))
 	if err != nil {
 		t.Fatal(err)
@@ -205,13 +213,17 @@ func TestDatasetUploadErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("garbage upload = %d", resp.StatusCode)
 	}
-	resp, err = http.Post(ts.URL+"/v1/datasets/x", "application/xml", strings.NewReader("<x/>"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnsupportedMediaType {
-		t.Fatalf("bad content type = %d", resp.StatusCode)
+	// Only CSV and snapshot bodies register: octet-stream (the legacy
+	// binary format) and an untyped body are refused like any other type.
+	for _, ct := range []string{"application/xml", "application/octet-stream", ""} {
+		resp, err = http.Post(ts.URL+"/v1/datasets/x", ct, strings.NewReader("<x/>"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnsupportedMediaType {
+			t.Fatalf("content type %q = %d", ct, resp.StatusCode)
+		}
 	}
 }
 

@@ -12,10 +12,10 @@
 // io.Copy buffer per request, regardless of dataset size. Received ranges
 // are merged and persisted in the WAL after each chunk's bytes are synced,
 // so a client can resume across both its own interruptions and server
-// restarts. When the byte coverage closes, the spill is validated as a
-// columnar snapshot (dataset.OpenSnapshot), adopted into the snapshot
-// store, and registered as a live mmap-backed dataset — the columns never
-// transit the heap.
+// restarts. When the byte coverage closes, the spill is registered like
+// every other upload (Server.register): mapped and validated once, hashed
+// once, adopted into the snapshot store under its content digest and
+// served from that same mapping — the columns never transit the heap.
 package server
 
 import (
@@ -32,8 +32,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"fairrank/internal/dataset"
 )
 
 const (
@@ -275,55 +273,65 @@ func (s *Server) handleCreateUpload(w http.ResponseWriter, r *http.Request) {
 	for _, spill := range stale {
 		os.Remove(spill)
 	}
+	sess, err := s.newSession(name, req.Size, "")
+	switch {
+	case errors.Is(err, errTooManySessions):
+		writeErr(w, http.StatusTooManyRequests, err)
+	case err != nil:
+		writeErr(w, http.StatusInternalServerError, err)
+	default:
+		s.mu.RLock()
+		st := sess.status()
+		s.mu.RUnlock()
+		writeJSON(w, http.StatusCreated, st)
+	}
+}
+
+// errTooManySessions is the cap on concurrent upload sessions.
+var errTooManySessions = errors.New("too many concurrent upload sessions")
+
+// newSession creates and registers an upload session of size bytes for
+// dataset name: client uploads and, with source naming the peer, cluster
+// hydrations. Its spill is preallocated at full size so offset writes
+// never extend the file and a restart can distinguish "spill intact" from
+// "spill lost".
+func (s *Server) newSession(name string, size int64, source string) (*uploadSession, error) {
 	token, err := newUploadToken()
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
+		return nil, err
 	}
 	sess := &uploadSession{
 		Token:   token,
 		Dataset: name,
-		Size:    req.Size,
+		Size:    size,
 		File:    "spill-" + token,
+		Source:  source,
 		Updated: time.Now().Unix(),
 	}
-	// Preallocate the spill at full size so offset writes never extend the
-	// file and a restart can distinguish "spill intact" from "spill lost".
 	f, err := os.OpenFile(sess.spillPath(s.uploadDir), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
+		return nil, err
 	}
-	if err := f.Truncate(sess.Size); err != nil {
-		f.Close()
-		writeErr(w, http.StatusInternalServerError, err)
-		return
+	err = f.Truncate(size)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	// Cap check and insert are one atomic step, so concurrent creates
-	// cannot race past the limit between a check and an insert.
-	s.mu.Lock()
-	if len(s.sessions) >= maxUploadSessions {
-		s.mu.Unlock()
-		os.Remove(sess.spillPath(s.uploadDir))
-		writeErr(w, http.StatusTooManyRequests, errors.New("too many concurrent upload sessions"))
-		return
-	}
-	err = s.persistSession(sess)
 	if err == nil {
-		s.sessions[token] = sess
+		// Cap check and insert are one atomic step, so concurrent creates
+		// cannot race past the limit between a check and an insert.
+		s.mu.Lock()
+		if len(s.sessions) >= maxUploadSessions {
+			err = errTooManySessions
+		} else if err = s.persistSession(sess); err == nil {
+			s.sessions[token] = sess
+		}
+		s.mu.Unlock()
 	}
-	st := sess.status()
-	s.mu.Unlock()
 	if err != nil {
 		os.Remove(sess.spillPath(s.uploadDir))
-		writeErr(w, http.StatusInternalServerError, err)
-		return
+		return nil, err
 	}
-	writeJSON(w, http.StatusCreated, st)
+	return sess, nil
 }
 
 // expireSessionsLocked closes and unregisters sessions idle for longer
@@ -507,9 +515,8 @@ func (s *Server) finalizeUpload(w http.ResponseWriter, sess *uploadSession) {
 	writeJSON(w, status, info)
 }
 
-// completeSession validates a fully-received spill as a columnar
-// snapshot, adopts it into the snapshot store, and registers the
-// mmap-backed dataset. Shared tail of client chunk uploads and cluster
+// completeSession registers a fully-received spill (register: validate,
+// hash, adopt, serve). Shared tail of client chunk uploads and cluster
 // snapshot hydration. The session is consumed either way: a corrupt
 // transfer is discarded rather than left around to re-fail forever. The
 // caller must have set sess.closed under s.mu, electing itself the only
@@ -518,38 +525,20 @@ func (s *Server) completeSession(sess *uploadSession) (datasetInfo, int, error) 
 	// Drain straggling chunk writes (duplicate retries of ranges other
 	// chunks already covered). closed is set, so no new writer can start:
 	// after Wait the spill is quiescent, and whatever those writers left
-	// behind is exactly what OpenSnapshot validates below.
+	// behind is exactly what register validates below.
 	sess.writers.Wait()
-	spill := sess.spillPath(s.uploadDir)
-	dropSession := func() {
-		s.mu.Lock()
-		delete(s.sessions, sess.Token)
-		s.db.Delete(bucketUploads, sess.Token)
-		s.mu.Unlock()
-	}
-	// Probe-validate, then unmap: Adopt renames the file and the snapshot
-	// store must own the only live view of its final path.
-	probe, err := dataset.OpenSnapshot(spill)
-	if err != nil {
-		dropSession()
-		os.Remove(spill)
-		return datasetInfo{}, http.StatusUnprocessableEntity, fmt.Errorf("uploaded snapshot invalid: %w", err)
-	}
-	probe.Close()
-	path, err := s.snaps.Adopt(sess.Dataset, spill)
-	if err != nil {
-		dropSession()
-		os.Remove(spill)
+	ds, err := s.register(sess.Dataset, sess.spillPath(s.uploadDir))
+	s.mu.Lock()
+	delete(s.sessions, sess.Token)
+	s.db.Delete(bucketUploads, sess.Token)
+	s.mu.Unlock()
+	switch {
+	case errors.Is(err, errInvalidSnapshot):
+		return datasetInfo{}, http.StatusUnprocessableEntity, err
+	case err != nil:
 		return datasetInfo{}, http.StatusInternalServerError, err
 	}
-	mapped, err := dataset.OpenSnapshot(path)
-	if err != nil {
-		dropSession()
-		return datasetInfo{}, http.StatusInternalServerError, err
-	}
-	s.registerDataset(sess.Dataset, mapped)
-	dropSession()
-	return describe(sess.Dataset, mapped), http.StatusCreated, nil
+	return describe(sess.Dataset, ds), http.StatusCreated, nil
 }
 
 func (s *Server) handleUploadStatus(w http.ResponseWriter, r *http.Request) {

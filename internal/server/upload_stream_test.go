@@ -2,15 +2,18 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
+	"fairrank/internal/jobs"
 	"fairrank/internal/simulate"
 	"fairrank/internal/store"
 )
@@ -289,42 +292,64 @@ func TestUploadSnapshotOneShot(t *testing.T) {
 	assertDatasetWorkers(t, ts, "one", 50)
 }
 
-// TestJobBySnapshotReference: an async job can name a stored snapshot
-// instead of a registered dataset; the worker opens a private mapping for
-// the run and the result records which snapshot it audited.
+// TestJobBySnapshotReference: a submitted spec names a dataset, never a
+// snapshot, and never pins content itself — a "snapshot" or "digest" key
+// answers 400. A job recorded while specs could name a snapshot recovers
+// as a job on the dataset of that name; without a pinned digest it runs
+// whatever the name holds when it runs.
 func TestJobBySnapshotReference(t *testing.T) {
-	_, ts, _ := newTestServer(t)
-	uploadDataset(t, ts, "demo", 60)
-	resp, body := postJSON(t, ts.URL+"/v1/jobs", map[string]any{
-		"snapshot": "demo",
-		"weights":  map[string]float64{"LanguageTest": 1, "ApprovalRate": 2},
-	})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit by snapshot: %d (%s)", resp.StatusCode, body)
-	}
-	var j struct{ ID string }
-	if err := json.Unmarshal(body, &j); err != nil {
+	path := filepath.Join(t.TempDir(), "srv.db")
+	db, err := store.Open(path, store.Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	done := waitJobHTTP(t, ts.URL, j.ID, "done")
-	var res jobResult
-	if err := json.Unmarshal(done.Result, &res); err != nil {
+	s, err := New(db)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Snapshot != "demo" || res.Dataset != "" {
-		t.Fatalf("result provenance %+v, want snapshot=demo", res)
+	putDataset(t, s, "demo", 60)
+	ts := httptest.NewServer(s.Handler())
+	weights := map[string]float64{"LanguageTest": 1, "ApprovalRate": 2}
+	for _, spec := range []map[string]any{
+		{"snapshot": "demo", "weights": weights},
+		{"dataset": "demo", "digest": "", "weights": weights},
+	} {
+		if resp, body := postJSON(t, ts.URL+"/v1/jobs", spec); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("submit %v: %d (%s), want 400", spec, resp.StatusCode, body)
+		}
 	}
-	if len(res.Partitions) == 0 {
-		t.Fatal("snapshot job produced no partitions")
+	want := runJob(t, ts.URL, map[string]any{"dataset": "demo", "weights": weights})
+	ts.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
 	}
+	db.Close()
 
-	// An unknown snapshot fails fast at submission.
-	resp, body = postJSON(t, ts.URL+"/v1/jobs", map[string]any{
-		"snapshot": "no-such",
-		"weights":  map[string]float64{"LanguageTest": 1},
-	})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown snapshot: %d (%s)", resp.StatusCode, body)
+	db2, err := store.Open(path, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db2.Close() })
+	legacy := `{"id":"job-000100","spec_hash":"legacy-key","spec":{"snapshot":"demo",` +
+		`"weights":{"LanguageTest":1,"ApprovalRate":2}},"priority":0,"state":"queued",` +
+		`"attempt":0,"max_attempts":3,"enqueued_at":"2026-01-02T03:04:05Z"}`
+	if err := db2.Put("jobs", "job-000100", []byte(legacy)); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := New(db2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(s2.Handler())
+	t.Cleanup(ts2.Close)
+	done := waitJobHTTP(t, ts2.URL, "job-000100", jobs.StateDone)
+	if done.Spec.Dataset != "demo" || done.Spec.Digest != "" {
+		t.Fatalf("recovered spec %+v, want dataset demo and no digest", done.Spec)
+	}
+	if !bytes.Equal(done.Result, want.Result) {
+		t.Fatalf("recovered result %s, want %s", done.Result, want.Result)
 	}
 }
 

@@ -3,32 +3,38 @@ package store
 import (
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 )
 
-// Snapshots manages columnar dataset snapshot files alongside a DB. The
-// WAL stays small — it holds only JSON refs (name → file, size) in the
-// bucketSnapshots bucket — while the column data lives in ordinary files
-// under dir, sized for mmap rather than for the log's record limit. This
-// replaces the old scheme of inlining whole binary datasets as WAL values,
-// which both bloated replay and capped datasets at maxRecordSize.
+// Snapshots manages columnar dataset snapshot files alongside a DB. Files
+// are named by content: a snapshot lives in <digest>.snap, where digest is
+// the hex SHA-256 content digest its caller computed
+// (dataset.Dataset.Digest). The WAL stays small — it holds one JSON ref per
+// dataset name (name → digest, file, size) in the bucketSnapshots bucket —
+// while the column data lives in ordinary files under dir, sized for mmap
+// rather than for the log's record limit. Identical content registered
+// under two names is one file, removed when the last ref naming it goes.
 //
-// Crash safety is temp+rename: a snapshot file becomes visible under its
-// final name only when fully written and fsynced, and the WAL ref is
-// written after the rename. The only crash residue is an unreferenced
-// file, which Sweep removes at boot.
+// Crash safety: a file reaches its final name complete and fsynced, the
+// directory is fsynced before the ref naming it is written, and a file is
+// removed only after the last ref naming it is gone. The only crash
+// residue is an unreferenced file, which Sweep removes at boot.
 const bucketSnapshots = "snapshots"
 
-// SnapshotRef is the WAL-resident record describing one snapshot file.
+// SnapshotRef is the WAL-resident record describing one dataset name.
 type SnapshotRef struct {
 	// Name is the logical dataset name.
 	Name string `json:"name"`
-	// File is the snapshot's filename within the manager's directory.
+	// Digest is the hex content digest of the file. Refs written before
+	// files were named by content lack it until their first boot hashes
+	// the file once (SetDigest).
+	Digest string `json:"digest,omitempty"`
+	// File is the snapshot's filename within the manager's directory:
+	// <Digest>.snap, or the name-derived file a ref written before
+	// content naming still points at.
 	File string `json:"file"`
 	// Size is the file's byte length at registration.
 	Size int64 `json:"size"`
@@ -53,117 +59,119 @@ func NewSnapshots(db *DB, dir string) (*Snapshots, error) {
 // Dir returns the directory holding the snapshot files.
 func (s *Snapshots) Dir() string { return s.dir }
 
-// fileFor derives a filesystem-safe, collision-free filename for a logical
-// name: unsafe runes are flattened to '_' and a checksum of the raw name
-// keeps distinct names distinct after flattening.
-func fileFor(name string) string {
-	var b strings.Builder
-	for _, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_', r == '.':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
+// Adopt registers the complete snapshot file at srcPath, whose content
+// digest is digest, under name, and consumes srcPath. Content a ref
+// already names is not stored twice: the ref points at the existing file
+// and srcPath is removed. Otherwise srcPath is renamed to <digest>.snap —
+// it must lie on the directory's file system, as the server's upload
+// spills do — and the rename is durable before the ref is written. The
+// file name pointed at before is removed once no ref names it. Callers
+// validate srcPath first (dataset.OpenSnapshot succeeds on it).
+func (s *Snapshots) Adopt(name, digest, srcPath string) error {
+	if name == "" || digest == "" {
+		return fmt.Errorf("store: snapshot needs a name and a digest")
 	}
-	return fmt.Sprintf("%s-%08x.snap", b.String(), crc32.ChecksumIEEE([]byte(name)))
-}
-
-// Save streams a new snapshot for name through write into a temp file,
-// fsyncs, renames it into place, and registers the ref. An existing
-// snapshot under the same name is replaced; its old file is removed. The
-// final path is returned.
-func (s *Snapshots) Save(name string, write func(io.Writer) error) (string, error) {
-	if name == "" {
-		return "", fmt.Errorf("store: empty snapshot name")
-	}
-	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
-	if err != nil {
-		return "", fmt.Errorf("store: snapshot temp: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after successful rename
-	if err := write(tmp); err != nil {
-		tmp.Close()
-		return "", err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return "", fmt.Errorf("store: snapshot sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return "", fmt.Errorf("store: snapshot close: %w", err)
-	}
-	return s.adoptFile(name, tmp.Name())
-}
-
-// Adopt registers an already-written snapshot file (e.g. a finalized
-// streaming-upload spill) under name, moving it into the manager's
-// directory. The source file must be complete; callers are expected to
-// have validated it (dataset.OpenSnapshot succeeds) first.
-func (s *Snapshots) Adopt(name, srcPath string) (string, error) {
-	if name == "" {
-		return "", fmt.Errorf("store: empty snapshot name")
-	}
-	return s.adoptFile(name, srcPath)
-}
-
-func (s *Snapshots) adoptFile(name, srcPath string) (string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	file := fileFor(name)
-	final := filepath.Join(s.dir, file)
-	if err := rename(srcPath, final); err != nil {
-		return "", fmt.Errorf("store: snapshot rename: %w", err)
+	refs := s.Refs()
+	old, replaced := refs[name]
+	ref := SnapshotRef{Name: name, Digest: digest, File: digest + ".snap"}
+	stored := false
+	for _, r := range refs {
+		if r.Digest == digest {
+			ref.File, ref.Size, stored = r.File, r.Size, true
+			break
+		}
 	}
-	st, err := os.Stat(final)
-	if err != nil {
-		return "", fmt.Errorf("store: snapshot stat: %w", err)
+	if !stored {
+		final := filepath.Join(s.dir, ref.File)
+		if err := os.Rename(srcPath, final); err != nil {
+			return fmt.Errorf("store: snapshot rename: %w", err)
+		}
+		st, err := os.Stat(final)
+		if err != nil {
+			return fmt.Errorf("store: snapshot stat: %w", err)
+		}
+		ref.Size = st.Size()
+		// The rename must survive a crash before a ref may name its target.
+		if err := syncDir(s.dir); err != nil {
+			return fmt.Errorf("store: snapshot dir sync: %w", err)
+		}
 	}
-	// Fsync the directory so the rename itself survives a crash.
-	if d, err := os.Open(s.dir); err == nil {
-		d.Sync()
-		d.Close()
+	if err := s.put(ref); err != nil {
+		return err
 	}
-	raw, err := json.Marshal(SnapshotRef{Name: name, File: file, Size: st.Size()})
-	if err != nil {
-		return "", err
+	if stored {
+		// A leftover duplicate is upload-spill residue, swept at boot.
+		os.Remove(srcPath)
 	}
-	if err := s.db.Put(bucketSnapshots, name, raw); err != nil {
-		return "", err
+	if replaced {
+		refs[name] = ref
+		// The ref is durable; an orphan a failed remove leaves is swept at
+		// boot.
+		_ = s.removeUnnamed(refs, old.File)
 	}
-	return final, nil
+	return nil
 }
 
-// rename moves src to dst, falling back to copy+remove across filesystems
-// (a spill directory on another mount).
-func rename(src, dst string) error {
-	if err := os.Rename(src, dst); err == nil {
-		return nil
+// SetDigest records the content digest of a ref written before refs
+// carried one, in one WAL put. The file keeps its name, so no crash window
+// opens.
+func (s *Snapshots) SetDigest(name, digest string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ref, ok := s.Ref(name)
+	if !ok {
+		return fmt.Errorf("store: no snapshot %q", name)
 	}
-	in, err := os.Open(src)
+	ref.Digest = digest
+	return s.put(ref)
+}
+
+func (s *Snapshots) put(ref SnapshotRef) error {
+	raw, err := json.Marshal(ref)
 	if err != nil {
 		return err
 	}
-	defer in.Close()
-	out, err := os.Create(dst)
+	return s.db.Put(bucketSnapshots, ref.Name, raw)
+}
+
+// Refs returns every registered ref by name.
+func (s *Snapshots) Refs() map[string]SnapshotRef {
+	out := map[string]SnapshotRef{}
+	for _, name := range s.db.Keys(bucketSnapshots) {
+		if ref, ok := s.Ref(name); ok {
+			out[name] = ref
+		}
+	}
+	return out
+}
+
+// removeUnnamed removes file unless a ref in refs names it. Callers hold
+// s.mu.
+func (s *Snapshots) removeUnnamed(refs map[string]SnapshotRef, file string) error {
+	for _, r := range refs {
+		if r.File == file {
+			return nil
+		}
+	}
+	if err := os.Remove(filepath.Join(s.dir, file)); err != nil && !os.IsNotExist(err) {
+		return err
+	}
+	return nil
+}
+
+// syncDir fsyncs a directory, making the renames into it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
-	if _, err := io.Copy(out, in); err != nil {
-		out.Close()
-		os.Remove(dst)
-		return err
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
 	}
-	if err := out.Sync(); err != nil {
-		out.Close()
-		os.Remove(dst)
-		return err
-	}
-	if err := out.Close(); err != nil {
-		os.Remove(dst)
-		return err
-	}
-	return os.Remove(src)
+	return err
 }
 
 // Ref returns the registered ref for name.
@@ -196,50 +204,34 @@ func (s *Snapshots) Open(name string) (*os.File, SnapshotRef, error) {
 	return f, ref, nil
 }
 
-// Path returns the file path of name's snapshot.
-func (s *Snapshots) Path(name string) (string, bool) {
-	ref, ok := s.Ref(name)
-	if !ok {
-		return "", false
-	}
-	return filepath.Join(s.dir, ref.File), true
-}
-
-// Names returns the registered snapshot names, sorted.
-func (s *Snapshots) Names() []string {
-	return s.db.Keys(bucketSnapshots)
-}
-
-// Delete removes name's ref and file. The ref goes first: a crash between
-// the two leaves an orphan file for Sweep, never a ref pointing nowhere.
+// Delete removes name's ref, then its file unless another ref names the
+// same file. The ref goes first: a crash between the two leaves an orphan
+// file for Sweep, never a ref pointing nowhere.
 func (s *Snapshots) Delete(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ref, ok := s.Ref(name)
+	refs := s.Refs()
+	ref, ok := refs[name]
 	if !ok {
 		return nil
 	}
 	if err := s.db.Delete(bucketSnapshots, name); err != nil {
 		return err
 	}
-	if err := os.Remove(filepath.Join(s.dir, ref.File)); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	return nil
+	delete(refs, name)
+	return s.removeUnnamed(refs, ref.File)
 }
 
 // Sweep removes files in the snapshot directory that no ref points at:
-// crash residue from interrupted Save/Adopt/Delete calls (including stale
-// temp files). It returns the removed filenames. Meant for boot, after the
+// crash residue from interrupted Adopt and Delete calls, and the temp
+// files of older versions. It returns the removed filenames. Meant for boot, after the
 // DB has replayed.
 func (s *Snapshots) Sweep() ([]string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	referenced := map[string]bool{}
-	for _, name := range s.db.Keys(bucketSnapshots) {
-		if ref, ok := s.Ref(name); ok {
-			referenced[ref.File] = true
-		}
+	for _, ref := range s.Refs() {
+		referenced[ref.File] = true
 	}
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
