@@ -28,8 +28,8 @@
 //
 // The library layers as follows (each layer usable on its own):
 //
-//   - histograms and Earth Mover's Distance (plus alternative metrics and a
-//     general min-cost-flow transportation solver);
+//   - histograms and Earth Mover's Distance (closed-form over histograms,
+//     exact over score samples, plus alternative metrics);
 //   - a columnar worker/dataset model with CSV/JSON codecs;
 //   - scoring functions: linear weighted functions and rule-based ones;
 //   - the partitioning machinery and the paper's five algorithms

@@ -397,28 +397,6 @@ func (e *Evaluator) Unfairness(pt *partition.Partitioning) float64 {
 	return e.AvgPairwise(pt.Parts)
 }
 
-// unfairnessCtx is Unfairness with cooperative cancellation, used by the
-// exhaustive solvers so a cancelled search aborts mid-candidate instead of
-// finishing a potentially enormous pairwise evaluation. The value is only
-// meaningful when ctx was not cancelled.
-func (e *Evaluator) unfairnessCtx(ctx context.Context, pt *partition.Partitioning) float64 {
-	if pt == nil {
-		return 0
-	}
-	k := len(pt.Parts)
-	if k < 2 {
-		return 0
-	}
-	reps := make([]*rep, k)
-	for i, p := range pt.Parts {
-		if i&(ctxCheckStride-1) == ctxCheckStride-1 && ctx.Err() != nil {
-			return 0
-		}
-		reps[i] = e.repFor(p)
-	}
-	return e.avgRepsCtx(ctx, reps)
-}
-
 // CacheStats reports cache sizes, used by the ablation benchmarks:
 // distinct partition representations materialized, pair distances held in
 // the shared cache, and total distance computations (cache misses plus

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"fairrank/internal/histogram"
 	"fairrank/internal/partition"
 	"fairrank/internal/rng"
 )
@@ -115,18 +114,20 @@ func Significance(e *Evaluator, pt *partition.Partitioning, rounds int, seed uin
 	observed = e.Unfairness(pt)
 
 	// Flatten group sizes; under the null, scores are exchangeable, so we
-	// shuffle the score column and re-slice it into the same group sizes.
+	// shuffle the worker order and re-slice it into the same group sizes.
 	sizes := make([]int, len(pt.Parts))
 	for i, p := range pt.Parts {
 		sizes[i] = p.Size()
 	}
-	scores := make([]float64, len(e.scores))
-	copy(scores, e.scores)
+	perm := make([]int, len(e.scores))
+	for i := range perm {
+		perm[i] = i
+	}
 	r := rng.New(seed)
 	extreme := 0
 	for round := 0; round < rounds; round++ {
-		r.Shuffle(len(scores), func(i, j int) { scores[i], scores[j] = scores[j], scores[i] })
-		if permutedUnfairness(scores, sizes, e.cfg.Bins, e) >= observed {
+		r.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+		if permutedUnfairness(e, perm, sizes) >= observed {
 			extreme++
 		}
 	}
@@ -135,25 +136,24 @@ func Significance(e *Evaluator, pt *partition.Partitioning, rounds int, seed uin
 }
 
 // permutedUnfairness computes the average pairwise distance of a shuffled
-// score column sliced into consecutive groups of the given sizes.
-func permutedUnfairness(scores []float64, sizes []int, bins int, e *Evaluator) float64 {
-	pmfs := make([][]float64, len(sizes))
-	off := 0
-	for g, n := range sizes {
-		h := histogram.MustNew(bins, 0, 1)
-		for i := off; i < off+n; i++ {
-			h.Add(scores[i])
-		}
-		off += n
-		pmfs[g] = h.PMF()
-	}
-	if len(pmfs) < 2 {
+// worker order sliced into consecutive groups of the given sizes. Each
+// group is built and compared the way the observed partitions are (a PMF,
+// or a sorted sample in Exact mode), so the two sides of the test measure
+// the same quantity.
+func permutedUnfairness(e *Evaluator, perm, sizes []int) float64 {
+	if len(sizes) < 2 {
 		return 0
 	}
+	data := make([][]float64, len(sizes))
+	off := 0
+	for g, n := range sizes {
+		data[g] = e.buildData(perm[off : off+n])
+		off += n
+	}
 	sum, pairs := 0.0, 0
-	for i := 0; i < len(pmfs); i++ {
-		for j := i + 1; j < len(pmfs); j++ {
-			sum += e.dist(pmfs[i], pmfs[j])
+	for i := 0; i < len(data); i++ {
+		for j := i + 1; j < len(data); j++ {
+			sum += e.distOf(data[i], data[j])
 			pairs++
 		}
 	}

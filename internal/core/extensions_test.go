@@ -101,6 +101,33 @@ func TestSignificanceNullNotSignificant(t *testing.T) {
 	}
 }
 
+// Random labels over scores that all fall in one bin: binned mode sees no
+// disparity at all, and Exact mode must see only noise. Exact mode's
+// permutations have to be measured bin-free like its observation, or every
+// shuffle reads 0 against a positive observed value and the test reports
+// p = 1/(rounds+1).
+func TestSignificanceExactModeNull(t *testing.T) {
+	r := rng.New(97)
+	b := dataset.NewBuilder(testSchema())
+	for i := 0; i < 400; i++ {
+		addWorker(b, rng.Pick(r, []string{"Male", "Female"}), "English", 0.1*r.Float64())
+	}
+	ds, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt := &partition.Partitioning{Parts: partition.Split(ds, partition.Root(ds), 0)}
+	for _, exact := range []bool{false, true} {
+		p, obs, err := Significance(mustEval(t, ds, Config{Exact: exact}), pt, 200, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p < 0.02 {
+			t.Errorf("Exact=%v: p = %v (observed %v) for random labels, want not significant", exact, p, obs)
+		}
+	}
+}
+
 func TestSignificanceValidation(t *testing.T) {
 	ds := randomDataset(t, 50, 95)
 	e := mustEval(t, ds, Config{})

@@ -373,13 +373,13 @@ func (e *Evaluator) avgRepsDirect(reps []*rep) float64 {
 	return sum / float64(n)
 }
 
-// unfairnessBounded is unfairnessCtx with branch-and-bound for the
-// exhaustive solvers: when pruning is on and the candidate is large
-// enough, its average is bracketed first, and a candidate whose upper
-// bound is ≤ best is skipped (the solvers keep a candidate only on
-// u > best, and u ≤ hi ≤ best makes that impossible — ties included, so
-// the earliest-wins selection is preserved exactly). skipped=true means
-// the candidate cannot beat best and u is meaningless.
+// unfairnessBounded is Unfairness with cooperative cancellation and
+// branch-and-bound for the exhaustive solvers: when pruning is on and the
+// candidate is large enough, its average is bracketed first, and a
+// candidate whose upper bound is ≤ best is skipped (the solvers keep a
+// candidate only on u > best, and u ≤ hi ≤ best makes that impossible —
+// ties included, so the earliest-wins selection is preserved exactly).
+// skipped=true means the candidate cannot beat best and u is meaningless.
 func (e *Evaluator) unfairnessBounded(ctx context.Context, pt *partition.Partitioning, best float64) (u float64, skipped bool) {
 	if pt == nil {
 		return 0, false

@@ -81,12 +81,14 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 	d := &memSource{
 		schema:       schema,
 		n:            int(n),
-		ids:          make([]string, n),
 		codes:        make([][]uint16, len(schema.Protected)),
 		rawProtected: make([][]float64, len(schema.Protected)),
 		observed:     make([][]float64, len(schema.Observed)),
 	}
-	for i := range d.ids {
+	// The ids grow as they are read, not from the count: each costs at
+	// least two bytes of input, so a corrupt count runs out of input
+	// before the columns below are sized by it.
+	for i := uint32(0); i < n; i++ {
 		var idLen uint16
 		if err := binary.Read(in, binary.LittleEndian, &idLen); err != nil {
 			return nil, fmt.Errorf("%w: id length: %v", ErrCorrupt, err)
@@ -95,7 +97,7 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 		if _, err := io.ReadFull(in, buf); err != nil {
 			return nil, fmt.Errorf("%w: id bytes: %v", ErrCorrupt, err)
 		}
-		d.ids[i] = string(buf)
+		d.ids = append(d.ids, string(buf))
 	}
 	for a, attr := range schema.Protected {
 		d.codes[a] = make([]uint16, n)

@@ -2,8 +2,10 @@ package dataset_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -41,6 +43,26 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 	if got.Digest() != want.Digest() {
 		t.Fatalf("digest %x, want %x", got.Digest(), want.Digest())
+	}
+}
+
+// A worker count far beyond what the stream holds must fail on the
+// missing bytes, not allocate for the claim first: fuzzing found counts
+// near 2^27 that made the reader allocate gigabytes before failing.
+func TestBinaryAbsurdCountAllocatesByInput(t *testing.T) {
+	full := readFixture(t)
+	off := 12 + int(binary.LittleEndian.Uint32(full[8:12])) // magic, schema length, schema
+	head := append([]byte(nil), full[:off+4]...)
+	binary.LittleEndian.PutUint32(head[off:], 1<<22)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := dataset.ReadBinary(bytes.NewReader(head))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, dataset.ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("a %d-byte stream claiming 2^22 workers allocated %d bytes", len(head), got)
 	}
 }
 

@@ -231,88 +231,14 @@ func (d *Dataset) AllIndices() []int {
 	return idx
 }
 
-// Concat returns a new Dataset holding the workers of a followed by the
-// workers of b. The two datasets must have structurally identical schemas
-// (same attributes, kinds, value lists and ranges); this is how cohorts
-// from different sources or time windows are federated for a joint audit.
-//
-// Concat is copy-on-write over the inputs' Sources: it reads their column
-// views and materializes a fully owned in-memory result. The result shares
-// no storage with either input — closing a snapshot-backed input
-// afterwards does not invalidate it, and it stays valid (and owned)
-// regardless of where the inputs' columns lived.
-func Concat(a, b *Dataset) (*Dataset, error) {
-	if a == nil || b == nil {
-		return nil, errors.New("dataset: concat of nil dataset")
-	}
-	if err := sameSchema(a.schema, b.schema); err != nil {
-		return nil, err
-	}
-	n := a.n + b.n
-	src := &memSource{
-		schema:       a.schema.Clone(),
-		n:            n,
-		ids:          make([]string, 0, n),
-		codes:        make([][]uint16, len(a.codes)),
-		rawProtected: make([][]float64, len(a.rawProtected)),
-		observed:     make([][]float64, len(a.observed)),
-	}
-	for i := 0; i < a.n; i++ {
-		src.ids = append(src.ids, a.ID(i))
-	}
-	for i := 0; i < b.n; i++ {
-		src.ids = append(src.ids, b.ID(i))
-	}
-	for i := range a.codes {
-		src.codes[i] = append(append(make([]uint16, 0, n), a.codes[i]...), b.codes[i]...)
-		src.rawProtected[i] = append(append(make([]float64, 0, n), a.rawProtected[i]...), b.rawProtected[i]...)
-	}
-	for i := range a.observed {
-		src.observed[i] = append(append(make([]float64, 0, n), a.observed[i]...), b.observed[i]...)
-	}
-	return FromSource(src)
-}
-
-// sameSchema checks structural equality of two schemas.
-func sameSchema(a, b *Schema) error {
-	if len(a.Protected) != len(b.Protected) || len(a.Observed) != len(b.Observed) {
-		return errors.New("dataset: schemas differ in attribute counts")
-	}
-	check := func(x, y Attribute) error {
-		if x.Name != y.Name || x.Kind != y.Kind || x.Min != y.Min || x.Max != y.Max || x.Buckets != y.Buckets {
-			return fmt.Errorf("dataset: attribute %q differs between schemas", x.Name)
-		}
-		if len(x.Values) != len(y.Values) {
-			return fmt.Errorf("dataset: attribute %q differs in values", x.Name)
-		}
-		for i := range x.Values {
-			if x.Values[i] != y.Values[i] {
-				return fmt.Errorf("dataset: attribute %q differs in values", x.Name)
-			}
-		}
-		return nil
-	}
-	for i := range a.Protected {
-		if err := check(a.Protected[i], b.Protected[i]); err != nil {
-			return err
-		}
-	}
-	for i := range a.Observed {
-		if err := check(a.Observed[i], b.Observed[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Subset returns a new Dataset containing only the workers at the given
 // row indices, in that order. The schema is shared structurally (cloned);
 // duplicate indices are allowed and produce duplicate workers.
 //
-// Like Concat, Subset is copy-on-write over the input's Source: the
-// selected rows are gathered from the column views into fully owned
-// slices, so the result survives a Close of a snapshot-backed input and
-// never aliases mapped memory.
+// Subset is copy-on-write over the input's Source: the selected rows are
+// gathered from the column views into fully owned slices, so the result
+// survives a Close of a snapshot-backed input and never aliases mapped
+// memory.
 func (d *Dataset) Subset(indices []int) (*Dataset, error) {
 	if len(indices) == 0 {
 		return nil, errors.New("dataset: empty subset")

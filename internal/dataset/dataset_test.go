@@ -294,48 +294,6 @@ func TestSubset(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	a := buildOne(t)
-	b := buildOne(t)
-	out, err := Concat(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.N() != 4 {
-		t.Fatalf("N = %d", out.N())
-	}
-	if out.ID(0) != "w1" || out.ID(2) != "w1" {
-		t.Fatal("ids not concatenated in order")
-	}
-	if out.Code(0, 1) != a.Code(0, 1) || out.Code(0, 3) != b.Code(0, 1) {
-		t.Fatal("codes wrong after concat")
-	}
-	if out.Observed(0, 2) != b.Observed(0, 0) {
-		t.Fatal("observed wrong after concat")
-	}
-	// Independence: mutating the concat's schema must not touch inputs.
-	out.Schema().Protected[0].Values[0] = "Mutated"
-	if a.Schema().Protected[0].Values[0] != "Male" {
-		t.Fatal("concat shares schema storage")
-	}
-	// Errors.
-	if _, err := Concat(nil, a); err == nil {
-		t.Error("nil input accepted")
-	}
-	other := &Schema{
-		Protected: []Attribute{Cat("Team", "Red", "Blue")},
-		Observed:  []Attribute{Num("Skill", 0, 1, 1)},
-	}
-	odd, err := NewBuilder(other).
-		Add("x", map[string]any{"Team": "Red"}, map[string]any{"Skill": 0.5}).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Concat(a, odd); err == nil {
-		t.Error("mismatched schemas accepted")
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
 	ds := buildOne(t)
 	var buf strings.Builder

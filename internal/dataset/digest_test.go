@@ -35,7 +35,7 @@ func openMapped(t *testing.T, ds *Dataset) *Dataset {
 
 // TestDigestEqualAcrossBackings: every way of arriving at the same
 // contents — built, decoded from each codec, read or mapped from a
-// snapshot, re-assembled with Subset or Concat — digests the same, and
+// snapshot, re-assembled with Subset — digests the same, and
 // that digest is the SHA-256 of the snapshot stream.
 func TestDigestEqualAcrossBackings(t *testing.T) {
 	base := buildMany(t, 97)
@@ -60,7 +60,6 @@ func TestDigestEqualAcrossBackings(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	half := mapped.N() / 2
 	decode := map[string]func() (*Dataset, error){
 		"builder":  func() (*Dataset, error) { return buildMany(t, 97), nil },
 		"csv":      func() (*Dataset, error) { return ReadCSV(bytes.NewReader(csvBuf.Bytes()), testSchema()) },
@@ -69,17 +68,6 @@ func TestDigestEqualAcrossBackings(t *testing.T) {
 		"mmap":     func() (*Dataset, error) { return openMapped(t, base), nil },
 		"subset of every mapped row": func() (*Dataset, error) {
 			return mapped.Subset(all)
-		},
-		"concat of mapped halves": func() (*Dataset, error) {
-			lo, err := mapped.Subset(all[:half])
-			if err != nil {
-				return nil, err
-			}
-			hi, err := mapped.Subset(all[half:])
-			if err != nil {
-				return nil, err
-			}
-			return Concat(lo, hi)
 		},
 	}
 	for name, mk := range decode {

@@ -271,8 +271,8 @@ func (d *Dataset) WriteSnapshot(w io.Writer) error {
 // canonical encoding — the writer is deterministic, ReadSnapshot inverts
 // it, and it re-serializes byte-identically from heap and mmap backings —
 // so a dataset built in memory, decoded from CSV or the legacy binary
-// format, mapped from a snapshot, or produced by Concat or Subset digests
-// by its contents alone.
+// format, mapped from a snapshot, or produced by Subset digests by its
+// contents alone.
 //
 // The first call pays one pass over the columns; the result is cached on
 // the immutable Dataset, so later calls cost O(1) in the worker count.

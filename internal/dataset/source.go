@@ -35,7 +35,7 @@ type Source interface {
 
 // memSource is the owned-slice Source: every column is a heap slice this
 // process owns. Builder, the row decoders (CSV/JSON/legacy binary) and the
-// copy-on-write operations (Concat, Subset) all produce memSources.
+// copy-on-write Subset all produce memSources.
 type memSource struct {
 	schema       *Schema
 	n            int

@@ -1,8 +1,9 @@
 // Package emd implements the Earth Mover's Distance used by the paper to
 // quantify unfairness between per-partition score distributions, together
-// with a general min-cost-flow transportation solver, a thresholded variant
-// in the spirit of Pele & Werman (ICCV 2009), and a family of alternative
-// histogram distances the paper lists as future-work metrics.
+// with its bin-free limit between score samples (exact.go), the fixed-point
+// kernels that bound it for the engine's pruning cascade (fixed.go), and a
+// family of alternative histogram distances the paper lists as future-work
+// metrics (metrics.go).
 //
 // All distances operate on normalized histograms (probability mass
 // functions). For one-dimensional histograms with equally spaced bins the

@@ -137,117 +137,6 @@ func TestEMDMetricAxiomsProperty(t *testing.T) {
 	}
 }
 
-// The closed form must agree with the general transportation solver under
-// the linear ground distance.
-func TestClosedFormMatchesFlowProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		n := 2 + r.Intn(12)
-		p := make([]float64, n)
-		q := make([]float64, n)
-		sp, sq := 0.0, 0.0
-		for i := range p {
-			p[i] = r.Float64()
-			q[i] = r.Float64()
-			sp += p[i]
-			sq += q[i]
-		}
-		for i := range p {
-			p[i] /= sp
-			q[i] /= sq
-		}
-		const unit = 0.25
-		closed := PMFDistance(p, q, unit)
-		flow, err := Transport(p, q, LinearCost(n, n, unit))
-		if err != nil {
-			return false
-		}
-		return math.Abs(closed-flow) < 1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestTransportValidation(t *testing.T) {
-	if _, err := Transport(nil, []float64{1}, nil); err == nil {
-		t.Error("empty supply accepted")
-	}
-	if _, err := Transport([]float64{1}, []float64{1}, [][]float64{}); err == nil {
-		t.Error("bad cost rows accepted")
-	}
-	if _, err := Transport([]float64{1}, []float64{1}, [][]float64{{1, 2}}); err == nil {
-		t.Error("bad cost cols accepted")
-	}
-	if _, err := Transport([]float64{-1, 2}, []float64{1}, [][]float64{{0}, {0}}); err == nil {
-		t.Error("negative mass accepted")
-	}
-	if _, err := Transport([]float64{1}, []float64{3}, [][]float64{{0}}); err == nil {
-		t.Error("unbalanced masses accepted")
-	}
-	if _, err := Transport([]float64{math.NaN()}, []float64{1}, [][]float64{{0}}); err == nil {
-		t.Error("NaN mass accepted")
-	}
-}
-
-func TestTransportZeroMass(t *testing.T) {
-	d, err := Transport([]float64{0, 0}, []float64{0, 0}, LinearCost(2, 2, 1))
-	if err != nil || d != 0 {
-		t.Fatalf("zero-mass transport = %v, %v", d, err)
-	}
-}
-
-func TestTransportAsymmetricBins(t *testing.T) {
-	// 2 sources, 3 sinks. All mass at source 0; demand split across sinks.
-	p := []float64{1, 0}
-	q := []float64{0.5, 0.25, 0.25}
-	cost := [][]float64{{0, 1, 2}, {1, 0, 1}}
-	d, err := Transport(p, q, cost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 0.5*0 + 0.25*1 + 0.25*2
-	if math.Abs(d-want) > 1e-6 {
-		t.Fatalf("transport = %v, want %v", d, want)
-	}
-}
-
-func TestThresholdedCostCaps(t *testing.T) {
-	c := ThresholdedCost(5, 5, 1, 2)
-	if c[0][4] != 2 || c[0][1] != 1 || c[2][2] != 0 {
-		t.Fatalf("thresholded cost wrong: %v", c)
-	}
-}
-
-func TestThresholdedEMDLowerBound(t *testing.T) {
-	// Thresholding can only decrease the optimal cost.
-	r := rng.New(9)
-	n := 8
-	p := make([]float64, n)
-	q := make([]float64, n)
-	sp, sq := 0.0, 0.0
-	for i := range p {
-		p[i], q[i] = r.Float64(), r.Float64()
-		sp += p[i]
-		sq += q[i]
-	}
-	for i := range p {
-		p[i] /= sp
-		q[i] /= sq
-	}
-	full, err := Transport(p, q, LinearCost(n, n, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	capped, err := Transport(p, q, ThresholdedCost(n, n, 1, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if capped > full+1e-9 {
-		t.Fatalf("thresholded EMD %v exceeds full EMD %v", capped, full)
-	}
-}
-
 func TestAveragePairwise(t *testing.T) {
 	a := hist(10, 0.05) // bin 0
 	b := hist(10, 0.95) // bin 9

@@ -9,8 +9,9 @@ import "sort"
 // distribution over its points.
 //
 // The paper quantifies unfairness on binned histograms; Exact1D is the
-// bin-free limit, used by the AblationBins benchmark and the Exact
-// evaluator option to measure what the binning approximation costs.
+// bin-free limit, which measures what the binning approximation costs.
+// The evaluator's Exact mode keeps its samples sorted and calls
+// Exact1DSorted directly.
 func Exact1D(xs, ys []float64) float64 {
 	if len(xs) == 0 || len(ys) == 0 {
 		return 0

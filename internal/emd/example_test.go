@@ -33,11 +33,3 @@ func ExampleExact1D() {
 	fmt.Printf("%.2f\n", emd.Exact1D(xs, ys))
 	// Output: 0.25
 }
-
-func ExampleTransport() {
-	// Move mass [1, 0] to [0, 1] at unit cost per bin step.
-	cost := emd.LinearCost(2, 2, 1)
-	d, _ := emd.Transport([]float64{1, 0}, []float64{0, 1}, cost)
-	fmt.Printf("%.0f\n", d)
-	// Output: 1
-}

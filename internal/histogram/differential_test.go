@@ -124,62 +124,3 @@ func TestBinIndexInfinityClampsHigh(t *testing.T) {
 		t.Fatalf("BinIndex(-1e300) = %d, want 0", got)
 	}
 }
-
-// Regression: Irregular.Add(NaN) used to walk SearchFloat64s off the edge
-// slice and panic with an index out of range. NaN must clamp to bin 0 the
-// way Histogram.BinIndex does.
-func TestIrregularNaNClampsToFirstBin(t *testing.T) {
-	h, err := NewIrregular([]float64{0, 0.5, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Add(math.NaN())
-	if h.BinIndex(math.NaN()) != 0 {
-		t.Fatalf("NaN bin = %d, want 0", h.BinIndex(math.NaN()))
-	}
-	if got := h.PMF()[0]; got != 1 {
-		t.Fatalf("PMF after NaN add = %v, want mass in bin 0", h.PMF())
-	}
-}
-
-// Irregular with equal-width edges must agree with Histogram bin-for-bin on
-// clamped out-of-range and special values. Values lying exactly on an
-// interior edge double are excluded: Irregular compares against the edge
-// while Histogram divides by an inexact width, so the two can legitimately
-// disagree by one bin there (e.g. 0.6 vs edges of 1/5-wide bins).
-func TestIrregularMatchesRegularOnUniformEdges(t *testing.T) {
-	for seed := uint64(1); seed <= 100; seed++ {
-		g := testkit.NewGen(seed)
-		bins := g.R.IntRange(1, 20)
-		edges := make([]float64, bins+1)
-		onEdge := map[float64]bool{}
-		for i := range edges {
-			edges[i] = float64(i) / float64(bins)
-			if i > 0 && i < bins {
-				onEdge[edges[i]] = true
-			}
-		}
-		irr, err := NewIrregular(edges)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reg := MustNew(bins, 0, 1)
-		raw := make([]byte, g.R.IntRange(1, 80))
-		for i := range raw {
-			raw[i] = byte(g.R.Intn(256))
-		}
-		for _, v := range testkit.SpecialFloats(raw) {
-			if onEdge[v] {
-				continue
-			}
-			irr.Add(v)
-			reg.Add(v)
-		}
-		ip, rp := irr.PMF(), reg.PMF()
-		for i := range rp {
-			if math.Abs(ip[i]-rp[i]) > testkit.Tol {
-				t.Fatalf("seed %d bin %d: irregular %v, regular %v", seed, i, ip[i], rp[i])
-			}
-		}
-	}
-}

@@ -326,36 +326,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	rc := http.NewResponseController(w)
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	writeEvent := func(ev jobs.Event) bool {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return false
-		}
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data); err != nil {
-			return false
-		}
-		return rc.Flush() == nil
-	}
-	for _, ev := range replay {
-		if !writeEvent(ev) {
-			return
-		}
-	}
-	for {
-		select {
-		case ev, ok := <-live:
-			if !ok {
-				return // terminal state reached; stream complete
-			}
-			if !writeEvent(ev) {
-				return
-			}
-		case <-r.Context().Done():
-			return
-		}
-	}
+	serveSSE(w, r, replay, live, func(ev jobs.Event) (int64, string) {
+		return int64(ev.Seq), string(ev.Type)
+	})
 }

@@ -329,36 +329,7 @@ func (s *Server) handleMonitorEventStream(w http.ResponseWriter, r *http.Request
 	}
 	replay, live, cancel := m.hub.Subscribe()
 	defer cancel()
-	rc := http.NewResponseController(w)
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	writeEvent := func(ev drift.AlarmEvent) bool {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return false
-		}
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data); err != nil {
-			return false
-		}
-		return rc.Flush() == nil
-	}
-	for _, ev := range replay {
-		if !writeEvent(ev) {
-			return
-		}
-	}
-	for {
-		select {
-		case ev, ok := <-live:
-			if !ok {
-				return // monitor deleted
-			}
-			if !writeEvent(ev) {
-				return
-			}
-		case <-r.Context().Done():
-			return
-		}
-	}
+	serveSSE(w, r, replay, live, func(ev drift.AlarmEvent) (int64, string) {
+		return ev.Seq, ev.Type
+	})
 }

@@ -453,6 +453,44 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, apiError{Error: err.Error()})
 }
 
+// serveSSE streams events as server-sent events: the replayed history
+// first, then live events until live closes, a write fails or the client
+// goes away. Each event is framed as id/event/data with frame supplying
+// the id and event name, and flushed on its own so followers see it at
+// once.
+func serveSSE[E any](w http.ResponseWriter, r *http.Request, replay []E, live <-chan E, frame func(E) (id int64, event string)) {
+	rc := http.NewResponseController(w)
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	w.WriteHeader(http.StatusOK)
+	write := func(ev E) bool {
+		data, err := json.Marshal(ev)
+		if err != nil {
+			return false
+		}
+		id, event := frame(ev)
+		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", id, event, data); err != nil {
+			return false
+		}
+		return rc.Flush() == nil
+	}
+	for _, ev := range replay {
+		if !write(ev) {
+			return
+		}
+	}
+	for {
+		select {
+		case ev, ok := <-live:
+			if !ok || !write(ev) {
+				return
+			}
+		case <-r.Context().Done():
+			return
+		}
+	}
+}
+
 // Request body bounds; the peer protocol's is cluster.MaxMessageBytes. A
 // body over its route's bound is answered 413.
 const (

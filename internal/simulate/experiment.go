@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fairrank/internal/core"
@@ -90,7 +91,17 @@ type Result struct {
 // Run executes the experiment: it generates the worker population once and
 // runs every algorithm on every scoring function. Runs are deterministic in
 // the Spec.
-func Run(spec Spec) (*Result, error) {
+func Run(spec Spec) (*Result, error) { return RunParallel(spec, 1) }
+
+// RunParallel is Run with the (function, algorithm) cells executed
+// concurrently by at most `workers` goroutines; workers <= 1 runs them
+// inline. Results are identical either way — each cell gets its own
+// evaluator and a seed derived only from the spec — but wall-clock time
+// drops roughly by the worker count; only the per-cell Elapsed values may
+// differ (they measure the same work under scheduler contention). On
+// failure it returns the first failing cell's error, in function-major
+// cell order, once every goroutine has exited.
+func RunParallel(spec Spec, workers int) (*Result, error) {
 	if len(spec.Funcs) == 0 {
 		return nil, fmt.Errorf("simulate: experiment %q has no scoring functions", spec.Name)
 	}
@@ -102,127 +113,80 @@ func Run(spec Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Spec: spec, Dataset: ds}
-	rows := make(map[AlgorithmID]*Row, len(algos))
-	for _, a := range algos {
-		rows[a] = &Row{Algorithm: a}
+
+	// Cell k is function k/len(algos) under algorithm k%len(algos). Cells
+	// are claimed in that order, so every cell before a failed one was
+	// claimed, and a claimed cell always runs to the end: errs holds the
+	// first failure in cell order. Once a failure is seen, no new cell is
+	// claimed.
+	cells := make([]Cell, len(spec.Funcs)*len(algos))
+	errs := make([]error, len(cells))
+	var next atomic.Int64
+	var failed atomic.Bool
+	work := func() {
+		for !failed.Load() {
+			k := int(next.Add(1) - 1)
+			if k >= len(cells) {
+				return
+			}
+			fi, ai := k/len(algos), k%len(algos)
+			if cells[k], errs[k] = runCell(ds, spec, fi, algos[ai]); errs[k] != nil {
+				failed.Store(true)
+			}
+		}
 	}
-	for fi, f := range spec.Funcs {
-		e, err := core.NewEvaluator(ds, f, spec.Config)
+	if workers <= 1 {
+		work()
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		wg.Wait()
+	}
+	for _, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("simulate: evaluator for %s: %w", f.Name(), err)
-		}
-		for _, a := range algos {
-			r, err := runAlgorithm(e, a, spec.Seed+uint64(fi)*1000)
-			if err != nil {
-				return nil, err
-			}
-			attrs := make([]string, 0)
-			for _, ai := range r.Partitioning.AttributesUsed() {
-				attrs = append(attrs, ds.Schema().Protected[ai].Name)
-			}
-			rows[a].Cells = append(rows[a].Cells, Cell{
-				Function:       f.Name(),
-				AvgDistance:    r.Unfairness,
-				Elapsed:        r.Elapsed,
-				Partitions:     r.Partitioning.Size(),
-				AttributesUsed: attrs,
-			})
+			return nil, err
 		}
 	}
-	for _, a := range algos {
-		res.Rows = append(res.Rows, *rows[a])
+	res := &Result{Spec: spec, Dataset: ds}
+	for ai, a := range algos {
+		row := Row{Algorithm: a, Cells: make([]Cell, len(spec.Funcs))}
+		for fi := range spec.Funcs {
+			row.Cells[fi] = cells[fi*len(algos)+ai]
+		}
+		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }
 
-// RunParallel is Run with the (function, algorithm) cells executed
-// concurrently by at most `workers` goroutines. Results are identical to
-// Run's — each cell gets its own evaluator and a seed derived only from the
-// spec — but wall-clock time drops roughly by the worker count; only the
-// per-cell Elapsed values may differ (they measure the same work under
-// scheduler contention).
-func RunParallel(spec Spec, workers int) (*Result, error) {
-	if workers <= 1 {
-		return Run(spec)
-	}
-	if len(spec.Funcs) == 0 {
-		return nil, fmt.Errorf("simulate: experiment %q has no scoring functions", spec.Name)
-	}
-	algos := spec.Algorithms
-	if algos == nil {
-		algos = AllAlgorithms
-	}
-	ds, err := spec.population()
+// runCell measures one scoring function under one algorithm on its own
+// evaluator.
+func runCell(ds *dataset.Dataset, spec Spec, fi int, a AlgorithmID) (Cell, error) {
+	f := spec.Funcs[fi]
+	e, err := core.NewEvaluator(ds, f, spec.Config)
 	if err != nil {
-		return nil, err
+		return Cell{}, fmt.Errorf("simulate: evaluator for %s: %w", f.Name(), err)
 	}
-
-	type job struct{ fi, ai int }
-	type outcome struct {
-		job
-		cell Cell
-		err  error
+	r, err := runAlgorithm(e, a, spec.Seed+uint64(fi)*1000)
+	if err != nil {
+		return Cell{}, err
 	}
-	jobs := make(chan job)
-	results := make(chan outcome)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				f := spec.Funcs[j.fi]
-				e, err := core.NewEvaluator(ds, f, spec.Config)
-				if err != nil {
-					results <- outcome{job: j, err: err}
-					continue
-				}
-				r, err := runAlgorithm(e, algos[j.ai], spec.Seed+uint64(j.fi)*1000)
-				if err != nil {
-					results <- outcome{job: j, err: err}
-					continue
-				}
-				attrs := make([]string, 0)
-				for _, ai := range r.Partitioning.AttributesUsed() {
-					attrs = append(attrs, ds.Schema().Protected[ai].Name)
-				}
-				results <- outcome{job: j, cell: Cell{
-					Function:       f.Name(),
-					AvgDistance:    r.Unfairness,
-					Elapsed:        r.Elapsed,
-					Partitions:     r.Partitioning.Size(),
-					AttributesUsed: attrs,
-				}}
-			}
-		}()
+	attrs := make([]string, 0)
+	for _, ai := range r.Partitioning.AttributesUsed() {
+		attrs = append(attrs, ds.Schema().Protected[ai].Name)
 	}
-	go func() {
-		for fi := range spec.Funcs {
-			for ai := range algos {
-				jobs <- job{fi, ai}
-			}
-		}
-		close(jobs)
-		wg.Wait()
-		close(results)
-	}()
-
-	cells := make([][]Cell, len(algos))
-	for ai := range cells {
-		cells[ai] = make([]Cell, len(spec.Funcs))
-	}
-	for out := range results {
-		if out.err != nil {
-			return nil, out.err
-		}
-		cells[out.ai][out.fi] = out.cell
-	}
-	res := &Result{Spec: spec, Dataset: ds}
-	for ai, a := range algos {
-		res.Rows = append(res.Rows, Row{Algorithm: a, Cells: cells[ai]})
-	}
-	return res, nil
+	return Cell{
+		Function:       f.Name(),
+		AvgDistance:    r.Unfairness,
+		Elapsed:        r.Elapsed,
+		Partitions:     r.Partitioning.Size(),
+		AttributesUsed: attrs,
+	}, nil
 }
 
 // runAlgorithm dispatches through the engine registry. The registry's

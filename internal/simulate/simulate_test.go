@@ -2,7 +2,9 @@ package simulate
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"fairrank/internal/core"
 	"fairrank/internal/scoring"
@@ -287,6 +289,29 @@ func TestRunParallelErrors(t *testing.T) {
 	if _, err := RunParallel(Spec{Name: "x", Workers: 10, Funcs: funcs,
 		Algorithms: []AlgorithmID{"bogus"}}, 4); err == nil {
 		t.Error("unknown algorithm accepted")
+	}
+}
+
+// A failed cell must not strand the goroutines of a parallel run: every
+// one of them has exited once RunParallel returns the error.
+func TestRunParallelFailureLeaksNoGoroutines(t *testing.T) {
+	funcs, _ := RandomFunctions()
+	spec := Spec{Name: "x", Workers: 10, Funcs: funcs, Algorithms: []AlgorithmID{"bogus"}}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		if _, err := RunParallel(spec, 4); err == nil {
+			t.Fatal("unknown algorithm accepted")
+		}
+	}
+	// Poll briefly: a goroutine that has signalled the WaitGroup may not
+	// have finished tearing down yet.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d before five failing runs, %d after",
+				before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -3,9 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
-
-	"fairrank/internal/rng"
 )
 
 func TestMean(t *testing.T) {
@@ -46,75 +43,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5}, {0.1, 1.4},
-	}
-	for _, c := range cases {
-		got, err := Quantile(xs, c.q)
-		if err != nil || math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Quantile(%v) = %v, %v; want %v", c.q, got, err, c.want)
-		}
-	}
-	if _, err := Quantile(xs, -0.1); err == nil {
-		t.Error("negative q accepted")
-	}
-	if _, err := Quantile(xs, 1.1); err == nil {
-		t.Error("q>1 accepted")
-	}
-	if _, err := Quantile(nil, 0.5); err != ErrEmpty {
-		t.Error("empty sample accepted")
-	}
-}
-
-func TestQuantileDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	if _, err := Quantile(xs, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatalf("input mutated: %v", xs)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s, err := Summarize([]float64{1, 2, 3, 4, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 5 || s.Mean != 3 || s.Median != 3 || s.Min != 1 || s.Max != 5 {
-		t.Fatalf("Summary = %+v", s)
-	}
-	if _, err := Summarize(nil); err != ErrEmpty {
-		t.Errorf("Summarize(nil) err = %v", err)
-	}
-}
-
-func TestCorrelation(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{2, 4, 6, 8}
-	c, err := Correlation(xs, ys)
-	if err != nil || math.Abs(c-1) > 1e-12 {
-		t.Errorf("perfect corr = %v, %v", c, err)
-	}
-	neg := []float64{8, 6, 4, 2}
-	c, _ = Correlation(xs, neg)
-	if math.Abs(c+1) > 1e-12 {
-		t.Errorf("perfect anticorr = %v", c)
-	}
-	c, _ = Correlation(xs, []float64{5, 5, 5, 5})
-	if c != 0 {
-		t.Errorf("zero-variance corr = %v", c)
-	}
-	if _, err := Correlation(xs, []float64{1}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := Correlation(nil, nil); err == nil {
-		t.Error("empty accepted")
-	}
-}
-
 func TestGini(t *testing.T) {
 	if _, err := Gini(nil); err != ErrEmpty {
 		t.Errorf("empty err = %v", err)
@@ -144,141 +72,6 @@ func TestGini(t *testing.T) {
 	a, _ := Gini([]float64{4, 1, 3, 2})
 	if math.Abs(a-0.25) > 1e-12 {
 		t.Errorf("shuffled Gini = %v", a)
-	}
-}
-
-func TestCohensD(t *testing.T) {
-	if _, err := CohensD(nil, []float64{1}); err != ErrEmpty {
-		t.Errorf("empty err = %v", err)
-	}
-	d, err := CohensD([]float64{1, 2, 3}, []float64{1, 2, 3})
-	if err != nil || d != 0 {
-		t.Errorf("identical d = %v, %v", d, err)
-	}
-	// Means 0 vs 1, each sample has population SD 1 → d = -1.
-	d, _ = CohensD([]float64{-1, 0, 1}, []float64{0, 1, 2})
-	if math.Abs(d+1.2247) > 1e-3 { // pooled sd = sqrt(2/3)
-		t.Errorf("d = %v", d)
-	}
-	// Sign follows mean difference.
-	dPos, _ := CohensD([]float64{2, 3}, []float64{0, 1})
-	if dPos <= 0 {
-		t.Errorf("positive-gap d = %v", dPos)
-	}
-	// Zero variance, different means → ±Inf.
-	d, _ = CohensD([]float64{1, 1}, []float64{2, 2})
-	if !math.IsInf(d, -1) {
-		t.Errorf("degenerate d = %v, want -Inf", d)
-	}
-	d, _ = CohensD([]float64{1, 1}, []float64{1, 1})
-	if d != 0 {
-		t.Errorf("degenerate equal d = %v", d)
-	}
-}
-
-// Property: quantile is monotone in q and bounded by min/max.
-func TestQuantileMonotoneProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		n := 1 + r.Intn(50)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = r.NormFloat64()
-		}
-		min, max, _ := MinMax(xs)
-		prev := math.Inf(-1)
-		for q := 0.0; q <= 1.0001; q += 0.1 {
-			qq := math.Min(q, 1)
-			v, err := Quantile(xs, qq)
-			if err != nil || v < prev-1e-12 || v < min-1e-12 || v > max+1e-12 {
-				return false
-			}
-			prev = v
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPermutationTestDetectsSeparation(t *testing.T) {
-	// Group 0 values near 0, group 1 values near 1 — the gap statistic
-	// should be highly significant.
-	values := make([]float64, 40)
-	labels := make([]int, 40)
-	for i := range values {
-		if i < 20 {
-			values[i] = 0.1
-		} else {
-			values[i] = 0.9
-			labels[i] = 1
-		}
-	}
-	gap := func(vs []float64, ls []int, groups int) float64 {
-		sums := make([]float64, groups)
-		counts := make([]float64, groups)
-		for i, v := range vs {
-			sums[ls[i]] += v
-			counts[ls[i]]++
-		}
-		return math.Abs(sums[0]/counts[0] - sums[1]/counts[1])
-	}
-	p, obs, err := PermutationTest(values, labels, 2, 500, 7, gap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(obs-0.8) > 1e-12 {
-		t.Fatalf("observed = %v, want 0.8", obs)
-	}
-	if p > 0.01 {
-		t.Fatalf("p = %v, want < 0.01", p)
-	}
-}
-
-func TestPermutationTestNullUniformish(t *testing.T) {
-	// Random labels on identical values: p should not be small.
-	r := rng.New(3)
-	values := make([]float64, 60)
-	labels := make([]int, 60)
-	for i := range values {
-		values[i] = r.Float64()
-		labels[i] = r.Intn(2)
-	}
-	gap := func(vs []float64, ls []int, groups int) float64 {
-		sums := make([]float64, groups)
-		counts := make([]float64, groups)
-		for i, v := range vs {
-			sums[ls[i]] += v
-			counts[ls[i]]++
-		}
-		if counts[0] == 0 || counts[1] == 0 {
-			return 0
-		}
-		return math.Abs(sums[0]/counts[0] - sums[1]/counts[1])
-	}
-	p, _, err := PermutationTest(values, labels, 2, 500, 11, gap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p < 0.02 {
-		t.Fatalf("null p = %v, suspiciously small", p)
-	}
-}
-
-func TestPermutationTestValidation(t *testing.T) {
-	stat := func(vs []float64, ls []int, g int) float64 { return 0 }
-	if _, _, err := PermutationTest(nil, nil, 2, 10, 1, stat); err == nil {
-		t.Error("empty accepted")
-	}
-	if _, _, err := PermutationTest([]float64{1}, []int{0}, 1, 10, 1, stat); err == nil {
-		t.Error("groups<2 accepted")
-	}
-	if _, _, err := PermutationTest([]float64{1}, []int{0}, 2, 0, 1, stat); err == nil {
-		t.Error("rounds<1 accepted")
-	}
-	if _, _, err := PermutationTest([]float64{1}, []int{5}, 2, 10, 1, stat); err == nil {
-		t.Error("out-of-range label accepted")
 	}
 }
 
@@ -354,37 +147,5 @@ func TestBenjaminiHochbergValidation(t *testing.T) {
 	}
 	if _, err := BenjaminiHochberg([]float64{math.NaN()}, 0.05); err == nil {
 		t.Error("NaN p accepted")
-	}
-}
-
-func TestBootstrapCoversTruth(t *testing.T) {
-	r := rng.New(5)
-	xs := make([]float64, 500)
-	for i := range xs {
-		xs[i] = r.Float64() // true mean 0.5
-	}
-	mean := func(s []float64) float64 { m, _ := Mean(s); return m }
-	lo, hi, err := Bootstrap(xs, 400, 0.95, 13, mean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo > 0.5 || hi < 0.5 {
-		t.Fatalf("95%% CI [%v,%v] misses 0.5", lo, hi)
-	}
-	if hi-lo > 0.1 {
-		t.Fatalf("CI [%v,%v] too wide for n=500", lo, hi)
-	}
-}
-
-func TestBootstrapValidation(t *testing.T) {
-	mean := func(s []float64) float64 { m, _ := Mean(s); return m }
-	if _, _, err := Bootstrap(nil, 10, 0.95, 1, mean); err != ErrEmpty {
-		t.Errorf("empty err = %v", err)
-	}
-	if _, _, err := Bootstrap([]float64{1}, 1, 0.95, 1, mean); err == nil {
-		t.Error("rounds<2 accepted")
-	}
-	if _, _, err := Bootstrap([]float64{1}, 10, 1.5, 1, mean); err == nil {
-		t.Error("confidence>1 accepted")
 	}
 }
