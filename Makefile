@@ -205,6 +205,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPrometheus$$' -fuzztime $(FUZZTIME) ./internal/telemetry/
 	$(GO) test -run '^$$' -fuzz '^FuzzJobSpecJSON$$' -fuzztime $(FUZZTIME) ./internal/jobs/
 	$(GO) test -run '^$$' -fuzz '^FuzzRankRequest$$' -fuzztime $(FUZZTIME) ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzResultRecord$$' -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzClusterMessage$$' -fuzztime $(FUZZTIME) ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz '^FuzzMonitorSpecJSON$$' -fuzztime $(FUZZTIME) ./internal/drift/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEvents$$' -fuzztime $(FUZZTIME) ./internal/drift/

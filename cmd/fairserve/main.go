@@ -50,6 +50,19 @@ func bootstrapDemo(srv *server.Server, n int, seed uint64) error {
 	return srv.PutDataset("demo", ds)
 }
 
+// The header and idle timeouts close connections a client stalls: one
+// that stops mid-header, or one left open between requests. Read and
+// write timeouts stay unset: 16 MiB upload chunks and the SSE job and
+// monitor streams run long by design.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("fairserve: ")
@@ -129,7 +142,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	log.Printf("listening on %s (store: %s)", *addr, *dbPath)

@@ -1,9 +1,13 @@
 package main
 
 import (
+	"errors"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"fairrank/internal/server"
 	"fairrank/internal/store"
@@ -53,5 +57,43 @@ func TestBootstrapDemoValidation(t *testing.T) {
 	}
 	if err := bootstrapDemo(srv, 0, 1); err == nil {
 		t.Error("n=0 accepted")
+	}
+}
+
+// TestHTTPServerClosesStalledHeader: fairserve's server sets header and
+// idle timeouts and leaves read and write timeouts unset, and a client
+// that stops mid-header has its connection closed once the header
+// timeout (shortened here) passes.
+func TestHTTPServerClosesStalledHeader(t *testing.T) {
+	srv := newHTTPServer("", http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 || srv.IdleTimeout <= 0 || srv.ReadTimeout != 0 || srv.WriteTimeout != 0 {
+		t.Fatalf("timeouts: header %v, idle %v, read %v, write %v", srv.ReadHeaderTimeout, srv.IdleTimeout, srv.ReadTimeout, srv.WriteTimeout)
+	}
+	srv.ReadHeaderTimeout = 200 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	defer func() {
+		srv.Close()
+		<-served
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET / HTTP/1.1\r\nHost: fairserve\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	n, err := conn.Read(make([]byte, 1))
+	var ne net.Error
+	if n != 0 || err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+		t.Fatalf("read after a stalled header = %d bytes, %v; want the server to close the connection", n, err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"fairrank"
 )
@@ -249,6 +250,34 @@ func TestFuncOfAdapter(t *testing.T) {
 	// A constant function is perfectly fair.
 	if res.Unfairness != 0 {
 		t.Fatalf("constant function unfairness = %v", res.Unfairness)
+	}
+}
+
+// TestExactAuditRejectsNaNScore: a FuncOf that scores one worker NaN
+// once hung an Exact-mode audit for good. In either mode the audit now
+// fails at once, naming the worker.
+func TestExactAuditRejectsNaNScore(t *testing.T) {
+	ds := workers(t, 200, 11)
+	f := fairrank.FuncOf("nan-one", func(_ *fairrank.Dataset, i int) float64 {
+		if i == 7 {
+			return math.NaN()
+		}
+		return float64(i%10) / 10
+	})
+	for _, exact := range []bool{true, false} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := fairrank.NewAuditor(fairrank.WithConfig(fairrank.Config{Exact: exact})).Audit(ds, f, fairrank.AlgoBalanced)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", ds.ID(7))) {
+				t.Fatalf("exact=%v: audit error %v, want one naming worker %q", exact, err, ds.ID(7))
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("exact=%v: audit with a NaN score has not returned after 10s", exact)
+		}
 	}
 }
 

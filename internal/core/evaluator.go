@@ -13,6 +13,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -115,8 +116,9 @@ type Evaluator struct {
 }
 
 // NewEvaluator precomputes all worker scores for f and returns an
-// Evaluator. The scoring function must return values in [0,1]; out-of-range
-// values are clamped into the edge bins by the histogram.
+// Evaluator. The scoring function must return values in [0,1]; finite
+// out-of-range values are clamped into the edge bins by the histogram,
+// and a NaN or ±Inf score is an error naming the worker, in every mode.
 func NewEvaluator(ds *dataset.Dataset, f scoring.Func, cfg Config) (*Evaluator, error) {
 	if ds == nil || ds.N() == 0 {
 		return nil, fmt.Errorf("core: empty dataset")
@@ -125,11 +127,17 @@ func NewEvaluator(ds *dataset.Dataset, f scoring.Func, cfg Config) (*Evaluator, 
 		return nil, fmt.Errorf("core: nil scoring function")
 	}
 	cfg = cfg.withDefaults()
+	scores := scoring.Scores(ds, f)
+	for i, s := range scores {
+		if math.IsNaN(s) || math.IsInf(s, 0) {
+			return nil, fmt.Errorf("core: scoring function %q gave worker %q the score %v; scores must be finite", f.Name(), ds.ID(i), s)
+		}
+	}
 	e := &Evaluator{
 		ds:     ds,
 		f:      f,
 		cfg:    cfg,
-		scores: scoring.Scores(ds, f),
+		scores: scores,
 		reps:   newRepCache(),
 		pairs:  newPairCache(),
 		tel:    engineMetricsFor(cfg.Metrics),

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"fairrank/internal/dataset"
@@ -65,6 +67,33 @@ func TestNewEvaluatorValidation(t *testing.T) {
 	ds := randomDataset(t, 10, 1)
 	if _, err := NewEvaluator(ds, nil, Config{}); err == nil {
 		t.Error("nil function accepted")
+	}
+}
+
+// TestNewEvaluatorRejectsNonFiniteScores: a NaN or ±Inf score is an
+// error naming the worker, in binned and Exact mode alike.
+func TestNewEvaluatorRejectsNonFiniteScores(t *testing.T) {
+	b := dataset.NewBuilder(testSchema())
+	for i := 0; i < 6; i++ {
+		b.Add(fmt.Sprintf("worker-%d", i), map[string]any{"Gender": "Male", "Language": "English"},
+			map[string]any{"Score": 0.5})
+	}
+	ds, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		f := scoring.ScoreFunc{FuncName: "bad", Fn: func(ds *dataset.Dataset, i int) float64 {
+			if i == 4 {
+				return bad
+			}
+			return ds.Observed(0, i)
+		}}
+		for _, exact := range []bool{false, true} {
+			if _, err := NewEvaluator(ds, f, Config{Exact: exact}); err == nil || !strings.Contains(err.Error(), `"worker-4"`) {
+				t.Errorf("score %v, exact=%v: error %v, want one naming worker-4", bad, exact, err)
+			}
+		}
 	}
 }
 

@@ -24,6 +24,10 @@ func Exact1D(xs, ys []float64) float64 {
 }
 
 // Exact1DSorted is Exact1D for already-sorted samples; it does not copy.
+// It returns on any input: each step of the sweep consumes the sample
+// point it reads, so a NaN, which equals nothing, cannot stall it.
+// Samples are meant to be finite; with a NaN or ±Inf the sum is no
+// distance (most often NaN or +Inf), though never negative.
 func Exact1DSorted(a, b []float64) float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return 0
@@ -40,14 +44,21 @@ func Exact1DSorted(a, b []float64) float64 {
 	)
 	for i < len(a) || j < len(b) {
 		var x float64
-		switch {
-		case j >= len(b) || (i < len(a) && a[i] <= b[j]):
+		fromA := j >= len(b) || (i < len(a) && a[i] <= b[j])
+		if fromA {
 			x = a[i]
-		default:
+		} else {
 			x = b[j]
 		}
 		if inited {
 			total += abs(cdfA-cdfB) * (x - prev)
+		}
+		if fromA {
+			cdfA += stepA
+			i++
+		} else {
+			cdfB += stepB
+			j++
 		}
 		for i < len(a) && a[i] == x {
 			cdfA += stepA

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"fairrank/internal/histogram"
 	"fairrank/internal/rng"
@@ -108,5 +109,32 @@ func TestBinnedConvergesToExact(t *testing.T) {
 	}
 	if prevGap > 0.005 {
 		t.Fatalf("1000-bin EMD still %v from exact", prevGap)
+	}
+}
+
+// TestExact1DNonFiniteReturns: a NaN once stalled the sweep for good,
+// since the NaN it read equals nothing and so was never consumed. Each
+// sample shape must return within the deadline.
+func TestExact1DNonFiniteReturns(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := [][2][]float64{
+		{{nan, 0.2}, {0.5}},
+		{{0.5}, {nan, 0.2}},
+		{{nan}, {nan}},
+		{{0.1, nan, 0.3}, {nan, 0.9, nan}},
+		{{-inf, 0.2}, {inf}},
+		{{inf}, {inf}},
+	}
+	for _, c := range cases {
+		done := make(chan float64, 1)
+		go func() { done <- Exact1D(c[0], c[1]) }()
+		select {
+		case d := <-done:
+			if d < 0 {
+				t.Errorf("Exact1D(%v, %v) = %v", c[0], c[1], d)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("Exact1D(%v, %v) has not returned after 5s", c[0], c[1])
+		}
 	}
 }

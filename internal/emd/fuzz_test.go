@@ -65,8 +65,9 @@ func FuzzPMFDistance(f *testing.F) {
 
 // FuzzExactEMD checks Exact1D against the oracle's monotone-coupling flow.
 // Layout: data[0] splits the remaining bytes into the two samples; values
-// decode through SpecialFloats, and pairs holding NaN or ±Inf are skipped:
-// the flow oracle is defined on finite samples only.
+// decode through SpecialFloats. The flow oracle is defined on finite
+// samples only: a pair holding NaN or ±Inf must still return, with a sum
+// that is not negative.
 func FuzzExactEMD(f *testing.F) {
 	f.Add([]byte{3, 10, 20, 30, 100, 150, 200})
 	f.Add([]byte{1, 255, 100}) // NaN in the first sample
@@ -81,13 +82,16 @@ func FuzzExactEMD(f *testing.F) {
 		if len(xs) == 0 || len(ys) == 0 {
 			return
 		}
+		ex := Exact1D(xs, ys)
 		for _, v := range vals {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
+				if ex < 0 {
+					t.Fatalf("Exact1D = %v (xs=%v ys=%v)", ex, xs, ys)
+				}
 				return
 			}
 		}
 		var o testkit.Oracle
-		ex := Exact1D(xs, ys)
 		if want := o.WpFlow(xs, ys, 1); math.Abs(ex-want) > testkit.Tol {
 			t.Fatalf("Exact1D = %v, flow oracle = %v (xs=%v ys=%v)", ex, want, xs, ys)
 		}

@@ -30,8 +30,9 @@
 //     streams as server-sent events.
 //
 // The queue is engine-agnostic: it runs an Executor callback and stores
-// the bytes it returns. The HTTP server supplies an executor that
-// resolves the spec's dataset, drives core.Run, and serializes a
-// deterministic result — deterministic so that a job interrupted by a
-// crash and re-run after recovery reproduces its result bit-identically.
+// the bytes it returns without parsing them. The HTTP server supplies an
+// executor that resolves the spec's dataset, drives core.Run, and
+// encodes a deterministic result record — deterministic so that a job
+// interrupted by a crash and re-run after recovery reproduces its result
+// bit-identically.
 package jobs

@@ -2,7 +2,6 @@ package jobs
 
 import (
 	"context"
-	"encoding/json"
 	"time"
 )
 
@@ -76,10 +75,12 @@ type Job struct {
 	// Error is the most recent attempt's error, kept across retries so a
 	// queued-for-retry job explains why it is waiting.
 	Error string `json:"error,omitempty"`
-	// Result is the executor's output once State is done. Queue methods
-	// fill it in; a durable queue stores it under its own key and leaves
-	// it out of the persisted record, so each result is held once.
-	Result json.RawMessage `json:"result,omitempty"`
+	// Result is the executor's output once State is done: bytes the
+	// queue stores and returns without parsing, so they are not part of
+	// the job's JSON. Queue methods fill it in; a durable queue stores it
+	// under its own key and leaves it out of the persisted record, so
+	// each result is held once.
+	Result []byte `json:"-"`
 
 	// Scheduler-private state, never persisted or copied out.
 	seq          uint64             // FIFO tiebreak within a priority

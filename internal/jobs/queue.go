@@ -70,9 +70,48 @@ const bucketJobs = "jobs"
 // bucketResults holds each done job's result bytes under its job ID. A
 // done job's record omits its result and the queue drops its own copy,
 // so every result is held in memory once: by the store, which hands out
-// copies. Records written before results had their own bucket embed the
-// result and keep it.
+// copies. A record whose result put failed embeds the result instead, as
+// do records written before results had their own bucket.
 const bucketResults = "results"
+
+// record is a job's persisted form: the job's fields, plus its result
+// when the result is not stored under its own key. This version embeds
+// a result as a base64 JSON string; records written while results were
+// JSON embed the result object itself, which loads verbatim.
+type record struct {
+	Job
+	Result json.RawMessage `json:"result,omitempty"`
+}
+
+func encodeRecord(snap Job) ([]byte, error) {
+	rec := record{Job: snap}
+	if len(snap.Result) > 0 {
+		b, err := json.Marshal(snap.Result)
+		if err != nil {
+			return nil, err
+		}
+		rec.Result = b
+	}
+	return json.Marshal(rec)
+}
+
+func decodeRecord(raw []byte) (Job, error) {
+	var rec record
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		return Job{}, err
+	}
+	j := rec.Job
+	switch {
+	case len(rec.Result) == 0:
+	case rec.Result[0] == '"':
+		if err := json.Unmarshal(rec.Result, &j.Result); err != nil {
+			return Job{}, err
+		}
+	default:
+		j.Result = rec.Result
+	}
+	return j, nil
+}
 
 // ErrNotFound is returned for operations on unknown job IDs.
 var ErrNotFound = errors.New("jobs: no such job")
@@ -208,8 +247,8 @@ func (q *Queue) recover() error {
 		if !ok {
 			continue
 		}
-		var j Job
-		if err := json.Unmarshal(raw, &j); err != nil {
+		j, err := decodeRecord(raw)
+		if err != nil {
 			return fmt.Errorf("jobs: corrupt job record %q: %w", id, err)
 		}
 		if j.ID != id {
@@ -611,7 +650,7 @@ func (q *Queue) finishLocked(j *Job, state State, errMsg string, result []byte) 
 	j.Error = errMsg
 	j.FinishedAt = time.Now()
 	if result != nil && !q.storeResult(j.ID, result) {
-		j.Result = json.RawMessage(result)
+		j.Result = result
 	}
 	delete(q.active, j.SpecHash)
 	switch state {
@@ -742,7 +781,7 @@ func (q *Queue) persist(snap Job) {
 	if q.db == nil || q.killed.Load() {
 		return
 	}
-	raw, err := json.Marshal(snap)
+	raw, err := encodeRecord(snap)
 	if err == nil {
 		err = q.db.Put(bucketJobs, snap.ID, raw)
 	}

@@ -313,6 +313,44 @@ func TestRecoverLegacyEmbeddedResult(t *testing.T) {
 	}
 }
 
+// TestFailedResultPutEmbedsResult: when a done job's result cannot be
+// stored under its own key, the queue keeps it on the job and its record
+// embeds it. Result bytes that are not JSON still encode into the
+// record, and the job recovers and answers Get and a result-cache hit
+// with the same bytes.
+func TestFailedResultPutEmbedsResult(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.db")
+	db := openStore(t, path)
+	defer db.Close()
+	result := []byte{0xFA, 1, 0, '{', 0xff, '"', '\\', 0x80, 0}
+	q1, err := New(db, deterministicExec, Options{Workers: -1, ResultTTL: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now()
+	// The record finishLocked persists after storeResult reports failure.
+	q1.persist(Job{ID: "job-000003", SpecHash: "h-bin", Spec: testSpec("bin"), State: StateDone,
+		Attempt: 1, MaxAttempts: 3, EnqueuedAt: now, StartedAt: now, FinishedAt: now, Result: result})
+	q1.Kill()
+	if _, ok := db.Get(bucketJobs, "job-000003"); !ok {
+		t.Fatal("no record for a job whose result put failed")
+	}
+
+	q2, err := New(db, deterministicExec, Options{Workers: -1, ResultTTL: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q2.Kill()
+	got, ok := q2.Get("job-000003")
+	if !ok || got.State != StateDone || !bytes.Equal(got.Result, result) {
+		t.Fatalf("recovered %+v, %v; want done with result %q", got, ok, result)
+	}
+	hit, created, err := q2.Submit(testSpec("bin"), "h-bin")
+	if err != nil || created || !bytes.Equal(hit.Result, result) {
+		t.Fatalf("cache hit = (%v, %v, %q)", created, err, hit.Result)
+	}
+}
+
 // TestRecoverLegacySnapshotSpec: a record written while a spec could
 // name a stored snapshot ("snapshot":"x") recovers as a spec on dataset
 // x, and the requeued record is rewritten in that form.

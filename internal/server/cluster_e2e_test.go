@@ -94,7 +94,7 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 
 // postJobDirect submits a job spec with the forwarding loop guard
 // stamped, pinning it to the receiving node regardless of ring owner.
-func postJobDirect(t *testing.T, baseURL string, spec map[string]any) jobs.Job {
+func postJobDirect(t *testing.T, baseURL string, spec map[string]any) apiJob {
 	t.Helper()
 	raw, err := json.Marshal(spec)
 	if err != nil {
@@ -115,14 +115,15 @@ func postJobDirect(t *testing.T, baseURL string, spec map[string]any) jobs.Job {
 	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
 		t.Fatalf("direct submit status %d (%s)", resp.StatusCode, body)
 	}
-	var j jobs.Job
+	var j apiJob
 	if err := json.Unmarshal(body, &j); err != nil {
 		t.Fatal(err)
 	}
 	return j
 }
 
-// scatterPage mirrors clusterJobPage for decoding fan-out responses.
+// scatterPage mirrors a clustered jobPage for decoding fan-out
+// responses.
 type scatterPage struct {
 	Jobs []struct {
 		jobs.Job
@@ -182,7 +183,7 @@ func TestClusterForwardDedupScatter(t *testing.T) {
 		if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
 			t.Fatalf("submit via %s: status %d (%s)", u, resp.StatusCode, body)
 		}
-		var j jobs.Job
+		var j apiJob
 		if err := json.Unmarshal(body, &j); err != nil {
 			t.Fatal(err)
 		}
@@ -388,14 +389,18 @@ func TestClusterKillNodeZeroLossBitIdentical(t *testing.T) {
 		done := waitJobHTTP(t, tsRef.URL, j.ID, jobs.StateDone)
 		ref[seed] = done.Result
 	}
+	// A list page summarizes results; each job's result is fetched from
+	// the node that holds it.
+	nodeURL := map[string]string{"node-a": tsA.URL, "node-c": tsC.URL}
 	for _, j := range page.Jobs {
 		want, ok := ref[j.Spec.Seed]
 		if !ok {
 			continue
 		}
-		if !bytes.Equal(j.Result, want) {
+		got := waitJobHTTP(t, nodeURL[j.Node], j.ID, jobs.StateDone).Result
+		if !bytes.Equal(got, want) {
 			t.Fatalf("seed %d: recovered result differs from clean run:\n  cluster %s\n  clean   %s",
-				j.Spec.Seed, j.Result, want)
+				j.Spec.Seed, got, want)
 		}
 	}
 }

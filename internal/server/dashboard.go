@@ -53,7 +53,7 @@ under task-qualification scoring functions (EDBT 2019 reproduction).</p>
 <table><tr><th>job</th><th>data</th><th>algorithm</th><th class="num">unfairness</th><th class="num">groups</th><th class="num">p-value</th></tr>
 {{range .Audits}}<tr><td><code>{{.ID}}</code></td><td><code>{{.Dataset}}</code></td><td>{{.Algorithm}}</td>
 <td class="num{{if gt .Unfairness 0.4}} sig{{end}}">{{printf "%.3f" .Unfairness}}</td>
-<td class="num">{{len .Partitions}}</td>
+<td class="num">{{.Partitions}}</td>
 <td class="num">{{with .PValue}}{{printf "%.3f" (deref .)}}{{else}}–{{end}}</td></tr>
 {{end}}</table>
 {{else}}<p class="muted">none — submit with <code>POST /v1/jobs</code></p>{{end}}
@@ -64,10 +64,11 @@ under task-qualification scoring functions (EDBT 2019 reproduction).</p>
 // dashboardAudits caps the audit table at the most recent done jobs.
 const dashboardAudits = 20
 
-// dashboardAudit is one row of the audit table: a done job's result.
+// dashboardAudit is one row of the audit table: a done job's result
+// summary.
 type dashboardAudit struct {
 	ID string
-	jobResult
+	*resultSummary
 }
 
 type dashboardData struct {
@@ -98,11 +99,10 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 			data.Tasks = append(data.Tasks, t)
 		}
 	}
-	done, _ := s.jobs.List(jobs.StateDone, 0, dashboardAudits)
+	done, _ := s.listJobs(jobs.StateDone, 0, dashboardAudits)
 	for _, j := range done {
-		a := dashboardAudit{ID: j.ID}
-		if json.Unmarshal(j.Result, &a.jobResult) == nil {
-			data.Audits = append(data.Audits, a)
+		if j.Summary != nil {
+			data.Audits = append(data.Audits, dashboardAudit{ID: j.ID, resultSummary: j.Summary})
 		}
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")

@@ -41,13 +41,13 @@ func hexDigest(ds *dataset.Dataset) string {
 }
 
 // submitJob posts spec, requires want, and returns the job it answered.
-func submitJob(t *testing.T, baseURL string, spec map[string]any, want int) jobs.Job {
+func submitJob(t *testing.T, baseURL string, spec map[string]any, want int) apiJob {
 	t.Helper()
 	resp, body := postJSON(t, baseURL+"/v1/jobs", spec)
 	if resp.StatusCode != want {
 		t.Fatalf("submit = %d (%s), want %d", resp.StatusCode, body, want)
 	}
-	var j jobs.Job
+	var j apiJob
 	if err := json.Unmarshal(body, &j); err != nil {
 		t.Fatal(err)
 	}

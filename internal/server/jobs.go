@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 
 	"fairrank/internal/cluster"
@@ -32,32 +31,63 @@ const (
 	maxJobPage     = 500
 )
 
-// jobResult is the stored output of an audit job. It deliberately
-// carries no wall-clock fields (the job's started_at/finished_at hold
-// those): crash recovery re-runs interrupted jobs and promises a
-// bit-identical result, so everything here must be a pure function of
-// the spec.
-type jobResult struct {
-	Dataset    string           `json:"dataset,omitempty"`
-	Algorithm  string           `json:"algorithm"`
-	Unfairness float64          `json:"unfairness"`
-	Partitions []auditPartition `json:"partitions"`
-	// PValue is the permutation-test p-value, present when the spec set
-	// significance_rounds.
-	PValue *float64 `json:"p_value,omitempty"`
+// jobEntry is one job on a GET /v1/jobs page: the job, a done job's
+// result summary in place of its result, and on a clustered page the
+// node the job lives on. Job IDs are per-node sequences ("job-000001"
+// exists on every node), so (ID, Node) is the cluster-wide identity.
+type jobEntry struct {
+	jobs.Job
+	Summary *resultSummary `json:"summary,omitempty"`
+	Node    string         `json:"node,omitempty"`
 }
 
-type auditPartition struct {
-	Label string `json:"label"`
-	Size  int    `json:"size"`
-}
-
-// jobPage is the paginated GET /v1/jobs response.
+// jobPage is the paginated GET /v1/jobs response. Partial marks a
+// clustered page assembled while at least one peer was unreachable.
 type jobPage struct {
-	Jobs   []jobs.Job `json:"jobs"`
-	Total  int        `json:"total"`
-	Offset int        `json:"offset"`
-	Limit  int        `json:"limit"`
+	Jobs    []jobEntry `json:"jobs"`
+	Total   int        `json:"total"`
+	Offset  int        `json:"offset"`
+	Limit   int        `json:"limit"`
+	Partial bool       `json:"partial,omitempty"`
+}
+
+// listJobs is one page of this node's jobs, each done job summarized.
+func (s *Server) listJobs(state jobs.State, offset, limit int) ([]jobEntry, int) {
+	page, total := s.jobs.List(state, offset, limit)
+	out := make([]jobEntry, len(page))
+	for i, j := range page {
+		out[i].Job = j
+		if len(j.Result) > 0 {
+			if sum, err := summarize(j.Result); err == nil {
+				out[i].Summary = &sum
+			}
+		}
+	}
+	return out, total
+}
+
+// writeJob writes the body GET /v1/jobs/{id} answers with: the job's
+// fields, then its result, rendered from the stored bytes straight into
+// the body, then the node it lives on when node is set.
+func writeJob(w http.ResponseWriter, status int, j jobs.Job, node string) {
+	body, err := json.Marshal(j)
+	if err == nil && len(j.Result) > 0 {
+		body = append(body[:len(body)-1], `,"result":`...)
+		body, err = appendResultJSON(body, j.Result)
+		body = append(body, '}')
+	}
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
+	}
+	if node != "" {
+		body = append(body[:len(body)-1], `,"node":"`...)
+		body = append(body, jsonString(node)...)
+		body = append(body, `"}`...)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 // jobDataset returns the content a job audits: the mapping its pinned
@@ -159,7 +189,10 @@ func (s *Server) decodeJob(raw []byte) (jobs.Spec, string, error) {
 
 // execJob is the queue's executor: resolve the spec on its pinned
 // content, drive the engine (and the permutation test, when asked) under
-// the job's context, and serialize the deterministic result.
+// the job's context, and encode the deterministic result as a record.
+// The record carries no wall-clock fields (the job's started_at and
+// finished_at hold those): crash recovery re-runs interrupted jobs and
+// promises a bit-identical result, so it is a pure function of the spec.
 func (s *Server) execJob(ctx context.Context, j jobs.Job, progress func(core.TraceStep)) ([]byte, error) {
 	spec, err := s.resolveJobSpec(j.Spec)
 	if err != nil {
@@ -176,27 +209,15 @@ func (s *Server) execJob(ctx context.Context, j jobs.Job, progress func(core.Tra
 	if err != nil {
 		return nil, err
 	}
-	out := jobResult{
-		Dataset:    j.Spec.Dataset,
-		Algorithm:  res.Algorithm,
-		Unfairness: res.Unfairness,
-		Partitions: []auditPartition{},
-	}
-	schema := spec.Dataset.Schema()
-	for _, p := range res.Partitioning.Parts {
-		out.Partitions = append(out.Partitions, auditPartition{Label: p.Label(schema), Size: p.Size()})
-	}
-	sort.Slice(out.Partitions, func(i, k int) bool {
-		return out.Partitions[i].Label < out.Partitions[k].Label
-	})
+	var pValue *float64
 	if n := j.Spec.SignificanceRounds; n > 0 {
 		p, _, err := core.Significance(e, res.Partitioning, n, j.Spec.Seed)
 		if err != nil {
 			return nil, err
 		}
-		out.PValue = &p
+		pValue = &p
 	}
-	return json.Marshal(out)
+	return encodeResult(j.Spec.Dataset, res, spec.Dataset.Schema(), pValue)
 }
 
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
@@ -240,18 +261,18 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		// Coalesced onto an existing job (active dedup or result cache).
 		status = http.StatusOK
 	}
-	writeJSON(w, status, job)
+	writeJob(w, status, job, "")
 }
 
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	c := s.clusterRef()
 	if job, ok := s.jobs.Get(id); ok {
+		node := ""
 		if c != nil {
-			writeJSON(w, http.StatusOK, clusterJob{Job: job, Node: c.NodeID()})
-			return
+			node = c.NodeID()
 		}
-		writeJSON(w, http.StatusOK, job)
+		writeJob(w, http.StatusOK, job, node)
 		return
 	}
 	// Local miss: scatter to live peers unless this request is itself a
@@ -296,7 +317,7 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 		s.scatterListJobs(w, c, state, offset, limit)
 		return
 	}
-	page, total := s.jobs.List(state, offset, limit)
+	page, total := s.listJobs(state, offset, limit)
 	writeJSON(w, http.StatusOK, jobPage{Jobs: page, Total: total, Offset: offset, Limit: limit})
 }
 

@@ -7,7 +7,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -34,10 +36,10 @@ func putDataset(t *testing.T, s *Server, name string, n int) {
 }
 
 // waitJobHTTP polls GET /v1/jobs/{id} until the job reaches want.
-func waitJobHTTP(t *testing.T, baseURL, id string, want jobs.State) jobs.Job {
+func waitJobHTTP(t *testing.T, baseURL, id string, want jobs.State) apiJob {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
-	var j jobs.Job
+	var j apiJob
 	for time.Now().Before(deadline) {
 		if status := getJSON(t, baseURL+"/v1/jobs/"+id, &j); status != http.StatusOK {
 			t.Fatalf("GET job %s: status %d", id, status)
@@ -48,7 +50,7 @@ func waitJobHTTP(t *testing.T, baseURL, id string, want jobs.State) jobs.Job {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("job %s: state %s after timeout, want %s (error %q)", id, j.State, want, j.Error)
-	return jobs.Job{}
+	return apiJob{}
 }
 
 func jobSpecBody(weights map[string]float64, seed uint64) map[string]any {
@@ -73,7 +75,7 @@ func TestJobsEndToEndDedup(t *testing.T) {
 	var firstID string
 	for i := 0; i < identical; i++ {
 		resp, body := postJSON(t, ts.URL+"/v1/jobs", specs[0])
-		var j jobs.Job
+		var j apiJob
 		if err := json.Unmarshal(body, &j); err != nil {
 			t.Fatalf("submission %d: %v (%s)", i, err, body)
 		}
@@ -95,7 +97,7 @@ func TestJobsEndToEndDedup(t *testing.T) {
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("distinct submission status %d (%s)", resp.StatusCode, body)
 		}
-		var j jobs.Job
+		var j apiJob
 		if err := json.Unmarshal(body, &j); err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +161,7 @@ func TestJobsRestartMidRunBitIdentical(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status %d (%s)", resp.StatusCode, body)
 	}
-	var submitted jobs.Job
+	var submitted apiJob
 	if err := json.Unmarshal(body, &submitted); err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +199,7 @@ func TestJobsRestartMidRunBitIdentical(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("clean submit status %d (%s)", resp.StatusCode, body)
 	}
-	var clean jobs.Job
+	var clean apiJob
 	if err := json.Unmarshal(body, &clean); err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +278,7 @@ func TestJobsListPaginationHTTP(t *testing.T) {
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("submit %d status %d (%s)", i, resp.StatusCode, body)
 		}
-		var j jobs.Job
+		var j apiJob
 		if err := json.Unmarshal(body, &j); err != nil {
 			t.Fatal(err)
 		}
@@ -362,7 +364,7 @@ func TestJobsCancelAndErrorsHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status %d (%s)", resp.StatusCode, body)
 	}
-	var j jobs.Job
+	var j apiJob
 	if err := json.Unmarshal(body, &j); err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +414,7 @@ func TestJobsEventsSSE(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status %d (%s)", resp.StatusCode, body)
 	}
-	var j jobs.Job
+	var j apiJob
 	if err := json.Unmarshal(body, &j); err != nil {
 		t.Fatal(err)
 	}
@@ -466,5 +468,43 @@ func TestJobsEventsSSE(t *testing.T) {
 	// Unknown job: 404, not an empty stream.
 	if resp, err := http.Get(ts.URL + "/v1/jobs/job-424242/events"); err != nil || resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("events for unknown job: %v %d", err, resp.StatusCode)
+	}
+}
+
+// TestFinishedJobGrowth holds what each finished 7300-worker audit adds
+// to the live heap and to the store's log to 25 KB, a tenth of the
+// ~250 KB each cost while results were stored as JSON. The audits are
+// fresh specs cycling the three algorithms perfbench runs.
+func TestFinishedJobGrowth(t *testing.T) {
+	s, ts, path := newTestServer(t)
+	putDataset(t, s, "paper", 7300)
+	algorithms := []string{"balanced", "all-attributes", "unbalanced"}
+	run := func(i int) {
+		runJob(t, ts.URL, map[string]any{"dataset": "paper", "algorithm": algorithms[i%3],
+			"weights": map[string]float64{"LanguageTest": float64(1 + i), "ApprovalRate": 1}})
+	}
+	measure := func() (heap uint64, wal int64) {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.HeapAlloc, fi.Size()
+	}
+	for i := range algorithms {
+		run(i) // warm-up
+	}
+	const n = 12
+	h0, w0 := measure()
+	for i := 0; i < n; i++ {
+		run(len(algorithms) + i)
+	}
+	h1, w1 := measure()
+	heap, wal := (int64(h1)-int64(h0))/n, (w1-w0)/n
+	t.Logf("per finished job: heap %d B, log %d B", heap, wal)
+	if heap > 25<<10 || wal > 25<<10 {
+		t.Fatalf("per finished job: heap %d B, log %d B; want at most %d each", heap, wal, 25<<10)
 	}
 }

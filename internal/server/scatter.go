@@ -17,24 +17,6 @@ import (
 	"fairrank/internal/jobs"
 )
 
-// clusterJob annotates a job with the node it lives on. Job IDs are
-// per-node sequences ("job-000001" exists on every node), so the pair
-// (ID, Node) is the cluster-wide identity.
-type clusterJob struct {
-	jobs.Job
-	Node string `json:"node,omitempty"`
-}
-
-// clusterJobPage is the clustered GET /v1/jobs answer. Partial marks a
-// page assembled while at least one peer was unreachable.
-type clusterJobPage struct {
-	Jobs    []clusterJob `json:"jobs"`
-	Total   int          `json:"total"`
-	Offset  int          `json:"offset"`
-	Limit   int          `json:"limit"`
-	Partial bool         `json:"partial,omitempty"`
-}
-
 // scatterListJobs merges every live node's job list into one page.
 // Each node is asked for the first offset+limit entries of its own
 // newest-first ordering; the union re-sorts (ID descending, node ID
@@ -46,10 +28,9 @@ func (s *Server) scatterListJobs(w http.ResponseWriter, c *cluster.Cluster, stat
 	if want > maxJobPage {
 		want = maxJobPage
 	}
-	local, localTotal := s.jobs.List(state, 0, want)
-	rows := make([]clusterJob, 0, len(local))
-	for _, j := range local {
-		rows = append(rows, clusterJob{Job: j, Node: c.NodeID()})
+	rows, localTotal := s.listJobs(state, 0, want)
+	for i := range rows {
+		rows[i].Node = c.NodeID()
 	}
 	total := localTotal
 	partial := c.DownPeers() > 0 // dead peers were never asked
@@ -85,7 +66,8 @@ func (s *Server) scatterListJobs(w http.ResponseWriter, c *cluster.Cluster, stat
 		}
 		total += a.page.Total
 		for _, j := range a.page.Jobs {
-			rows = append(rows, clusterJob{Job: j, Node: a.peer.ID})
+			j.Node = a.peer.ID
+			rows = append(rows, j)
 		}
 	}
 	sort.Slice(rows, func(i, j int) bool {
@@ -102,7 +84,7 @@ func (s *Server) scatterListJobs(w http.ResponseWriter, c *cluster.Cluster, stat
 	if limit < len(rows) {
 		rows = rows[:limit]
 	}
-	writeJSON(w, http.StatusOK, clusterJobPage{
+	writeJSON(w, http.StatusOK, jobPage{
 		Jobs: rows, Total: total, Offset: offset, Limit: limit, Partial: partial,
 	})
 }
@@ -122,12 +104,17 @@ func (s *Server) scatterGetJob(w http.ResponseWriter, c *cluster.Cluster, id str
 		if status != http.StatusOK {
 			continue
 		}
-		var j jobs.Job
+		// The peer's result arrives rendered; it is served verbatim.
+		var j struct {
+			jobs.Job
+			Result json.RawMessage `json:"result"`
+		}
 		if err := json.Unmarshal(body, &j); err != nil {
 			partial = true
 			continue
 		}
-		writeJSON(w, http.StatusOK, clusterJob{Job: j, Node: p.ID})
+		j.Job.Result = j.Result
+		writeJob(w, http.StatusOK, j.Job, p.ID)
 		return
 	}
 	writeJSON(w, http.StatusNotFound, struct {

@@ -28,7 +28,8 @@
 //	GET  /v1/algorithms               list registered audit algorithms
 //	POST /v1/jobs                     submit an audit job (jobs.Spec; 202,
 //	                                  200 on dedup, 429 when full)
-//	GET  /v1/jobs                     list jobs (paginated: limit/offset/state)
+//	GET  /v1/jobs                     list jobs (paginated: limit/offset/state),
+//	                                  a done job with its result's summary
 //	GET  /v1/jobs/{id}                job status + result
 //	DELETE /v1/jobs/{id}              cancel a queued or running job
 //	GET  /v1/jobs/{id}/events         follow job lifecycle + progress (SSE)

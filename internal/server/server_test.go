@@ -100,13 +100,13 @@ func getJSON(t *testing.T, url string, into any) int {
 
 // runJob submits spec to POST /v1/jobs, requires a 202, and returns the
 // job once it is done.
-func runJob(t *testing.T, baseURL string, spec map[string]any) jobs.Job {
+func runJob(t *testing.T, baseURL string, spec map[string]any) apiJob {
 	t.Helper()
 	resp, body := postJSON(t, baseURL+"/v1/jobs", spec)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit = %d: %s", resp.StatusCode, body)
 	}
-	var j jobs.Job
+	var j apiJob
 	if err := json.Unmarshal(body, &j); err != nil {
 		t.Fatal(err)
 	}
@@ -365,15 +365,22 @@ func TestAuditEndToEnd(t *testing.T) {
 		t.Fatalf("job timestamps: started %v, finished %v", j.StartedAt, j.FinishedAt)
 	}
 
-	// Stored and listed.
+	// Stored and listed: the page carries the result's summary, not the
+	// result.
 	var page struct {
-		Jobs []jobs.Job `json:"jobs"`
+		Jobs []map[string]json.RawMessage `json:"jobs"`
 	}
 	if code := getJSON(t, ts.URL+"/v1/jobs?state=done", &page); code != 200 || len(page.Jobs) != 1 {
 		t.Fatalf("list jobs = %d, %d items", code, len(page.Jobs))
 	}
-	if !bytes.Equal(page.Jobs[0].Result, j.Result) {
-		t.Fatal("listed result differs")
+	var sum resultSummary
+	if err := json.Unmarshal(page.Jobs[0]["summary"], &sum); err != nil {
+		t.Fatal(err)
+	}
+	want := resultSummary{Dataset: "workers", Algorithm: "balanced",
+		Unfairness: audit["unfairness"].(float64), Partitions: len(audit["partitions"].([]any))}
+	if _, ok := page.Jobs[0]["result"]; ok || sum != want {
+		t.Fatalf("listed job carries summary %+v and result %v, want summary %+v and no result", sum, ok, want)
 	}
 	if code := getJSON(t, ts.URL+"/v1/jobs/job-999999", nil); code != 404 {
 		t.Fatalf("missing job = %d", code)
@@ -433,7 +440,7 @@ func TestAuditWithSignificanceAndAttrs(t *testing.T) {
 	}
 	// A resubmission with rounds coalesces onto the job that has them.
 	resp, body := postJSON(t, ts.URL+"/v1/jobs", spec)
-	var again jobs.Job
+	var again apiJob
 	if err := json.Unmarshal(body, &again); err != nil || resp.StatusCode != http.StatusOK || again.ID != sig.ID {
 		t.Fatalf("resubmission = %d %s", resp.StatusCode, body)
 	}
@@ -462,7 +469,7 @@ func TestAuditErrors(t *testing.T) {
 	// as "every attribute", so it coalesces onto the spec without one.
 	plain := runJob(t, ts.URL, map[string]any{"dataset": "workers", "weights": lang})
 	resp, body := postJSON(t, ts.URL+"/v1/jobs", map[string]any{"dataset": "workers", "weights": lang, "attributes": []string{}})
-	var again jobs.Job
+	var again apiJob
 	if err := json.Unmarshal(body, &again); err != nil || resp.StatusCode != http.StatusOK || again.ID != plain.ID {
 		t.Fatalf("empty attributes = %d %s, want a dedup onto %s", resp.StatusCode, body, plain.ID)
 	}
@@ -625,7 +632,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	if code := getJSON(t, ts2.URL+"/v1/tasks", &tasks); code != 200 || len(tasks) != 1 {
 		t.Fatalf("tasks after restart = %v", tasks)
 	}
-	var got jobs.Job
+	var got apiJob
 	if code := getJSON(t, ts2.URL+"/v1/jobs/"+first.ID, &got); code != 200 || !bytes.Equal(got.Result, first.Result) {
 		t.Fatalf("job after restart = %d %s", code, got.Result)
 	}
@@ -747,7 +754,7 @@ func TestJobCancelRunning(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit = %d: %s", resp.StatusCode, body)
 	}
-	var j jobs.Job
+	var j apiJob
 	if err := json.Unmarshal(body, &j); err != nil {
 		t.Fatal(err)
 	}
