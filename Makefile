@@ -187,28 +187,18 @@ verify:
 	$(GO) test -race ./...
 
 # fuzz-smoke runs each fuzz target for FUZZTIME (default 10s), sequentially
-# — `go test -fuzz` accepts only one target per invocation. The committed
-# corpora under testdata/fuzz/ are replayed by plain `go test` as well; this
-# target additionally explores new inputs.
+# — `go test -fuzz` accepts only one target per invocation. The targets are
+# read from the code with `go test -list`, so a new one runs without an
+# edit here, and a package that fails to list fails the target. The
+# committed corpora under testdata/fuzz/ are replayed by plain `go test` as
+# well; this target additionally explores new inputs.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzPMFDistance$$' -fuzztime $(FUZZTIME) ./internal/emd/
-	$(GO) test -run '^$$' -fuzz '^FuzzExactEMD$$' -fuzztime $(FUZZTIME) ./internal/emd/
-	$(GO) test -run '^$$' -fuzz '^FuzzFixedQuant$$' -fuzztime $(FUZZTIME) ./internal/emd/
-	$(GO) test -run '^$$' -fuzz '^FuzzHistogram$$' -fuzztime $(FUZZTIME) ./internal/histogram/
-	$(GO) test -run '^$$' -fuzz '^FuzzEnumerate$$' -fuzztime $(FUZZTIME) ./internal/partition/
-	$(GO) test -run '^$$' -fuzz '^FuzzEvaluatorOracle$$' -fuzztime $(FUZZTIME) ./internal/core/
-	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/query/
-	$(GO) test -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime $(FUZZTIME) ./internal/store/
-	$(GO) test -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME) ./internal/dataset/
-	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/dataset/
-	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime $(FUZZTIME) ./internal/dataset/
-	$(GO) test -run '^$$' -fuzz '^FuzzPrometheus$$' -fuzztime $(FUZZTIME) ./internal/telemetry/
-	$(GO) test -run '^$$' -fuzz '^FuzzJobSpecJSON$$' -fuzztime $(FUZZTIME) ./internal/jobs/
-	$(GO) test -run '^$$' -fuzz '^FuzzRankRequest$$' -fuzztime $(FUZZTIME) ./internal/server/
-	$(GO) test -run '^$$' -fuzz '^FuzzResultRecord$$' -fuzztime $(FUZZTIME) ./internal/server/
-	$(GO) test -run '^$$' -fuzz '^FuzzClusterMessage$$' -fuzztime $(FUZZTIME) ./internal/cluster/
-	$(GO) test -run '^$$' -fuzz '^FuzzMonitorSpecJSON$$' -fuzztime $(FUZZTIME) ./internal/drift/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEvents$$' -fuzztime $(FUZZTIME) ./internal/drift/
+	@list=$$($(GO) test -list '^Fuzz' ./...) || { echo "$$list"; exit 1; }; \
+	echo "$$list" | awk '/^Fuzz/ { t[n++] = $$1 } /^ok / { for (i = 0; i < n; i++) print $$2, t[i]; n = 0 }' | \
+	while read pkg target; do \
+		echo "$$pkg $$target"; \
+		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+	done
 
 # cover writes a module-wide coverage profile (uploaded as a CI artifact).
 cover:

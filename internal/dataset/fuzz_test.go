@@ -10,32 +10,6 @@ import (
 	"testing"
 )
 
-// FuzzReadBinary ensures arbitrary bytes never panic the legacy reader.
-// Its valid seed is the committed fixture the format's last writer wrote.
-func FuzzReadBinary(f *testing.F) {
-	valid, err := os.ReadFile("testdata/paper-40-seed-42.frnkds1")
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	f.Add([]byte("FRNKDS1\n"))
-	f.Add([]byte(""))
-	f.Add([]byte("garbage that is long enough to not be magic"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		back, err := ReadBinary(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// Whatever parsed must be a coherent dataset.
-		if back.N() <= 0 {
-			t.Fatal("parsed dataset with non-positive N")
-		}
-		if err := back.Schema().Validate(); err != nil {
-			t.Fatalf("parsed dataset with invalid schema: %v", err)
-		}
-	})
-}
-
 // FuzzSnapshotDecode ensures arbitrary bytes never panic the columnar
 // snapshot reader: every rejection must be ErrCorrupt, and anything that
 // parses must be a coherent dataset that survives a full re-serialize /

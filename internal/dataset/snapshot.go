@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -12,12 +13,10 @@ import (
 	"unsafe"
 )
 
-// Columnar snapshot format — the mmap-able successor of the legacy stream
-// format in binary.go. The legacy format interleaves variable-width records
-// and can only be decoded front to back into fresh heap slices; this format
-// lays every column out as one contiguous, 8-byte-aligned, fixed-width
-// block so a reader can map the file and hand the engine direct views of
-// the mapped bytes — no decode pass, no copy, RAM cost independent of
+// Columnar snapshot format: the one form datasets are stored in. It lays
+// every column out as one contiguous, 8-byte-aligned, fixed-width block
+// so a reader can map the file and hand the engine direct views of the
+// mapped bytes — no decode pass, no copy, RAM cost independent of
 // dataset size.
 //
 // Layout (all integers little-endian):
@@ -54,9 +53,18 @@ const (
 	// snapMaxSchemaLen bounds the schema JSON block; real schemas are a few
 	// hundred bytes.
 	snapMaxSchemaLen = 1 << 20
-	// snapMaxWorkers mirrors the legacy reader's sanity bound.
+	// snapMaxWorkers bounds the worker count a footer may claim.
 	snapMaxWorkers = 1 << 28
 )
+
+// ErrCorrupt is returned when a snapshot fails its integrity checks.
+var ErrCorrupt = errors.New("dataset: corrupt snapshot")
+
+// binarySchema is the schema block's JSON.
+type binarySchema struct {
+	Protected []Attribute `json:"protected"`
+	Observed  []Attribute `json:"observed"`
+}
 
 // snapshotBlockCount returns the number of blocks a snapshot of the schema
 // carries: schema JSON, id offsets, id bytes, codes+raw per protected
@@ -270,9 +278,8 @@ func (d *Dataset) WriteSnapshot(w io.Writer) error {
 // contents are, whatever backs them. The columnar snapshot is the one
 // canonical encoding — the writer is deterministic, ReadSnapshot inverts
 // it, and it re-serializes byte-identically from heap and mmap backings —
-// so a dataset built in memory, decoded from CSV or the legacy binary
-// format, mapped from a snapshot, or produced by Subset digests by its
-// contents alone.
+// so a dataset built in memory, decoded from CSV, mapped from a
+// snapshot, or produced by Subset digests by its contents alone.
 //
 // The first call pays one pass over the columns; the result is cached on
 // the immutable Dataset, so later calls cost O(1) in the worker count.

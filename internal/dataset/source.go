@@ -34,7 +34,7 @@ type Source interface {
 }
 
 // memSource is the owned-slice Source: every column is a heap slice this
-// process owns. Builder, the row decoders (CSV/JSON/legacy binary) and the
+// process owns. Builder, the row decoders (CSV/JSON) and the
 // copy-on-write Subset all produce memSources.
 type memSource struct {
 	schema       *Schema

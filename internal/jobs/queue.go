@@ -70,29 +70,19 @@ const bucketJobs = "jobs"
 // bucketResults holds each done job's result bytes under its job ID. A
 // done job's record omits its result and the queue drops its own copy,
 // so every result is held in memory once: by the store, which hands out
-// copies. A record whose result put failed embeds the result instead, as
-// do records written before results had their own bucket.
+// copies. A record whose result put failed embeds the result instead.
 const bucketResults = "results"
 
-// record is a job's persisted form: the job's fields, plus its result
-// when the result is not stored under its own key. This version embeds
-// a result as a base64 JSON string; records written while results were
-// JSON embed the result object itself, which loads verbatim.
+// record is a job's persisted form: the job's fields, plus its result,
+// as a base64 JSON string, when the result is not stored under its own
+// key.
 type record struct {
 	Job
-	Result json.RawMessage `json:"result,omitempty"`
+	Result []byte `json:"result,omitempty"`
 }
 
 func encodeRecord(snap Job) ([]byte, error) {
-	rec := record{Job: snap}
-	if len(snap.Result) > 0 {
-		b, err := json.Marshal(snap.Result)
-		if err != nil {
-			return nil, err
-		}
-		rec.Result = b
-	}
-	return json.Marshal(rec)
+	return json.Marshal(record{Job: snap, Result: snap.Result})
 }
 
 func decodeRecord(raw []byte) (Job, error) {
@@ -100,17 +90,45 @@ func decodeRecord(raw []byte) (Job, error) {
 	if err := json.Unmarshal(raw, &rec); err != nil {
 		return Job{}, err
 	}
-	j := rec.Job
-	switch {
-	case len(rec.Result) == 0:
-	case rec.Result[0] == '"':
-		if err := json.Unmarshal(rec.Result, &j.Result); err != nil {
-			return Job{}, err
+	rec.Job.Result = rec.Result
+	return rec.Job, nil
+}
+
+// LegacyRecord finds a record in the queue's buckets of a shape this
+// version no longer reads: a result stored as JSON, under its own key or
+// embedded in its job's record, a spec naming a snapshot instead of a
+// dataset, or a queued or running job without a pinned digest. It
+// returns the record's bucket and key and names its shape, or returns an
+// empty shape. A record that does not decode is left to recovery, which
+// reports it corrupt.
+func LegacyRecord(db *store.DB) (bucket, key, shape string) {
+	for _, id := range db.Keys(bucketResults) {
+		if raw, _ := db.Get(bucketResults, id); len(raw) > 0 && raw[0] == '{' {
+			return bucketResults, id, "a result stored as JSON"
 		}
-	default:
-		j.Result = rec.Result
 	}
-	return j, nil
+	for _, id := range db.Keys(bucketJobs) {
+		raw, _ := db.Get(bucketJobs, id)
+		var rec struct {
+			State  State           `json:"state"`
+			Result json.RawMessage `json:"result"`
+			Spec   struct {
+				Dataset  string `json:"dataset"`
+				Digest   string `json:"digest"`
+				Snapshot string `json:"snapshot"`
+			} `json:"spec"`
+		}
+		switch {
+		case json.Unmarshal(raw, &rec) != nil:
+		case rec.Spec.Dataset == "" && rec.Spec.Snapshot != "":
+			return bucketJobs, id, "a job spec naming a snapshot instead of a dataset"
+		case !rec.State.Terminal() && rec.Spec.Digest == "":
+			return bucketJobs, id, "a queued or running job without a pinned digest"
+		case len(rec.Result) > 0 && rec.Result[0] == '{':
+			return bucketJobs, id, "a job record embedding its result as JSON"
+		}
+	}
+	return "", "", ""
 }
 
 // ErrNotFound is returned for operations on unknown job IDs.
@@ -253,19 +271,6 @@ func (q *Queue) recover() error {
 		}
 		if j.ID != id {
 			return fmt.Errorf("jobs: job record %q claims id %q", id, j.ID)
-		}
-		if j.Spec.Dataset == "" {
-			// Records from when a spec could name a stored snapshot: that
-			// file is the dataset of the same name. raw decoded above, so
-			// only a mistyped field can fail here, and it leaves the spec
-			// without a dataset, as it was.
-			var legacy struct {
-				Spec struct {
-					Snapshot string `json:"snapshot"`
-				} `json:"spec"`
-			}
-			_ = json.Unmarshal(raw, &legacy)
-			j.Spec.Dataset = legacy.Spec.Snapshot
 		}
 		q.idSeq = max(q.idSeq, parseJobSeq(id))
 		job := &j

@@ -280,39 +280,6 @@ func TestDoneResultHeldOnce(t *testing.T) {
 	}
 }
 
-// TestRecoverLegacyEmbeddedResult: a done record written before results
-// had their own key embeds its result; it still recovers and answers Get
-// with identical bytes.
-func TestRecoverLegacyEmbeddedResult(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "jobs.db")
-	db := openStore(t, path)
-	result := `{"algo":"legacy","seed":0}`
-	record := fmt.Sprintf(`{"id":"job-000007","spec_hash":"h-legacy","spec":{"dataset":"demo","weights":{"Score":1},"algorithm":"legacy"},`+
-		`"priority":0,"state":"done","attempt":1,"max_attempts":3,"enqueued_at":%q,"finished_at":%q,"result":%s}`,
-		time.Now().Format(time.RFC3339Nano), time.Now().Format(time.RFC3339Nano), result)
-	if err := db.Put(bucketJobs, "job-000007", []byte(record)); err != nil {
-		t.Fatal(err)
-	}
-	q, err := New(db, deterministicExec, Options{Workers: 1, ResultTTL: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = q.Shutdown(ctx)
-		db.Close()
-	}()
-	got, ok := q.Get("job-000007")
-	if !ok || got.State != StateDone || string(got.Result) != result {
-		t.Fatalf("legacy job = %+v (result %s)", got, got.Result)
-	}
-	hit, created, err := q.Submit(testSpec("legacy"), "h-legacy")
-	if err != nil || created || string(hit.Result) != result {
-		t.Fatalf("legacy cache hit = (%v, %v, %s)", created, err, hit.Result)
-	}
-}
-
 // TestFailedResultPutEmbedsResult: when a done job's result cannot be
 // stored under its own key, the queue keeps it on the job and its record
 // embeds it. Result bytes that are not JSON still encode into the
@@ -348,32 +315,5 @@ func TestFailedResultPutEmbedsResult(t *testing.T) {
 	hit, created, err := q2.Submit(testSpec("bin"), "h-bin")
 	if err != nil || created || !bytes.Equal(hit.Result, result) {
 		t.Fatalf("cache hit = (%v, %v, %q)", created, err, hit.Result)
-	}
-}
-
-// TestRecoverLegacySnapshotSpec: a record written while a spec could
-// name a stored snapshot ("snapshot":"x") recovers as a spec on dataset
-// x, and the requeued record is rewritten in that form.
-func TestRecoverLegacySnapshotSpec(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "jobs.db")
-	db := openStore(t, path)
-	defer db.Close()
-	legacy := `{"id":"job-000007","spec_hash":"h-legacy","spec":{"snapshot":"x","weights":{"a":1}},` +
-		`"priority":0,"state":"queued","attempt":0,"max_attempts":3,"enqueued_at":"2026-01-02T03:04:05Z"}`
-	if err := db.Put(bucketJobs, "job-000007", []byte(legacy)); err != nil {
-		t.Fatal(err)
-	}
-	q, err := New(db, deterministicExec, Options{Workers: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer q.Kill()
-	j, ok := q.Get("job-000007")
-	if !ok || j.Spec.Dataset != "x" || j.State != StateQueued {
-		t.Fatalf("recovered %+v, %v; want a queued job on dataset x", j, ok)
-	}
-	raw, _ := db.Get(bucketJobs, "job-000007")
-	if !bytes.Contains(raw, []byte(`"dataset":"x"`)) || bytes.Contains(raw, []byte("snapshot")) {
-		t.Fatalf("requeued record %s", raw)
 	}
 }

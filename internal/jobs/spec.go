@@ -22,8 +22,7 @@ type Spec struct {
 	// Digest pins the content the job audits: the hex content digest
 	// Dataset held when the server accepted the job, which the executor
 	// runs whatever the name holds by then. Only the server sets it
-	// (DecodeSpec refuses it); a spec without one runs the content its
-	// name holds at run time.
+	// (DecodeSpec refuses it).
 	Digest string `json:"digest,omitempty"`
 	// Algorithm is a registered audit algorithm; empty means "balanced".
 	Algorithm string `json:"algorithm,omitempty"`
@@ -85,11 +84,10 @@ func DecodeSpec(data []byte) (Spec, error) {
 	if wire.Digest != nil {
 		return Spec{}, errors.New("jobs: digest is set by the server, not in a submitted spec")
 	}
-	s := wire.Spec
-	if err := s.Validate(); err != nil {
+	if err := wire.Spec.Validate(); err != nil {
 		return Spec{}, err
 	}
-	return s.normalize(), nil
+	return wire.Spec, nil
 }
 
 // Validate checks the spec's self-contained invariants. Dataset existence
@@ -115,6 +113,9 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("jobs: %w", err)
 		}
 	}
+	if s.Attributes != nil && len(s.Attributes) == 0 {
+		return errors.New("jobs: attributes lists none; omit it to audit every attribute")
+	}
 	for _, a := range s.Attributes {
 		if a == "" {
 			return errors.New("jobs: empty attribute name")
@@ -136,14 +137,4 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("jobs: max_attempts %d out of range [0, %d]", s.MaxAttempts, MaxAttemptsLimit)
 	}
 	return nil
-}
-
-// normalize collapses representations that decode differently but mean
-// the same thing, so a decoded spec round-trips through Marshal/Decode
-// unchanged (pinned by FuzzJobSpecJSON).
-func (s Spec) normalize() Spec {
-	if len(s.Attributes) == 0 {
-		s.Attributes = nil
-	}
-	return s
 }

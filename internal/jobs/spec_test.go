@@ -24,6 +24,7 @@ func TestDecodeSpecRejects(t *testing.T) {
 		"empty digest":  `{"dataset":"d","digest":"","weights":{"a":1}}`,
 		"null digest":   `{"dataset":"d","digest":null,"weights":{"a":1}}`,
 		"folded digest": `{"dataset":"d","Digest":"ab12","weights":{"a":1}}`,
+		"no attributes": `{"dataset":"d","weights":{"a":1},"attributes":[]}`,
 	}
 	for name, body := range cases {
 		if _, err := DecodeSpec([]byte(body)); err == nil {

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -251,103 +250,6 @@ func TestDatasetContentStoredOnce(t *testing.T) {
 	doDelete(t, ts.URL+"/v1/datasets/c")
 	if files := snapFiles(t, s); len(files) != 0 {
 		t.Fatalf("files outlived every name: %v", files)
-	}
-}
-
-// TestLegacyDatasetRecordMigrates boots a store holding a dataset as a
-// legacy binary WAL record, written by that format's last writer: the
-// record is registered like an upload and then dropped.
-func TestLegacyDatasetRecordMigrates(t *testing.T) {
-	raw, err := os.ReadFile("../dataset/testdata/paper-40-seed-42.frnkds1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := store.Open(filepath.Join(t.TempDir(), "srv.db"), store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { db.Close() })
-	if err := db.Put(bucketDatasets, "legacy", raw); err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if keys := db.Keys(bucketDatasets); len(keys) != 0 {
-		t.Fatalf("legacy records left after boot: %v", keys)
-	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	var info datasetInfo
-	if code := getJSON(t, ts.URL+"/v1/datasets/legacy", &info); code != http.StatusOK || info.Workers != 40 {
-		t.Fatalf("migrated dataset: %d %+v", code, info)
-	}
-	want := hexDigest(paperWorkers(t, 40, 42))
-	if ref, _ := s.snaps.Ref("legacy"); ref.Digest != want || ref.File != want+".snap" {
-		t.Fatalf("migrated ref %+v, want digest %s", ref, want)
-	}
-}
-
-// TestDigestlessRefHashedOnce: a snapshot ref written before refs carried
-// a digest is hashed at its first boot and rewritten in place, in one WAL
-// put; its file keeps its name. The next boot reads the digest.
-func TestDigestlessRefHashedOnce(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "srv.db")
-	db, err := store.Open(path, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := paperWorkers(t, 40, 42)
-	var snap bytes.Buffer
-	if err := ds.WriteSnapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(path+".snapshots", 0o755); err != nil {
-		t.Fatal(err)
-	}
-	const file = "demo-0badf00d.snap"
-	if err := os.WriteFile(filepath.Join(path+".snapshots", file), snap.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ref, err := json.Marshal(store.SnapshotRef{Name: "demo", File: file, Size: int64(snap.Len())})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Put("snapshots", "demo", ref); err != nil {
-		t.Fatal(err)
-	}
-	boot := func(db *store.DB) (writes int) {
-		t.Helper()
-		_, before := db.Stats()
-		s, err := New(db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, after := db.Stats()
-		got, _ := s.snaps.Ref("demo")
-		if got.Digest != hexDigest(ds) || got.File != file {
-			t.Fatalf("ref after boot %+v, want digest %s in file %s", got, hexDigest(ds), file)
-		}
-		s.mu.RLock()
-		served := s.datasets["demo"]
-		s.mu.RUnlock()
-		if served.Digest() != ds.Digest() {
-			t.Fatal("served mapping's digest differs from the content's")
-		}
-		return after - before // overwrites of live keys
-	}
-	if n := boot(db); n != 1 {
-		t.Fatalf("first boot overwrote %d records, want the one ref", n)
-	}
-	db.Close()
-	db2, err := store.Open(path, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { db2.Close() })
-	if n := boot(db2); n != 0 {
-		t.Fatalf("second boot overwrote %d records, want none", n)
 	}
 }
 

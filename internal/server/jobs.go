@@ -17,7 +17,6 @@ import (
 
 	"fairrank/internal/cluster"
 	"fairrank/internal/core"
-	"fairrank/internal/dataset"
 	"fairrank/internal/emd"
 	"fairrank/internal/jobs"
 	"fairrank/internal/scoring"
@@ -58,7 +57,7 @@ func (s *Server) listJobs(state jobs.State, offset, limit int) ([]jobEntry, int)
 	for i, j := range page {
 		out[i].Job = j
 		if len(j.Result) > 0 {
-			if sum, err := summarize(j.Result); err == nil {
+			if sum, _, err := readHeader(j.Result); err == nil {
 				out[i].Summary = &sum
 			}
 		}
@@ -90,39 +89,20 @@ func writeJob(w http.ResponseWriter, status int, j jobs.Job, node string) {
 	_, _ = w.Write(append(body, '\n'))
 }
 
-// jobDataset returns the content a job audits: the mapping its pinned
-// digest names, whatever the name holds by now, or — for a spec without
-// a digest (decodeJob's own input, or a job recorded before jobs pinned
-// content) — what the name holds now.
-func (s *Server) jobDataset(sp jobs.Spec) (*dataset.Dataset, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if sp.Digest != "" {
-		ds, ok := s.contents[sp.Digest]
-		if !ok {
-			return nil, fmt.Errorf("dataset %q: pinned content %s is no longer stored", sp.Dataset, sp.Digest)
-		}
-		return ds, nil
-	}
-	ds, ok := s.datasets[sp.Dataset]
-	if !ok {
-		return nil, fmt.Errorf("dataset %q not found", sp.Dataset)
-	}
-	return ds, nil
-}
-
 // resolveJobSpec turns a wire spec into the core.Spec it will execute,
-// on the content jobDataset names, validating the spec's references
-// against that content's schema. It is called at submit time (for
-// validation and the canonical hash) and again at execution time, on the
-// same content.
+// on the content its pinned digest names, whatever the dataset name
+// holds by now, validating the spec's references against that content's
+// schema. It is called at submit time (for validation and the canonical
+// hash) and again at execution time, on the same content.
 func (s *Server) resolveJobSpec(sp jobs.Spec) (core.Spec, error) {
 	if _, err := core.Lookup(cmp.Or(sp.Algorithm, "balanced")); err != nil {
 		return core.Spec{}, err
 	}
-	ds, err := s.jobDataset(sp)
-	if err != nil {
-		return core.Spec{}, err
+	s.mu.RLock()
+	ds, ok := s.contents[sp.Digest]
+	s.mu.RUnlock()
+	if !ok {
+		return core.Spec{}, fmt.Errorf("dataset %q: pinned content %s is no longer stored", sp.Dataset, sp.Digest)
 	}
 	f, err := scoring.NewLinear("job-fn", sp.Weights)
 	if err != nil {
@@ -160,9 +140,9 @@ func (s *Server) resolveJobSpec(sp jobs.Spec) (core.Spec, error) {
 	}, nil
 }
 
-// decodeJob parses a wire spec, resolves it against live server state —
-// so a bad submission fails fast as a 4xx instead of becoming a failed
-// job — pins the content its dataset name holds now (Spec.Digest), and
+// decodeJob parses a wire spec, pins the content its dataset name holds
+// now (Spec.Digest), resolves it against live server state — so a bad
+// submission fails fast as a 4xx instead of becoming a failed job — and
 // derives its dedup key: the canonical core.Spec hash, which binds that
 // same content (so every node a spec lands on recomputes it), with the
 // significance rounds folded in when the spec asks for a p-value. Without
@@ -174,12 +154,18 @@ func (s *Server) decodeJob(raw []byte) (jobs.Spec, string, error) {
 	if err != nil {
 		return jobs.Spec{}, "", err
 	}
+	s.mu.RLock()
+	ds, ok := s.datasets[sp.Dataset]
+	s.mu.RUnlock()
+	if !ok {
+		return jobs.Spec{}, "", fmt.Errorf("dataset %q not found", sp.Dataset)
+	}
+	sp.Digest = digestOf(ds)
 	cspec, err := s.resolveJobSpec(sp)
 	if err != nil {
 		return jobs.Spec{}, "", err
 	}
 	hash := cspec.Hash()
-	sp.Digest = digestOf(cspec.Dataset)
 	if sp.SignificanceRounds > 0 {
 		sum := sha256.Sum256(fmt.Appendf(nil, "%s significance_rounds=%d", hash, sp.SignificanceRounds))
 		hash = hex.EncodeToString(sum[:])

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -51,8 +52,16 @@ func TestNewRejectsCorruptSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	// A dataset entry that is not a valid binary snapshot.
-	if err := db.Put("datasets", "broken", []byte("garbage")); err != nil {
+	// A ref whose file is not a valid snapshot.
+	digest := strings.Repeat("ab", 32)
+	if err := os.MkdirAll(path+".snapshots", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(path+".snapshots", digest+".snap"), []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ref := `{"name":"broken","digest":"` + digest + `","file":"` + digest + `.snap","size":7}`
+	if err := db.Put("snapshots", "broken", []byte(ref)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := New(db); err == nil {

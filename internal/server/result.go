@@ -34,8 +34,7 @@ import (
 // A partition's label is its pieces joined by labelSep: "Attr=Value" per
 // constraint in split order, "ALL" for the root, or a named union's name.
 // The record thus renders without the dataset's schema, after the dataset
-// is gone. Results stored as JSON by earlier versions open with '{' and
-// are served verbatim.
+// is gone.
 const (
 	resultMagic   = 0xFA
 	resultVersion = 1
@@ -212,7 +211,8 @@ func (r *recordReader) float() float64 {
 	return f
 }
 
-// readHeader reads a record's header, leaving r at its pieces.
+// readHeader reads a record's header — its summary — leaving r at its
+// pieces.
 func readHeader(rec []byte) (resultSummary, *recordReader, error) {
 	if len(rec) < 3 || rec[0] != resultMagic || rec[1] != resultVersion || rec[2]&^flagPValue != 0 {
 		return resultSummary{}, nil, errBadRecord
@@ -230,39 +230,11 @@ func readHeader(rec []byte) (resultSummary, *recordReader, error) {
 	return sum, r, r.err
 }
 
-// summarize returns the summary of a stored result: a record's header, or
-// the same fields of a result stored as JSON.
-func summarize(stored []byte) (resultSummary, error) {
-	if len(stored) > 0 && stored[0] == '{' {
-		var legacy struct {
-			Dataset    string     `json:"dataset"`
-			Algorithm  string     `json:"algorithm"`
-			Unfairness float64    `json:"unfairness"`
-			Partitions []struct{} `json:"partitions"`
-			PValue     *float64   `json:"p_value"`
-		}
-		if err := json.Unmarshal(stored, &legacy); err != nil {
-			return resultSummary{}, err
-		}
-		return resultSummary{Dataset: legacy.Dataset, Algorithm: legacy.Algorithm, Unfairness: legacy.Unfairness,
-			Partitions: len(legacy.Partitions), PValue: legacy.PValue}, nil
-	}
-	sum, _, err := readHeader(stored)
-	return sum, err
-}
-
-// appendResultJSON appends the JSON a stored result is served as: a
-// record rendered, byte for byte what encoding/json makes of the result,
-// or a result stored as JSON, verbatim. A malformed record or invalid
-// JSON appends nothing and returns an error.
-func appendResultJSON(dst, stored []byte) ([]byte, error) {
-	if len(stored) > 0 && stored[0] == '{' {
-		if !json.Valid(stored) {
-			return dst, errBadRecord
-		}
-		return append(dst, stored...), nil
-	}
-	sum, r, err := readHeader(stored)
+// appendResultJSON appends the JSON a result record is served as, byte
+// for byte what encoding/json makes of the result. A malformed record
+// appends nothing and returns an error.
+func appendResultJSON(dst, rec []byte) ([]byte, error) {
+	sum, r, err := readHeader(rec)
 	if err != nil {
 		return dst, err
 	}

@@ -9,18 +9,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"fairrank/internal/core"
 	"fairrank/internal/dataset"
 	"fairrank/internal/jobs"
-	"fairrank/internal/scoring"
 	"fairrank/internal/simulate"
-	"fairrank/internal/store"
 )
 
 // jobResult is an audit result as JSON, the form results were stored in
@@ -55,6 +51,20 @@ func oracleResult(name string, res *core.Result, schema *dataset.Schema, pValue 
 		return out.Partitions[i].Label < out.Partitions[k].Label
 	})
 	return json.Marshal(out)
+}
+
+// oracleSummary reads the summary a list page shows from a JSON result.
+func oracleSummary(result []byte) (resultSummary, error) {
+	var r struct {
+		Dataset    string     `json:"dataset"`
+		Algorithm  string     `json:"algorithm"`
+		Unfairness float64    `json:"unfairness"`
+		Partitions []struct{} `json:"partitions"`
+		PValue     *float64   `json:"p_value"`
+	}
+	err := json.Unmarshal(result, &r)
+	return resultSummary{Dataset: r.Dataset, Algorithm: r.Algorithm, Unfairness: r.Unfairness,
+		Partitions: len(r.Partitions), PValue: r.PValue}, err
 }
 
 // oracleExec is the executor as first written, returning its JSON result.
@@ -247,77 +257,5 @@ func TestJobBodiesMatchOracle(t *testing.T) {
 	last := ran[len(ran)-1]
 	if got, want := getBody(t, tsA.URL+"/v1/jobs/"+last.job.ID), oracleBody(last.job, last.want, "node-a"); !bytes.Equal(got, want) {
 		t.Fatalf("GET after its dataset was deleted:\n%s\noracle\n%s", got, want)
-	}
-}
-
-// TestLegacyResultsServeSameBytes boots a server on a store written
-// while results were JSON: a done record without its result, which sits
-// in the results bucket, and an older done record that embeds it. Both
-// answer GET with the bytes the JSON-result path served, though their
-// dataset is gone, and list with the result's summary.
-func TestLegacyResultsServeSameBytes(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "legacy.db")
-	db, err := store.Open(path, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { db.Close() })
-	ds, err := simulate.PaperWorkers(800, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := scoring.NewLinear("f", map[string]float64{"LanguageTest": 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.Run(context.Background(), core.Spec{Algorithm: "balanced", Dataset: ds, Func: f})
-	if err != nil {
-		t.Fatal(err)
-	}
-	result, err := oracleResult("gone", res, ds.Schema(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Now()
-	legacyJob := func(id string) jobs.Job {
-		return jobs.Job{ID: id, SpecHash: "h-" + id, State: jobs.StateDone, Attempt: 1, MaxAttempts: 3,
-			Spec:       jobs.Spec{Dataset: "gone", Algorithm: "balanced", Weights: map[string]float64{"LanguageTest": 1}},
-			EnqueuedAt: now, StartedAt: now, FinishedAt: now}
-	}
-	split, embedded := legacyJob("job-000001"), legacyJob("job-000002")
-	for bucket, kv := range map[string]map[string]any{
-		"jobs":    {split.ID: split, embedded.ID: apiJob{Job: embedded, Result: result}},
-		"results": {split.ID: json.RawMessage(result)},
-	} {
-		for k, v := range kv {
-			raw, err := json.Marshal(v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := db.Put(bucket, k, raw); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	s, err := New(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	for _, j := range []jobs.Job{split, embedded} {
-		if got, want := getBody(t, ts.URL+"/v1/jobs/"+j.ID), oracleBody(j, result, ""); !bytes.Equal(got, want) {
-			t.Fatalf("legacy %s:\n%s\noracle\n%s", j.ID, got, want)
-		}
-	}
-	var page jobPage
-	if code := getJSON(t, ts.URL+"/v1/jobs", &page); code != http.StatusOK || len(page.Jobs) != 2 {
-		t.Fatalf("list = %d, %d jobs", code, len(page.Jobs))
-	}
-	want := resultSummary{Dataset: "gone", Algorithm: "balanced", Unfairness: res.Unfairness, Partitions: len(res.Partitioning.Parts)}
-	for _, e := range page.Jobs {
-		if e.Summary == nil || *e.Summary != want {
-			t.Fatalf("listed %s with summary %+v, want %+v", e.ID, e.Summary, want)
-		}
 	}
 }

@@ -102,8 +102,8 @@ func checkRecord(t *testing.T, name string, res *core.Result, schema *dataset.Sc
 	}
 	// A list page serves the summary as JSON: a client must read the
 	// record's as it reads the JSON result's.
-	sum, err := summarize(rec)
-	legacy, lerr := summarize(want)
+	sum, _, err := readHeader(rec)
+	legacy, lerr := oracleSummary(want)
 	if err != nil || lerr != nil || sum.Partitions != len(res.Partitioning.Parts) {
 		t.Fatalf("summary %+v (%v), of the JSON %+v (%v), want %d partitions", sum, err, legacy, lerr, len(res.Partitioning.Parts))
 	}
@@ -210,8 +210,8 @@ func TestMalformedRecordsFail(t *testing.T) {
 }
 
 // FuzzResultRecord holds the record's two contracts. Arbitrary bytes
-// render to an error or to valid JSON, never a panic, and summarize
-// without a panic. And every record the encoder writes, for a result
+// render to an error or to valid JSON, never a panic, and their header
+// reads without a panic. And every record the encoder writes, for a result
 // built from the same bytes, renders to exactly what json.Marshal gives
 // for that result.
 func FuzzResultRecord(f *testing.F) {
@@ -230,7 +230,7 @@ func FuzzResultRecord(f *testing.F) {
 		if out, err := appendResultJSON(nil, data); err == nil && !json.Valid(out) {
 			t.Fatalf("%q renders to invalid JSON %q", data, out)
 		}
-		_, _ = summarize(data)
+		_, _, _ = readHeader(data)
 		name, res, schema, p := resultFrom(data)
 		checkRecord(t, name, res, schema, p)
 	})

@@ -104,17 +104,10 @@ func (s *Server) scatterGetJob(w http.ResponseWriter, c *cluster.Cluster, id str
 		if status != http.StatusOK {
 			continue
 		}
-		// The peer's result arrives rendered; it is served verbatim.
-		var j struct {
-			jobs.Job
-			Result json.RawMessage `json:"result"`
-		}
-		if err := json.Unmarshal(body, &j); err != nil {
-			partial = true
-			continue
-		}
-		j.Job.Result = j.Result
-		writeJob(w, http.StatusOK, j.Job, p.ID)
+		// The peer wrote the whole body, its own node field included.
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(body)
 		return
 	}
 	writeJSON(w, http.StatusNotFound, struct {

@@ -88,7 +88,6 @@ import (
 )
 
 const (
-	bucketDatasets = "datasets"
 	bucketTasks    = "tasks"
 	maxUploadBytes = 256 << 20
 )
@@ -164,9 +163,12 @@ func WithJobQueueLimit(n int) ServerOption {
 // New builds a Server over an open store. Registered datasets live as
 // columnar snapshot files next to the WAL and are reopened memory-mapped,
 // so boot cost and resident memory stay independent of population size.
-// Legacy databases that inlined dataset bytes as WAL values are migrated
-// to snapshot files on first boot, through the path every upload takes.
+// A store in a format this version does not read is refused before boot
+// changes anything (checkFormat).
 func New(db *store.DB, opts ...ServerOption) (*Server, error) {
+	if err := checkFormat(db); err != nil {
+		return nil, err
+	}
 	s := &Server{
 		db:        db,
 		datasets:  map[string]*dataset.Dataset{},
@@ -201,24 +203,6 @@ func New(db *store.DB, opts ...ServerOption) (*Server, error) {
 	}
 	if err := s.reloadDatasets(); err != nil {
 		return nil, fmt.Errorf("server: %w", err)
-	}
-	// Migrate pre-snapshot databases: register each dataset inlined as a
-	// legacy binary WAL value like an upload, then drop the fat value.
-	for _, name := range db.Keys(bucketDatasets) {
-		raw, ok := db.Get(bucketDatasets, name)
-		if !ok {
-			continue
-		}
-		ds, err := dataset.ReadBinary(bytes.NewReader(raw))
-		if err == nil {
-			err = s.PutDataset(name, ds)
-		}
-		if err == nil {
-			err = db.Delete(bucketDatasets, name)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("server: migrate dataset %q: %w", name, err)
-		}
 	}
 	if err := s.reloadUploads(); err != nil {
 		return nil, fmt.Errorf("server: reload uploads: %w", err)
@@ -279,11 +263,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 var errInvalidSnapshot = errors.New("uploaded snapshot invalid")
 
 // register is the one way a dataset arrives: snapshot and CSV uploads,
-// chunked sessions, peer hydration, the legacy migration and PutDataset
-// all end here. It maps the complete snapshot file at spill once, hashes
-// that mapping once, moves the file into the snapshot store under its
-// digest, and serves the same mapping under name. The spill is consumed
-// either way.
+// chunked sessions, peer hydration and PutDataset all end here. It maps
+// the complete snapshot file at spill once, hashes that mapping once,
+// moves the file into the snapshot store under its digest, and serves
+// the same mapping under name. The spill is consumed either way.
 func (s *Server) register(name, spill string) (*dataset.Dataset, error) {
 	ds, err := dataset.OpenSnapshot(spill)
 	if err != nil {
@@ -351,25 +334,20 @@ func (s *Server) serveLocked(name, digest string, ds *dataset.Dataset) *dataset.
 
 // reloadDatasets maps every stored snapshot at boot and serves it under
 // its name. A ref's stored digest seeds its mapping's, so boot hashes
-// nothing again; a ref written before refs carried a digest is hashed
-// once here and rewritten with it.
+// nothing again.
 func (s *Server) reloadDatasets() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for name, ref := range s.snaps.Refs() {
+		sum, err := hex.DecodeString(ref.Digest)
+		if err != nil || len(sum) != sha256.Size {
+			return fmt.Errorf("reload dataset %q: bad digest %q", name, ref.Digest)
+		}
 		ds, err := dataset.OpenSnapshot(filepath.Join(s.snaps.Dir(), ref.File))
 		if err != nil {
 			return fmt.Errorf("reload dataset %q: %w", name, err)
 		}
-		if sum, err := hex.DecodeString(ref.Digest); err == nil && len(sum) == sha256.Size {
-			ds.SeedDigest([sha256.Size]byte(sum))
-		} else {
-			ref.Digest = digestOf(ds)
-			if err := s.snaps.SetDigest(name, ref.Digest); err != nil {
-				ds.Close()
-				return fmt.Errorf("reload dataset %q: %w", name, err)
-			}
-		}
+		ds.SeedDigest([sha256.Size]byte(sum))
 		s.serveLocked(name, ref.Digest, ds)
 	}
 	return nil

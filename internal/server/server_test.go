@@ -458,20 +458,14 @@ func TestAuditErrors(t *testing.T) {
 		{"dataset": "workers", "weights": lang, "algorithm": "quantum"},
 		{"dataset": "workers", "weights": lang, "metric": "nope"},
 		{"dataset": "workers", "weights": lang, "attributes": []string{"Nope"}},
+		// No attribute to audit; omitting the list audits every one.
+		{"dataset": "workers", "weights": lang, "attributes": []string{}},
 	}
 	for i, c := range cases {
 		resp, body := postJSON(t, ts.URL+"/v1/jobs", c)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("case %d: status %d (%s)", i, resp.StatusCode, body)
 		}
-	}
-	// An empty attribute list is not an error on a job: jobs.Spec reads it
-	// as "every attribute", so it coalesces onto the spec without one.
-	plain := runJob(t, ts.URL, map[string]any{"dataset": "workers", "weights": lang})
-	resp, body := postJSON(t, ts.URL+"/v1/jobs", map[string]any{"dataset": "workers", "weights": lang, "attributes": []string{}})
-	var again apiJob
-	if err := json.Unmarshal(body, &again); err != nil || resp.StatusCode != http.StatusOK || again.ID != plain.ID {
-		t.Fatalf("empty attributes = %d %s, want a dedup onto %s", resp.StatusCode, body, plain.ID)
 	}
 }
 
@@ -595,12 +589,6 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	first := runJob(t, ts.URL, map[string]any{
 		"dataset": "workers", "weights": map[string]float64{"LanguageTest": 1},
 	})
-	// A record a synchronous audit route once wrote: nothing reads it, and
-	// boot must leave it in place, so a downgrade still serves it.
-	legacy := []byte(`{"id":"audit-000001","unfairness":0.1}`)
-	if err := s.db.Put("audits", "audit-000001", legacy); err != nil {
-		t.Fatal(err)
-	}
 	ts.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -642,9 +630,6 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	})
 	if second.ID == first.ID {
 		t.Fatalf("post-restart job reused ID %s", second.ID)
-	}
-	if raw, ok := db.Get("audits", "audit-000001"); !ok || !bytes.Equal(raw, legacy) {
-		t.Fatalf("legacy audit record after restart: %q, %v", raw, ok)
 	}
 }
 

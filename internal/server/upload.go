@@ -197,17 +197,13 @@ func (s *Server) reloadUploads() error {
 			continue
 		}
 		var sess uploadSession
-		if json.Unmarshal(raw, &sess) != nil || sess.Token != token || sess.Size <= 0 || sess.File == "" {
-			// Unreadable record: drop it rather than carry junk forever.
+		if json.Unmarshal(raw, &sess) != nil || sess.Token != token || sess.Size <= 0 || sess.File == "" || sess.Updated == 0 {
+			// Unreadable record, or one from before sessions expired:
+			// drop it rather than carry junk forever.
 			if err := s.db.Delete(bucketUploads, token); err != nil {
 				return err
 			}
 			continue
-		}
-		if sess.Updated == 0 {
-			// Pre-expiry record: date it from boot so it gets a full idle
-			// window before the TTL sweep may claim it.
-			sess.Updated = time.Now().Unix()
 		}
 		spill := sess.spillPath(s.uploadDir)
 		if st, err := os.Stat(spill); err != nil || st.Size() != sess.Size {

@@ -2,18 +2,15 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
-	"fairrank/internal/jobs"
 	"fairrank/internal/simulate"
 	"fairrank/internal/store"
 )
@@ -294,21 +291,11 @@ func TestUploadSnapshotOneShot(t *testing.T) {
 
 // TestJobBySnapshotReference: a submitted spec names a dataset, never a
 // snapshot, and never pins content itself — a "snapshot" or "digest" key
-// answers 400. A job recorded while specs could name a snapshot recovers
-// as a job on the dataset of that name; without a pinned digest it runs
-// whatever the name holds when it runs.
+// answers 400. A store holding a job recorded while specs could name a
+// snapshot is refused at boot (TestLegacyStoreRefused).
 func TestJobBySnapshotReference(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "srv.db")
-	db, err := store.Open(path, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(db)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, ts, _ := newTestServer(t)
 	putDataset(t, s, "demo", 60)
-	ts := httptest.NewServer(s.Handler())
 	weights := map[string]float64{"LanguageTest": 1, "ApprovalRate": 2}
 	for _, spec := range []map[string]any{
 		{"snapshot": "demo", "weights": weights},
@@ -318,39 +305,7 @@ func TestJobBySnapshotReference(t *testing.T) {
 			t.Fatalf("submit %v: %d (%s), want 400", spec, resp.StatusCode, body)
 		}
 	}
-	want := runJob(t, ts.URL, map[string]any{"dataset": "demo", "weights": weights})
-	ts.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-	db.Close()
-
-	db2, err := store.Open(path, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { db2.Close() })
-	legacy := `{"id":"job-000100","spec_hash":"legacy-key","spec":{"snapshot":"demo",` +
-		`"weights":{"LanguageTest":1,"ApprovalRate":2}},"priority":0,"state":"queued",` +
-		`"attempt":0,"max_attempts":3,"enqueued_at":"2026-01-02T03:04:05Z"}`
-	if err := db2.Put("jobs", "job-000100", []byte(legacy)); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := New(db2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts2 := httptest.NewServer(s2.Handler())
-	t.Cleanup(ts2.Close)
-	done := waitJobHTTP(t, ts2.URL, "job-000100", jobs.StateDone)
-	if done.Spec.Dataset != "demo" || done.Spec.Digest != "" {
-		t.Fatalf("recovered spec %+v, want dataset demo and no digest", done.Spec)
-	}
-	if !bytes.Equal(done.Result, want.Result) {
-		t.Fatalf("recovered result %s, want %s", done.Result, want.Result)
-	}
+	runJob(t, ts.URL, map[string]any{"dataset": "demo", "weights": weights})
 }
 
 // TestUploadConcurrentFinalChunkSingleFinalizer: several identical

@@ -28,9 +28,7 @@ const bucketSnapshots = "snapshots"
 type SnapshotRef struct {
 	// Name is the logical dataset name.
 	Name string `json:"name"`
-	// Digest is the hex content digest of the file. Refs written before
-	// files were named by content lack it until their first boot hashes
-	// the file once (SetDigest).
+	// Digest is the hex content digest of the file.
 	Digest string `json:"digest,omitempty"`
 	// File is the snapshot's filename within the manager's directory:
 	// <Digest>.snap, or the name-derived file a ref written before
@@ -98,7 +96,11 @@ func (s *Snapshots) Adopt(name, digest, srcPath string) error {
 			return fmt.Errorf("store: snapshot dir sync: %w", err)
 		}
 	}
-	if err := s.put(ref); err != nil {
+	raw, err := json.Marshal(ref)
+	if err == nil {
+		err = s.db.Put(bucketSnapshots, name, raw)
+	}
+	if err != nil {
 		return err
 	}
 	if stored {
@@ -112,28 +114,6 @@ func (s *Snapshots) Adopt(name, digest, srcPath string) error {
 		_ = s.removeUnnamed(refs, old.File)
 	}
 	return nil
-}
-
-// SetDigest records the content digest of a ref written before refs
-// carried one, in one WAL put. The file keeps its name, so no crash window
-// opens.
-func (s *Snapshots) SetDigest(name, digest string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ref, ok := s.Ref(name)
-	if !ok {
-		return fmt.Errorf("store: no snapshot %q", name)
-	}
-	ref.Digest = digest
-	return s.put(ref)
-}
-
-func (s *Snapshots) put(ref SnapshotRef) error {
-	raw, err := json.Marshal(ref)
-	if err != nil {
-		return err
-	}
-	return s.db.Put(bucketSnapshots, ref.Name, raw)
 }
 
 // Refs returns every registered ref by name.

@@ -192,29 +192,6 @@ func TestSnapshotsSharedContent(t *testing.T) {
 	}
 }
 
-// TestSnapshotsSetDigest: a ref written before refs carried a digest
-// gains one in place; its file keeps its name.
-func TestSnapshotsSetDigest(t *testing.T) {
-	db, snaps, _ := openTestSnapshots(t)
-	legacy := filepath.Join(snaps.Dir(), "demo-1234abcd.snap")
-	if err := os.WriteFile(legacy, []byte("old"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Put(bucketSnapshots, "demo", []byte(`{"name":"demo","file":"demo-1234abcd.snap","size":3}`)); err != nil {
-		t.Fatal(err)
-	}
-	if err := snaps.SetDigest("demo", "d1"); err != nil {
-		t.Fatal(err)
-	}
-	ref, ok := snaps.Ref("demo")
-	if !ok || ref.Digest != "d1" || ref.File != "demo-1234abcd.snap" || ref.Size != 3 {
-		t.Fatalf("Ref = %+v, %v", ref, ok)
-	}
-	if err := snaps.SetDigest("missing", "d1"); err == nil {
-		t.Fatal("SetDigest on an unknown name succeeded")
-	}
-}
-
 func TestSnapshotsSweep(t *testing.T) {
 	_, snaps, dir := openTestSnapshots(t)
 	kept := adopt(t, snaps, dir, "keep", "d1", "k")
