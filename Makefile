@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 10s
 BENCHCOUNT ?= 7
 
-.PHONY: build test loc bench bench-monitor bench-json bench-jobs bench-prune bench-snapshot bench-rerank bench-cluster bench-drift telemetry-overhead verify fuzz-smoke cover
+.PHONY: build test loc bench bench-monitor bench-json bench-jobs bench-prune bench-snapshot bench-rerank bench-cluster bench-drift telemetry-overhead verify fma-check fuzz-smoke cover
 
 build:
 	$(GO) build ./...
@@ -185,6 +185,28 @@ telemetry-overhead:
 verify:
 	$(GO) vet ./...
 	$(GO) test -race ./...
+
+# fma-check fails when the compiler fused a multiply and an add into one
+# instruction in a function of FMA_FUNCS. The Go spec lets it do so on
+# arm64, ppc64le, riscv64 and loong64 (never on amd64), and a fused result
+# rounds once where the written expression rounds twice, so the same audit
+# would give other bits there; an explicit float64(...) conversion of the
+# product forbids the fusion. The check cross-compiles fairserve for each
+# of those architectures and reads the machine code with go tool objdump:
+# no emulator, no download. FMA_FUNCS widens as more packages are rounded.
+FMA_ARCHS = arm64 ppc64le riscv64 loong64
+FMA_FUNCS = fairrank/internal/(scoring|core)
+fma-check:
+	@fail=0; for arch in $(FMA_ARCHS); do \
+		GOOS=linux GOARCH=$$arch $(GO) build -o /tmp/fma-check-$$arch ./cmd/fairserve || exit 1; \
+		dump=$$($(GO) tool objdump -s '$(FMA_FUNCS)' /tmp/fma-check-$$arch) || exit 1; \
+		rm -f /tmp/fma-check-$$arch; \
+		funcs=$$(echo "$$dump" | grep -c '^TEXT '); \
+		fused=$$(echo "$$dump" | grep -E '\bFN?M(ADD|SUB)D?\b'); \
+		if [ "$$funcs" -eq 0 ]; then echo "$$arch: no function matches $(FMA_FUNCS)"; fail=1; \
+		elif [ -n "$$fused" ]; then echo "$$arch: fused multiply-add in $(FMA_FUNCS):"; echo "$$fused"; fail=1; \
+		else echo "$$arch: no fused multiply-add in $$funcs functions"; fi; \
+	done; exit $$fail
 
 # fuzz-smoke runs each fuzz target for FUZZTIME (default 10s), sequentially
 # — `go test -fuzz` accepts only one target per invocation. The targets are

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -123,9 +124,9 @@ func (e *Evaluator) scatterSplit(r *rep, p *partition.Partition, attr int) split
 			vals[v] = append(vals[v], e.scores[row])
 		}
 	} else if rs.weight == nil {
-		// Worker rows: each row is one worker in bin binIdx[row].
+		// Worker rows: each row is one worker in bin bin[row].
 		counts = make([][]float64, card)
-		bins, bin := e.cfg.Bins, e.binIdx
+		bins, bin := e.cfg.Bins, e.bin
 		observe = func(v, row int) {
 			c := counts[v]
 			if c == nil {
@@ -416,33 +417,94 @@ func (s *matState) replaceFirst(children *matState) *matState {
 // withDist=false, computing rows concurrently when allowed. Rows fill in
 // place, as exactProbe's do: no per-pair work list, which at the full
 // split of the paper's population would outweigh the triangle itself.
+// Where pruning runs (binned EMD) the rows go through the fill kernel.
 func (s *matState) materialize(workers int) {
 	if s.dist != nil {
 		return
 	}
+	e := s.e
 	k := len(s.parts)
 	n := k * (k - 1) / 2
 	s.dist = make([]float64, n)
+	var pmfs []float64
+	if e.prune {
+		pmfs = packPMFs(s.reps, e.cfg.Bins)
+	}
 	_, esp := telemetry.StartSpan(s.ctx, "emd")
 	parforeach(k-1, workers, func(i int) {
 		if s.canceled() {
 			return
 		}
 		m := tri(k, i, i+1)
+		row := s.dist[m : m+k-1-i]
+		if pmfs != nil {
+			emdRow(pmfs, e.cfg.Bins, i, i+1, e.unit, row)
+			return
+		}
 		ri := s.reps[i].data
-		for j := i + 1; j < k; j++ {
-			s.dist[m] = s.e.distOf(ri, s.reps[j].data)
-			m++
+		for x := range row {
+			row[x] = e.distOf(ri, s.reps[i+1+x].data)
 		}
 	})
 	esp.SetInt("pairs", int64(n))
 	esp.End()
-	s.e.pairs.misses.Add(int64(n))
-	s.e.tel.computed(int64(n))
+	e.pairs.misses.Add(int64(n))
+	e.tel.computed(int64(n))
 	_, rsp := telemetry.StartSpan(s.ctx, "reduce")
 	s.avg = avgOf(s.dist)
 	rsp.SetInt("pairs", int64(n))
 	rsp.End()
+}
+
+// packPMFs copies the reps' PMFs, bins values each, into one contiguous
+// row-major block: the fill kernel's input.
+func packPMFs(reps []*rep, bins int) []float64 {
+	pmfs := make([]float64, len(reps)*bins)
+	for i, r := range reps {
+		copy(pmfs[i*bins:(i+1)*bins], r.data)
+	}
+	return pmfs
+}
+
+// emdRow is the fill kernel of the binned-EMD triangles: it sets out[x]
+// to the EMD between rows i and j0+x of the packed PMF block pmfs, for
+// every x in [0, len(out)). Each pair runs emd.PMFDistance's operations
+// in its order — cum += p−q and total += |cum| per bin, then total·unit —
+// so every distance has PMFDistance's bits; there is no multiply-add to
+// fuse. Four pairs share each pass over the bins: row i is read once for
+// all four, and their four independent add chains overlap.
+func emdRow(pmfs []float64, bins, i, j0 int, unit float64, out []float64) {
+	p := pmfs[i*bins : (i+1)*bins]
+	x := 0
+	for ; x+4 <= len(out); x += 4 {
+		j := (j0 + x) * bins
+		q0 := pmfs[j : j+bins][:len(p)]
+		q1 := pmfs[j+bins : j+2*bins][:len(p)]
+		q2 := pmfs[j+2*bins : j+3*bins][:len(p)]
+		q3 := pmfs[j+3*bins : j+4*bins][:len(p)]
+		var c0, c1, c2, c3, t0, t1, t2, t3 float64
+		for b, pb := range p {
+			c0 += pb - q0[b]
+			c1 += pb - q1[b]
+			c2 += pb - q2[b]
+			c3 += pb - q3[b]
+			t0 += math.Abs(c0)
+			t1 += math.Abs(c1)
+			t2 += math.Abs(c2)
+			t3 += math.Abs(c3)
+		}
+		out[x], out[x+1], out[x+2], out[x+3] = t0*unit, t1*unit, t2*unit, t3*unit
+	}
+	for ; x < len(out); x++ {
+		j := (j0 + x) * bins
+		q := pmfs[j : j+bins][:len(p)]
+		cum, total := 0.0, 0.0
+		for b, pb := range p {
+			cum += pb - q[b]
+			total += math.Abs(cum)
+		}
+		out[x] = total * unit
+	}
 }
 
 // parforeach runs fn(i) for every i in [0, n) across at most `workers`

@@ -80,12 +80,16 @@ func (c Config) withDefaults() Config {
 // sharded, so parallel candidate probes populate and reuse them instead
 // of serializing on a single mutex.
 type Evaluator struct {
-	ds     *dataset.Dataset
-	f      scoring.Func
-	cfg    Config
-	scores []float64
-	unit   float64 // EMD ground distance between adjacent bins
-	binIdx []int   // precomputed histogram bin per worker (binned mode)
+	ds   *dataset.Dataset
+	f    scoring.Func
+	cfg  Config
+	unit float64 // EMD ground distance between adjacent bins
+	bin  []int32 // histogram bin per worker (binned mode)
+
+	// scores is the score column: built by NewEvaluator in Exact mode,
+	// whose payloads are score samples, and on first use otherwise.
+	scoresOnce sync.Once
+	scores     []float64
 
 	reps  *repCache
 	pairs *pairCache
@@ -115,10 +119,19 @@ type Evaluator struct {
 	boundScratch sync.Pool
 }
 
-// NewEvaluator precomputes all worker scores for f and returns an
-// Evaluator. The scoring function must return values in [0,1]; finite
-// out-of-range values are clamped into the edge bins by the histogram,
-// and a NaN or ±Inf score is an error naming the worker, in every mode.
+// scoreBlock is the number of workers a binned NewEvaluator scores per
+// pass into its one reused buffer: 32 KB, so each block is binned while
+// it is still in the first-level cache.
+const scoreBlock = 4096
+
+// NewEvaluator scores every worker once under f and returns an Evaluator.
+// In binned mode it keeps only each worker's histogram bin, scoring block
+// by block into one buffer; the float score column is built again on
+// first use of Scores or Histogram. Exact mode keeps the score column.
+// The scoring function must return values in [0,1]; finite out-of-range
+// values are clamped into the edge bins by the histogram, and a NaN or
+// ±Inf score is an error naming the lowest-index such worker, in every
+// mode.
 func NewEvaluator(ds *dataset.Dataset, f scoring.Func, cfg Config) (*Evaluator, error) {
 	if ds == nil || ds.N() == 0 {
 		return nil, fmt.Errorf("core: empty dataset")
@@ -127,20 +140,32 @@ func NewEvaluator(ds *dataset.Dataset, f scoring.Func, cfg Config) (*Evaluator, 
 		return nil, fmt.Errorf("core: nil scoring function")
 	}
 	cfg = cfg.withDefaults()
-	scores := scoring.Scores(ds, f)
-	for i, s := range scores {
-		if math.IsNaN(s) || math.IsInf(s, 0) {
-			return nil, fmt.Errorf("core: scoring function %q gave worker %q the score %v; scores must be finite", f.Name(), ds.ID(i), s)
-		}
-	}
 	e := &Evaluator{
-		ds:     ds,
-		f:      f,
-		cfg:    cfg,
-		scores: scores,
-		reps:   newRepCache(),
-		pairs:  newPairCache(),
-		tel:    engineMetricsFor(cfg.Metrics),
+		ds:    ds,
+		f:     f,
+		cfg:   cfg,
+		reps:  newRepCache(),
+		pairs: newPairCache(),
+		tel:   engineMetricsFor(cfg.Metrics),
+	}
+	if cfg.Exact {
+		e.scores = scoring.Scores(ds, f)
+		if err := checkFinite(ds, f, 0, e.scores); err != nil {
+			return nil, err
+		}
+	} else {
+		n := ds.N()
+		e.bin = make([]int32, n)
+		buf := make([]float64, min(n, scoreBlock))
+		h := histogram.MustNew(cfg.Bins, 0, 1)
+		for lo := 0; lo < n; lo += len(buf) {
+			blk := buf[:min(len(buf), n-lo)]
+			scoring.ScoreInto(ds, f, lo, blk)
+			if err := checkFinite(ds, f, lo, blk); err != nil {
+				return nil, err
+			}
+			h.BinIndices(blk, e.bin[lo:])
+		}
 	}
 	switch cfg.Ground {
 	case emd.GroundIndex:
@@ -149,9 +174,6 @@ func NewEvaluator(ds *dataset.Dataset, f scoring.Func, cfg Config) (*Evaluator, 
 		}
 	default:
 		e.unit = 1 / float64(cfg.Bins)
-	}
-	if !cfg.Exact {
-		e.binIdx = histogram.MustNew(cfg.Bins, 0, 1).BinIndices(e.scores)
 	}
 	e.prune = !cfg.Exact && cfg.Metric == emd.MetricEMD
 	if e.prune {
@@ -168,6 +190,17 @@ func NewEvaluator(ds *dataset.Dataset, f scoring.Func, cfg Config) (*Evaluator, 
 	return e, nil
 }
 
+// checkFinite returns an error naming the lowest-index worker of the
+// block starting at worker lo whose score is NaN or ±Inf.
+func checkFinite(ds *dataset.Dataset, f scoring.Func, lo int, scores []float64) error {
+	for i, s := range scores {
+		if math.IsNaN(s) || math.IsInf(s, 0) {
+			return fmt.Errorf("core: scoring function %q gave worker %q the score %v; scores must be finite", f.Name(), ds.ID(lo+i), s)
+		}
+	}
+	return nil
+}
+
 // Dataset returns the dataset under audit.
 func (e *Evaluator) Dataset() *dataset.Dataset { return e.ds }
 
@@ -177,8 +210,17 @@ func (e *Evaluator) Func() scoring.Func { return e.f }
 // Config returns the effective (defaulted) configuration.
 func (e *Evaluator) Config() Config { return e.cfg }
 
-// Scores returns the precomputed score column. Callers must not mutate it.
-func (e *Evaluator) Scores() []float64 { return e.scores }
+// Scores returns the score column, the same bits NewEvaluator binned. In
+// binned mode the first call scores every worker again; later calls return
+// the same slice. Callers must not mutate it.
+func (e *Evaluator) Scores() []float64 {
+	e.scoresOnce.Do(func() {
+		if e.scores == nil {
+			e.scores = scoring.Scores(e.ds, e.f)
+		}
+	})
+	return e.scores
+}
 
 // Attrs returns all protected attribute indices, the default attribute set
 // for every algorithm.
@@ -194,8 +236,9 @@ func (e *Evaluator) Attrs() []int {
 // for reporting and figures.
 func (e *Evaluator) Histogram(p *partition.Partition) *histogram.Histogram {
 	h := histogram.MustNew(e.cfg.Bins, 0, 1)
+	scores := e.Scores()
 	for _, i := range p.Indices {
-		h.Add(e.scores[i])
+		h.Add(scores[i])
 	}
 	return h
 }
@@ -214,7 +257,7 @@ func (e *Evaluator) buildData(indices []int) []float64 {
 	}
 	counts := make([]float64, e.cfg.Bins)
 	for _, i := range indices {
-		counts[e.binIdx[i]]++
+		counts[e.bin[i]]++
 	}
 	return histogram.NormalizeCounts(counts)
 }

@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"fairrank/internal/dataset"
@@ -71,10 +73,13 @@ func TestNewEvaluatorValidation(t *testing.T) {
 }
 
 // TestNewEvaluatorRejectsNonFiniteScores: a NaN or ±Inf score is an
-// error naming the worker, in binned and Exact mode alike.
+// error naming the lowest-index such worker, in binned and Exact mode
+// alike: at worker 0, on each side of a scoring-block boundary, and at the
+// last worker, each with a second bad worker after it.
 func TestNewEvaluatorRejectsNonFiniteScores(t *testing.T) {
+	n := 2*scoreBlock + 3
 	b := dataset.NewBuilder(testSchema())
-	for i := 0; i < 6; i++ {
+	for i := 0; i < n; i++ {
 		b.Add(fmt.Sprintf("worker-%d", i), map[string]any{"Gender": "Male", "Language": "English"},
 			map[string]any{"Score": 0.5})
 	}
@@ -83,16 +88,76 @@ func TestNewEvaluatorRejectsNonFiniteScores(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		f := scoring.ScoreFunc{FuncName: "bad", Fn: func(ds *dataset.Dataset, i int) float64 {
-			if i == 4 {
-				return bad
+		for _, at := range []int{0, 4, scoreBlock - 1, scoreBlock, 2*scoreBlock - 1, n - 1} {
+			f := scoring.ScoreFunc{FuncName: "bad", Fn: func(ds *dataset.Dataset, i int) float64 {
+				if i == at || i == at+1 || i == n-1 {
+					return bad
+				}
+				return ds.Observed(0, i)
+			}}
+			want := fmt.Sprintf(`"worker-%d"`, at)
+			for _, exact := range []bool{false, true} {
+				if _, err := NewEvaluator(ds, f, Config{Exact: exact}); err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("score %v at %d, exact=%v: error %v, want one naming %s", bad, at, exact, err, want)
+				}
 			}
-			return ds.Observed(0, i)
-		}}
-		for _, exact := range []bool{false, true} {
-			if _, err := NewEvaluator(ds, f, Config{Exact: exact}); err == nil || !strings.Contains(err.Error(), `"worker-4"`) {
-				t.Errorf("score %v, exact=%v: error %v, want one naming worker-4", bad, exact, err)
+		}
+	}
+}
+
+// A binned evaluator keeps one int32 bin per worker and scores through one
+// block-sized buffer: well under the 8 bytes per worker a float64 score
+// column alone would take.
+func TestNewEvaluatorAllocatesUnderEightBytesPerWorker(t *testing.T) {
+	const n = 100_000
+	ds := twoScoreDataset(t, n)
+	f, err := scoring.NewLinear("f", map[string]float64{"LanguageTest": 0.3, "ApprovalRate": 0.7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perWorker := math.Inf(1)
+	for round := 0; round < 3; round++ { // the least of three, against a concurrent test's allocations
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := NewEvaluator(ds, f, Config{Bins: 10}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		perWorker = min(perWorker, float64(after.TotalAlloc-before.TotalAlloc)/n)
+	}
+	if perWorker >= 8 {
+		t.Fatalf("NewEvaluator allocated %.2f bytes per worker, want under 8", perWorker)
+	}
+}
+
+// A binned evaluator builds its float score column on first use; callers
+// racing for it all get one column with scoring.Scores' bits. Run under
+// -race.
+func TestScoresLazyConcurrent(t *testing.T) {
+	ds := randomDataset(t, 500, 9)
+	want := scoring.Scores(ds, scoreFunc)
+	e := mustEval(t, ds, Config{Bins: 10})
+	got := make([][]float64, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if g%2 == 1 {
+				e.Histogram(partition.Root(ds))
 			}
+			got[g] = e.Scores()
+		}()
+	}
+	wg.Wait()
+	for g, col := range got {
+		if &col[0] != &got[0][0] {
+			t.Fatalf("caller %d got a second column", g)
+		}
+	}
+	for i, s := range got[0] {
+		if math.Float64bits(s) != math.Float64bits(want[i]) {
+			t.Fatalf("worker %d: lazy score %v, scoring.Scores %v", i, s, want[i])
 		}
 	}
 }

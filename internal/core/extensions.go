@@ -119,7 +119,7 @@ func Significance(e *Evaluator, pt *partition.Partitioning, rounds int, seed uin
 	for i, p := range pt.Parts {
 		sizes[i] = p.Size()
 	}
-	perm := make([]int, len(e.scores))
+	perm := make([]int, e.ds.N())
 	for i := range perm {
 		perm[i] = i
 	}

@@ -131,10 +131,13 @@ func (s *matState) boundOfSplits(splits []splitPart) (lo, hi float64, ok bool) {
 // exactProbe is probe's exact-fill half over precomputed splits, with a
 // leaner inner loop: rows of the fresh triangle are filled in place under
 // parforeach — no per-pair work list (whose append-driven growth was 40%
-// of the balanced Table 2 profile as runtime.growslice memmove). Distances
-// and accounting are identical to probe: aliased×aliased pairs copy from
-// this state's triangle, everything else goes through distOf, and the
-// average reduces serially in canonical slot order — bit-identical results.
+// of the balanced Table 2 profile as runtime.growslice memmove). It runs
+// only where pruning does (binned EMD), so the children's PMFs are packed
+// into one block and every fresh row goes through the fill kernel
+// (emdRow), which gives distOf's bits. Distances and accounting are
+// identical to probe: aliased×aliased pairs copy from this state's
+// triangle, everything else is computed, and the average reduces serially
+// in canonical slot order — bit-identical results.
 func (s *matState) exactProbe(attr int, splits []splitPart, nk, workers int) *matState {
 	if s.canceled() {
 		return s
@@ -167,21 +170,34 @@ func (s *matState) exactProbe(attr int, splits []splitPart, nk, workers int) *ma
 	n := nk * (nk - 1) / 2
 	nd := make([]float64, n)
 	canCopy := s.dist != nil
+	bins := e.cfg.Bins
 	_, esp := telemetry.StartSpan(pctx, "emd")
+	pmfs := packPMFs(ns.reps, bins)
 	parforeach(nk-1, workers, func(i int) {
 		if s.canceled() {
 			return
 		}
 		m := tri(nk, i, i+1)
-		ai := canCopy && aliased[i]
-		ri := ns.reps[i]
-		for j := i + 1; j < nk; j++ {
-			if ai && aliased[j] {
-				nd[m] = s.dist[tri(k, int(parent[i]), int(parent[j]))]
-			} else {
-				nd[m] = e.distOf(ri.data, ns.reps[j].data)
+		row := nd[m : m+nk-1-i]
+		if !canCopy || !aliased[i] {
+			emdRow(pmfs, bins, i, i+1, e.unit, row)
+			return
+		}
+		// An aliased row copies its entries against aliased parts from
+		// this state's triangle; the runs between them go to the kernel.
+		pi := int(parent[i])
+		for j := i + 1; j < nk; {
+			if aliased[j] {
+				row[j-i-1] = s.dist[tri(k, pi, int(parent[j]))]
+				j++
+				continue
 			}
-			m++
+			end := j + 1
+			for end < nk && !aliased[end] {
+				end++
+			}
+			emdRow(pmfs, bins, i, j, e.unit, row[j-i-1:end-i-1])
+			j = end
 		}
 	})
 	copied := 0
@@ -347,8 +363,8 @@ func (e *Evaluator) avgPairwiseAuto(parts []*partition.Partition) float64 {
 }
 
 // avgRepsDirect is avgReps without cache lookups or stores: rows of the
-// triangle fill in place under parforeach, then reduce serially in
-// canonical order.
+// triangle fill in place under parforeach through the fill kernel (it
+// runs only where pruning does), then reduce serially in canonical order.
 func (e *Evaluator) avgRepsDirect(reps []*rep) float64 {
 	k := len(reps)
 	n := k * (k - 1) / 2
@@ -356,13 +372,11 @@ func (e *Evaluator) avgRepsDirect(reps []*rep) float64 {
 		return 0
 	}
 	d := make([]float64, n)
+	bins := e.cfg.Bins
+	pmfs := packPMFs(reps, bins)
 	parforeach(k-1, e.cfg.Parallelism, func(i int) {
 		m := tri(k, i, i+1)
-		ri := reps[i].data
-		for j := i + 1; j < k; j++ {
-			d[m] = e.distOf(ri, reps[j].data)
-			m++
-		}
+		emdRow(pmfs, bins, i, i+1, e.unit, d[m:m+k-1-i])
 	})
 	e.pairs.misses.Add(int64(n))
 	e.tel.computed(int64(n))

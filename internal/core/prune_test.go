@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"fairrank/internal/dataset"
 	"fairrank/internal/emd"
+	"fairrank/internal/partition"
 	"fairrank/internal/rng"
 	"fairrank/internal/telemetry"
 	"fairrank/internal/testkit"
@@ -376,5 +378,81 @@ func TestPruneGate(t *testing.T) {
 		if got := e.reps.quant != nil; got != c.want {
 			t.Fatalf("%s: quantizer installed = %v, want %v", c.name, got, c.want)
 		}
+	}
+}
+
+// TestFillKernelMatchesPMFDistance: every entry the fill kernel writes has
+// emd.PMFDistance's bits, for bins 1–64, every row count mod 4 (so every
+// tail length), every row of the triangle down to the last, and both
+// grounds' units.
+func TestFillKernelMatchesPMFDistance(t *testing.T) {
+	g := testkit.NewGen(3)
+	for bins := 1; bins <= 64; bins++ {
+		units := []float64{1 / float64(bins), 0}
+		if bins > 1 {
+			units[1] = 1 / float64(bins-1)
+		}
+		for _, k := range []int{2, 3, 4, 5, 8, 9, 10, 11} {
+			reps := make([]*rep, k)
+			for i := range reps {
+				reps[i] = &rep{data: g.PMF(bins)}
+			}
+			pmfs := packPMFs(reps, bins)
+			for _, unit := range units {
+				for i := 0; i < k-1; i++ {
+					row := make([]float64, k-1-i)
+					emdRow(pmfs, bins, i, i+1, unit, row)
+					for x, got := range row {
+						want := emd.PMFDistance(reps[i].data, reps[i+1+x].data, unit)
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("bins %d, k %d, unit %v, pair (%d,%d): kernel %v, PMFDistance %v", bins, k, unit, i, i+1+x, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestExactProbeMatchesProbe: exactProbe's kernel-filled triangle equals
+// probe's distOf-filled one bit for bit, under both grounds, on states
+// whose MinPartitionSize guard keeps some parents whole — so aliased rows
+// copy from the parent triangle and hand the runs between to the kernel.
+func TestExactProbeMatchesProbe(t *testing.T) {
+	ds := pruneDataset(t, 1500, 4)
+	aliasedRows := 0
+	for _, ground := range []emd.Ground{emd.GroundScore, emd.GroundIndex} {
+		for _, bins := range []int{5, 10, 16} {
+			e, err := NewEvaluator(ds, testkit.ScoreFunc(), Config{Bins: bins, Ground: ground, MinPartitionSize: 15, Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := newMatState(e, []*partition.Partition{e.searchRoot()})
+			for depth, attr := range []int{0, 1, 2, 3} {
+				splits, nk := s.scatterAll(attr)
+				got := s.exactProbe(attr, splits, nk, 1)
+				want := s.probe(attr, 1, true)
+				if len(got.dist) != len(want.dist) {
+					t.Fatalf("ground %d, bins %d, depth %d: %d pairs, probe %d", ground, bins, depth, len(got.dist), len(want.dist))
+				}
+				for m := range got.dist {
+					if math.Float64bits(got.dist[m]) != math.Float64bits(want.dist[m]) {
+						t.Fatalf("ground %d, bins %d, depth %d, slot %d: %v, probe %v", ground, bins, depth, m, got.dist[m], want.dist[m])
+					}
+				}
+				if math.Float64bits(got.avg) != math.Float64bits(want.avg) {
+					t.Fatalf("ground %d, bins %d, depth %d: average %v, probe %v", ground, bins, depth, got.avg, want.avg)
+				}
+				for i := range splits {
+					if splits[i].aliased {
+						aliasedRows++
+					}
+				}
+				s = got
+			}
+		}
+	}
+	if aliasedRows == 0 {
+		t.Fatal("no parent was kept whole: the aliased rows went untested")
 	}
 }

@@ -21,14 +21,14 @@ func refData(e *Evaluator, p *partition.Partition) []float64 {
 	if e.cfg.Exact {
 		s := make([]float64, len(p.Indices))
 		for k, i := range p.Indices {
-			s[k] = e.scores[i]
+			s[k] = e.Scores()[i]
 		}
 		sort.Float64s(s)
 		return s
 	}
 	h := histogram.MustNew(e.cfg.Bins, 0, 1)
 	for _, i := range p.Indices {
-		h.Add(e.scores[i])
+		h.Add(e.Scores()[i])
 	}
 	return h.PMF()
 }

@@ -39,7 +39,7 @@ type rowSpace struct {
 	codes [][]uint16
 	// bin[r] is row r's histogram bin and weight[r] the number of workers
 	// it stands for; both nil when the rows are the workers (whose bins are
-	// the evaluator's binIdx).
+	// the evaluator's bin column).
 	bin    []int32
 	weight []int32
 	// cell[r] is row r's protected cell in cells; nil when the rows are
@@ -59,7 +59,7 @@ func (e *Evaluator) searchRows() *rowSpace {
 		}
 		if !e.cfg.Exact {
 			if cells := e.ds.Cells(); cells.N() < e.ds.N() {
-				e.rows = collapsedRows(cells, e.binIdx, e.cfg.Bins)
+				e.rows = collapsedRows(cells, e.bin, e.cfg.Bins)
 				return
 			}
 		}
@@ -88,45 +88,79 @@ func workerRows(ds *dataset.Dataset) *rowSpace {
 }
 
 // collapsedRows groups each cell's workers by histogram bin into weighted
-// rows, in O(N + bins) time: a bins-sized counter is touched only at the
-// bins a cell occupies, and reset through the same list. Rows are laid
-// out cell by cell, each cell's bins in order of first occurrence.
-func collapsedRows(cells *dataset.Cells, binIdx []int, bins int) *rowSpace {
-	n := len(cells.Of)
-	est := n
-	if bins < n {
-		est = min(n, cells.N()*bins)
+// rows, laid out cell by cell, in O(N) time and memory. When the dense
+// cells×bins count table has no more entries than there are workers, one
+// pass in worker order fills it (countRows); otherwise each cell's workers
+// are gathered through the cell index (gatherRows).
+func collapsedRows(cells *dataset.Cells, bin []int32, bins int) *rowSpace {
+	var rs *rowSpace
+	if cells.N() <= len(bin)/bins {
+		rs = countRows(cells.Of, cells.N(), bin, bins)
+	} else {
+		rs = gatherRows(cells, bin, bins)
 	}
-	cell := make([]int32, 0, est)
-	bin := make([]int32, 0, est)
-	weight := make([]int32, 0, est)
+	rs.n, rs.cells = len(rs.cell), cells
+	rs.codes = make([][]uint16, len(cells.Codes))
+	for a, byCell := range cells.Codes {
+		col := make([]uint16, rs.n)
+		for r, c := range rs.cell {
+			col[r] = byCell[c]
+		}
+		rs.codes[a] = col
+	}
+	return rs
+}
+
+// countRows counts workers per (cell, bin) in a dense table filled in
+// worker order — sequential reads of both columns — and emits each cell's
+// occupied bins in ascending order.
+func countRows(of []int32, nc int, bin []int32, bins int) *rowSpace {
+	table := make([]int32, nc*bins)
+	for i, c := range of {
+		table[int(c)*bins+int(bin[i])]++
+	}
+	n := 0
+	for _, w := range table {
+		if w != 0 {
+			n++
+		}
+	}
+	rs := &rowSpace{cell: make([]int32, 0, n), bin: make([]int32, 0, n), weight: make([]int32, 0, n)}
+	for x, w := range table {
+		if w != 0 {
+			rs.cell = append(rs.cell, int32(x/bins))
+			rs.bin = append(rs.bin, int32(x%bins))
+			rs.weight = append(rs.weight, w)
+		}
+	}
+	return rs
+}
+
+// gatherRows splits each cell's workers by bin in O(N + bins) time: a
+// bins-sized counter is touched only at the bins a cell occupies, and
+// reset through the same list. Each cell's bins come in order of first
+// occurrence.
+func gatherRows(cells *dataset.Cells, bin []int32, bins int) *rowSpace {
+	est := min(len(bin), cells.N()*bins)
+	rs := &rowSpace{cell: make([]int32, 0, est), bin: make([]int32, 0, est), weight: make([]int32, 0, est)}
 	count := make([]int32, bins)
-	var touched []int
+	var touched []int32
 	start, workers := cells.Start, cells.Rows
 	for c := 0; c+1 < len(start); c++ {
 		for _, w := range workers[start[c]:start[c+1]] {
-			b := binIdx[w]
+			b := bin[w]
 			if count[b] == 0 {
 				touched = append(touched, b)
 			}
 			count[b]++
 		}
 		for _, b := range touched {
-			cell = append(cell, int32(c))
-			bin = append(bin, int32(b))
-			weight = append(weight, count[b])
+			rs.cell = append(rs.cell, int32(c))
+			rs.bin = append(rs.bin, b)
+			rs.weight = append(rs.weight, count[b])
 			count[b] = 0
 		}
 		touched = touched[:0]
-	}
-	rs := &rowSpace{n: len(cell), bin: bin, weight: weight, cell: cell, cells: cells}
-	rs.codes = make([][]uint16, len(cells.Codes))
-	for a, byCell := range cells.Codes {
-		col := make([]uint16, rs.n)
-		for r, c := range cell {
-			col[r] = byCell[c]
-		}
-		rs.codes[a] = col
 	}
 	return rs
 }

@@ -4,12 +4,17 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
 	"fairrank/internal/dataset"
 	"fairrank/internal/emd"
+	"fairrank/internal/histogram"
 	"fairrank/internal/rng"
+	"fairrank/internal/scoring"
 	"fairrank/internal/testkit"
 )
 
@@ -30,7 +35,7 @@ func rowScatter(e *Evaluator) *Evaluator {
 // the engine would search workers (every worker its own cell), so the
 // differential exercises the collapse on that population too.
 func forceCollapse(e *Evaluator) *Evaluator {
-	e.rows = collapsedRows(e.ds.Cells(), e.binIdx, e.cfg.Bins)
+	e.rows = collapsedRows(e.ds.Cells(), e.bin, e.cfg.Bins)
 	return e
 }
 
@@ -267,6 +272,201 @@ func TestCollapsedRowsSize(t *testing.T) {
 	}
 }
 
+// collapsedRowsOracle is the collapse over an 8-byte bin column, one
+// gather through the cell index: the reference the row builders must
+// equal as a multiset of (cell, bin, weight) rows.
+func collapsedRowsOracle(cells *dataset.Cells, binIdx []int, bins int) *rowSpace {
+	n := len(cells.Of)
+	est := n
+	if bins < n {
+		est = min(n, cells.N()*bins)
+	}
+	cell := make([]int32, 0, est)
+	bin := make([]int32, 0, est)
+	weight := make([]int32, 0, est)
+	count := make([]int32, bins)
+	var touched []int
+	start, workers := cells.Start, cells.Rows
+	for c := 0; c+1 < len(start); c++ {
+		for _, w := range workers[start[c]:start[c+1]] {
+			b := binIdx[w]
+			if count[b] == 0 {
+				touched = append(touched, b)
+			}
+			count[b]++
+		}
+		for _, b := range touched {
+			cell = append(cell, int32(c))
+			bin = append(bin, int32(b))
+			weight = append(weight, count[b])
+			count[b] = 0
+		}
+		touched = touched[:0]
+	}
+	rs := &rowSpace{n: len(cell), bin: bin, weight: weight, cell: cell, cells: cells}
+	rs.codes = make([][]uint16, len(cells.Codes))
+	for a, byCell := range cells.Codes {
+		col := make([]uint16, rs.n)
+		for r, c := range cell {
+			col[r] = byCell[c]
+		}
+		rs.codes[a] = col
+	}
+	return rs
+}
+
+// rowTuples lists a row space's rows as sorted (cell, bin, weight)
+// triples: its multiset, whatever the row order.
+func rowTuples(rs *rowSpace) [][3]int32 {
+	out := make([][3]int32, len(rs.cell))
+	for r := range out {
+		out[r] = [3]int32{rs.cell[r], rs.bin[r], rs.weight[r]}
+	}
+	slices.SortFunc(out, func(a, b [3]int32) int { return slices.Compare(a[:], b[:]) })
+	return out
+}
+
+// mappedDataset round-trips ds through a snapshot file and opens it
+// mmap'd.
+func mappedDataset(t *testing.T, ds *dataset.Dataset) *dataset.Dataset {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "ds.snap")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.WriteSnapshot(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := dataset.OpenSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mapped.Close() })
+	return mapped
+}
+
+// twoScoreDataset is a few-cell population with two observed attributes
+// on the paper's [25, 100] range, for a two-term Linear score.
+func twoScoreDataset(t *testing.T, n int) *dataset.Dataset {
+	t.Helper()
+	schema := &dataset.Schema{
+		Protected: []dataset.Attribute{
+			dataset.Cat("Gender", "Male", "Female"),
+			dataset.Cat("Language", "English", "Indian", "Other"),
+			dataset.Num("Age", 0, 100, 5),
+		},
+		Observed: []dataset.Attribute{dataset.Num("LanguageTest", 25, 100, 1), dataset.Num("ApprovalRate", 25, 100, 1)},
+	}
+	b := dataset.NewBuilder(schema)
+	r := rng.New(uint64(n))
+	for i := 0; i < n; i++ {
+		age := r.FloatRange(0, 100)
+		b.Add(fmt.Sprintf("w%d", i),
+			map[string]any{"Gender": rng.Pick(r, []string{"Male", "Female"}), "Language": rng.Pick(r, []string{"English", "Indian", "Other"}), "Age": age},
+			map[string]any{"LanguageTest": r.FloatRange(25, 100), "ApprovalRate": 25 + 0.75*age*r.Float64()})
+	}
+	ds, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+// TestCollapsedRowsMatchOracle: the rows the first search builds from the
+// evaluator's int32 bin column equal the oracle's over the 8-byte column
+// binned from Scores, as a multiset, through the size-selected builder and
+// through each builder directly. It covers generated populations under a
+// ScoreFunc, a two-term Linear, every worker its own cell (searched as
+// worker rows), heap and mmap datasets, and bins from 1 to 10000, so both
+// builders are selected.
+func TestCollapsedRowsMatchOracle(t *testing.T) {
+	linear, err := scoring.NewLinear("f", map[string]float64{"LanguageTest": 0.3, "ApprovalRate": 0.7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type population struct {
+		name string
+		ds   *dataset.Dataset
+		f    scoring.Func
+	}
+	var pops []population
+	for seed := uint64(1); seed <= 4; seed++ {
+		g := testkit.NewGen(seed)
+		ds, err := g.WorkerDataset(g.R.IntRange(60, 2000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pops = append(pops, population{fmt.Sprintf("random-%d", seed), ds, testkit.ScoreFunc()})
+	}
+	pops = append(pops,
+		population{"linear", twoScoreDataset(t, 5000), linear},
+		population{"distinct-cells", distinctCellDataset(t, 300), testkit.ScoreFunc()},
+	)
+	for _, p := range pops[:len(pops):len(pops)] {
+		pops = append(pops, population{p.name + "-mmap", mappedDataset(t, p.ds), p.f})
+	}
+	selected := map[bool]int{}
+	for _, pop := range pops {
+		cells := pop.ds.Cells()
+		for _, bins := range []int{1, 2, 3, 10, 64, 10000} {
+			label := fmt.Sprintf("%s/bins%d", pop.name, bins)
+			e, err := NewEvaluator(pop.ds, pop.f, Config{Bins: bins})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := histogram.MustNew(bins, 0, 1)
+			binIdx := make([]int, pop.ds.N())
+			for i, s := range e.Scores() {
+				binIdx[i] = h.BinIndex(s)
+				if int(e.bin[i]) != binIdx[i] {
+					t.Fatalf("%s: worker %d in bin %d, its score %v bins to %d", label, i, e.bin[i], s, binIdx[i])
+				}
+			}
+			want := rowTuples(collapsedRowsOracle(cells, binIdx, bins))
+			dense := cells.N() <= pop.ds.N()/bins
+			selected[dense]++
+			rs := collapsedRows(cells, e.bin, bins)
+			builds := map[string]*rowSpace{"selected": rs, "gather": gatherRows(cells, e.bin, bins)}
+			if cells.N()*bins <= 1<<20 {
+				builds["count"] = countRows(cells.Of, cells.N(), e.bin, bins)
+			}
+			for name, b := range builds {
+				if got := rowTuples(b); !slices.Equal(got, want) {
+					t.Fatalf("%s/%s: rows %v, oracle %v", label, name, got, want)
+				}
+			}
+			if rs.n != len(want) || rs.cells != cells {
+				t.Fatalf("%s: row space of %d rows over cells %p, want %d over %p", label, rs.n, rs.cells, len(want), cells)
+			}
+			// The table size picks the builder: its rows, in its order.
+			pick := builds["gather"]
+			if dense {
+				pick = builds["count"]
+			}
+			if !slices.Equal(rs.cell, pick.cell) || !slices.Equal(rs.bin, pick.bin) || !slices.Equal(rs.weight, pick.weight) {
+				t.Fatalf("%s: rows not built by the %s builder", label, map[bool]string{true: "count", false: "gather"}[dense])
+			}
+			for a, byCell := range cells.Codes {
+				for r, c := range rs.cell {
+					if rs.codes[a][r] != byCell[c] {
+						t.Fatalf("%s: row %d has code %d on attribute %d, its cell %d", label, r, rs.codes[a][r], a, byCell[c])
+					}
+				}
+			}
+			if rs := e.searchRows(); pop.name == "distinct-cells" && (rs.weight != nil || rs.n != pop.ds.N()) {
+				t.Fatalf("%s: searched %d rows (weighted %v), want the %d workers", label, rs.n, rs.weight != nil, pop.ds.N())
+			}
+		}
+	}
+	if selected[true] == 0 || selected[false] == 0 {
+		t.Fatalf("builder selections %v: both the count table and the gather must run", selected)
+	}
+}
+
 // BenchmarkDistinctCells measures the collapse where it buys the least:
 // pop=distinct gives every worker its own cell (one weight-1 row per
 // worker, so the engine searches the workers instead), pop=pairs puts two
@@ -319,6 +519,62 @@ func BenchmarkDistinctCells(b *testing.B) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// BenchmarkIngest measures what a fresh binned audit pays before its first
+// probe: scoring every worker into its bin (NewEvaluator) and building the
+// collapsed rows, over a population with the paper's 1800 protected cells
+// at paper scale and at 1M workers. The cell grouping is cached on the
+// dataset, as it is on a served one, so it is built before the clock.
+func BenchmarkIngest(b *testing.B) {
+	schema := &dataset.Schema{
+		Protected: []dataset.Attribute{
+			dataset.Cat("Gender", "Male", "Female"),
+			dataset.Cat("Country", "America", "India", "Other"),
+			dataset.Num("YearOfBirth", 1950, 2010, 5),
+			dataset.Cat("Language", "English", "Indian", "Other"),
+			dataset.Cat("Ethnicity", "White", "African-American", "Indian", "Other"),
+			dataset.Num("YearsExperience", 0, 31, 5),
+		},
+		Observed: []dataset.Attribute{dataset.Num("LanguageTest", 25, 100, 1), dataset.Num("ApprovalRate", 25, 100, 1)},
+	}
+	f, err := scoring.NewLinear("f1", map[string]float64{"LanguageTest": 0.5, "ApprovalRate": 0.5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range []int{7300, 1_000_000} {
+		bld := dataset.NewBuilder(schema)
+		r := rng.New(42)
+		for i := 0; i < n; i++ {
+			prot := map[string]any{}
+			for _, a := range schema.Protected {
+				if a.Kind == dataset.Categorical {
+					prot[a.Name] = a.Values[r.Intn(len(a.Values))]
+				} else {
+					prot[a.Name] = r.FloatRange(a.Min, a.Max)
+				}
+			}
+			bld.Add("w", prot, map[string]any{"LanguageTest": r.FloatRange(25, 100), "ApprovalRate": r.FloatRange(25, 100)})
+		}
+		ds, err := bld.Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		ds.Cells()
+		for _, rows := range []bool{false, true} {
+			b.Run(fmt.Sprintf("n=%d/rows=%v", n, rows), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					e, err := NewEvaluator(ds, f, Config{Bins: 10})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if rows {
+						e.searchRows()
+					}
+				}
+			})
 		}
 	}
 }

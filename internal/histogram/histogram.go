@@ -21,12 +21,16 @@ import (
 // endpoints exactly.
 type Histogram struct {
 	min, max float64
-	counts   []float64
-	total    float64
+	// width is BinWidth, computed once: BinIndex divides by it per value.
+	width  float64
+	counts []float64
+	total  float64
 }
 
-// ErrBadRange is returned when max <= min.
-var ErrBadRange = errors.New("histogram: max must be greater than min")
+// ErrBadRange is returned when max <= min, and when the bin width
+// (max−min)/bins is not a positive finite number: an infinite bound, a
+// range wider than the largest float64, or one too narrow to split.
+var ErrBadRange = errors.New("histogram: max must be greater than min, by a positive finite bin width")
 
 // ErrBadBins is returned when the requested number of bins is < 1.
 var ErrBadBins = errors.New("histogram: need at least one bin")
@@ -37,10 +41,12 @@ func New(bins int, min, max float64) (*Histogram, error) {
 	if bins < 1 {
 		return nil, ErrBadBins
 	}
-	if !(max > min) {
+	// A positive width implies max > min, and NaN bounds fail it too.
+	width := (max - min) / float64(bins)
+	if !(width > 0) || math.IsInf(width, 1) {
 		return nil, ErrBadRange
 	}
-	return &Histogram{min: min, max: max, counts: make([]float64, bins)}, nil
+	return &Histogram{min: min, max: max, width: width, counts: make([]float64, bins)}, nil
 }
 
 // MustNew is New but panics on error; for statically-correct construction.
@@ -62,37 +68,37 @@ func (h *Histogram) Min() float64 { return h.min }
 func (h *Histogram) Max() float64 { return h.max }
 
 // BinWidth returns the width of each bin in value units.
-func (h *Histogram) BinWidth() float64 { return (h.max - h.min) / float64(len(h.counts)) }
+func (h *Histogram) BinWidth() float64 { return h.width }
 
 // BinIndex returns the index of the bin that value v falls into. Values
-// below Min map to bin 0; values at or above Max map to the last bin.
+// below Min, and NaN, map to bin 0; values at or above Max map to the
+// last bin.
 func (h *Histogram) BinIndex(v float64) int {
-	if math.IsNaN(v) {
-		return 0
-	}
 	// Clamp in float space: converting an out-of-range float (e.g. from
 	// v = +Inf or a huge finite score) straight to int overflows to a
-	// negative value and used to send +Inf to bin 0 instead of the last bin.
-	f := math.Floor((v - h.min) / h.BinWidth())
-	if f < 0 {
+	// negative value and used to send +Inf to bin 0 instead of the last
+	// bin. Inside [0, bins) truncation is the floor, so no math.Floor is
+	// needed; the negated comparison also sends NaN to bin 0.
+	x := (v - h.min) / h.width
+	if !(x >= 0) {
 		return 0
 	}
-	if f >= float64(len(h.counts)) {
+	if x >= float64(len(h.counts)) {
 		return len(h.counts) - 1
 	}
-	return int(f)
+	return int(x)
 }
 
-// BinIndices maps every value in vs to its bin index under h's binning in
-// one pass, using exactly the BinIndex clamping rules. Scatter paths use
-// this to pre-bin a score column once and then bucket observations with
-// pure integer arithmetic, instead of re-deriving the bin per pass.
-func (h *Histogram) BinIndices(vs []float64) []int {
-	out := make([]int, len(vs))
+// BinIndices writes the bin index of every value in vs into out, which
+// must hold at least len(vs) entries, using exactly the BinIndex clamping
+// rules. The
+// evaluator bins its score column block by block with it, then buckets
+// observations with pure integer arithmetic.
+func (h *Histogram) BinIndices(vs []float64, out []int32) {
+	out = out[:len(vs)]
 	for i, v := range vs {
-		out[i] = h.BinIndex(v)
+		out[i] = int32(h.BinIndex(v))
 	}
-	return out
 }
 
 // NormalizeCounts converts one raw count row — as accumulated by a
@@ -263,7 +269,7 @@ func (h *Histogram) Variance() float64 {
 
 // Clone returns a deep copy of h.
 func (h *Histogram) Clone() *Histogram {
-	c := &Histogram{min: h.min, max: h.max, total: h.total, counts: make([]float64, len(h.counts))}
+	c := &Histogram{min: h.min, max: h.max, width: h.width, total: h.total, counts: make([]float64, len(h.counts))}
 	copy(c.counts, h.counts)
 	return c
 }

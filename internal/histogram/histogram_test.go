@@ -277,9 +277,10 @@ func TestString(t *testing.T) {
 func TestBinIndices(t *testing.T) {
 	h := MustNew(10, 0, 1)
 	vs := []float64{-0.5, 0, 0.05, 0.55, 0.999, 1, 1.5, math.NaN()}
-	got := h.BinIndices(vs)
+	got := make([]int32, len(vs))
+	h.BinIndices(vs, got)
 	for i, v := range vs {
-		if got[i] != h.BinIndex(v) {
+		if int(got[i]) != h.BinIndex(v) {
 			t.Errorf("BinIndices[%d] = %d, BinIndex(%v) = %d", i, got[i], v, h.BinIndex(v))
 		}
 	}

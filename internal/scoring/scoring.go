@@ -129,19 +129,29 @@ func (l *Linear) Score(ds *dataset.Dataset, i int) float64 {
 		}
 		def := schema.Observed[a]
 		v := ds.Observed(a, i)
-		s += t.w * normalize(v, def.Min, def.Max)
+		// The conversion rounds the product before the add, so no
+		// architecture fuses the two into one multiply-add.
+		s += float64(t.w * normalize(v, def.Min, def.Max))
 	}
 	return clamp01(s)
 }
 
-// ScoreColumn computes the whole score column in one fused pass per
-// weighted attribute, reading each observed column block directly (for
-// snapshot-backed datasets these are the mapped blocks — no per-row
-// accessor, no copy). Per row it accumulates terms in the same sorted
-// order as Score, so the result is bit-identical to calling Score for
-// every worker.
+// ScoreColumn computes the whole score column with ScoreBlock over one
+// block, so it is bit-identical to calling Score for every worker.
 func (l *Linear) ScoreColumn(ds *dataset.Dataset) []float64 {
 	out := make([]float64, ds.N())
+	l.ScoreBlock(ds, 0, out)
+	return out
+}
+
+// ScoreBlock writes the scores of workers lo, lo+1, …, lo+len(out)−1 into
+// out in one pass per weighted attribute, reading each observed column
+// block directly (for snapshot-backed datasets these are the mapped
+// blocks — no per-row accessor, no copy). Per row it accumulates terms in
+// the same sorted order and with the same rounding as Score, so the
+// result is bit-identical to calling Score for every worker.
+func (l *Linear) ScoreBlock(ds *dataset.Dataset, lo int, out []float64) {
+	clear(out)
 	schema := ds.Schema()
 	for _, t := range l.terms {
 		if t.w == 0 {
@@ -152,15 +162,14 @@ func (l *Linear) ScoreColumn(ds *dataset.Dataset) []float64 {
 			continue
 		}
 		def := schema.Observed[a]
-		col := ds.ObservedColumn(a)
+		col := ds.ObservedColumn(a)[lo : lo+len(out)]
 		for i, v := range col {
-			out[i] += t.w * normalize(v, def.Min, def.Max)
+			out[i] += float64(t.w * normalize(v, def.Min, def.Max))
 		}
 	}
 	for i, v := range out {
 		out[i] = clamp01(v)
 	}
-	return out
 }
 
 // String renders the function as its formula, with attributes sorted for
@@ -195,23 +204,30 @@ func clamp01(v float64) float64 {
 	return v
 }
 
-// ColumnScorer is implemented by scoring functions that can materialize
-// the whole score column in fused columnar passes. Implementations must be
-// bit-identical to row-at-a-time Score evaluation; Scores prefers this
-// path when available.
-type ColumnScorer interface {
-	ScoreColumn(ds *dataset.Dataset) []float64
+// BlockScorer is implemented by scoring functions that can score a
+// contiguous block of workers in fused columnar passes. Implementations
+// must be bit-identical to row-at-a-time Score evaluation; ScoreInto
+// prefers this path when available.
+type BlockScorer interface {
+	ScoreBlock(ds *dataset.Dataset, lo int, out []float64)
 }
 
-// Scores evaluates f for every worker and returns the full score column,
-// scanning column blocks directly when f supports it.
+// ScoreInto writes f's scores of workers lo, lo+1, …, lo+len(out)−1 into
+// out, scanning column blocks directly when f supports it. Scoring a
+// column block by block into one buffer gives the same bits as Scores.
+func ScoreInto(ds *dataset.Dataset, f Func, lo int, out []float64) {
+	if bs, ok := f.(BlockScorer); ok {
+		bs.ScoreBlock(ds, lo, out)
+		return
+	}
+	for k := range out {
+		out[k] = f.Score(ds, lo+k)
+	}
+}
+
+// Scores evaluates f for every worker and returns the full score column.
 func Scores(ds *dataset.Dataset, f Func) []float64 {
-	if cs, ok := f.(ColumnScorer); ok {
-		return cs.ScoreColumn(ds)
-	}
 	out := make([]float64, ds.N())
-	for i := range out {
-		out[i] = f.Score(ds, i)
-	}
+	ScoreInto(ds, f, 0, out)
 	return out
 }

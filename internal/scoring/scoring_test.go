@@ -1,11 +1,13 @@
 package scoring
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"fairrank/internal/dataset"
+	"fairrank/internal/rng"
 )
 
 func testSchema() *dataset.Schema {
@@ -265,6 +267,63 @@ func TestHashUnitRange(t *testing.T) {
 		u := hashUnit(123, i)
 		if u < 0 || u >= 1 {
 			t.Fatalf("hashUnit out of range: %v", u)
+		}
+	}
+}
+
+// ScoreInto over any block split gives the bits of Score per worker, and
+// so do Scores and ScoreColumn: for a Linear with a zero weight, an
+// attribute missing from the schema and values outside the schema range
+// (clamped), and for a ScoreFunc.
+func TestScoreIntoMatchesScore(t *testing.T) {
+	b := dataset.NewBuilder(testSchema())
+	r := rng.New(5)
+	const n = 1000
+	for i := 0; i < n; i++ {
+		b.Add(fmt.Sprintf("w%d", i),
+			map[string]any{"Gender": "Male", "Country": "India", "YearOfBirth": 1980},
+			map[string]any{"LanguageTest": r.FloatRange(20, 105), "ApprovalRate": r.FloatRange(25, 100)})
+	}
+	ds, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	linear, err := NewLinear("f", map[string]float64{"LanguageTest": 0.35, "ApprovalRate": 0.6, "Missing": 0.05, "Unused": 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn := ScoreFunc{FuncName: "g", Fn: func(ds *dataset.Dataset, i int) float64 { return ds.Observed(1, i) / 100 }}
+	for _, f := range []Func{linear, fn} {
+		want := make([]float64, n)
+		for i := range want {
+			want[i] = f.Score(ds, i)
+		}
+		same := func(label string, got []float64) {
+			t.Helper()
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s %s: worker %d scored %v, Score %v", f.Name(), label, i, got[i], want[i])
+				}
+			}
+		}
+		same("Scores", Scores(ds, f))
+		for _, size := range []int{1, 7, 256, n} {
+			got := make([]float64, n)
+			buf := make([]float64, size)
+			for i := range buf {
+				buf[i] = math.NaN() // a reused buffer's stale values must not leak
+			}
+			for lo := 0; lo < n; lo += size {
+				blk := buf[:min(size, n-lo)]
+				ScoreInto(ds, f, lo, blk)
+				copy(got[lo:], blk)
+			}
+			same(fmt.Sprintf("blocks of %d", size), got)
+		}
+	}
+	for i, s := range linear.ScoreColumn(ds) {
+		if math.Float64bits(s) != math.Float64bits(linear.Score(ds, i)) {
+			t.Fatalf("ScoreColumn: worker %d scored %v, Score %v", i, s, linear.Score(ds, i))
 		}
 	}
 }
