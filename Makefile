@@ -195,7 +195,7 @@ verify:
 # of those architectures and reads the machine code with go tool objdump:
 # no emulator, no download. FMA_FUNCS widens as more packages are rounded.
 FMA_ARCHS = arm64 ppc64le riscv64 loong64
-FMA_FUNCS = fairrank/internal/(scoring|core)
+FMA_FUNCS = fairrank/internal/(scoring|core|emd|histogram)
 fma-check:
 	@fail=0; for arch in $(FMA_ARCHS); do \
 		GOOS=linux GOARCH=$$arch $(GO) build -o /tmp/fma-check-$$arch ./cmd/fairserve || exit 1; \

@@ -6,6 +6,7 @@ import (
 
 	"fairrank/internal/partition"
 	"fairrank/internal/rng"
+	"fairrank/internal/telemetry"
 )
 
 // Result is the outcome of running one algorithm.
@@ -44,33 +45,100 @@ type TraceStep struct {
 type chooser func(s *matState, attrs []int) (attr int, children *matState)
 
 // worstAttribute is the paper's greedy choice: probe every remaining
-// attribute (concurrently, under Config.Parallelism) and keep the one whose
-// split yields the highest average pairwise distance. Ties break toward the
-// lowest attribute index, making runs deterministic regardless of the scan
-// order.
+// attribute (concurrently, under Config.Parallelism; leftover parallelism
+// goes to each probe's fill) and keep the one whose split yields the
+// highest average pairwise distance. Ties break toward the earliest
+// attribute in attrs, making runs deterministic regardless of scan order.
+//
+// Where pruning runs (prune.go) a bound step sits between the scatter and
+// the fill: a candidate with at least pruneKernelMinParts parts is
+// bracketed by the fixed-point kernel instead of filled. maxLo is then the
+// highest lower bound, where filled candidates contribute their exact
+// average, and a bracketed candidate whose upper bound is strictly below
+// it is skipped: its float average is provably below another candidate's,
+// so the strict-> earliest-index argmax cannot select it, not even on a
+// tie. Survivors are filled in scan order, so the returned state is always
+// an exact evaluation and every decision and trace is bit-identical to
+// the unpruned scan, which fills every candidate.
 func worstAttribute(s *matState, attrs []int) (int, *matState) {
-	probes := s.probeAll(attrs)
-	best := 0
-	for x := 1; x < len(probes); x++ {
-		if probes[x].avg > probes[best].avg {
+	e := s.e
+	p := e.cfg.Parallelism
+	outer := min(p, len(attrs))
+	inner := 1
+	if outer >= 1 && p > outer {
+		inner = p / outer
+	}
+	// One "scan" span per round; the candidates' probe spans are its
+	// children.
+	sctx, sp := telemetry.StartSpan(s.ctx, "scan")
+	defer sp.End()
+	sp.SetInt("attrs", int64(len(attrs)))
+	sp.SetInt("parts", int64(len(s.parts)))
+	type cand struct {
+		st     *matState // the scattered children; evaluated once st.dist is set
+		lo, hi float64
+	}
+	cands := make([]cand, len(attrs))
+	bound := e.prune && len(attrs) > 1
+	parforeach(len(attrs), outer, func(x int) {
+		if s.canceled() {
+			return
+		}
+		c := &cands[x]
+		pctx, psp := startProbe(sctx, attrs[x])
+		defer psp.End()
+		c.st = s.scatterAll(pctx, attrs[x])
+		if bound && len(c.st.parts) >= pruneKernelMinParts {
+			var ok bool
+			if c.lo, c.hi, ok = e.bound(c.st.reps); ok {
+				return
+			}
+		}
+		s.fill(pctx, psp, c.st, inner)
+		c.lo, c.hi = c.st.avg, c.st.avg
+	})
+	if s.canceled() {
+		// Structurally valid return; the algorithm layer sees ctx.Err()
+		// and discards it.
+		return attrs[0], s
+	}
+	maxLo := cands[0].lo
+	for _, c := range cands[1:] {
+		if c.lo > maxLo {
+			maxLo = c.lo
+		}
+	}
+	best := -1
+	for x := range cands {
+		c := &cands[x]
+		if c.st.dist == nil {
+			if c.hi < maxLo {
+				nk := int64(len(c.st.parts))
+				e.prunedAcct(nk * (nk - 1) / 2)
+				continue
+			}
+			e.tel.boundExactified.Inc()
+			pctx, psp := startProbe(sctx, attrs[x])
+			s.fill(pctx, psp, c.st, p)
+			psp.End()
+			if s.canceled() {
+				return attrs[0], s
+			}
+		}
+		if best < 0 || c.st.avg > cands[best].st.avg {
 			best = x
 		}
 	}
-	return attrs[best], probes[best]
+	return attrs[best], cands[best].st
 }
 
 // randomAttribute is the baseline choice used by r-balanced and
 // r-unbalanced: a uniformly random remaining attribute. A single random
-// candidate offers nothing to prune, but where the pruning cascade runs
-// the probe routes through the lean allocation-free fill (probeLean) so
-// the random baselines share the pruned runs' constant factors.
+// candidate offers nothing to prune, so it is simply probed.
 func randomAttribute(r *rng.RNG) chooser {
 	return func(s *matState, attrs []int) (int, *matState) {
 		a := attrs[r.Intn(len(attrs))]
-		if s.e.prune {
-			return a, s.probeLean(a, s.e.cfg.Parallelism)
-		}
-		return a, s.probe(a, s.e.cfg.Parallelism, true)
+		return a, s.probe(a, s.e.cfg.Parallelism)
 	}
 }
 
@@ -93,7 +161,7 @@ func remove(attrs []int, a int) []int {
 // uncancellable direct entry points; session consumers go through Run,
 // which adds context cancellation, progress callbacks and per-run stats.
 func Balanced(e *Evaluator, attrs []int) *Result {
-	res, _ := balancedWith(context.Background(), e, attrs, e.worstChooser(), "balanced", nil)
+	res, _ := balancedWith(context.Background(), e, attrs, worstAttribute, "balanced", nil)
 	return res
 }
 
@@ -115,8 +183,7 @@ func balancedWith(ctx context.Context, e *Evaluator, attrs []int, choose chooser
 			progress(step)
 		}
 	}
-	state := newMatState(e, []*partition.Partition{e.searchRoot()})
-	state.ctx = ctx
+	state := e.rootState(ctx)
 	if len(attrs) == 0 {
 		res.Partitioning = &partition.Partitioning{Parts: e.rows.workerParts(state.parts)}
 		res.Elapsed = time.Since(start)
@@ -159,7 +226,7 @@ func balancedWith(ctx context.Context, e *Evaluator, attrs []int, choose chooser
 // pairwise distance against its siblings. attrs nil means all protected
 // attributes.
 func Unbalanced(e *Evaluator, attrs []int) *Result {
-	res, _ := unbalancedWith(context.Background(), e, attrs, e.worstChooser(), "unbalanced", nil)
+	res, _ := unbalancedWith(context.Background(), e, attrs, worstAttribute, "unbalanced", nil)
 	return res
 }
 
@@ -187,9 +254,7 @@ func unbalancedWith(ctx context.Context, e *Evaluator, attrs []int, choose choos
 		return res, nil
 	}
 
-	first := newMatState(e, []*partition.Partition{e.searchRoot()})
-	first.ctx = ctx
-	a, parts := choose(first, attrs)
+	a, parts := choose(e.rootState(ctx), attrs)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -199,16 +264,18 @@ func unbalancedWith(ctx context.Context, e *Evaluator, attrs []int, choose choos
 	// Each recursion node receives its local group as a matState with the
 	// deciding partition first: the group's running average is Algorithm 2's
 	// "current" side, and replaceFirst evaluates the "split" side by delta —
-	// only child–sibling distances are computed fresh.
+	// only child–sibling distances are computed fresh. The leaves keep their
+	// reps, which the final average reads.
 	var output []*partition.Partition
+	var leafReps []*rep
 	var recurse func(group *matState, attrs []int) error
 	recurse = func(group *matState, attrs []int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		current := group.parts[0]
+		current, currentRep := group.parts[0], group.reps[0]
 		if len(attrs) == 0 {
-			output = append(output, current)
+			output, leafReps = append(output, current), append(leafReps, currentRep)
 			return nil
 		}
 		currentAvg := group.avg
@@ -221,7 +288,7 @@ func unbalancedWith(ctx context.Context, e *Evaluator, attrs []int, choose choos
 		step := TraceStep{Attribute: a, AvgDistance: merged.avg, Partitions: len(children.parts)}
 		if currentAvg >= merged.avg {
 			emit(step)
-			output = append(output, current)
+			output, leafReps = append(output, current), append(leafReps, currentRep)
 			return nil
 		}
 		step.Accepted = true
@@ -239,7 +306,16 @@ func unbalancedWith(ctx context.Context, e *Evaluator, attrs []int, choose choos
 		}
 	}
 
-	res.Unfairness = e.avgPairwiseAuto(output)
+	if e.prune {
+		res.Unfairness = e.finalAvg(ctx, leafReps, finalBlock)
+	} else {
+		// The unpruned side keeps the pair cache (make bench-prune's
+		// speedup gate measures this average; ROADMAP item 5).
+		res.Unfairness = e.avgReps(leafReps)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	res.Partitioning = &partition.Partitioning{Parts: e.rows.workerParts(output)}
 	res.Elapsed = time.Since(start)
 	return res, nil
@@ -257,29 +333,29 @@ func allAttributesCtx(ctx context.Context, e *Evaluator, attrs []int, progress f
 	if attrs == nil {
 		attrs = e.Attrs()
 	}
-	state := newMatState(e, []*partition.Partition{e.searchRoot()})
-	state.ctx = ctx
+	state := e.rootState(ctx)
 	res := &Result{Algorithm: "all-attributes"}
 	for _, a := range attrs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		// Every split is unconditional, so intermediate averages are never
-		// consulted: scatter-only probes skip the distance work entirely and
-		// the triangle is materialized once at the end.
-		state = state.probe(a, e.cfg.Parallelism, false)
+		// consulted: scatter-only probes skip the distance work entirely,
+		// and the final parts are averaged once at the end.
+		pctx, psp := startProbe(ctx, a)
+		state = state.scatterAll(pctx, a)
+		psp.End()
 		step := TraceStep{Attribute: a, Partitions: len(state.parts), Accepted: true}
 		res.Steps = append(res.Steps, step)
 		if progress != nil {
 			progress(step)
 		}
 	}
-	state.materialize(e.cfg.Parallelism)
+	res.Unfairness = e.finalAvg(ctx, state.reps, finalBlock)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	res.Partitioning = &partition.Partitioning{Parts: e.rows.workerParts(state.parts)}
-	res.Unfairness = state.avg
 	if len(res.Steps) > 0 {
 		res.Steps[len(res.Steps)-1].AvgDistance = res.Unfairness
 	}

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"fairrank/internal/dataset"
-	"fairrank/internal/partition"
 	"fairrank/internal/rng"
 )
 
@@ -61,9 +60,9 @@ func TestQuickIncrementalDelta(t *testing.T) {
 
 		// Balanced-style chain: probe each attribute in sequence, checking
 		// the running average at every step.
-		s := newMatState(e, []*partition.Partition{e.searchRoot()})
+		s := e.rootState(nil)
 		for _, a := range attrs {
-			s = s.probe(a, e.cfg.Parallelism, true)
+			s = s.probe(a, e.cfg.Parallelism)
 			if !close(s.avg, ref(s)) {
 				return false
 			}
@@ -71,14 +70,13 @@ func TestQuickIncrementalDelta(t *testing.T) {
 
 		// Unbalanced-style delta: from a first split, regroup around a
 		// random part, locally split it, and merge against the siblings.
-		s = newMatState(e, []*partition.Partition{e.searchRoot()})
-		s = s.probe(attrs[0], e.cfg.Parallelism, true)
+		s = e.rootState(nil).probe(attrs[0], e.cfg.Parallelism)
 		if len(s.parts) > 1 && len(attrs) > 1 {
 			g := s.group(r.Intn(len(s.parts)))
 			if !close(g.avg, ref(g)) {
 				return false
 			}
-			children := g.single(0).probe(attrs[1], e.cfg.Parallelism, true)
+			children := g.single(0).probe(attrs[1], e.cfg.Parallelism)
 			if !close(children.avg, ref(children)) {
 				return false
 			}

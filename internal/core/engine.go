@@ -15,14 +15,15 @@ import (
 // This file implements the incremental pairwise-EMD engine. A matState is
 // one partitioning under evaluation: its parts, their interned dense-handle
 // representations, and the flat upper triangle of pairwise distances whose
-// canonical-order reduction is the partitioning's unfairness. Evolving a
-// state — splitting every part on a candidate attribute (balanced probe),
-// or replacing one part by its children against its siblings (unbalanced
-// decision) — computes only distances that touch changed parts; everything
-// else is copied from the existing triangle. Child representations are
-// derived in the same single pass that scatters the parent's rows
-// (partition.SplitCodes over the row space of rows.go), so probing an
-// attribute never re-touches the score column per child.
+// canonical-order reduction is the partitioning's unfairness. Every search
+// step is a scatter (scatterAll: split every part on a candidate attribute,
+// deriving the children's representations in the same single pass over the
+// parent's rows, partition.SplitCodes over the row space of rows.go), an
+// optional bound (prune.go) and a fill (fill: compute only the distances
+// that touch changed parts, copying the rest from the parent's triangle).
+// The unbalanced recursion regroups and merges states by delta (group,
+// replaceFirst), and a search's final parts are averaged without a
+// triangle (finalAvg).
 //
 // Invariant: every average is reduced serially in (i, j) pair order over
 // the state's own part ordering, which is exactly the order the from-
@@ -33,8 +34,13 @@ type matState struct {
 	e     *Evaluator
 	parts []*partition.Partition
 	reps  []*rep
-	dist  []float64 // upper triangle: pair (i,j), i<j, at tri(k,i,j); nil until materialized
-	avg   float64
+	// parent[i] is the index in the scattered state of part i's parent,
+	// and aliased[i] whether part i shares that parent's rep; set by
+	// scatterAll for the fill, nil on other states.
+	parent  []int32
+	aliased []bool
+	dist    []float64 // upper triangle: pair (i,j), i<j, at tri(k,i,j); nil until filled
+	avg     float64
 	// ctx, when non-nil, lets long evaluation loops stop early on
 	// cancellation. Derived states inherit it. A cancelled probe returns a
 	// state whose numbers must not be consulted; the algorithm layer checks
@@ -70,26 +76,11 @@ func avgOf(d []float64) float64 {
 	return sum / float64(len(d))
 }
 
-// newMatState interns the search parts' representations (their Indices are
-// rows of the evaluator's row space) and materializes the full distance
-// triangle (through the shared pair cache), establishing
-// the running pairwise sum that later probes evolve by delta.
-func newMatState(e *Evaluator, parts []*partition.Partition) *matState {
-	k := len(parts)
-	s := &matState{e: e, parts: parts, reps: make([]*rep, k)}
-	for i, p := range parts {
-		s.reps[i] = e.rowRep(p)
-	}
-	s.dist = make([]float64, k*(k-1)/2)
-	m := 0
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			s.dist[m] = e.pairOf(s.reps[i], s.reps[j])
-			m++
-		}
-	}
-	s.avg = avgOf(s.dist)
-	return s
+// rootState is where every search starts: the root of the evaluator's row
+// space as its one part, and no pairs.
+func (e *Evaluator) rootState(ctx context.Context) *matState {
+	root := e.searchRoot()
+	return &matState{e: e, parts: []*partition.Partition{root}, reps: []*rep{e.rowRep(root)}, dist: []float64{}, ctx: ctx}
 }
 
 // splitPart is the outcome of scatter-splitting one parent: the child
@@ -182,74 +173,139 @@ func (e *Evaluator) scatterSplit(r *rep, p *partition.Partition, attr int) split
 	return splitPart{children: children, reps: reps}
 }
 
-// probe evaluates replacing every part with its children under attr — the
-// balanced-round / candidate-attribute operation. Only distances touching
-// changed parts are computed: a pair of two unchanged (aliased) parts
-// copies its distance from this state's triangle. withDist=false skips
-// the distance work entirely for callers that only need the final state
-// (all-attributes); workers bounds the concurrent distance fill.
-func (s *matState) probe(attr, workers int, withDist bool) *matState {
-	if s.canceled() {
-		// Return a structurally valid state so concurrent probeAll fan-outs
-		// finish without nil checks; the caller sees ctx.Err() and discards.
-		return s
-	}
+// startProbe opens a candidate's "probe" span under ctx, the parent of its
+// split, emd and reduce spans.
+func startProbe(ctx context.Context, attr int) (context.Context, *telemetry.Span) {
+	pctx, psp := telemetry.StartSpan(ctx, "probe")
+	psp.SetInt("attribute", int64(attr))
+	return pctx, psp
+}
+
+// scatterAll splits every part on attr (scatterSplit) and builds the child
+// state once, without distances: its parts and reps in parent order, each
+// child's parent index and whether it aliases its parent's rep. The bound,
+// the fill and all-attributes' scatter-only probes all read it. Each call
+// counts as one probe. ctx carries the caller's span; the child inherits
+// s's context.
+func (s *matState) scatterAll(ctx context.Context, attr int) *matState {
 	e := s.e
 	e.tel.probes.Inc()
-	// Span phases: split (scatter pass), emd (fresh distance fill),
-	// reduce (canonical-order average). Zero-cost when no tracer rides
-	// the context; derived states keep s.ctx so later probes never
-	// attach to this probe's ended span.
-	pctx, psp := telemetry.StartSpan(s.ctx, "probe")
-	psp.SetInt("attribute", int64(attr))
-	k := len(s.parts)
-	_, ssp := telemetry.StartSpan(pctx, "split")
-	splits := make([]splitPart, k)
+	_, ssp := telemetry.StartSpan(ctx, "split")
+	defer ssp.End()
+	splits := make([]splitPart, len(s.parts))
+	nk := 0
 	for i := range s.parts {
 		splits[i] = e.scatterSplit(s.reps[i], s.parts[i], attr)
-	}
-	ssp.SetInt("parents", int64(k))
-	ssp.End()
-	nk := 0
-	for i := range splits {
 		nk += len(splits[i].children)
 	}
 	ns := &matState{
-		e:     e,
-		parts: make([]*partition.Partition, 0, nk),
-		reps:  make([]*rep, 0, nk),
-		ctx:   s.ctx,
+		e:       e,
+		parts:   make([]*partition.Partition, 0, nk),
+		reps:    make([]*rep, 0, nk),
+		parent:  make([]int32, 0, nk),
+		aliased: make([]bool, 0, nk),
+		ctx:     s.ctx,
 	}
-	parent := make([]int32, 0, nk)
-	aliased := make([]bool, 0, nk)
-	for i := range splits {
-		ns.parts = append(ns.parts, splits[i].children...)
-		ns.reps = append(ns.reps, splits[i].reps...)
-		for range splits[i].children {
-			parent = append(parent, int32(i))
-			aliased = append(aliased, splits[i].aliased)
+	for i, sp := range splits {
+		ns.parts = append(ns.parts, sp.children...)
+		ns.reps = append(ns.reps, sp.reps...)
+		for range sp.children {
+			ns.parent = append(ns.parent, int32(i))
+			ns.aliased = append(ns.aliased, sp.aliased)
 		}
 	}
-	psp.SetInt("parts", int64(nk))
-	if !withDist {
-		psp.End()
-		return ns
+	ssp.SetInt("parents", int64(len(s.parts)))
+	ssp.SetInt("parts", int64(nk))
+	return ns
+}
+
+// probe evaluates replacing every part with its children under attr — the
+// balanced-round and random-choice operation: scatterAll, then fill.
+// workers bounds the concurrent distance fill.
+func (s *matState) probe(attr, workers int) *matState {
+	if s.canceled() {
+		// Return a structurally valid state; the caller sees ctx.Err() and
+		// discards it.
+		return s
 	}
-	nd := make([]float64, nk*(nk-1)/2)
-	var missing []pairRef
-	m := 0
-	for i := 0; i < nk; i++ {
-		for j := i + 1; j < nk; j++ {
-			if aliased[i] && aliased[j] && s.dist != nil {
-				nd[m] = s.dist[tri(k, int(parent[i]), int(parent[j]))]
-			} else {
-				missing = append(missing, pairRef{int32(m), int32(i), int32(j)})
+	pctx, psp := startProbe(s.ctx, attr)
+	defer psp.End()
+	ns := s.scatterAll(pctx, attr)
+	s.fill(pctx, psp, ns, workers)
+	return ns
+}
+
+// fill computes the distance triangle and average of ns, which scatterAll
+// built from s. A pair of two aliased parts copies its distance from s's
+// triangle; every other pair is computed, by one of two inner loops chosen
+// by mode. Where pruning runs (binned EMD) the children's PMFs are packed
+// into one block and each row fills in place through the fill kernel
+// (emdRow), which gives distOf's bits; an aliased row copies its entries
+// against aliased parts and hands the runs between them to the kernel.
+// Elsewhere — Exact mode, the non-EMD metrics and the unpruned oracle of
+// the prune differentials — the fresh pairs are listed and computed
+// through distOf. Either way the average reduces serially in canonical
+// slot order. ctx and psp are the probe's span context and span.
+func (s *matState) fill(ctx context.Context, psp *telemetry.Span, ns *matState, workers int) {
+	e := s.e
+	k, nk := len(s.parts), len(ns.parts)
+	n := nk * (nk - 1) / 2
+	nd := make([]float64, n)
+	parent, aliased := ns.parent, ns.aliased
+	canCopy := s.dist != nil
+	copied := 0
+	if canCopy {
+		na := 0
+		for _, a := range aliased {
+			if a {
+				na++
 			}
-			m++
 		}
+		copied = na * (na - 1) / 2
 	}
-	if len(missing) > 0 {
-		_, esp := telemetry.StartSpan(pctx, "emd")
+	fresh := n - copied
+	_, esp := telemetry.StartSpan(ctx, "emd")
+	if e.prune {
+		bins := e.cfg.Bins
+		pmfs := packPMFs(ns.reps, bins)
+		parforeach(nk-1, workers, func(i int) {
+			if s.canceled() {
+				return
+			}
+			m := tri(nk, i, i+1)
+			row := nd[m : m+nk-1-i]
+			if !canCopy || !aliased[i] {
+				emdRow(pmfs, bins, i, i+1, e.unit, row)
+				return
+			}
+			pi := int(parent[i])
+			for j := i + 1; j < nk; {
+				if aliased[j] {
+					row[j-i-1] = s.dist[tri(k, pi, int(parent[j]))]
+					j++
+					continue
+				}
+				end := j + 1
+				for end < nk && !aliased[end] {
+					end++
+				}
+				emdRow(pmfs, bins, i, j, e.unit, row[j-i-1:end-i-1])
+				j = end
+			}
+		})
+	} else {
+		missing := make([]pairRef, 0, fresh)
+		m := 0
+		for i := 0; i < nk; i++ {
+			for j := i + 1; j < nk; j++ {
+				if canCopy && aliased[i] && aliased[j] {
+					nd[m] = s.dist[tri(k, int(parent[i]), int(parent[j]))]
+				} else {
+					missing = append(missing, pairRef{int32(m), int32(i), int32(j)})
+				}
+				m++
+			}
+		}
 		parfill(len(missing), workers, func(lo, hi int) {
 			for x, t := range missing[lo:hi] {
 				if x&(ctxCheckStride-1) == ctxCheckStride-1 && s.canceled() {
@@ -258,65 +314,20 @@ func (s *matState) probe(attr, workers int, withDist bool) *matState {
 				nd[t.slot] = e.distOf(ns.reps[t.i].data, ns.reps[t.j].data)
 			}
 		})
-		esp.SetInt("pairs", int64(len(missing)))
-		esp.End()
-		e.pairs.misses.Add(int64(len(missing)))
-		e.tel.computed(int64(len(missing)))
 	}
-	e.copiedAcct(int64(len(nd) - len(missing)))
-	ns.dist = nd
-	_, rsp := telemetry.StartSpan(pctx, "reduce")
-	ns.avg = avgOf(nd)
-	rsp.SetInt("pairs", int64(len(nd)))
+	esp.SetInt("pairs", int64(fresh))
+	esp.End()
+	if fresh > 0 {
+		e.pairs.misses.Add(int64(fresh))
+		e.tel.computed(int64(fresh))
+	}
+	e.copiedAcct(int64(copied))
+	_, rsp := telemetry.StartSpan(ctx, "reduce")
+	ns.dist, ns.avg = nd, avgOf(nd)
+	rsp.SetInt("pairs", int64(n))
 	rsp.End()
-	psp.SetInt("pairs_fresh", int64(len(missing)))
-	psp.SetInt("pairs_copied", int64(len(nd)-len(missing)))
-	psp.End()
-	return ns
-}
-
-// probeAll probes every candidate attribute, fanning the scans across
-// Config.Parallelism goroutines; leftover parallelism is handed to each
-// probe's distance fill. Every probe's summation order is fixed, so the
-// results are identical to a serial scan.
-func (s *matState) probeAll(attrs []int) []*matState {
-	out := make([]*matState, len(attrs))
-	p := s.e.cfg.Parallelism
-	outer := p
-	if outer > len(attrs) {
-		outer = len(attrs)
-	}
-	inner := 1
-	if outer >= 1 && p > outer {
-		inner = p / outer
-	}
-	// One "scan" span per round; the concurrent probes become its
-	// children. Probing through a shallow copy whose ctx carries the
-	// scan span keeps this state's ctx clean for subsequent rounds.
-	src := s
-	sctx, sp := telemetry.StartSpan(s.ctx, "scan")
-	if sp != nil {
-		sp.SetInt("attrs", int64(len(attrs)))
-		sp.SetInt("parts", int64(len(s.parts)))
-		cp := *s
-		cp.ctx = sctx
-		src = &cp
-	}
-	parforeach(len(attrs), outer, func(x int) {
-		out[x] = src.probe(attrs[x], inner, true)
-	})
-	sp.End()
-	if sp != nil {
-		// Result states must not parent future spans under the ended
-		// scan span (a cancelled probe returns src itself, hence the
-		// second check).
-		for _, st := range out {
-			if st != nil && st != s {
-				st.ctx = s.ctx
-			}
-		}
-	}
-	return out
+	psp.SetInt("pairs_fresh", int64(fresh))
+	psp.SetInt("pairs_copied", int64(copied))
 }
 
 // single extracts part x as a standalone one-part state, the starting
@@ -413,47 +424,75 @@ func (s *matState) replaceFirst(children *matState) *matState {
 	return ns
 }
 
-// materialize fills the distance triangle of a state produced with
-// withDist=false, computing rows concurrently when allowed. Rows fill in
-// place, as exactProbe's do: no per-pair work list, which at the full
-// split of the paper's population would outweigh the triangle itself.
-// Where pruning runs (binned EMD) the rows go through the fill kernel.
-func (s *matState) materialize(workers int) {
-	if s.dist != nil {
-		return
-	}
-	e := s.e
-	k := len(s.parts)
+// finalBlock is the slot count of finalAvg's one reused buffer: 512 KB.
+const finalBlock = 1 << 16
+
+// finalAvg is the average pairwise distance of a search's final parts,
+// given their reps, computed without keeping their triangle. It walks the
+// triangle's slots block by block, at most block at a time: each block's
+// rows (or row pieces) fill in parallel under Config.Parallelism into one
+// reused buffer, then the block is added to a running sum in slot order.
+// So every distance is added in avgOf's order over the full triangle, and
+// the result has its bits. Where pruning runs the rows go through the
+// fill kernel, elsewhere through distOf. Every pair counts as computed.
+// The result is meaningless once ctx is done; the fill stops promptly.
+func (e *Evaluator) finalAvg(ctx context.Context, reps []*rep, block int) float64 {
+	k := len(reps)
 	n := k * (k - 1) / 2
-	s.dist = make([]float64, n)
+	if n == 0 {
+		return 0
+	}
+	bins := e.cfg.Bins
 	var pmfs []float64
 	if e.prune {
-		pmfs = packPMFs(s.reps, e.cfg.Bins)
+		pmfs = packPMFs(reps, bins)
 	}
-	_, esp := telemetry.StartSpan(s.ctx, "emd")
-	parforeach(k-1, workers, func(i int) {
-		if s.canceled() {
-			return
-		}
-		m := tri(k, i, i+1)
-		row := s.dist[m : m+k-1-i]
-		if pmfs != nil {
-			emdRow(pmfs, e.cfg.Bins, i, i+1, e.unit, row)
-			return
-		}
-		ri := s.reps[i].data
-		for x := range row {
-			row[x] = e.distOf(ri, s.reps[i+1+x].data)
-		}
-	})
+	_, esp := telemetry.StartSpan(ctx, "emd")
+	defer esp.End()
 	esp.SetInt("pairs", int64(n))
-	esp.End()
 	e.pairs.misses.Add(int64(n))
 	e.tel.computed(int64(n))
-	_, rsp := telemetry.StartSpan(s.ctx, "reduce")
-	s.avg = avgOf(s.dist)
-	rsp.SetInt("pairs", int64(n))
-	rsp.End()
+	// A piece is the run of one row that falls in the current block.
+	type piece struct{ i, j, off, n int }
+	var pieces []piece
+	buf := make([]float64, min(n, block))
+	sum := 0.0
+	i, j := 0, 1 // the next block's first pair
+	for m := 0; m < n; m += block {
+		if ctx.Err() != nil {
+			return 0
+		}
+		b := buf[:min(block, n-m)]
+		pieces = pieces[:0]
+		for off := 0; off < len(b); {
+			run := min(k-j, len(b)-off)
+			pieces = append(pieces, piece{i, j, off, run})
+			off += run
+			if j += run; j == k {
+				i++
+				j = i + 1
+			}
+		}
+		parforeach(len(pieces), e.cfg.Parallelism, func(x int) {
+			pc := pieces[x]
+			out := b[pc.off : pc.off+pc.n]
+			if pmfs != nil {
+				emdRow(pmfs, bins, pc.i, pc.j, e.unit, out)
+				return
+			}
+			ri := reps[pc.i].data
+			for y := range out {
+				if y&(ctxCheckStride-1) == ctxCheckStride-1 && ctx.Err() != nil {
+					return
+				}
+				out[y] = e.distOf(ri, reps[pc.j+y].data)
+			}
+		})
+		for _, v := range b {
+			sum += v
+		}
+	}
+	return sum / float64(n)
 }
 
 // packPMFs copies the reps' PMFs, bins values each, into one contiguous

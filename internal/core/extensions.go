@@ -29,7 +29,7 @@ func Beam(e *Evaluator, attrs []int, width int) (*Result, error) {
 		left []int
 	}
 	res := &Result{Algorithm: "beam"}
-	frontier := []state{{st: newMatState(e, []*partition.Partition{e.searchRoot()}), left: attrs}}
+	frontier := []state{{st: e.rootState(nil), left: attrs}}
 	best := frontier[0]
 
 	for {
@@ -59,7 +59,7 @@ func Beam(e *Evaluator, attrs []int, width int) (*Result, error) {
 		}
 		probes := make([]*matState, len(tasks))
 		parforeach(len(tasks), p, func(i int) {
-			probes[i] = tasks[i].st.probe(tasks[i].a, inner, true)
+			probes[i] = tasks[i].st.probe(tasks[i].a, inner)
 		})
 		next := make([]state, len(tasks))
 		for i, t := range tasks {

@@ -8,7 +8,6 @@ import (
 
 	"fairrank/internal/dataset"
 	"fairrank/internal/emd"
-	"fairrank/internal/partition"
 	"fairrank/internal/rng"
 	"fairrank/internal/telemetry"
 	"fairrank/internal/testkit"
@@ -22,9 +21,10 @@ import (
 // compare exact floats and full traces — the contract is bit-identical,
 // not approximately equal.
 
-// unprune turns the evaluator's pruning cascade off: the greedy choosers
-// fall back to the unpruned worstAttribute scan, and the exhaustive
-// solvers and terminal averages skip their bound paths. Call it before the
+// unprune turns the evaluator's pruning cascade off: the greedy chooser
+// fills every candidate without a bound step, probes fill from the distOf
+// pair list, the exhaustive solvers skip their bound, and unbalanced's
+// final average reads through the pair cache. Call it before the
 // evaluator's first run.
 func unprune(e *Evaluator) *Evaluator {
 	e.prune = false
@@ -414,8 +414,9 @@ func TestFillKernelMatchesPMFDistance(t *testing.T) {
 	}
 }
 
-// TestExactProbeMatchesProbe: exactProbe's kernel-filled triangle equals
-// probe's distOf-filled one bit for bit, under both grounds, on states
+// TestExactProbeMatchesProbe: fill's two inner loops — the kernel rows
+// where pruning runs, the distOf pair list elsewhere — give the same
+// triangle bit for bit on the same splits, under both grounds, on states
 // whose MinPartitionSize guard keeps some parents whole — so aliased rows
 // copy from the parent triangle and hand the runs between to the kernel.
 func TestExactProbeMatchesProbe(t *testing.T) {
@@ -427,28 +428,31 @@ func TestExactProbeMatchesProbe(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := newMatState(e, []*partition.Partition{e.searchRoot()})
+			s := e.rootState(nil)
 			for depth, attr := range []int{0, 1, 2, 3} {
-				splits, nk := s.scatterAll(attr)
-				got := s.exactProbe(attr, splits, nk, 1)
-				want := s.probe(attr, 1, true)
+				ns := s.scatterAll(nil, attr)
+				got, want := *ns, *ns
+				s.fill(nil, nil, &got, 1)
+				e.prune = false
+				s.fill(nil, nil, &want, 1)
+				e.prune = true
 				if len(got.dist) != len(want.dist) {
-					t.Fatalf("ground %d, bins %d, depth %d: %d pairs, probe %d", ground, bins, depth, len(got.dist), len(want.dist))
+					t.Fatalf("ground %d, bins %d, depth %d: %d pairs, pair list %d", ground, bins, depth, len(got.dist), len(want.dist))
 				}
 				for m := range got.dist {
 					if math.Float64bits(got.dist[m]) != math.Float64bits(want.dist[m]) {
-						t.Fatalf("ground %d, bins %d, depth %d, slot %d: %v, probe %v", ground, bins, depth, m, got.dist[m], want.dist[m])
+						t.Fatalf("ground %d, bins %d, depth %d, slot %d: %v, pair list %v", ground, bins, depth, m, got.dist[m], want.dist[m])
 					}
 				}
 				if math.Float64bits(got.avg) != math.Float64bits(want.avg) {
-					t.Fatalf("ground %d, bins %d, depth %d: average %v, probe %v", ground, bins, depth, got.avg, want.avg)
+					t.Fatalf("ground %d, bins %d, depth %d: average %v, pair list %v", ground, bins, depth, got.avg, want.avg)
 				}
-				for i := range splits {
-					if splits[i].aliased {
+				for _, a := range ns.aliased {
+					if a {
 						aliasedRows++
 					}
 				}
-				s = got
+				s = &got
 			}
 		}
 	}

@@ -200,13 +200,13 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 
 func init() {
 	Register("balanced", func(ctx context.Context, e *Evaluator, spec Spec) (*Result, error) {
-		return balancedWith(ctx, e, spec.Attrs, e.worstChooser(), "balanced", spec.Progress)
+		return balancedWith(ctx, e, spec.Attrs, worstAttribute, "balanced", spec.Progress)
 	})
 	Register("r-balanced", func(ctx context.Context, e *Evaluator, spec Spec) (*Result, error) {
 		return balancedWith(ctx, e, spec.Attrs, randomAttribute(rng.New(spec.Seed+1)), "r-balanced", spec.Progress)
 	})
 	Register("unbalanced", func(ctx context.Context, e *Evaluator, spec Spec) (*Result, error) {
-		return unbalancedWith(ctx, e, spec.Attrs, e.worstChooser(), "unbalanced", spec.Progress)
+		return unbalancedWith(ctx, e, spec.Attrs, worstAttribute, "unbalanced", spec.Progress)
 	})
 	Register("r-unbalanced", func(ctx context.Context, e *Evaluator, spec Spec) (*Result, error) {
 		return unbalancedWith(ctx, e, spec.Attrs, randomAttribute(rng.New(spec.Seed+2)), "r-unbalanced", spec.Progress)

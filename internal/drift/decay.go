@@ -7,6 +7,7 @@ import (
 
 	"fairrank/internal/dataset"
 	"fairrank/internal/emd"
+	"fairrank/internal/histogram"
 	"fairrank/internal/monitor"
 )
 
@@ -40,10 +41,13 @@ type Decay struct {
 	cells    *monitor.Cells
 	halfLife float64
 	bins     int
-	unit     float64
-	growth   float64 // per-event weight multiplier, 2^(1/halfLife)
-	weight   float64 // weight the next observation will carry
-	events   int64
+	// grid bins scores over [0, 1] by histogram's rule, as the monitor,
+	// the window and the evaluator do; it holds no mass itself.
+	grid   *histogram.Histogram
+	unit   float64
+	growth float64 // per-event weight multiplier, 2^(1/halfLife)
+	weight float64 // weight the next observation will carry
+	events int64
 
 	byCell []*decayGroup // each cell's group, nil while it has no live worker
 	order  []*decayGroup // sorted by key: deterministic pair iteration
@@ -89,26 +93,12 @@ func newDecay(cells *monitor.Cells, tab *workerTable, bins int, halfLife float64
 		cells:    cells,
 		halfLife: halfLife,
 		bins:     bins,
+		grid:     histogram.MustNew(bins, 0, 1),
 		unit:     1 / float64(bins),
 		growth:   math.Exp2(1 / halfLife),
 		weight:   1,
 		tab:      tab,
 	}, nil
-}
-
-// binIndex clamps like histogram.BinIndex over [0, 1].
-func (d *Decay) binIndex(score float64) int {
-	if math.IsNaN(score) {
-		return 0
-	}
-	f := math.Floor(score * float64(d.bins))
-	if f < 0 {
-		return 0
-	}
-	if f >= float64(d.bins) {
-		return d.bins - 1
-	}
-	return int(f)
 }
 
 // tick advances time one event: the next observation weighs growth× more,
@@ -224,7 +214,7 @@ func (d *Decay) observe(r *worker, score float64) {
 	if g == nil {
 		g = d.insertGroup(r.cell)
 	}
-	bin := d.binIndex(score)
+	bin := d.grid.BinIndex(score)
 	g.bins[bin] += d.weight
 	g.live++
 	g.dirty = true

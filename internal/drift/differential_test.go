@@ -7,6 +7,7 @@ import (
 
 	"fairrank/internal/dataset"
 	"fairrank/internal/emd"
+	"fairrank/internal/histogram"
 	"fairrank/internal/monitor"
 	"fairrank/internal/testkit"
 )
@@ -275,6 +276,31 @@ func TestDecayIncrementalMatchesRecompute(t *testing.T) {
 	}
 	if rescales < 12 {
 		t.Fatalf("only %d weight rescales across the streams", rescales)
+	}
+}
+
+// TestDecayBinsLikeMonitor: the decay estimator puts every score k/10⁶ in
+// the bin the monitor does (histogram.BinIndex over [0, 1], which divides
+// by the bin width), at 10 and 100 bins. Flooring score·bins instead moves
+// 0.3, 0.6 and 0.7 up a bin at 10 bins, and 0.47, 0.59 and 0.94 at 100.
+func TestDecayBinsLikeMonitor(t *testing.T) {
+	for _, bins := range []int{10, 100} {
+		d, err := NewDecay(streamSchema(), []string{"G"}, bins, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Join("w", groupAttrMaps[0], 0); err != nil {
+			t.Fatal(err)
+		}
+		slot, _ := d.tab.lookup("w")
+		grid := histogram.MustNew(bins, 0, 1)
+		for k := 0; k <= 1_000_000; k++ {
+			score := float64(k) / 1e6
+			d.rescore(slot, score)
+			if got, want := d.tab.rows[slot].decayBin, grid.BinIndex(score); got != want {
+				t.Fatalf("%d bins, score %v: decay bin %d, monitor bin %d", bins, score, got, want)
+			}
+		}
 	}
 }
 

@@ -80,7 +80,9 @@ func PMFDistance(p, q []float64, unit float64) float64 {
 		cum += p[i] - q[i]
 		total += math.Abs(cum)
 	}
-	return total * unit
+	// The conversion rounds the product, so no caller that inlines this
+	// function fuses it with an add into one multiply-add.
+	return float64(total * unit)
 }
 
 // AveragePairwise computes the average EMD over all unordered pairs of the

@@ -51,7 +51,8 @@ func Exact1DSorted(a, b []float64) float64 {
 			x = b[j]
 		}
 		if inited {
-			total += abs(cdfA-cdfB) * (x - prev)
+			// Rounded before the add, so no multiply-add fuses.
+			total += float64(abs(cdfA-cdfB) * (x - prev))
 		}
 		if fromA {
 			cdfA += stepA

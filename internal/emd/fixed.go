@@ -74,7 +74,8 @@ func DequantizeCDF(q []int64, scale int64) []float64 {
 // float rounding inside the CDF accumulation with >10³ headroom for any
 // realistic bin count.
 func FixedEpsilon(bins int, unit float64, scale int64) float64 {
-	return math.Abs(unit) * float64(bins) * (1/float64(scale) + 1e-12)
+	// Rounded, like PMFDistance's product, so no inlining caller fuses it.
+	return float64(math.Abs(unit) * float64(bins) * (1/float64(scale) + 1e-12))
 }
 
 // FixedDistance computes the quantized closed-form EMD between two
@@ -165,7 +166,8 @@ func FixedAvgInterval(rows [][]int64, unit float64, scale int64, scratch []int64
 	sum, scratch := FixedPairwiseSum(rows, scratch)
 	pairs := float64(k) * float64(k-1) / 2
 	est := sum * unit / float64(scale) / pairs
-	eps := FixedEpsilon(len(rows[0]), unit, scale) + (2.5e-16*pairs+1e-12)*(1+math.Abs(est))
+	// Each product is rounded before its add: no multiply-add fuses.
+	eps := FixedEpsilon(len(rows[0]), unit, scale) + float64((float64(2.5e-16*pairs)+1e-12)*(1+math.Abs(est)))
 	lo = est - eps
 	if lo < 0 {
 		lo = 0

@@ -126,7 +126,9 @@ func ChiSquare(p, q []float64) float64 {
 }
 
 // JensenShannon returns the Jensen-Shannon divergence in bits; it is
-// symmetric, bounded by 1, and 0 iff p == q.
+// symmetric, bounded by 1, and 0 iff p == q. Its products are rounded
+// before they are summed, but it is built on math.Log2, whose last bit
+// may differ between architectures, and so may the result's.
 func JensenShannon(p, q []float64) float64 {
 	kl := func(a, b []float64) float64 {
 		s := 0.0
@@ -134,7 +136,7 @@ func JensenShannon(p, q []float64) float64 {
 			if a[i] == 0 {
 				continue
 			}
-			s += a[i] * math.Log2(a[i]/b[i])
+			s += float64(a[i] * math.Log2(a[i]/b[i])) // rounded: no multiply-add fuses
 		}
 		return s
 	}

@@ -127,7 +127,8 @@ func NormalizeCounts(counts []float64) []float64 {
 
 // BinCenter returns the value at the center of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
-	return h.min + (float64(i)+0.5)*h.BinWidth()
+	// Rounded before the add, so no multiply-add fuses.
+	return h.min + float64((float64(i)+0.5)*h.BinWidth())
 }
 
 // Add records one observation of value v with weight 1.
@@ -247,7 +248,7 @@ func (h *Histogram) Mean() float64 {
 	}
 	s := 0.0
 	for i, c := range h.counts {
-		s += c * h.BinCenter(i)
+		s += float64(c * h.BinCenter(i)) // rounded: no multiply-add fuses
 	}
 	return s / h.total
 }
@@ -262,7 +263,7 @@ func (h *Histogram) Variance() float64 {
 	s := 0.0
 	for i, c := range h.counts {
 		d := h.BinCenter(i) - m
-		s += c * d * d
+		s += float64(c * d * d) // rounded: no multiply-add fuses
 	}
 	return s / h.total
 }

@@ -6,7 +6,8 @@ import "math"
 // unfairness estimator in internal/drift: replay the whole event stream,
 // give each live worker's newest observation the textbook weight
 // 2^((t−T)/halfLife) — where t is the event index of its last join or
-// rescore and T the stream length — bin the weighted mass per group, and
+// rescore and T the stream length — bin the weighted mass per group by
+// Counts' rule over [0, 1], and
 // average the pairwise EMDs over the normalized PMFs with EMDFlow. No
 // incremental bookkeeping, no growing-scale trick, no rescaling: just the
 // definition. Groups with no live workers do not participate, matching
@@ -33,7 +34,7 @@ func (o Oracle) DecayUnfairness(events []Event, groups, bins int, halfLife float
 	T := len(events)
 	for _, ob := range live {
 		w := math.Exp2(float64(ob.t-T) / halfLife)
-		mass[ob.group][binIndex(ob.score, bins)] += w
+		mass[ob.group][binOf(ob.score, bins, 0, 1)] += w
 	}
 	var pmfs [][]float64
 	for _, row := range mass {
@@ -51,23 +52,4 @@ func (o Oracle) DecayUnfairness(events []Event, groups, bins int, halfLife float
 		pmfs = append(pmfs, pmf)
 	}
 	return o.AvgPairwise(pmfs, 1/float64(bins))
-}
-
-// binIndex restates histogram.Histogram's [0,1] bin clamping in place —
-// the oracle cannot import the package (its differential tests import
-// testkit), and an independent restatement is the point of an oracle
-// anyway: NaN and below-range values go to bin 0, values at or above 1
-// to the last bin.
-func binIndex(v float64, bins int) int {
-	if math.IsNaN(v) {
-		return 0
-	}
-	f := math.Floor(v * float64(bins))
-	if f < 0 {
-		return 0
-	}
-	if f >= float64(bins) {
-		return bins - 1
-	}
-	return int(f)
 }

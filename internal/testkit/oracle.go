@@ -78,21 +78,24 @@ func (o Oracle) AvgPairwise(pmfs [][]float64, unit float64) float64 {
 // no precomputed bin indices, no scatter tricks.
 func (Oracle) Counts(values []float64, bins int, min, max float64) []float64 {
 	counts := make([]float64, bins)
-	width := (max - min) / float64(bins)
 	for _, v := range values {
-		var i int
-		f := math.Floor((v - min) / width)
-		switch {
-		case math.IsNaN(v), f < 0: // NaN and below-range clamp low
-			i = 0
-		case f >= float64(bins): // at/above max (incl. +Inf) clamps high
-			i = bins - 1
-		default:
-			i = int(f)
-		}
-		counts[i]++
+		counts[binOf(v, bins, min, max)]++
 	}
 	return counts
+}
+
+// binOf is Counts' bin rule for one value: divide its offset from min by
+// the bin width and floor, clamping NaN and below-range values low and
+// at-or-above-max values (incl. +Inf) high.
+func binOf(v float64, bins int, min, max float64) int {
+	f := math.Floor((v - min) / ((max - min) / float64(bins)))
+	switch {
+	case math.IsNaN(v), f < 0:
+		return 0
+	case f >= float64(bins):
+		return bins - 1
+	}
+	return int(f)
 }
 
 // PMF normalizes a count row, returning the uniform distribution for an
