@@ -191,17 +191,18 @@ verify:
 # arm64, ppc64le, riscv64 and loong64 (never on amd64), and a fused result
 # rounds once where the written expression rounds twice, so the same audit
 # would give other bits there; an explicit float64(...) conversion of the
-# product forbids the fusion. The check cross-compiles fairserve for each
-# of those architectures and reads the machine code with go tool objdump:
-# no emulator, no download. FMA_FUNCS widens as more packages are rounded.
+# product forbids the fusion. The check cross-compiles every binary under
+# cmd/ and examples/ for each of those architectures, in one go build per
+# architecture, and reads the machine code of every fairrank function with
+# go tool objdump: no emulator, no download.
 FMA_ARCHS = arm64 ppc64le riscv64 loong64
-FMA_FUNCS = fairrank/internal/(scoring|core|emd|histogram)
+FMA_FUNCS = ^fairrank
 fma-check:
-	@fail=0; for arch in $(FMA_ARCHS); do \
-		GOOS=linux GOARCH=$$arch $(GO) build -o /tmp/fma-check-$$arch ./cmd/fairserve || exit 1; \
-		dump=$$($(GO) tool objdump -s '$(FMA_FUNCS)' /tmp/fma-check-$$arch) || exit 1; \
-		rm -f /tmp/fma-check-$$arch; \
-		funcs=$$(echo "$$dump" | grep -c '^TEXT '); \
+	@dir=$$(mktemp -d) || exit 1; trap 'rm -rf "$$dir"' EXIT; fail=0; \
+	for arch in $(FMA_ARCHS); do \
+		GOOS=linux GOARCH=$$arch $(GO) build -o $$dir/$$arch/ ./cmd/... ./examples/... || exit 1; \
+		dump=$$(for bin in $$dir/$$arch/*; do $(GO) tool objdump -s '$(FMA_FUNCS)' $$bin || exit 1; done) || exit 1; \
+		funcs=$$(echo "$$dump" | grep '^TEXT ' | sort -u | wc -l); \
 		fused=$$(echo "$$dump" | grep -E '\bFN?M(ADD|SUB)D?\b'); \
 		if [ "$$funcs" -eq 0 ]; then echo "$$arch: no function matches $(FMA_FUNCS)"; fail=1; \
 		elif [ -n "$$fused" ]; then echo "$$arch: fused multiply-add in $(FMA_FUNCS):"; echo "$$fused"; fail=1; \

@@ -109,7 +109,9 @@ func (r *ring) share() map[string]float64 {
 		} else {
 			arc = p.hash - r.points[i-1].hash
 		}
-		out[p.node] += float64(arc) / whole
+		// Dividing by 2⁶⁴ is a multiply the compiler may fuse with the
+		// add; the conversion rounds the quotient first.
+		out[p.node] += float64(float64(arc) / whole)
 	}
 	return out
 }

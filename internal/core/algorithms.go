@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"fairrank/internal/dataset"
 	"fairrank/internal/partition"
 	"fairrank/internal/rng"
 	"fairrank/internal/telemetry"
@@ -371,43 +372,7 @@ func allAttributesCtx(ctx context.Context, e *Evaluator, attrs []int, progress f
 // on tiny instances; it exists to quantify how much optimum the tree-shaped
 // formulations leave on the table.
 func ExhaustiveCells(e *Evaluator, attrs []int, budget int) (*Result, error) {
-	return exhaustiveCellsCtx(context.Background(), e, attrs, budget)
-}
-
-func exhaustiveCellsCtx(ctx context.Context, e *Evaluator, attrs []int, budget int) (*Result, error) {
-	start := time.Now()
-	if attrs == nil {
-		attrs = e.Attrs()
-	}
-	res := &Result{Algorithm: "exhaustive-cells", Unfairness: -1}
-	err := partition.EnumerateCellGroupings(e.ds, attrs, budget, func(pt *partition.Partitioning) bool {
-		if ctx.Err() != nil {
-			return false
-		}
-		u, skipped := e.unfairnessBounded(ctx, pt, res.Unfairness)
-		if skipped {
-			return true
-		}
-		if ctx.Err() != nil {
-			return false
-		}
-		if u > res.Unfairness {
-			res.Unfairness = u
-			res.Partitioning = pt
-		}
-		return true
-	})
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, cerr
-	}
-	if err != nil {
-		return nil, err
-	}
-	if res.Unfairness < 0 {
-		res.Unfairness = 0
-	}
-	res.Elapsed = time.Since(start)
-	return res, nil
+	return exhaustiveWith(context.Background(), e, attrs, budget, "exhaustive-cells", partition.EnumerateCellGroupings)
 }
 
 // Exhaustive solves the optimization problem exactly by enumerating every
@@ -416,20 +381,24 @@ func exhaustiveCellsCtx(ctx context.Context, e *Evaluator, attrs []int, budget i
 // the expected outcome at realistic attribute counts, mirroring the paper's
 // brute-force solver that "failed to terminate after running for two days".
 func Exhaustive(e *Evaluator, attrs []int, budget int) (*Result, error) {
-	return exhaustiveCtx(context.Background(), e, attrs, budget)
+	return exhaustiveWith(context.Background(), e, attrs, budget, "exhaustive", partition.EnumerateTrees)
 }
 
-// exhaustiveCtx checks ctx before and during every candidate evaluation.
-// Note that EnumerateTrees materializes its option lists before the first
+// exhaustiveWith scores every partitioning enumerate yields within budget
+// and keeps the most unfair one, under the given algorithm name. It checks
+// ctx before and during every candidate evaluation. Note that
+// partition.EnumerateTrees materializes its option lists before the first
 // yield, so with budgets far above the default the solver observes ctx only
-// once candidates start flowing; exhaustiveCellsCtx streams from the start.
-func exhaustiveCtx(ctx context.Context, e *Evaluator, attrs []int, budget int) (*Result, error) {
+// once candidates start flowing; partition.EnumerateCellGroupings streams
+// from the start.
+func exhaustiveWith(ctx context.Context, e *Evaluator, attrs []int, budget int, name string,
+	enumerate func(*dataset.Dataset, []int, int, func(*partition.Partitioning) bool) error) (*Result, error) {
 	start := time.Now()
 	if attrs == nil {
 		attrs = e.Attrs()
 	}
-	res := &Result{Algorithm: "exhaustive", Unfairness: -1}
-	err := partition.EnumerateTrees(e.ds, attrs, budget, func(pt *partition.Partitioning) bool {
+	res := &Result{Algorithm: name, Unfairness: -1}
+	err := enumerate(e.ds, attrs, budget, func(pt *partition.Partitioning) bool {
 		if ctx.Err() != nil {
 			return false
 		}

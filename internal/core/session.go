@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"fairrank/internal/dataset"
+	"fairrank/internal/partition"
 	"fairrank/internal/rng"
 	"fairrank/internal/scoring"
 	"fairrank/internal/telemetry"
@@ -215,9 +216,9 @@ func init() {
 		return allAttributesCtx(ctx, e, spec.Attrs, spec.Progress)
 	})
 	Register("exhaustive", func(ctx context.Context, e *Evaluator, spec Spec) (*Result, error) {
-		return exhaustiveCtx(ctx, e, spec.Attrs, spec.budget())
+		return exhaustiveWith(ctx, e, spec.Attrs, spec.budget(), "exhaustive", partition.EnumerateTrees)
 	})
 	Register("exhaustive-cells", func(ctx context.Context, e *Evaluator, spec Spec) (*Result, error) {
-		return exhaustiveCellsCtx(ctx, e, spec.Attrs, spec.budget())
+		return exhaustiveWith(ctx, e, spec.Attrs, spec.budget(), "exhaustive-cells", partition.EnumerateCellGroupings)
 	})
 }

@@ -86,7 +86,9 @@ func (a Attribute) ValueLabel(i int) string {
 // BucketBounds returns the value range of numeric bucket i.
 func (a Attribute) BucketBounds(i int) (lo, hi float64) {
 	w := (a.Max - a.Min) / float64(a.Buckets)
-	return a.Min + float64(i)*w, a.Min + float64(i+1)*w
+	// Each product is rounded before its add, so no multiply-add fuses,
+	// here or in a caller that inlines this function.
+	return a.Min + float64(float64(i)*w), a.Min + float64(float64(i+1)*w)
 }
 
 // BucketIndex maps a numeric value onto its bucket, clamping out-of-range

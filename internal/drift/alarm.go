@@ -205,7 +205,7 @@ func newAlarm(spec RuleSpec) *alarm {
 	} else {
 		a.limit = spec.Delta
 	}
-	a.clearLimit = a.limit - spec.Hysteresis*math.Abs(a.limit)
+	a.clearLimit = a.limit - float64(spec.Hysteresis*math.Abs(a.limit)) // rounded: no multiply-add fuses
 	a.arm()
 	return a
 }

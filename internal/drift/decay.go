@@ -73,7 +73,9 @@ type decayGroup struct {
 
 // NewDecay creates a half-life estimator over the partitioning induced by
 // the named protected attributes. halfLife is in events and must be
-// positive; bins defaults to 10 when <= 0.
+// positive; bins defaults to 10 when <= 0. Its per-event growth factor is
+// math.Exp2(1/halfLife), whose last bit may differ between architectures,
+// and so may the estimates built on it.
 func NewDecay(schema *dataset.Schema, attrs []string, bins int, halfLife float64) (*Decay, error) {
 	cells, err := monitor.NewCells(schema, attrs)
 	if err != nil {

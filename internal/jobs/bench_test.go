@@ -23,7 +23,7 @@ func benchThroughput(b *testing.B, db *store.DB, workers int) {
 		wg.Done()
 		return []byte(`1`), nil
 	}
-	q, err := New(db, exec, Options{Workers: workers, MaxActive: b.N + 1, ResultTTL: -1})
+	q, err := New(db, exec, Options{Workers: workers, MaxActive: b.N + 1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,9 +1,8 @@
 // Package jobs is the durable asynchronous audit tier between the HTTP
 // edge and the engine: it turns audit specifications into managed
 // background jobs with a persisted state machine, so a production
-// deployment can queue, deduplicate, prioritize, retry and recover
-// fairness audits instead of running each one synchronously inside an
-// HTTP request.
+// deployment can queue, deduplicate, prioritize and recover fairness
+// audits instead of running each one synchronously inside an HTTP request.
 //
 // The pieces:
 //
@@ -16,14 +15,14 @@
 //
 //   - Queue owns a bounded worker pool. Dispatch is by priority (higher
 //     first, FIFO within a priority via a monotonic sequence number)
-//     through a binary heap. Each running job gets its own cancelable
-//     context; failures retry with capped exponential backoff plus
-//     jitter; identical submissions — identified by the canonical
-//     core.Spec hash — coalesce onto one job (singleflight), and a TTL
-//     result cache answers resubmissions of recently completed specs
-//     without re-running the engine. Admission control sheds load with a
-//     typed FullError (the HTTP layer maps it to 429 + Retry-After) once
-//     the active set reaches its bound.
+//     through a binary heap. Each job gets its own cancelable context
+//     and runs once: the executor is a pure function of the spec, so a
+//     run that errors fails the job with that error. Identical
+//     submissions — by canonical core.Spec hash — coalesce onto a queued
+//     or running job (singleflight), and a done job answers them with its
+//     result for as long as the queue holds it. Admission control sheds
+//     load with a typed FullError (the HTTP layer maps it to 429 +
+//     Retry-After) once the active set reaches its bound.
 //
 //   - The event hub fans out per-job lifecycle and engine-progress
 //     events to subscribers, which is what GET /v1/jobs/{id}/events

@@ -15,9 +15,10 @@ import (
 // derived from resolved specs) across a restart.
 func FuzzJobSpecJSON(f *testing.F) {
 	f.Add([]byte(`{"dataset":"demo","weights":{"Score":1}}`))
-	f.Add([]byte(`{"dataset":"d","weights":{"a":0.5,"b":2},"algorithm":"unbalanced","bins":20,"metric":"emd","attributes":["Gender"],"seed":7,"budget":1000,"priority":-3,"max_attempts":5}`))
+	f.Add([]byte(`{"dataset":"d","weights":{"a":0.5,"b":2},"algorithm":"unbalanced","bins":20,"metric":"emd","attributes":["Gender"],"seed":7,"budget":1000,"priority":-3}`))
 	f.Add([]byte(`{"dataset":"d","weights":{"a":1},"attributes":[]}`))
 	f.Add([]byte(`{"dataset":"d","weights":{"a":1},"unknown":true}`))
+	f.Add([]byte(`{"dataset":"d","weights":{"a":1},"max_attempts":3}`))
 	f.Add([]byte(`{"dataset":"d","weights":{"a":-1}}`))
 	f.Add([]byte(`{"dataset":"d","weights":{"a":1}}{"trailing":1}`))
 	f.Add([]byte(`null`))

@@ -8,23 +8,23 @@ import (
 // State is a job's position in the lifecycle state machine:
 //
 //	queued ──→ running ──→ done
-//	  ↑  │        │  │───→ failed     (attempts exhausted)
+//	  ↑  │        │  │───→ failed     (the run returned an error)
 //	  │  │        │  └───→ canceled   (DELETE while running)
-//	  │  └──────────────→ canceled    (DELETE while queued)
-//	  └───────── │                    (retry after backoff, or
-//	                                   crash/shutdown recovery)
+//	  │  │───────────────→ canceled   (DELETE while queued)
+//	  │  └───────────────→ stolen     (a peer acked a steal claim)
+//	  └───────── │                    (shutdown parking, crash recovery)
 type State string
 
 const (
-	// StateQueued means the job is waiting for a worker — either in the
-	// dispatch heap, or parked in a backoff window after a failed attempt.
+	// StateQueued means the job is waiting for a worker — in the dispatch
+	// heap, under a steal claim, or parked by shutdown for the next
+	// process.
 	StateQueued State = "queued"
 	// StateRunning means a worker is executing the job now.
 	StateRunning State = "running"
 	// StateDone means the job completed and Result holds its output.
 	StateDone State = "done"
-	// StateFailed means every allowed attempt errored; Error holds the
-	// last attempt's error.
+	// StateFailed means the job's run returned an error; Error holds it.
 	StateFailed State = "failed"
 	// StateCanceled means the job was canceled before completing.
 	StateCanceled State = "canceled"
@@ -47,10 +47,11 @@ type Job struct {
 	// lexicographically in creation order.
 	ID string `json:"id"`
 	// SpecHash is the canonical core.Spec hash the job was submitted
-	// under — the dedup and result-cache key.
+	// under: while the job is queued or running it absorbs submissions of
+	// the hash, and once done it answers them with its result.
 	SpecHash string `json:"spec_hash"`
 	// Spec is the submitted audit specification, replayed verbatim on
-	// retry and crash recovery.
+	// crash recovery.
 	Spec Spec `json:"spec"`
 	// Priority orders dispatch: higher runs first; equal priorities run
 	// in submission order.
@@ -60,20 +61,18 @@ type Job struct {
 	// Attempt counts started runs (1 on the first run). A job requeued by
 	// crash recovery re-runs under the next attempt number.
 	Attempt int `json:"attempt"`
-	// MaxAttempts bounds Attempt; the job fails when a run errors at the
-	// limit.
-	MaxAttempts int `json:"max_attempts"`
 	// Recovered marks a job that was requeued by crash recovery rather
 	// than submitted in this process's lifetime.
 	Recovered bool `json:"recovered,omitempty"`
 	// EnqueuedAt, StartedAt and FinishedAt trace the lifecycle.
-	// StartedAt is the most recent attempt's start; both StartedAt and
+	// StartedAt is the most recent run's start; both StartedAt and
 	// FinishedAt are zero until they happen.
 	EnqueuedAt time.Time `json:"enqueued_at"`
 	StartedAt  time.Time `json:"started_at,omitempty"`
 	FinishedAt time.Time `json:"finished_at,omitempty"`
-	// Error is the most recent attempt's error, kept across retries so a
-	// queued-for-retry job explains why it is waiting.
+	// Error says why a job failed (its run's error, as the executor
+	// returned it), was canceled or stolen, or why a queued job was
+	// parked by shutdown.
 	Error string `json:"error,omitempty"`
 	// Result is the executor's output once State is done: bytes the
 	// queue stores and returns without parsing, so they are not part of
@@ -86,8 +85,6 @@ type Job struct {
 	seq          uint64             // FIFO tiebreak within a priority
 	cancel       context.CancelFunc // set while running
 	userCanceled bool               // Cancel was called mid-run
-	retryTimer   *time.Timer        // set while parked in a backoff window
-	notBefore    time.Time          // end of the backoff window
 	claimToken   string             // set while parked under a steal claim
 	claimedBy    string             // thief node that holds the claim
 	claimTimer   *time.Timer        // claim-expiry requeue timer
@@ -100,8 +97,6 @@ func (j *Job) snapshot() Job {
 	c.seq = 0
 	c.cancel = nil
 	c.userCanceled = false
-	c.retryTimer = nil
-	c.notBefore = time.Time{}
 	c.claimToken = ""
 	c.claimedBy = ""
 	c.claimTimer = nil

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"fairrank/internal/core"
 	"fairrank/internal/testkit"
@@ -55,7 +54,7 @@ func TestDedupNeverDropsDistinctSpec(t *testing.T) {
 				mu.Unlock()
 				return []byte(fmt.Sprintf(`{"seed":%d}`, j.Spec.Seed)), nil
 			}
-			q := newTestQueue(t, exec, Options{Workers: 4, MaxActive: len(multiset) + 1, ResultTTL: time.Hour})
+			q := newTestQueue(t, exec, Options{Workers: 4, MaxActive: len(multiset) + 1})
 
 			results := make([]Job, len(multiset))
 			var wg sync.WaitGroup

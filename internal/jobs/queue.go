@@ -6,18 +6,18 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"fairrank/internal/core"
-	"fairrank/internal/rng"
 	"fairrank/internal/store"
 	"fairrank/internal/telemetry"
 )
 
-// Executor runs one job attempt. It receives a snapshot of the job (not a
+// Executor runs a job. It receives a snapshot of the job (not a
 // live pointer), must honor ctx cancellation, and returns the result
 // bytes to store on success. progress forwards engine TraceSteps to the
 // job's event stream; it is safe to ignore.
@@ -25,7 +25,8 @@ import (
 // Executors must be deterministic in the job's Spec: crash recovery
 // re-runs interrupted jobs and promises bit-identical results, so the
 // output must not embed wall-clock time, attempt counts, or other
-// run-local state.
+// run-local state. For the same reason a run's error is final: the job
+// fails with it, as a second run of the same spec would return it again.
 type Executor func(ctx context.Context, j Job, progress func(core.TraceStep)) ([]byte, error)
 
 // Options configures a Queue.
@@ -37,18 +38,6 @@ type Options struct {
 	// MaxActive bounds admission: once this many jobs are queued or
 	// running, Submit sheds with a FullError. 0 selects DefaultMaxActive.
 	MaxActive int
-	// MaxAttempts is the default retry budget for jobs that do not set
-	// their own. 0 selects DefaultMaxAttempts.
-	MaxAttempts int
-	// Backoff is the retry delay policy; zero fields use DefaultBackoff.
-	Backoff Backoff
-	// ResultTTL is how long a completed spec's result answers
-	// resubmissions of the same hash without a new run. 0 selects
-	// DefaultResultTTL; negative disables the cache.
-	ResultTTL time.Duration
-	// Seed drives retry jitter. 0 selects a fixed seed: jitter quality
-	// does not need entropy, and determinism helps tests.
-	Seed uint64
 	// Metrics, when non-nil, receives the queue's telemetry series (see
 	// the Metric* names in this package).
 	Metrics *telemetry.Registry
@@ -58,10 +47,8 @@ type Options struct {
 
 // Defaults for the zero Options.
 const (
-	DefaultWorkers     = 2
-	DefaultMaxActive   = 64
-	DefaultMaxAttempts = 3
-	DefaultResultTTL   = 10 * time.Minute
+	DefaultWorkers   = 2
+	DefaultMaxActive = 64
 )
 
 // bucketJobs is the store bucket holding one JSON record per job.
@@ -153,11 +140,6 @@ func (e *FullError) Error() string {
 	return fmt.Sprintf("jobs: queue full (%d/%d active), retry in %s", e.Active, e.Limit, e.RetryAfter)
 }
 
-type resultEntry struct {
-	id      string
-	expires time.Time
-}
-
 // Queue is the durable audit scheduler. Create with New; it recovers
 // persisted jobs and starts its worker pool immediately.
 type Queue struct {
@@ -174,11 +156,10 @@ type Queue struct {
 	mu       sync.Mutex
 	cond     *sync.Cond // signals: heap non-empty, or closed
 	jobs     map[string]*Job
-	active   map[string]*Job // spec hash → non-terminal job (dedup)
-	results  map[string]resultEntry
+	byHash   map[string]*Job // spec hash → the queued, running or done job that answers it
 	claims   map[string]*Job // steal-claim token → parked job (steal.go)
 	ready    jobHeap
-	queuedN  int // jobs in StateQueued (heaped or in backoff)
+	queuedN  int // jobs in StateQueued (heaped, claimed, or parked by shutdown)
 	runningN int
 	seq      uint64
 	idSeq    uint64
@@ -186,15 +167,14 @@ type Queue struct {
 
 	killed  atomic.Bool // crash simulation: suppress persistence on exit
 	runsN   atomic.Int64
-	avgRun  atomic.Int64 // EWMA attempt duration, nanoseconds
+	avgRun  atomic.Int64 // EWMA run duration, nanoseconds
 	workers sync.WaitGroup
-	jitter  *rng.RNG // guarded by mu
 }
 
 // New opens a queue over db (which may be nil for a memory-only queue),
-// recovers persisted jobs — terminal records reload for listing and the
-// result cache, queued/running records requeue — and starts the worker
-// pool.
+// recovers persisted jobs — terminal records reload for listing, done
+// ones answer their spec hash, queued/running records requeue — and
+// starts the worker pool.
 func New(db *store.DB, exec Executor, opts Options) (*Queue, error) {
 	if exec == nil {
 		return nil, errors.New("jobs: New requires an executor")
@@ -204,20 +184,6 @@ func New(db *store.DB, exec Executor, opts Options) (*Queue, error) {
 	}
 	if opts.MaxActive <= 0 {
 		opts.MaxActive = DefaultMaxActive
-	}
-	if opts.MaxAttempts <= 0 {
-		opts.MaxAttempts = DefaultMaxAttempts
-	}
-	if opts.MaxAttempts > MaxAttemptsLimit {
-		opts.MaxAttempts = MaxAttemptsLimit
-	}
-	opts.Backoff = opts.Backoff.withDefaults()
-	if opts.ResultTTL == 0 {
-		opts.ResultTTL = DefaultResultTTL
-	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 0x6a6f6273 // "jobs"
 	}
 	logf := opts.Logf
 	if logf == nil {
@@ -232,10 +198,8 @@ func New(db *store.DB, exec Executor, opts Options) (*Queue, error) {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		jobs:       map[string]*Job{},
-		active:     map[string]*Job{},
-		results:    map[string]resultEntry{},
+		byHash:     map[string]*Job{},
 		claims:     map[string]*Job{},
-		jitter:     rng.New(seed),
 	}
 	q.cond = sync.NewCond(&q.mu)
 	q.hub = newEventHub(func() { inc(q.met.eventsDropped) })
@@ -251,9 +215,10 @@ func New(db *store.DB, exec Executor, opts Options) (*Queue, error) {
 	return q, nil
 }
 
-// recover replays the jobs bucket: terminal jobs reload as history (done
-// ones re-arm the result cache inside their TTL); queued and running jobs
-// — the crash signature — requeue for another attempt.
+// recover replays the jobs bucket in ID order: terminal jobs reload as
+// history, and every done one answers its spec hash again, whatever its
+// age; queued and running jobs — the crash signature — requeue for
+// another run.
 func (q *Queue) recover() error {
 	if q.db == nil {
 		return nil
@@ -278,18 +243,16 @@ func (q *Queue) recover() error {
 		q.jobs[id] = job
 		switch {
 		case job.State == StateDone:
-			if q.opts.ResultTTL > 0 && job.FinishedAt.Add(q.opts.ResultTTL).After(now) {
-				q.results[job.SpecHash] = resultEntry{id: id, expires: job.FinishedAt.Add(q.opts.ResultTTL)}
-			}
+			q.byHash[job.SpecHash] = job
 		case job.State.Terminal():
-			// failed/canceled: history only.
+			// failed, canceled or stolen: history only.
 		default:
 			// queued or running at crash time: requeue. Attempt stays as
 			// recorded — the interrupted run already counted when it
 			// started, and the next run will increment again.
 			job.State = StateQueued
 			job.Recovered = true
-			if prev, dup := q.active[job.SpecHash]; dup {
+			if prev := q.byHash[job.SpecHash]; prev != nil && prev.State == StateQueued {
 				// Two active records with one hash cannot happen through
 				// Submit; tolerate a hand-edited store by keeping the
 				// earlier job and failing the later duplicate.
@@ -300,7 +263,9 @@ func (q *Queue) recover() error {
 				q.persist(job.snapshot())
 				continue
 			}
-			q.active[job.SpecHash] = job
+			// An older done job of the same hash gives its entry up;
+			// this one takes it back when it finishes.
+			q.byHash[job.SpecHash] = job
 			q.queuedN++
 			heap.Push(&q.ready, job)
 			q.persist(job.snapshot())
@@ -329,8 +294,8 @@ func (q *Queue) nextSeq() uint64 {
 // Submit admits one audit spec under its canonical hash. The returned
 // snapshot is the job to poll; created reports whether a new job was
 // enqueued (false when the submission coalesced onto an active job or a
-// cached result). Errors: ErrShuttingDown after Shutdown, *FullError when
-// admission control sheds.
+// done job's result). Errors: ErrShuttingDown after Shutdown, *FullError
+// when admission control sheds.
 func (q *Queue) Submit(spec Spec, specHash string) (Job, bool, error) {
 	if specHash == "" {
 		return Job{}, false, errors.New("jobs: Submit requires a spec hash")
@@ -340,22 +305,15 @@ func (q *Queue) Submit(spec Spec, specHash string) (Job, bool, error) {
 	if q.closed {
 		return Job{}, false, ErrShuttingDown
 	}
-	// Singleflight: an active job with this hash absorbs the submission.
-	if j := q.active[specHash]; j != nil {
-		inc(q.met.deduped)
-		return q.view(j), false, nil
-	}
-	// TTL result cache: a recently completed identical spec answers
-	// directly.
-	now := time.Now()
-	if e, ok := q.results[specHash]; ok {
-		if now.Before(e.expires) {
-			if j := q.jobs[e.id]; j != nil && j.State == StateDone {
-				inc(q.met.cacheHits)
-				return q.view(j), false, nil
-			}
+	// An active job with this hash absorbs the submission (singleflight);
+	// a done one answers it with its result.
+	if j := q.byHash[specHash]; j != nil {
+		if j.State == StateDone {
+			inc(q.met.cacheHits)
+		} else {
+			inc(q.met.deduped)
 		}
-		delete(q.results, specHash)
+		return q.view(j), false, nil
 	}
 	active := q.queuedN + q.runningN
 	if active >= q.opts.MaxActive {
@@ -363,22 +321,17 @@ func (q *Queue) Submit(spec Spec, specHash string) (Job, bool, error) {
 		return Job{}, false, &FullError{Active: active, Limit: q.opts.MaxActive, RetryAfter: q.retryAfterLocked()}
 	}
 	q.idSeq++
-	maxAttempts := spec.MaxAttempts
-	if maxAttempts == 0 {
-		maxAttempts = q.opts.MaxAttempts
-	}
 	j := &Job{
-		ID:          fmt.Sprintf("job-%06d", q.idSeq),
-		SpecHash:    specHash,
-		Spec:        spec,
-		Priority:    spec.Priority,
-		State:       StateQueued,
-		MaxAttempts: maxAttempts,
-		EnqueuedAt:  now,
-		seq:         q.nextSeq(),
+		ID:         fmt.Sprintf("job-%06d", q.idSeq),
+		SpecHash:   specHash,
+		Spec:       spec,
+		Priority:   spec.Priority,
+		State:      StateQueued,
+		EnqueuedAt: time.Now(),
+		seq:        q.nextSeq(),
 	}
 	q.jobs[j.ID] = j
-	q.active[specHash] = j
+	q.byHash[specHash] = j
 	q.queuedN++
 	heap.Push(&q.ready, j)
 	q.syncDepth()
@@ -450,7 +403,7 @@ func (q *Queue) List(state State, offset, limit int) ([]Job, int) {
 	return out, total
 }
 
-// Cancel stops a job: queued jobs (heaped or in backoff) transition to
+// Cancel stops a job: queued jobs (heaped or claimed) transition to
 // canceled immediately; running jobs get their context canceled and
 // transition when the executor returns. Canceling a terminal job returns
 // ErrTerminal; callers that need the distinction get the final snapshot
@@ -464,10 +417,6 @@ func (q *Queue) Cancel(id string) (Job, error) {
 	}
 	switch j.State {
 	case StateQueued:
-		if j.retryTimer != nil {
-			j.retryTimer.Stop()
-			j.retryTimer = nil
-		}
 		q.finishLocked(j, StateCanceled, "canceled while queued", nil)
 		return j.snapshot(), nil
 	case StateRunning:
@@ -494,11 +443,12 @@ func (q *Queue) view(j *Job) Job {
 	return snap
 }
 
-// Runs reports how many executor attempts have started — the "engine
-// runs" count that dedup tests pin against submission counts.
+// Runs reports how many executor runs have started — the "engine runs"
+// count that dedup tests pin against submission counts.
 func (q *Queue) Runs() int64 { return q.runsN.Load() }
 
-// Depth reports the live population (queued includes backoff windows).
+// Depth reports the live population (queued includes claimed jobs and
+// jobs parked by shutdown).
 func (q *Queue) Depth() (queued, running int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -548,7 +498,7 @@ func (q *Queue) next() *Job {
 		for q.ready.Len() > 0 {
 			j := heap.Pop(&q.ready).(*Job)
 			// Canceled-while-heaped jobs are skipped here (lazy removal).
-			if j.State == StateQueued && j.retryTimer == nil {
+			if j.State == StateQueued {
 				return j
 			}
 		}
@@ -559,7 +509,7 @@ func (q *Queue) next() *Job {
 	}
 }
 
-// run drives one attempt of j and applies the resulting transition.
+// run runs j once and applies the resulting transition.
 func (q *Queue) run(j *Job) {
 	q.mu.Lock()
 	if j.State != StateQueued {
@@ -622,14 +572,12 @@ func (q *Queue) run(j *Job) {
 		q.syncDepth()
 		q.persist(j.snapshot())
 		q.publishState(j)
-	case j.Attempt >= j.MaxAttempts:
-		q.finishLocked(j, StateFailed, fmt.Sprintf("attempt %d/%d: %v", j.Attempt, j.MaxAttempts, err), nil)
 	default:
-		q.retryLocked(j, err)
+		q.finishLocked(j, StateFailed, err.Error(), nil)
 	}
 }
 
-// observeRun folds one attempt duration into the latency histogram and
+// observeRun folds one run's duration into the latency histogram and
 // the EWMA behind Retry-After estimates.
 func (q *Queue) observeRun(start time.Time) {
 	observeSince(q.met.runSeconds, start)
@@ -657,13 +605,14 @@ func (q *Queue) finishLocked(j *Job, state State, errMsg string, result []byte) 
 	if result != nil && !q.storeResult(j.ID, result) {
 		j.Result = result
 	}
-	delete(q.active, j.SpecHash)
+	if state == StateDone {
+		q.byHash[j.SpecHash] = j
+	} else if q.byHash[j.SpecHash] == j {
+		delete(q.byHash, j.SpecHash)
+	}
 	switch state {
 	case StateDone:
 		inc(q.met.done)
-		if q.opts.ResultTTL > 0 {
-			q.results[j.SpecHash] = resultEntry{id: j.ID, expires: j.FinishedAt.Add(q.opts.ResultTTL)}
-		}
 	case StateFailed:
 		inc(q.met.failed)
 	case StateCanceled:
@@ -672,35 +621,6 @@ func (q *Queue) finishLocked(j *Job, state State, errMsg string, result []byte) 
 		inc(q.met.stolen)
 	}
 	q.syncDepth()
-	q.persist(j.snapshot())
-	q.publishState(j)
-}
-
-// retryLocked parks j in a backoff window and re-heaps it when the timer
-// fires. Caller holds q.mu.
-func (q *Queue) retryLocked(j *Job, cause error) {
-	delay := q.opts.Backoff.Delay(j.Attempt, q.jitter)
-	j.State = StateQueued
-	j.Error = cause.Error()
-	j.notBefore = time.Now().Add(delay)
-	q.runningN--
-	q.queuedN++
-	q.syncDepth()
-	inc(q.met.retries)
-	q.logf("jobs: %s attempt %d/%d failed (%v); retrying in %s", j.ID, j.Attempt, j.MaxAttempts, cause, delay)
-	j.retryTimer = time.AfterFunc(delay, func() {
-		q.mu.Lock()
-		defer q.mu.Unlock()
-		if j.retryTimer == nil || j.State != StateQueued {
-			return // canceled or shut down while parked
-		}
-		j.retryTimer = nil
-		if q.closed {
-			return // stays queued in the store; recovery resumes it
-		}
-		heap.Push(&q.ready, j)
-		q.cond.Signal()
-	})
 	q.persist(j.snapshot())
 	q.publishState(j)
 }
@@ -717,11 +637,7 @@ func (q *Queue) Shutdown(ctx context.Context) error {
 		return nil
 	}
 	q.closed = true
-	for _, j := range q.jobs {
-		if j.retryTimer != nil {
-			j.retryTimer.Stop()
-			j.retryTimer = nil
-		}
+	for _, j := range q.claims {
 		q.clearClaimLocked(j)
 	}
 	q.cond.Broadcast()
@@ -750,11 +666,7 @@ func (q *Queue) Kill() {
 	q.killed.Store(true)
 	q.mu.Lock()
 	q.closed = true
-	for _, j := range q.jobs {
-		if j.retryTimer != nil {
-			j.retryTimer.Stop()
-			j.retryTimer = nil
-		}
+	for _, j := range q.claims {
 		q.clearClaimLocked(j)
 	}
 	q.cond.Broadcast()
@@ -808,12 +720,17 @@ func (q *Queue) syncDepth() {
 }
 
 // oldestQueuedAge backs the queue-age gauge: seconds since the oldest
-// queued job was enqueued, 0 when nothing waits.
+// queued job was enqueued, 0 when nothing waits. A waiting job is in the
+// ready heap or under a steal claim, so the done jobs in byHash are not walked.
 func (q *Queue) oldestQueuedAge() float64 {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	var oldest time.Time
-	for _, j := range q.active {
+	waiting := slices.Clone([]*Job(q.ready))
+	for _, j := range q.claims {
+		waiting = append(waiting, j)
+	}
+	for _, j := range waiting {
 		if j.State == StateQueued && (oldest.IsZero() || j.EnqueuedAt.Before(oldest)) {
 			oldest = j.EnqueuedAt
 		}

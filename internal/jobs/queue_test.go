@@ -83,7 +83,7 @@ func TestDedupSingleflightAndResultCache(t *testing.T) {
 		<-release
 		return []byte(`"r"`), nil
 	}
-	q := newTestQueue(t, exec, Options{Workers: 2, ResultTTL: time.Hour})
+	q := newTestQueue(t, exec, Options{Workers: 2})
 	first, created, err := q.Submit(testSpec("a"), "h")
 	if err != nil || !created {
 		t.Fatal("first submit should create")
@@ -97,7 +97,7 @@ func TestDedupSingleflightAndResultCache(t *testing.T) {
 	}
 	close(release)
 	waitState(t, q, first.ID, StateDone)
-	// After completion, the TTL cache answers without a new run.
+	// After completion, the done job answers without a new run.
 	j, created, err := q.Submit(testSpec("a"), "h")
 	if err != nil || created || j.ID != first.ID || j.State != StateDone {
 		t.Fatalf("cached submit = (%+v, %v, %v)", j, created, err)
@@ -111,26 +111,6 @@ func TestDedupSingleflightAndResultCache(t *testing.T) {
 		t.Fatal("distinct spec must create a new job")
 	}
 	waitState(t, q, j2.ID, StateDone)
-}
-
-func TestResultCacheExpires(t *testing.T) {
-	var runs atomic.Int64
-	exec := func(ctx context.Context, j Job, progress func(core.TraceStep)) ([]byte, error) {
-		runs.Add(1)
-		return []byte(`1`), nil
-	}
-	q := newTestQueue(t, exec, Options{Workers: 1, ResultTTL: 10 * time.Millisecond})
-	j, _, _ := q.Submit(testSpec("a"), "h")
-	waitState(t, q, j.ID, StateDone)
-	time.Sleep(20 * time.Millisecond)
-	j2, created, err := q.Submit(testSpec("a"), "h")
-	if err != nil || !created {
-		t.Fatalf("post-TTL submit = (%v, %v), want new job", created, err)
-	}
-	waitState(t, q, j2.ID, StateDone)
-	if runs.Load() != 2 {
-		t.Fatalf("runs = %d, want 2 (cache must expire)", runs.Load())
-	}
 }
 
 func TestPriorityDispatchOrder(t *testing.T) {
@@ -173,49 +153,33 @@ func TestPriorityDispatchOrder(t *testing.T) {
 	}
 }
 
-func TestRetryBackoffThenFail(t *testing.T) {
+// TestFailedRunIsFinal: a run that errors fails its job at once, with
+// the executor's error as it was returned, and frees the hash for a new
+// job. The executor is a pure function of the spec, so a second run
+// could only return the same error.
+func TestFailedRunIsFinal(t *testing.T) {
 	var runs atomic.Int64
 	exec := func(ctx context.Context, j Job, progress func(core.TraceStep)) ([]byte, error) {
 		runs.Add(1)
 		return nil, errors.New("boom")
 	}
-	q := newTestQueue(t, exec, Options{
-		Workers: 1, MaxAttempts: 3,
-		Backoff: Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond, Jitter: 0.1},
-		Metrics: telemetry.NewRegistry(),
-	})
+	q := newTestQueue(t, exec, Options{Workers: 1, Metrics: telemetry.NewRegistry()})
 	j, _, _ := q.Submit(testSpec("a"), "h")
 	got := waitState(t, q, j.ID, StateFailed)
-	if runs.Load() != 3 {
-		t.Fatalf("runs = %d, want 3", runs.Load())
+	if runs.Load() != 1 {
+		t.Fatalf("runs = %d, want 1", runs.Load())
 	}
-	if got.Attempt != 3 || got.Error == "" {
-		t.Fatalf("failed job = %+v", got)
+	if got.Attempt != 1 || got.Error != "boom" {
+		t.Fatalf("failed job = %+v, want attempt 1 and error %q", got, "boom")
 	}
 	// The hash must be free again after failure.
 	j2, created, err := q.Submit(testSpec("a"), "h")
-	if err != nil || !created {
-		t.Fatalf("resubmit after failure = (%v, %v)", created, err)
+	if err != nil || !created || j2.ID == j.ID {
+		t.Fatalf("resubmit after failure = (%v, %v, %v)", j2.ID, created, err)
 	}
 	waitState(t, q, j2.ID, StateFailed)
-}
-
-func TestRetrySucceedsSecondAttempt(t *testing.T) {
-	var runs atomic.Int64
-	exec := func(ctx context.Context, j Job, progress func(core.TraceStep)) ([]byte, error) {
-		if runs.Add(1) == 1 {
-			return nil, errors.New("transient")
-		}
-		return []byte(`"ok"`), nil
-	}
-	q := newTestQueue(t, exec, Options{
-		Workers: 1, MaxAttempts: 3,
-		Backoff: Backoff{Base: time.Millisecond, Max: time.Millisecond},
-	})
-	j, _, _ := q.Submit(testSpec("a"), "h")
-	got := waitState(t, q, j.ID, StateDone)
-	if got.Attempt != 2 || string(got.Result) != `"ok"` {
-		t.Fatalf("job after retry = %+v", got)
+	if runs.Load() != 2 {
+		t.Fatalf("runs = %d after the resubmit, want 2", runs.Load())
 	}
 }
 
@@ -386,7 +350,7 @@ func TestEventsReplayAndLive(t *testing.T) {
 
 // TestWorkerPoolNoGoroutineLeak cancels a pile of running jobs and shuts
 // the queue down, then checks the goroutine count settles back — the
-// worker pool, backoff timers and event hub must all unwind.
+// worker pool and event hub must both unwind.
 func TestWorkerPoolNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	func() {
@@ -394,8 +358,7 @@ func TestWorkerPoolNoGoroutineLeak(t *testing.T) {
 			<-ctx.Done()
 			return nil, ctx.Err()
 		}
-		q, err := New(nil, exec, Options{Workers: 4, MaxActive: 32,
-			Backoff: Backoff{Base: time.Millisecond, Max: time.Millisecond}})
+		q, err := New(nil, exec, Options{Workers: 4, MaxActive: 32})
 		if err != nil {
 			t.Fatal(err)
 		}

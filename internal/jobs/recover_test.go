@@ -152,12 +152,12 @@ func TestRecoverQueuedAtCrash(t *testing.T) {
 }
 
 // TestRecoverTerminalHistory pins that finished jobs reload as history:
-// results stay queryable across restarts, and a done job inside its TTL
-// re-arms the result cache so resubmission is still a cache hit.
+// results stay queryable across restarts, and a done job answers its
+// hash again, so resubmission is still a cache hit.
 func TestRecoverTerminalHistory(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.db")
 	db := openStore(t, path)
-	q1, err := New(db, deterministicExec, Options{Workers: 1, ResultTTL: time.Hour})
+	q1, err := New(db, deterministicExec, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestRecoverTerminalHistory(t *testing.T) {
 
 	db2 := openStore(t, path)
 	defer db2.Close()
-	q2, err := New(db2, deterministicExec, Options{Workers: 1, ResultTTL: time.Hour})
+	q2, err := New(db2, deterministicExec, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestDoneResultHeldOnce(t *testing.T) {
 	exec := func(ctx context.Context, j Job, progress func(core.TraceStep)) ([]byte, error) {
 		return append([]byte(nil), result...), nil
 	}
-	q1, err := New(db, exec, Options{Workers: 1, ResultTTL: time.Hour})
+	q1, err := New(db, exec, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestDoneResultHeldOnce(t *testing.T) {
 
 	db2 := openStore(t, path)
 	defer db2.Close()
-	q2, err := New(db2, exec, Options{Workers: 1, ResultTTL: time.Hour})
+	q2, err := New(db2, exec, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,20 +290,20 @@ func TestFailedResultPutEmbedsResult(t *testing.T) {
 	db := openStore(t, path)
 	defer db.Close()
 	result := []byte{0xFA, 1, 0, '{', 0xff, '"', '\\', 0x80, 0}
-	q1, err := New(db, deterministicExec, Options{Workers: -1, ResultTTL: time.Hour})
+	q1, err := New(db, deterministicExec, Options{Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	now := time.Now()
 	// The record finishLocked persists after storeResult reports failure.
 	q1.persist(Job{ID: "job-000003", SpecHash: "h-bin", Spec: testSpec("bin"), State: StateDone,
-		Attempt: 1, MaxAttempts: 3, EnqueuedAt: now, StartedAt: now, FinishedAt: now, Result: result})
+		Attempt: 1, EnqueuedAt: now, StartedAt: now, FinishedAt: now, Result: result})
 	q1.Kill()
 	if _, ok := db.Get(bucketJobs, "job-000003"); !ok {
 		t.Fatal("no record for a job whose result put failed")
 	}
 
-	q2, err := New(db, deterministicExec, Options{Workers: -1, ResultTTL: time.Hour})
+	q2, err := New(db, deterministicExec, Options{Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,5 +315,35 @@ func TestFailedResultPutEmbedsResult(t *testing.T) {
 	hit, created, err := q2.Submit(testSpec("bin"), "h-bin")
 	if err != nil || created || !bytes.Equal(hit.Result, result) {
 		t.Fatalf("cache hit = (%v, %v, %q)", created, err, hit.Result)
+	}
+}
+
+// TestRecoverOldDoneResult: a done job answers its hash for as long as
+// the store keeps it, whatever its age. A record finished 11 minutes
+// before boot answers a resubmit without a run.
+func TestRecoverOldDoneResult(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.db")
+	db := openStore(t, path)
+	defer db.Close()
+	q1, err := New(db, deterministicExec, Options{Workers: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	finished := time.Now().Add(-11 * time.Minute)
+	q1.persist(Job{ID: "job-000001", SpecHash: "h-old", Spec: testSpec("old"), State: StateDone,
+		Attempt: 1, EnqueuedAt: finished, StartedAt: finished, FinishedAt: finished, Result: []byte(`"old"`)})
+	q1.Kill()
+
+	q2, err := New(db, deterministicExec, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q2.Kill()
+	hit, created, err := q2.Submit(testSpec("old"), "h-old")
+	if err != nil || created || hit.ID != "job-000001" || string(hit.Result) != `"old"` {
+		t.Fatalf("resubmit of an 11-minute-old result = (%s, %v, %v, %s)", hit.ID, created, err, hit.Result)
+	}
+	if q2.Runs() != 0 {
+		t.Fatalf("resubmit ran %d jobs, want 0", q2.Runs())
 	}
 }

@@ -12,10 +12,9 @@ import (
 )
 
 // Spec is the wire-format audit specification a client submits to
-// POST /v1/jobs: the audit's inputs plus the scheduling fields (priority,
-// max attempts). The HTTP layer resolves it against its dataset table
-// into a core.Spec at execution time, so a job survives restarts as pure
-// data.
+// POST /v1/jobs: the audit's inputs plus its dispatch priority. The HTTP
+// layer resolves it against its dataset table into a core.Spec at
+// execution time, so a job survives restarts as pure data.
 type Spec struct {
 	// Dataset names the uploaded dataset under audit.
 	Dataset string `json:"dataset,omitempty"`
@@ -45,11 +44,9 @@ type Spec struct {
 	// Priority orders dispatch in [MinPriority, MaxPriority]; higher runs
 	// first. 0 is the default service class.
 	Priority int `json:"priority,omitempty"`
-	// MaxAttempts bounds retries (0 = queue default).
-	MaxAttempts int `json:"max_attempts,omitempty"`
 }
 
-// Priority and attempt bounds enforced by Spec.Validate.
+// Bounds enforced by Spec.Validate.
 const (
 	MinPriority = -100
 	MaxPriority = 100
@@ -59,8 +56,6 @@ const (
 	// MaxSignificanceRounds bounds the permutation test; each round
 	// shuffles and re-bins the whole score column.
 	MaxSignificanceRounds = 10000
-	// MaxAttemptsLimit bounds per-job retry budgets.
-	MaxAttemptsLimit = 10
 )
 
 // DecodeSpec parses and validates a submitted job spec. It is strict —
@@ -132,9 +127,6 @@ func (s Spec) Validate() error {
 	}
 	if s.Priority < MinPriority || s.Priority > MaxPriority {
 		return fmt.Errorf("jobs: priority %d out of range [%d, %d]", s.Priority, MinPriority, MaxPriority)
-	}
-	if s.MaxAttempts < 0 || s.MaxAttempts > MaxAttemptsLimit {
-		return fmt.Errorf("jobs: max_attempts %d out of range [0, %d]", s.MaxAttempts, MaxAttemptsLimit)
 	}
 	return nil
 }

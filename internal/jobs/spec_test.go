@@ -25,6 +25,7 @@ func TestDecodeSpecRejects(t *testing.T) {
 		"null digest":   `{"dataset":"d","digest":null,"weights":{"a":1}}`,
 		"folded digest": `{"dataset":"d","Digest":"ab12","weights":{"a":1}}`,
 		"no attributes": `{"dataset":"d","weights":{"a":1},"attributes":[]}`,
+		"max attempts":  `{"dataset":"d","weights":{"a":1},"max_attempts":3}`,
 	}
 	for name, body := range cases {
 		if _, err := DecodeSpec([]byte(body)); err == nil {

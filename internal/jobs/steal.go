@@ -59,8 +59,8 @@ func newClaimToken() string {
 // the ready heap and parks them under claim tokens for a stealing peer.
 // Only jobs whose spec passes eligible (nil = all) are handed over —
 // thieves pass their dataset inventory so they never claim a job they
-// cannot resolve. Jobs in backoff windows, canceled-but-heaped entries
-// and already-claimed jobs are never claimed. Claims expire after ttl
+// cannot resolve. Canceled-but-heaped entries and already-claimed jobs
+// are never claimed. Claims expire after ttl
 // (0 selects DefaultClaimTTL) and the jobs return to the heap.
 func (q *Queue) ClaimQueued(max int, eligible func(Spec) bool, thief string, ttl time.Duration) []Claim {
 	if max <= 0 {
@@ -81,7 +81,7 @@ func (q *Queue) ClaimQueued(max int, eligible func(Spec) bool, thief string, ttl
 	var skipped []*Job
 	for q.ready.Len() > 0 && len(claimed) < max {
 		j := heap.Pop(&q.ready).(*Job)
-		if j.State != StateQueued || j.retryTimer != nil {
+		if j.State != StateQueued {
 			// Lazily removed (canceled while heaped) — drop, as next() does.
 			continue
 		}

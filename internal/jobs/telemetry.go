@@ -13,15 +13,13 @@ const (
 	// MetricDeduped counts submissions coalesced onto an active job with
 	// the same spec hash.
 	MetricDeduped = "fairrank_jobs_deduped_total"
-	// MetricCacheHits counts submissions answered from the TTL result
-	// cache without a new run.
+	// MetricCacheHits counts submissions answered by a done job's result
+	// without a new run.
 	MetricCacheHits = "fairrank_jobs_result_cache_hits_total"
 	// MetricShed counts submissions rejected by admission control.
 	MetricShed = "fairrank_jobs_shed_total"
-	// MetricRuns counts executor invocations (attempts actually started).
+	// MetricRuns counts executor invocations (runs actually started).
 	MetricRuns = "fairrank_jobs_runs_total"
-	// MetricRetries counts failed attempts that were requeued.
-	MetricRetries = "fairrank_jobs_retries_total"
 	// MetricCompleted counts terminal transitions, labeled by final state.
 	MetricCompleted = "fairrank_jobs_completed_total"
 	// MetricRecovered counts jobs requeued by crash recovery at startup.
@@ -47,7 +45,7 @@ const (
 	MetricOldestAge = "fairrank_jobs_oldest_queued_age_seconds"
 	// MetricWaitSeconds is the queue-wait histogram (enqueue → first run).
 	MetricWaitSeconds = "fairrank_jobs_wait_seconds"
-	// MetricRunSeconds is the run-latency histogram per attempt.
+	// MetricRunSeconds is the run-latency histogram per run.
 	MetricRunSeconds = "fairrank_jobs_run_seconds"
 )
 
@@ -59,7 +57,6 @@ type queueMetrics struct {
 	cacheHits     *telemetry.Counter
 	shed          *telemetry.Counter
 	runs          *telemetry.Counter
-	retries       *telemetry.Counter
 	done          *telemetry.Counter
 	failed        *telemetry.Counter
 	canceled      *telemetry.Counter
@@ -87,7 +84,6 @@ func newQueueMetrics(reg *telemetry.Registry, oldestAge func() float64) queueMet
 		cacheHits:     reg.Counter(MetricCacheHits),
 		shed:          reg.Counter(MetricShed),
 		runs:          reg.Counter(MetricRuns),
-		retries:       reg.Counter(MetricRetries),
 		done:          reg.Counter(MetricCompleted, state(string(StateDone))),
 		failed:        reg.Counter(MetricCompleted, state(string(StateFailed))),
 		canceled:      reg.Counter(MetricCompleted, state(string(StateCanceled))),

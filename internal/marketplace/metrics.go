@@ -50,11 +50,11 @@ func PageNDCG(page, best []RankedWorker) (float64, error) {
 	}
 	dcg := 0.0
 	for _, rw := range page {
-		dcg += rw.Score * PositionBias(rw.Rank)
+		dcg += float64(rw.Score * PositionBias(rw.Rank)) // rounded: no multiply-add fuses
 	}
 	idcg := 0.0
 	for i, rw := range best[:len(page)] {
-		idcg += rw.Score * PositionBias(i+1)
+		idcg += float64(rw.Score * PositionBias(i+1)) // rounded, as dcg's
 	}
 	if idcg == 0 {
 		return 1, nil

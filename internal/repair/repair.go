@@ -70,7 +70,8 @@ func Scores(scores []float64, pt *partition.Partitioning, amount float64) ([]flo
 		for r, w := range members {
 			q := (float64(r) + 0.5) / float64(k)
 			target := quantile(global, q)
-			out[w] = (1-amount)*scores[w] + amount*target
+			// Each product is rounded before the add: no multiply-add fuses.
+			out[w] = float64((1-amount)*scores[w]) + float64(amount*target)
 		}
 	}
 	return out, nil
@@ -81,14 +82,14 @@ func quantile(sorted []float64, q float64) float64 {
 	if len(sorted) == 1 {
 		return sorted[0]
 	}
-	pos := q * float64(len(sorted)-1)
+	pos := float64(q * float64(len(sorted)-1)) // rounded: no multiply-add fuses
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return sorted[lo]
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac) // rounded, as pos
 }
 
 // Unfairness measures the average pairwise EMD between the partitions'

@@ -25,7 +25,7 @@ func HistogramASCII(h *histogram.Histogram, width int) string {
 	}
 	var b strings.Builder
 	for i := 0; i < h.Bins(); i++ {
-		lo := h.Min() + float64(i)*h.BinWidth()
+		lo := h.Min() + float64(float64(i)*h.BinWidth()) // rounded: no multiply-add fuses
 		hi := lo + h.BinWidth()
 		bar := 0
 		if maxCount > 0 {

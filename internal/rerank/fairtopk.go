@@ -165,7 +165,9 @@ func fairTopKPage(sp split, n int, alpha float64) ([]marketplace.RankedWorker, e
 // share p and significance alpha, unadjusted: entry i (1-based; entry 0
 // is always 0) is the smallest m with binomial CDF F(m; i, p) > alpha.
 // The binomial distribution is maintained incrementally across prefix
-// lengths — one O(i) convolution step per row, O(k²) total.
+// lengths — one O(i) convolution step per row, O(k²) total. It takes only
+// sums and rounded products, so the table is the same on every
+// architecture.
 func MTable(k int, p, alpha float64) []int {
 	tbl := make([]int, k+1)
 	pmf := make([]float64, 1, k+1)
@@ -174,7 +176,8 @@ func MTable(k int, p, alpha float64) []int {
 	for i := 1; i <= k; i++ {
 		pmf = append(pmf, 0)
 		for c := i; c >= 1; c-- {
-			pmf[c] = pmf[c]*(1-p) + pmf[c-1]*p
+			// Each product is rounded before the add: no multiply-add fuses.
+			pmf[c] = float64(pmf[c]*(1-p)) + float64(pmf[c-1]*p)
 		}
 		pmf[0] *= 1 - p
 		// F(m; i, p) only shrinks as i grows, so m never steps back.
@@ -202,7 +205,7 @@ func FailureProb(p float64, table []int) float64 {
 	for i := 1; i <= k; i++ {
 		f = append(f, 0)
 		for c := i; c >= 1; c-- {
-			f[c] = f[c]*(1-p) + f[c-1]*p
+			f[c] = float64(f[c]*(1-p)) + float64(f[c-1]*p) // rounded, as in MTable
 		}
 		f[0] *= 1 - p
 		for c := 0; c < table[i] && c <= i; c++ {

@@ -81,7 +81,8 @@ func Randomized(ds *dataset.Dataset, attr int, pool []marketplace.RankedWorker, 
 	}
 	// Uniform noise in ±A with A = spread·range/2. A constant-score pool
 	// has range 0: the jitter is a no-op and the canonical order serves.
-	amp := 0.5 * spread * (hi - lo)
+	// Rounded, so no add below fuses with its product.
+	amp := float64(0.5 * spread * (hi - lo))
 	n := pageSize(k, len(pool))
 	// s_n, the n-th best score, is the lowest when the page is the pool.
 	sn := lo
@@ -109,7 +110,8 @@ func Randomized(ds *dataset.Dataset, attr int, pool []marketplace.RankedWorker, 
 	perturbed := make([]float64, len(cands))
 	order := make([]int, len(cands))
 	for i := range cands {
-		perturbed[i] = cands[i].Score + amp*(2*r.Float64()-1)
+		// Each product is rounded before its add: no multiply-add fuses.
+		perturbed[i] = cands[i].Score + float64(amp*(float64(2*r.Float64())-1))
 		order[i] = i
 	}
 	order = marketplace.TopK(order, n, func(a, b int) int {

@@ -104,7 +104,7 @@ func exposurePage(sp split, n int, epsilon float64) []marketplace.RankedWorker {
 			if len(gs) == 0 || gs[0].Score < bestScore-epsilon {
 				continue
 			}
-			deficit := share[g]*(totalExposure+bias) - exposure[g]
+			deficit := float64(share[g]*(totalExposure+bias)) - exposure[g] // rounded: no multiply-add fuses
 			switch {
 			case pick < 0:
 				pick, worstDeficit = g, deficit

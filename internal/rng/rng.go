@@ -52,7 +52,10 @@ func (r *RNG) Uint64() uint64 {
 
 // Float64 returns a uniformly distributed float64 in [0, 1).
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	// Dividing by 2⁵³ is a multiply, and a caller that inlines this
+	// function could fuse it with an add (2·Float64() becomes a sum of
+	// two draws); the conversion rounds the quotient first.
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Intn returns a uniformly distributed int in [0, n). It panics if n <= 0.
@@ -103,16 +106,19 @@ func (r *RNG) FloatRange(lo, hi float64) float64 {
 	if hi < lo {
 		panic("rng: FloatRange with hi < lo")
 	}
-	return lo + r.Float64()*(hi-lo)
+	return lo + float64(r.Float64()*(hi-lo)) // rounded: no multiply-add fuses
 }
 
 // NormFloat64 returns a normally distributed float64 with mean 0 and
-// standard deviation 1, using the polar (Marsaglia) method.
+// standard deviation 1, using the polar (Marsaglia) method. Its products
+// are rounded before they are summed, but it is built on math.Log, whose
+// last bit may differ between architectures, and so may the result's.
 func (r *RNG) NormFloat64() float64 {
 	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		// Each product is rounded before its add: no multiply-add fuses.
+		u := float64(2*r.Float64()) - 1
+		v := float64(2*r.Float64()) - 1
+		s := float64(u*u) + float64(v*v)
 		if s >= 1 || s == 0 {
 			continue
 		}

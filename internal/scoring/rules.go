@@ -122,7 +122,7 @@ func (r *RuleFunc) Score(ds *dataset.Dataset, i int) float64 {
 	for _, rule := range r.rules {
 		if rule.When(ds, i) {
 			u := hashUnit(r.seed, uint64(i))
-			return rule.Lo + u*(rule.Hi-rule.Lo)
+			return rule.Lo + float64(u*(rule.Hi-rule.Lo)) // rounded: no multiply-add fuses
 		}
 	}
 	return 0

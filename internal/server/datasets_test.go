@@ -143,7 +143,6 @@ func TestJobPinnedContentSurvivesReplace(t *testing.T) {
 	// content went with its last ref.
 	uploadSnapshot(t, ts, "x", first)
 	lost := byWeights(map[string]float64{"LanguageTest": 1, "ApprovalRate": 1})
-	lost["max_attempts"] = 1
 	j = submitJob(t, ts.URL, lost, http.StatusAccepted)
 	<-entered
 	s.Jobs().Kill()

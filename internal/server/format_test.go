@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"fairrank/internal/jobs"
 	"fairrank/internal/store"
 )
 
@@ -241,5 +242,45 @@ func TestUnstampedStoreUpgradesInPlace(t *testing.T) {
 		if n := stamps(); n != 1 {
 			t.Fatalf("store holds %d stamps, want 1", n)
 		}
+	}
+}
+
+// TestQueuedJobWithMaxAttemptsBoots: a store written before jobs ran
+// once holds a queued job whose spec and record carry "max_attempts".
+// It boots without a format refusal, runs the job once, and serves its
+// body without the field.
+func TestQueuedJobWithMaxAttemptsBoots(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "srv.db")
+	s, err := New(reopen(t, path), WithJobWorkers(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	putDataset(t, s, "x", 40)
+	sp, hash, err := s.decodeJob([]byte(`{"dataset":"x","weights":{"LanguageTest":1}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shutdown(t, s)
+	record := `{"id":"job-000001","spec_hash":"` + hash + `","spec":{"dataset":"x","digest":"` + sp.Digest +
+		`","weights":{"LanguageTest":1},"max_attempts":3},"priority":0,"state":"queued","attempt":0,` +
+		`"max_attempts":3,"enqueued_at":"2026-01-02T03:04:05Z"}`
+	db := reopen(t, path)
+	if err := db.Put("jobs", "job-000001", []byte(record)); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err = New(db)
+	if err != nil {
+		t.Fatalf("boot refused: %v", err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer shutdown(t, s)
+	done := waitJobHTTP(t, ts.URL, "job-000001", jobs.StateDone)
+	if done.Attempt != 1 || s.Jobs().Runs() != 1 {
+		t.Fatalf("attempt %d after %d runs, want one run", done.Attempt, s.Jobs().Runs())
+	}
+	if body := getBody(t, ts.URL+"/v1/jobs/job-000001"); bytes.Contains(body, []byte("max_attempts")) {
+		t.Fatalf("job body carries max_attempts: %s", body)
 	}
 }

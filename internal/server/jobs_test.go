@@ -508,3 +508,22 @@ func TestFinishedJobGrowth(t *testing.T) {
 		t.Fatalf("per finished job: heap %d B, log %d B; want at most %d each", heap, wal, 25<<10)
 	}
 }
+
+// TestOverBudgetJobRunsOnce: an exhaustive-cells job over its
+// enumeration budget fails after exactly one engine run, with the
+// engine's error as it was returned. The search is a pure function of
+// the spec, so a second run could only exceed the budget again.
+func TestOverBudgetJobRunsOnce(t *testing.T) {
+	s, ts, _ := newTestServer(t)
+	uploadDataset(t, ts, "demo", 300)
+	spec := map[string]any{"dataset": "demo", "weights": map[string]float64{"LanguageTest": 1},
+		"algorithm": "exhaustive-cells", "budget": 50}
+	j := submitJob(t, ts.URL, spec, http.StatusAccepted)
+	failed := waitJobHTTP(t, ts.URL, j.ID, jobs.StateFailed)
+	if failed.Error != "partition: enumeration budget exceeded" || failed.Attempt != 1 {
+		t.Fatalf("failed job: attempt %d, error %q", failed.Attempt, failed.Error)
+	}
+	if runs := s.Jobs().Runs(); runs != 1 {
+		t.Fatalf("engine ran %d times, want 1", runs)
+	}
+}

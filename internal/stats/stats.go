@@ -36,7 +36,7 @@ func Variance(xs []float64) (float64, error) {
 	s := 0.0
 	for _, x := range xs {
 		d := x - m
-		s += d * d
+		s += float64(d * d) // rounded: no multiply-add fuses
 	}
 	return s / float64(len(xs)), nil
 }
@@ -84,7 +84,7 @@ func Gini(xs []float64) (float64, error) {
 	n := float64(len(sorted))
 	var cum, total float64
 	for i, x := range sorted {
-		cum += float64(i+1) * x
+		cum += float64(float64(i+1) * x) // rounded: no multiply-add fuses
 		total += x
 	}
 	if total == 0 {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 )
 
@@ -202,10 +201,11 @@ func (s *Snapshots) Delete(name string) error {
 	return s.removeUnnamed(refs, ref.File)
 }
 
-// Sweep removes files in the snapshot directory that no ref points at:
-// crash residue from interrupted Adopt and Delete calls, and the temp
-// files of older versions. It returns the removed filenames. Meant for boot, after the
-// DB has replayed.
+// Sweep removes every regular file in the snapshot directory that no ref
+// names: the directory holds only files Adopt renames in, so anything
+// else is crash residue from an interrupted Adopt or Delete, or a file of
+// an older version. It returns the removed filenames. Meant for boot,
+// after the DB has replayed.
 func (s *Snapshots) Sweep() ([]string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -219,13 +219,8 @@ func (s *Snapshots) Sweep() ([]string, error) {
 	}
 	var removed []string
 	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
 		fn := e.Name()
-		orphanSnap := strings.HasSuffix(fn, ".snap") && !referenced[fn]
-		staleTmp := strings.HasPrefix(fn, ".tmp-")
-		if !orphanSnap && !staleTmp {
+		if !e.Type().IsRegular() || referenced[fn] {
 			continue
 		}
 		if err := os.Remove(filepath.Join(s.dir, fn)); err != nil {

@@ -16,6 +16,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 
@@ -384,6 +385,12 @@ func (db *DB) Compact() error {
 	db.met.compactions.Inc()
 	db.met.compactionBytes.Add(rewritten)
 	db.met.sync(db)
+	// The rename is durable only once its directory is: without this a
+	// crash could bring the old log back and lose every record appended
+	// to the new one since.
+	if err := syncDir(filepath.Dir(db.path)); err != nil {
+		return fmt.Errorf("store: compact sync dir: %w", err)
+	}
 	return nil
 }
 
