@@ -9,6 +9,7 @@ import (
 	"fairrank/internal/explain"
 	"fairrank/internal/partition"
 	"fairrank/internal/repair"
+	"fairrank/internal/scoring"
 )
 
 // AttributeImportance quantifies one protected attribute's contribution to
@@ -167,7 +168,7 @@ func (a *Auditor) Significance(ds *Dataset, f ScoringFunc, pt *Partitioning, rou
 	if err != nil {
 		return 0, 0, err
 	}
-	return core.Significance(e, pt, rounds, a.seed)
+	return core.Significance(context.Background(), e, pt, rounds, a.seed)
 }
 
 // Explain computes per-attribute importances for the scoring function's
@@ -220,12 +221,17 @@ func (a *Auditor) RepairedScores(ds *Dataset, f ScoringFunc, pt *Partitioning, a
 	return repair.Scores(e.Scores(), pt, amount)
 }
 
-// ScoreUnfairness measures the average pairwise EMD of an arbitrary score
-// column over a partitioning, e.g. to compare before/after repair.
-func (a *Auditor) ScoreUnfairness(scores []float64, pt *Partitioning) (float64, error) {
-	bins := a.cfg.Bins
-	if bins <= 0 {
-		bins = 10
+// ScoreUnfairness measures unfairness(P, f) of an arbitrary score column
+// over a partitioning of ds, e.g. to compare before/after repair:
+// scores[i] is worker i's score. It honours the auditor's configuration
+// (bins, metric, ground distance, Exact), as Unfairness does.
+func (a *Auditor) ScoreUnfairness(ds *Dataset, scores []float64, pt *Partitioning) (float64, error) {
+	if ds == nil || len(scores) != ds.N() {
+		return 0, errors.New("fairrank: ScoreUnfairness needs one score per worker of the dataset")
 	}
-	return repair.Unfairness(scores, pt, bins)
+	if err := pt.Validate(ds); err != nil {
+		return 0, err
+	}
+	column := scoring.ScoreFunc{FuncName: "scores", Fn: func(_ *Dataset, i int) float64 { return scores[i] }}
+	return a.Unfairness(ds, column, pt)
 }

@@ -266,9 +266,9 @@ func BenchmarkBeamWidth(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCache measures the histogram/pair caching win
-// (DESIGN.md §2.4): a cold evaluator rebuilds everything per call, a warm
-// one serves AvgPairwise from its caches.
+// BenchmarkAblationCache measures the histogram caching win (DESIGN.md
+// §2.4): a cold evaluator rebuilds every part's histogram per call, a warm
+// one serves AvgPairwise's reps from its cache.
 func BenchmarkAblationCache(b *testing.B) {
 	ds := benchWorkers(b, 500)
 	f, _ := fairrank.NewLinearFunc("f1", map[string]float64{
@@ -329,13 +329,13 @@ func BenchmarkScalingWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalDelta measures the delta-evaluation win at the heart
-// of the incremental engine. A k-part partitioning is refined by splitting
-// exactly one part in two (Δ = 2 changed parts): from scratch the successor
-// costs k(k+1)/2 distance computations, while a primed evaluator resolves
-// every unchanged pair from its caches and computes only the ~2k pairs that
-// touch the changed parts. scratch-serial and scratch-parallel bound the
-// old evaluator's behavior; incremental is the engine's steady state.
+// BenchmarkIncrementalDelta measures what a primed evaluator saves when a
+// k-part partitioning is refined by splitting exactly one part in two
+// (Δ = 2 changed parts): from scratch every part's histogram is rebuilt,
+// while a primed evaluator rebuilds only the two changed parts' and then
+// averages. The default mode's exact average takes O(bins·k log k)
+// either way (DESIGN.md §9); on the pair path a primed evaluator also
+// serves every unchanged pair from its pair cache.
 func BenchmarkIncrementalDelta(b *testing.B) {
 	for _, k := range []int{16, 64, 256} {
 		n := 2000

@@ -27,8 +27,8 @@ func TestBuildArtifact(t *testing.T) {
 	if a.Audit.Algorithm != "balanced" || a.Audit.Workers != 150 || a.Audit.Unfairness <= 0 {
 		t.Errorf("audit info: %+v", a.Audit)
 	}
-	if a.Telemetry.Counters[core.MetricEMDEvaluations] <= 0 {
-		t.Errorf("telemetry snapshot missing %s: %+v", core.MetricEMDEvaluations, a.Telemetry.Counters)
+	if a.Telemetry.Counters[core.MetricProbes] <= 0 {
+		t.Errorf("telemetry snapshot missing %s: %+v", core.MetricProbes, a.Telemetry.Counters)
 	}
 	if a.Telemetry.Counters[core.MetricRuns] != 1 {
 		t.Errorf("runs counter = %d, want 1", a.Telemetry.Counters[core.MetricRuns])

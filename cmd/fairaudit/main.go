@@ -171,7 +171,7 @@ func run(w io.Writer, dataFile, snapFile string, gen int, seed uint64, algo stri
 		}
 	}
 	if sigRounds > 0 {
-		p, obs, err := core.Significance(e, res.Partitioning, sigRounds, seed)
+		p, obs, err := core.Significance(ctx, e, res.Partitioning, sigRounds, seed)
 		if err != nil {
 			return err
 		}

@@ -222,12 +222,12 @@ func TestRunTelemetryJSON(t *testing.T) {
 	}
 	phases := map[string]bool{}
 	rep.Spans.Walk(func(st *telemetry.SpanTree) { phases[st.Name] = true })
-	for _, want := range []string{"run", "scan", "probe", "split", "emd", "reduce"} {
+	for _, want := range []string{"run", "scan", "probe", "split", "emd"} {
 		if !phases[want] {
 			t.Errorf("span tree missing phase %q", want)
 		}
 	}
-	if rep.Metrics.Counters[core.MetricEMDEvaluations] <= 0 {
-		t.Errorf("metrics snapshot missing %s", core.MetricEMDEvaluations)
+	if rep.Metrics.Counters[core.MetricProbes] <= 0 {
+		t.Errorf("metrics snapshot missing %s", core.MetricProbes)
 	}
 }

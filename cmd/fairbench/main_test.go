@@ -191,8 +191,8 @@ func TestBenchTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := bt.reg.Snapshot()
-	if snap.Counters[core.MetricEMDEvaluations] <= 0 {
-		t.Errorf("registry missing %s after sweep+table", core.MetricEMDEvaluations)
+	if snap.Counters[core.MetricProbes] <= 0 {
+		t.Errorf("registry missing %s after sweep+table", core.MetricProbes)
 	}
 	tree := tracer.Finish()
 	if tree == nil || tree.Name != "fairbench" {

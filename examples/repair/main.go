@@ -42,7 +42,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		u, err := auditor.ScoreUnfairness(repaired, res.Partitioning)
+		u, err := auditor.ScoreUnfairness(ds, repaired, res.Partitioning)
 		if err != nil {
 			log.Fatal(err)
 		}

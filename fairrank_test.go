@@ -187,12 +187,70 @@ func TestRepairRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := a.ScoreUnfairness(repaired, res.Partitioning)
+	after, err := a.ScoreUnfairness(ds, repaired, res.Partitioning)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if after > 0.05 {
 		t.Fatalf("unfairness after repair = %v (before %v)", after, res.Unfairness)
+	}
+}
+
+// scoreColumn returns a dataset, a score function's own score column over
+// it, and the dataset's Gender × Language partitioning.
+func scoreColumn(t *testing.T) (*fairrank.Dataset, fairrank.ScoringFunc, []float64, *fairrank.Partitioning) {
+	t.Helper()
+	ds := workers(t, 400, 8)
+	f := genderBiased(t, 8)
+	pt, err := fairrank.GroupBy(ds, "Gender", "Language")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scores := make([]float64, ds.N())
+	for i := range scores {
+		scores[i] = f.Score(ds, i)
+	}
+	return ds, f, scores, pt
+}
+
+// TestScoreUnfairnessHonoursConfig: ScoreUnfairness over a function's own
+// score column is Unfairness of that function, bit for bit, under every
+// auditor configuration — bins, ground distance, metric and Exact mode.
+func TestScoreUnfairnessHonoursConfig(t *testing.T) {
+	ds, f, scores, pt := scoreColumn(t)
+	for _, cfg := range []fairrank.Config{
+		{}, {Bins: 20}, {Ground: fairrank.GroundIndex}, {Metric: fairrank.MetricKS}, {Metric: fairrank.MetricTV}, {Exact: true},
+	} {
+		a := fairrank.NewAuditor(fairrank.WithConfig(cfg))
+		want, err := a.Unfairness(ds, f, pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := a.ScoreUnfairness(ds, scores, pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%+v: ScoreUnfairness %v, Unfairness %v", cfg, got, want)
+		}
+	}
+}
+
+// TestScoreUnfairnessValidation: ScoreUnfairness refuses a column of the
+// wrong length, a partitioning that is not one of the dataset, and a nil
+// dataset.
+func TestScoreUnfairnessValidation(t *testing.T) {
+	ds, _, scores, pt := scoreColumn(t)
+	a := fairrank.NewAuditor()
+	if _, err := a.ScoreUnfairness(ds, scores[1:], pt); err == nil {
+		t.Error("a column one score short accepted")
+	}
+	bad := &fairrank.Partitioning{Parts: []*fairrank.Partition{{Indices: []int{0, ds.N()}}}}
+	if _, err := a.ScoreUnfairness(ds, scores, bad); err == nil {
+		t.Error("an out-of-range worker accepted")
+	}
+	if _, err := a.ScoreUnfairness(nil, scores, pt); err == nil {
+		t.Error("a nil dataset accepted")
 	}
 }
 

@@ -135,7 +135,7 @@ func auditOne(ctx context.Context, ds *dataset.Dataset, f scoring.Func, opts Opt
 	if err != nil {
 		return FunctionAudit{}, err
 	}
-	p, _, err := core.Significance(e, res.Partitioning, opts.Rounds, seed)
+	p, _, err := core.Significance(ctx, e, res.Partitioning, opts.Rounds, seed)
 	if err != nil {
 		return FunctionAudit{}, err
 	}

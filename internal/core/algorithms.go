@@ -47,23 +47,11 @@ type chooser func(s *matState, attrs []int) (attr int, children *matState)
 
 // worstAttribute is the paper's greedy choice: probe every remaining
 // attribute (concurrently, under Config.Parallelism; leftover parallelism
-// goes to each probe's fill) and keep the one whose split yields the
+// goes to each probe's pair fill) and keep the one whose split yields the
 // highest average pairwise distance. Ties break toward the earliest
 // attribute in attrs, making runs deterministic regardless of scan order.
-//
-// Where pruning runs (prune.go) a bound step sits between the scatter and
-// the fill: a candidate with at least pruneKernelMinParts parts is
-// bracketed by the fixed-point kernel instead of filled. maxLo is then the
-// highest lower bound, where filled candidates contribute their exact
-// average, and a bracketed candidate whose upper bound is strictly below
-// it is skipped: its float average is provably below another candidate's,
-// so the strict-> earliest-index argmax cannot select it, not even on a
-// tie. Survivors are filled in scan order, so the returned state is always
-// an exact evaluation and every decision and trace is bit-identical to
-// the unpruned scan, which fills every candidate.
 func worstAttribute(s *matState, attrs []int) (int, *matState) {
-	e := s.e
-	p := e.cfg.Parallelism
+	p := s.e.cfg.Parallelism
 	outer := min(p, len(attrs))
 	inner := 1
 	if outer >= 1 && p > outer {
@@ -75,67 +63,33 @@ func worstAttribute(s *matState, attrs []int) (int, *matState) {
 	defer sp.End()
 	sp.SetInt("attrs", int64(len(attrs)))
 	sp.SetInt("parts", int64(len(s.parts)))
-	type cand struct {
-		st     *matState // the scattered children; evaluated once st.dist is set
-		lo, hi float64
-	}
-	cands := make([]cand, len(attrs))
-	bound := e.prune && len(attrs) > 1
+	cands := make([]*matState, len(attrs))
 	parforeach(len(attrs), outer, func(x int) {
 		if s.canceled() {
 			return
 		}
-		c := &cands[x]
 		pctx, psp := startProbe(sctx, attrs[x])
 		defer psp.End()
-		c.st = s.scatterAll(pctx, attrs[x])
-		if bound && len(c.st.parts) >= pruneKernelMinParts {
-			var ok bool
-			if c.lo, c.hi, ok = e.bound(c.st.reps); ok {
-				return
-			}
-		}
-		s.fill(pctx, psp, c.st, inner)
-		c.lo, c.hi = c.st.avg, c.st.avg
+		c := s.scatterAll(pctx, attrs[x])
+		c.avg = s.e.average(pctx, c.reps, inner, false)
+		cands[x] = c
 	})
 	if s.canceled() {
 		// Structurally valid return; the algorithm layer sees ctx.Err()
 		// and discards it.
 		return attrs[0], s
 	}
-	maxLo := cands[0].lo
-	for _, c := range cands[1:] {
-		if c.lo > maxLo {
-			maxLo = c.lo
-		}
-	}
-	best := -1
-	for x := range cands {
-		c := &cands[x]
-		if c.st.dist == nil {
-			if c.hi < maxLo {
-				nk := int64(len(c.st.parts))
-				e.prunedAcct(nk * (nk - 1) / 2)
-				continue
-			}
-			e.tel.boundExactified.Inc()
-			pctx, psp := startProbe(sctx, attrs[x])
-			s.fill(pctx, psp, c.st, p)
-			psp.End()
-			if s.canceled() {
-				return attrs[0], s
-			}
-		}
-		if best < 0 || c.st.avg > cands[best].st.avg {
+	best := 0
+	for x, c := range cands {
+		if c.avg > cands[best].avg {
 			best = x
 		}
 	}
-	return attrs[best], cands[best].st
+	return attrs[best], cands[best]
 }
 
 // randomAttribute is the baseline choice used by r-balanced and
-// r-unbalanced: a uniformly random remaining attribute. A single random
-// candidate offers nothing to prune, so it is simply probed.
+// r-unbalanced: a uniformly random remaining attribute, probed.
 func randomAttribute(r *rng.RNG) chooser {
 	return func(s *matState, attrs []int) (int, *matState) {
 		a := attrs[r.Intn(len(attrs))]
@@ -263,10 +217,9 @@ func unbalancedWith(ctx context.Context, e *Evaluator, attrs []int, choose choos
 	emit(TraceStep{Attribute: a, AvgDistance: parts.avg, Partitions: len(parts.parts), Accepted: true})
 
 	// Each recursion node receives its local group as a matState with the
-	// deciding partition first: the group's running average is Algorithm 2's
-	// "current" side, and replaceFirst evaluates the "split" side by delta —
-	// only child–sibling distances are computed fresh. The leaves keep their
-	// reps, which the final average reads.
+	// deciding partition first: the group's average is Algorithm 2's
+	// "current" side, and replaceFirst builds and averages the "split"
+	// side. The leaves keep their reps, which the final average reads.
 	var output []*partition.Partition
 	var leafReps []*rep
 	var recurse func(group *matState, attrs []int) error
@@ -307,13 +260,7 @@ func unbalancedWith(ctx context.Context, e *Evaluator, attrs []int, choose choos
 		}
 	}
 
-	if e.prune {
-		res.Unfairness = e.finalAvg(ctx, leafReps, finalBlock)
-	} else {
-		// The unpruned side keeps the pair cache (make bench-prune's
-		// speedup gate measures this average; ROADMAP item 5).
-		res.Unfairness = e.avgReps(leafReps)
-	}
+	res.Unfairness = e.average(ctx, leafReps, e.cfg.Parallelism, false)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -341,8 +288,8 @@ func allAttributesCtx(ctx context.Context, e *Evaluator, attrs []int, progress f
 			return nil, err
 		}
 		// Every split is unconditional, so intermediate averages are never
-		// consulted: scatter-only probes skip the distance work entirely,
-		// and the final parts are averaged once at the end.
+		// consulted: the probes only scatter, and the final parts are
+		// averaged once at the end.
 		pctx, psp := startProbe(ctx, a)
 		state = state.scatterAll(pctx, a)
 		psp.End()
@@ -352,7 +299,7 @@ func allAttributesCtx(ctx context.Context, e *Evaluator, attrs []int, progress f
 			progress(step)
 		}
 	}
-	res.Unfairness = e.finalAvg(ctx, state.reps, finalBlock)
+	res.Unfairness = e.average(ctx, state.reps, e.cfg.Parallelism, false)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -384,9 +331,10 @@ func Exhaustive(e *Evaluator, attrs []int, budget int) (*Result, error) {
 	return exhaustiveWith(context.Background(), e, attrs, budget, "exhaustive", partition.EnumerateTrees)
 }
 
-// exhaustiveWith scores every partitioning enumerate yields within budget
-// and keeps the most unfair one, under the given algorithm name. It checks
-// ctx before and during every candidate evaluation. Note that
+// exhaustiveWith scores every partitioning enumerate yields within budget,
+// one average each, and keeps the most unfair one (the earliest on a
+// tie), under the given algorithm name. It checks ctx before and during
+// every candidate evaluation. Note that
 // partition.EnumerateTrees materializes its option lists before the first
 // yield, so with budgets far above the default the solver observes ctx only
 // once candidates start flowing; partition.EnumerateCellGroupings streams
@@ -402,10 +350,14 @@ func exhaustiveWith(ctx context.Context, e *Evaluator, attrs []int, budget int, 
 		if ctx.Err() != nil {
 			return false
 		}
-		u, skipped := e.unfairnessBounded(ctx, pt, res.Unfairness)
-		if skipped {
-			return true
+		reps := make([]*rep, len(pt.Parts))
+		for i, p := range pt.Parts {
+			if i&(ctxCheckStride-1) == ctxCheckStride-1 && ctx.Err() != nil {
+				return false
+			}
+			reps[i] = e.repFor(p)
 		}
+		u := e.average(ctx, reps, e.cfg.Parallelism, true)
 		if ctx.Err() != nil {
 			return false
 		}

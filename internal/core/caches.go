@@ -11,16 +11,11 @@ const cacheShards = 64
 
 // rep is the interned representation of one partition's score
 // distribution: a dense handle plus the payload the configured mode
-// compares — the normalized PMF in binned mode, the sorted score sample
-// in Exact mode. Reps are immutable once published.
+// compares — the binned column in binned mode (Evaluator.payload), the
+// sorted score sample in Exact mode. Reps are immutable once published.
 type rep struct {
 	id   uint32
 	data []float64
-	// qcdf is the fixed-point quantized CDF of data, filled at intern time
-	// when the evaluator's pruning cascade is active (binned EMD mode) so
-	// the bound kernels never touch float payloads. Nil when pruning is
-	// off; immutable once published like the rest of the rep.
-	qcdf []int64
 }
 
 // repCache interns partition representations behind dense handles. Two
@@ -36,12 +31,7 @@ type rep struct {
 // serialize on a single mutex (the old evaluator's single map+mutex made
 // the parallel path bypass the cache entirely).
 type repCache struct {
-	next atomic.Uint32 // dense handles handed out so far
-	// quant, when non-nil, derives a rep's fixed-point quantized CDF from
-	// its payload at intern time. It is set once, before any intern, by
-	// evaluators whose pruning cascade is enabled; reps published while it
-	// is set carry a non-nil qcdf.
-	quant   func([]float64) []int64
+	next    atomic.Uint32 // dense handles handed out so far
 	byKey   [cacheShards]repKeyShard
 	byChild [cacheShards]repChildShard
 }
@@ -91,16 +81,12 @@ func (c *repCache) internKey(key string, build func() []float64) *rep {
 		return r
 	}
 	data := build()
-	var q []int64
-	if c.quant != nil {
-		q = c.quant(data)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if r, ok := s.m[key]; ok {
 		return r
 	}
-	r = &rep{id: c.next.Add(1) - 1, data: data, qcdf: q}
+	r = &rep{id: c.next.Add(1) - 1, data: data}
 	s.m[key] = r
 	return r
 }
@@ -124,17 +110,13 @@ func (c *repCache) lookupChild(key uint64) (*rep, bool) {
 // internChild publishes a scatter-split child rep, keeping the first
 // writer's rep on a race so handles stay stable.
 func (c *repCache) internChild(key uint64, data []float64) *rep {
-	var q []int64
-	if c.quant != nil {
-		q = c.quant(data)
-	}
 	s := &c.byChild[mix(key)&(cacheShards-1)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if r, ok := s.m[key]; ok {
 		return r
 	}
-	r := &rep{id: c.next.Add(1) - 1, data: data, qcdf: q}
+	r := &rep{id: c.next.Add(1) - 1, data: data}
 	s.m[key] = r
 	return r
 }
@@ -158,13 +140,14 @@ func (c *repCache) shardLens() []int {
 	return out
 }
 
-// pairCache caches distances between interned representations, keyed by
-// the packed ordered handle pair, sharded like repCache. misses counts
-// every distance actually computed by the evaluator — including ones the
-// incremental engine resolves into probe-local matrices without storing
-// here — so CacheStats reflects real work done. hits counts lookups
-// served from the cache; the session layer reports the delta of both as
-// per-run stats.
+// pairCache caches the pair path's distances between interned
+// representations, keyed by the packed ordered handle pair, sharded like
+// repCache. It serves the pair path's public averages, PairDistance and
+// the exhaustive solvers; search averages never touch it. misses counts
+// every distance the pair path actually computed — including the search
+// fills, which do not store here — so CacheStats reflects real work done.
+// hits counts lookups served from the cache; the session layer reports
+// the delta of both as per-run stats.
 type pairCache struct {
 	misses atomic.Int64
 	hits   atomic.Int64

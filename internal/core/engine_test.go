@@ -2,15 +2,19 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sync/atomic"
 	"testing"
 
+	"fairrank/internal/dataset"
+	"fairrank/internal/emd"
+	"fairrank/internal/rng"
 	"fairrank/internal/testkit"
 )
 
-// Tests for the terminal average (finalAvg): its bits, its cancellation,
-// and that binned-EMD searches leave the shared pair cache alone.
+// Tests for the pair path's block-wise average (finalAvg): its bits, its
+// cancellation, and that searches leave the shared pair cache alone.
 
 // finalEvaluator returns an evaluator with the given bins and parallelism
 // and k reps of generated PMFs over those bins.
@@ -31,32 +35,33 @@ func finalEvaluator(t *testing.T, g *testkit.Gen, bins, parallelism, k int) (*Ev
 	return e, reps
 }
 
-// TestFinalAvgMatchesTriangle: the terminal average has the bits of avgOf
-// over the full triangle, for pair counts below, equal to and above one
-// block, rows longer than a block, bins 1, 10 and 64, both inner loops
-// (kernel rows where pruning runs, distOf elsewhere), serial and parallel.
+// TestFinalAvgMatchesTriangle: the block-wise average has the bits of a
+// serial sum over the full triangle in slot order, for pair counts below,
+// equal to and above one block, rows longer than a block, bins 1, 10 and
+// 64, serial and parallel.
 func TestFinalAvgMatchesTriangle(t *testing.T) {
 	g := testkit.NewGen(17)
 	for _, bins := range []int{1, 10, 64} {
 		for _, parallelism := range []int{1, 3} {
 			for _, k := range []int{1, 2, 3, 4, 5, 9, 40} {
 				e, reps := finalEvaluator(t, g, bins, parallelism, k)
-				tri := make([]float64, 0, k*(k-1)/2)
+				sum, n := 0.0, 0
 				for i := 0; i < k; i++ {
 					for j := i + 1; j < k; j++ {
-						tri = append(tri, e.distOf(reps[i].data, reps[j].data))
+						sum += e.distOf(reps[i].data, reps[j].data)
+						n++
 					}
 				}
-				want := avgOf(tri)
+				want := 0.0
+				if n > 0 {
+					want = sum / float64(n)
+				}
 				// Block 6 is above k=3's 3 pairs, equal to k=4's 6 and below
 				// k=9's 36, whose first rows (8 pairs) are longer than it.
 				for _, block := range []int{1, 3, 6, 7, 64, finalBlock} {
-					for _, prune := range []bool{true, false} {
-						e.prune = prune
-						got := e.finalAvg(context.Background(), reps, block)
-						if math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("bins %d, parallelism %d, k %d, block %d, prune %v: %v, avgOf %v", bins, parallelism, k, block, prune, got, want)
-						}
+					got := e.finalAvg(context.Background(), reps, parallelism, block)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("bins %d, parallelism %d, k %d, block %d: %v, serial sum %v", bins, parallelism, k, block, got, want)
 					}
 				}
 			}
@@ -81,44 +86,87 @@ func (c *pollCtx) Err() error {
 }
 
 // TestFinalAvgCancelsPromptly: a cancellation part-way through stops the
-// terminal average within a block in both inner loops, instead of filling
-// the rest of its triangle. Each block polls the context at least once, so
-// a fill that ran on would poll thousands of times.
+// block-wise average within a block, instead of filling the rest of its
+// triangle. Each block polls the context at least once, so a fill that
+// ran on would poll thousands of times.
 func TestFinalAvgCancelsPromptly(t *testing.T) {
 	g := testkit.NewGen(23)
 	e, reps := finalEvaluator(t, g, 10, 2, 400) // 79 800 pairs
-	for _, prune := range []bool{true, false} {
-		e.prune = prune
-		ctx := &pollCtx{Context: context.Background(), after: 5}
-		e.finalAvg(ctx, reps, 256) // 312 blocks
-		if polls := ctx.polls.Load(); polls > 64 {
-			t.Fatalf("prune %v: %d context polls after a cancellation at the 5th", prune, polls)
+	ctx := &pollCtx{Context: context.Background(), after: 5}
+	e.finalAvg(ctx, reps, 2, 256) // 312 blocks
+	if polls := ctx.polls.Load(); polls > 64 {
+		t.Fatalf("%d context polls after a cancellation at the 5th", polls)
+	}
+}
+
+// TestBinnedSearchesKeepNoPairs: every search averages its probes and its
+// final parts outside the shared pair cache, in binned EMD mode and on
+// the pair path alike, so after balanced, unbalanced, their random
+// baselines, all-attributes and Beam have run on a fresh evaluator the
+// cache holds no entry.
+func TestBinnedSearchesKeepNoPairs(t *testing.T) {
+	ds := searchDataset(t, 1200, 4)
+	for _, cfg := range []Config{{Bins: 10}, {Bins: 10, Metric: emd.MetricKS}} {
+		e, err := NewEvaluator(ds, testkit.ScoreFunc(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, alg := range []string{"balanced", "unbalanced", "r-balanced", "r-unbalanced", "all-attributes"} {
+			if _, err := Run(context.Background(), Spec{Algorithm: alg, Evaluator: e, Seed: 5}); err != nil {
+				t.Fatalf("%v %s: %v", cfg.Metric, alg, err)
+			}
+			if _, pairs, _ := e.CacheStats(); pairs != 0 {
+				t.Fatalf("%v %s left %d entries in the pair cache", cfg.Metric, alg, pairs)
+			}
+		}
+		if _, err := Beam(e, nil, 2); err != nil {
+			t.Fatal(err)
+		}
+		if _, pairs, _ := e.CacheStats(); pairs != 0 {
+			t.Fatalf("%v Beam left %d entries in the pair cache", cfg.Metric, pairs)
 		}
 	}
 }
 
-// TestBinnedSearchesKeepNoPairs: in binned-EMD mode every search fills its
-// probes and averages its final parts outside the shared pair cache, so
-// after balanced, unbalanced, their random baselines, all-attributes and
-// Beam have run on a fresh evaluator the cache holds no entry.
-func TestBinnedSearchesKeepNoPairs(t *testing.T) {
-	ds := pruneDataset(t, 1200, 4)
-	e, err := NewEvaluator(ds, testkit.ScoreFunc(), Config{Bins: 10})
+// searchDataset builds a population whose score depends on every
+// protected attribute with distinct weights, so greedy splits keep paying
+// off, the searches go several attributes deep, and the candidate
+// averages separate cleanly.
+func searchDataset(t *testing.T, n, nAttrs int) *dataset.Dataset {
+	t.Helper()
+	vals := []string{"a", "b", "c", "d"}
+	prot := make([]dataset.Attribute, nAttrs)
+	weights := make([]float64, nAttrs)
+	totalW := 0.0
+	for a := range prot {
+		prot[a] = dataset.Cat(fmt.Sprintf("A%d", a), vals...)
+		// Near-equal weights keep every split paying off (the average
+		// pairwise distance rises as long as each attribute's effect is
+		// comparable), while the slight taper separates the candidate
+		// averages so the argmax is unambiguous.
+		weights[a] = 1 - 0.06*float64(a)
+		totalW += weights[a]
+	}
+	schema := &dataset.Schema{
+		Protected: prot,
+		Observed:  []dataset.Attribute{dataset.Num("Score", 0, 1, 1)},
+	}
+	b := dataset.NewBuilder(schema)
+	r := rng.New(99)
+	for i := 0; i < n; i++ {
+		pv := map[string]any{}
+		score := 0.0
+		for a := range prot {
+			v := r.Intn(len(vals))
+			pv[prot[a].Name] = vals[v]
+			score += weights[a] / totalW * float64(v) / float64(len(vals)-1)
+		}
+		score = 0.92*score + 0.08*r.Float64()
+		b.Add(fmt.Sprintf("w%d", i), pv, map[string]any{"Score": score})
+	}
+	ds, err := b.Build()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("searchDataset: %v", err)
 	}
-	for _, alg := range []string{"balanced", "unbalanced", "r-balanced", "r-unbalanced", "all-attributes"} {
-		if _, err := Run(context.Background(), Spec{Algorithm: alg, Evaluator: e, Seed: 5}); err != nil {
-			t.Fatalf("%s: %v", alg, err)
-		}
-		if _, pairs, _ := e.CacheStats(); pairs != 0 {
-			t.Fatalf("%s left %d entries in the pair cache", alg, pairs)
-		}
-	}
-	if _, err := Beam(e, nil, 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, pairs, _ := e.CacheStats(); pairs != 0 {
-		t.Fatalf("Beam left %d entries in the pair cache", pairs)
-	}
+	return ds
 }

@@ -17,7 +17,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"fairrank/internal/dataset"
 	"fairrank/internal/emd"
@@ -40,8 +39,9 @@ type Config struct {
 	// Parallelism bounds the goroutines used for candidate-attribute
 	// scans and large pairwise-distance computations. Defaults to
 	// GOMAXPROCS. 1 forces serial evaluation. Results are bit-identical
-	// at every parallelism level: distances are computed concurrently but
-	// always reduced in canonical pair order.
+	// at every parallelism level: the exact average has no order, and the
+	// pair path computes distances concurrently but always reduces them
+	// in canonical pair order.
 	Parallelism int
 	// MinPartitionSize blocks splits that would create a partition with
 	// fewer workers than this, both to protect against sampling noise in
@@ -95,28 +95,16 @@ type Evaluator struct {
 	pairs *pairCache
 	tel   engineMetrics
 
+	// ident reports whether averages take the exact sorted-column identity
+	// (average.go), and den is its unit's denominator: binned mode under
+	// EMD, L1 and TV. Other modes take the pair path.
+	ident bool
+	den   uint64
+
 	// rows is the row space the searching algorithms scatter (rows.go),
 	// built by the first search; rowsOnce guards it.
 	rowsOnce sync.Once
 	rows     *rowSpace
-
-	// prune gates the branch-and-bound pruning cascade (prune.go): on in
-	// exactly the mode its bound kernels cover — binned histograms under
-	// MetricEMD. It is not a knob: the cascade changes no emitted bit, so
-	// the mode alone decides. Tests in this package clear it to run the
-	// unpruned oracle side of the prune differentials.
-	prune bool
-	// pruned and copied are always-on run-accounting counters (unlike the
-	// nil-gated telemetry mirrors): pair slots the cascade skipped, and
-	// triangle entries the delta paths copied. The session layer reports
-	// their per-run deltas; together with pair-cache hits and misses they
-	// satisfy the slot conservation law pinned by the accounting tests.
-	pruned atomic.Int64
-	copied atomic.Int64
-	// boundScratch pools the fixed-point kernel's per-candidate scratch
-	// (column buffer + row-pointer slice) so concurrent bound probes stay
-	// allocation-free in steady state.
-	boundScratch sync.Pool
 }
 
 // scoreBlock is the number of workers a binned NewEvaluator scores per
@@ -175,18 +163,7 @@ func NewEvaluator(ds *dataset.Dataset, f scoring.Func, cfg Config) (*Evaluator, 
 	default:
 		e.unit = 1 / float64(cfg.Bins)
 	}
-	e.prune = !cfg.Exact && cfg.Metric == emd.MetricEMD
-	if e.prune {
-		// Quantize every rep's CDF at intern time, before publication, so
-		// the bound kernels always find qcdf present and race-free.
-		e.reps.quant = func(data []float64) []int64 {
-			q, ok := emd.FixedCDF(data, emd.FixedScale)
-			if !ok {
-				return nil // non-finite payload: bound paths fall back to exact
-			}
-			return q
-		}
-	}
+	e.den, e.ident = identityDenominator(cfg)
 	return e, nil
 }
 
@@ -244,8 +221,8 @@ func (e *Evaluator) Histogram(p *partition.Partition) *histogram.Histogram {
 }
 
 // buildData materializes the comparison payload of a partition given its
-// row indices: the normalized PMF (binned mode) or the sorted score
-// sample (Exact mode).
+// worker indices: the binned column (payload) or the sorted score sample
+// (Exact mode).
 func (e *Evaluator) buildData(indices []int) []float64 {
 	if e.cfg.Exact {
 		s := make([]float64, len(indices))
@@ -259,7 +236,34 @@ func (e *Evaluator) buildData(indices []int) []float64 {
 	for _, i := range indices {
 		counts[e.bin[i]]++
 	}
-	return histogram.NormalizeCounts(counts)
+	return e.payload(counts)
+}
+
+// payload turns one part's bin counts, whole numbers, into its binned
+// rep: the PMF (histogram.NormalizeCounts) under every metric but
+// MetricEMD, whose rep is the CDF, computed in place. Either way each
+// value is one correctly rounded division c/n of integers: c is the bin's
+// count (PMF) or the cumulative count (CDF), and n the part's size. A
+// part with no workers takes the uniform convention, 1/bins and
+// (b+1)/bins.
+func (e *Evaluator) payload(counts []float64) []float64 {
+	if e.cfg.Metric != emd.MetricEMD {
+		return histogram.NormalizeCounts(counts)
+	}
+	n := 0.0
+	for _, c := range counts {
+		n += c
+	}
+	cum := 0.0
+	for b, c := range counts {
+		if n == 0 {
+			counts[b] = float64(b+1) / float64(len(counts))
+			continue
+		}
+		cum += c
+		counts[b] = cum / n
+	}
+	return counts
 }
 
 // repFor interns a partition's representation under its canonical
@@ -275,8 +279,14 @@ func (e *Evaluator) rowRep(p *partition.Partition) *rep {
 	return e.reps.internKey(p.Key(), func() []float64 { return e.rowData(p.Indices) })
 }
 
-// dist computes the configured distance between two PMFs.
-func (e *Evaluator) dist(p, q []float64) float64 {
+// distOf computes the configured distance between two representation
+// payloads, without touching any cache: the bin-free EMD of two sorted
+// samples in Exact mode; in binned mode, unit·Σ_b |F_b − G_b| over two
+// CDFs under MetricEMD and the configured metric over two PMFs otherwise.
+func (e *Evaluator) distOf(p, q []float64) float64 {
+	if e.cfg.Exact {
+		return emd.Exact1DSorted(p, q)
+	}
 	switch e.cfg.Metric {
 	case emd.MetricL1:
 		return emd.L1(p, q)
@@ -291,17 +301,10 @@ func (e *Evaluator) dist(p, q []float64) float64 {
 	case emd.MetricHellinger:
 		return emd.Hellinger(p, q)
 	default:
-		return emd.PMFDistance(p, q, e.unit)
+		// The conversion rounds the product, so no caller that inlines
+		// this function fuses it with an add into one multiply-add.
+		return float64(emd.L1(p, q) * e.unit)
 	}
-}
-
-// distOf computes the configured distance between two representation
-// payloads (mode-aware), without touching any cache.
-func (e *Evaluator) distOf(p, q []float64) float64 {
-	if e.cfg.Exact {
-		return emd.Exact1DSorted(p, q)
-	}
-	return e.dist(p, q)
 }
 
 func packPair(a, b uint32) uint64 {
@@ -311,9 +314,10 @@ func packPair(a, b uint32) uint64 {
 	return uint64(a)<<32 | uint64(b)
 }
 
-// pairOf returns the distance between two interned representations, with
-// symmetric caching in the sharded pair cache.
-func (e *Evaluator) pairOf(ra, rb *rep) float64 {
+// PairDistance returns the configured distance between two partitions'
+// score distributions, with symmetric caching.
+func (e *Evaluator) PairDistance(a, b *partition.Partition) float64 {
+	ra, rb := e.repFor(a), e.repFor(b)
 	key := packPair(ra.id, rb.id)
 	if d, ok := e.pairs.get(key); ok {
 		e.tel.cacheHits.Inc()
@@ -326,33 +330,20 @@ func (e *Evaluator) pairOf(ra, rb *rep) float64 {
 	return d
 }
 
-// PairDistance returns the configured distance between two partitions'
-// score distributions, with symmetric caching.
-func (e *Evaluator) PairDistance(a, b *partition.Partition) float64 {
-	return e.pairOf(e.repFor(a), e.repFor(b))
-}
-
 // parallelFillThreshold is the number of missing pair distances above
-// which AvgPairwise computes them concurrently.
+// which the cached pair path computes them concurrently.
 const parallelFillThreshold = 256
 
 // AvgPairwise computes unfairness(P, f) — the average pairwise distance
-// over all unordered pairs of parts. Fewer than two partitions yield 0.
-//
-// Distances missing from the pair cache are computed concurrently under
-// Config.Parallelism, but the reduction always runs serially in (i, j)
-// pair order, so the result is bit-identical at every parallelism level
-// (and the cache is populated and accounted either way).
+// over all unordered pairs of parts (average.go). Fewer than two
+// partitions yield 0. The result is bit-identical at every parallelism
+// level.
 func (e *Evaluator) AvgPairwise(parts []*partition.Partition) float64 {
-	k := len(parts)
-	if k < 2 {
-		return 0
-	}
-	reps := make([]*rep, k)
+	reps := make([]*rep, len(parts))
 	for i, p := range parts {
 		reps[i] = e.repFor(p)
 	}
-	return e.avgReps(reps)
+	return e.average(nil, reps, e.cfg.Parallelism, true)
 }
 
 // pairRef identifies one missing pair: its slot in the flat triangle
@@ -361,18 +352,19 @@ type pairRef struct {
 	slot, i, j int32
 }
 
-// avgReps is AvgPairwise over already-interned representations.
-func (e *Evaluator) avgReps(reps []*rep) float64 {
-	return e.avgRepsCtx(nil, reps)
-}
-
-// avgRepsCtx is avgReps with cooperative cancellation: when ctx is non-nil
-// both the cache scan and the parallel missing-pair fill poll it every
-// ctxCheckStride pairs and abandon the remaining work. The returned value
-// is only meaningful when ctx was not cancelled; distances computed before
-// the cancellation still land in the shared cache.
+// avgRepsCtx is the pair path's average through the pair cache, for the
+// public averages and the exhaustive solvers. Distances missing from the
+// cache are computed concurrently under Config.Parallelism, but the
+// reduction always runs serially in (i, j) pair order. When ctx is
+// non-nil both the cache scan and the parallel missing-pair fill poll it
+// every ctxCheckStride pairs and abandon the remaining work. The returned
+// value is only meaningful when ctx was not cancelled; distances computed
+// before the cancellation still land in the shared cache.
 func (e *Evaluator) avgRepsCtx(ctx context.Context, reps []*rep) float64 {
 	k := len(reps)
+	if k < 2 {
+		return 0
+	}
 	n := k * (k - 1) / 2
 	d := make([]float64, n)
 	var missing []pairRef
@@ -450,8 +442,8 @@ func (e *Evaluator) Unfairness(pt *partition.Partitioning) float64 {
 
 // CacheStats reports cache sizes, used by the ablation benchmarks:
 // distinct partition representations materialized, pair distances held in
-// the shared cache, and total distance computations (cache misses plus
-// probe-local incremental evaluations).
+// the shared cache, and the pair path's total distance computations
+// (cache misses plus search fills, which bypass the cache).
 func (e *Evaluator) CacheStats() (histograms, pairs, misses int) {
 	return e.reps.count(), e.pairs.len(), int(e.pairs.misses.Load())
 }

@@ -270,8 +270,9 @@ func TestCacheStatsParallelAccounting(t *testing.T) {
 	// The old evaluator's parallel branch bypassed the pair cache and never
 	// counted its distance computations, so CacheStats lied for exactly the
 	// runs the ablation benchmarks care about. Pin the fixed behavior: a
-	// parallel AvgPairwise over many parts populates the cache and counts
-	// every computed distance as a miss, and a repeat run computes nothing.
+	// parallel AvgPairwise over many parts on the pair path (here the KS
+	// metric) populates the cache and counts every computed distance as a
+	// miss, and a repeat run computes nothing.
 	schema := &dataset.Schema{
 		Protected: []dataset.Attribute{dataset.Num("Cell", 0, 1, 100)},
 		Observed:  []dataset.Attribute{dataset.Num("Score", 0, 1, 1)},
@@ -286,7 +287,7 @@ func TestCacheStatsParallelAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := scoring.ScoreFunc{FuncName: "s", Fn: func(ds *dataset.Dataset, i int) float64 { return ds.Observed(0, i) }}
-	e, err := NewEvaluator(ds, f, Config{Parallelism: 4})
+	e, err := NewEvaluator(ds, f, Config{Parallelism: 4, Metric: emd.MetricKS})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"sort"
 	"time"
@@ -34,10 +35,10 @@ func Beam(e *Evaluator, attrs []int, width int) (*Result, error) {
 
 	for {
 		// Expand every (frontier state, remaining attribute) pair. The
-		// expansions are independent incremental probes, so they fan out
-		// across Config.Parallelism; results land at fixed slots and every
-		// probe reduces in canonical order, keeping the search identical to
-		// a serial run.
+		// expansions are independent probes, so they fan out across
+		// Config.Parallelism; results land at fixed slots and every probe's
+		// average is the same at any parallelism, keeping the search
+		// identical to a serial run.
 		type task struct {
 			st   *matState
 			a    int
@@ -100,8 +101,9 @@ func Beam(e *Evaluator, attrs []int, width int) (*Result, error) {
 // shuffles at least as unfair as the observation (with the +1 correction,
 // so the p-value is never exactly 0). A small p-value means the disparity
 // is not explainable by sampling noise — a check the paper's point
-// estimates do not provide.
-func Significance(e *Evaluator, pt *partition.Partitioning, rounds int, seed uint64) (pValue, observed float64, err error) {
+// estimates do not provide. It polls ctx every round and returns ctx.Err()
+// once ctx is done.
+func Significance(ctx context.Context, e *Evaluator, pt *partition.Partitioning, rounds int, seed uint64) (pValue, observed float64, err error) {
 	if pt == nil || len(pt.Parts) == 0 {
 		return 0, 0, errors.New("core: empty partitioning")
 	}
@@ -115,6 +117,9 @@ func Significance(e *Evaluator, pt *partition.Partitioning, rounds int, seed uin
 
 	// Flatten group sizes; under the null, scores are exchangeable, so we
 	// shuffle the worker order and re-slice it into the same group sizes.
+	// Each group is built and compared the way the observed partitions are
+	// (payload, or a sorted sample in Exact mode), so the two sides of the
+	// test measure the same quantity.
 	sizes := make([]int, len(pt.Parts))
 	for i, p := range pt.Parts {
 		sizes[i] = p.Size()
@@ -123,39 +128,26 @@ func Significance(e *Evaluator, pt *partition.Partitioning, rounds int, seed uin
 	for i := range perm {
 		perm[i] = i
 	}
+	reps := make([]*rep, len(sizes))
 	r := rng.New(seed)
 	extreme := 0
 	for round := 0; round < rounds; round++ {
+		if err := ctx.Err(); err != nil {
+			return 0, 0, err
+		}
 		r.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		if permutedUnfairness(e, perm, sizes) >= observed {
+		off := 0
+		for g, n := range sizes {
+			reps[g] = &rep{data: e.buildData(perm[off : off+n])}
+			off += n
+		}
+		if e.average(ctx, reps, e.cfg.Parallelism, false) >= observed {
 			extreme++
 		}
 	}
+	if err := ctx.Err(); err != nil {
+		return 0, 0, err
+	}
 	pValue = (float64(extreme) + 1) / (float64(rounds) + 1)
 	return pValue, observed, nil
-}
-
-// permutedUnfairness computes the average pairwise distance of a shuffled
-// worker order sliced into consecutive groups of the given sizes. Each
-// group is built and compared the way the observed partitions are (a PMF,
-// or a sorted sample in Exact mode), so the two sides of the test measure
-// the same quantity.
-func permutedUnfairness(e *Evaluator, perm, sizes []int) float64 {
-	if len(sizes) < 2 {
-		return 0
-	}
-	data := make([][]float64, len(sizes))
-	off := 0
-	for g, n := range sizes {
-		data[g] = e.buildData(perm[off : off+n])
-		off += n
-	}
-	sum, pairs := 0.0, 0
-	for i := 0; i < len(data); i++ {
-		for j := i + 1; j < len(data); j++ {
-			sum += e.distOf(data[i], data[j])
-			pairs++
-		}
-	}
-	return sum / float64(pairs)
 }

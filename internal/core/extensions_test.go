@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"fairrank/internal/dataset"
@@ -72,7 +73,7 @@ func TestSignificanceDetectsDesignedBias(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := Balanced(e, nil)
-	p, obs, err := Significance(e, res.Partitioning, 200, 5)
+	p, obs, err := Significance(context.Background(), e, res.Partitioning, 200, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestSignificanceNullNotSignificant(t *testing.T) {
 	e := mustEval(t, ds, Config{})
 	parts := partition.Split(ds, partition.Root(ds), 0)
 	pt := &partition.Partitioning{Parts: parts}
-	p, _, err := Significance(e, pt, 200, 7)
+	p, _, err := Significance(context.Background(), e, pt, 200, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestSignificanceExactModeNull(t *testing.T) {
 	}
 	pt := &partition.Partitioning{Parts: partition.Split(ds, partition.Root(ds), 0)}
 	for _, exact := range []bool{false, true} {
-		p, obs, err := Significance(mustEval(t, ds, Config{Exact: exact}), pt, 200, 7)
+		p, obs, err := Significance(context.Background(), mustEval(t, ds, Config{Exact: exact}), pt, 200, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,15 +132,15 @@ func TestSignificanceExactModeNull(t *testing.T) {
 func TestSignificanceValidation(t *testing.T) {
 	ds := randomDataset(t, 50, 95)
 	e := mustEval(t, ds, Config{})
-	if _, _, err := Significance(e, nil, 10, 1); err == nil {
+	if _, _, err := Significance(context.Background(), e, nil, 10, 1); err == nil {
 		t.Error("nil partitioning accepted")
 	}
 	bad := &partition.Partitioning{Parts: []*partition.Partition{{Indices: []int{0}}}}
-	if _, _, err := Significance(e, bad, 10, 1); err == nil {
+	if _, _, err := Significance(context.Background(), e, bad, 10, 1); err == nil {
 		t.Error("incomplete partitioning accepted")
 	}
 	good := &partition.Partitioning{Parts: partition.Split(ds, partition.Root(ds), 0)}
-	if _, _, err := Significance(e, good, 0, 1); err == nil {
+	if _, _, err := Significance(context.Background(), e, good, 0, 1); err == nil {
 		t.Error("zero rounds accepted")
 	}
 }

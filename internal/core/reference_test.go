@@ -9,14 +9,17 @@ import (
 	"fairrank/internal/rng"
 )
 
-// This file pins the incremental engine to straight-line reference
+// This file pins the search engine to straight-line reference
 // implementations that re-evaluate every partitioning from scratch — the
-// shape of the pre-engine code. The engine must return *bit-identical*
-// unfairness values and identical traces: its delta evaluation only changes
-// which distances are computed, never the values or the reduction order.
+// shape of the pre-engine code: worker rows, every payload rebuilt from a
+// histogram, every partitioning averaged through the engine's one average
+// (average.go). The engine must return *bit-identical* unfairness values
+// and identical traces: its row collapse, rep interning and scatter
+// splits only change how payloads are built, never their values.
 
 // refData builds a partition's comparison payload from scratch: the
-// histogram PMF in binned mode, the sorted score sample in Exact mode.
+// binned payload of its histogram's counts, the sorted score sample in
+// Exact mode.
 func refData(e *Evaluator, p *partition.Partition) []float64 {
 	if e.cfg.Exact {
 		s := make([]float64, len(p.Indices))
@@ -30,27 +33,17 @@ func refData(e *Evaluator, p *partition.Partition) []float64 {
 	for _, i := range p.Indices {
 		h.Add(e.Scores()[i])
 	}
-	return h.PMF()
+	return e.payload(h.Counts())
 }
 
-// refAvg is the from-scratch serial average pairwise distance: every
-// payload rebuilt, every distance recomputed, summed in (i, j) order.
+// refAvg is the from-scratch average pairwise distance: every payload
+// rebuilt and averaged serially through the engine's one average.
 func refAvg(e *Evaluator, parts []*partition.Partition) float64 {
-	k := len(parts)
-	if k < 2 {
-		return 0
-	}
-	data := make([][]float64, k)
+	reps := make([]*rep, len(parts))
 	for i, p := range parts {
-		data[i] = refData(e, p)
+		reps[i] = &rep{data: refData(e, p)}
 	}
-	sum := 0.0
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			sum += e.distOf(data[i], data[j])
-		}
-	}
-	return sum / float64(k*(k-1)/2)
+	return e.average(nil, reps, 1, false)
 }
 
 // splitAll splits every partition on attr, subject to MinPartitionSize:

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fairrank/internal/dataset"
-	"fairrank/internal/histogram"
 	"fairrank/internal/partition"
 )
 
@@ -18,10 +17,10 @@ import (
 // cell, score bin) pair, weighted by the number of workers it stands for.
 // Every split is on a protected attribute, so every search partition is a
 // union of whole cells, and its bin counts are sums of row weights. A
-// part's PMF is histogram.NormalizeCounts of integer bin counts, and
-// integer sums are exact in float64 whatever order or grouping produced
-// them — so every payload, distance, trace average and final unfairness
-// equals the worker-row scan's bit for bit, while a probe scatters at most
+// part's payload is computed from integer bin counts, and integer sums
+// are exact in float64 whatever order or grouping produced them — so
+// every payload, distance, trace average and final unfairness equals the
+// worker-row scan's bit for bit, while a probe scatters at most
 // cells×bins rows instead of N workers (the paper's population has 1800
 // occupied cells: 18 000 rows at 10 bins, whatever N is).
 //
@@ -166,8 +165,8 @@ func gatherRows(cells *dataset.Cells, bin []int32, bins int) *rowSpace {
 }
 
 // rowData builds the comparison payload of a search partition from its
-// rows: the weighted bin counts' PMF over collapsed rows, buildData's
-// payload over worker rows.
+// rows: the payload of the weighted bin counts over collapsed rows,
+// buildData's over worker rows.
 func (e *Evaluator) rowData(indices []int) []float64 {
 	rs := e.rows
 	if rs.weight == nil {
@@ -177,7 +176,7 @@ func (e *Evaluator) rowData(indices []int) []float64 {
 	for _, r := range indices {
 		counts[rs.bin[r]] += float64(rs.weight[r])
 	}
-	return histogram.NormalizeCounts(counts)
+	return e.payload(counts)
 }
 
 // size returns the number of workers in a search partition.

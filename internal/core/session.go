@@ -73,23 +73,20 @@ type RunStats struct {
 	// RepsInterned is how many new partition representations this run
 	// materialized.
 	RepsInterned int
-	// PairsComputed is how many pairwise distances this run actually
-	// computed (cache misses plus probe-local incremental evaluations).
+	// PairsComputed is how many pairwise distances the pair path (Exact
+	// mode; the KS, JS, χ² and Hellinger metrics) computed in this run.
+	// The exact average of binned EMD, L1 and TV computes no pair
+	// distance, so there it is 0.
 	PairsComputed int
-	// CacheHits is how many pairwise distances this run served from the
-	// shared pair cache instead of recomputing.
+	// CacheHits is how many pairwise distances the pair path served from
+	// the shared pair cache instead of recomputing; 0 where PairsComputed
+	// is.
 	CacheHits int
-	// PairsCopied is how many triangle entries the incremental delta
-	// paths copied from an existing state instead of recomputing or
-	// re-fetching.
+	// PairsCopied and PairsPruned are always 0. They counted the pairs a
+	// search copied from an earlier state and the pairs a pruning cascade
+	// skipped; no average copies or skips pairs any more. They stay so
+	// that code reading them still compiles.
 	PairsCopied int
-	// PairsPruned is how many pair slots the branch-and-bound cascade
-	// skipped outright — slots that were neither computed, copied, nor
-	// served from the cache. Always 0 in Exact mode and under non-EMD
-	// metrics, where the cascade does not run. For any fixed Spec,
-	// PairsComputed + CacheHits + PairsCopied + PairsPruned equals the
-	// unpruned scan's total: pruning moves slots between buckets, never
-	// changes the total (the conservation law the accounting tests pin).
 	PairsPruned int
 	// Rounds is the number of splitting decisions traced (len(Steps)).
 	Rounds int
@@ -173,9 +170,7 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	}
 	reps0, _, miss0 := e.CacheStats()
 	hits0 := int(e.pairs.hits.Load())
-	copied0 := e.copied.Load()
-	pruned0 := e.pruned.Load()
-	// The root "run" span parents every scan/probe/split/emd/reduce span
+	// The root "run" span parents every scan/probe/split/emd span
 	// the engine opens below; gauges are synced once per run, off the hot
 	// path. Both no-op when no tracer/registry is attached.
 	rctx, rsp := telemetry.StartSpan(ctx, "run")
@@ -192,8 +187,6 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		RepsInterned:  reps1 - reps0,
 		PairsComputed: miss1 - miss0,
 		CacheHits:     int(e.pairs.hits.Load()) - hits0,
-		PairsCopied:   int(e.copied.Load() - copied0),
-		PairsPruned:   int(e.pruned.Load() - pruned0),
 		Rounds:        len(res.Steps),
 	}
 	return res, nil

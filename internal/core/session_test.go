@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"fairrank/internal/dataset"
+	"fairrank/internal/emd"
 	"fairrank/internal/rng"
 )
 
@@ -131,26 +132,35 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunStats: a run reports the reps it interned and its rounds; the
+// pair path (here the KS metric) reports the distances it computed, and
+// the exact average of the default mode computes none.
 func TestRunStats(t *testing.T) {
 	ds := randomDataset(t, 300, 4)
-	res, err := Run(context.Background(), Spec{Evaluator: mustEval(t, ds, Config{})})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.RepsInterned <= 0 || res.Stats.PairsComputed <= 0 {
-		t.Errorf("run stats empty: %+v", res.Stats)
-	}
-	if res.Stats.Rounds != len(res.Steps) {
-		t.Errorf("Rounds = %d, len(Steps) = %d", res.Stats.Rounds, len(res.Steps))
+	for _, metric := range []emd.Metric{emd.MetricEMD, emd.MetricKS} {
+		res, err := Run(context.Background(), Spec{Evaluator: mustEval(t, ds, Config{Metric: metric})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.RepsInterned <= 0 || (res.Stats.PairsComputed > 0) != (metric == emd.MetricKS) {
+			t.Errorf("%v: run stats %+v", metric, res.Stats)
+		}
+		if res.Stats.Rounds != len(res.Steps) {
+			t.Errorf("%v: Rounds = %d, len(Steps) = %d", metric, res.Stats.Rounds, len(res.Steps))
+		}
+		if res.Stats.PairsCopied != 0 || res.Stats.PairsPruned != 0 {
+			t.Errorf("%v: copied or pruned pairs in %+v", metric, res.Stats)
+		}
 	}
 }
 
 // TestRunStatsAreDeltas reuses one evaluator across two identical runs:
 // the second is served from the shared caches, so its per-run deltas must
-// show cache hits instead of fresh pair computations.
+// show cache hits instead of fresh pair computations. The exhaustive
+// solver's pair path (here the KS metric) reads and fills the pair cache.
 func TestRunStatsAreDeltas(t *testing.T) {
 	ds := randomDataset(t, 120, 4)
-	e := mustEval(t, ds, Config{})
+	e := mustEval(t, ds, Config{Metric: emd.MetricKS})
 	spec := Spec{Algorithm: "exhaustive", Evaluator: e}
 	first, err := Run(context.Background(), spec)
 	if err != nil {

@@ -20,7 +20,8 @@ import (
 // hashing:
 //
 //   - Parallelism is excluded: results are bit-identical at every level
-//     (distances reduce in canonical pair order regardless).
+//     (the exact average has no order; pair distances reduce in canonical
+//     pair order regardless).
 //   - Metrics and Progress are excluded: observation does not change the
 //     audit.
 //   - Evaluator identity is excluded: an evaluator is hashed through its
@@ -52,7 +53,7 @@ import (
 func (s Spec) Hash() string {
 	h := sha256.New()
 	w := specWriter{w: h}
-	w.str("fairrank-spec-v2")
+	w.str("fairrank-spec-v3")
 
 	name := s.Algorithm
 	if name == "" {

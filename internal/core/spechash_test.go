@@ -163,9 +163,9 @@ func TestSpecHashStable(t *testing.T) {
 	}{
 		// Dataset nil keeps this pin independent of generator internals.
 		{"nil dataset", Spec{Algorithm: "balanced", Func: f, Seed: 1},
-			"c070c482627b43f3b19e76a62368d233989c38fef4b5fbcecd881900aa936583"},
+			"d242e4fe0a774727a7e8b4b1c6261baadc24dcaf51b40a7e645d54e77f08946c"},
 		{"3-worker dataset", Spec{Algorithm: "balanced", Dataset: pinnedDataset(t), Func: f, Seed: 1},
-			"28962a724f3156f0f0fc6aa6f1844120dce70a571a6dcd12719c778402b3dab3"},
+			"b1e2706ce75aa4760b10eec20fa764c3f17688617063b93f49f904ccc7549aca"},
 	} {
 		if got := c.spec.Hash(); got != c.want {
 			t.Errorf("%s: canonical hash drifted:\n  got  %s\n  want %s", c.name, got, c.want)

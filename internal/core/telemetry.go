@@ -24,11 +24,6 @@ const (
 	MetricEMDEvaluations  = "fairrank_engine_emd_evaluations_total"
 	MetricPairCacheHits   = "fairrank_engine_pair_cache_hits_total"
 	MetricPairCacheMisses = "fairrank_engine_pair_cache_misses_total"
-	MetricPairsCopied     = "fairrank_engine_pairs_copied_total"
-	MetricPairsPruned     = "fairrank_engine_pairs_pruned_total"
-	MetricBoundProbes     = "fairrank_engine_bound_probes_total"
-	MetricBoundExactified = "fairrank_engine_bound_exactified_total"
-	MetricBoundWidth      = "fairrank_engine_bound_width"
 	MetricProbes          = "fairrank_engine_probes_total"
 	MetricRuns            = "fairrank_engine_runs_total"
 	MetricReps            = "fairrank_engine_reps"
@@ -40,17 +35,12 @@ const (
 // engineMetrics holds the engine's telemetry handles. The zero value
 // (all nil) is the disabled state.
 type engineMetrics struct {
-	emdEvals        *telemetry.Counter // distances actually computed
-	cacheHits       *telemetry.Counter // pair-cache lookups served
-	cacheMisses     *telemetry.Counter // pair-cache lookups that computed
-	pairsCopied     *telemetry.Counter // triangle entries copied by delta paths
-	pairsPruned     *telemetry.Counter // pair slots skipped by the bound cascade
-	boundProbes     *telemetry.Counter // fixed-point bound kernel invocations
-	boundExactified *telemetry.Counter // bounded candidates that survived to exact evaluation
-	probes          *telemetry.Counter // candidate-attribute probes evaluated
-	runs            *telemetry.Counter // completed core.Run sessions
+	emdEvals    *telemetry.Counter // pair distances actually computed
+	cacheHits   *telemetry.Counter // pair-cache lookups served
+	cacheMisses *telemetry.Counter // pair-cache lookups that computed
+	probes      *telemetry.Counter // candidate-attribute probes evaluated
+	runs        *telemetry.Counter // completed core.Run sessions
 
-	boundWidth  *telemetry.Gauge   // width of the most recent bound interval
 	reps        *telemetry.Gauge   // distinct representations interned
 	pairEntries *telemetry.Gauge   // distances held in the shared cache
 	pairShards  []*telemetry.Gauge // per-shard pair-cache occupancy
@@ -86,18 +76,13 @@ func engineMetricsFor(reg *telemetry.Registry) engineMetrics {
 // methods are nil-safe, so no branching is needed here either.
 func newEngineMetrics(reg *telemetry.Registry) engineMetrics {
 	m := engineMetrics{
-		emdEvals:        reg.Counter(MetricEMDEvaluations),
-		cacheHits:       reg.Counter(MetricPairCacheHits),
-		cacheMisses:     reg.Counter(MetricPairCacheMisses),
-		pairsCopied:     reg.Counter(MetricPairsCopied),
-		pairsPruned:     reg.Counter(MetricPairsPruned),
-		boundProbes:     reg.Counter(MetricBoundProbes),
-		boundExactified: reg.Counter(MetricBoundExactified),
-		probes:          reg.Counter(MetricProbes),
-		runs:            reg.Counter(MetricRuns),
-		boundWidth:      reg.Gauge(MetricBoundWidth),
-		reps:            reg.Gauge(MetricReps),
-		pairEntries:     reg.Gauge(MetricPairEntries),
+		emdEvals:    reg.Counter(MetricEMDEvaluations),
+		cacheHits:   reg.Counter(MetricPairCacheHits),
+		cacheMisses: reg.Counter(MetricPairCacheMisses),
+		probes:      reg.Counter(MetricProbes),
+		runs:        reg.Counter(MetricRuns),
+		reps:        reg.Gauge(MetricReps),
+		pairEntries: reg.Gauge(MetricPairEntries),
 	}
 	if reg != nil {
 		m.pairShards = make([]*telemetry.Gauge, cacheShards)

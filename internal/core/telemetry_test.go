@@ -5,14 +5,14 @@ import (
 	"encoding/json"
 	"testing"
 
+	"fairrank/internal/emd"
 	"fairrank/internal/telemetry"
 )
 
 // TestRunSpanTreeCoversPhases pins the tentpole tracing contract: a
 // core.Run under a tracer-enabled context yields a span tree whose root
 // is "run" and whose descendants cover every engine phase — attribute
-// scan, per-attribute probe, scatter split, EMD evaluation, and the
-// canonical-order reduce.
+// scan, per-attribute probe, scatter split and the average (emd).
 func TestRunSpanTreeCoversPhases(t *testing.T) {
 	ds := randomDataset(t, 400, 11)
 	ctx, tr := telemetry.WithTracer(context.Background(), "audit")
@@ -29,7 +29,7 @@ func TestRunSpanTreeCoversPhases(t *testing.T) {
 	}
 	seen := map[string]int{}
 	tree.Walk(func(st *telemetry.SpanTree) { seen[st.Name]++ })
-	for _, phase := range []string{"run", "scan", "probe", "split", "emd", "reduce"} {
+	for _, phase := range []string{"run", "scan", "probe", "split", "emd"} {
 		if seen[phase] == 0 {
 			t.Errorf("span tree missing phase %q (saw %v)", phase, seen)
 		}
@@ -73,54 +73,50 @@ func TestRunSpanTreeWithoutTracer(t *testing.T) {
 // TestRunTelemetryCounters pins the counter contract against RunStats:
 // on a fresh evaluator the EMD-evaluation counter equals the run's
 // PairsComputed (every pairCache.misses site mirrors into telemetry),
-// cache-miss and EMD counters agree, and probes/runs are recorded.
+// cache-miss and EMD counters agree, and probes/runs are recorded. The
+// exact average of the default mode computes no pair distance; the KS
+// metric's pair path does.
 func TestRunTelemetryCounters(t *testing.T) {
 	ds := randomDataset(t, 400, 13)
-	reg := telemetry.NewRegistry()
-	res, err := Run(context.Background(), Spec{
-		Dataset: ds, Func: scoreFunc, Config: Config{Metrics: reg},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-	if got := snap.Counters[MetricEMDEvaluations]; got != int64(res.Stats.PairsComputed) {
-		t.Errorf("%s = %d, want PairsComputed = %d", MetricEMDEvaluations, got, res.Stats.PairsComputed)
-	}
-	if snap.Counters[MetricEMDEvaluations] != snap.Counters[MetricPairCacheMisses] {
-		t.Errorf("emd evals %d != cache misses %d",
-			snap.Counters[MetricEMDEvaluations], snap.Counters[MetricPairCacheMisses])
-	}
-	if got := snap.Counters[MetricPairCacheHits]; got != int64(res.Stats.CacheHits) {
-		t.Errorf("%s = %d, want CacheHits = %d", MetricPairCacheHits, got, res.Stats.CacheHits)
-	}
-	if snap.Counters[MetricProbes] == 0 {
-		t.Error("probe counter stayed zero across a balanced run")
-	}
-	if got := snap.Counters[MetricRuns]; got != 1 {
-		t.Errorf("%s = %d, want 1", MetricRuns, got)
-	}
-
-	// The unbalanced recursion replaces one part against its siblings and
-	// copies every untouched pair — the delta path the copied counter
-	// observes.
-	if _, err := Run(context.Background(), Spec{
-		Algorithm: "unbalanced", Dataset: ds, Func: scoreFunc, Config: Config{Metrics: reg},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if reg.Snapshot().Counters[MetricPairsCopied] == 0 {
-		t.Error("pairs-copied counter stayed zero: delta paths not instrumented")
+	for _, metric := range []emd.Metric{emd.MetricEMD, emd.MetricKS} {
+		reg := telemetry.NewRegistry()
+		res, err := Run(context.Background(), Spec{
+			Dataset: ds, Func: scoreFunc, Config: Config{Metric: metric, Metrics: reg},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := reg.Snapshot()
+		if got := snap.Counters[MetricEMDEvaluations]; got != int64(res.Stats.PairsComputed) {
+			t.Errorf("%v: %s = %d, want PairsComputed = %d", metric, MetricEMDEvaluations, got, res.Stats.PairsComputed)
+		}
+		if (res.Stats.PairsComputed == 0) != (metric == emd.MetricEMD) {
+			t.Errorf("%v: PairsComputed = %d", metric, res.Stats.PairsComputed)
+		}
+		if snap.Counters[MetricEMDEvaluations] != snap.Counters[MetricPairCacheMisses] {
+			t.Errorf("%v: emd evals %d != cache misses %d", metric,
+				snap.Counters[MetricEMDEvaluations], snap.Counters[MetricPairCacheMisses])
+		}
+		if got := snap.Counters[MetricPairCacheHits]; got != int64(res.Stats.CacheHits) {
+			t.Errorf("%v: %s = %d, want CacheHits = %d", metric, MetricPairCacheHits, got, res.Stats.CacheHits)
+		}
+		if snap.Counters[MetricProbes] == 0 {
+			t.Errorf("%v: probe counter stayed zero across a balanced run", metric)
+		}
+		if got := snap.Counters[MetricRuns]; got != 1 {
+			t.Errorf("%v: %s = %d, want 1", metric, MetricRuns, got)
+		}
 	}
 }
 
 // TestRunSharedRegistryAccumulates pins the shared-registry semantics the
 // server relies on: two evaluators configured with the same registry
-// accumulate into the same counters instead of clobbering each other.
+// accumulate into the same counters instead of clobbering each other. The
+// KS metric's pair path counts its distances.
 func TestRunSharedRegistryAccumulates(t *testing.T) {
 	ds := randomDataset(t, 300, 14)
 	reg := telemetry.NewRegistry()
-	spec := Spec{Dataset: ds, Func: scoreFunc, Config: Config{Metrics: reg}}
+	spec := Spec{Dataset: ds, Func: scoreFunc, Config: Config{Metric: emd.MetricKS, Metrics: reg}}
 	if _, err := Run(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +209,7 @@ func TestPreregisterMetrics(t *testing.T) {
 	snap := reg.Snapshot()
 	for _, name := range []string{
 		MetricEMDEvaluations, MetricPairCacheHits, MetricPairCacheMisses,
-		MetricPairsCopied, MetricProbes, MetricRuns,
+		MetricProbes, MetricRuns,
 	} {
 		if v, ok := snap.Counters[name]; !ok || v != 0 {
 			t.Errorf("preregistered counter %s = %d, %v; want 0, true", name, v, ok)

@@ -1,9 +1,9 @@
 // Package emd implements the Earth Mover's Distance used by the paper to
 // quantify unfairness between per-partition score distributions, together
-// with its bin-free limit between score samples (exact.go), the fixed-point
-// kernels that bound it for the engine's pruning cascade (fixed.go), and a
-// family of alternative histogram distances the paper lists as future-work
-// metrics (metrics.go).
+// with its bin-free limit between score samples (exact.go) and a family of
+// alternative histogram distances the paper lists as future-work metrics
+// (metrics.go). The average over a partitioning's pairs (Definition 2) is
+// the audit engine's (internal/core).
 //
 // All distances operate on normalized histograms (probability mass
 // functions). For one-dimensional histograms with equally spaced bins the
@@ -83,30 +83,4 @@ func PMFDistance(p, q []float64, unit float64) float64 {
 	// The conversion rounds the product, so no caller that inlines this
 	// function fuses it with an add into one multiply-add.
 	return float64(total * unit)
-}
-
-// AveragePairwise computes the average EMD over all unordered pairs of the
-// given histograms; this is unfairness(P, f) of Definition 2 in the paper.
-// With fewer than two histograms the average is 0.
-func AveragePairwise(hs []*histogram.Histogram, g Ground) (float64, error) {
-	if len(hs) < 2 {
-		return 0, nil
-	}
-	sum := 0.0
-	pairs := 0
-	pmfs := make([][]float64, len(hs))
-	for i, h := range hs {
-		if h == nil || !hs[0].Compatible(h) {
-			return 0, ErrIncompatible
-		}
-		pmfs[i] = h.PMF()
-	}
-	unit := unitDistance(hs[0], g)
-	for i := 0; i < len(hs); i++ {
-		for j := i + 1; j < len(hs); j++ {
-			sum += PMFDistance(pmfs[i], pmfs[j], unit)
-			pairs++
-		}
-	}
-	return sum / float64(pairs), nil
 }

@@ -136,34 +136,3 @@ func TestEMDMetricAxiomsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestAveragePairwise(t *testing.T) {
-	a := hist(10, 0.05) // bin 0
-	b := hist(10, 0.95) // bin 9
-	c := hist(10, 0.55) // bin 5
-	got, err := AveragePairwise([]*histogram.Histogram{a, b, c}, GroundScore)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := (0.9 + 0.5 + 0.4) / 3
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("avg pairwise = %v, want %v", got, want)
-	}
-}
-
-func TestAveragePairwiseDegenerate(t *testing.T) {
-	if d, err := AveragePairwise(nil, GroundScore); err != nil || d != 0 {
-		t.Fatalf("nil: %v, %v", d, err)
-	}
-	one := []*histogram.Histogram{hist(10, 0.5)}
-	if d, err := AveragePairwise(one, GroundScore); err != nil || d != 0 {
-		t.Fatalf("single: %v, %v", d, err)
-	}
-}
-
-func TestAveragePairwiseIncompatible(t *testing.T) {
-	hs := []*histogram.Histogram{hist(10, 0.5), histogram.MustNew(5, 0, 1)}
-	if _, err := AveragePairwise(hs, GroundScore); err != ErrIncompatible {
-		t.Fatalf("err = %v, want ErrIncompatible", err)
-	}
-}

@@ -97,78 +97,3 @@ func FuzzExactEMD(f *testing.F) {
 		}
 	})
 }
-
-// FuzzFixedQuant checks the fixed-point quantized kernel's contract on
-// fuzzer-shaped inputs: FixedCDF never panics and rejects non-finite
-// values; quantize→dequantize round-trips within the documented epsilon;
-// and on normalized pairs the quantized distance and the average interval
-// both bracket the exact closed form. Layout: data[0] selects the bin
-// count, the rest decodes through SpecialFloats so NaN/±Inf and
-// zero-mass rows occur.
-func FuzzFixedQuant(f *testing.F) {
-	f.Add([]byte{8, 10, 20, 30, 40, 50, 60, 70, 80, 80, 70, 60, 50, 40, 30, 20, 10})
-	f.Add([]byte{3, 255, 100, 100})          // NaN must be rejected
-	f.Add([]byte{2, 0, 0, 0, 0})             // zero-mass rows
-	f.Add([]byte{1, 250, 250})               // two point masses
-	f.Add([]byte{4, 254, 253, 252, 251, 10}) // ±Inf and negatives
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 2 {
-			return
-		}
-		bins := int(data[0])%32 + 1
-		vals := testkit.SpecialFloats(data[1:])
-		if len(vals) < bins {
-			return
-		}
-		raw := vals[:bins]
-		finite := true
-		for _, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				finite = false
-				break
-			}
-		}
-		q, ok := FixedCDF(raw, FixedScale)
-		if ok != finite {
-			t.Fatalf("FixedCDF ok=%v for finite=%v (%v)", ok, finite, raw)
-		}
-		if !ok {
-			return
-		}
-		deq := DequantizeCDF(q, FixedScale)
-		cum := 0.0
-		for i, v := range raw {
-			cum += v
-			if eps := 0.5/float64(FixedScale) + 1e-12*(1+math.Abs(cum)); math.Abs(deq[i]-cum) > eps {
-				t.Fatalf("round-trip bin %d: %v vs %v exceeds ε=%v", i, deq[i], cum, eps)
-			}
-		}
-		p := normalizePMF(raw)
-		var other []float64
-		if len(vals) >= 2*bins {
-			second := vals[bins : 2*bins]
-			for _, v := range second {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					return
-				}
-			}
-			other = normalizePMF(second)
-		}
-		if p == nil || other == nil {
-			return
-		}
-		qp, _ := FixedCDF(p, FixedScale)
-		qq, ok := FixedCDF(other, FixedScale)
-		if !ok {
-			t.Fatalf("FixedCDF rejected a normalized PMF %v", other)
-		}
-		exact := PMFDistance(p, other, 0.125)
-		if got, eps := FixedDistance(qp, qq, 0.125, FixedScale), FixedEpsilon(bins, 0.125, FixedScale); math.Abs(got-exact) > eps {
-			t.Fatalf("FixedDistance %v vs exact %v exceeds ε=%v", got, exact, eps)
-		}
-		lo, hi, _ := FixedAvgInterval([][]int64{qp, qq}, 0.125, FixedScale, nil)
-		if lo > exact || exact > hi {
-			t.Fatalf("exact %v outside fixed interval [%v, %v]", exact, lo, hi)
-		}
-	})
-}

@@ -210,37 +210,6 @@ func (h *Histogram) CDF() []float64 {
 	return pmf
 }
 
-// FixedCDF returns the cumulative normalized masses quantized onto an
-// integer grid of the given scale: out[i] = round(scale·CDF()[i]). This is
-// the histogram-side entry point for the fixed-point EMD bound kernels in
-// internal/emd; quantizing once at construction time keeps the kernels'
-// inner loops pure integer arithmetic. scale must be ≥ 1.
-func (h *Histogram) FixedCDF(scale int64) []int64 {
-	if scale < 1 {
-		panic(ErrBadScale)
-	}
-	out := make([]int64, len(h.counts))
-	if h.total == 0 {
-		// Mirror PMF's uniform-on-empty convention.
-		u := 1 / float64(len(h.counts))
-		cum := 0.0
-		for i := range out {
-			cum += u
-			out[i] = int64(math.RoundToEven(cum * float64(scale)))
-		}
-		return out
-	}
-	cum := 0.0
-	for i, c := range h.counts {
-		cum += c / h.total
-		out[i] = int64(math.RoundToEven(cum * float64(scale)))
-	}
-	return out
-}
-
-// ErrBadScale is the panic value of FixedCDF for scales < 1.
-var ErrBadScale = errors.New("histogram: fixed-point scale must be >= 1")
-
 // Mean returns the mass-weighted mean of bin centers, or NaN when empty.
 func (h *Histogram) Mean() float64 {
 	if h.total == 0 {

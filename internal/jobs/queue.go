@@ -495,15 +495,17 @@ func (q *Queue) next() *Job {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {
+		// Once closed, the jobs still heaped stay queued in the store for
+		// the next process: none is popped.
+		if q.closed {
+			return nil
+		}
 		for q.ready.Len() > 0 {
 			j := heap.Pop(&q.ready).(*Job)
 			// Canceled-while-heaped jobs are skipped here (lazy removal).
 			if j.State == StateQueued {
 				return j
 			}
-		}
-		if q.closed {
-			return nil
 		}
 		q.cond.Wait()
 	}

@@ -3,6 +3,7 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -149,6 +150,63 @@ func TestRecoverQueuedAtCrash(t *testing.T) {
 		t.Fatalf("post-recovery ID = %s, want job-000003", c.ID)
 	}
 	waitState(t, q2, c.ID, StateDone)
+}
+
+// TestShutdownLeavesQueuedJobsQueued: a drain finishes the running job
+// and runs nothing else. With one worker busy on a and b and c queued
+// behind it, Shutdown then a's release leave one run, and a queue
+// reopened on the same store recovers b and c as queued.
+func TestShutdownLeavesQueuedJobsQueued(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.db")
+	db := openStore(t, path)
+	release := make(chan struct{})
+	exec := func(ctx context.Context, j Job, progress func(core.TraceStep)) ([]byte, error) {
+		if j.Spec.Algorithm == "a" {
+			<-release
+		}
+		return deterministicExec(ctx, j, progress)
+	}
+	q1, err := New(db, exec, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _, _ := q1.Submit(testSpec("a"), "ha")
+	waitState(t, q1, a.ID, StateRunning)
+	b, _, _ := q1.Submit(testSpec("b"), "hb")
+	c, _, _ := q1.Submit(testSpec("c"), "hc")
+	done := make(chan error, 1)
+	go func() { done <- q1.Shutdown(context.Background()) }()
+	// a's spec coalesces onto a until admission closes.
+	for {
+		if _, _, err := q1.Submit(testSpec("a"), "ha"); errors.Is(err, ErrShuttingDown) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := q1.Runs(); got != 1 {
+		t.Fatalf("Runs() = %d after the drain, want 1", got)
+	}
+	waitState(t, q1, a.ID, StateDone)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2 := openStore(t, path)
+	defer db2.Close()
+	q2, err := New(db2, deterministicExec, Options{Workers: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q2.Kill()
+	for _, id := range []string{b.ID, c.ID} {
+		if got, ok := q2.Get(id); !ok || got.State != StateQueued || !got.Recovered {
+			t.Fatalf("job %s after reopening = %+v", id, got)
+		}
+	}
 }
 
 // TestRecoverTerminalHistory pins that finished jobs reload as history:

@@ -2,6 +2,7 @@ package repair_test
 
 import (
 	"fmt"
+	"slices"
 
 	"fairrank/internal/partition"
 	"fairrank/internal/repair"
@@ -16,13 +17,16 @@ func ExampleScores() {
 		{Indices: []int{0, 1, 2}},
 		{Indices: []int{3, 4, 5}},
 	}}
-	before, _ := repair.Unfairness(scores, pt, 10)
 	repaired, _ := repair.Scores(scores, pt, 1)
-	after, _ := repair.Unfairness(repaired, pt, 10)
-	fmt.Printf("before %.2f after %.2f\n", before, after)
+	// Both groups now hold the same three scores.
+	a, b := slices.Clone(repaired[:3]), slices.Clone(repaired[3:])
+	slices.Sort(a)
+	slices.Sort(b)
+	fmt.Printf("A %.3f\nB %.3f\n", a, b)
 	// Within group A, worker 2 (0.95) still outranks worker 0 (0.9).
 	fmt.Println(repaired[2] > repaired[0])
 	// Output:
-	// before 0.77 after 0.00
+	// A [0.092 0.500 0.908]
+	// B [0.092 0.500 0.908]
 	// true
 }

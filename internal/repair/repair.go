@@ -17,8 +17,6 @@ import (
 	"math"
 	"sort"
 
-	"fairrank/internal/emd"
-	"fairrank/internal/histogram"
 	"fairrank/internal/partition"
 )
 
@@ -90,28 +88,4 @@ func quantile(sorted []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac) // rounded, as pos
-}
-
-// Unfairness measures the average pairwise EMD between the partitions'
-// score histograms for an arbitrary score column — used to compare
-// before/after repair without rebuilding a scoring function.
-func Unfairness(scores []float64, pt *partition.Partitioning, bins int) (float64, error) {
-	if pt == nil || len(pt.Parts) == 0 {
-		return 0, errors.New("repair: empty partitioning")
-	}
-	if bins <= 0 {
-		bins = 10
-	}
-	hs := make([]*histogram.Histogram, len(pt.Parts))
-	for k, p := range pt.Parts {
-		h := histogram.MustNew(bins, 0, 1)
-		for _, i := range p.Indices {
-			if i < 0 || i >= len(scores) {
-				return 0, fmt.Errorf("repair: partition index %d out of range", i)
-			}
-			h.Add(scores[i])
-		}
-		hs[k] = h
-	}
-	return emd.AveragePairwise(hs, emd.GroundScore)
 }

@@ -6,11 +6,11 @@ import (
 	"testing"
 	"testing/quick"
 
-	"fairrank/internal/core"
 	"fairrank/internal/partition"
 	"fairrank/internal/rng"
 	"fairrank/internal/scoring"
 	"fairrank/internal/simulate"
+	"fairrank/internal/testkit"
 )
 
 // biasedSetup builds a gender-biased scored population and the gender
@@ -32,6 +32,12 @@ func biasedSetup(t *testing.T, n int, seed uint64) ([]float64, *partition.Partit
 	gender := ds.Schema().ProtectedIndex("Gender")
 	parts := partition.Split(ds, partition.Root(ds), gender)
 	return scores, &partition.Partitioning{Parts: parts}
+}
+
+// unfairness measures a score column's unfairness over pt with testkit's
+// literal pair-sum oracle: score-unit EMD over bins histogram bins.
+func unfairness(scores []float64, pt *partition.Partitioning, bins int) float64 {
+	return testkit.Oracle{}.Unfairness(scores, testkit.IndexParts(pt), bins)
 }
 
 func TestValidation(t *testing.T) {
@@ -92,18 +98,12 @@ func TestInputNotMutated(t *testing.T) {
 
 func TestFullRepairRemovesGenderGap(t *testing.T) {
 	scores, pt := biasedSetup(t, 500, 4)
-	before, err := Unfairness(scores, pt, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := unfairness(scores, pt, 10)
 	repaired, err := Scores(scores, pt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := Unfairness(repaired, pt, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	after := unfairness(repaired, pt, 10)
 	if before < 0.7 {
 		t.Fatalf("before = %v; bias setup broken", before)
 	}
@@ -120,10 +120,7 @@ func TestPartialRepairMonotone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		u, err := Unfairness(repaired, pt, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
+		u := unfairness(repaired, pt, 10)
 		if u > prev+0.02 { // allow tiny binning noise
 			t.Fatalf("unfairness increased at amount=%v: %v -> %v", amount, prev, u)
 		}
@@ -221,43 +218,4 @@ func seq(lo, hi int) []int {
 		out = append(out, i)
 	}
 	return out
-}
-
-func TestUnfairnessHelperMatchesEvaluator(t *testing.T) {
-	// repair.Unfairness on the identity score column must match
-	// core.Evaluator's measurement of the same partitioning.
-	ds, err := simulate.PaperWorkers(200, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	funcs, _ := simulate.RandomFunctions()
-	e, err := core.NewEvaluator(ds, funcs[0], core.Config{Bins: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gender := ds.Schema().ProtectedIndex("Gender")
-	pt := &partition.Partitioning{Parts: partition.Split(ds, partition.Root(ds), gender)}
-	want := e.Unfairness(pt)
-	got, err := Unfairness(e.Scores(), pt, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("repair.Unfairness %v != evaluator %v", got, want)
-	}
-}
-
-func TestUnfairnessValidation(t *testing.T) {
-	if _, err := Unfairness([]float64{1}, nil, 10); err == nil {
-		t.Error("nil partitioning accepted")
-	}
-	oob := &partition.Partitioning{Parts: []*partition.Partition{{Indices: []int{5}}}}
-	if _, err := Unfairness([]float64{0.5}, oob, 10); err == nil {
-		t.Error("out-of-range index accepted")
-	}
-	// bins <= 0 falls back to 10 rather than erroring.
-	pt := &partition.Partitioning{Parts: []*partition.Partition{{Indices: []int{0}}}}
-	if _, err := Unfairness([]float64{0.5}, pt, 0); err != nil {
-		t.Errorf("bins=0 fallback failed: %v", err)
-	}
 }

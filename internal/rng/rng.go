@@ -8,8 +8,6 @@
 // meant for simulation workloads only.
 package rng
 
-import "math"
-
 // RNG is a deterministic xoshiro256++ pseudo-random number generator.
 // The zero value is not valid; use New.
 type RNG struct {
@@ -107,23 +105,6 @@ func (r *RNG) FloatRange(lo, hi float64) float64 {
 		panic("rng: FloatRange with hi < lo")
 	}
 	return lo + float64(r.Float64()*(hi-lo)) // rounded: no multiply-add fuses
-}
-
-// NormFloat64 returns a normally distributed float64 with mean 0 and
-// standard deviation 1, using the polar (Marsaglia) method. Its products
-// are rounded before they are summed, but it is built on math.Log, whose
-// last bit may differ between architectures, and so may the result's.
-func (r *RNG) NormFloat64() float64 {
-	for {
-		// Each product is rounded before its add: no multiply-add fuses.
-		u := float64(2*r.Float64()) - 1
-		v := float64(2*r.Float64()) - 1
-		s := float64(u*u) + float64(v*v)
-		if s >= 1 || s == 0 {
-			continue
-		}
-		return u * math.Sqrt(-2*math.Log(s)/s)
-	}
 }
 
 // Perm returns a random permutation of [0, n) as a slice.

@@ -197,7 +197,7 @@ func (s *Server) execJob(ctx context.Context, j jobs.Job, progress func(core.Tra
 	}
 	var pValue *float64
 	if n := j.Spec.SignificanceRounds; n > 0 {
-		p, _, err := core.Significance(e, res.Partitioning, n, j.Spec.Seed)
+		p, _, err := core.Significance(ctx, e, res.Partitioning, n, j.Spec.Seed)
 		if err != nil {
 			return nil, err
 		}

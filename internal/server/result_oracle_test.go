@@ -84,7 +84,7 @@ func (s *Server) oracleExec(ctx context.Context, j jobs.Job) ([]byte, error) {
 	}
 	var pValue *float64
 	if n := j.Spec.SignificanceRounds; n > 0 {
-		p, _, err := core.Significance(e, res.Partitioning, n, j.Spec.Seed)
+		p, _, err := core.Significance(context.Background(), e, res.Partitioning, n, j.Spec.Seed)
 		if err != nil {
 			return nil, err
 		}

@@ -854,25 +854,20 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 		}
 		pt = res.Partitioning
 	}
-	bins := e.Config().Bins
-	before, err := repair.Unfairness(e.Scores(), pt, bins)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
 	repaired, err := repair.Scores(e.Scores(), pt, req.Amount)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	after, err := repair.Unfairness(repaired, pt, bins)
+	column := scoring.ScoreFunc{FuncName: "repaired", Fn: func(_ *dataset.Dataset, i int) float64 { return repaired[i] }}
+	after, err := core.NewEvaluator(ds, column, e.Config())
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, repairResponse{
-		UnfairnessBefore: before,
-		UnfairnessAfter:  after,
+		UnfairnessBefore: e.Unfairness(pt),
+		UnfairnessAfter:  after.Unfairness(pt),
 		Groups:           pt.Size(),
 		Amount:           req.Amount,
 	})

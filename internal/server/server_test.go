@@ -763,6 +763,37 @@ func TestJobCancelRunning(t *testing.T) {
 	}
 }
 
+// TestJobCancelSignificance cancels a job during its permutation test: a
+// balanced audit with the largest round count on the paper's population,
+// whose search ends within milliseconds and whose rounds then run for
+// tens of seconds. The job must end canceled within 1 s of its DELETE.
+func TestJobCancelSignificance(t *testing.T) {
+	s, ts, _ := newTestServer(t)
+	uploadDataset(t, ts, "paper", simulate.LargePopulation)
+	j := submitJob(t, ts.URL, map[string]any{
+		"dataset":             "paper",
+		"algorithm":           "balanced",
+		"significance_rounds": jobs.MaxSignificanceRounds,
+		"weights":             map[string]float64{"LanguageTest": 0.6, "ApprovalRate": 0.4},
+	}, http.StatusAccepted)
+	waitJobHTTP(t, ts.URL, j.ID, jobs.StateRunning)
+	time.Sleep(500 * time.Millisecond) // well into the rounds
+	if code := doDelete(t, ts.URL+"/v1/jobs/"+j.ID); code != http.StatusOK {
+		t.Fatalf("cancel running job = %d", code)
+	}
+	deadline := time.Now().Add(time.Second)
+	for {
+		got, _ := s.Jobs().Get(j.ID)
+		if got.State == jobs.StateCanceled {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job still %s 1s after DELETE", got.State)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestJSONBodiesBoundedAndStrict sends every JSON POST route a body over
 // its bound (413), one with an unknown field (400) and one with a
 // trailing brace (400), then the valid body, which neither check may

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"fairrank/internal/core"
-	"fairrank/internal/simulate"
 	"fairrank/internal/store"
 	"fairrank/internal/telemetry"
 )
@@ -57,7 +56,8 @@ func metricValue(body, series string) (float64, bool) {
 // TestMetricsEndpoint pins the scrape surface end to end: engine series
 // are preregistered at boot, per-route counters and histograms appear
 // after traffic, and an audit populates the engine counters through the
-// server's shared registry.
+// server's shared registry. A served audit is binned EMD, whose exact
+// average computes no pair distance, so it counts probes and runs.
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts, _ := newTestServer(t)
 
@@ -78,8 +78,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	})
 
 	body = scrape(t, ts)
-	if v, ok := metricValue(body, core.MetricEMDEvaluations); !ok || v <= 0 {
-		t.Errorf("%s = %v, %v; want > 0 after an audit", core.MetricEMDEvaluations, v, ok)
+	if v, ok := metricValue(body, core.MetricProbes); !ok || v <= 0 {
+		t.Errorf("%s = %v, %v; want > 0 after an audit", core.MetricProbes, v, ok)
+	}
+	if v, ok := metricValue(body, core.MetricEMDEvaluations); !ok || v != 0 {
+		t.Errorf("%s = %v, %v; want 0 after a binned EMD audit", core.MetricEMDEvaluations, v, ok)
 	}
 	if v, ok := metricValue(body, core.MetricPairCacheHits); !ok {
 		t.Errorf("%s missing after an audit (= %v)", core.MetricPairCacheHits, v)
@@ -93,24 +96,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if !strings.Contains(body, "# TYPE "+MetricHTTPRequestSeconds+" histogram") {
 		t.Errorf("missing histogram TYPE line for %s", MetricHTTPRequestSeconds)
-	}
-}
-
-// TestServedAuditsPrune: an audit served as a job runs the engine's
-// branch-and-bound cascade — served audits are binned EMD, the mode the
-// cascade covers, with no option to leave it off — so a balanced job over
-// the paper population leaves pruned pair slots on /metrics.
-func TestServedAuditsPrune(t *testing.T) {
-	_, ts, _ := newTestServer(t)
-	uploadDataset(t, ts, "paper", simulate.LargePopulation)
-	runJob(t, ts.URL, map[string]any{
-		"dataset":   "paper",
-		"algorithm": "balanced",
-		"weights":   map[string]float64{"LanguageTest": 0.6, "ApprovalRate": 0.4},
-	})
-	body := scrape(t, ts)
-	if v, ok := metricValue(body, core.MetricPairsPruned); !ok || v <= 0 {
-		t.Fatalf("%s = %v, %v; want > 0 after a served balanced audit", core.MetricPairsPruned, v, ok)
 	}
 }
 

@@ -73,7 +73,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := auditor.ScoreUnfairness(repaired, res.Partitioning)
+	after, err := auditor.ScoreUnfairness(pool, repaired, res.Partitioning)
 	if err != nil {
 		t.Fatal(err)
 	}
