@@ -15,7 +15,6 @@ import (
 	"fairrank"
 
 	"fairrank/internal/core"
-	"fairrank/internal/dataset"
 	"fairrank/internal/emd"
 	"fairrank/internal/partition"
 	"fairrank/internal/rng"
@@ -266,44 +265,6 @@ func BenchmarkBeamWidth(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCache measures the histogram caching win (DESIGN.md
-// §2.4): a cold evaluator rebuilds every part's histogram per call, a warm
-// one serves AvgPairwise's reps from its cache.
-func BenchmarkAblationCache(b *testing.B) {
-	ds := benchWorkers(b, 500)
-	f, _ := fairrank.NewLinearFunc("f1", map[string]float64{
-		"LanguageTest": 0.5, "ApprovalRate": 0.5,
-	})
-	fullSplit := func(e *core.Evaluator) []*partition.Partition {
-		parts := []*partition.Partition{partition.Root(ds)}
-		for a := range ds.Schema().Protected {
-			parts = partition.SplitAll(ds, parts, a)
-		}
-		return parts
-	}
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			e, err := core.NewEvaluator(ds, f, core.Config{Bins: 10, Parallelism: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			e.AvgPairwise(fullSplit(e))
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		e, err := core.NewEvaluator(ds, f, core.Config{Bins: 10, Parallelism: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		parts := fullSplit(e)
-		e.AvgPairwise(parts) // prime
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.AvgPairwise(parts)
-		}
-	})
-}
-
 // BenchmarkScalingWorkers traces the runtime-vs-population curve behind the
 // paper's efficiency discussion ("the larger the dataset, the more time it
 // took for all algorithms to finish"): balanced on f1 at increasing worker
@@ -324,85 +285,6 @@ func BenchmarkScalingWorkers(b *testing.B) {
 					b.Fatal(err)
 				}
 				runSpec(b, core.Spec{Evaluator: e})
-			}
-		})
-	}
-}
-
-// BenchmarkIncrementalDelta measures what a primed evaluator saves when a
-// k-part partitioning is refined by splitting exactly one part in two
-// (Δ = 2 changed parts): from scratch every part's histogram is rebuilt,
-// while a primed evaluator rebuilds only the two changed parts' and then
-// averages. The default mode's exact average takes O(bins·k log k)
-// either way (DESIGN.md §9); on the pair path a primed evaluator also
-// serves every unchanged pair from its pair cache.
-func BenchmarkIncrementalDelta(b *testing.B) {
-	for _, k := range []int{16, 64, 256} {
-		n := 2000
-		if 8*k > n {
-			n = 8 * k
-		}
-		schema := &dataset.Schema{
-			Protected: []dataset.Attribute{
-				dataset.Num("Cell", 0, 1, k),
-				dataset.Cat("Flag", "No", "Yes"),
-			},
-			Observed: []dataset.Attribute{dataset.Num("Score", 0, 1, 1)},
-		}
-		r := rng.New(7)
-		bld := dataset.NewBuilder(schema)
-		for i := 0; i < n; i++ {
-			cell := i % k
-			flag := "No"
-			if cell == 0 && r.Float64() < 0.5 {
-				flag = "Yes"
-			}
-			bld.Add("w", map[string]any{
-				"Cell": (float64(cell) + 0.5) / float64(k),
-				"Flag": flag,
-			}, map[string]any{"Score": r.Float64()})
-		}
-		ds, err := bld.Build()
-		if err != nil {
-			b.Fatal(err)
-		}
-		f := scoring.ScoreFunc{FuncName: "s", Fn: func(ds *dataset.Dataset, i int) float64 {
-			return ds.Observed(0, i)
-		}}
-		parent := partition.Split(ds, partition.Root(ds), 0)
-		if len(parent) != k {
-			b.Fatalf("parent has %d parts, want %d", len(parent), k)
-		}
-		split0 := partition.Split(ds, parent[0], 1)
-		if len(split0) != 2 {
-			b.Fatalf("refined part has %d children, want 2", len(split0))
-		}
-		child := append(append([]*partition.Partition{}, split0...), parent[1:]...)
-
-		newEval := func(parallelism int) *core.Evaluator {
-			e, err := core.NewEvaluator(ds, f, core.Config{Bins: 10, Parallelism: parallelism})
-			if err != nil {
-				b.Fatal(err)
-			}
-			return e
-		}
-		b.Run(fmt.Sprintf("scratch-serial/k=%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				newEval(1).AvgPairwise(child)
-			}
-		})
-		b.Run(fmt.Sprintf("scratch-parallel/k=%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				newEval(0).AvgPairwise(child)
-			}
-		})
-		b.Run(fmt.Sprintf("incremental/k=%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				e := newEval(0)
-				e.AvgPairwise(parent) // prime with the predecessor state
-				b.StartTimer()
-				e.AvgPairwise(child)
 			}
 		})
 	}

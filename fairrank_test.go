@@ -403,6 +403,19 @@ func TestMinPartitionSizePublicAPI(t *testing.T) {
 			t.Fatalf("partition of size %d despite MinPartitionSize=20", p.Size())
 		}
 	}
+	// The exact solver honours the guard too: on Gender × Country under
+	// f1 its unguarded optimum has a part of fewer than 40 workers.
+	f1 := linear(t, "f1", 0.5)
+	a = fairrank.NewAuditor(fairrank.WithConfig(fairrank.Config{MinPartitionSize: 40}))
+	res, err = a.AuditAttrs(ds, f1, fairrank.AlgoExhaustive, []string{"Gender", "Country"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range res.Partitioning.Parts {
+		if p.Size() < 40 {
+			t.Fatalf("exhaustive partition %s of size %d despite MinPartitionSize=40", p.Label(ds.Schema()), p.Size())
+		}
+	}
 }
 
 func TestMonitorPublicAPI(t *testing.T) {

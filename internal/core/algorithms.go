@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"fairrank/internal/dataset"
 	"fairrank/internal/partition"
 	"fairrank/internal/rng"
 	"fairrank/internal/telemetry"
@@ -71,7 +70,7 @@ func worstAttribute(s *matState, attrs []int) (int, *matState) {
 		pctx, psp := startProbe(sctx, attrs[x])
 		defer psp.End()
 		c := s.scatterAll(pctx, attrs[x])
-		c.avg = s.e.average(pctx, c.reps, inner, false)
+		c.avg = s.e.average(pctx, c.reps, inner)
 		cands[x] = c
 	})
 	if s.canceled() {
@@ -260,7 +259,7 @@ func unbalancedWith(ctx context.Context, e *Evaluator, attrs []int, choose choos
 		}
 	}
 
-	res.Unfairness = e.average(ctx, leafReps, e.cfg.Parallelism, false)
+	res.Unfairness = e.average(ctx, leafReps, e.cfg.Parallelism)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -299,82 +298,13 @@ func allAttributesCtx(ctx context.Context, e *Evaluator, attrs []int, progress f
 			progress(step)
 		}
 	}
-	res.Unfairness = e.average(ctx, state.reps, e.cfg.Parallelism, false)
+	res.Unfairness = e.average(ctx, state.reps, e.cfg.Parallelism)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	res.Partitioning = &partition.Partitioning{Parts: e.rows.workerParts(state.parts)}
 	if len(res.Steps) > 0 {
 		res.Steps[len(res.Steps)-1].AvgDistance = res.Unfairness
-	}
-	res.Elapsed = time.Since(start)
-	return res, nil
-}
-
-// ExhaustiveCells solves the optimization problem exactly over the full
-// set-partition space: every grouping of the non-empty cells of the
-// attribute cross-product, a strict superset of the hierarchical tree space
-// Exhaustive searches (and of everything the heuristics can return). The
-// space size is the Bell number of the cell count, so this is only usable
-// on tiny instances; it exists to quantify how much optimum the tree-shaped
-// formulations leave on the table.
-func ExhaustiveCells(e *Evaluator, attrs []int, budget int) (*Result, error) {
-	return exhaustiveWith(context.Background(), e, attrs, budget, "exhaustive-cells", partition.EnumerateCellGroupings)
-}
-
-// Exhaustive solves the optimization problem exactly by enumerating every
-// hierarchical split partitioning, subject to a budget on the number of
-// partitionings. It returns partition.ErrBudgetExceeded beyond the budget —
-// the expected outcome at realistic attribute counts, mirroring the paper's
-// brute-force solver that "failed to terminate after running for two days".
-func Exhaustive(e *Evaluator, attrs []int, budget int) (*Result, error) {
-	return exhaustiveWith(context.Background(), e, attrs, budget, "exhaustive", partition.EnumerateTrees)
-}
-
-// exhaustiveWith scores every partitioning enumerate yields within budget,
-// one average each, and keeps the most unfair one (the earliest on a
-// tie), under the given algorithm name. It checks ctx before and during
-// every candidate evaluation. Note that
-// partition.EnumerateTrees materializes its option lists before the first
-// yield, so with budgets far above the default the solver observes ctx only
-// once candidates start flowing; partition.EnumerateCellGroupings streams
-// from the start.
-func exhaustiveWith(ctx context.Context, e *Evaluator, attrs []int, budget int, name string,
-	enumerate func(*dataset.Dataset, []int, int, func(*partition.Partitioning) bool) error) (*Result, error) {
-	start := time.Now()
-	if attrs == nil {
-		attrs = e.Attrs()
-	}
-	res := &Result{Algorithm: name, Unfairness: -1}
-	err := enumerate(e.ds, attrs, budget, func(pt *partition.Partitioning) bool {
-		if ctx.Err() != nil {
-			return false
-		}
-		reps := make([]*rep, len(pt.Parts))
-		for i, p := range pt.Parts {
-			if i&(ctxCheckStride-1) == ctxCheckStride-1 && ctx.Err() != nil {
-				return false
-			}
-			reps[i] = e.repFor(p)
-		}
-		u := e.average(ctx, reps, e.cfg.Parallelism, true)
-		if ctx.Err() != nil {
-			return false
-		}
-		if u > res.Unfairness {
-			res.Unfairness = u
-			res.Partitioning = pt
-		}
-		return true
-	})
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, cerr
-	}
-	if err != nil {
-		return nil, err
-	}
-	if res.Unfairness < 0 {
-		res.Unfairness = 0
 	}
 	res.Elapsed = time.Since(start)
 	return res, nil

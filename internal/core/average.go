@@ -49,9 +49,9 @@ import (
 //
 // Exact mode and the KS, JS, χ² and Hellinger metrics take the pair path:
 // every pair distance through distOf, summed in (i, j) slot order
-// (finalAvg), or through the pair cache for the public averages and the
-// exhaustive solvers (avgRepsCtx). Both add the same distances in the same
-// order, so their bits agree.
+// (finalAvg). The exhaustive solvers look their pairs up in a per-run memo
+// instead (exhaustive.go) and add the same distances in the same order,
+// so their bits agree.
 
 // identityDenominator returns d of the identity's unit = 1/d for cfg, and
 // whether cfg's averages take the identity at all.
@@ -77,23 +77,17 @@ func identityDenominator(cfg Config) (d uint64, ok bool) {
 
 // average is Definition 2 over the parts whose reps are given: their
 // average pairwise distance, 0 for fewer than two. Under the identity it
-// is exact; on the pair path workers bounds the concurrent fill, and
-// cached routes the pairs through the pair cache (the public averages and
-// the exhaustive solvers, whose candidates share most pairs). The pair
+// is exact; on the pair path workers bounds the concurrent fill. The pair
 // path polls ctx and its result is meaningless once ctx is done. The
 // average runs in an "emd" span under ctx.
-func (e *Evaluator) average(ctx context.Context, reps []*rep, workers int, cached bool) float64 {
+func (e *Evaluator) average(ctx context.Context, reps []*rep, workers int) float64 {
 	_, sp := telemetry.StartSpan(ctx, "emd")
 	defer sp.End()
 	sp.SetInt("parts", int64(len(reps)))
-	switch {
-	case e.ident:
+	if e.ident {
 		return e.identityAvg(reps)
-	case cached:
-		return e.avgRepsCtx(ctx, reps)
-	default:
-		return e.finalAvg(ctx, reps, workers, finalBlock)
 	}
+	return e.finalAvg(ctx, reps, workers, finalBlock)
 }
 
 // identityAvg is the exact average of the reps' columns (see the top of
@@ -239,8 +233,7 @@ func (e *Evaluator) finalAvg(ctx context.Context, reps []*rep, workers, block in
 		return 0
 	}
 	done := func() bool { return ctx != nil && ctx.Err() != nil }
-	e.pairs.misses.Add(int64(n))
-	e.tel.computed(int64(n))
+	e.countPairs(int64(n))
 	// A piece is the run of one row that falls in the current block.
 	type piece struct{ i, j, off, n int }
 	var pieces []piece

@@ -105,7 +105,7 @@ func TestIdentityMatchesBigOracle(t *testing.T) {
 						cols[i] = e.payload(append([]float64(nil), counts[i]...))
 						reps[i] = &rep{data: cols[i]}
 					}
-					got := e.average(nil, reps, 1, false)
+					got := e.average(nil, reps, 1)
 					if want := bigIdentity(cols, e.den); math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("%+v, k %d, %s: %v, big oracle %v", cfg, k, shape, got, want)
 					}
@@ -199,9 +199,9 @@ func TestAveragePairwise(t *testing.T) {
 }
 
 // TestAveragePairwiseDegenerate: no parts and one part average 0 on every
-// route of the one average — the identity, the cached pair path and the
-// uncached pair path — and so does any number of parts when a single bin
-// leaves GroundIndex no distance between bins.
+// route of the one average — the identity and the pair path — and so does
+// any number of parts when a single bin leaves GroundIndex no distance
+// between bins.
 func TestAveragePairwiseDegenerate(t *testing.T) {
 	ds := randomDataset(t, 30, 3)
 	root := partition.Root(ds)
@@ -209,13 +209,11 @@ func TestAveragePairwiseDegenerate(t *testing.T) {
 		{}, {Metric: emd.MetricL1}, {Metric: emd.MetricTV}, {Metric: emd.MetricKS}, {Exact: true},
 	} {
 		e := mustEval(t, ds, cfg)
-		for _, cached := range []bool{false, true} {
-			if got := e.average(nil, nil, 1, cached); got != 0 {
-				t.Errorf("%+v, cached %v: no parts average %v", cfg, cached, got)
-			}
-			if got := e.average(nil, []*rep{e.repFor(root)}, 1, cached); got != 0 {
-				t.Errorf("%+v, cached %v: one part averages %v", cfg, cached, got)
-			}
+		if got := e.average(nil, nil, 1); got != 0 {
+			t.Errorf("%+v: no parts average %v", cfg, got)
+		}
+		if got := e.average(nil, []*rep{{data: e.buildData(root.Indices)}}, 1); got != 0 {
+			t.Errorf("%+v: one part averages %v", cfg, got)
 		}
 	}
 	e := mustEval(t, ds, Config{Bins: 1, Ground: emd.GroundIndex})

@@ -5,9 +5,12 @@ import (
 	"sync/atomic"
 )
 
-// cacheShards is the shard count of every concurrent cache in the
-// evaluator. A power of two so shard selection is a mask.
-const cacheShards = 64
+// cacheShards is the shard count of the rep cache, a power of two so a
+// shard is the top shardBits bits of a hashed key.
+const (
+	shardBits   = 6
+	cacheShards = 1 << shardBits
+)
 
 // rep is the interned representation of one partition's score
 // distribution: a dense handle plus the payload the configured mode
@@ -18,77 +21,42 @@ type rep struct {
 	data []float64
 }
 
-// repCache interns partition representations behind dense handles. Two
-// keyed layers share one handle space:
-//
-//   - a string layer for arbitrary partitions, keyed by the canonical
-//     constraint key (Partition.Key), used by the public entry points;
-//   - an integer layer for children derived by the scatter-split path,
-//     keyed by (parent handle, attribute, value) — which fully determines
-//     the child's content — so probe loops never build string keys.
-//
-// Both layers are sharded so concurrent candidate probes do not
-// serialize on a single mutex (the old evaluator's single map+mutex made
-// the parallel path bypass the cache entirely).
+// repCache hands out the dense rep handles of one evaluator. The root of
+// the row space takes one when the row space is built (newRep); every
+// other rep is a scatter-split child, interned under (parent handle,
+// attribute, value) — which fully determines the child's content — so
+// re-probes of a split are served without touching the rows. The keyed
+// layer is sharded so concurrent candidate probes do not serialize on a
+// single mutex.
 type repCache struct {
-	next    atomic.Uint32 // dense handles handed out so far
-	byKey   [cacheShards]repKeyShard
-	byChild [cacheShards]repChildShard
+	next   atomic.Uint32 // dense handles handed out so far
+	shards [cacheShards]repShard
 }
 
-type repKeyShard struct {
-	mu sync.RWMutex
-	m  map[string]*rep
-}
-
-type repChildShard struct {
+type repShard struct {
 	mu sync.RWMutex
 	m  map[uint64]*rep
 }
 
 func newRepCache() *repCache {
 	c := &repCache{}
-	for i := range c.byKey {
-		c.byKey[i].m = make(map[string]*rep)
-	}
-	for i := range c.byChild {
-		c.byChild[i].m = make(map[uint64]*rep)
+	for i := range c.shards {
+		c.shards[i].m = make(map[uint64]*rep)
 	}
 	return c
 }
 
-// fnv1a hashes a string for shard selection.
-func fnv1a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
+// shardOf spreads an integer key across shards by Fibonacci hashing: the
+// top bits of k·2⁶⁴/φ depend on every bit of k. (Its low bits depend only
+// on k's low bits, which for a child key are the value code alone.)
+func (c *repCache) shardOf(k uint64) *repShard {
+	return &c.shards[(k*0x9E3779B97F4A7C15)>>(64-shardBits)]
 }
 
-// mix spreads an integer key across shards (Fibonacci hashing).
-func mix(k uint64) uint64 { return k * 0x9E3779B97F4A7C15 }
-
-// internKey returns the rep interned under the canonical partition key,
-// building its payload at most once per content via build.
-func (c *repCache) internKey(key string, build func() []float64) *rep {
-	s := &c.byKey[fnv1a(key)&(cacheShards-1)]
-	s.mu.RLock()
-	r, ok := s.m[key]
-	s.mu.RUnlock()
-	if ok {
-		return r
-	}
-	data := build()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if r, ok := s.m[key]; ok {
-		return r
-	}
-	r = &rep{id: c.next.Add(1) - 1, data: data}
-	s.m[key] = r
-	return r
+// newRep hands out a handle for a rep that is kept outside the keyed
+// layer: the root of the row space.
+func (c *repCache) newRep(data []float64) *rep {
+	return &rep{id: c.next.Add(1) - 1, data: data}
 }
 
 // childKey packs a scatter-split child identity. Attribute indices and
@@ -100,7 +68,7 @@ func childKey(parent uint32, attr, value int) uint64 {
 
 // lookupChild returns the interned rep of a scatter-split child, if any.
 func (c *repCache) lookupChild(key uint64) (*rep, bool) {
-	s := &c.byChild[mix(key)&(cacheShards-1)]
+	s := c.shardOf(key)
 	s.mu.RLock()
 	r, ok := s.m[key]
 	s.mu.RUnlock()
@@ -110,102 +78,30 @@ func (c *repCache) lookupChild(key uint64) (*rep, bool) {
 // internChild publishes a scatter-split child rep, keeping the first
 // writer's rep on a race so handles stay stable.
 func (c *repCache) internChild(key uint64, data []float64) *rep {
-	s := &c.byChild[mix(key)&(cacheShards-1)]
+	s := c.shardOf(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if r, ok := s.m[key]; ok {
 		return r
 	}
-	r := &rep{id: c.next.Add(1) - 1, data: data}
+	r := c.newRep(data)
 	s.m[key] = r
 	return r
 }
 
-// count reports how many distinct representations were materialized.
+// count reports how many reps were handed out.
 func (c *repCache) count() int { return int(c.next.Load()) }
 
-// shardLens reports the per-shard occupancy of both keyed layers
-// combined: shardLens()[i] is how many interned reps shard i holds.
+// shardLens reports the keyed layer's per-shard occupancy: shardLens()[i]
+// is how many child reps shard i holds. They sum to count() − 1 once the
+// root's rep exists.
 func (c *repCache) shardLens() []int {
 	out := make([]int, cacheShards)
 	for i := range out {
-		c.byKey[i].mu.RLock()
-		n := len(c.byKey[i].m)
-		c.byKey[i].mu.RUnlock()
-		c.byChild[i].mu.RLock()
-		n += len(c.byChild[i].m)
-		c.byChild[i].mu.RUnlock()
-		out[i] = n
-	}
-	return out
-}
-
-// pairCache caches the pair path's distances between interned
-// representations, keyed by the packed ordered handle pair, sharded like
-// repCache. It serves the pair path's public averages, PairDistance and
-// the exhaustive solvers; search averages never touch it. misses counts
-// every distance the pair path actually computed — including the search
-// fills, which do not store here — so CacheStats reflects real work done.
-// hits counts lookups served from the cache; the session layer reports
-// the delta of both as per-run stats.
-type pairCache struct {
-	misses atomic.Int64
-	hits   atomic.Int64
-	shards [cacheShards]pairShard
-}
-
-type pairShard struct {
-	mu sync.Mutex
-	m  map[uint64]float64
-}
-
-func newPairCache() *pairCache {
-	c := &pairCache{}
-	for i := range c.shards {
-		c.shards[i].m = make(map[uint64]float64)
-	}
-	return c
-}
-
-func (c *pairCache) get(key uint64) (float64, bool) {
-	s := &c.shards[mix(key)&(cacheShards-1)]
-	s.mu.Lock()
-	d, ok := s.m[key]
-	s.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-	}
-	return d, ok
-}
-
-func (c *pairCache) put(key uint64, d float64) {
-	s := &c.shards[mix(key)&(cacheShards-1)]
-	s.mu.Lock()
-	s.m[key] = d
-	s.mu.Unlock()
-}
-
-func (c *pairCache) len() int {
-	n := 0
-	for i := range c.shards {
 		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.m)
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// shardLens reports per-shard occupancy: shardLens()[i] is how many
-// cached distances shard i holds — the distribution (not just the
-// aggregate) is what reveals a bad hash or a hot shard.
-func (c *pairCache) shardLens() []int {
-	out := make([]int, cacheShards)
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
+		s.mu.RLock()
 		out[i] = len(s.m)
-		s.mu.Unlock()
+		s.mu.RUnlock()
 	}
 	return out
 }

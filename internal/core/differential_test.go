@@ -17,9 +17,8 @@ import (
 // an in-package reference on fixed schemas) with an out-of-package oracle and
 // arbitrary index-set partitions.
 
-// namedParts wraps bare row-index groups as uniquely named partitions.
-// repFor interns representations by Partition.Key(), so arbitrary index sets
-// need distinct names to avoid colliding in the cache.
+// namedParts wraps bare row-index groups as partitions named after their
+// rows, so each group keeps a distinct Key.
 func namedParts(groups [][]int) []*partition.Partition {
 	out := make([]*partition.Partition, len(groups))
 	for i, g := range groups {

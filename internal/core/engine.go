@@ -47,8 +47,8 @@ const ctxCheckStride = 64
 // rootState is where every search starts: the root of the evaluator's row
 // space as its one part, and no pairs.
 func (e *Evaluator) rootState(ctx context.Context) *matState {
-	root := e.searchRoot()
-	return &matState{e: e, parts: []*partition.Partition{root}, reps: []*rep{e.rowRep(root)}, ctx: ctx}
+	rs := e.searchRows()
+	return &matState{e: e, parts: []*partition.Partition{e.searchRoot()}, reps: []*rep{rs.root}, ctx: ctx}
 }
 
 // scatterSplit splits p on attr in a single pass over its rows, deriving
@@ -173,7 +173,7 @@ func (s *matState) probe(attr, workers int) *matState {
 	pctx, psp := startProbe(s.ctx, attr)
 	defer psp.End()
 	ns := s.scatterAll(pctx, attr)
-	ns.avg = s.e.average(pctx, ns.reps, workers, false)
+	ns.avg = s.e.average(pctx, ns.reps, workers)
 	return ns
 }
 
@@ -196,7 +196,7 @@ func (s *matState) group(x int) *matState {
 	}
 	ns.parts = append(append(append(ns.parts, s.parts[x]), s.parts[:x]...), s.parts[x+1:]...)
 	ns.reps = append(append(append(ns.reps, s.reps[x]), s.reps[:x]...), s.reps[x+1:]...)
-	ns.avg = s.e.average(s.ctx, ns.reps, s.e.cfg.Parallelism, false)
+	ns.avg = s.e.average(s.ctx, ns.reps, s.e.cfg.Parallelism)
 	return ns
 }
 
@@ -213,6 +213,6 @@ func (s *matState) replaceFirst(children *matState) *matState {
 	}
 	ns.parts = append(append(ns.parts, children.parts...), s.parts[1:]...)
 	ns.reps = append(append(ns.reps, children.reps...), s.reps[1:]...)
-	ns.avg = s.e.average(s.ctx, ns.reps, s.e.cfg.Parallelism, false)
+	ns.avg = s.e.average(s.ctx, ns.reps, s.e.cfg.Parallelism)
 	return ns
 }

@@ -100,10 +100,10 @@ func TestFinalAvgCancelsPromptly(t *testing.T) {
 }
 
 // TestBinnedSearchesKeepNoPairs: every search averages its probes and its
-// final parts outside the shared pair cache, in binned EMD mode and on
-// the pair path alike, so after balanced, unbalanced, their random
-// baselines, all-attributes and Beam have run on a fresh evaluator the
-// cache holds no entry.
+// final parts from scratch, in binned EMD mode and on the pair path alike:
+// no run of balanced, unbalanced, their random baselines or all-attributes
+// on a shared evaluator is served a distance from a memo, and the exact
+// average of binned EMD computes none.
 func TestBinnedSearchesKeepNoPairs(t *testing.T) {
 	ds := searchDataset(t, 1200, 4)
 	for _, cfg := range []Config{{Bins: 10}, {Bins: 10, Metric: emd.MetricKS}} {
@@ -112,18 +112,13 @@ func TestBinnedSearchesKeepNoPairs(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, alg := range []string{"balanced", "unbalanced", "r-balanced", "r-unbalanced", "all-attributes"} {
-			if _, err := Run(context.Background(), Spec{Algorithm: alg, Evaluator: e, Seed: 5}); err != nil {
+			res, err := Run(context.Background(), Spec{Algorithm: alg, Evaluator: e, Seed: 5})
+			if err != nil {
 				t.Fatalf("%v %s: %v", cfg.Metric, alg, err)
 			}
-			if _, pairs, _ := e.CacheStats(); pairs != 0 {
-				t.Fatalf("%v %s left %d entries in the pair cache", cfg.Metric, alg, pairs)
+			if st := res.Stats; st.CacheHits != 0 || (st.PairsComputed == 0) != (cfg.Metric == emd.MetricEMD) {
+				t.Fatalf("%v %s: run stats %+v", cfg.Metric, alg, st)
 			}
-		}
-		if _, err := Beam(e, nil, 2); err != nil {
-			t.Fatal(err)
-		}
-		if _, pairs, _ := e.CacheStats(); pairs != 0 {
-			t.Fatalf("%v Beam left %d entries in the pair cache", cfg.Metric, pairs)
 		}
 	}
 }

@@ -11,12 +11,12 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"fairrank/internal/dataset"
 	"fairrank/internal/emd"
@@ -53,9 +53,9 @@ type Config struct {
 	// binned histogram EMD. More faithful, somewhat slower; ignores Bins,
 	// Ground and Metric.
 	Exact bool
-	// Metrics, when non-nil, receives engine telemetry: EMD-evaluation
-	// and cache hit/miss counters, probe counts, and cache-occupancy
-	// gauges (aggregate and per shard). Several evaluators may share one
+	// Metrics, when non-nil, receives engine telemetry: EMD-evaluation,
+	// probe and run counters, and rep-cache occupancy gauges (aggregate
+	// and per shard). Several evaluators may share one
 	// registry — counters accumulate across them, gauges reflect the
 	// most recently synced evaluator. Nil disables metrics at the cost
 	// of a predicted nil-check on the already-batched accounting sites.
@@ -75,10 +75,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Evaluator computes and caches unfairness measurements for one (dataset,
-// scoring function) pair. It is safe for concurrent use: all caches are
-// sharded, so parallel candidate probes populate and reuse them instead
-// of serializing on a single mutex.
+// Evaluator computes unfairness measurements for one (dataset, scoring
+// function) pair. It is safe for concurrent use: its rep cache is sharded,
+// so parallel candidate probes populate and reuse it instead of
+// serializing on a single mutex.
 type Evaluator struct {
 	ds   *dataset.Dataset
 	f    scoring.Func
@@ -91,9 +91,13 @@ type Evaluator struct {
 	scoresOnce sync.Once
 	scores     []float64
 
-	reps  *repCache
-	pairs *pairCache
-	tel   engineMetrics
+	reps *repCache
+	tel  engineMetrics
+
+	// computed counts the pair distances the pair path computed, and
+	// served those the exhaustive solvers' memo supplied instead; Run
+	// reports the deltas of both.
+	computed, served atomic.Int64
 
 	// ident reports whether averages take the exact sorted-column identity
 	// (average.go), and den is its unit's denominator: binned mode under
@@ -129,12 +133,11 @@ func NewEvaluator(ds *dataset.Dataset, f scoring.Func, cfg Config) (*Evaluator, 
 	}
 	cfg = cfg.withDefaults()
 	e := &Evaluator{
-		ds:    ds,
-		f:     f,
-		cfg:   cfg,
-		reps:  newRepCache(),
-		pairs: newPairCache(),
-		tel:   engineMetricsFor(cfg.Metrics),
+		ds:   ds,
+		f:    f,
+		cfg:  cfg,
+		reps: newRepCache(),
+		tel:  engineMetricsFor(cfg.Metrics),
 	}
 	if cfg.Exact {
 		e.scores = scoring.Scores(ds, f)
@@ -266,19 +269,6 @@ func (e *Evaluator) payload(counts []float64) []float64 {
 	return counts
 }
 
-// repFor interns a partition's representation under its canonical
-// constraint key, returning the dense-handle rep. p's Indices are workers.
-func (e *Evaluator) repFor(p *partition.Partition) *rep {
-	return e.reps.internKey(p.Key(), func() []float64 { return e.buildData(p.Indices) })
-}
-
-// rowRep is repFor for a search partition, whose Indices are rows of the
-// evaluator's row space. Both share the string-keyed layer: a key's
-// payload is the same whichever row form built it.
-func (e *Evaluator) rowRep(p *partition.Partition) *rep {
-	return e.reps.internKey(p.Key(), func() []float64 { return e.rowData(p.Indices) })
-}
-
 // distOf computes the configured distance between two representation
 // payloads, without touching any cache: the bin-free EMD of two sorted
 // samples in Exact mode; in binned mode, unit·Σ_b |F_b − G_b| over two
@@ -314,25 +304,18 @@ func packPair(a, b uint32) uint64 {
 	return uint64(a)<<32 | uint64(b)
 }
 
-// PairDistance returns the configured distance between two partitions'
-// score distributions, with symmetric caching.
-func (e *Evaluator) PairDistance(a, b *partition.Partition) float64 {
-	ra, rb := e.repFor(a), e.repFor(b)
-	key := packPair(ra.id, rb.id)
-	if d, ok := e.pairs.get(key); ok {
-		e.tel.cacheHits.Inc()
-		return d
-	}
-	d := e.distOf(ra.data, rb.data)
-	e.pairs.put(key, d)
-	e.pairs.misses.Add(1)
-	e.tel.computed(1)
-	return d
+// countPairs records n freshly computed pair distances.
+func (e *Evaluator) countPairs(n int64) {
+	e.computed.Add(n)
+	e.tel.emdEvals.Add(n)
 }
 
-// parallelFillThreshold is the number of missing pair distances above
-// which the cached pair path computes them concurrently.
-const parallelFillThreshold = 256
+// PairDistance returns the configured distance between two partitions'
+// score distributions.
+func (e *Evaluator) PairDistance(a, b *partition.Partition) float64 {
+	e.countPairs(1)
+	return e.distOf(e.buildData(a.Indices), e.buildData(b.Indices))
+}
 
 // AvgPairwise computes unfairness(P, f) — the average pairwise distance
 // over all unordered pairs of parts (average.go). Fewer than two
@@ -341,95 +324,9 @@ const parallelFillThreshold = 256
 func (e *Evaluator) AvgPairwise(parts []*partition.Partition) float64 {
 	reps := make([]*rep, len(parts))
 	for i, p := range parts {
-		reps[i] = e.repFor(p)
+		reps[i] = &rep{data: e.buildData(p.Indices)}
 	}
-	return e.average(nil, reps, e.cfg.Parallelism, true)
-}
-
-// pairRef identifies one missing pair: its slot in the flat triangle
-// plus the two representation indices.
-type pairRef struct {
-	slot, i, j int32
-}
-
-// avgRepsCtx is the pair path's average through the pair cache, for the
-// public averages and the exhaustive solvers. Distances missing from the
-// cache are computed concurrently under Config.Parallelism, but the
-// reduction always runs serially in (i, j) pair order. When ctx is
-// non-nil both the cache scan and the parallel missing-pair fill poll it
-// every ctxCheckStride pairs and abandon the remaining work. The returned
-// value is only meaningful when ctx was not cancelled; distances computed
-// before the cancellation still land in the shared cache.
-func (e *Evaluator) avgRepsCtx(ctx context.Context, reps []*rep) float64 {
-	k := len(reps)
-	if k < 2 {
-		return 0
-	}
-	n := k * (k - 1) / 2
-	d := make([]float64, n)
-	var missing []pairRef
-	m := 0
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			if v, ok := e.pairs.get(packPair(reps[i].id, reps[j].id)); ok {
-				d[m] = v
-			} else {
-				missing = append(missing, pairRef{int32(m), int32(i), int32(j)})
-			}
-			m++
-			if ctx != nil && m&(ctxCheckStride-1) == 0 && ctx.Err() != nil {
-				return 0
-			}
-		}
-	}
-	e.tel.cacheHits.Add(int64(n - len(missing)))
-	if len(missing) > 0 {
-		parfill(len(missing), e.cfg.Parallelism, func(lo, hi int) {
-			for x, t := range missing[lo:hi] {
-				if ctx != nil && x&(ctxCheckStride-1) == ctxCheckStride-1 && ctx.Err() != nil {
-					return
-				}
-				ri, rj := reps[t.i], reps[t.j]
-				v := e.distOf(ri.data, rj.data)
-				d[t.slot] = v
-				e.pairs.put(packPair(ri.id, rj.id), v)
-			}
-		})
-		e.pairs.misses.Add(int64(len(missing)))
-		e.tel.computed(int64(len(missing)))
-	}
-	sum := 0.0
-	for _, v := range d {
-		sum += v
-	}
-	return sum / float64(n)
-}
-
-// parfill runs fn over the contiguous chunks of [0, n), fanning out to at
-// most `workers` goroutines; small workloads run inline. Chunks are
-// disjoint, so fn may write to shared slices without synchronization.
-func parfill(n, workers int, fn func(lo, hi int)) {
-	if workers > n/parallelFillThreshold {
-		workers = n / parallelFillThreshold
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	return e.average(nil, reps, e.cfg.Parallelism)
 }
 
 // Unfairness evaluates a whole Partitioning (Definition 2).
@@ -438,12 +335,4 @@ func (e *Evaluator) Unfairness(pt *partition.Partitioning) float64 {
 		return 0
 	}
 	return e.AvgPairwise(pt.Parts)
-}
-
-// CacheStats reports cache sizes, used by the ablation benchmarks:
-// distinct partition representations materialized, pair distances held in
-// the shared cache, and the pair path's total distance computations
-// (cache misses plus search fills, which bypass the cache).
-func (e *Evaluator) CacheStats() (histograms, pairs, misses int) {
-	return e.reps.count(), e.pairs.len(), int(e.pairs.misses.Load())
 }

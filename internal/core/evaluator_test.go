@@ -13,6 +13,7 @@ import (
 	"fairrank/internal/partition"
 	"fairrank/internal/rng"
 	"fairrank/internal/scoring"
+	"fairrank/internal/telemetry"
 )
 
 func testSchema() *dataset.Schema {
@@ -211,12 +212,9 @@ func TestPairDistanceKnown(t *testing.T) {
 	if math.Abs(d-0.9) > 1e-12 {
 		t.Fatalf("pair distance = %v, want 0.9", d)
 	}
-	// Second call must hit the cache (no new misses).
-	_, _, misses := e.CacheStats()
-	_ = e.PairDistance(parts[1], parts[0])
-	_, _, misses2 := e.CacheStats()
-	if misses2 != misses {
-		t.Fatal("symmetric pair not cached")
+	// The distance is symmetric, bit for bit.
+	if back := e.PairDistance(parts[1], parts[0]); math.Float64bits(back) != math.Float64bits(d) {
+		t.Fatalf("pair distance %v one way, %v the other", d, back)
 	}
 }
 
@@ -235,8 +233,8 @@ func TestAvgPairwiseDegenerate(t *testing.T) {
 }
 
 func TestAvgPairwiseSerialMatchesParallel(t *testing.T) {
-	// Force a partitioning with enough parts that the missing-pair fill
-	// actually fans out (well past parallelFillThreshold pairs), using a
+	// Force a partitioning with enough parts that the pair path's fill (here
+	// under the KS metric) actually fans out across its row pieces, using a
 	// schema with one high-cardinality attribute.
 	schema := &dataset.Schema{
 		Protected: []dataset.Attribute{dataset.Num("Cell", 0, 1, 100)},
@@ -253,11 +251,11 @@ func TestAvgPairwiseSerialMatchesParallel(t *testing.T) {
 	}
 	f := scoring.ScoreFunc{FuncName: "s", Fn: func(ds *dataset.Dataset, i int) float64 { return ds.Observed(0, i) }}
 
-	serial, _ := NewEvaluator(ds, f, Config{Parallelism: 1})
-	par, _ := NewEvaluator(ds, f, Config{Parallelism: 4})
+	serial, _ := NewEvaluator(ds, f, Config{Parallelism: 1, Metric: emd.MetricKS})
+	par, _ := NewEvaluator(ds, f, Config{Parallelism: 4, Metric: emd.MetricKS})
 	parts := partition.Split(ds, partition.Root(ds), 0)
-	if pairs := len(parts) * (len(parts) - 1) / 2; pairs < parallelFillThreshold {
-		t.Fatalf("only %d pairs; need >= %d for this test", pairs, parallelFillThreshold)
+	if len(parts) < 64 {
+		t.Fatalf("only %d parts; need a large partitioning", len(parts))
 	}
 	a := serial.AvgPairwise(parts)
 	b2 := par.AvgPairwise(parts)
@@ -266,13 +264,11 @@ func TestAvgPairwiseSerialMatchesParallel(t *testing.T) {
 	}
 }
 
-func TestCacheStatsParallelAccounting(t *testing.T) {
-	// The old evaluator's parallel branch bypassed the pair cache and never
-	// counted its distance computations, so CacheStats lied for exactly the
-	// runs the ablation benchmarks care about. Pin the fixed behavior: a
-	// parallel AvgPairwise over many parts on the pair path (here the KS
-	// metric) populates the cache and counts every computed distance as a
-	// miss, and a repeat run computes nothing.
+// TestAvgPairwiseCountsEveryPair: a parallel AvgPairwise on the pair path
+// (here the KS metric) counts every distance it computes in the
+// EMD-evaluation counter, and a repeat computes them all again: the public
+// averages keep no distance between calls.
+func TestAvgPairwiseCountsEveryPair(t *testing.T) {
 	schema := &dataset.Schema{
 		Protected: []dataset.Attribute{dataset.Num("Cell", 0, 1, 100)},
 		Observed:  []dataset.Attribute{dataset.Num("Score", 0, 1, 1)},
@@ -287,7 +283,8 @@ func TestCacheStatsParallelAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := scoring.ScoreFunc{FuncName: "s", Fn: func(ds *dataset.Dataset, i int) float64 { return ds.Observed(0, i) }}
-	e, err := NewEvaluator(ds, f, Config{Parallelism: 4, Metric: emd.MetricKS})
+	reg := telemetry.NewRegistry()
+	e, err := NewEvaluator(ds, f, Config{Parallelism: 4, Metric: emd.MetricKS, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,21 +293,12 @@ func TestCacheStatsParallelAccounting(t *testing.T) {
 	if k < 64 {
 		t.Fatalf("only %d parts; need a large partitioning", k)
 	}
-	_ = e.AvgPairwise(parts)
-	wantPairs := k * (k - 1) / 2
-	hists, pairs, misses := e.CacheStats()
-	if hists != k {
-		t.Errorf("histograms = %d, want %d", hists, k)
-	}
-	if pairs != wantPairs {
-		t.Errorf("cached pairs = %d, want %d", pairs, wantPairs)
-	}
-	if misses != wantPairs {
-		t.Errorf("misses = %d, want %d", misses, wantPairs)
-	}
-	_ = e.AvgPairwise(parts)
-	if _, _, again := e.CacheStats(); again != misses {
-		t.Errorf("repeat run computed %d new distances, want 0", again-misses)
+	want := int64(k * (k - 1) / 2)
+	for round := int64(1); round <= 2; round++ {
+		_ = e.AvgPairwise(parts)
+		if got := reg.Snapshot().Counters[MetricEMDEvaluations]; got != round*want {
+			t.Errorf("after %d averages: %d distances counted, want %d", round, got, round*want)
+		}
 	}
 }
 

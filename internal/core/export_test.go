@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 
 	"fairrank/internal/partition"
 )
@@ -15,8 +16,33 @@ import (
 func AveragePaths(e *Evaluator, parts []*partition.Partition) (identity, pairs func() float64) {
 	reps := make([]*rep, len(parts))
 	for i, p := range parts {
-		reps[i] = e.repFor(p)
+		reps[i] = &rep{data: e.buildData(p.Indices)}
 	}
 	return func() float64 { return e.identityAvg(reps) },
 		func() float64 { return e.finalAvg(context.Background(), reps, 1, finalBlock) }
+}
+
+// EachCandidate streams the candidates of the exhaustive solver name
+// ("exhaustive" or "exhaustive-cells") over attrs (nil for all) within
+// budget, in the solver's order, each as the worker partitions the solver
+// returns for a winner. visit returning false stops the stream. It fails
+// as the solver does: partition.ErrBudgetExceeded over budget, ctx.Err()
+// once ctx is done.
+func EachCandidate(ctx context.Context, e *Evaluator, name string, attrs []int, budget int, visit func(*partition.Partitioning) bool) error {
+	build := newTreeSpace
+	if name == "exhaustive-cells" {
+		build = newCellSpace
+	}
+	if attrs == nil {
+		attrs = e.Attrs()
+	}
+	sp, err := build(ctx, e, attrs, budget)
+	if err != nil {
+		return err
+	}
+	sp.each(func([]*rep) bool {
+		sp.keep()
+		return ctx.Err() == nil && visit(&partition.Partitioning{Parts: e.rows.workerParts(slices.Clone(sp.kept()))})
+	})
+	return ctx.Err()
 }

@@ -141,7 +141,7 @@ func Significance(ctx context.Context, e *Evaluator, pt *partition.Partitioning,
 			reps[g] = &rep{data: e.buildData(perm[off : off+n])}
 			off += n
 		}
-		if e.average(ctx, reps, e.cfg.Parallelism, false) >= observed {
+		if e.average(ctx, reps, e.cfg.Parallelism) >= observed {
 			extreme++
 		}
 	}

@@ -253,10 +253,22 @@ func TestExhaustiveCellsBudget(t *testing.T) {
 
 func TestMinPartitionSizeGuard(t *testing.T) {
 	ds := randomDataset(t, 100, 97)
+	// every runs each algorithm, the exhaustive solvers included.
+	every := func(e *Evaluator) []*Result {
+		tree, err := Exhaustive(e, nil, 100000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells, err := ExhaustiveCells(e, nil, 100000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []*Result{Balanced(e, nil), Unbalanced(e, nil), AllAttributes(e, nil), tree, cells}
+	}
 	// With a huge minimum, nothing can ever be split: every algorithm
 	// returns the root partitioning.
 	e := mustEval(t, ds, Config{MinPartitionSize: 1000})
-	for _, res := range []*Result{Balanced(e, nil), Unbalanced(e, nil), AllAttributes(e, nil)} {
+	for _, res := range every(e) {
 		if res.Partitioning.Size() != 1 {
 			t.Errorf("%s split despite MinPartitionSize: %d parts",
 				res.Algorithm, res.Partitioning.Size())
@@ -264,7 +276,7 @@ func TestMinPartitionSizeGuard(t *testing.T) {
 	}
 	// With a moderate minimum, all partitions respect it.
 	e2 := mustEval(t, ds, Config{MinPartitionSize: 10})
-	for _, res := range []*Result{Balanced(e2, nil), Unbalanced(e2, nil), AllAttributes(e2, nil)} {
+	for _, res := range every(e2) {
 		if err := res.Partitioning.Validate(ds); err != nil {
 			t.Fatalf("%s: %v", res.Algorithm, err)
 		}

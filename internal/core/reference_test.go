@@ -43,7 +43,7 @@ func refAvg(e *Evaluator, parts []*partition.Partition) float64 {
 	for i, p := range parts {
 		reps[i] = &rep{data: refData(e, p)}
 	}
-	return e.average(nil, reps, 1, false)
+	return e.average(nil, reps, 1)
 }
 
 // splitAll splits every partition on attr, subject to MinPartitionSize:

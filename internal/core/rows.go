@@ -5,13 +5,13 @@ import (
 	"fairrank/internal/partition"
 )
 
-// This file defines the row space the searching algorithms — balanced,
-// unbalanced, their random baselines, all-attributes and Beam — scatter.
-// A search partition's Indices are rows of this space, not workers; each
-// algorithm maps its final parts back to worker rows (workerParts) at the
-// result boundary, so Result.Partitioning always lists workers. The
-// exhaustive solvers and the public AvgPairwise, Unfairness and Histogram
-// read worker rows directly.
+// This file defines the row space every algorithm scatters: balanced,
+// unbalanced, their random baselines, all-attributes, Beam and the
+// exhaustive solvers. A search partition's Indices are rows of this space,
+// not workers; each algorithm maps its final parts back to worker rows
+// (workerParts) at the result boundary, so Result.Partitioning always
+// lists workers. The public AvgPairwise, Unfairness and Histogram read
+// worker rows directly.
 //
 // In binned mode the rows are collapsed: one row per occupied (protected
 // cell, score bin) pair, weighted by the number of workers it stands for.
@@ -45,32 +45,34 @@ type rowSpace struct {
 	// the workers themselves.
 	cell  []int32
 	cells *dataset.Cells
+	// root is the rep of the whole space, the parent handle of every
+	// first split.
+	root *rep
 }
 
-// searchRows returns the evaluator's row space, building it on first use:
-// the collapsed rows in binned mode, unless every worker is its own cell;
-// the workers otherwise. Building is O(N) (plus the dataset's one-time cell
-// grouping), so evaluators that never search never pay it.
+// searchRows returns the evaluator's row space, building it and its
+// root's rep on first use: the collapsed rows in binned mode, unless every
+// worker is its own cell; the workers otherwise. Building is O(N) (plus
+// the dataset's one-time cell grouping), so evaluators that never search
+// never pay it.
 func (e *Evaluator) searchRows() *rowSpace {
 	e.rowsOnce.Do(func() {
-		if e.rows != nil {
-			return
+		switch {
+		case e.rows != nil:
+		case !e.cfg.Exact && e.ds.Cells().N() < e.ds.N():
+			e.rows = collapsedRows(e.ds.Cells(), e.bin, e.cfg.Bins)
+		default:
+			e.rows = workerRows(e.ds)
 		}
-		if !e.cfg.Exact {
-			if cells := e.ds.Cells(); cells.N() < e.ds.N() {
-				e.rows = collapsedRows(cells, e.bin, e.cfg.Bins)
-				return
-			}
-		}
-		e.rows = workerRows(e.ds)
+		e.rows.root = e.reps.newRep(e.rowData(e.searchRoot().Indices))
 	})
 	return e.rows
 }
 
-// searchRoot returns the root partition of the evaluator's row space.
+// searchRoot returns a fresh root partition of the evaluator's row space,
+// which must be built.
 func (e *Evaluator) searchRoot() *partition.Partition {
-	rs := e.searchRows()
-	idx := make([]int, rs.n)
+	idx := make([]int, e.rows.n)
 	for i := range idx {
 		idx[i] = i
 	}

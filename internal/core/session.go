@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"fairrank/internal/dataset"
-	"fairrank/internal/partition"
 	"fairrank/internal/rng"
 	"fairrank/internal/scoring"
 	"fairrank/internal/telemetry"
@@ -33,7 +32,7 @@ type Spec struct {
 	// selects "balanced", the paper's primary algorithm.
 	Algorithm string
 	// Evaluator, when non-nil, runs the audit against an existing
-	// evaluator, reusing its caches across runs. Otherwise one is built
+	// evaluator, reusing its rep cache across runs. Otherwise one is built
 	// from Dataset, Func and Config.
 	Evaluator *Evaluator
 	// Dataset and Func define the population and scoring function under
@@ -67,20 +66,20 @@ func (s Spec) budget() int {
 }
 
 // RunStats reports the engine work one Run performed, as deltas over the
-// evaluator's shared caches — so they are per-run even when an evaluator
-// is reused across runs.
+// evaluator's counters — so they are per-run even when an evaluator is
+// reused across runs.
 type RunStats struct {
-	// RepsInterned is how many new partition representations this run
-	// materialized.
+	// RepsInterned is how many reps this run added to the evaluator's rep
+	// cache. An exhaustive-cells block is not a rep-cache entry.
 	RepsInterned int
 	// PairsComputed is how many pairwise distances the pair path (Exact
 	// mode; the KS, JS, χ² and Hellinger metrics) computed in this run.
 	// The exact average of binned EMD, L1 and TV computes no pair
 	// distance, so there it is 0.
 	PairsComputed int
-	// CacheHits is how many pairwise distances the pair path served from
-	// the shared pair cache instead of recomputing; 0 where PairsComputed
-	// is.
+	// CacheHits is how many pairwise distances an exhaustive solver's
+	// per-run memo served on the pair path instead of recomputing; 0 for
+	// every other algorithm and wherever PairsComputed is.
 	CacheHits int
 	// PairsCopied and PairsPruned are always 0. They counted the pairs a
 	// search copied from an earlier state and the pairs a pruning cascade
@@ -168,8 +167,7 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	reps0, _, miss0 := e.CacheStats()
-	hits0 := int(e.pairs.hits.Load())
+	reps0, computed0, served0 := e.reps.count(), e.computed.Load(), e.served.Load()
 	// The root "run" span parents every scan/probe/split/emd span
 	// the engine opens below; gauges are synced once per run, off the hot
 	// path. Both no-op when no tracer/registry is attached.
@@ -182,11 +180,10 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	reps1, _, miss1 := e.CacheStats()
 	res.Stats = RunStats{
-		RepsInterned:  reps1 - reps0,
-		PairsComputed: miss1 - miss0,
-		CacheHits:     int(e.pairs.hits.Load()) - hits0,
+		RepsInterned:  e.reps.count() - reps0,
+		PairsComputed: int(e.computed.Load() - computed0),
+		CacheHits:     int(e.served.Load() - served0),
 		Rounds:        len(res.Steps),
 	}
 	return res, nil
@@ -209,9 +206,9 @@ func init() {
 		return allAttributesCtx(ctx, e, spec.Attrs, spec.Progress)
 	})
 	Register("exhaustive", func(ctx context.Context, e *Evaluator, spec Spec) (*Result, error) {
-		return exhaustiveWith(ctx, e, spec.Attrs, spec.budget(), "exhaustive", partition.EnumerateTrees)
+		return exhaustiveWith(ctx, e, spec.Attrs, spec.budget(), "exhaustive", newTreeSpace)
 	})
 	Register("exhaustive-cells", func(ctx context.Context, e *Evaluator, spec Spec) (*Result, error) {
-		return exhaustiveWith(ctx, e, spec.Attrs, spec.budget(), "exhaustive-cells", partition.EnumerateCellGroupings)
+		return exhaustiveWith(ctx, e, spec.Attrs, spec.budget(), "exhaustive-cells", newCellSpace)
 	})
 }

@@ -13,43 +13,33 @@ import (
 // instrumented unconditionally at the cost of a predicted branch.
 //
 // Counters are incremented at the existing batch sites (where the
-// engine already accounts pairCache misses), never per-EMD inside the
-// distance kernels — telemetry must not add an atomic op per
-// evaluation. Cache occupancy is exported as gauges synced at run
-// boundaries (syncGauges), including the per-shard distributions of
-// both sharded caches.
+// engine already counts computed pairs, countPairs), never per-EMD
+// inside the distance kernels — telemetry must not add an atomic op per
+// evaluation. Rep-cache occupancy is exported as gauges synced at run
+// boundaries (syncGauges), including its per-shard distribution.
 
 // Engine metric names, exported on Config.Metrics registries.
 const (
-	MetricEMDEvaluations  = "fairrank_engine_emd_evaluations_total"
-	MetricPairCacheHits   = "fairrank_engine_pair_cache_hits_total"
-	MetricPairCacheMisses = "fairrank_engine_pair_cache_misses_total"
-	MetricProbes          = "fairrank_engine_probes_total"
-	MetricRuns            = "fairrank_engine_runs_total"
-	MetricReps            = "fairrank_engine_reps"
-	MetricPairEntries     = "fairrank_engine_pair_cache_entries"
-	MetricPairShard       = "fairrank_engine_pair_cache_shard_entries"
-	MetricRepShard        = "fairrank_engine_rep_cache_shard_entries"
+	MetricEMDEvaluations = "fairrank_engine_emd_evaluations_total"
+	MetricProbes         = "fairrank_engine_probes_total"
+	MetricRuns           = "fairrank_engine_runs_total"
+	MetricReps           = "fairrank_engine_reps"
+	MetricRepShard       = "fairrank_engine_rep_cache_shard_entries"
 )
 
 // engineMetrics holds the engine's telemetry handles. The zero value
 // (all nil) is the disabled state.
 type engineMetrics struct {
-	emdEvals    *telemetry.Counter // pair distances actually computed
-	cacheHits   *telemetry.Counter // pair-cache lookups served
-	cacheMisses *telemetry.Counter // pair-cache lookups that computed
-	probes      *telemetry.Counter // candidate-attribute probes evaluated
-	runs        *telemetry.Counter // completed core.Run sessions
+	emdEvals *telemetry.Counter // pair distances actually computed
+	probes   *telemetry.Counter // candidate-attribute probes evaluated
+	runs     *telemetry.Counter // completed core.Run sessions
 
-	reps        *telemetry.Gauge   // distinct representations interned
-	pairEntries *telemetry.Gauge   // distances held in the shared cache
-	pairShards  []*telemetry.Gauge // per-shard pair-cache occupancy
-	repShards   []*telemetry.Gauge // per-shard rep-cache occupancy
+	reps      *telemetry.Gauge   // distinct representations interned
+	repShards []*telemetry.Gauge // per-shard rep-cache occupancy
 }
 
 // engineMetricsByReg memoizes the resolved handle set per registry.
-// Resolving the ~140 series (two 64-shard gauge vectors plus the
-// counters) costs tens of microseconds — fine once per process, but
+// Resolving the ~70 series (a 64-shard gauge vector plus the counters) costs tens of microseconds — fine once per process, but
 // fairserve builds a fresh Evaluator per audit request against one
 // shared registry, so the lookup result is cached by registry identity.
 // A registry entry is retained for the registry's lifetime, which in
@@ -76,51 +66,30 @@ func engineMetricsFor(reg *telemetry.Registry) engineMetrics {
 // methods are nil-safe, so no branching is needed here either.
 func newEngineMetrics(reg *telemetry.Registry) engineMetrics {
 	m := engineMetrics{
-		emdEvals:    reg.Counter(MetricEMDEvaluations),
-		cacheHits:   reg.Counter(MetricPairCacheHits),
-		cacheMisses: reg.Counter(MetricPairCacheMisses),
-		probes:      reg.Counter(MetricProbes),
-		runs:        reg.Counter(MetricRuns),
-		reps:        reg.Gauge(MetricReps),
-		pairEntries: reg.Gauge(MetricPairEntries),
+		emdEvals: reg.Counter(MetricEMDEvaluations),
+		probes:   reg.Counter(MetricProbes),
+		runs:     reg.Counter(MetricRuns),
+		reps:     reg.Gauge(MetricReps),
 	}
 	if reg != nil {
-		m.pairShards = make([]*telemetry.Gauge, cacheShards)
 		m.repShards = make([]*telemetry.Gauge, cacheShards)
 		for i := 0; i < cacheShards; i++ {
 			shard := telemetry.Label{Key: "shard", Value: strconv.Itoa(i)}
-			m.pairShards[i] = reg.Gauge(MetricPairShard, shard)
 			m.repShards[i] = reg.Gauge(MetricRepShard, shard)
 		}
 	}
 	return m
 }
 
-// enabled reports whether any registry is attached (the per-shard
-// slices double as the sentinel).
-func (m *engineMetrics) enabled() bool { return m.pairShards != nil }
-
-// computed records n freshly computed pair distances — every site that
-// feeds pairCache.misses mirrors here.
-func (m *engineMetrics) computed(n int64) {
-	m.emdEvals.Add(n)
-	m.cacheMisses.Add(n)
-}
-
-// syncGauges publishes the caches' occupancy — aggregate and per shard.
-// Called at run boundaries, not on the hot path: 2·cacheShards mutex
-// hops per run is noise next to a partitioning search.
+// syncGauges publishes the rep cache's occupancy — aggregate and per
+// shard. Called at run boundaries, not on the hot path: cacheShards
+// mutex hops per run is noise next to a partitioning search. The
+// per-shard slice doubles as the sentinel of an attached registry.
 func (m *engineMetrics) syncGauges(e *Evaluator) {
-	if !m.enabled() {
+	if m.repShards == nil {
 		return
 	}
 	m.reps.Set(float64(e.reps.count()))
-	total := 0
-	for i, n := range e.pairs.shardLens() {
-		m.pairShards[i].Set(float64(n))
-		total += n
-	}
-	m.pairEntries.Set(float64(total))
 	for i, n := range e.reps.shardLens() {
 		m.repShards[i].Set(float64(n))
 	}
@@ -132,14 +101,4 @@ func (m *engineMetrics) syncGauges(e *Evaluator) {
 // a nil registry.
 func PreregisterMetrics(reg *telemetry.Registry) {
 	engineMetricsFor(reg)
-}
-
-// ShardStats reports the per-shard occupancy of the evaluator's two
-// sharded caches: repShards[i] is how many interned representations
-// live in rep-cache shard i (both key layers), pairShards[i] how many
-// cached distances live in pair-cache shard i. Aggregate totals remain
-// available via CacheStats; the distribution is what the telemetry
-// gauges export.
-func (e *Evaluator) ShardStats() (repShards, pairShards []int) {
-	return e.reps.shardLens(), e.pairs.shardLens()
 }

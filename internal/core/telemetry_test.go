@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"fairrank/internal/emd"
@@ -72,9 +73,8 @@ func TestRunSpanTreeWithoutTracer(t *testing.T) {
 
 // TestRunTelemetryCounters pins the counter contract against RunStats:
 // on a fresh evaluator the EMD-evaluation counter equals the run's
-// PairsComputed (every pairCache.misses site mirrors into telemetry),
-// cache-miss and EMD counters agree, and probes/runs are recorded. The
-// exact average of the default mode computes no pair distance; the KS
+// PairsComputed (countPairs feeds both), and probes/runs are recorded.
+// The exact average of the default mode computes no pair distance; the KS
 // metric's pair path does.
 func TestRunTelemetryCounters(t *testing.T) {
 	ds := randomDataset(t, 400, 13)
@@ -92,13 +92,6 @@ func TestRunTelemetryCounters(t *testing.T) {
 		}
 		if (res.Stats.PairsComputed == 0) != (metric == emd.MetricEMD) {
 			t.Errorf("%v: PairsComputed = %d", metric, res.Stats.PairsComputed)
-		}
-		if snap.Counters[MetricEMDEvaluations] != snap.Counters[MetricPairCacheMisses] {
-			t.Errorf("%v: emd evals %d != cache misses %d", metric,
-				snap.Counters[MetricEMDEvaluations], snap.Counters[MetricPairCacheMisses])
-		}
-		if got := snap.Counters[MetricPairCacheHits]; got != int64(res.Stats.CacheHits) {
-			t.Errorf("%v: %s = %d, want CacheHits = %d", metric, MetricPairCacheHits, got, res.Stats.CacheHits)
 		}
 		if snap.Counters[MetricProbes] == 0 {
 			t.Errorf("%v: probe counter stayed zero across a balanced run", metric)
@@ -134,36 +127,36 @@ func TestRunSharedRegistryAccumulates(t *testing.T) {
 	}
 }
 
-// TestShardStats pins ShardStats against the aggregate CacheStats and the
-// shard count: distributions must sum to the totals.
+// TestShardStats pins the rep cache's shard distribution, which the
+// per-shard gauges export: one entry per shard, summing to every rep but
+// the root's, and spread by the whole key rather than piled into the few
+// shards a child key's value code alone would pick.
 func TestShardStats(t *testing.T) {
-	ds := randomDataset(t, 400, 15)
-	e := mustEval(t, ds, Config{})
-	if _, err := Run(context.Background(), Spec{Evaluator: e}); err != nil {
+	e := mustEval(t, searchDataset(t, 1200, 4), Config{})
+	if _, err := Run(context.Background(), Spec{Algorithm: "unbalanced", Evaluator: e}); err != nil {
 		t.Fatal(err)
 	}
-	repShards, pairShards := e.ShardStats()
-	if len(repShards) != cacheShards || len(pairShards) != cacheShards {
-		t.Fatalf("shard slice lengths = %d, %d, want %d", len(repShards), len(pairShards), cacheShards)
+	shards := e.reps.shardLens()
+	if len(shards) != cacheShards {
+		t.Fatalf("shard slice length = %d, want %d", len(shards), cacheShards)
 	}
-	reps, pairs, _ := e.CacheStats()
-	sum := func(xs []int) (n int) {
-		for _, x := range xs {
-			n += x
-		}
-		return
+	sum, most := 0, 0
+	for _, n := range shards {
+		sum += n
+		most = max(most, n)
 	}
-	if got := sum(repShards); got != reps {
-		t.Errorf("rep shard sum = %d, want CacheStats reps = %d", got, reps)
+	if want := e.reps.count() - 1; sum != want {
+		t.Errorf("rep shard sum = %d, want reps − 1 = %d", sum, want)
 	}
-	if got := sum(pairShards); got != pairs {
-		t.Errorf("pair shard sum = %d, want CacheStats pairs = %d", got, pairs)
+	if most > 4*sum/cacheShards {
+		t.Errorf("fullest rep shard holds %d of %d reps, want at most 4× the mean", most, sum)
 	}
 }
 
 // TestSyncGaugesPublishesOccupancy pins the gauge surface: after a run
-// with a registry attached, the aggregate gauges match CacheStats and the
-// per-shard gauge series sum to the aggregates.
+// with a registry attached, the reps gauge counts every rep the evaluator
+// handed out, and the per-shard series — one per shard — sum to the keyed
+// child reps, every rep but the root's.
 func TestSyncGaugesPublishesOccupancy(t *testing.T) {
 	ds := randomDataset(t, 400, 16)
 	reg := telemetry.NewRegistry()
@@ -171,33 +164,23 @@ func TestSyncGaugesPublishesOccupancy(t *testing.T) {
 	if _, err := Run(context.Background(), Spec{Evaluator: e}); err != nil {
 		t.Fatal(err)
 	}
-	reps, pairs, _ := e.CacheStats()
+	reps := e.reps.count()
 	snap := reg.Snapshot()
 	if got := snap.Gauges[MetricReps]; got != float64(reps) {
 		t.Errorf("%s = %v, want %d", MetricReps, got, reps)
 	}
-	if got := snap.Gauges[MetricPairEntries]; got != float64(pairs) {
-		t.Errorf("%s = %v, want %d", MetricPairEntries, got, pairs)
-	}
-	pairSum, repSum, pairSeries, repSeries := 0.0, 0.0, 0, 0
+	repSum, repSeries := 0.0, 0
 	for id, v := range snap.Gauges {
-		switch {
-		case len(id) > len(MetricPairShard) && id[:len(MetricPairShard)] == MetricPairShard:
-			pairSum += v
-			pairSeries++
-		case len(id) > len(MetricRepShard) && id[:len(MetricRepShard)] == MetricRepShard:
+		if strings.HasPrefix(id, MetricRepShard+"{") {
 			repSum += v
 			repSeries++
 		}
 	}
-	if pairSeries != cacheShards || repSeries != cacheShards {
-		t.Fatalf("per-shard series = %d, %d, want %d each", pairSeries, repSeries, cacheShards)
+	if repSeries != cacheShards {
+		t.Fatalf("per-shard series = %d, want %d", repSeries, cacheShards)
 	}
-	if pairSum != float64(pairs) {
-		t.Errorf("pair shard gauges sum to %v, want %d", pairSum, pairs)
-	}
-	if repSum != float64(reps) {
-		t.Errorf("rep shard gauges sum to %v, want %d", repSum, reps)
+	if repSum != float64(reps-1) {
+		t.Errorf("rep shard gauges sum to %v, want %d", repSum, reps-1)
 	}
 }
 
@@ -208,8 +191,7 @@ func TestPreregisterMetrics(t *testing.T) {
 	PreregisterMetrics(reg)
 	snap := reg.Snapshot()
 	for _, name := range []string{
-		MetricEMDEvaluations, MetricPairCacheHits, MetricPairCacheMisses,
-		MetricProbes, MetricRuns,
+		MetricEMDEvaluations, MetricProbes, MetricRuns,
 	} {
 		if v, ok := snap.Counters[name]; !ok || v != 0 {
 			t.Errorf("preregistered counter %s = %d, %v; want 0, true", name, v, ok)

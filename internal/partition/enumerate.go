@@ -2,169 +2,14 @@ package partition
 
 import (
 	"errors"
-	"fmt"
 	"math"
-	"strings"
-
-	"fairrank/internal/dataset"
 )
 
-// ErrBudgetExceeded is returned when exhaustive enumeration would exceed
-// its partitioning budget. This is the expected outcome at realistic sizes:
-// the paper's own brute-force implementation "failed to terminate after
-// running for two days with only 6 attributes".
+// ErrBudgetExceeded is returned when an exhaustive solver's space holds
+// more partitionings than its budget. This is the expected outcome at
+// realistic sizes: the paper's own brute-force implementation "failed to
+// terminate after running for two days with only 6 attributes".
 var ErrBudgetExceeded = errors.New("partition: enumeration budget exceeded")
-
-// EnumerateTrees yields every full disjoint partitioning obtainable by
-// hierarchical attribute splits: starting from the root, each partition is
-// either kept as a leaf or split on a protected attribute not yet used on
-// its path, independently per branch (exactly the space the paper's
-// balanced/unbalanced heuristics navigate). attrs lists the usable
-// protected attribute indices.
-//
-// yield is called once per partitioning; returning false stops enumeration
-// early. budget caps the number of partitionings yielded; exceeding it
-// returns ErrBudgetExceeded.
-func EnumerateTrees(ds *dataset.Dataset, attrs []int, budget int, yield func(*Partitioning) bool) error {
-	if budget <= 0 {
-		return ErrBudgetExceeded
-	}
-	root := Root(ds)
-	count := 0
-	stopped := false
-
-	// options returns every list of leaf partitions reachable from p with
-	// the given remaining attributes. The root is never a leaf on its own
-	// unless no attributes are available: the paper's problem asks for a
-	// partitioning, and the trivial single-partition one has unfairness 0,
-	// but we still include it for completeness of the space.
-	var options func(p *Partition, remaining []int) ([][]*Partition, error)
-	options = func(p *Partition, remaining []int) ([][]*Partition, error) {
-		result := [][]*Partition{{p}} // keep p as a leaf
-		for ai, a := range remaining {
-			children := Split(ds, p, a)
-			rest := make([]int, 0, len(remaining)-1)
-			rest = append(rest, remaining[:ai]...)
-			rest = append(rest, remaining[ai+1:]...)
-			// Cartesian product of each child's options.
-			combos := [][]*Partition{{}}
-			for _, ch := range children {
-				chOpts, err := options(ch, rest)
-				if err != nil {
-					return nil, err
-				}
-				var next [][]*Partition
-				for _, combo := range combos {
-					for _, opt := range chOpts {
-						merged := make([]*Partition, 0, len(combo)+len(opt))
-						merged = append(merged, combo...)
-						merged = append(merged, opt...)
-						next = append(next, merged)
-						if len(next) > budget+1 {
-							return nil, ErrBudgetExceeded
-						}
-					}
-				}
-				combos = next
-			}
-			result = append(result, combos...)
-			if len(result) > budget+1 {
-				return nil, ErrBudgetExceeded
-			}
-		}
-		return result, nil
-	}
-
-	opts, err := options(root, attrs)
-	if err != nil {
-		return err
-	}
-	for _, parts := range opts {
-		count++
-		if count > budget {
-			return ErrBudgetExceeded
-		}
-		if !yield(&Partitioning{Parts: parts}) {
-			stopped = true
-			break
-		}
-	}
-	_ = stopped
-	return nil
-}
-
-// EnumerateCellGroupings enumerates every full disjoint partitioning
-// obtainable by grouping the non-empty cells of the full attribute
-// cross-product into blocks — the complete set-partition space, a strict
-// superset of the hierarchical tree space of EnumerateTrees (a tree leaf is
-// always a union of cells, but not every union of cells is a tree leaf).
-// Enumeration walks restricted growth strings; the number of groupings is
-// the Bell number of the cell count, so the budget bites quickly.
-//
-// yield receives each partitioning; returning false stops early. Exceeding
-// budget returns ErrBudgetExceeded.
-func EnumerateCellGroupings(ds *dataset.Dataset, attrs []int, budget int, yield func(*Partitioning) bool) error {
-	if budget <= 0 {
-		return ErrBudgetExceeded
-	}
-	cells := []*Partition{Root(ds)}
-	for _, a := range attrs {
-		cells = SplitAll(ds, cells, a)
-	}
-	n := len(cells)
-	labels := make([]int, n)
-	count := 0
-	stopped := false
-
-	var walk func(i, maxLabel int) error
-	walk = func(i, maxLabel int) error {
-		if stopped {
-			return nil
-		}
-		if i == n {
-			count++
-			if count > budget {
-				return ErrBudgetExceeded
-			}
-			blocks := make([][]int, maxLabel+1)
-			names := make([][]string, maxLabel+1)
-			for c, l := range labels {
-				blocks[l] = append(blocks[l], cells[c].Indices...)
-				names[l] = append(names[l], fmt.Sprintf("c%d", c))
-			}
-			parts := make([]*Partition, 0, maxLabel+1)
-			for l, idx := range blocks {
-				parts = append(parts, &Partition{
-					Name:    "{" + strings.Join(names[l], "+") + "}",
-					Indices: idx,
-				})
-			}
-			if !yield(&Partitioning{Parts: parts}) {
-				stopped = true
-			}
-			return nil
-		}
-		for l := 0; l <= maxLabel+1; l++ {
-			labels[i] = l
-			next := maxLabel
-			if l > maxLabel {
-				next = l
-			}
-			if err := walk(i+1, next); err != nil {
-				return err
-			}
-			if stopped {
-				return nil
-			}
-		}
-		return nil
-	}
-	if n == 0 {
-		return errors.New("partition: no cells to group")
-	}
-	labels[0] = 0
-	return walk(1, 0)
-}
 
 // CountTrees computes (without materializing) the number of hierarchical
 // split partitionings for the given per-attribute cardinalities, assuming

@@ -1,9 +1,8 @@
 // Package partition implements the partitioning machinery of the paper:
 // partitions of workers defined by protected-attribute constraints, the
-// split operation the greedy algorithms are built from, and exhaustive
-// enumeration of the partitioning space (with an explicit budget, since the
-// space is exponential — the reason the paper's brute-force solver never
-// terminated).
+// split operation the algorithms are built from, and the size of the
+// hierarchical partitioning space (exponential — the reason the paper's
+// brute-force solver never terminated).
 package partition
 
 import (
@@ -24,8 +23,8 @@ type Constraint struct {
 
 // Partition is a group of workers selected by a conjunction of constraints
 // on protected attributes — or, for partitions produced by merging cells
-// (see EnumerateCellGroupings), an explicitly named union of such groups.
-// Indices are row numbers into the dataset.
+// (core's exhaustive-cells solver), an explicitly named union of such
+// groups. Indices are row numbers into the dataset.
 type Partition struct {
 	// Constraints defining the partition, in split order. Empty for the
 	// root and for named unions.

@@ -204,112 +204,6 @@ func TestAttributesUsed(t *testing.T) {
 	}
 }
 
-func TestEnumerateTreesSmall(t *testing.T) {
-	ds := buildRandom(t, 30, 7)
-	var all []*Partitioning
-	err := EnumerateTrees(ds, []int{0, 1}, 1000, func(pt *Partitioning) bool {
-		all = append(all, pt)
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Space with attrs {Gender(2), Language(3)} assuming all values present:
-	// leaf(1) + split-G then each of 2 children {leaf or split-L} (2²=4)
-	// + split-L then each of 3 children {leaf or split-G} (2³=8) = 13.
-	if len(all) != 13 {
-		t.Fatalf("enumerated %d partitionings, want 13", len(all))
-	}
-	for _, pt := range all {
-		if err := pt.Validate(ds); err != nil {
-			t.Fatalf("enumerated invalid partitioning: %v", err)
-		}
-	}
-}
-
-func TestEnumerateTreesBudget(t *testing.T) {
-	ds := buildRandom(t, 30, 8)
-	err := EnumerateTrees(ds, []int{0, 1}, 3, func(*Partitioning) bool { return true })
-	if err != ErrBudgetExceeded {
-		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
-	}
-	if err := EnumerateTrees(ds, []int{0, 1}, 0, func(*Partitioning) bool { return true }); err != ErrBudgetExceeded {
-		t.Fatalf("zero budget err = %v", err)
-	}
-}
-
-func TestEnumerateTreesEarlyStop(t *testing.T) {
-	ds := buildRandom(t, 30, 9)
-	n := 0
-	err := EnumerateTrees(ds, []int{0, 1}, 1000, func(*Partitioning) bool {
-		n++
-		return n < 2
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Fatalf("early stop visited %d", n)
-	}
-}
-
-func TestEnumerateCellGroupingsBellCount(t *testing.T) {
-	// Gender×Language over a population realizing all 6 cells: the
-	// grouping count is Bell(6) = 203.
-	ds := buildRandom(t, 200, 11)
-	n := 0
-	err := EnumerateCellGroupings(ds, []int{0, 1}, 1000, func(pt *Partitioning) bool {
-		if err := pt.Validate(ds); err != nil {
-			t.Fatalf("invalid grouping: %v", err)
-		}
-		n++
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 203 {
-		t.Fatalf("enumerated %d groupings, want Bell(6)=203", n)
-	}
-}
-
-func TestEnumerateCellGroupingsBudgetAndStop(t *testing.T) {
-	ds := buildRandom(t, 100, 12)
-	if err := EnumerateCellGroupings(ds, []int{0, 1}, 5, func(*Partitioning) bool { return true }); err != ErrBudgetExceeded {
-		t.Fatalf("budget err = %v", err)
-	}
-	if err := EnumerateCellGroupings(ds, []int{0, 1}, 0, func(*Partitioning) bool { return true }); err != ErrBudgetExceeded {
-		t.Fatalf("zero budget err = %v", err)
-	}
-	n := 0
-	if err := EnumerateCellGroupings(ds, []int{0}, 100, func(*Partitioning) bool { n++; return n < 2 }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Fatalf("early stop visited %d", n)
-	}
-}
-
-func TestCellGroupingKeysDistinct(t *testing.T) {
-	// Named unions must not collide on Key (the evaluator caches by it).
-	ds := buildRandom(t, 100, 13)
-	keys := map[string]bool{}
-	err := EnumerateCellGroupings(ds, []int{0}, 100, func(pt *Partitioning) bool {
-		for _, p := range pt.Parts {
-			keys[p.Key()] = true
-		}
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Gender has 2 cells → groupings {c0}{c1} and {c0+c1} → 3 distinct
-	// block keys.
-	if len(keys) != 3 {
-		t.Fatalf("%d distinct keys, want 3: %v", len(keys), keys)
-	}
-}
-
 func TestNamedPartitionKeyAndLabel(t *testing.T) {
 	p := &Partition{Name: "{c0+c3}", Indices: []int{0}}
 	if p.Key() != "name:{c0+c3}" {

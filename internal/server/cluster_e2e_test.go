@@ -38,6 +38,15 @@ func startNode(t *testing.T, opts ...ServerOption) (*Server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Stop the node's heartbeat loop and queue before its store closes.
+	// A cluster left running keeps probing its closed peers every
+	// heartbeat for the rest of the test binary, allocating under later
+	// tests that read the heap.
+	t.Cleanup(func() {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		_ = s.Shutdown(ctx)
+	})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts

@@ -536,3 +536,31 @@ func TestOverBudgetJobRunsOnce(t *testing.T) {
 		t.Fatalf("engine ran %d times, want 1", runs)
 	}
 }
+
+// TestOverBudgetCellsJobFailsFast: an exhaustive-cells job over the
+// paper's 7,300 workers (1,767 cells) with a budget of 100,000 is refused
+// by the solver's count before it averages any candidate, so the job
+// reaches failed within 5 s.
+func TestOverBudgetCellsJobFailsFast(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	uploadDataset(t, ts, "paper", 7300)
+	start := time.Now()
+	spec := map[string]any{"dataset": "paper", "weights": map[string]float64{"LanguageTest": 1},
+		"algorithm": "exhaustive-cells", "budget": 100000}
+	j := submitJob(t, ts.URL, spec, http.StatusAccepted)
+	for {
+		if status := getJSON(t, ts.URL+"/v1/jobs/"+j.ID, &j); status != http.StatusOK {
+			t.Fatalf("GET job: status %d", status)
+		}
+		if j.State == jobs.StateFailed {
+			break
+		}
+		if time.Since(start) > 5*time.Second {
+			t.Fatalf("job still %s after %v", j.State, time.Since(start))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if j.Error != "partition: enumeration budget exceeded" {
+		t.Fatalf("failed job: error %q", j.Error)
+	}
+}

@@ -727,14 +727,15 @@ func TestJobCancelRunning(t *testing.T) {
 	s, ts, _ := newTestServer(t)
 	uploadDataset(t, ts, "workers", 500)
 
-	// exhaustive-cells over all six attributes streams candidates from a
-	// Bell-number space: it cannot finish, so only the cancellation can
-	// end the job.
+	// exhaustive over Gender, Country, Language and Ethnicity streams the
+	// ~6e14 trees its budget admits: it cannot finish, so only the
+	// cancellation can end the job.
 	resp, body := postJSON(t, ts.URL+"/v1/jobs", map[string]any{
-		"dataset":   "workers",
-		"algorithm": "exhaustive-cells",
-		"budget":    1 << 40,
-		"weights":   map[string]float64{"LanguageTest": 1},
+		"dataset":    "workers",
+		"algorithm":  "exhaustive",
+		"attributes": []string{"Gender", "Country", "Language", "Ethnicity"},
+		"budget":     1 << 62,
+		"weights":    map[string]float64{"LanguageTest": 1},
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit = %d: %s", resp.StatusCode, body)

@@ -84,8 +84,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	if v, ok := metricValue(body, core.MetricEMDEvaluations); !ok || v != 0 {
 		t.Errorf("%s = %v, %v; want 0 after a binned EMD audit", core.MetricEMDEvaluations, v, ok)
 	}
-	if v, ok := metricValue(body, core.MetricPairCacheHits); !ok {
-		t.Errorf("%s missing after an audit (= %v)", core.MetricPairCacheHits, v)
+	if v, ok := metricValue(body, core.MetricReps); !ok || v <= 0 {
+		t.Errorf("%s = %v, %v; want > 0 after an audit", core.MetricReps, v, ok)
 	}
 	if v, ok := metricValue(body, core.MetricRuns); !ok || v != 1 {
 		t.Errorf("%s = %v, %v; want 1", core.MetricRuns, v, ok)
