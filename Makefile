@@ -24,9 +24,10 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
 # Streaming-monitor benchmarks: per-event delta maintenance vs the
-# from-scratch recompute baseline, across group counts.
+# from-scratch recompute baseline, and the same event on the half-life
+# estimator, across group counts.
 bench-monitor:
-	$(GO) test -run '^$$' -bench 'BenchmarkMonitor' -benchmem ./internal/monitor/
+	$(GO) test -run '^$$' -bench 'BenchmarkMonitor|BenchmarkDecayEvent' -benchmem ./internal/monitor/ ./internal/drift/
 
 # bench-json emits BENCH_4.json: the telemetry-overhead benchmark parsed
 # into JSON plus the engine's full telemetry snapshot from an

@@ -98,6 +98,8 @@ func TestBucketIndex(t *testing.T) {
 	}{
 		{1950, 0}, {1961.9, 0}, {1962, 1}, {1997, 3}, {1998, 4}, {2010, 4},
 		{1900, 0}, {2050, 4}, // clamped
+		// Clamped in float space, the same on every architecture.
+		{1e19, 4}, {1e300, 4}, {math.Inf(1), 4}, {-1e300, 0}, {math.Inf(-1), 0}, {math.NaN(), 0},
 	}
 	for _, c := range cases {
 		if got := y.BucketIndex(c.v); got != c.want {

@@ -14,7 +14,6 @@ package dataset
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Kind distinguishes categorical from numeric attributes.
@@ -92,20 +91,23 @@ func (a Attribute) BucketBounds(i int) (lo, hi float64) {
 }
 
 // BucketIndex maps a numeric value onto its bucket, clamping out-of-range
-// values to the first/last bucket.
+// values to the first/last bucket: values below Min, -Inf and NaN to the
+// first, huge values and +Inf to the last.
 func (a Attribute) BucketIndex(v float64) int {
 	if a.Buckets <= 0 {
 		return 0
 	}
 	w := (a.Max - a.Min) / float64(a.Buckets)
-	i := int(math.Floor((v - a.Min) / w))
-	if i < 0 {
+	// Clamp in float space, as histogram.BinIndex does: Go leaves the
+	// conversion of an out-of-range float to int to the architecture.
+	x := (v - a.Min) / w
+	if !(x >= 0) {
 		return 0
 	}
-	if i >= a.Buckets {
+	if x >= float64(a.Buckets) {
 		return a.Buckets - 1
 	}
-	return i
+	return int(x)
 }
 
 // CategoryIndex returns the index of the categorical value, or -1 if it is

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"fairrank/internal/dataset"
 	"fairrank/internal/monitor"
+	"fairrank/internal/rng"
 )
 
 // benchStream builds a steady-state workload over a fixed worker
@@ -210,5 +212,110 @@ func TestWindowSteadyStateAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state window path allocates: %v allocs per %d-event cycle", avg, len(cycle))
+	}
+}
+
+// TestWatchSteadyStateAllocs extends the zero-alloc gate to a whole watch:
+// a window, a half-life short enough to rescale the decay's weights every
+// ~1,330 events, and the standard three-rule set armed but silent, one of
+// its rules reading the decay. Once warm, feeding events through Apply
+// must not allocate.
+func TestWatchSteadyStateAllocs(t *testing.T) {
+	prelude, cycle := benchStream(64)
+	w, err := NewWatch(streamSchema(), Spec{
+		ID: "allocs", Dataset: "allocs", Attributes: []string{"G"},
+		Weights: map[string]float64{"Score": 1},
+		Window:  96, HalfLife: 2,
+		Rules: []RuleSpec{
+			{Name: "hard", Type: RuleThreshold, Threshold: 10, Hysteresis: 0.1},
+			{Name: "slope", Type: RuleDelta, Delta: 10, Lookback: 64, Hysteresis: 0.1},
+			{Name: "drift", Type: RuleBaseline, Source: SourceDecay, Delta: 10, Hysteresis: 0.1, Cooldown: 10},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	apply := func(ev Event) {
+		if alarms, err := w.Apply(ev); err != nil || len(alarms) != 0 {
+			t.Fatalf("apply %+v: %v, %d transitions", ev, err, len(alarms))
+		}
+	}
+	seedAnchors(t, func(id string, prot map[string]any, score float64) error {
+		apply(Event{Type: EventJoin, Worker: id, Protected: prot, Score: score})
+		return nil
+	})
+	for _, ev := range prelude {
+		apply(ev)
+	}
+	for i := 0; i < 4*len(cycle); i++ {
+		apply(cycle[i%len(cycle)])
+	}
+	w.SealBaseline()
+	weight, rescales := w.decay.weight, 0
+	i := 0
+	avg := testing.AllocsPerRun(5, func() {
+		for range cycle {
+			apply(cycle[i%len(cycle)])
+			i++
+			if w.decay.weight < weight {
+				rescales++
+			}
+			weight = w.decay.weight
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("steady-state watch path allocates: %v allocs per %d-event cycle", avg, len(cycle))
+	}
+	if rescales == 0 {
+		t.Fatal("no decay rescale happened while allocations were counted")
+	}
+}
+
+// decaySchema induces exactly k groups through one categorical attribute.
+func decaySchema(k int) *dataset.Schema {
+	vals := make([]string, k)
+	for i := range vals {
+		vals[i] = fmt.Sprintf("g%02d", i)
+	}
+	return &dataset.Schema{
+		Protected: []dataset.Attribute{dataset.Cat("Group", vals...)},
+		Observed:  []dataset.Attribute{dataset.Num("Score", 0, 1, 1)},
+	}
+}
+
+// BenchmarkDecayEvent is BenchmarkMonitorEvent for the half-life
+// estimator: one steady-state re-score followed by an Unfairness read,
+// across group counts, over eight workers a group. It uses only the
+// estimator's exported API.
+func BenchmarkDecayEvent(b *testing.B) {
+	for _, k := range []int{4, 8, 16, 32, 64, 128} {
+		b.Run(fmt.Sprintf("groups=%d", k), func(b *testing.B) {
+			d, err := NewDecay(decaySchema(k), []string{"Group"}, 10, 1024)
+			if err != nil {
+				b.Fatal(err)
+			}
+			r := rng.New(uint64(k))
+			var ids []string
+			for g := 0; g < k; g++ {
+				for w := 0; w < 8; w++ {
+					id := fmt.Sprintf("w%d-%d", g, w)
+					if err := d.Join(id, map[string]any{"Group": fmt.Sprintf("g%02d", g)}, r.Float64()); err != nil {
+						b.Fatal(err)
+					}
+					ids = append(ids, id)
+				}
+			}
+			r = rng.New(99)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := d.Rescore(ids[i%len(ids)], r.Float64()); err != nil {
+					b.Fatal(err)
+				}
+				if u := d.Unfairness(); u < 0 {
+					b.Fatal("negative unfairness")
+				}
+			}
+		})
 	}
 }

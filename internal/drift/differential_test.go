@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"fairrank/internal/dataset"
-	"fairrank/internal/emd"
-	"fairrank/internal/histogram"
 	"fairrank/internal/monitor"
 	"fairrank/internal/testkit"
 )
@@ -94,15 +92,7 @@ func TestWindowBitIdenticalToReplay(t *testing.T) {
 				continue
 			}
 			ref := replayContents(t, w)
-			inc, err := w.UnfairnessErr()
-			if err != nil {
-				t.Fatalf("seed %d cap %d event %d: %v", seed, capacity, i, err)
-			}
-			want, err := ref.UnfairnessErr()
-			if err != nil {
-				t.Fatalf("seed %d cap %d event %d: replay: %v", seed, capacity, i, err)
-			}
-			if inc != want {
+			if inc, want := w.Unfairness(), ref.Unfairness(); inc != want {
 				t.Fatalf("seed %d cap %d event %d: window %v != replay %v",
 					seed, capacity, i, inc, want)
 			}
@@ -148,12 +138,7 @@ func TestWholeStreamWindowEqualsUnbounded(t *testing.T) {
 			if merr != nil {
 				t.Fatalf("seed %d event %d: %v", seed, i, merr)
 			}
-			a, errA := w.UnfairnessErr()
-			b, errB := m.UnfairnessErr()
-			if errA != nil || errB != nil {
-				t.Fatalf("seed %d event %d: %v / %v", seed, i, errA, errB)
-			}
-			if a != b {
+			if a, b := w.Unfairness(), m.Unfairness(); a != b {
 				t.Fatalf("seed %d event %d: whole-stream window %v != unbounded %v", seed, i, a, b)
 			}
 		}
@@ -204,48 +189,14 @@ func TestDecayMatchesOracle(t *testing.T) {
 	}
 }
 
-// recomputeDecay is the full read Decay.Unfairness replaced: every
-// group's PMF and every pairwise distance from scratch, reduced in (i, j)
-// order.
-func recomputeDecay(d *Decay) float64 {
-	k := len(d.order)
-	if k < 2 {
-		return 0
-	}
-	pmfs := make([][]float64, k)
-	for i, g := range d.order {
-		total := 0.0
-		for _, c := range g.bins {
-			total += c
-		}
-		pmfs[i] = make([]float64, d.bins)
-		for j, c := range g.bins {
-			if total == 0 {
-				pmfs[i][j] = 1 / float64(d.bins)
-			} else {
-				pmfs[i][j] = c / total
-			}
-		}
-	}
-	sum := 0.0
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			sum += emd.PMFDistance(pmfs[i], pmfs[j], d.unit)
-		}
-	}
-	return sum / float64(k*(k-1)/2)
-}
-
-// TestDecayIncrementalMatchesRecompute pins the decay estimator's cached
-// read bit for bit against the full recompute — after every event, or
-// every second or third so several groups change between reads — across
-// group births and deaths and the weight rescales a 1.5-event half-life
-// forces every ~1000 events.
+// TestDecayIncrementalMatchesRecompute pins the decay estimator bit for
+// bit against its monitor's from-scratch Recompute after every event,
+// across group births and deaths and the weight rescales a 1.5-event
+// half-life forces every ~1000 events.
 func TestDecayIncrementalMatchesRecompute(t *testing.T) {
 	rescales := 0
 	for seed := uint64(1); seed <= 12; seed++ {
 		events := testkit.NewGen(seed).Events(streamGroups, 2500)
-		every := 1 + int(seed%3)
 		d, err := NewDecay(streamSchema(), []string{"G"}, 10, 1.5)
 		if err != nil {
 			t.Fatal(err)
@@ -266,11 +217,8 @@ func TestDecayIncrementalMatchesRecompute(t *testing.T) {
 			if d.weight < weight {
 				rescales++
 			}
-			if i%every != 0 {
-				continue
-			}
-			if got, want := d.Unfairness(), recomputeDecay(d); got != want {
-				t.Fatalf("seed %d event %d: cached read %v != recompute %v", seed, i, got, want)
+			if got, want := d.Unfairness(), d.mon.Recompute(); got != want {
+				t.Fatalf("seed %d event %d: incremental %v != recompute %v", seed, i, got, want)
 			}
 		}
 	}
@@ -283,22 +231,39 @@ func TestDecayIncrementalMatchesRecompute(t *testing.T) {
 // the bin the monitor does (histogram.BinIndex over [0, 1], which divides
 // by the bin width), at 10 and 100 bins. Flooring score·bins instead moves
 // 0.3, 0.6 and 0.7 up a bin at 10 bins, and 0.47, 0.59 and 0.94 at 100.
+// Each side holds one worker at score 0 and one rescored to the score, so
+// each group's PMF is one bin and the estimate is that bin's distance from
+// bin 0: equal estimates are equal bins. The decay's anchor is re-made
+// with every score, so rescales never decay its mass away.
 func TestDecayBinsLikeMonitor(t *testing.T) {
 	for _, bins := range []int{10, 100} {
 		d, err := NewDecay(streamSchema(), []string{"G"}, bins, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := d.Join("w", groupAttrMaps[0], 0); err != nil {
+		m, err := monitor.New(streamSchema(), []string{"G"}, bins, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
+		for _, join := range []func(string, map[string]any, float64) error{d.Join, m.Join} {
+			if err := join("anchor", groupAttrMaps[1], 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := join("w", groupAttrMaps[0], 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		anchor, _ := d.tab.lookup("anchor")
 		slot, _ := d.tab.lookup("w")
-		grid := histogram.MustNew(bins, 0, 1)
 		for k := 0; k <= 1_000_000; k++ {
 			score := float64(k) / 1e6
+			d.rescore(anchor, 0)
 			d.rescore(slot, score)
-			if got, want := d.tab.rows[slot].decayBin, grid.BinIndex(score); got != want {
-				t.Fatalf("%d bins, score %v: decay bin %d, monitor bin %d", bins, score, got, want)
+			if err := m.Rescore("w", score); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := d.Unfairness(), m.Unfairness(); got != want {
+				t.Fatalf("%d bins, score %v: decay estimate %v, monitor %v", bins, score, got, want)
 			}
 		}
 	}
@@ -352,12 +317,7 @@ func TestWindowAgedOutSemantics(t *testing.T) {
 	if w.Workers() != ref.Workers() {
 		t.Fatalf("population %d != replay %d", w.Workers(), ref.Workers())
 	}
-	a, _ := w.UnfairnessErr()
-	b, err := ref.UnfairnessErr()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
+	if a, b := w.Unfairness(), ref.Unfairness(); a != b {
 		t.Fatalf("window %v != replay %v", a, b)
 	}
 }

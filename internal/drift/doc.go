@@ -7,10 +7,10 @@
 // the last W effective events: admissions and retractions both go through
 // the monitor's O(k + log k) delta machinery, and the windowed value is
 // bit-identical to rebuilding a fresh monitor from the window's contents
-// (the differential suite pins this). Decay keeps an exponentially
-// decayed view with a configurable half-life in events — no retraction
-// bookkeeping, O(1) per event — for unbounded streams where "recent"
-// should fade smoothly rather than fall off a cliff.
+// (the differential suite pins this). Decay is the same monitor fed
+// weights that double every half-life (in events) — no retraction
+// bookkeeping, one delta update per event — for unbounded streams where
+// "recent" should fade smoothly rather than fall off a cliff.
 //
 // Watch drives both (plus the unbounded monitor) from one event stream
 // and evaluates named alarm rules after every event: "threshold" (fixed

@@ -165,8 +165,10 @@ func goldenTranscript(t *testing.T) []byte {
 // TestGoldenStream pins Watch.Apply's observable behaviour byte for byte
 // against a transcript recorded before the estimators shared one worker
 // table: error texts, alarm transitions and periodic Status JSON (whose
-// floats encode every bit of each estimate). Regenerate with -update only
-// for an intended behaviour change.
+// floats encode every bit of each estimate). It was regenerated once, when
+// decay values came to reduce through the monitor's sum tree; only their
+// last bits moved. Regenerate with -update only for an intended behaviour
+// change.
 func TestGoldenStream(t *testing.T) {
 	got := goldenTranscript(t)
 	if *updateGolden {

@@ -8,17 +8,15 @@ import "fairrank/internal/monitor"
 // standalone Window or Decay keeps its own and uses its fields only.
 type worker struct {
 	cell int
-	// total is the worker's state in the unbounded monitor, window its
-	// state in the window's inner monitor.
+	// total, window and decay are the worker's states in the unbounded
+	// monitor and in the window's and the decay's inner monitors.
 	total  monitor.Worker
 	window monitor.Worker
+	decay  monitor.Worker
 	// tail is the seq of the newest live window entry of the worker's
 	// membership span, -1 once the span aged out: the worker is in the
 	// window's inner monitor iff tail >= 0.
 	tail int
-	// decayBin and decayWeight are the worker's stored decay observation.
-	decayBin    int
-	decayWeight float64
 }
 
 // workerTable maps every worker on the platform (joined, not yet left) to

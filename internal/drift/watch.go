@@ -130,7 +130,7 @@ func (w *Watch) applyEstimators(ev Event) error {
 			return err
 		}
 		slot = w.tab.add(ev.Worker, cell)
-		w.total.JoinCell(&w.tab.rows[slot].total, cell, ev.Score)
+		w.total.JoinCell(&w.tab.rows[slot].total, cell, ev.Score, 1)
 		if w.window != nil {
 			w.window.join(slot, ev.Worker, ev.Protected, ev.Score)
 		}
@@ -143,13 +143,9 @@ func (w *Watch) applyEstimators(ev Event) error {
 		return fmt.Errorf("monitor: unknown worker %q", ev.Worker)
 	}
 	if ev.Type == EventLeave {
-		if err := w.total.LeaveWorker(ev.Worker, &w.tab.rows[slot].total); err != nil {
-			return err
-		}
+		w.total.LeaveWorker(&w.tab.rows[slot].total)
 		if w.window != nil {
-			if err := w.window.leave(slot, ev.Worker); err != nil {
-				return err
-			}
+			w.window.leave(slot, ev.Worker)
 		}
 		if w.decay != nil {
 			w.decay.leave(slot)
@@ -157,13 +153,9 @@ func (w *Watch) applyEstimators(ev Event) error {
 		w.tab.remove(ev.Worker, slot)
 		return nil
 	}
-	if err := w.total.RescoreWorker(ev.Worker, &w.tab.rows[slot].total, ev.Score); err != nil {
-		return err
-	}
+	w.total.RescoreWorker(&w.tab.rows[slot].total, ev.Score, 1)
 	if w.window != nil {
-		if err := w.window.rescore(slot, ev.Worker, ev.Score); err != nil {
-			return err
-		}
+		w.window.rescore(slot, ev.Worker, ev.Score)
 	}
 	if w.decay != nil {
 		w.decay.rescore(slot, ev.Score)
@@ -372,13 +364,6 @@ func (w *Watch) ActiveAlarms() int {
 	}
 	return n
 }
-
-// Window returns the sliding-window estimator, or nil. It shares the
-// watch's worker table: read it, but feed events through the watch.
-func (w *Watch) Window() *Window { return w.window }
-
-// Decay returns the decay estimator, or nil; like Window, read only.
-func (w *Watch) Decay() *Decay { return w.decay }
 
 // Total returns the unbounded-history monitor.
 func (w *Watch) Total() *monitor.Monitor { return w.total }

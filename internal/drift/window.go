@@ -156,11 +156,9 @@ func (w *Window) retractOldest() {
 	w.retractions++
 	if !closed {
 		// Span still open: the worker, still on the platform at the same
-		// slot, ages out of the windowed population. A removal failure
-		// here is a bookkeeping bug; the inner monitor records it and
-		// UnfairnessErr surfaces it.
+		// slot, ages out of the windowed population.
 		r := &w.tab.rows[e.slot]
-		_ = w.mon.LeaveWorker(e.id, &r.window)
+		w.mon.LeaveWorker(&r.window)
 		r.tail = -1
 	}
 }
@@ -199,9 +197,7 @@ func (w *Window) Leave(id string) error {
 	if !on {
 		return fmt.Errorf("drift: unknown worker %q", id)
 	}
-	if err := w.leave(slot, id); err != nil {
-		return err
-	}
+	w.leave(slot, id)
 	w.tab.remove(id, slot)
 	return nil
 }
@@ -214,7 +210,8 @@ func (w *Window) Rescore(id string, score float64) error {
 	if !on {
 		return fmt.Errorf("drift: unknown worker %q", id)
 	}
-	return w.rescore(slot, id, score)
+	w.rescore(slot, id, score)
+	return nil
 }
 
 // join admits a worker just added to the table at slot.
@@ -233,49 +230,39 @@ func (w *Window) join(slot int, id string, protected map[string]any, score float
 // and its Join entry enters the ring.
 func (w *Window) admit(slot int, id string, score float64) {
 	r := &w.tab.rows[slot]
-	w.mon.JoinCell(&r.window, r.cell, score)
+	w.mon.JoinCell(&r.window, r.cell, score, 1)
 	r.tail = w.push(entry{kind: entryJoin, id: id, slot: slot, cell: r.cell, score: score, next: -1})
 	w.trim()
 }
 
 // leave records the departure of the worker at slot; the caller frees the
 // slot.
-func (w *Window) leave(slot int, id string) error {
+func (w *Window) leave(slot int, id string) {
 	r := &w.tab.rows[slot]
 	if r.tail < 0 {
-		return nil
+		return
 	}
-	if err := w.mon.LeaveWorker(id, &r.window); err != nil {
-		return err
-	}
+	w.mon.LeaveWorker(&r.window)
 	seq := w.push(entry{kind: entryLeave, id: id, slot: slot, next: -1})
 	w.slot(r.tail).next = seq
 	r.tail = -1
 	w.trim()
-	return nil
 }
 
-func (w *Window) rescore(slot int, id string, score float64) error {
+func (w *Window) rescore(slot int, id string, score float64) {
 	r := &w.tab.rows[slot]
 	if r.tail < 0 {
 		w.admit(slot, id, score)
-		return nil
+		return
 	}
-	if err := w.mon.RescoreWorker(id, &r.window, score); err != nil {
-		return err
-	}
+	w.mon.RescoreWorker(&r.window, score, 1)
 	seq := w.push(entry{kind: entryRescore, id: id, slot: slot, score: score, next: -1})
 	w.slot(r.tail).next = seq
 	r.tail = seq
 	w.trim()
-	return nil
 }
 
-// UnfairnessErr returns the windowed unfairness estimate, with any pending
-// inner-monitor bookkeeping error.
-func (w *Window) UnfairnessErr() (float64, error) { return w.mon.UnfairnessErr() }
-
-// Unfairness is the lossy wrapper: 0 when an error is pending.
+// Unfairness returns the windowed unfairness estimate.
 func (w *Window) Unfairness() float64 { return w.mon.Unfairness() }
 
 // Workers returns the windowed population size.
@@ -285,11 +272,8 @@ func (w *Window) Workers() int { return w.mon.Workers() }
 func (w *Window) Groups() int { return w.mon.Groups() }
 
 // Live returns the window occupancy: the number of live (non-tombstoned)
-// effective events currently held, at most Capacity.
+// effective events currently held, at most the capacity.
 func (w *Window) Live() int { return w.live }
-
-// Capacity returns the window size W.
-func (w *Window) Capacity() int { return w.capacity }
 
 // Retractions returns how many span heads have aged out.
 func (w *Window) Retractions() int64 { return w.retractions }

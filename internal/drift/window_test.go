@@ -62,14 +62,7 @@ func TestWindowRegistryTracksLivePopulation(t *testing.T) {
 		t.Fatalf("%d distinct attribute maps, %d cell records for %d cells", len(records), len(w.cellAttrs), streamGroups)
 	}
 	ref := replayContents(t, w)
-	got, err := w.UnfairnessErr()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ref.UnfairnessErr()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, want := w.Unfairness(), ref.Unfairness()
 	if got != want || w.Workers() != ref.Workers() {
 		t.Fatalf("window %v/%d workers != replay %v/%d", got, w.Workers(), want, ref.Workers())
 	}

@@ -56,6 +56,10 @@ const (
 	// MaxSignificanceRounds bounds the permutation test; each round
 	// shuffles and re-bins the whole score column.
 	MaxSignificanceRounds = 10000
+	// MaxBudget bounds the exhaustive solvers' budget: a space they admit
+	// streams every candidate through the average, so the budget bounds
+	// how long one job holds a queue worker.
+	MaxBudget = 10_000_000
 )
 
 // DecodeSpec parses and validates a submitted job spec. It is strict —
@@ -122,8 +126,8 @@ func (s Spec) Validate() error {
 	if s.SignificanceRounds < 0 || s.SignificanceRounds > MaxSignificanceRounds {
 		return fmt.Errorf("jobs: significance_rounds %d out of range [0, %d]", s.SignificanceRounds, MaxSignificanceRounds)
 	}
-	if s.Budget < 0 {
-		return fmt.Errorf("jobs: negative budget %d", s.Budget)
+	if s.Budget < 0 || s.Budget > MaxBudget {
+		return fmt.Errorf("jobs: budget %d out of range [0, %d]", s.Budget, MaxBudget)
 	}
 	if s.Priority < MinPriority || s.Priority > MaxPriority {
 		return fmt.Errorf("jobs: priority %d out of range [%d, %d]", s.Priority, MinPriority, MaxPriority)

@@ -18,6 +18,8 @@ func TestDecodeSpecRejects(t *testing.T) {
 		"negative rounds":  `{"dataset":"d","weights":{"a":1},"significance_rounds":-1}`,
 		"too many rounds": `{"dataset":"d","weights":{"a":1},"significance_rounds":` +
 			strconv.Itoa(MaxSignificanceRounds+1) + `}`,
+		"budget over cap": `{"dataset":"d","weights":{"a":1},"budget":` +
+			strconv.Itoa(MaxBudget+1) + `}`,
 		"no dataset":    `{"weights":{"a":1}}`,
 		"snapshot":      `{"snapshot":"d","weights":{"a":1}}`,
 		"digest":        `{"dataset":"d","digest":"ab12","weights":{"a":1}}`,

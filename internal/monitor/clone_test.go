@@ -24,14 +24,7 @@ func TestCloneIndependence(t *testing.T) {
 		}
 	}
 	c := m.Clone()
-	mu, err := m.UnfairnessErr()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cu, err := c.UnfairnessErr()
-	if err != nil {
-		t.Fatal(err)
-	}
+	mu, cu := m.Unfairness(), c.Unfairness()
 	if mu != cu {
 		t.Fatalf("clone diverges at fork: %v != %v", cu, mu)
 	}
@@ -45,55 +38,50 @@ func TestCloneIndependence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, _ := c.UnfairnessErr(); got != cu {
+	if got := c.Unfairness(); got != cu {
 		t.Fatalf("clone moved when original mutated: %v != %v", got, cu)
 	}
 	// Mutate the clone; it must stay internally consistent (delta path
 	// agrees with Recompute) and the original must not move.
-	before, _ := m.UnfairnessErr()
+	before := m.Unfairness()
 	for i := 25; i < 50; i++ {
 		if err := c.Rescore(fmt.Sprintf("w%d", i), 0.5); err != nil {
 			t.Fatal(err)
 		}
 	}
-	inc, err := c.UnfairnessErr()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := c.Recompute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inc != rec {
+	if inc, rec := c.Unfairness(), c.Recompute(); inc != rec {
 		t.Fatalf("mutated clone inconsistent: incremental %v != recompute %v", inc, rec)
 	}
-	if got, _ := m.UnfairnessErr(); got != before {
+	if got := m.Unfairness(); got != before {
 		t.Fatalf("original moved when clone mutated: %v != %v", got, before)
 	}
 }
 
-// TestEventErrorsNameWorker is the regression test for the Leave/Rescore
-// error paths: a failed histogram removal must name the worker, so
-// failures in long streams are attributable.
+// TestEventErrorsNameWorker is the regression test for the Join, Leave
+// and Rescore error paths: a rejected event must name the worker, so
+// failures in long streams are attributable. A departure or re-score
+// takes back the stored bin and weight and cannot fail, so what is left
+// is a duplicate arrival and an event for a worker not on the platform.
 func TestEventErrorsNameWorker(t *testing.T) {
-	for _, op := range []string{"leave", "rescore"} {
-		m := newMonitor(t, []string{"Gender"}, 1)
-		if err := m.Join("victim-42", maleAttrs(), 0.1); err != nil {
-			t.Fatal(err)
-		}
-		// Corrupt the bookkeeping so the histogram removal must fail.
-		m.workers["victim-42"] = Worker{g: m.workers["victim-42"].g, score: 0.95}
-		var err error
-		if op == "leave" {
-			err = m.Leave("victim-42")
-		} else {
-			err = m.Rescore("victim-42", 0.2)
-		}
+	m := newMonitor(t, []string{"Gender"}, 1)
+	if err := m.Join("victim-42", maleAttrs(), 0.1); err != nil {
+		t.Fatal(err)
+	}
+	errs := map[string]error{"join": m.Join("victim-42", maleAttrs(), 0.3)}
+	if err := m.Leave("victim-42"); err != nil {
+		t.Fatal(err)
+	}
+	errs["leave"] = m.Leave("victim-42")
+	errs["rescore"] = m.Rescore("victim-42", 0.2)
+	for op, err := range errs {
 		if err == nil {
-			t.Fatalf("%s: corrupted removal succeeded", op)
+			t.Fatalf("%s: event for worker %q accepted", op, "victim-42")
 		}
 		if !strings.Contains(err.Error(), `"victim-42"`) {
 			t.Fatalf("%s error does not name the worker: %v", op, err)
 		}
+	}
+	if m.Workers() != 0 || m.Groups() != 0 {
+		t.Fatalf("rejected events left %d workers in %d groups", m.Workers(), m.Groups())
 	}
 }

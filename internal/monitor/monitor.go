@@ -10,11 +10,16 @@
 // Unfairness is therefore cheap enough to re-evaluate after every event at
 // marketplace traffic rates, and the monitor raises an alert when it
 // drifts past a threshold.
+//
+// Every observation carries a weight: 1 on Join and Rescore, the
+// caller's on JoinCell and RescoreWorker. A group's histogram sums its
+// workers' weights per bin; drift.Decay is this monitor fed growing ones.
 package monitor
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 
@@ -32,6 +37,9 @@ type Monitor struct {
 	bins      int
 	threshold float64
 	unit      float64 // EMD ground distance between adjacent bins
+	// grid bins scores over [0, 1] by histogram's rule, as the evaluator
+	// does; it holds no mass itself.
+	grid *histogram.Histogram
 
 	// byCell holds each interned cell's group, nil while the cell is
 	// empty, so an event finds its group by index.
@@ -57,31 +65,32 @@ type Monitor struct {
 	// minWorkers suppresses alerts until the population is large enough
 	// for the unfairness estimate to be more than sampling noise.
 	minWorkers int
-	// lastErr records the first event-processing failure that may have
-	// left the triangle inconsistent; UnfairnessErr surfaces it.
-	lastErr error
 	// met holds telemetry handles (see SetMetrics); its zero value is the
 	// disabled state and costs a few predicted branches per event.
 	met monitorMetrics
 }
 
-// group is one non-empty partition cell: its histogram plus the cached
-// PMF the distance computations compare (refreshed in place whenever the
-// histogram changes, so an event never re-normalizes untouched groups).
+// group is one partition cell with live workers: the weight its workers
+// put in each score bin, how many workers that is, and the cached PMF the
+// distance computations compare (refreshed in place whenever the masses
+// change, so an event never re-normalizes untouched groups).
 type group struct {
 	key  string
 	cell int // index in the monitor's Cells
 	idx  int // position in Monitor.order
-	hist *histogram.Histogram
+	live int
+	mass []float64
 	pmf  []float64
 }
 
 // Worker is one tracked worker's state in a Monitor: the group it counts
-// in and its current score. JoinCell fills it; LeaveWorker and
-// RescoreWorker take it back. The zero Worker is not tracked.
+// in, the bin its score falls in and the weight it put there. JoinCell
+// fills it; LeaveWorker and RescoreWorker take it back. The zero Worker is
+// not tracked.
 type Worker struct {
-	g     *group
-	score float64
+	g      *group
+	bin    int
+	weight float64
 }
 
 // New creates a monitor over the partitioning induced by the named
@@ -109,6 +118,7 @@ func NewWithCells(cells *Cells, bins int, threshold float64) (*Monitor, error) {
 		bins:      bins,
 		threshold: threshold,
 		unit:      1 / float64(bins), // GroundScore over [0,1]: the bin width
+		grid:      histogram.MustNew(bins, 0, 1),
 		workers:   map[string]Worker{},
 	}, nil
 }
@@ -152,8 +162,8 @@ func NewCells(schema *dataset.Schema, attrs []string) (*Cells, error) {
 }
 
 // Cell returns the index of the partition cell of a worker with the given
-// protected attribute values (raw strings for categorical, numbers for
-// numeric), interning the cell on first sight.
+// protected attribute values (raw strings for categorical, finite numbers
+// for numeric), interning the cell on first sight.
 func (c *Cells) Cell(protected map[string]any) (int, error) {
 	buf, err := c.appendKey(c.buf[:0], protected)
 	if err != nil {
@@ -203,6 +213,9 @@ func (c *Cells) appendKey(dst []byte, protected map[string]any) ([]byte, error) 
 			if !ok {
 				return nil, fmt.Errorf("monitor: attribute %q wants a number, got %T", attr.Name, v)
 			}
+			if math.IsNaN(f) || math.IsInf(f, 0) {
+				return nil, fmt.Errorf("monitor: attribute %q: value is NaN or infinite", attr.Name)
+			}
 			code = attr.BucketIndex(f)
 		}
 		dst = strconv.AppendInt(dst, int64(a), 10)
@@ -232,10 +245,15 @@ func toFloat(v any) (float64, bool) {
 // of a k×k distance matrix.
 func triSlot(k, i, j int) int { return i*(2*k-i-1)/2 + j - i - 1 }
 
-// pmfInto writes h's PMF into dst without allocating, with exactly
-// Histogram.PMF's normalization (uniform when empty).
-func pmfInto(h *histogram.Histogram, dst []float64) {
-	total := h.Total()
+// normalize writes g's masses divided by their sum into dst without
+// allocating: Histogram.PMF's normalization (uniform when empty), with the
+// sum taken in bin order. For whole-number masses that sum is exactly the
+// count of observations.
+func (g *group) normalize(dst []float64) {
+	total := 0.0
+	for _, c := range g.mass {
+		total += c
+	}
 	if total == 0 {
 		u := 1 / float64(len(dst))
 		for i := range dst {
@@ -243,16 +261,16 @@ func pmfInto(h *histogram.Histogram, dst []float64) {
 		}
 		return
 	}
-	for i := range dst {
-		dst[i] = h.Count(i) / total
+	for i, c := range g.mass {
+		dst[i] = c / total
 	}
 }
 
 // touch refreshes g's cached PMF and the k-1 triangle entries involving g
-// after its histogram changed — the O(k) delta path every non-structural
+// after its masses changed — the O(k) delta path every non-structural
 // stream event takes.
 func (m *Monitor) touch(g *group) {
-	pmfInto(g.hist, g.pmf)
+	g.normalize(g.pmf)
 	k := len(m.order)
 	for _, o := range m.order {
 		if o == g {
@@ -305,7 +323,7 @@ func (m *Monitor) rebuild(oldK int, oldTri []float64, oldIdx []int) {
 // first score.
 func (m *Monitor) insertGroup(cell int) *group {
 	key := m.cells.Key(cell)
-	g := &group{key: key, cell: cell, hist: histogram.MustNew(m.bins, 0, 1), pmf: make([]float64, m.bins)}
+	g := &group{key: key, cell: cell, mass: make([]float64, m.bins), pmf: make([]float64, m.bins)}
 	for len(m.byCell) <= cell {
 		m.byCell = append(m.byCell, nil)
 	}
@@ -361,7 +379,7 @@ func (m *Monitor) Join(id string, protected map[string]any, score float64) error
 		return err
 	}
 	var w Worker
-	m.JoinCell(&w, cell, score)
+	m.JoinCell(&w, cell, score, 1)
 	m.workers[id] = w
 	return nil
 }
@@ -372,9 +390,7 @@ func (m *Monitor) Leave(id string) error {
 	if !ok {
 		return fmt.Errorf("monitor: unknown worker %q", id)
 	}
-	if err := m.LeaveWorker(id, &w); err != nil {
-		return err
-	}
+	m.LeaveWorker(&w)
 	delete(m.workers, id)
 	return nil
 }
@@ -385,17 +401,16 @@ func (m *Monitor) Rescore(id string, score float64) error {
 	if !ok {
 		return fmt.Errorf("monitor: unknown worker %q", id)
 	}
-	if err := m.RescoreWorker(id, &w, score); err != nil {
-		return err
-	}
+	m.RescoreWorker(&w, score, 1)
 	m.workers[id] = w
 	return nil
 }
 
 // JoinCell records a worker arriving in cell (an index of the monitor's
-// Cells) with the given score, storing its state in w. It is Join for a
-// caller that tracks workers itself and has resolved the cell already.
-func (m *Monitor) JoinCell(w *Worker, cell int, score float64) {
+// Cells) with the given score, observed with the given positive weight,
+// and stores its state in w. It is Join for a caller that tracks workers
+// itself and has resolved the cell already.
+func (m *Monitor) JoinCell(w *Worker, cell int, score, weight float64) {
 	var g *group
 	if cell < len(m.byCell) {
 		g = m.byCell[cell]
@@ -403,50 +418,76 @@ func (m *Monitor) JoinCell(w *Worker, cell int, score float64) {
 	if g == nil {
 		g = m.insertGroup(cell)
 	}
-	g.hist.Add(score)
+	bin := m.grid.BinIndex(score)
+	g.mass[bin] += weight
+	g.live++
 	m.touch(g)
-	*w = Worker{g: g, score: score}
+	*w = Worker{g: g, bin: bin, weight: weight}
 	m.n++
 	m.met.joins.Inc()
 	m.met.sync(m)
 }
 
 // LeaveWorker records the departure of the worker whose state JoinCell
-// stored in w; id only names the worker in errors.
-func (m *Monitor) LeaveWorker(id string, w *Worker) error {
+// stored in w. A group whose last worker leaves is dropped outright, so
+// float dust left in its masses never keeps a departed population in the
+// average.
+func (m *Monitor) LeaveWorker(w *Worker) {
 	g := w.g
-	if err := g.hist.Remove(w.score); err != nil {
-		err = fmt.Errorf("monitor: leave %q: %w", id, err)
-		m.lastErr = err
-		return err
-	}
-	if g.hist.Empty() {
+	if g.live--; g.live == 0 {
 		m.removeGroup(g)
 	} else {
+		g.subtract(w)
 		m.touch(g)
 	}
 	*w = Worker{}
 	m.n--
 	m.met.leaves.Inc()
 	m.met.sync(m)
-	return nil
 }
 
-// RescoreWorker updates the score of the worker whose state is w; id only
-// names the worker in errors.
-func (m *Monitor) RescoreWorker(id string, w *Worker, score float64) error {
+// RescoreWorker replaces the observation of the worker whose state is w
+// with one of score at the given weight.
+func (m *Monitor) RescoreWorker(w *Worker, score, weight float64) {
 	g := w.g
-	if err := g.hist.Remove(w.score); err != nil {
-		err = fmt.Errorf("monitor: rescore %q: %w", id, err)
-		m.lastErr = err
-		return err
+	if g.live == 1 {
+		clear(g.mass) // the worker's is the group's only mass
+	} else {
+		g.subtract(w)
 	}
-	g.hist.Add(score)
+	w.bin, w.weight = m.grid.BinIndex(score), weight
+	g.mass[w.bin] += weight
 	m.touch(g)
-	w.score = score
 	m.met.rescores.Inc()
 	m.met.sync(m)
-	return nil
+}
+
+// subtract takes w's weight out of its bin, clamping float dust at zero.
+func (g *group) subtract(w *Worker) {
+	c := &g.mass[w.bin]
+	if *c -= w.weight; *c < 0 {
+		*c = 0
+	}
+}
+
+// Rescale divides every stored weight by f: each group's masses, the
+// weight of every worker tracked by id and of each Worker that workers
+// yields. A caller whose weights grow without bound calls it before they
+// leave the float range; normalization cancels the common scale up to
+// rounding. Each group is touched right after its masses are divided, so
+// every distance is last computed once both of its groups are.
+func (m *Monitor) Rescale(f float64, workers func(yield func(*Worker))) {
+	for id, w := range m.workers {
+		w.weight /= f
+		m.workers[id] = w
+	}
+	workers(func(w *Worker) { w.weight /= f })
+	for _, g := range m.order {
+		for i := range g.mass {
+			g.mass[i] /= f
+		}
+		m.touch(g)
+	}
 }
 
 // Workers returns the number of tracked workers.
@@ -455,44 +496,30 @@ func (m *Monitor) Workers() int { return m.n }
 // Groups returns the number of non-empty groups.
 func (m *Monitor) Groups() int { return len(m.order) }
 
-// UnfairnessErr returns the current average pairwise EMD between the
+// Unfairness returns the current average pairwise EMD between the
 // non-empty groups' score histograms, read off the incrementally
-// maintained triangle in O(1). It returns a non-nil error if an earlier
-// event failed in a way that may have left the monitor's bookkeeping
-// inconsistent (e.g. a Leave or Rescore whose histogram removal failed),
-// in which case the value is the best available estimate.
-func (m *Monitor) UnfairnessErr() (float64, error) {
-	if len(m.order) < 2 {
-		return 0, m.lastErr
-	}
-	return m.sum.root() / float64(len(m.tri)), m.lastErr
-}
-
-// Unfairness is the lossy convenience wrapper around UnfairnessErr: it
-// reports 0 whenever an error is pending, so callers that cannot handle
-// errors fail toward "no unfairness signal" rather than a stale value.
-// Monitoring loops should prefer UnfairnessErr.
+// maintained triangle in O(1); 0 with fewer than two groups.
 func (m *Monitor) Unfairness() float64 {
-	u, err := m.UnfairnessErr()
-	if err != nil {
+	if len(m.order) < 2 {
 		return 0
 	}
-	return u
+	return m.sum.root() / float64(len(m.tri))
 }
 
 // Recompute rebuilds every group PMF and pairwise distance from scratch
 // and reduces them with a fresh sum tree of the same shape, without
 // consulting (or mutating) the incremental state. It exists as the
 // correctness oracle for the delta path: Recompute's result is
-// bit-identical to UnfairnessErr's whenever the monitor is consistent.
-func (m *Monitor) Recompute() (float64, error) {
+// bit-identical to Unfairness's.
+func (m *Monitor) Recompute() float64 {
 	k := len(m.order)
 	if k < 2 {
-		return 0, m.lastErr
+		return 0
 	}
 	pmfs := make([][]float64, k)
 	for i, g := range m.order {
-		pmfs[i] = g.hist.PMF()
+		pmfs[i] = make([]float64, m.bins)
+		g.normalize(pmfs[i])
 	}
 	tri := make([]float64, k*(k-1)/2)
 	s := 0
@@ -502,12 +529,12 @@ func (m *Monitor) Recompute() (float64, error) {
 			s++
 		}
 	}
-	return newSumTree(tri).root() / float64(len(tri)), m.lastErr
+	return newSumTree(tri).root() / float64(len(tri))
 }
 
 // Clone returns a deep copy of the monitor: the cell index, groups,
-// histograms, the distance triangle, the sum tree and the worker table
-// are all duplicated, so events applied to either side never affect the
+// masses, the distance triangle, the sum tree and the worker table are
+// all duplicated, so events applied to either side never affect the
 // other. It is for monitors fed through Join, Leave and Rescore: workers a
 // caller tracks in its own table have no id here to clone. Tests use it
 // to checkpoint state without replaying the stream. Telemetry handles are NOT copied — the clone
@@ -519,17 +546,19 @@ func (m *Monitor) Clone() *Monitor {
 		bins:       m.bins,
 		threshold:  m.threshold,
 		unit:       m.unit,
+		grid:       m.grid,
 		minWorkers: m.minWorkers,
-		lastErr:    m.lastErr,
 		n:          m.n,
 		byCell:     make([]*group, len(m.byCell)),
 		workers:    make(map[string]Worker, len(m.workers)),
 		order:      make([]*group, 0, len(m.order)),
 	}
 	for _, g := range m.order {
-		ng := &group{key: g.key, cell: g.cell, idx: g.idx, hist: g.hist.Clone(), pmf: append([]float64(nil), g.pmf...)}
-		c.byCell[ng.cell] = ng
-		c.order = append(c.order, ng)
+		ng := *g
+		ng.mass = append([]float64(nil), g.mass...)
+		ng.pmf = append([]float64(nil), g.pmf...)
+		c.byCell[ng.cell] = &ng
+		c.order = append(c.order, &ng)
 	}
 	c.tri = append([]float64(nil), m.tri...)
 	if m.sum != nil {
@@ -538,7 +567,8 @@ func (m *Monitor) Clone() *Monitor {
 		c.sum = newSumTree(c.tri)
 	}
 	for id, w := range m.workers {
-		c.workers[id] = Worker{g: c.byCell[w.g.cell], score: w.score}
+		w.g = c.byCell[w.g.cell]
+		c.workers[id] = w
 	}
 	return c
 }

@@ -109,6 +109,36 @@ func TestJoinValidation(t *testing.T) {
 	}
 }
 
+// TestNumericProtectedBuckets: a protected number past the attribute's
+// range lands in the last bucket whatever the architecture, so a join at
+// 1e300 shares the cell of a join at Max; NaN and ±Inf are refused, as
+// dataset.Builder refuses them, and add no group.
+func TestNumericProtectedBuckets(t *testing.T) {
+	m := newMonitor(t, []string{"YearOfBirth"}, 0.5)
+	at := func(year any) map[string]any {
+		a := maleAttrs()
+		a["YearOfBirth"] = year
+		return a
+	}
+	if err := m.Join("max", at(2010.0), 0.2); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Join("huge", at(1e300), 0.8); err != nil {
+		t.Fatal(err)
+	}
+	if m.Groups() != 1 {
+		t.Fatalf("joins at Max and at 1e300 fill %d groups, want 1", m.Groups())
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := m.Join(fmt.Sprint(v), at(v), 0.5); err == nil {
+			t.Errorf("protected number %v accepted", v)
+		}
+		if m.Groups() != 1 || m.Workers() != 2 {
+			t.Fatalf("refused join at %v left %d workers in %d groups", v, m.Workers(), m.Groups())
+		}
+	}
+}
+
 func TestUnfairnessTracksBias(t *testing.T) {
 	m := newMonitor(t, []string{"Gender"}, 0.5)
 	r := rng.New(1)

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -208,6 +209,80 @@ func TestJobsRestartMidRunBitIdentical(t *testing.T) {
 	if !bytes.Equal(recovered.Result, cleanDone.Result) {
 		t.Fatalf("recovered result is not bit-identical:\n  recovered %s\n  clean     %s",
 			recovered.Result, cleanDone.Result)
+	}
+}
+
+// TestShutdownDeadlineParksRunningJob drains a server whose one job, a
+// permutation test on the paper's population, outlives the deadline: the
+// real executor, not a fake. Shutdown with a 100 ms context returns
+// context.DeadlineExceeded within 1 s; a server reopened on the same
+// directory lists the job as queued, "interrupted by shutdown"; and a
+// server with workers finishes it with the bytes of an uninterrupted run.
+func TestShutdownDeadlineParksRunningJob(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "srv.db")
+	open := func(opts ...ServerOption) (*Server, *httptest.Server, *store.DB) {
+		t.Helper()
+		db, err := store.Open(path, store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(db, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, httptest.NewServer(s.Handler()), db
+	}
+	closeAll := func(s *Server, ts *httptest.Server, db *store.DB) error {
+		t.Helper()
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		defer cancel()
+		start := time.Now()
+		err := s.Shutdown(ctx)
+		if took := time.Since(start); took > time.Second {
+			t.Fatalf("Shutdown took %v past a 100 ms deadline", took)
+		}
+		if cerr := db.Close(); cerr != nil {
+			t.Fatal(cerr)
+		}
+		return err
+	}
+	spec := map[string]any{
+		"dataset": "paper", "algorithm": "balanced", "significance_rounds": 2000,
+		"weights": map[string]float64{"LanguageTest": 0.6, "ApprovalRate": 0.4},
+	}
+
+	s, ts, db := open()
+	uploadDataset(t, ts, "paper", simulate.LargePopulation)
+	j := submitJob(t, ts.URL, spec, http.StatusAccepted)
+	waitJobHTTP(t, ts.URL, j.ID, jobs.StateRunning)
+	if err := closeAll(s, ts, db); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Shutdown past its deadline = %v, want context.DeadlineExceeded", err)
+	}
+
+	// No workers: the reopened server only lists what the drain parked.
+	s, ts, db = open(WithJobWorkers(-1))
+	var page struct {
+		Jobs []apiJob `json:"jobs"`
+	}
+	if code := getJSON(t, ts.URL+"/v1/jobs", &page); code != http.StatusOK || len(page.Jobs) != 1 {
+		t.Fatalf("job list after drain = %d %+v", code, page.Jobs)
+	}
+	if got := page.Jobs[0]; got.ID != j.ID || got.State != jobs.StateQueued || got.Error != "interrupted by shutdown" {
+		t.Fatalf("parked job = %s %s %q, want %s queued %q", got.ID, got.State, got.Error, j.ID, "interrupted by shutdown")
+	}
+	if err := closeAll(s, ts, db); err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts, db = open()
+	t.Cleanup(func() { closeAll(s, ts, db) })
+	resumed := waitJobHTTP(t, ts.URL, j.ID, jobs.StateDone)
+	_, tsClean, _ := newTestServer(t)
+	uploadDataset(t, tsClean, "paper", simulate.LargePopulation)
+	clean := submitJob(t, tsClean.URL, spec, http.StatusAccepted)
+	if want := waitJobHTTP(t, tsClean.URL, clean.ID, jobs.StateDone).Result; !bytes.Equal(resumed.Result, want) {
+		t.Fatalf("resumed result differs from an uninterrupted run:\n got  %s\n want %s", resumed.Result, want)
 	}
 }
 

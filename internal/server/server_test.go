@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -721,22 +722,30 @@ func TestAlgorithmsEndpoint(t *testing.T) {
 	}
 }
 
-// TestJobCancelRunning cancels a runaway audit mid-run over HTTP: the
+// TestJobCancelRunning cancels a long audit mid-run over HTTP: the
 // search must abort promptly and the job end canceled, with no result.
+// Its budget is jobs.MaxBudget, the largest a job may ask for: one more
+// is a 400 that names the bound.
 func TestJobCancelRunning(t *testing.T) {
 	s, ts, _ := newTestServer(t)
 	uploadDataset(t, ts, "workers", 500)
 
-	// exhaustive over Gender, Country, Language and Ethnicity streams the
-	// ~6e14 trees its budget admits: it cannot finish, so only the
-	// cancellation can end the job.
-	resp, body := postJSON(t, ts.URL+"/v1/jobs", map[string]any{
+	// exhaustive over Gender, YearOfBirth and Ethnicity streams ~6·10⁶
+	// trees, the largest tree space over the paper schema that the budget
+	// cap admits: tens of seconds of work, so the cancellation ends the job.
+	spec := map[string]any{
 		"dataset":    "workers",
 		"algorithm":  "exhaustive",
-		"attributes": []string{"Gender", "Country", "Language", "Ethnicity"},
-		"budget":     1 << 62,
+		"attributes": []string{"Gender", "YearOfBirth", "Ethnicity"},
+		"budget":     jobs.MaxBudget + 1,
 		"weights":    map[string]float64{"LanguageTest": 1},
-	})
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/jobs", spec)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), strconv.Itoa(jobs.MaxBudget)) {
+		t.Fatalf("submit over the budget cap = %d: %s", resp.StatusCode, body)
+	}
+	spec["budget"] = jobs.MaxBudget
+	resp, body = postJSON(t, ts.URL+"/v1/jobs", spec)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit = %d: %s", resp.StatusCode, body)
 	}
