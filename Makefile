@@ -18,10 +18,10 @@ loc:
 	@$(LOC_FILES) | xargs awk 'NF { d = FILENAME; sub(/^\.\//, "", d); sub(/\/?[^\/]*$$/, "", d); n[d == "" ? "." : d]++ } END { for (d in n) printf "%7d  %s\n", n[d], d }' | sort -k2
 	@$(LOC_FILES) | xargs awk 'NF { t++ } END { printf "%7d  total\n", t }'
 
-# Quick benchmark smoke pass; full numbers come from `go test -bench . .`
-# and cmd/fairbench.
+# Quick benchmark smoke pass: every benchmark in the module, once. Full
+# numbers come from the gated targets below and cmd/fairbench.
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x .
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Streaming-monitor benchmarks: per-event delta maintenance vs the
 # from-scratch recompute baseline, and the same event on the half-life

@@ -290,7 +290,7 @@ func (c *Cluster) probePeers() {
 				p.Alive = false
 				c.logf("cluster: peer %s (%s) dead after %d missed heartbeats", p.URL, p.ID, p.Missed)
 			}
-			c.met.setPeerUp(p.URL, false)
+			c.met.peerUp[p.URL].Set(0)
 			continue
 		}
 		p.Missed = 0
@@ -306,8 +306,8 @@ func (c *Cluster) probePeers() {
 			p.Alive = true
 			c.logf("cluster: peer %s (%s) alive", p.URL, p.ID)
 		}
-		c.met.setPeerUp(p.URL, true)
-		c.met.setPeerQueued(p.URL, p.Queued)
+		c.met.peerUp[p.URL].Set(1)
+		c.met.peerQueued[p.URL].Set(float64(p.Queued))
 	}
 }
 
@@ -331,7 +331,7 @@ func (c *Cluster) advanceEpoch() map[string]*placement {
 	}
 	c.ring = next
 	c.epoch++
-	c.met.setEpoch(c.epoch)
+	c.met.epoch.Set(float64(c.epoch))
 	c.met.setRingShare(next)
 	c.logf("cluster: epoch %d, ring members %v", c.epoch, next.nodes())
 	orphans := map[string]*placement{}
@@ -361,7 +361,7 @@ func slicesEqual(a, b []string) bool {
 // Determinism and spec-hash dedup make the occasional duplicate run
 // (the dead owner may have finished the job already) harmless.
 func (c *Cluster) replace(hash string, p *placement) {
-	c.met.incReplacements()
+	c.met.replacements.Inc()
 	if fw := c.PlaceJob(hash, p.Dataset, p.Spec); fw != nil && fw.Status < 300 {
 		c.logf("cluster: re-placed job %s (was on %s) onto %s", hash[:8], p.Owner, fw.Owner)
 		return
@@ -415,7 +415,7 @@ func (c *Cluster) PlaceJob(specHash, dsName string, body []byte) *ForwardResult 
 		}
 		_ = json.Unmarshal(respBody, &resp)
 		c.track(specHash, dsName, url, resp.ID, body)
-		c.met.incForwards(url)
+		c.met.forwards[url].Inc()
 	}
 	return &ForwardResult{Status: status, Body: respBody, Owner: url}
 }
@@ -555,8 +555,8 @@ func (c *Cluster) stealRound() {
 		return
 	}
 	if ack, err := decodeAckResponse(body); err == nil && ack.Acked > 0 {
-		c.met.addSteals(url, ack.Acked)
-		c.met.observeSteal(time.Since(start))
+		c.met.steals[url].Add(int64(ack.Acked))
+		c.met.stealSecs.Observe(time.Since(start).Seconds())
 	}
 }
 
@@ -609,7 +609,7 @@ func (c *Cluster) hydrateMissing() {
 				c.logf("cluster: hydrate %q from %s: %v", name, url, err)
 				return
 			}
-			c.met.incHydrations(url)
+			c.met.hydrations[url].Inc()
 			c.logf("cluster: hydrated %q from %s", name, url)
 		}(w.name, w.url)
 	}

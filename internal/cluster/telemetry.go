@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"time"
-
-	"fairrank/internal/telemetry"
-)
+import "fairrank/internal/telemetry"
 
 // Metric names exported on the cluster's registry.
 const (
@@ -37,8 +33,9 @@ const (
 
 // clusterMetrics resolves the per-peer series once at construction
 // (membership is static) and the per-ring-member series lazily as IDs
-// are learned from pings. Nil-safe: a cluster without a registry runs
-// with every method a no-op.
+// are learned from pings. A cluster without a registry keeps the zero
+// value: every handle is nil, every map lookup yields nil, and nil
+// metrics no-op.
 type clusterMetrics struct {
 	reg          *telemetry.Registry
 	epoch        *telemetry.Gauge
@@ -97,12 +94,6 @@ func (c *Cluster) initMetrics() {
 	c.met = m
 }
 
-func (m *clusterMetrics) setEpoch(e uint64) {
-	if m.epoch != nil {
-		m.epoch.Set(float64(e))
-	}
-}
-
 // setRingShare refreshes the per-member keyspace gauges, zeroing members
 // that left the ring. Called with c.mu held (ring reads).
 func (m *clusterMetrics) setRingShare(r *ring) {
@@ -119,51 +110,5 @@ func (m *clusterMetrics) setRingShare(r *ring) {
 	for id, frac := range share {
 		m.reg.Gauge(MetricRingShare, telemetry.Label{Key: "node", Value: id}).Set(frac)
 		m.lastShare[id] = true
-	}
-}
-
-func (m *clusterMetrics) setPeerUp(url string, up bool) {
-	if g := m.peerUp[url]; g != nil {
-		if up {
-			g.Set(1)
-		} else {
-			g.Set(0)
-		}
-	}
-}
-
-func (m *clusterMetrics) setPeerQueued(url string, depth int) {
-	if g := m.peerQueued[url]; g != nil {
-		g.Set(float64(depth))
-	}
-}
-
-func (m *clusterMetrics) incForwards(url string) {
-	if ctr := m.forwards[url]; ctr != nil {
-		ctr.Inc()
-	}
-}
-
-func (m *clusterMetrics) addSteals(url string, n int) {
-	if ctr := m.steals[url]; ctr != nil {
-		ctr.Add(int64(n))
-	}
-}
-
-func (m *clusterMetrics) incHydrations(url string) {
-	if ctr := m.hydrations[url]; ctr != nil {
-		ctr.Inc()
-	}
-}
-
-func (m *clusterMetrics) incReplacements() {
-	if m.replacements != nil {
-		m.replacements.Inc()
-	}
-}
-
-func (m *clusterMetrics) observeSteal(d time.Duration) {
-	if m.stealSecs != nil {
-		m.stealSecs.Observe(d.Seconds())
 	}
 }

@@ -10,8 +10,8 @@ import (
 
 // This file implements the search states of the partitioning algorithms.
 // A matState is one partitioning under evaluation: its parts, their
-// interned dense-handle representations, and its average pairwise
-// distance. Every search step is a scatter (scatterAll: split every part
+// representations (reps), and its average pairwise distance. Every
+// search step is a scatter (scatterAll: split every part
 // on a candidate attribute, deriving the children's representations in
 // the same single pass over the parent's rows, partition.SplitCodes over
 // the row space of rows.go) followed by one average of the new state
@@ -44,6 +44,22 @@ func (s *matState) canceled() bool {
 // between cancellation polls.
 const ctxCheckStride = 64
 
+// rep is the representation of one partition's score distribution: a
+// handle plus the payload the configured mode compares — the binned
+// column in binned mode (Evaluator.payload), the sorted score sample in
+// Exact mode. Reps are immutable once built. newRep gives a rep a handle
+// unique within its evaluator, which the tree space's pair-path memo keys
+// on (exhaustive.go); the cell space numbers its blocks per run instead.
+type rep struct {
+	id   uint32
+	data []float64
+}
+
+// newRep hands out the next handle of the evaluator for a rep of data.
+func (e *Evaluator) newRep(data []float64) *rep {
+	return &rep{id: e.reps.Add(1) - 1, data: data}
+}
+
 // rootState is where every search starts: the root of the evaluator's row
 // space as its one part, and no pairs.
 func (e *Evaluator) rootState(ctx context.Context) *matState {
@@ -55,10 +71,8 @@ func (e *Evaluator) rootState(ctx context.Context) *matState {
 // each child's representation from the same scan that builds its index
 // slice: binned rows add their weights into per-child bin counts (a worker
 // row weighs one), Exact rows append their scores. p's Indices are rows of
-// the evaluator's row space (rows.go). Child reps are interned under
-// (parent handle, attr, value) — which fully determines the child's
-// content — so re-probes of the same split are served from the cache
-// without touching the rows. A split that leaves the content unchanged
+// the evaluator's row space (rows.go). Each child gets a new rep, built
+// from what the scan gathered. A split that leaves the content unchanged
 // (single occurring value, or a MinPartitionSize keep-whole) keeps the
 // parent's rep.
 func (e *Evaluator) scatterSplit(r *rep, p *partition.Partition, attr int) ([]*partition.Partition, []*rep) {
@@ -116,19 +130,12 @@ func (e *Evaluator) scatterSplit(r *rep, p *partition.Partition, attr int) ([]*p
 	reps := make([]*rep, len(children))
 	for ci, c := range children {
 		v := c.Constraints[len(c.Constraints)-1].Value
-		key := childKey(r.id, attr, v)
-		if cr, ok := e.reps.lookupChild(key); ok {
-			reps[ci] = cr
-			continue
-		}
-		var data []float64
 		if e.cfg.Exact {
-			data = vals[v]
-			sort.Float64s(data)
+			sort.Float64s(vals[v])
+			reps[ci] = e.newRep(vals[v])
 		} else {
-			data = e.payload(counts[v])
+			reps[ci] = e.newRep(e.payload(counts[v]))
 		}
-		reps[ci] = e.reps.internChild(key, data)
 	}
 	return children, reps
 }

@@ -54,11 +54,9 @@ type Config struct {
 	// Ground and Metric.
 	Exact bool
 	// Metrics, when non-nil, receives engine telemetry: EMD-evaluation,
-	// probe and run counters, and rep-cache occupancy gauges (aggregate
-	// and per shard). Several evaluators may share one
-	// registry — counters accumulate across them, gauges reflect the
-	// most recently synced evaluator. Nil disables metrics at the cost
-	// of a predicted nil-check on the already-batched accounting sites.
+	// probe and run counters. Several evaluators may share one registry;
+	// their counters accumulate. Nil disables metrics at the cost of a
+	// predicted nil-check on the already-batched accounting sites.
 	Metrics *telemetry.Registry
 }
 
@@ -76,9 +74,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Evaluator computes unfairness measurements for one (dataset, scoring
-// function) pair. It is safe for concurrent use: its rep cache is sharded,
-// so parallel candidate probes populate and reuse it instead of
-// serializing on a single mutex.
+// function) pair. It is safe for concurrent use: parallel candidate probes
+// share only immutable state and atomic counters.
 type Evaluator struct {
 	ds   *dataset.Dataset
 	f    scoring.Func
@@ -91,7 +88,8 @@ type Evaluator struct {
 	scoresOnce sync.Once
 	scores     []float64
 
-	reps *repCache
+	// reps counts the reps handed out (newRep); Run reports its delta.
+	reps atomic.Uint32
 	tel  engineMetrics
 
 	// computed counts the pair distances the pair path computed, and
@@ -133,11 +131,10 @@ func NewEvaluator(ds *dataset.Dataset, f scoring.Func, cfg Config) (*Evaluator, 
 	}
 	cfg = cfg.withDefaults()
 	e := &Evaluator{
-		ds:   ds,
-		f:    f,
-		cfg:  cfg,
-		reps: newRepCache(),
-		tel:  engineMetricsFor(cfg.Metrics),
+		ds:  ds,
+		f:   f,
+		cfg: cfg,
+		tel: newEngineMetrics(cfg.Metrics),
 	}
 	if cfg.Exact {
 		e.scores = scoring.Scores(ds, f)

@@ -170,6 +170,8 @@ type treeSpace struct {
 	e     *Evaluator
 	limit uint64
 	root  *treeNode
+	// byKey holds each constraint set's rep (shared).
+	byKey map[string]*rep
 
 	// todo holds the nodes still to choose for, the next on top; parts and
 	// reps the current candidate's leaves; best the kept candidate's.
@@ -186,7 +188,7 @@ func newTreeSpace(ctx context.Context, e *Evaluator, attrs []int, budget int) (s
 	}
 	limit := uint64(budget) + 1 // the count at which the space passes budget
 	root := e.rootState(ctx)
-	t := &treeSpace{ctx: ctx, e: e, limit: limit, root: &treeNode{part: root.parts[0], rep: root.reps[0], rest: attrs}}
+	t := &treeSpace{ctx: ctx, e: e, limit: limit, root: &treeNode{part: root.parts[0], rep: root.reps[0], rest: attrs}, byKey: map[string]*rep{}}
 	n := t.count(t.root)
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -195,6 +197,19 @@ func newTreeSpace(ctx context.Context, e *Evaluator, attrs []int, budget int) (s
 		return nil, partition.ErrBudgetExceeded
 	}
 	return t, nil
+}
+
+// shared returns the run's one rep for p's constraint set: r, the rep
+// scatterSplit just built for p, the first time a split order reaches the
+// set, and that first rep every later time. So the pair-path memo, keyed
+// by handles, computes each distance once.
+func (t *treeSpace) shared(p *partition.Partition, r *rep) *rep {
+	k := p.Key()
+	if first, ok := t.byKey[k]; ok {
+		return first
+	}
+	t.byKey[k] = r
+	return r
 }
 
 // count returns the number of trees below n, saturated at the limit:
@@ -211,8 +226,8 @@ func (t *treeSpace) count(n *treeNode) uint64 {
 		rest := remove(n.rest, a)
 		kids := make([]*treeNode, len(parts))
 		prod := uint64(1)
-		for c := range parts {
-			kids[c] = &treeNode{part: parts[c], rep: reps[c], rest: rest}
+		for c, p := range parts {
+			kids[c] = &treeNode{part: p, rep: t.shared(p, reps[c]), rest: rest}
 		}
 		n.kids[x] = kids
 		for _, k := range kids {

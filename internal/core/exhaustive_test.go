@@ -13,6 +13,7 @@ import (
 	"fairrank/internal/dataset"
 	"fairrank/internal/emd"
 	"fairrank/internal/partition"
+	"fairrank/internal/rng"
 	"fairrank/internal/testkit"
 )
 
@@ -451,4 +452,51 @@ func TestExhaustiveMatchesBruteForce(t *testing.T) {
 	if compared < 200 {
 		t.Fatalf("only %d winners compared", compared)
 	}
+}
+
+// TestExhaustiveOneRepPerPart: the tree space reaches a part by every
+// order of its constraints (A then B, B then A) and gives it one rep, so
+// the pair-path memo computes at most one distance per pair of distinct
+// parts. Exact exhaustive over three attributes computes no more than
+// C(k, 2) distances, k the number of distinct constraint sets (Key) among
+// its candidates' parts.
+func TestExhaustiveOneRepPerPart(t *testing.T) {
+	values := [][]string{{"x", "y"}, {"x", "y", "z"}, {"x", "y"}}
+	schema := &dataset.Schema{Observed: []dataset.Attribute{dataset.Num("Score", 0, 1, 1)}}
+	for a, vs := range values {
+		schema.Protected = append(schema.Protected, dataset.Cat("A"+strconv.Itoa(a), vs...))
+	}
+	r := rng.New(5)
+	b := dataset.NewBuilder(schema)
+	for i := 0; i < 300; i++ {
+		prot := map[string]any{}
+		for a, vs := range values {
+			prot["A"+strconv.Itoa(a)] = rng.Pick(r, vs)
+		}
+		b.Add("w"+strconv.Itoa(i), prot, map[string]any{"Score": r.Float64()})
+	}
+	ds, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := mustEval(t, ds, Config{Exact: true})
+	all, err := candidates(t, e, "exhaustive", nil, DefaultExhaustiveBudget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := map[string]bool{}
+	for _, pt := range all {
+		for _, p := range pt.Parts {
+			keys[p.Key()] = true
+		}
+	}
+	res, err := Run(context.Background(), Spec{Algorithm: "exhaustive", Evaluator: e})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := len(keys)
+	if got, most := res.Stats.PairsComputed, k*(k-1)/2; got > most {
+		t.Errorf("computed %d distances over %d distinct parts, want at most %d", got, k, most)
+	}
+	t.Logf("%d candidates, %d distinct parts, %d distances computed, %d served", len(all), k, res.Stats.PairsComputed, res.Stats.CacheHits)
 }

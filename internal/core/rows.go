@@ -45,8 +45,7 @@ type rowSpace struct {
 	// the workers themselves.
 	cell  []int32
 	cells *dataset.Cells
-	// root is the rep of the whole space, the parent handle of every
-	// first split.
+	// root is the rep of the whole space.
 	root *rep
 }
 
@@ -64,7 +63,7 @@ func (e *Evaluator) searchRows() *rowSpace {
 		default:
 			e.rows = workerRows(e.ds)
 		}
-		e.rows.root = e.reps.newRep(e.rowData(e.searchRoot().Indices))
+		e.rows.root = e.newRep(e.rowData(e.searchRoot().Indices))
 	})
 	return e.rows
 }

@@ -32,8 +32,8 @@ type Spec struct {
 	// selects "balanced", the paper's primary algorithm.
 	Algorithm string
 	// Evaluator, when non-nil, runs the audit against an existing
-	// evaluator, reusing its rep cache across runs. Otherwise one is built
-	// from Dataset, Func and Config.
+	// evaluator, reusing its scores and row space across runs. Otherwise
+	// one is built from Dataset, Func and Config.
 	Evaluator *Evaluator
 	// Dataset and Func define the population and scoring function under
 	// audit when Evaluator is nil.
@@ -69,8 +69,10 @@ func (s Spec) budget() int {
 // evaluator's counters — so they are per-run even when an evaluator is
 // reused across runs.
 type RunStats struct {
-	// RepsInterned is how many reps this run added to the evaluator's rep
-	// cache. An exhaustive-cells block is not a rep-cache entry.
+	// RepsInterned is how many reps this run built: one for each child
+	// its scatter splits made (a split that keeps a part's content keeps
+	// its rep), plus the row space's root on an evaluator's first search.
+	// An exhaustive-cells block is not counted.
 	RepsInterned int
 	// PairsComputed is how many pairwise distances the pair path (Exact
 	// mode; the KS, JS, χ² and Hellinger metrics) computed in this run.
@@ -167,21 +169,19 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	reps0, computed0, served0 := e.reps.count(), e.computed.Load(), e.served.Load()
-	// The root "run" span parents every scan/probe/split/emd span
-	// the engine opens below; gauges are synced once per run, off the hot
-	// path. Both no-op when no tracer/registry is attached.
+	reps0, computed0, served0 := e.reps.Load(), e.computed.Load(), e.served.Load()
+	// The root "run" span parents every scan/probe/split/emd span the
+	// engine opens below; it no-ops when no tracer is attached.
 	rctx, rsp := telemetry.StartSpan(ctx, "run")
 	rsp.SetStr("algorithm", name)
 	res, err := fn(rctx, e, spec)
 	rsp.End()
 	e.tel.runs.Inc()
-	e.tel.syncGauges(e)
 	if err != nil {
 		return nil, err
 	}
 	res.Stats = RunStats{
-		RepsInterned:  e.reps.count() - reps0,
+		RepsInterned:  int(e.reps.Load() - reps0),
 		PairsComputed: int(e.computed.Load() - computed0),
 		CacheHits:     int(e.served.Load() - served0),
 		Rounds:        len(res.Steps),

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"fairrank/internal/emd"
@@ -127,63 +126,6 @@ func TestRunSharedRegistryAccumulates(t *testing.T) {
 	}
 }
 
-// TestShardStats pins the rep cache's shard distribution, which the
-// per-shard gauges export: one entry per shard, summing to every rep but
-// the root's, and spread by the whole key rather than piled into the few
-// shards a child key's value code alone would pick.
-func TestShardStats(t *testing.T) {
-	e := mustEval(t, searchDataset(t, 1200, 4), Config{})
-	if _, err := Run(context.Background(), Spec{Algorithm: "unbalanced", Evaluator: e}); err != nil {
-		t.Fatal(err)
-	}
-	shards := e.reps.shardLens()
-	if len(shards) != cacheShards {
-		t.Fatalf("shard slice length = %d, want %d", len(shards), cacheShards)
-	}
-	sum, most := 0, 0
-	for _, n := range shards {
-		sum += n
-		most = max(most, n)
-	}
-	if want := e.reps.count() - 1; sum != want {
-		t.Errorf("rep shard sum = %d, want reps − 1 = %d", sum, want)
-	}
-	if most > 4*sum/cacheShards {
-		t.Errorf("fullest rep shard holds %d of %d reps, want at most 4× the mean", most, sum)
-	}
-}
-
-// TestSyncGaugesPublishesOccupancy pins the gauge surface: after a run
-// with a registry attached, the reps gauge counts every rep the evaluator
-// handed out, and the per-shard series — one per shard — sum to the keyed
-// child reps, every rep but the root's.
-func TestSyncGaugesPublishesOccupancy(t *testing.T) {
-	ds := randomDataset(t, 400, 16)
-	reg := telemetry.NewRegistry()
-	e := mustEval(t, ds, Config{Metrics: reg})
-	if _, err := Run(context.Background(), Spec{Evaluator: e}); err != nil {
-		t.Fatal(err)
-	}
-	reps := e.reps.count()
-	snap := reg.Snapshot()
-	if got := snap.Gauges[MetricReps]; got != float64(reps) {
-		t.Errorf("%s = %v, want %d", MetricReps, got, reps)
-	}
-	repSum, repSeries := 0.0, 0
-	for id, v := range snap.Gauges {
-		if strings.HasPrefix(id, MetricRepShard+"{") {
-			repSum += v
-			repSeries++
-		}
-	}
-	if repSeries != cacheShards {
-		t.Fatalf("per-shard series = %d, want %d", repSeries, cacheShards)
-	}
-	if repSum != float64(reps-1) {
-		t.Errorf("rep shard gauges sum to %v, want %d", repSum, reps-1)
-	}
-}
-
 // TestPreregisterMetrics pins that a scrape endpoint exposes every engine
 // series (zero-valued) before the first audit runs.
 func TestPreregisterMetrics(t *testing.T) {
@@ -196,9 +138,6 @@ func TestPreregisterMetrics(t *testing.T) {
 		if v, ok := snap.Counters[name]; !ok || v != 0 {
 			t.Errorf("preregistered counter %s = %d, %v; want 0, true", name, v, ok)
 		}
-	}
-	if _, ok := snap.Gauges[MetricReps]; !ok {
-		t.Errorf("preregistered gauge %s missing", MetricReps)
 	}
 }
 
@@ -231,11 +170,11 @@ func TestTelemetryIdenticalResults(t *testing.T) {
 // BenchmarkTelemetryOverhead measures the full audit path under the
 // three telemetry configurations; cmd/benchdiff compares them in CI and
 // fails the build when an enabled path exceeds its overhead budget. A
-// fresh evaluator per iteration keeps cache state identical across
-// variants.
+// fresh evaluator per iteration makes every variant score the workers and
+// build the row space.
 //
 //   - telemetry=off      — no registry, no tracer: the baseline.
-//   - telemetry=metrics  — counters + gauges, the always-on production
+//   - telemetry=metrics  — counters, the always-on production
 //     configuration (what fairserve enables for every audit request);
 //     gated at 5%.
 //   - telemetry=trace    — metrics plus span tracing, the opt-in

@@ -5,13 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 )
 
-var (
-	errSourceNil = errors.New("dataset: nil source")
-	errNoWorkers = errors.New("dataset: no workers added")
-)
+var errNoWorkers = errors.New("dataset: no workers added")
 
 // Dataset is an immutable, columnar store of workers conforming to a
 // Schema. Protected attribute values are stored as small integer codes
@@ -19,18 +17,21 @@ var (
 // integer scan; the raw numeric values of protected attributes are kept as
 // well for inspection and export.
 //
-// The columns live in a Source: owned heap slices for datasets built in
-// process (Builder, the CSV/JSON/binary decoders), or zero-copy views over
+// The columns are owned heap slices for datasets built in process
+// (Builder, the CSV/JSON/binary decoders, Subset), or zero-copy views over
 // an mmap'd columnar snapshot for datasets opened with OpenSnapshot. The
-// column views are cached here once, so the per-row accessors and the
-// column accessors (CodeColumn, ObservedColumn) cost the same for both
-// backings — the engine scans mapped blocks exactly as it scans heap
-// slices.
+// per-row accessors and the column accessors (CodeColumn, ObservedColumn)
+// cost the same for both backings — the engine scans mapped blocks exactly
+// as it scans heap slices.
 type Dataset struct {
 	schema *Schema
 	n      int
-	// src owns the column storage; Close releases it.
-	src Source
+	// ids[i] is worker i's identifier in a built dataset. A snapshot keeps
+	// its ids as one byte block instead: worker i's is
+	// idBytes[idOff[i]:idOff[i+1]], and ids is nil.
+	ids     []string
+	idOff   []uint32
+	idBytes []byte
 	// codes[a][i] is worker i's partitioning code for protected attribute a.
 	codes [][]uint16
 	// rawProtected[a][i] is worker i's raw numeric value for protected
@@ -38,6 +39,12 @@ type Dataset struct {
 	rawProtected [][]float64
 	// observed[a][i] is worker i's value for observed attribute a.
 	observed [][]float64
+
+	// closer releases the backing storage of a snapshot opened from a
+	// file, nil otherwise; closeOnce runs it once, since unmapping twice
+	// is fatal and Close is idempotent.
+	closeOnce sync.Once
+	closer    func() error
 
 	// digestOnce guards digest and digestErr: the SHA-256 of the
 	// WriteSnapshot stream, computed on the first Digest call.
@@ -53,9 +60,12 @@ type Dataset struct {
 
 // Builder incrementally assembles an in-memory Dataset.
 type Builder struct {
-	schema *Schema
-	src    *memSource
-	err    error
+	schema       *Schema
+	ids          []string
+	codes        [][]uint16
+	rawProtected [][]float64
+	observed     [][]float64
+	err          error
 }
 
 // NewBuilder returns a Builder for the given schema. The schema is
@@ -69,12 +79,9 @@ func NewBuilder(schema *Schema) *Builder {
 	}
 	s := schema.Clone()
 	b.schema = s
-	b.src = &memSource{
-		schema:       s,
-		codes:        make([][]uint16, len(s.Protected)),
-		rawProtected: make([][]float64, len(s.Protected)),
-		observed:     make([][]float64, len(s.Observed)),
-	}
+	b.codes = make([][]uint16, len(s.Protected))
+	b.rawProtected = make([][]float64, len(s.Protected))
+	b.observed = make([][]float64, len(s.Observed))
 	return b
 }
 
@@ -86,7 +93,6 @@ func (b *Builder) Add(id string, protected map[string]any, observed map[string]a
 	if b.err != nil {
 		return b
 	}
-	src := b.src
 	for a, attr := range b.schema.Protected {
 		v, ok := protected[attr.Name]
 		if !ok {
@@ -98,8 +104,8 @@ func (b *Builder) Add(id string, protected map[string]any, observed map[string]a
 			b.err = fmt.Errorf("dataset: worker %q: %w", id, err)
 			return b
 		}
-		src.codes[a] = append(src.codes[a], code)
-		src.rawProtected[a] = append(src.rawProtected[a], raw)
+		b.codes[a] = append(b.codes[a], code)
+		b.rawProtected[a] = append(b.rawProtected[a], raw)
 	}
 	for a, attr := range b.schema.Observed {
 		v, ok := observed[attr.Name]
@@ -112,10 +118,9 @@ func (b *Builder) Add(id string, protected map[string]any, observed map[string]a
 			b.err = fmt.Errorf("dataset: worker %q attribute %q: %w", id, attr.Name, err)
 			return b
 		}
-		src.observed[a] = append(src.observed[a], f)
+		b.observed[a] = append(b.observed[a], f)
 	}
-	src.ids = append(src.ids, id)
-	src.n++
+	b.ids = append(b.ids, id)
 	return b
 }
 
@@ -162,12 +167,23 @@ func toFloat(v any) (float64, error) {
 	}
 }
 
-// Build finalizes the dataset or reports the first accumulated error.
+// Build finalizes the dataset or reports the first accumulated error. The
+// dataset keeps the columns added so far; later Adds do not reach it.
 func (b *Builder) Build() (*Dataset, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	return FromSource(b.src)
+	if len(b.ids) == 0 {
+		return nil, errNoWorkers
+	}
+	return &Dataset{
+		schema:       b.schema,
+		n:            len(b.ids),
+		ids:          b.ids,
+		codes:        slices.Clone(b.codes),
+		rawProtected: slices.Clone(b.rawProtected),
+		observed:     slices.Clone(b.observed),
+	}, nil
 }
 
 // N returns the number of workers.
@@ -176,17 +192,28 @@ func (d *Dataset) N() int { return d.n }
 // Schema returns the dataset's schema. Callers must not mutate it.
 func (d *Dataset) Schema() *Schema { return d.schema }
 
-// Source returns the dataset's backing source.
-func (d *Dataset) Source() Source { return d.src }
-
 // Close releases the dataset's backing storage. For snapshot-backed
 // datasets this unmaps the snapshot — every column view (including slices
 // previously returned by CodeColumn/ObservedColumn) is invalid afterwards.
 // For in-memory datasets Close is a no-op. Close is idempotent.
-func (d *Dataset) Close() error { return d.src.Close() }
+func (d *Dataset) Close() error {
+	var err error
+	d.closeOnce.Do(func() {
+		if d.closer != nil {
+			err = d.closer()
+		}
+	})
+	return err
+}
 
-// ID returns worker i's identifier.
-func (d *Dataset) ID(i int) string { return d.src.ID(i) }
+// ID returns worker i's identifier. A snapshot's is decoded from its id
+// block; the returned string is the caller's.
+func (d *Dataset) ID(i int) string {
+	if d.ids != nil {
+		return d.ids[i]
+	}
+	return string(d.idBytes[d.idOff[i]:d.idOff[i+1]])
+}
 
 // Code returns worker i's partitioning code for protected attribute a
 // (by index into Schema().Protected).
@@ -235,7 +262,7 @@ func (d *Dataset) AllIndices() []int {
 // row indices, in that order. The schema is shared structurally (cloned);
 // duplicate indices are allowed and produce duplicate workers.
 //
-// Subset is copy-on-write over the input's Source: the selected rows are
+// Subset is copy-on-write over the input's columns: the selected rows are
 // gathered from the column views into fully owned slices, so the result
 // survives a Close of a snapshot-backed input and never aliases mapped
 // memory.
@@ -243,7 +270,7 @@ func (d *Dataset) Subset(indices []int) (*Dataset, error) {
 	if len(indices) == 0 {
 		return nil, errors.New("dataset: empty subset")
 	}
-	src := &memSource{
+	sub := &Dataset{
 		schema:       d.schema.Clone(),
 		n:            len(indices),
 		ids:          make([]string, len(indices)),
@@ -252,24 +279,24 @@ func (d *Dataset) Subset(indices []int) (*Dataset, error) {
 		observed:     make([][]float64, len(d.observed)),
 	}
 	for a := range d.codes {
-		src.codes[a] = make([]uint16, len(indices))
-		src.rawProtected[a] = make([]float64, len(indices))
+		sub.codes[a] = make([]uint16, len(indices))
+		sub.rawProtected[a] = make([]float64, len(indices))
 	}
 	for a := range d.observed {
-		src.observed[a] = make([]float64, len(indices))
+		sub.observed[a] = make([]float64, len(indices))
 	}
 	for k, i := range indices {
 		if i < 0 || i >= d.n {
 			return nil, fmt.Errorf("dataset: subset index %d out of range", i)
 		}
-		src.ids[k] = d.ID(i)
+		sub.ids[k] = d.ID(i)
 		for a := range d.codes {
-			src.codes[a][k] = d.codes[a][i]
-			src.rawProtected[a][k] = d.rawProtected[a][i]
+			sub.codes[a][k] = d.codes[a][i]
+			sub.rawProtected[a][k] = d.rawProtected[a][i]
 		}
 		for a := range d.observed {
-			src.observed[a][k] = d.observed[a][i]
+			sub.observed[a][k] = d.observed[a][i]
 		}
 	}
-	return FromSource(src)
+	return sub, nil
 }

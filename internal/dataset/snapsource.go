@@ -6,49 +6,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"sync"
 	"unsafe"
 )
-
-// snapSource is the file-backed Source: its columns are typed views over
-// the byte region of a columnar snapshot — for OpenSnapshot, the mmap'd
-// file itself. Aside from the id-offset table's n+1 uint32s (viewed, not
-// copied, on little-endian hosts), opening a snapshot allocates only the
-// schema and the slice headers: the engine then scans the kernel's page
-// cache directly.
-type snapSource struct {
-	schema       *Schema
-	n            int
-	idOff        []uint32
-	idBytes      []byte
-	codes        [][]uint16
-	rawProtected [][]float64
-	observed     [][]float64
-
-	// closeOnce guards closer: unmapping twice is fatal, and Dataset.Close
-	// is documented idempotent.
-	closeOnce sync.Once
-	closer    func() error
-}
-
-func (s *snapSource) NumWorkers() int { return s.n }
-func (s *snapSource) Schema() *Schema { return s.schema }
-func (s *snapSource) ID(i int) string {
-	return string(s.idBytes[s.idOff[i]:s.idOff[i+1]])
-}
-func (s *snapSource) CodeColumn(a int) []uint16          { return s.codes[a] }
-func (s *snapSource) RawProtectedColumn(a int) []float64 { return s.rawProtected[a] }
-func (s *snapSource) ObservedColumn(a int) []float64     { return s.observed[a] }
-
-func (s *snapSource) Close() error {
-	var err error
-	s.closeOnce.Do(func() {
-		if s.closer != nil {
-			err = s.closer()
-		}
-	})
-	return err
-}
 
 // corrupt wraps a decode failure in ErrCorrupt.
 func corrupt(format string, args ...any) error {
@@ -112,15 +71,12 @@ func f64view(data []byte) []float64 {
 // error means the views are safe for the engine to index without further
 // bounds checks. Decode failures return ErrCorrupt (wrapped); malformed
 // input never panics.
+//
+// The columns are typed views over data's byte regions. Aside from the
+// id-offset table's n+1 uint32s (viewed, not copied, on little-endian
+// hosts), decoding allocates only the schema and the slice headers, so for
+// OpenSnapshot the engine scans the kernel's page cache directly.
 func ReadSnapshot(data []byte) (*Dataset, error) {
-	src, err := newSnapSource(data, nil)
-	if err != nil {
-		return nil, err
-	}
-	return FromSource(src)
-}
-
-func newSnapSource(data []byte, closer func() error) (*snapSource, error) {
 	const headerLen = 16
 	if len(data) < headerLen+snapFooterFixedLen+snapTrailerLen {
 		return nil, corrupt("snapshot too short (%d bytes)", len(data))
@@ -208,13 +164,12 @@ func newSnapSource(data []byte, closer func() error) (*snapSource, error) {
 		return nil, corrupt("schema wants %d blocks, snapshot has %d", want, blockCount)
 	}
 
-	src := &snapSource{
+	ds := &Dataset{
 		schema:       schema,
 		n:            n,
 		codes:        make([][]uint16, len(schema.Protected)),
 		rawProtected: make([][]float64, len(schema.Protected)),
 		observed:     make([][]float64, len(schema.Observed)),
-		closer:       closer,
 	}
 
 	sized := func(i int, want uint64, what string) ([]byte, error) {
@@ -227,16 +182,16 @@ func newSnapSource(data []byte, closer func() error) (*snapSource, error) {
 	if err != nil {
 		return nil, err
 	}
-	src.idOff = u32view(offRaw)
-	if src.idOff[0] != 0 {
-		return nil, corrupt("id offsets start at %d", src.idOff[0])
+	ds.idOff = u32view(offRaw)
+	if ds.idOff[0] != 0 {
+		return nil, corrupt("id offsets start at %d", ds.idOff[0])
 	}
 	for i := 0; i < n; i++ {
-		if src.idOff[i+1] < src.idOff[i] {
+		if ds.idOff[i+1] < ds.idOff[i] {
 			return nil, corrupt("id offsets not monotone at %d", i)
 		}
 	}
-	src.idBytes, err = sized(2, uint64(src.idOff[n]), "id bytes")
+	ds.idBytes, err = sized(2, uint64(ds.idOff[n]), "id bytes")
 	if err != nil {
 		return nil, err
 	}
@@ -253,21 +208,21 @@ func newSnapSource(data []byte, closer func() error) (*snapSource, error) {
 				return nil, corrupt("code %d out of range for %s", c, attr.Name)
 			}
 		}
-		src.codes[a] = codes
+		ds.codes[a] = codes
 		fraw, err := sized(4+2*a, 8*uint64(n), "raw values")
 		if err != nil {
 			return nil, err
 		}
-		src.rawProtected[a] = f64view(fraw)
+		ds.rawProtected[a] = f64view(fraw)
 	}
 	for a := range schema.Observed {
 		raw, err := sized(3+2*len(schema.Protected)+a, 8*uint64(n), "observed values")
 		if err != nil {
 			return nil, err
 		}
-		src.observed[a] = f64view(raw)
+		ds.observed[a] = f64view(raw)
 	}
-	return src, nil
+	return ds, nil
 }
 
 // OpenSnapshot maps the snapshot file at path and returns a Dataset whose
@@ -281,15 +236,11 @@ func OpenSnapshot(path string) (*Dataset, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dataset: open snapshot %s: %w", path, err)
 	}
-	src, err := newSnapSource(data, closer)
+	ds, err := ReadSnapshot(data)
 	if err != nil {
 		closer()
 		return nil, fmt.Errorf("dataset: open snapshot %s: %w", path, err)
 	}
-	ds, err := FromSource(src)
-	if err != nil {
-		src.Close()
-		return nil, fmt.Errorf("dataset: open snapshot %s: %w", path, err)
-	}
+	ds.closer = closer
 	return ds, nil
 }

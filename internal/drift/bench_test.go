@@ -3,6 +3,7 @@ package drift
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"fairrank/internal/dataset"
 	"fairrank/internal/monitor"
@@ -212,6 +213,16 @@ func TestWindowSteadyStateAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state window path allocates: %v allocs per %d-event cycle", avg, len(cycle))
+	}
+}
+
+// TestWorkerRowSize pins the worker table's row, one per worker on the
+// platform, at 72 bytes on 64-bit hosts: the cell, a state in each of the
+// three monitors, the decay's observation weight (the only one that is not
+// 1) and the window's tail.
+func TestWorkerRowSize(t *testing.T) {
+	if size := unsafe.Sizeof(worker{}); size > 72 {
+		t.Fatalf("worker row is %d bytes, want at most 72", size)
 	}
 }
 

@@ -77,11 +77,10 @@ func (d *Decay) tick() {
 	if d.weight < rescaleAbove {
 		return
 	}
-	d.mon.Rescale(d.weight, func(yield func(*monitor.Worker)) {
-		for i := range d.tab.rows {
-			yield(&d.tab.rows[i].decay)
-		}
-	})
+	d.mon.Rescale(d.weight)
+	for i := range d.tab.rows {
+		d.tab.rows[i].weight /= d.weight
+	}
 	d.weight = 1
 }
 
@@ -127,18 +126,22 @@ func (d *Decay) Rescore(id string, score float64) error {
 func (d *Decay) join(slot int, score float64) {
 	r := &d.tab.rows[slot]
 	d.mon.JoinCell(&r.decay, r.cell, score, d.weight)
+	r.weight = d.weight
 	d.tick()
 }
 
 // leave removes the worker at slot; the caller frees the slot.
 func (d *Decay) leave(slot int) {
-	d.mon.LeaveWorker(&d.tab.rows[slot].decay)
+	r := &d.tab.rows[slot]
+	d.mon.LeaveWorker(&r.decay, r.weight)
 	d.tick()
 }
 
 // rescore replaces the observation of the worker at slot.
 func (d *Decay) rescore(slot int, score float64) {
-	d.mon.RescoreWorker(&d.tab.rows[slot].decay, score, d.weight)
+	r := &d.tab.rows[slot]
+	d.mon.RescoreWorker(&r.decay, r.weight, score, d.weight)
+	r.weight = d.weight
 	d.tick()
 }
 

@@ -13,6 +13,9 @@ type worker struct {
 	total  monitor.Worker
 	window monitor.Worker
 	decay  monitor.Worker
+	// weight is the weight of the decay's observation of the worker; the
+	// other two observe every worker at weight 1.
+	weight float64
 	// tail is the seq of the newest live window entry of the worker's
 	// membership span, -1 once the span aged out: the worker is in the
 	// window's inner monitor iff tail >= 0.

@@ -143,7 +143,7 @@ func (w *Watch) applyEstimators(ev Event) error {
 		return fmt.Errorf("monitor: unknown worker %q", ev.Worker)
 	}
 	if ev.Type == EventLeave {
-		w.total.LeaveWorker(&w.tab.rows[slot].total)
+		w.total.LeaveWorker(&w.tab.rows[slot].total, 1)
 		if w.window != nil {
 			w.window.leave(slot, ev.Worker)
 		}
@@ -153,7 +153,7 @@ func (w *Watch) applyEstimators(ev Event) error {
 		w.tab.remove(ev.Worker, slot)
 		return nil
 	}
-	w.total.RescoreWorker(&w.tab.rows[slot].total, ev.Score, 1)
+	w.total.RescoreWorker(&w.tab.rows[slot].total, 1, ev.Score, 1)
 	if w.window != nil {
 		w.window.rescore(slot, ev.Worker, ev.Score)
 	}

@@ -158,7 +158,7 @@ func (w *Window) retractOldest() {
 		// Span still open: the worker, still on the platform at the same
 		// slot, ages out of the windowed population.
 		r := &w.tab.rows[e.slot]
-		w.mon.LeaveWorker(&r.window)
+		w.mon.LeaveWorker(&r.window, 1)
 		r.tail = -1
 	}
 }
@@ -242,7 +242,7 @@ func (w *Window) leave(slot int, id string) {
 	if r.tail < 0 {
 		return
 	}
-	w.mon.LeaveWorker(&r.window)
+	w.mon.LeaveWorker(&r.window, 1)
 	seq := w.push(entry{kind: entryLeave, id: id, slot: slot, next: -1})
 	w.slot(r.tail).next = seq
 	r.tail = -1
@@ -255,7 +255,7 @@ func (w *Window) rescore(slot int, id string, score float64) {
 		w.admit(slot, id, score)
 		return
 	}
-	w.mon.RescoreWorker(&r.window, score, 1)
+	w.mon.RescoreWorker(&r.window, 1, score, 1)
 	seq := w.push(entry{kind: entryRescore, id: id, slot: slot, score: score, next: -1})
 	w.slot(r.tail).next = seq
 	r.tail = seq

@@ -202,7 +202,7 @@ func New(db *store.DB, exec Executor, opts Options) (*Queue, error) {
 		claims:     map[string]*Job{},
 	}
 	q.cond = sync.NewCond(&q.mu)
-	q.hub = newEventHub(func() { inc(q.met.eventsDropped) })
+	q.hub = newEventHub(func() { q.met.eventsDropped.Inc() })
 	q.met = newQueueMetrics(opts.Metrics, q.oldestQueuedAge)
 	if err := q.recover(); err != nil {
 		cancel()
@@ -269,7 +269,7 @@ func (q *Queue) recover() error {
 			q.queuedN++
 			heap.Push(&q.ready, job)
 			q.persist(job.snapshot())
-			inc(q.met.recovered)
+			q.met.recovered.Inc()
 		}
 	}
 	q.syncDepth()
@@ -309,15 +309,15 @@ func (q *Queue) Submit(spec Spec, specHash string) (Job, bool, error) {
 	// a done one answers it with its result.
 	if j := q.byHash[specHash]; j != nil {
 		if j.State == StateDone {
-			inc(q.met.cacheHits)
+			q.met.cacheHits.Inc()
 		} else {
-			inc(q.met.deduped)
+			q.met.deduped.Inc()
 		}
 		return q.view(j), false, nil
 	}
 	active := q.queuedN + q.runningN
 	if active >= q.opts.MaxActive {
-		inc(q.met.shed)
+		q.met.shed.Inc()
 		return Job{}, false, &FullError{Active: active, Limit: q.opts.MaxActive, RetryAfter: q.retryAfterLocked()}
 	}
 	q.idSeq++
@@ -335,7 +335,7 @@ func (q *Queue) Submit(spec Spec, specHash string) (Job, bool, error) {
 	q.queuedN++
 	heap.Push(&q.ready, j)
 	q.syncDepth()
-	inc(q.met.submitted)
+	q.met.submitted.Inc()
 	q.persist(j.snapshot())
 	q.publishState(j)
 	q.cond.Signal()
@@ -520,7 +520,7 @@ func (q *Queue) run(j *Job) {
 	}
 	now := time.Now()
 	if j.Attempt == 0 {
-		observeSince(q.met.waitSeconds, j.EnqueuedAt)
+		q.met.waitSeconds.ObserveSince(j.EnqueuedAt)
 	}
 	j.State = StateRunning
 	j.Attempt++
@@ -534,7 +534,7 @@ func (q *Queue) run(j *Job) {
 	q.mu.Unlock()
 
 	q.runsN.Add(1)
-	inc(q.met.runs)
+	q.met.runs.Inc()
 	q.persist(snap)
 	q.publishStateSnap(snap)
 
@@ -582,7 +582,7 @@ func (q *Queue) run(j *Job) {
 // observeRun folds one run's duration into the latency histogram and
 // the EWMA behind Retry-After estimates.
 func (q *Queue) observeRun(start time.Time) {
-	observeSince(q.met.runSeconds, start)
+	q.met.runSeconds.ObserveSince(start)
 	d := int64(time.Since(start))
 	prev := q.avgRun.Load()
 	if prev == 0 {
@@ -614,13 +614,13 @@ func (q *Queue) finishLocked(j *Job, state State, errMsg string, result []byte) 
 	}
 	switch state {
 	case StateDone:
-		inc(q.met.done)
+		q.met.done.Inc()
 	case StateFailed:
-		inc(q.met.failed)
+		q.met.failed.Inc()
 	case StateCanceled:
-		inc(q.met.canceled)
+		q.met.canceled.Inc()
 	case StateStolen:
-		inc(q.met.stolen)
+		q.met.stolen.Inc()
 	}
 	q.syncDepth()
 	q.persist(j.snapshot())
@@ -687,7 +687,7 @@ func (q *Queue) storeResult(id string, result []byte) bool {
 		return false
 	}
 	if err := q.db.Put(bucketResults, id, result); err != nil {
-		inc(q.met.persistErrors)
+		q.met.persistErrors.Inc()
 		q.logf("jobs: persist result of %s: %v", id, err)
 		return false
 	}
@@ -705,7 +705,7 @@ func (q *Queue) persist(snap Job) {
 		err = q.db.Put(bucketJobs, snap.ID, raw)
 	}
 	if err != nil {
-		inc(q.met.persistErrors)
+		q.met.persistErrors.Inc()
 		q.logf("jobs: persist %s: %v", snap.ID, err)
 	}
 }
@@ -717,8 +717,8 @@ func (q *Queue) publishStateSnap(snap Job) {
 }
 
 func (q *Queue) syncDepth() {
-	setGauge(q.met.depthQueued, float64(q.queuedN))
-	setGauge(q.met.depthRunning, float64(q.runningN))
+	q.met.depthQueued.Set(float64(q.queuedN))
+	q.met.depthRunning.Set(float64(q.runningN))
 }
 
 // oldestQueuedAge backs the queue-age gauge: seconds since the oldest

@@ -104,7 +104,7 @@ func (q *Queue) ClaimQueued(max int, eligible func(Spec) bool, thief string, ttl
 		j.claimedBy = thief
 		j.claimTimer = time.AfterFunc(ttl, func() { q.expireClaim(token) })
 		q.claims[token] = j
-		inc(q.met.claims)
+		q.met.claims.Inc()
 		out = append(out, Claim{Token: token, JobID: j.ID, SpecHash: j.SpecHash, Spec: j.Spec})
 	}
 	return out
@@ -120,7 +120,7 @@ func (q *Queue) expireClaim(token string) {
 		return // acked, canceled, or shut down while parked
 	}
 	q.clearClaimLocked(j)
-	inc(q.met.claimsExpired)
+	q.met.claimsExpired.Inc()
 	if j.State == StateQueued && !q.closed {
 		heap.Push(&q.ready, j)
 		q.cond.Signal()

@@ -1,10 +1,6 @@
 package jobs
 
-import (
-	"time"
-
-	"fairrank/internal/telemetry"
-)
+import "fairrank/internal/telemetry"
 
 // Metric names exported on the queue's registry.
 const (
@@ -97,23 +93,5 @@ func newQueueMetrics(reg *telemetry.Registry, oldestAge func() float64) queueMet
 		depthRunning:  reg.Gauge(MetricDepth, state(string(StateRunning))),
 		waitSeconds:   reg.Histogram(MetricWaitSeconds, telemetry.DefBuckets()),
 		runSeconds:    reg.Histogram(MetricRunSeconds, telemetry.DefBuckets()),
-	}
-}
-
-func inc(c *telemetry.Counter) {
-	if c != nil {
-		c.Inc()
-	}
-}
-
-func setGauge(g *telemetry.Gauge, v float64) {
-	if g != nil {
-		g.Set(v)
-	}
-}
-
-func observeSince(h *telemetry.Histogram, start time.Time) {
-	if h != nil {
-		h.ObserveSince(start)
 	}
 }

@@ -14,6 +14,9 @@
 // Every observation carries a weight: 1 on Join and Rescore, the
 // caller's on JoinCell and RescoreWorker. A group's histogram sums its
 // workers' weights per bin; drift.Decay is this monitor fed growing ones.
+// The monitor keeps no per-worker weight: a caller that passes weights
+// other than 1 keeps them and hands each back on LeaveWorker and
+// RescoreWorker.
 package monitor
 
 import (
@@ -84,13 +87,12 @@ type group struct {
 }
 
 // Worker is one tracked worker's state in a Monitor: the group it counts
-// in, the bin its score falls in and the weight it put there. JoinCell
-// fills it; LeaveWorker and RescoreWorker take it back. The zero Worker is
-// not tracked.
+// in and the bin its score falls in. JoinCell fills it; LeaveWorker and
+// RescoreWorker take it back, with the weight it was observed at. The zero
+// Worker is not tracked.
 type Worker struct {
-	g      *group
-	bin    int
-	weight float64
+	g   *group
+	bin int
 }
 
 // New creates a monitor over the partitioning induced by the named
@@ -390,7 +392,7 @@ func (m *Monitor) Leave(id string) error {
 	if !ok {
 		return fmt.Errorf("monitor: unknown worker %q", id)
 	}
-	m.LeaveWorker(&w)
+	m.LeaveWorker(&w, 1)
 	delete(m.workers, id)
 	return nil
 }
@@ -401,7 +403,7 @@ func (m *Monitor) Rescore(id string, score float64) error {
 	if !ok {
 		return fmt.Errorf("monitor: unknown worker %q", id)
 	}
-	m.RescoreWorker(&w, score, 1)
+	m.RescoreWorker(&w, 1, score, 1)
 	m.workers[id] = w
 	return nil
 }
@@ -422,22 +424,22 @@ func (m *Monitor) JoinCell(w *Worker, cell int, score, weight float64) {
 	g.mass[bin] += weight
 	g.live++
 	m.touch(g)
-	*w = Worker{g: g, bin: bin, weight: weight}
+	*w = Worker{g: g, bin: bin}
 	m.n++
 	m.met.joins.Inc()
 	m.met.sync(m)
 }
 
 // LeaveWorker records the departure of the worker whose state JoinCell
-// stored in w. A group whose last worker leaves is dropped outright, so
-// float dust left in its masses never keeps a departed population in the
-// average.
-func (m *Monitor) LeaveWorker(w *Worker) {
+// stored in w, observed at the given weight. A group whose last worker
+// leaves is dropped outright, so float dust left in its masses never keeps
+// a departed population in the average.
+func (m *Monitor) LeaveWorker(w *Worker, weight float64) {
 	g := w.g
 	if g.live--; g.live == 0 {
 		m.removeGroup(g)
 	} else {
-		g.subtract(w)
+		g.subtract(w.bin, weight)
 		m.touch(g)
 	}
 	*w = Worker{}
@@ -446,42 +448,38 @@ func (m *Monitor) LeaveWorker(w *Worker) {
 	m.met.sync(m)
 }
 
-// RescoreWorker replaces the observation of the worker whose state is w
-// with one of score at the given weight.
-func (m *Monitor) RescoreWorker(w *Worker, score, weight float64) {
+// RescoreWorker replaces the observation of the worker whose state is w,
+// made at weight old, with one of score at the given weight.
+func (m *Monitor) RescoreWorker(w *Worker, old, score, weight float64) {
 	g := w.g
 	if g.live == 1 {
 		clear(g.mass) // the worker's is the group's only mass
 	} else {
-		g.subtract(w)
+		g.subtract(w.bin, old)
 	}
-	w.bin, w.weight = m.grid.BinIndex(score), weight
+	w.bin = m.grid.BinIndex(score)
 	g.mass[w.bin] += weight
 	m.touch(g)
 	m.met.rescores.Inc()
 	m.met.sync(m)
 }
 
-// subtract takes w's weight out of its bin, clamping float dust at zero.
-func (g *group) subtract(w *Worker) {
-	c := &g.mass[w.bin]
-	if *c -= w.weight; *c < 0 {
+// subtract takes weight out of bin, clamping float dust at zero.
+func (g *group) subtract(bin int, weight float64) {
+	c := &g.mass[bin]
+	if *c -= weight; *c < 0 {
 		*c = 0
 	}
 }
 
-// Rescale divides every stored weight by f: each group's masses, the
-// weight of every worker tracked by id and of each Worker that workers
-// yields. A caller whose weights grow without bound calls it before they
-// leave the float range; normalization cancels the common scale up to
-// rounding. Each group is touched right after its masses are divided, so
-// every distance is last computed once both of its groups are.
-func (m *Monitor) Rescale(f float64, workers func(yield func(*Worker))) {
-	for id, w := range m.workers {
-		w.weight /= f
-		m.workers[id] = w
-	}
-	workers(func(w *Worker) { w.weight /= f })
+// Rescale divides every group's masses by f. A caller whose weights grow
+// without bound calls it before they leave the float range, and divides
+// the weights it keeps by f too; normalization cancels the common scale up
+// to rounding. Workers tracked by id weigh 1 and are not rescaled, so a
+// monitor that rescales is fed through JoinCell alone. Each group is
+// touched right after its masses are divided, so every distance is last
+// computed once both of its groups are.
+func (m *Monitor) Rescale(f float64) {
 	for _, g := range m.order {
 		for i := range g.mass {
 			g.mass[i] /= f

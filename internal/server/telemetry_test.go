@@ -84,11 +84,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	if v, ok := metricValue(body, core.MetricEMDEvaluations); !ok || v != 0 {
 		t.Errorf("%s = %v, %v; want 0 after a binned EMD audit", core.MetricEMDEvaluations, v, ok)
 	}
-	if v, ok := metricValue(body, core.MetricReps); !ok || v <= 0 {
-		t.Errorf("%s = %v, %v; want > 0 after an audit", core.MetricReps, v, ok)
-	}
 	if v, ok := metricValue(body, core.MetricRuns); !ok || v != 1 {
 		t.Errorf("%s = %v, %v; want 1", core.MetricRuns, v, ok)
+	}
+	// The engine keeps no rep cache, so it exports no occupancy gauges.
+	if strings.Contains(body, "fairrank_engine_rep") {
+		t.Errorf("scrape still carries rep-cache gauges:\n%s", body)
 	}
 	series := MetricHTTPRequests + `{code="202",route="POST /v1/jobs"}`
 	if v, ok := metricValue(body, series); !ok || v != 1 {
