@@ -1,105 +1,22 @@
 package drift
 
-import "sync"
+import "fairrank/internal/eventlog"
 
-const (
-	// hubReplay bounds how many past alarm events a new subscriber gets
-	// replayed. Alarm transitions are rare by construction (hysteresis and
-	// cooldown), so a small buffer covers any realistic reconnect gap.
-	hubReplay = 256
-	// hubSubBuffer is each subscriber's channel depth; a subscriber that
-	// falls further behind loses events (counted) instead of blocking the
-	// ingest path.
-	hubSubBuffer = 64
-)
+// hubReplay bounds how many past alarm events a monitor keeps: what a new
+// subscriber gets replayed, and how far a subscriber may fall behind
+// before it loses events. Alarm transitions are rare by construction
+// (hysteresis and cooldown), so a small bound covers any realistic
+// reconnect gap.
+const hubReplay = 256
 
-// Hub fans one monitor's alarm events out to SSE subscribers: bounded
-// replay of recent history on subscribe, then live delivery. Unlike the
-// job event hub there is no terminal state — a monitor's stream outlives
-// any one subscriber and closes only when the monitor is deleted.
-type Hub struct {
-	mu      sync.Mutex
-	seq     int64
-	buf     []AlarmEvent // last hubReplay events, oldest first
-	subs    map[int]chan AlarmEvent
-	nextSub int
-	dropped int64
-	closed  bool
-}
+// Hub is one monitor's alarm-event stream to SSE subscribers: replay of
+// recent history on subscribe, then live delivery, and never a wait on a
+// subscriber on the ingest path. Unlike a job's stream there is no
+// terminal event — a monitor's stream outlives any one subscriber and
+// closes only when the monitor is deleted.
+type Hub = eventlog.Log[AlarmEvent]
 
-// NewHub returns an empty hub.
+// NewHub returns an empty hub, whose events are numbered as Seq.
 func NewHub() *Hub {
-	return &Hub{subs: map[int]chan AlarmEvent{}}
-}
-
-// Publish assigns the event its sequence number, appends it to the replay
-// buffer and delivers it to every subscriber without blocking: a full
-// subscriber drops the event (counted in Dropped).
-func (h *Hub) Publish(ev AlarmEvent) AlarmEvent {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.closed {
-		return ev
-	}
-	h.seq++
-	ev.Seq = h.seq
-	h.buf = append(h.buf, ev)
-	if len(h.buf) > hubReplay {
-		h.buf = h.buf[len(h.buf)-hubReplay:]
-	}
-	for _, ch := range h.subs {
-		select {
-		case ch <- ev:
-		default:
-			h.dropped++
-		}
-	}
-	return ev
-}
-
-// Subscribe returns the replayable history, a live channel, and a cancel
-// func the subscriber must call. The live channel is closed when the hub
-// closes (monitor deleted).
-func (h *Hub) Subscribe() (replay []AlarmEvent, live <-chan AlarmEvent, cancel func()) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	replay = append([]AlarmEvent(nil), h.buf...)
-	ch := make(chan AlarmEvent, hubSubBuffer)
-	if h.closed {
-		close(ch)
-		return replay, ch, func() {}
-	}
-	id := h.nextSub
-	h.nextSub++
-	h.subs[id] = ch
-	return replay, ch, func() {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		if _, ok := h.subs[id]; ok {
-			delete(h.subs, id)
-			close(ch)
-		}
-	}
-}
-
-// Close ends the stream: every subscriber's channel closes and further
-// publishes are ignored.
-func (h *Hub) Close() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.closed {
-		return
-	}
-	h.closed = true
-	for id, ch := range h.subs {
-		delete(h.subs, id)
-		close(ch)
-	}
-}
-
-// Dropped returns how many events were lost to slow subscribers.
-func (h *Hub) Dropped() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.dropped
+	return eventlog.New(hubReplay, func(ev *AlarmEvent, seq int64) { ev.Seq = seq }, nil)
 }

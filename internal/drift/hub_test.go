@@ -7,8 +7,9 @@ func TestHubReplayAndLive(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		h.Publish(AlarmEvent{Rule: "r", Type: AlarmFired})
 	}
-	replay, live, cancel := h.Subscribe()
-	defer cancel()
+	sub := h.Subscribe()
+	defer sub.Close()
+	replay, _ := sub.Read(nil)
 	if len(replay) != 3 {
 		t.Fatalf("replay %d events, want 3", len(replay))
 	}
@@ -21,9 +22,10 @@ func TestHubReplayAndLive(t *testing.T) {
 	if pub.Seq != 4 {
 		t.Fatalf("published Seq %d, want 4", pub.Seq)
 	}
-	got := <-live
-	if got.Seq != 4 || got.Type != AlarmCleared {
-		t.Fatalf("live event %+v", got)
+	<-sub.Wake()
+	live, done := sub.Read(nil)
+	if len(live) != 1 || live[0].Seq != 4 || live[0].Type != AlarmCleared || done {
+		t.Fatalf("live events %+v (done %v)", live, done)
 	}
 }
 
@@ -32,8 +34,9 @@ func TestHubBoundedReplay(t *testing.T) {
 	for i := 0; i < hubReplay+50; i++ {
 		h.Publish(AlarmEvent{Rule: "r"})
 	}
-	replay, _, cancel := h.Subscribe()
-	defer cancel()
+	sub := h.Subscribe()
+	defer sub.Close()
+	replay, _ := sub.Read(nil)
 	if len(replay) != hubReplay {
 		t.Fatalf("replay %d events, want %d", len(replay), hubReplay)
 	}
@@ -42,37 +45,41 @@ func TestHubBoundedReplay(t *testing.T) {
 	}
 }
 
+// TestHubSlowSubscriberDrops: a subscriber that falls a whole replay
+// bound behind loses the events that leave the hub, counted, and then
+// reads on from the oldest event kept.
 func TestHubSlowSubscriberDrops(t *testing.T) {
 	h := NewHub()
-	_, _, cancel := h.Subscribe()
-	defer cancel()
-	for i := 0; i < hubSubBuffer+10; i++ {
+	sub := h.Subscribe()
+	defer sub.Close()
+	for i := 0; i < hubReplay+10; i++ {
 		h.Publish(AlarmEvent{Rule: "r"})
 	}
 	if h.Dropped() != 10 {
 		t.Fatalf("dropped %d, want 10", h.Dropped())
 	}
+	if evs, _ := sub.Read(nil); len(evs) != hubReplay || evs[0].Seq != 11 {
+		t.Fatalf("read %d events from seq %d, want %d from 11", len(evs), evs[0].Seq, hubReplay)
+	}
 }
 
 func TestHubClose(t *testing.T) {
 	h := NewHub()
-	_, live, cancel := h.Subscribe()
-	defer cancel()
+	sub := h.Subscribe()
+	defer sub.Close()
 	h.Close()
-	if _, ok := <-live; ok {
-		t.Fatal("live channel not closed on hub close")
+	<-sub.Wake()
+	if evs, done := sub.Read(nil); len(evs) != 0 || !done {
+		t.Fatalf("after close: %+v, done %v", evs, done)
 	}
 	// Post-close publishes and subscribes are inert, not panics.
 	h.Publish(AlarmEvent{Rule: "r"})
-	replay, live2, cancel2 := h.Subscribe()
-	defer cancel2()
-	if len(replay) != 0 {
-		t.Fatalf("post-close replay %d events", len(replay))
+	sub2 := h.Subscribe()
+	defer sub2.Close()
+	if replay, done := sub2.Read(nil); len(replay) != 0 || !done {
+		t.Fatalf("post-close replay %d events, done %v", len(replay), done)
 	}
-	if _, ok := <-live2; ok {
-		t.Fatal("post-close subscription channel open")
-	}
-	// Double cancel is safe.
-	cancel()
-	cancel()
+	// Double close is safe.
+	sub.Close()
+	sub.Close()
 }

@@ -32,6 +32,18 @@ type workerTable struct {
 
 func newWorkerTable() *workerTable { return &workerTable{slots: map[string]int{}} }
 
+// reserve makes room for n workers in all. It sizes an empty table's id
+// index as well.
+func (t *workerTable) reserve(n int) {
+	if n <= cap(t.rows) {
+		return
+	}
+	if len(t.slots) == 0 {
+		t.slots = make(map[string]int, n)
+	}
+	t.rows = append(make([]worker, 0, n), t.rows...)
+}
+
 func (t *workerTable) lookup(id string) (int, bool) {
 	slot, ok := t.slots[id]
 	return slot, ok

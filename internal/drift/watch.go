@@ -100,6 +100,10 @@ func (w *Watch) Apply(ev Event) ([]AlarmEvent, error) {
 	return out, nil
 }
 
+// Reserve makes room for n workers on the platform, so a watch seeded
+// from a dataset of n rows holds exactly n worker rows.
+func (w *Watch) Reserve(n int) { w.tab.reserve(n) }
+
 // Seed applies one event to the estimators WITHOUT evaluating alarm
 // rules. Seeding is reconstruction, not observation: when a watch is
 // (re)built from a population snapshot, the replay must bring the

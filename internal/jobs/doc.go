@@ -24,9 +24,10 @@
 //     load with a typed FullError (the HTTP layer maps it to 429 +
 //     Retry-After) once the active set reaches its bound.
 //
-//   - The event hub fans out per-job lifecycle and engine-progress
-//     events to subscribers, which is what GET /v1/jobs/{id}/events
-//     streams as server-sent events.
+//   - The event hub keeps one bounded event log per live job, of its
+//     lifecycle and engine-progress events, which subscribers read by
+//     cursor; it is what GET /v1/jobs/{id}/events streams as
+//     server-sent events.
 //
 // The queue is engine-agnostic: it runs an Executor callback and stores
 // the bytes it returns without parsing them. The HTTP server supplies an

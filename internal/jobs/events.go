@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"fairrank/internal/core"
+	"fairrank/internal/eventlog"
 )
 
 // EventType discriminates the two event streams a job emits.
@@ -35,104 +36,72 @@ type Event struct {
 	Step *core.TraceStep `json:"step,omitempty"`
 }
 
-// maxBufferedEvents bounds one job's replay buffer. Progress events
-// beyond the bound are still broadcast live but not retained; state
-// events are always retained (there are at most a handful per job).
-const maxBufferedEvents = 512
+// keptEvents bounds one job's event log: a running job holds at most this
+// many events however long its search. A paper-schema unbalanced search
+// emits about a thousand steps, at 7,300 workers and at a million, so a
+// subscriber of such a job replays or follows all of it even when its
+// writer gets no CPU until the search ends.
+const keptEvents = 4096
 
-// subBuffer is each subscriber's channel capacity. A subscriber that
-// falls further behind than this (a stalled SSE client) loses events
-// rather than stalling the scheduler; droppedEvents counts the loss.
-const subBuffer = 64
-
-// eventHub fans per-job events out to subscribers and keeps a bounded
-// replay buffer so late subscribers see the history. Terminal jobs are
-// evicted entirely — their full record (including the result) lives in
-// the queue/store, so the hub only ever holds state for live jobs.
+// eventHub keeps one event log per live job, so a late subscriber reads
+// the job's recent history. Terminal jobs are evicted: their full record
+// (including the result) lives in the queue and store, so the hub only
+// ever holds state for live jobs.
 type eventHub struct {
 	mu   sync.Mutex
-	jobs map[string]*jobStream
-	// dropped counts events discarded because a subscriber's channel was
-	// full; surfaced as a telemetry counter by the queue.
-	dropped func()
+	jobs map[string]*eventlog.Log[Event]
+	// dropped counts events subscribers lost; surfaced as a telemetry
+	// counter by the queue.
+	dropped func(int64)
 }
 
-type jobStream struct {
-	events   []Event // replay buffer, bounded by maxBufferedEvents
-	progress int     // how many of events are progress events
-	nextSeq  int
-	subs     map[int]chan Event
-	nextSub  int
+func newEventHub(dropped func(int64)) *eventHub {
+	return &eventHub{jobs: map[string]*eventlog.Log[Event]{}, dropped: dropped}
 }
 
-func newEventHub(dropped func()) *eventHub {
-	if dropped == nil {
-		dropped = func() {}
+// newEventLog is a job's event log, whose events are numbered as Seq.
+func newEventLog(dropped func(int64)) *eventlog.Log[Event] {
+	return eventlog.New(keptEvents, func(ev *Event, seq int64) { ev.Seq = int(seq) }, dropped)
+}
+
+// log returns the job's event log, created on first use.
+func (h *eventHub) log(id string) *eventlog.Log[Event] {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.logLocked(id)
+}
+
+func (h *eventHub) logLocked(id string) *eventlog.Log[Event] {
+	l := h.jobs[id]
+	if l == nil {
+		l = newEventLog(h.dropped)
+		h.jobs[id] = l
 	}
-	return &eventHub{jobs: map[string]*jobStream{}, dropped: dropped}
+	return l
 }
 
-func (h *eventHub) stream(id string) *jobStream {
-	s := h.jobs[id]
-	if s == nil {
-		s = &jobStream{subs: map[int]chan Event{}}
-		h.jobs[id] = s
-	}
-	return s
-}
-
-// publish appends ev to the job's stream and broadcasts it. A terminal
-// state event closes every subscriber channel and evicts the stream.
+// publish appends ev to the job's log. A terminal state event closes the
+// log and evicts it.
 func (h *eventHub) publish(id string, ev Event) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	s := h.stream(id)
-	s.nextSeq++
-	ev.Seq = s.nextSeq
-	if ev.Type != EventProgress || s.progress < maxBufferedEvents {
-		s.events = append(s.events, ev)
-		if ev.Type == EventProgress {
-			s.progress++
-		}
-	}
-	for _, ch := range s.subs {
-		select {
-		case ch <- ev:
-		default:
-			h.dropped()
-		}
-	}
+	l := h.logLocked(id)
+	l.Publish(ev)
 	if ev.Type == EventState && ev.State.Terminal() {
-		for _, ch := range s.subs {
-			close(ch)
-		}
+		l.Close()
 		delete(h.jobs, id)
 	}
 }
 
-// subscribe returns the replay buffer and a live channel. The channel is
-// closed when the job reaches a terminal state; cancel detaches early
-// (idempotent, safe after close). For a job already evicted (terminal
-// before any subscription), ok is false and the caller synthesizes the
-// replay from the job record.
-func (h *eventHub) subscribe(id string) (replay []Event, ch <-chan Event, cancel func(), ok bool) {
+// subscribe attaches to the job's log. For a job already evicted
+// (terminal before any subscription), ok is false and the caller
+// synthesizes the history from the job record.
+func (h *eventHub) subscribe(id string) (sub *eventlog.Sub[Event], ok bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	s := h.jobs[id]
-	if s == nil {
-		return nil, nil, nil, false
+	l := h.jobs[id]
+	if l == nil {
+		return nil, false
 	}
-	replay = append([]Event(nil), s.events...)
-	c := make(chan Event, subBuffer)
-	sub := s.nextSub
-	s.nextSub++
-	s.subs[sub] = c
-	cancel = func() {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		if cur := h.jobs[id]; cur == s {
-			delete(s.subs, sub)
-		}
-	}
-	return replay, c, cancel, true
+	return l.Subscribe(), true
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"fairrank/internal/core"
+	"fairrank/internal/eventlog"
 	"fairrank/internal/store"
 	"fairrank/internal/telemetry"
 )
@@ -202,7 +203,7 @@ func New(db *store.DB, exec Executor, opts Options) (*Queue, error) {
 		claims:     map[string]*Job{},
 	}
 	q.cond = sync.NewCond(&q.mu)
-	q.hub = newEventHub(func() { q.met.eventsDropped.Inc() })
+	q.hub = newEventHub(func(n int64) { q.met.eventsDropped.Add(n) })
 	q.met = newQueueMetrics(opts.Metrics, q.oldestQueuedAge)
 	if err := q.recover(); err != nil {
 		cancel()
@@ -455,26 +456,27 @@ func (q *Queue) Depth() (queued, running int) {
 	return q.queuedN, q.runningN
 }
 
-// Subscribe attaches to a job's event stream, returning the buffered
-// replay and a live channel that closes at the terminal transition.
-// Subscribing to a job that already finished returns a synthesized
-// replay (its terminal state event) and a closed channel.
-func (q *Queue) Subscribe(id string) ([]Event, <-chan Event, func(), error) {
+// Subscribe attaches to a job's event stream: its first Read replays the
+// events the job's log keeps, and the stream ends at the terminal
+// transition. Subscribing to a job that already finished gives a stream
+// of one synthesized event, its terminal state. The caller closes the
+// subscription.
+func (q *Queue) Subscribe(id string) (*eventlog.Sub[Event], error) {
 	q.mu.Lock()
 	j, ok := q.jobs[id]
 	if !ok {
 		q.mu.Unlock()
-		return nil, nil, nil, ErrNotFound
+		return nil, ErrNotFound
 	}
 	snap := j.snapshot()
 	q.mu.Unlock()
-	if replay, ch, cancel, live := q.hub.subscribe(id); live {
-		return replay, ch, cancel, nil
+	if sub, live := q.hub.subscribe(id); live {
+		return sub, nil
 	}
-	closed := make(chan Event)
-	close(closed)
-	return []Event{{Seq: 1, Type: EventState, State: snap.State, Attempt: snap.Attempt, Error: snap.Error}},
-		closed, func() {}, nil
+	l := newEventLog(nil)
+	l.Publish(Event{Type: EventState, State: snap.State, Attempt: snap.Attempt, Error: snap.Error})
+	l.Close()
+	return l.Subscribe(), nil
 }
 
 // worker is one pool goroutine: pop the highest-priority ready job, run
@@ -542,9 +544,11 @@ func (q *Queue) run(j *Job) {
 	span.SetStr("job", snap.ID)
 	span.SetStr("algorithm", snap.Spec.Algorithm)
 	span.SetInt("attempt", int64(snap.Attempt))
+	// Progress goes straight to the job's log: the terminal transition
+	// that closes it comes after the run.
+	events := q.hub.log(snap.ID)
 	result, err := q.exec(rctx, snap, func(step core.TraceStep) {
-		s := step
-		q.hub.publish(snap.ID, Event{Type: EventProgress, Attempt: snap.Attempt, Step: &s})
+		events.Publish(Event{Type: EventProgress, Attempt: snap.Attempt, Step: &step})
 	})
 	span.End()
 	cancel()

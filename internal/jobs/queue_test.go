@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"fairrank/internal/core"
+	"fairrank/internal/eventlog"
 	"fairrank/internal/telemetry"
 )
 
@@ -308,43 +309,105 @@ func TestEventsReplayAndLive(t *testing.T) {
 	q := newTestQueue(t, exec, Options{Workers: 1})
 	j, _, _ := q.Submit(testSpec("a"), "h")
 	waitState(t, q, j.ID, StateRunning)
-	replay, live, cancel, err := q.Subscribe(j.ID)
+	sub, err := q.Subscribe(j.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cancel()
+	defer sub.Close()
 	// Replay carries at least queued, running, and the progress step.
+	replay, done := sub.Read(nil)
 	var sawProgress bool
 	for _, ev := range replay {
 		if ev.Type == EventProgress && ev.Step != nil && ev.Step.Attribute == 2 {
 			sawProgress = true
 		}
 	}
-	if len(replay) < 3 || !sawProgress {
-		t.Fatalf("replay = %+v", replay)
+	if len(replay) < 3 || !sawProgress || done {
+		t.Fatalf("replay = %+v (done %v)", replay, done)
 	}
 	close(release)
-	var final Event
-	for ev := range live { // channel closes at the terminal transition
-		final = ev
+	live := readUntilDone(t, sub)
+	if len(live) == 0 {
+		t.Fatal("no live event")
 	}
-	if final.Type != EventState || final.State != StateDone {
+	// The stream ends at the terminal transition.
+	if final := live[len(live)-1]; final.Type != EventState || final.State != StateDone {
 		t.Fatalf("final live event = %+v", final)
 	}
 	// Subscribing to a finished job synthesizes its terminal event.
-	replay2, live2, cancel2, err := q.Subscribe(j.ID)
+	sub2, err := q.Subscribe(j.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cancel2()
-	if len(replay2) != 1 || replay2[0].State != StateDone {
-		t.Fatalf("terminal replay = %+v", replay2)
+	defer sub2.Close()
+	if replay2, done := sub2.Read(nil); len(replay2) != 1 || replay2[0].State != StateDone || !done {
+		t.Fatalf("terminal replay = %+v (done %v)", replay2, done)
 	}
-	if _, ok := <-live2; ok {
-		t.Fatal("terminal live channel must be closed")
-	}
-	if _, _, _, err := q.Subscribe("job-424242"); !errors.Is(err, ErrNotFound) {
+	if _, err := q.Subscribe("job-424242"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Subscribe unknown = %v", err)
+	}
+}
+
+// readUntilDone reads a subscription to the end of its stream, waiting
+// on Wake between reads.
+func readUntilDone(t *testing.T, sub *eventlog.Sub[Event]) []Event {
+	t.Helper()
+	var out []Event
+	for {
+		var done bool
+		if out, done = sub.Read(out); done {
+			return out
+		}
+		select {
+		case <-sub.Wake():
+		case <-time.After(10 * time.Second):
+			t.Fatalf("stream not ended after %d events", len(out))
+		}
+	}
+}
+
+// TestEventsStalledSubscriber: a subscriber that never reads neither
+// slows nor blocks a run of twice the log's bound of progress events.
+// The log keeps only the latest keptEvents, the subscriber then reads
+// those, in order, and every event it lost is counted.
+func TestEventsStalledSubscriber(t *testing.T) {
+	const steps = 2 * keptEvents
+	release := make(chan struct{})
+	exec := func(ctx context.Context, j Job, progress func(core.TraceStep)) ([]byte, error) {
+		<-release
+		for i := 0; i < steps; i++ {
+			progress(core.TraceStep{Partitions: i})
+		}
+		return []byte(`1`), nil
+	}
+	reg := telemetry.NewRegistry()
+	q := newTestQueue(t, exec, Options{Workers: 1, Metrics: reg})
+	j, _, _ := q.Submit(testSpec("a"), "h")
+	waitState(t, q, j.ID, StateRunning)
+	stalled, err := q.Subscribe(j.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	close(release)
+	waitState(t, q, j.ID, StateDone)
+
+	// queued, running, the steps and done.
+	const published = steps + 3
+	if got := reg.Counter(MetricEventsDropped).Value(); got != published-keptEvents {
+		t.Fatalf("dropped %d events, want %d", got, published-keptEvents)
+	}
+	evs, done := stalled.Read(nil)
+	if !done || len(evs) != keptEvents {
+		t.Fatalf("read %d events (done %v), want the %d kept", len(evs), done, keptEvents)
+	}
+	for i, ev := range evs {
+		if ev.Seq != published-keptEvents+1+i {
+			t.Fatalf("event %d has seq %d, want %d", i, ev.Seq, published-keptEvents+1+i)
+		}
+	}
+	if last := evs[len(evs)-1]; last.State != StateDone || evs[len(evs)-2].Step.Partitions != steps-1 {
+		t.Fatalf("stream ends %+v, %+v", evs[len(evs)-2], last)
 	}
 }
 
@@ -369,11 +432,11 @@ func TestWorkerPoolNoGoroutineLeak(t *testing.T) {
 		}
 		// Hold subscriptions open while canceling, like SSE clients.
 		for _, id := range ids {
-			_, _, cancel, err := q.Subscribe(id)
+			sub, err := q.Subscribe(id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer cancel()
+			defer sub.Close()
 		}
 		for _, id := range ids {
 			if _, err := q.Cancel(id); err != nil {

@@ -327,13 +327,13 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 // job reaches a terminal state or the client disconnects.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	replay, live, cancel, err := s.jobs.Subscribe(id)
+	sub, err := s.jobs.Subscribe(id)
 	if err != nil {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("job %q not found", id))
 		return
 	}
-	defer cancel()
-	serveSSE(w, r, replay, live, func(ev jobs.Event) (int64, string) {
+	defer sub.Close()
+	serveSSE(w, r, sub, func(ev jobs.Event) (int64, string) {
 		return int64(ev.Seq), string(ev.Type)
 	})
 }

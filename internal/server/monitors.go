@@ -62,6 +62,7 @@ func seedWatch(w *drift.Watch, ds *dataset.Dataset, spec drift.Spec) error {
 			return fmt.Errorf("%q is not a protected attribute", name)
 		}
 	}
+	w.Reserve(ds.N())
 	for i := 0; i < ds.N(); i++ {
 		prot := make(map[string]any, len(attrs))
 		for _, a := range attrs {
@@ -327,9 +328,9 @@ func (s *Server) handleMonitorEventStream(w http.ResponseWriter, r *http.Request
 		writeErr(w, http.StatusNotFound, fmt.Errorf("monitor %q not found", id))
 		return
 	}
-	replay, live, cancel := m.hub.Subscribe()
-	defer cancel()
-	serveSSE(w, r, replay, live, func(ev drift.AlarmEvent) (int64, string) {
+	sub := m.hub.Subscribe()
+	defer sub.Close()
+	serveSSE(w, r, sub, func(ev drift.AlarmEvent) (int64, string) {
 		return ev.Seq, ev.Type
 	})
 }

@@ -7,9 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"fairrank/internal/core"
 	"fairrank/internal/dataset"
@@ -56,13 +58,6 @@ type resultSummary struct {
 	PValue     *float64 `json:"p_value,omitempty"`
 }
 
-// recordPart is one partition on its way into a record.
-type recordPart struct {
-	pieces     []int
-	size       int
-	start, end int // its label's bytes in encodeResult's label buffer
-}
-
 // encodeResult builds the record of a finished audit of the dataset the
 // job names, whose partitions res holds over schema. The partitions go in
 // label order. Like encoding/json, it refuses a non-finite unfairness or
@@ -74,56 +69,40 @@ func encodeResult(name string, res *core.Result, schema *dataset.Schema, pValue 
 	if pValue != nil && !finite(*pValue) {
 		return nil, fmt.Errorf("server: cannot store p-value %v", *pValue)
 	}
-	var (
-		pieces       []string
-		byText       = map[string]int{}
-		byConstraint = map[partition.Constraint]int{}
-		labels       []byte
-	)
-	piece := func(text string) int {
-		i, ok := byText[text]
-		if !ok {
-			i = len(pieces)
-			byText[text] = i
-			pieces = append(pieces, text)
-		}
-		return i
+	parts := res.Partitioning.Parts
+	n := 0
+	for _, p := range parts {
+		n += max(len(p.Constraints), 1)
 	}
-	parts := make([]recordPart, len(res.Partitioning.Parts))
-	for k, p := range res.Partitioning.Parts {
-		rp := &parts[k]
+	pt := newPieceTable(schema)
+	// Partition k's piece indices are idx[bounds[k]:bounds[k+1]].
+	idx := make([]int32, 0, n)
+	bounds := make([]int32, 1, len(parts)+1)
+	// Room for the record: the header, the pieces, each partition's
+	// counts and every piece index at the width of the largest.
+	size := 3 + 16 + uvarintLen(len(name)) + len(name) + uvarintLen(len(res.Algorithm)) + len(res.Algorithm) +
+		2*binary.MaxVarintLen64
+	for _, p := range parts {
 		switch {
 		case p.Name != "":
-			rp.pieces = []int{piece(p.Name)}
+			idx = append(idx, pt.text(p.Name))
 		case len(p.Constraints) == 0:
-			rp.pieces = []int{piece("ALL")}
+			idx = append(idx, pt.text("ALL"))
 		default:
-			rp.pieces = make([]int, len(p.Constraints))
-			for i, c := range p.Constraints {
-				idx, ok := byConstraint[c]
-				if !ok {
-					a := schema.Protected[c.Attr]
-					idx = piece(a.Name + "=" + a.ValueLabel(c.Value))
-					byConstraint[c] = idx
-				}
-				rp.pieces[i] = idx
+			for _, c := range p.Constraints {
+				idx = append(idx, pt.constraint(c))
 			}
 		}
-		rp.size = p.Size()
-		rp.start = len(labels)
-		for i, idx := range rp.pieces {
-			if i > 0 {
-				labels = append(labels, labelSep...)
-			}
-			labels = append(labels, pieces[idx]...)
-		}
-		rp.end = len(labels)
+		size += uvarintLen(len(idx)-int(bounds[len(bounds)-1])) + uvarintLen(p.Size())
+		bounds = append(bounds, int32(len(idx)))
 	}
-	sort.Slice(parts, func(i, k int) bool {
-		return bytes.Compare(labels[parts[i].start:parts[i].end], labels[parts[k].start:parts[k].end]) < 0
-	})
+	for _, s := range pt.pieces {
+		size += uvarintLen(len(s)) + len(s)
+	}
+	size += len(idx) * uvarintLen(len(pt.pieces))
+	order := labelOrder(pt.pieces, idx, bounds)
 
-	out := []byte{resultMagic, resultVersion, 0}
+	out := append(make([]byte, 0, size), resultMagic, resultVersion, 0)
 	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(res.Unfairness))
 	if pValue != nil {
 		out[2] |= flagPValue
@@ -132,18 +111,156 @@ func encodeResult(name string, res *core.Result, schema *dataset.Schema, pValue 
 	out = appendBytes(out, name)
 	out = appendBytes(out, res.Algorithm)
 	out = binary.AppendUvarint(out, uint64(len(parts)))
-	out = binary.AppendUvarint(out, uint64(len(pieces)))
-	for _, s := range pieces {
+	out = binary.AppendUvarint(out, uint64(len(pt.pieces)))
+	for _, s := range pt.pieces {
 		out = appendBytes(out, s)
 	}
-	for _, rp := range parts {
-		out = binary.AppendUvarint(out, uint64(len(rp.pieces)))
-		for _, idx := range rp.pieces {
-			out = binary.AppendUvarint(out, uint64(idx))
+	for _, k := range order {
+		pieces := idx[bounds[k]:bounds[k+1]]
+		out = binary.AppendUvarint(out, uint64(len(pieces)))
+		for _, i := range pieces {
+			out = binary.AppendUvarint(out, uint64(i))
 		}
-		out = binary.AppendUvarint(out, uint64(rp.size))
+		out = binary.AppendUvarint(out, uint64(parts[k].Size()))
 	}
 	return out, nil
+}
+
+func uvarintLen(x int) int { return (bits.Len64(uint64(x)|1) + 6) / 7 }
+
+// pieceTable numbers a record's distinct pieces in first-seen order. A
+// constraint's piece is looked up by attribute and value in a dense
+// table, so its text is built once per record.
+type pieceTable struct {
+	schema *dataset.Schema
+	pieces []string
+	byText map[string]int32
+	// byValue[base[a]+v] is 1 + the piece of attribute a's value v, 0
+	// before it is seen; base[a+1]-base[a] is a's cardinality. Values past
+	// it (no search makes them) go by their text.
+	base    []int
+	byValue []int32
+}
+
+func newPieceTable(schema *dataset.Schema) *pieceTable {
+	pt := &pieceTable{schema: schema, byText: map[string]int32{}, base: make([]int, len(schema.Protected)+1)}
+	for a, attr := range schema.Protected {
+		pt.base[a+1] = pt.base[a] + attr.Cardinality()
+	}
+	pt.byValue = make([]int32, pt.base[len(schema.Protected)])
+	return pt
+}
+
+func (pt *pieceTable) text(s string) int32 {
+	i, ok := pt.byText[s]
+	if !ok {
+		i = int32(len(pt.pieces))
+		pt.byText[s] = i
+		pt.pieces = append(pt.pieces, s)
+	}
+	return i
+}
+
+func (pt *pieceTable) constraint(c partition.Constraint) int32 {
+	slot := pt.base[c.Attr] + c.Value
+	if c.Value < 0 || slot >= pt.base[c.Attr+1] {
+		a := pt.schema.Protected[c.Attr]
+		return pt.text(a.Name + "=" + a.ValueLabel(c.Value))
+	}
+	if pt.byValue[slot] == 0 {
+		a := pt.schema.Protected[c.Attr]
+		pt.byValue[slot] = 1 + pt.text(a.Name+"="+a.ValueLabel(c.Value))
+	}
+	return pt.byValue[slot] - 1
+}
+
+// labelOrder returns the partitions' indices in the order of their
+// labels, the pieces' texts joined by labelSep: sort.Slice's order under
+// bytes.Compare of the joined labels, ties included, since pdqsort's
+// permutation depends only on the comparisons' outcomes. Where the pieces
+// have ranks, it compares fixed-width keys of the ranks, each in just the
+// bits the largest rank needs, packed big-endian into words and zero past
+// a label's end: one word for labels of up to 12 pieces among 31.
+// Otherwise it compares whole labels.
+func labelOrder(pieces []string, idx, bounds []int32) []int32 {
+	order := make([]int32, len(bounds)-1)
+	for k := range order {
+		order[k] = int32(k)
+	}
+	rank := pieceRanks(pieces)
+	if rank == nil {
+		sortByLabel(order, pieces, idx, bounds)
+		return order
+	}
+	bw := bits.Len(uint(len(pieces)))
+	per := 64 / max(bw, 1)
+	w := 0
+	for k := range order {
+		w = max(w, int(bounds[k+1]-bounds[k]))
+	}
+	w = (w + per - 1) / per
+	keys := make([]uint64, len(order)*w)
+	for k := range order {
+		for j, i := range idx[bounds[k]:bounds[k+1]] {
+			keys[k*w+j/per] |= rank[i] << (64 - bw*(j%per+1))
+		}
+	}
+	if w == 1 {
+		sort.Slice(order, func(i, k int) bool { return keys[order[i]] < keys[order[k]] })
+		return order
+	}
+	sort.Slice(order, func(i, k int) bool {
+		a, b := int(order[i])*w, int(order[k])*w
+		return slices.Compare(keys[a:a+w], keys[b:b+w]) < 0
+	})
+	return order
+}
+
+// pieceRanks returns each piece's rank in byte order, from 1, or nil when
+// ranks cannot order labels. When no piece is a proper prefix of another,
+// two labels compare as their sequences of piece ranks do: at the first
+// piece that differs, whose bytes differ before either piece ends, or
+// else the shorter label first. A prefix sorts right before some piece it
+// starts, so checking adjacent pieces settles that. With pieces "New" and
+// "New York", though, "New ∧ …" sorts after "New York": nil.
+func pieceRanks(pieces []string) []uint64 {
+	sorted := make([]int32, len(pieces))
+	for i := range sorted {
+		sorted[i] = int32(i)
+	}
+	slices.SortFunc(sorted, func(a, b int32) int { return strings.Compare(pieces[a], pieces[b]) })
+	rank := make([]uint64, len(pieces))
+	for r, i := range sorted {
+		if r > 0 && strings.HasPrefix(pieces[i], pieces[sorted[r-1]]) {
+			return nil
+		}
+		rank[i] = uint64(r + 1)
+	}
+	return rank
+}
+
+// sortByLabel sorts order by the partitions' whole labels.
+func sortByLabel(order []int32, pieces []string, idx, bounds []int32) {
+	n := 0
+	for k := range order {
+		n += int(bounds[k+1]-bounds[k]-1) * len(labelSep)
+	}
+	for _, i := range idx {
+		n += len(pieces[i])
+	}
+	labels := make([]byte, 0, n)
+	ends := make([]int, len(order)+1)
+	for k := range order {
+		for j, i := range idx[bounds[k]:bounds[k+1]] {
+			if j > 0 {
+				labels = append(labels, labelSep...)
+			}
+			labels = append(labels, pieces[i]...)
+		}
+		ends[k+1] = len(labels)
+	}
+	label := func(k int32) []byte { return labels[ends[k]:ends[k+1]] }
+	sort.Slice(order, func(i, k int) bool { return bytes.Compare(label(order[i]), label(order[k])) < 0 })
 }
 
 func appendBytes(dst []byte, s string) []byte {

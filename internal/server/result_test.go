@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -149,6 +150,26 @@ func TestResultRecordMatchesOracle(t *testing.T) {
 	}
 	for _, c := range cases {
 		checkRecord(t, c.name, &core.Result{Algorithm: "balanced", Unfairness: c.u, Partitioning: &partition.Partitioning{Parts: c.parts}}, schema, c.pValue)
+	}
+	// The label order's edges: a value that is another's prefix followed
+	// by a space, by a byte below 0x20, or by the separator itself, whose
+	// label equals a conjunction's; a value ending in a space; and equal
+	// labels, which keep the order the oracle's sort leaves them in.
+	edges := &dataset.Schema{Protected: []dataset.Attribute{
+		dataset.Cat("City", "New", "New York", "New\x1f", "New ∧ Age=[18,30.5)", "New ", "\x00"),
+		dataset.Num("Age", 18, 68, 4),
+	}}
+	city := func(v int) partition.Constraint { return partition.Constraint{Attr: 0, Value: v} }
+	age := func(v int) partition.Constraint { return partition.Constraint{Attr: 1, Value: v} }
+	for i, parts := range [][]*partition.Partition{
+		{part(1, city(1)), part(2, city(0), age(0)), part(3, city(3)), part(4, city(2)), part(5, city(4)),
+			part(6, city(0)), part(7, city(0), age(1)), part(8, age(0), city(0)), part(9, city(5)), part(10, city(1))},
+		{part(1, age(2)), part(2, age(0)), part(3, age(2)), part(4, age(0), city(1)), part(5, age(2)), part(6, age(0))},
+		{part(1, city(4), age(3)), part(2, city(0), age(3)), part(3, city(4)), part(4, city(0))},
+	} {
+		res := &core.Result{Algorithm: "balanced", Partitioning: &partition.Partitioning{Parts: parts}}
+		checkRecord(t, fmt.Sprint("edges", i), res, edges, nil)
+		checkHeadBytes(t, fmt.Sprint("edges", i), res, edges, nil)
 	}
 	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
 		res := &core.Result{Algorithm: "balanced", Unfairness: bad, Partitioning: &partition.Partitioning{}}

@@ -71,11 +71,14 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
+	"time"
 
 	"fairrank/internal/cluster"
 	"fairrank/internal/core"
 	"fairrank/internal/dataset"
+	"fairrank/internal/eventlog"
 	"fairrank/internal/explain"
 	"fairrank/internal/jobs"
 	"fairrank/internal/partition"
@@ -432,38 +435,60 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, apiError{Error: err.Error()})
 }
 
-// serveSSE streams events as server-sent events: the replayed history
-// first, then live events until live closes, a write fails or the client
-// goes away. Each event is framed as id/event/data with frame supplying
-// the id and event name, and flushed on its own so followers see it at
-// once.
-func serveSSE[E any](w http.ResponseWriter, r *http.Request, replay []E, live <-chan E, frame func(E) (id int64, event string)) {
+// sseFlushEvery is the least time between two flushes of an event
+// stream while its events keep coming.
+const sseFlushEvery = 5 * time.Millisecond
+
+// serveSSE streams a subscription as server-sent events: the replayed
+// history first, then live events until the log ends, a write fails or
+// the client goes away. Each event is framed as id/event/data, with frame
+// supplying the id and event name. Every pending event goes out in one
+// write and one flush: the first batch at once, later ones at most every
+// sseFlushEvery, and the batch that ends the stream at once.
+func serveSSE[E any](w http.ResponseWriter, r *http.Request, sub *eventlog.Sub[E], frame func(E) (id int64, event string)) {
 	rc := http.NewResponseController(w)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	write := func(ev E) bool {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return false
-		}
-		id, event := frame(ev)
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", id, event, data); err != nil {
-			return false
-		}
-		return rc.Flush() == nil
-	}
-	for _, ev := range replay {
-		if !write(ev) {
-			return
-		}
-	}
+	var (
+		buf     bytes.Buffer
+		enc     = json.NewEncoder(&buf)
+		evs     []E
+		done    bool
+		last    time.Time // of the last flush; zero sends the first batch at once
+		timer   = time.NewTimer(time.Hour)
+		pending <-chan time.Time // the timer's channel while it runs
+	)
+	timer.Stop()
+	defer timer.Stop()
 	for {
-		select {
-		case ev, ok := <-live:
-			if !ok || !write(ev) {
+		evs, done = sub.Read(evs)
+		switch {
+		case done || pending == nil && (len(evs) > 0 || last.IsZero()) && time.Since(last) >= sseFlushEvery:
+			buf.Reset()
+			for _, ev := range evs {
+				id, event := frame(ev)
+				b := append(buf.AvailableBuffer(), "id: "...)
+				b = strconv.AppendInt(b, id, 10)
+				b = append(append(append(b, "\nevent: "...), event...), "\ndata: "...)
+				buf.Write(b)
+				if enc.Encode(ev) != nil { // Encode ends the data line
+					return
+				}
+				buf.WriteByte('\n')
+			}
+			if _, err := w.Write(buf.Bytes()); err != nil || rc.Flush() != nil || done {
 				return
 			}
+			evs, last = evs[:0], time.Now()
+		case pending == nil && len(evs) > 0:
+			timer.Reset(time.Until(last.Add(sseFlushEvery)))
+			pending = timer.C
+		}
+		select {
+		case <-sub.Wake():
+		case <-pending:
+			pending = nil
 		case <-r.Context().Done():
 			return
 		}
