@@ -1,8 +1,8 @@
 // Snapshot-engine benchmarks: the memory-mapped columnar snapshot views
 // (DESIGN.md §10) against equivalent heap-resident datasets. Every
 // benchmark runs each workload over both sources as adjacent src=mem /
-// src=mmap sub-runs so `make bench-snapshot` can gate the mmap overhead
-// with cmd/benchdiff's per-round pairing — the k-th mem line of a round
+// src=mmap sub-runs so the snapshot gate of `make gates` can hold the
+// mmap overhead by per-round pairing — the k-th mem line of a round
 // pairs with the k-th mmap line of the same round, cancelling host-load
 // drift between rounds.
 package fairrank_test
@@ -60,7 +60,7 @@ type snapshotSource struct {
 }
 
 // snapshotSources builds the two views of one generated population. Order
-// is fixed mem-then-mmap: benchdiff's pairing depends on the baseline and
+// is fixed mem-then-mmap: the gate's pairing depends on the baseline and
 // candidate lines alternating in emission order.
 func snapshotSources(b *testing.B, n int) []snapshotSource {
 	b.Helper()

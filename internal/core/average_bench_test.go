@@ -16,8 +16,8 @@ var averageSink float64
 // full split of the paper's 7,300-worker population under f1 (1,767
 // parts): path=identity is the exact sorted-column identity every binned
 // EMD average takes, path=pair the block pair fill through distOf over
-// the same reps. `make bench-average` holds the identity at least 10x
-// faster.
+// the same reps. The average gate of `make gates` holds the identity at
+// least 10x faster.
 func BenchmarkAverage(b *testing.B) {
 	ds, err := simulate.PaperWorkers(simulate.LargePopulation, 42)
 	if err != nil {

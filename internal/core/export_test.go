@@ -8,7 +8,7 @@ import (
 )
 
 // AveragePaths exposes to this directory's external tests the two ways
-// of averaging the given parts that `make bench-average` compares: the
+// of averaging the given parts that BenchmarkAverage compares: the
 // exact sorted-column identity, and the pair path's block fill through
 // distOf (finalAvg), serial, over the same reps. BenchmarkAverage needs
 // the simulate package, which imports core and so cannot be used from

@@ -168,8 +168,8 @@ func TestTelemetryIdenticalResults(t *testing.T) {
 }
 
 // BenchmarkTelemetryOverhead measures the full audit path under the
-// three telemetry configurations; cmd/benchdiff compares them in CI and
-// fails the build when an enabled path exceeds its overhead budget. A
+// three telemetry configurations; two gates of `make gates` compare them
+// in CI and fail the build when an enabled path exceeds its budget. A
 // fresh evaluator per iteration makes every variant score the workers and
 // build the row space.
 //

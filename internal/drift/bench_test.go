@@ -58,9 +58,9 @@ func applyWindowEvent(w *Window, ev Event) error {
 
 // BenchmarkDriftPerEvent compares the per-event cost of the sliding
 // window against the raw unbounded monitor on the same steady-state
-// stream — the CI gate (bench-drift) holds the window within 2×: an
-// admission is one monitor delta op, and only retractions of still-open
-// spans pay a second one.
+// stream — the drift-window gate of `make gates` holds the window within
+// 2×: an admission is one monitor delta op, and only retractions of
+// still-open spans pay a second one.
 func BenchmarkDriftPerEvent(b *testing.B) {
 	prelude, cycle := benchStream(64)
 	b.Run("estimator=unbounded", func(b *testing.B) {
@@ -125,11 +125,11 @@ func BenchmarkDriftPerEvent(b *testing.B) {
 
 // BenchmarkDriftAlarm measures what rule evaluation adds to a watch's
 // event path: the same estimators with zero rules vs the full three-rule
-// set (none of which transition, the steady-state case). The CI gate
-// holds the overhead within 5%. The arms run in ABBA order, so each
-// pairing of an off run with an on run is adjacent in time and each arm
-// runs first as often as second: an advantage for whichever arm runs
-// second cancels instead of biasing the ratio.
+// set (none of which transition, the steady-state case). The drift-alarm
+// gate of `make gates` holds the overhead within 5%. The arms run in ABBA
+// order, so each pairing of an off run with an on run is adjacent in time
+// and each arm runs first as often as second: an advantage for whichever
+// arm runs second cancels instead of biasing the ratio.
 func BenchmarkDriftAlarm(b *testing.B) {
 	prelude, cycle := benchStream(64)
 	run := func(b *testing.B, rules []RuleSpec) {

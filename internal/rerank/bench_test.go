@@ -62,10 +62,9 @@ func benchPool(tb testing.TB) (*dataset.Dataset, int, []marketplace.RankedWorker
 // BenchmarkRerankServe times one page serve per registered re-ranker
 // through the registry (the POST /v1/rank path: Lookup + telemetry + the
 // algorithm), plus a path=direct baseline that calls the page-bounded
-// exposure-parity function the registry entry calls. `make bench-rerank`
-// holds the registry path to within 5% of direct via benchdiff — the
-// registry wrapper and nil-registry telemetry must stay free — and emits
-// BENCH_8.json.
+// exposure-parity function the registry entry calls. The rerank gate of
+// `make gates` holds the registry path to within 5% of direct — the
+// registry wrapper and nil-registry telemetry must stay free.
 func BenchmarkRerankServe(b *testing.B) {
 	ds, attr, pool := benchPool(b)
 	p := Params{Epsilon: 1}

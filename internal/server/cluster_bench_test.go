@@ -1,4 +1,4 @@
-// Cluster throughput benchmark behind `make bench-cluster` (BENCH_9).
+// Cluster throughput benchmark behind the cluster gate of `make gates`.
 // Three cells, one shared job workload (submit b.N distinct audit specs
 // over HTTP, wait for the fleet to finish them):
 //
@@ -6,7 +6,7 @@
 //	               pre-cluster baseline (nil cluster ref on every path).
 //	cluster=solo   same node with the cluster layer enabled but zero
 //	               peers: heartbeat loop, ring of one, placement checks
-//	               all live. The benchdiff gate holds this within 5% of
+//	               all live. The gate holds this within 5% of
 //	               cluster=off — clustering compiled in and idle must be
 //	               (nearly) free.
 //	cluster=three  3-node cluster, a b.N-job backlog pinned to node A
