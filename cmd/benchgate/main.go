@@ -55,10 +55,11 @@ var gates = []gate{
 	// An mmap snapshot within 10% of the heap over a 1M-worker scan and
 	// the Table 2 cells (§10).
 	{"snapshot", run{".", "BenchmarkSnapshot(Scan|Table2)$", "1x", 7}, "src=mem", "src=mmap", 10},
-	// Exposure-parity through the registry within 5% of the direct call (§11).
-	{"rerank", run{"./internal/rerank", "BenchmarkRerankServe$", "100x", 7}, "path=direct", "algo=exposure-parity/path=registry", 5},
-	// The cluster layer with no peers within 5% of no cluster layer (§12).
-	{"cluster", run{"./internal/server", "BenchmarkClusterJobs$", "100x", 7}, "cluster=off", "cluster=solo", 5},
+	// Exposure-parity through the registry within 5% of the direct call
+	// (§11), and the cluster layer with no peers within 5% of no cluster
+	// layer (§12); each pair of arms runs in ABBA order in every round.
+	{"rerank", run{"./internal/rerank", "BenchmarkRerankServe$", "100x", 7}, "exposure-parity/path=direct", "exposure-parity/path=registry", 5},
+	{"cluster", run{"./internal/server", "BenchmarkClusterJobs$", "100x", 7}, "/cluster=off", "/cluster=solo", 5},
 	// The sliding window within 2x of the unbounded monitor, and a silent
 	// three-rule set within 5% of no rules (§13). The rules cost a few ns
 	// of a few hundred, so the run pairs many short adjacent arms: ABBA

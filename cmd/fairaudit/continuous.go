@@ -6,146 +6,89 @@ import (
 
 	"fairrank/internal/dataset"
 	"fairrank/internal/drift"
-	"fairrank/internal/monitor"
-	"fairrank/internal/scoring"
 )
 
 // runContinuousCmd is the -window / -half-life entry point: it loads the
-// same dataset and scoring function as the static audit and streams the
-// rows through the continuous-audit estimators.
+// same dataset and scoring weights as the static audit and streams the
+// rows through a continuous-audit watch.
 func runContinuousCmd(w io.Writer, dataFile, snapFile string, gen int, seed uint64, alpha float64,
 	weightSpec string, bins int, attrSpec string, window int, halfLife float64) error {
-	if window < 0 || halfLife < 0 {
-		return fmt.Errorf("window (%d) and half-life (%g) must be non-negative", window, halfLife)
-	}
 	ds, err := loadDataset(dataFile, snapFile, gen, seed, "", "", "")
 	if err != nil {
 		return err
 	}
 	defer ds.Close()
-	f, err := buildFunc(alpha, weightSpec)
+	weights, err := parseWeights(alpha, weightSpec)
 	if err != nil {
 		return err
 	}
-	attrIdx, err := parseAttrs(ds, attrSpec)
-	if err != nil {
-		return err
+	attrs := splitList(attrSpec)
+	if len(attrs) == 0 {
+		for _, a := range ds.Schema().Protected {
+			attrs = append(attrs, a.Name)
+		}
 	}
-	return runContinuous(w, ds, f, continuousAttrNames(ds, attrIdx), bins, window, halfLife)
+	return runContinuous(w, ds, drift.Spec{
+		ID: "fairaudit", Dataset: "fairaudit", Attributes: attrs,
+		Weights: weights, Bins: bins, Window: window, HalfLife: halfLife,
+	})
 }
 
-// runContinuous replays the dataset's rows as a join stream through the
-// continuous-audit estimators and prints how the unfairness estimate
-// evolves: the unbounded-history monitor next to a sliding window
-// (-window) and/or an exponential-decay estimator (-half-life). On a
-// static snapshot the stream order is row order, so the readout shows
-// what a monitor attached partway through the population would report —
-// and how far a bounded-memory estimate sits from the full-history one.
-func runContinuous(w io.Writer, ds *dataset.Dataset, f scoring.Func, attrNames []string, bins, window int, halfLife float64) error {
-	total, err := monitor.New(ds.Schema(), attrNames, bins, 0)
+// runContinuous seeds a watch of spec with the dataset's rows, as a
+// monitor is seeded, and prints how the unfairness estimate evolves: the
+// unbounded-history monitor next to a sliding window (-window) and/or an
+// exponential-decay estimator (-half-life). On a static snapshot the
+// stream order is row order, so the readout shows what a monitor attached
+// partway through the population would report — and how far a
+// bounded-memory estimate sits from the full-history one.
+func runContinuous(w io.Writer, ds *dataset.Dataset, spec drift.Spec) error {
+	watch, err := drift.NewWatch(ds.Schema(), spec)
 	if err != nil {
 		return err
 	}
-	var win *drift.Window
-	if window > 0 {
-		if win, err = drift.NewWindow(ds.Schema(), attrNames, bins, window); err != nil {
-			return err
-		}
-	}
-	var dec *drift.Decay
-	if halfLife > 0 {
-		if dec, err = drift.NewDecay(ds.Schema(), attrNames, bins, halfLife); err != nil {
-			return err
-		}
-	}
-
 	fmt.Fprintf(w, "continuous audit: %d join events", ds.N())
-	if win != nil {
-		fmt.Fprintf(w, ", window %d", window)
+	if spec.Window > 0 {
+		fmt.Fprintf(w, ", window %d", spec.Window)
 	}
-	if dec != nil {
-		fmt.Fprintf(w, ", half-life %g", halfLife)
+	if spec.HalfLife > 0 {
+		fmt.Fprintf(w, ", half-life %g", spec.HalfLife)
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "%10s  %10s", "event", "total")
-	if win != nil {
+	if spec.Window > 0 {
 		fmt.Fprintf(w, "  %10s", "window")
 	}
-	if dec != nil {
+	if spec.HalfLife > 0 {
 		fmt.Fprintf(w, "  %10s", "decay")
 	}
 	fmt.Fprintln(w)
 
-	every := ds.N() / 10
-	if every < 1 {
-		every = 1
-	}
-	attrs := make([]int, len(attrNames))
-	for i, name := range attrNames {
-		attrs[i] = ds.Schema().ProtectedIndex(name)
-	}
-	line := func(event int) {
-		fmt.Fprintf(w, "%10d  %10.4f", event, total.Unfairness())
-		if win != nil {
-			fmt.Fprintf(w, "  %10.4f", win.Unfairness())
+	every := max(ds.N()/10, 1)
+	err = drift.SeedDataset(watch, ds, func(n int) {
+		if n%every != 0 && n != ds.N() {
+			return
 		}
-		if dec != nil {
-			fmt.Fprintf(w, "  %10.4f", dec.Unfairness())
+		st := watch.Status()
+		fmt.Fprintf(w, "%10d  %10.4f", n, st.Total.Unfairness)
+		if st.Window != nil {
+			fmt.Fprintf(w, "  %10.4f", st.Window.Unfairness)
+		}
+		if st.Decay != nil {
+			fmt.Fprintf(w, "  %10.4f", st.Decay.Unfairness)
 		}
 		fmt.Fprintln(w)
+	})
+	if err != nil {
+		return err
 	}
-	for i := 0; i < ds.N(); i++ {
-		prot := make(map[string]any, len(attrs))
-		for _, a := range attrs {
-			def := ds.Schema().Protected[a]
-			if def.Kind == dataset.Categorical {
-				prot[def.Name] = ds.ProtectedLabel(a, i)
-			} else {
-				prot[def.Name] = ds.RawProtected(a, i)
-			}
-		}
-		score := f.Score(ds, i)
-		if err := total.Join(ds.ID(i), prot, score); err != nil {
-			return fmt.Errorf("event %d: %w", i+1, err)
-		}
-		if win != nil {
-			if err := win.Join(ds.ID(i), prot, score); err != nil {
-				return fmt.Errorf("event %d: %w", i+1, err)
-			}
-		}
-		if dec != nil {
-			if err := dec.Join(ds.ID(i), prot, score); err != nil {
-				return fmt.Errorf("event %d: %w", i+1, err)
-			}
-		}
-		if (i+1)%every == 0 || i == ds.N()-1 {
-			line(i + 1)
-		}
+	st := watch.Status()
+	fmt.Fprintf(w, "\nfinal: total %.4f over %d workers", st.Total.Unfairness, st.Total.Workers)
+	if st.Window != nil {
+		fmt.Fprintf(w, "; window %.4f over the last %d", st.Window.Unfairness, st.Window.Live)
 	}
-	fmt.Fprintf(w, "\nfinal: total %.4f over %d workers", total.Unfairness(), total.Workers())
-	if win != nil {
-		fmt.Fprintf(w, "; window %.4f over the last %d", win.Unfairness(), win.Live())
-	}
-	if dec != nil {
-		fmt.Fprintf(w, "; decay %.4f", dec.Unfairness())
+	if st.Decay != nil {
+		fmt.Fprintf(w, "; decay %.4f", st.Decay.Unfairness)
 	}
 	fmt.Fprintln(w)
 	return nil
-}
-
-// continuousAttrNames resolves the -attrs selection (or every protected
-// attribute) to names for the estimators.
-func continuousAttrNames(ds *dataset.Dataset, attrIdx []int) []string {
-	if len(attrIdx) == 0 {
-		names := make([]string, len(ds.Schema().Protected))
-		for i, a := range ds.Schema().Protected {
-			names[i] = a.Name
-		}
-		return names
-	}
-	names := make([]string, len(attrIdx))
-	for i, a := range attrIdx {
-		names[i] = ds.Schema().Protected[a].Name
-	}
-	return names
 }

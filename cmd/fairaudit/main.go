@@ -45,40 +45,51 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("fairaudit: ")
-	var (
-		dataFile = flag.String("data", "", "CSV dataset in the paper's schema (mutually exclusive with -gen and -snapshot)")
-		snapFile = flag.String("snapshot", "", "columnar snapshot file (genworkers -format snapshot); audited via mmap, zero-copy")
-		gen      = flag.Int("gen", 0, "generate this many synthetic workers instead of loading -data")
-		seed     = flag.Uint64("seed", 42, "seed for generation and random baselines")
-		algo     = flag.String("algo", "balanced", "algorithm: "+strings.Join(core.Algorithms(), "|"))
-		alpha    = flag.Float64("alpha", 0.5, "weight of LanguageTest in f = α·LanguageTest + (1-α)·ApprovalRate")
-		weights  = flag.String("weights", "", "explicit weights, e.g. \"LanguageTest=0.7,ApprovalRate=0.3\" (overrides -alpha)")
-		bins     = flag.Int("bins", 10, "histogram bins")
-		metric   = flag.String("metric", "emd", "distance metric: emd|l1|tv|chi2|js|ks|hellinger")
-		attrs    = flag.String("attrs", "", "comma-separated protected attributes to audit (default: all)")
-		figure   = flag.Bool("figure", false, "render per-partition score histograms")
-		tree     = flag.Bool("tree", false, "render the splitting-decision trace")
-		sig      = flag.Int("significance", 0, "permutation-test rounds for a p-value (0 = skip)")
-		expl     = flag.Bool("explain", false, "print per-attribute importance (solo and leave-one-out)")
-		prot     = flag.String("protected", "", "infer schema from -data: comma-separated protected columns")
-		obs      = flag.String("observed", "", "infer schema from -data: comma-separated observed columns")
-		idCol    = flag.String("id", "", "infer schema from -data: worker-id column (default row numbers)")
-		describe = flag.Bool("describe", false, "print a population profile before auditing")
-		window   = flag.Int("window", 0, "also stream the rows through a sliding-window continuous audit of this capacity (internal/drift)")
-		halfLife = flag.Float64("half-life", 0, "also stream the rows through an exponential-decay continuous audit with this half-life in events")
-		timeout  = flag.Duration("timeout", 0, "abort the audit after this long (0 = no deadline)")
-		telJSON  = flag.String("telemetry-json", "", "write engine metrics and the audit's span tree as JSON to this file (\"-\" for stdout)")
-	)
-	flag.Parse()
-	if err := run(os.Stdout, *dataFile, *snapFile, *gen, *seed, *algo, *alpha, *weights, *bins, *metric, *attrs, *figure, *tree, *sig, *expl, *prot, *obs, *idCol, *describe, *timeout, *telJSON); err != nil {
+	if err := cli(os.Stdout, os.Args[1:]); err != nil {
 		log.Fatal(err)
 	}
-	if *window > 0 || *halfLife > 0 {
-		fmt.Println()
-		if err := runContinuousCmd(os.Stdout, *dataFile, *snapFile, *gen, *seed, *alpha, *weights, *bins, *attrs, *window, *halfLife); err != nil {
-			log.Fatal(err)
-		}
+}
+
+// cli parses the command line, runs the audit it asks for and, when
+// -window or -half-life is set, the continuous readout after it.
+func cli(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("fairaudit", flag.ExitOnError)
+	var (
+		dataFile = fs.String("data", "", "CSV dataset in the paper's schema (mutually exclusive with -gen and -snapshot)")
+		snapFile = fs.String("snapshot", "", "columnar snapshot file (genworkers -format snapshot); audited via mmap, zero-copy")
+		gen      = fs.Int("gen", 0, "generate this many synthetic workers instead of loading -data")
+		seed     = fs.Uint64("seed", 42, "seed for generation and random baselines")
+		algo     = fs.String("algo", "balanced", "algorithm: "+strings.Join(core.Algorithms(), "|"))
+		alpha    = fs.Float64("alpha", 0.5, "weight of LanguageTest in f = α·LanguageTest + (1-α)·ApprovalRate")
+		weights  = fs.String("weights", "", "explicit weights, e.g. \"LanguageTest=0.7,ApprovalRate=0.3\" (overrides -alpha)")
+		bins     = fs.Int("bins", 10, "histogram bins")
+		metric   = fs.String("metric", "emd", "distance metric: emd|l1|tv|chi2|js|ks|hellinger")
+		attrs    = fs.String("attrs", "", "comma-separated protected attributes to audit (default: all)")
+		figure   = fs.Bool("figure", false, "render per-partition score histograms")
+		tree     = fs.Bool("tree", false, "render the splitting-decision trace")
+		sig      = fs.Int("significance", 0, "permutation-test rounds for a p-value (0 = skip)")
+		expl     = fs.Bool("explain", false, "print per-attribute importance (solo and leave-one-out)")
+		prot     = fs.String("protected", "", "infer schema from -data: comma-separated protected columns")
+		obs      = fs.String("observed", "", "infer schema from -data: comma-separated observed columns")
+		idCol    = fs.String("id", "", "infer schema from -data: worker-id column (default row numbers)")
+		describe = fs.Bool("describe", false, "print a population profile before auditing")
+		window   = fs.Int("window", 0, "also stream the rows through a sliding-window continuous audit of this capacity (internal/drift)")
+		halfLife = fs.Float64("half-life", 0, "also stream the rows through an exponential-decay continuous audit with this half-life in events")
+		timeout  = fs.Duration("timeout", 0, "abort the audit after this long (0 = no deadline)")
+		telJSON  = fs.String("telemetry-json", "", "write engine metrics and the audit's span tree as JSON to this file (\"-\" for stdout)")
+	)
+	fs.Parse(args)
+	if *window < 0 || *halfLife < 0 {
+		return fmt.Errorf("window (%d) and half-life (%g) must be non-negative", *window, *halfLife)
 	}
+	if err := run(w, *dataFile, *snapFile, *gen, *seed, *algo, *alpha, *weights, *bins, *metric, *attrs, *figure, *tree, *sig, *expl, *prot, *obs, *idCol, *describe, *timeout, *telJSON); err != nil {
+		return err
+	}
+	if *window == 0 && *halfLife == 0 {
+		return nil
+	}
+	fmt.Fprintln(w)
+	return runContinuousCmd(w, *dataFile, *snapFile, *gen, *seed, *alpha, *weights, *bins, *attrs, *window, *halfLife)
 }
 
 func run(w io.Writer, dataFile, snapFile string, gen int, seed uint64, algo string, alpha float64,
@@ -223,14 +234,25 @@ func loadDataset(dataFile, snapFile string, gen int, seed uint64, protCols, obsC
 }
 
 func buildFunc(alpha float64, weightSpec string) (scoring.Func, error) {
+	w, err := parseWeights(alpha, weightSpec)
+	if err != nil {
+		return nil, err
+	}
+	name := "f"
+	if weightSpec == "" {
+		name = fmt.Sprintf("f(α=%.2g)", alpha)
+	}
+	return scoring.NewLinear(name, w)
+}
+
+// parseWeights returns the linear weights -weights names, or α·LanguageTest
+// + (1-α)·ApprovalRate without it.
+func parseWeights(alpha float64, weightSpec string) (map[string]float64, error) {
 	if weightSpec == "" {
 		if alpha < 0 || alpha > 1 {
 			return nil, fmt.Errorf("alpha %v outside [0,1]", alpha)
 		}
-		return scoring.NewLinear(fmt.Sprintf("f(α=%.2g)", alpha), map[string]float64{
-			"LanguageTest": alpha,
-			"ApprovalRate": 1 - alpha,
-		})
+		return map[string]float64{"LanguageTest": alpha, "ApprovalRate": 1 - alpha}, nil
 	}
 	w := map[string]float64{}
 	for _, pair := range strings.Split(weightSpec, ",") {
@@ -244,7 +266,7 @@ func buildFunc(alpha float64, weightSpec string) (scoring.Func, error) {
 		}
 		w[name] = x
 	}
-	return scoring.NewLinear("f", w)
+	return w, nil
 }
 
 // splitList splits a comma-separated flag value, trimming whitespace and

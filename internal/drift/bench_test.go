@@ -45,81 +45,126 @@ func seedAnchors(tb testing.TB, join func(string, map[string]any, float64) error
 	}
 }
 
-func applyWindowEvent(w *Window, ev Event) error {
-	switch ev.Type {
-	case EventJoin:
-		return w.Join(ev.Worker, ev.Protected, ev.Score)
-	case EventLeave:
-		return w.Leave(ev.Worker)
-	default:
-		return w.Rescore(ev.Worker, ev.Score)
+// solo feeds one estimator the way Watch.applyEstimators feeds all three:
+// one lookup in a worker table, the duplicate and unknown checks and a
+// join's cell resolution, then the estimator's slot methods. The
+// benchmarks time one estimator alone through it; a whole watch would
+// also feed the unbounded monitor.
+type solo struct {
+	cells   *monitor.Cells
+	tab     *workerTable
+	join    func(slot int, ev Event)
+	leave   func(slot int, ev Event)
+	rescore func(slot int, ev Event)
+}
+
+func newSolo(tb testing.TB, schema *dataset.Schema, attr string) *solo {
+	tb.Helper()
+	cells, err := monitor.NewCells(schema, []string{attr})
+	if err != nil {
+		tb.Fatal(err)
 	}
+	return &solo{cells: cells, tab: newWorkerTable()}
+}
+
+func (s *solo) apply(ev Event) error {
+	slot, on := s.tab.lookup(ev.Worker)
+	switch {
+	case ev.Type == EventJoin && on:
+		return fmt.Errorf("worker %q already present", ev.Worker)
+	case ev.Type == EventJoin:
+		cell, err := s.cells.Cell(ev.Protected)
+		if err != nil {
+			return err
+		}
+		s.join(s.tab.add(ev.Worker, cell), ev)
+	case !on:
+		return fmt.Errorf("unknown worker %q", ev.Worker)
+	case ev.Type == EventLeave:
+		s.leave(slot, ev)
+		s.tab.remove(ev.Worker, slot)
+	default:
+		s.rescore(slot, ev)
+	}
+	return nil
+}
+
+func (s *solo) joinID(id string, prot map[string]any, score float64) error {
+	return s.apply(Event{Type: EventJoin, Worker: id, Protected: prot, Score: score})
+}
+
+// soloTotal feeds an unbounded monitor of 10 bins over schema's attr.
+func soloTotal(tb testing.TB, schema *dataset.Schema, attr string) *solo {
+	s := newSolo(tb, schema, attr)
+	m, err := monitor.NewWithCells(s.cells, 10, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s.join = func(slot int, ev Event) { m.JoinCell(&s.tab.rows[slot].total, s.tab.rows[slot].cell, ev.Score, 1) }
+	s.leave = func(slot int, _ Event) { m.LeaveWorker(&s.tab.rows[slot].total, 1) }
+	s.rescore = func(slot int, ev Event) { m.RescoreWorker(&s.tab.rows[slot].total, 1, ev.Score, 1) }
+	return s
+}
+
+// soloWindow feeds a window of 10 bins over schema's attr.
+func soloWindow(tb testing.TB, schema *dataset.Schema, attr string, capacity int) *solo {
+	s := newSolo(tb, schema, attr)
+	w, err := newWindow(s.cells, s.tab, 10, capacity)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s.join = func(slot int, ev Event) { w.join(slot, ev.Worker, ev.Protected, ev.Score) }
+	s.leave = func(slot int, ev Event) { w.leave(slot, ev.Worker) }
+	s.rescore = func(slot int, ev Event) { w.rescore(slot, ev.Worker, ev.Score) }
+	return s
+}
+
+// soloDecay feeds a decay of 10 bins over schema's attr.
+func soloDecay(tb testing.TB, schema *dataset.Schema, attr string, halfLife float64) (*solo, *Decay) {
+	s := newSolo(tb, schema, attr)
+	d, err := newDecay(s.cells, s.tab, 10, halfLife)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s.join = func(slot int, ev Event) { d.join(slot, ev.Score) }
+	s.leave = func(slot int, _ Event) { d.leave(slot) }
+	s.rescore = func(slot int, ev Event) { d.rescore(slot, ev.Score) }
+	return s, d
 }
 
 // BenchmarkDriftPerEvent compares the per-event cost of the sliding
 // window against the raw unbounded monitor on the same steady-state
-// stream — the drift-window gate of `make gates` holds the window within
-// 2×: an admission is one monitor delta op, and only retractions of
-// still-open spans pay a second one.
+// stream, each fed alone through the watch's worker-table path — the
+// drift-window gate of `make gates` holds the window within 2×: an
+// admission is one monitor delta op, and only retractions of still-open
+// spans pay a second one.
 func BenchmarkDriftPerEvent(b *testing.B) {
 	prelude, cycle := benchStream(64)
-	b.Run("estimator=unbounded", func(b *testing.B) {
-		m, err := monitor.New(streamSchema(), []string{"G"}, 10, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		seedAnchors(b, m.Join)
-		apply := func(ev Event) error {
-			switch ev.Type {
-			case EventJoin:
-				return m.Join(ev.Worker, ev.Protected, ev.Score)
-			case EventLeave:
-				return m.Leave(ev.Worker)
-			default:
-				return m.Rescore(ev.Worker, ev.Score)
-			}
-		}
+	run := func(b *testing.B, s *solo, warm int) {
+		seedAnchors(b, s.joinID)
 		for _, ev := range prelude {
-			if err := apply(ev); err != nil {
+			if err := s.apply(ev); err != nil {
 				b.Fatal(err)
 			}
 		}
-		for i := 0; i < 2*len(cycle); i++ { // warm maps before measuring
-			if err := apply(cycle[i%len(cycle)]); err != nil {
+		for i := 0; i < warm*len(cycle); i++ {
+			if err := s.apply(cycle[i%len(cycle)]); err != nil {
 				b.Fatal(err)
 			}
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := apply(cycle[i%len(cycle)]); err != nil {
+			if err := s.apply(cycle[i%len(cycle)]); err != nil {
 				b.Fatal(err)
 			}
 		}
+	}
+	b.Run("estimator=unbounded", func(b *testing.B) {
+		run(b, soloTotal(b, streamSchema(), "G"), 2) // warm maps before measuring
 	})
 	b.Run("estimator=window", func(b *testing.B) {
-		w, err := NewWindow(streamSchema(), []string{"G"}, 10, 96)
-		if err != nil {
-			b.Fatal(err)
-		}
-		seedAnchors(b, w.Join)
-		for _, ev := range prelude {
-			if err := applyWindowEvent(w, ev); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for i := 0; i < 4*len(cycle); i++ { // reach capacity and ring steady state
-			if err := applyWindowEvent(w, cycle[i%len(cycle)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := applyWindowEvent(w, cycle[i%len(cycle)]); err != nil {
-				b.Fatal(err)
-			}
-		}
+		run(b, soloWindow(b, streamSchema(), "G", 96), 4) // reach capacity and ring steady state
 	})
 }
 
@@ -179,41 +224,6 @@ func BenchmarkDriftAlarm(b *testing.B) {
 	b.Run("order=ab/alarms=on", on)
 	b.Run("order=ba/alarms=on", on)
 	b.Run("order=ba/alarms=off", off)
-}
-
-// TestWindowSteadyStateAllocs is the zero-alloc gate: once the window is
-// at capacity over a stable population and group set, feeding events must
-// not allocate — the ring, the key scratch, the worker maps and the
-// monitor's delta path are all reused storage.
-func TestWindowSteadyStateAllocs(t *testing.T) {
-	prelude, cycle := benchStream(64)
-	w, err := NewWindow(streamSchema(), []string{"G"}, 10, 96)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seedAnchors(t, w.Join)
-	for _, ev := range prelude {
-		if err := applyWindowEvent(w, ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 4*len(cycle); i++ {
-		if err := applyWindowEvent(w, cycle[i%len(cycle)]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	i := 0
-	avg := testing.AllocsPerRun(5, func() {
-		for range cycle {
-			if err := applyWindowEvent(w, cycle[i%len(cycle)]); err != nil {
-				t.Fatal(err)
-			}
-			i++
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("steady-state window path allocates: %v allocs per %d-event cycle", avg, len(cycle))
-	}
 }
 
 // TestWorkerRowSize pins the worker table's row, one per worker on the
@@ -296,21 +306,18 @@ func decaySchema(k int) *dataset.Schema {
 
 // BenchmarkDecayEvent is BenchmarkMonitorEvent for the half-life
 // estimator: one steady-state re-score followed by an Unfairness read,
-// across group counts, over eight workers a group. It uses only the
-// estimator's exported API.
+// across group counts, over eight workers a group. The decay is fed alone
+// through the watch's worker-table path.
 func BenchmarkDecayEvent(b *testing.B) {
 	for _, k := range []int{4, 8, 16, 32, 64, 128} {
 		b.Run(fmt.Sprintf("groups=%d", k), func(b *testing.B) {
-			d, err := NewDecay(decaySchema(k), []string{"Group"}, 10, 1024)
-			if err != nil {
-				b.Fatal(err)
-			}
+			s, d := soloDecay(b, decaySchema(k), "Group", 1024)
 			r := rng.New(uint64(k))
 			var ids []string
 			for g := 0; g < k; g++ {
 				for w := 0; w < 8; w++ {
 					id := fmt.Sprintf("w%d-%d", g, w)
-					if err := d.Join(id, map[string]any{"Group": fmt.Sprintf("g%02d", g)}, r.Float64()); err != nil {
+					if err := s.joinID(id, map[string]any{"Group": fmt.Sprintf("g%02d", g)}, r.Float64()); err != nil {
 						b.Fatal(err)
 					}
 					ids = append(ids, id)
@@ -320,7 +327,7 @@ func BenchmarkDecayEvent(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := d.Rescore(ids[i%len(ids)], r.Float64()); err != nil {
+				if err := s.apply(Event{Type: EventRescore, Worker: ids[i%len(ids)], Score: r.Float64()}); err != nil {
 					b.Fatal(err)
 				}
 				if u := d.Unfairness(); u < 0 {

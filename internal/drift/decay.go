@@ -1,11 +1,8 @@
 package drift
 
 import (
-	"errors"
-	"fmt"
 	"math"
 
-	"fairrank/internal/dataset"
 	"fairrank/internal/monitor"
 )
 
@@ -24,46 +21,33 @@ const rescaleAbove = 1e200
 // the monitor's delta path keeps the average current after every event.
 // Decay itself is only the half-life clock.
 //
-// Every event (Join, Leave, Rescore) advances time by one. A Rescore
+// Every event (join, leave, rescore) advances time by one. A rescore
 // refreshes the worker's weight to the present — the observation is
 // re-made now. Unlike Window, Decay has no bit-identity replay contract:
 // the differential suite compares it against a literal-math oracle within
 // a float tolerance.
 //
-// Decay is not safe for concurrent use.
+// A Watch owns its decay and feeds it every event by worker slot. It is
+// not safe for concurrent use.
 type Decay struct {
 	mon    *monitor.Monitor
-	cells  *monitor.Cells
 	growth float64 // per-event weight multiplier, 2^(1/halfLife)
 	weight float64 // weight the next observation will carry
-	events int64
-	// tab is the worker table: a standalone estimator's own, or the table
-	// of the Watch that built it, which then feeds it every event.
+	// tab is the worker table of the Watch that owns the decay.
 	tab *workerTable
 }
 
-// NewDecay creates a half-life estimator over the partitioning induced by
-// the named protected attributes. halfLife is in events and must be
-// positive; bins defaults to 10 when <= 0. Its per-event growth factor is
+// newDecay creates a half-life estimator over cells for the workers in
+// tab. halfLife is in events, positive and finite as Spec.Validate holds
+// it; bins defaults to 10 when <= 0. Its per-event growth factor is
 // math.Exp2(1/halfLife), whose last bit may differ between architectures,
 // and so may the estimates built on it.
-func NewDecay(schema *dataset.Schema, attrs []string, bins int, halfLife float64) (*Decay, error) {
-	cells, err := monitor.NewCells(schema, attrs)
-	if err != nil {
-		return nil, err
-	}
-	return newDecay(cells, newWorkerTable(), bins, halfLife)
-}
-
 func newDecay(cells *monitor.Cells, tab *workerTable, bins int, halfLife float64) (*Decay, error) {
-	if !(halfLife > 0) || math.IsInf(halfLife, 1) {
-		return nil, fmt.Errorf("drift: half-life must be positive and finite, got %v", halfLife)
-	}
 	m, err := monitor.NewWithCells(cells, bins, 0)
 	if err != nil {
 		return nil, err
 	}
-	return &Decay{mon: m, cells: cells, growth: math.Exp2(1 / halfLife), weight: 1, tab: tab}, nil
+	return &Decay{mon: m, growth: math.Exp2(1 / halfLife), weight: 1, tab: tab}, nil
 }
 
 // tick advances time one event: the next observation weighs growth× more,
@@ -72,7 +56,6 @@ func newDecay(cells *monitor.Cells, tab *workerTable, bins int, halfLife float64
 // float range; freed rows are rescaled too, and add overwrites them on
 // reuse.
 func (d *Decay) tick() {
-	d.events++
 	d.weight *= d.growth
 	if d.weight < rescaleAbove {
 		return
@@ -82,44 +65,6 @@ func (d *Decay) tick() {
 		d.tab.rows[i].weight /= d.weight
 	}
 	d.weight = 1
-}
-
-// Join records a worker arriving with the given protected attributes and
-// score, at the present weight.
-func (d *Decay) Join(id string, protected map[string]any, score float64) error {
-	if id == "" {
-		return errors.New("drift: empty worker id")
-	}
-	if _, dup := d.tab.lookup(id); dup {
-		return fmt.Errorf("drift: worker %q already present", id)
-	}
-	cell, err := d.cells.Cell(protected)
-	if err != nil {
-		return err
-	}
-	d.join(d.tab.add(id, cell), score)
-	return nil
-}
-
-// Leave removes a worker's remaining (decayed) mass.
-func (d *Decay) Leave(id string) error {
-	slot, ok := d.tab.lookup(id)
-	if !ok {
-		return fmt.Errorf("drift: unknown worker %q", id)
-	}
-	d.leave(slot)
-	d.tab.remove(id, slot)
-	return nil
-}
-
-// Rescore re-makes the worker's observation at the present weight.
-func (d *Decay) Rescore(id string, score float64) error {
-	slot, ok := d.tab.lookup(id)
-	if !ok {
-		return fmt.Errorf("drift: unknown worker %q", id)
-	}
-	d.rescore(slot, score)
-	return nil
 }
 
 // join admits a worker just added to the table at slot.
@@ -150,9 +95,6 @@ func (d *Decay) Workers() int { return d.mon.Workers() }
 
 // Groups returns the number of groups with live workers.
 func (d *Decay) Groups() int { return d.mon.Groups() }
-
-// Events returns how many events have been processed.
-func (d *Decay) Events() int64 { return d.events }
 
 // Unfairness returns the average pairwise EMD between the groups'
 // decay-weighted score PMFs, in O(1).

@@ -30,19 +30,34 @@ var groupAttrMaps = func() []map[string]any {
 	return out
 }()
 
-func applyToWindow(t *testing.T, w *Window, ev testkit.Event) {
+// streamWatch returns a rule-free watch over streamSchema's groups with
+// the given window capacity and half-life (0 for none).
+func streamWatch(t *testing.T, window int, halfLife float64) *Watch {
 	t.Helper()
-	var err error
+	w, err := NewWatch(streamSchema(), Spec{ID: "stream", Dataset: "stream", Attributes: []string{"G"},
+		Weights: map[string]float64{"Score": 1}, Bins: 10, Window: window, HalfLife: halfLife})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// kitEvent is the wire event of a testkit stream event, its attributes
+// the group's shared map.
+func kitEvent(ev testkit.Event) Event {
 	switch ev.Kind {
 	case testkit.EventJoin:
-		err = w.Join(ev.ID, groupAttrMaps[ev.Group], ev.Score)
+		return Event{Type: EventJoin, Worker: ev.ID, Protected: groupAttrMaps[ev.Group], Score: ev.Score}
 	case testkit.EventLeave:
-		err = w.Leave(ev.ID)
-	case testkit.EventRescore:
-		err = w.Rescore(ev.ID, ev.Score)
+		return Event{Type: EventLeave, Worker: ev.ID}
 	}
-	if err != nil {
-		t.Fatalf("window apply %+v: %v", ev, err)
+	return Event{Type: EventRescore, Worker: ev.ID, Score: ev.Score}
+}
+
+func applyKit(t *testing.T, w *Watch, ev testkit.Event) {
+	t.Helper()
+	if _, err := w.Apply(kitEvent(ev)); err != nil {
+		t.Fatalf("apply %+v: %v", ev, err)
 	}
 }
 
@@ -72,22 +87,20 @@ func replayContents(t *testing.T, w *Window) *monitor.Monitor {
 
 // TestWindowBitIdenticalToReplay is the window's differential gate:
 // across random valid streams and window capacities, the incrementally
-// maintained windowed state must agree bit-for-bit with a from-scratch
-// monitor.New + replay over the window's contents — same unfairness (the
-// sum-tree reduction is a pure function of the leaf count and values),
-// same population, same group count.
+// maintained windowed state of a watch must agree bit-for-bit with a
+// from-scratch monitor.New + replay over the window's contents — same
+// unfairness (the sum-tree reduction is a pure function of the leaf count
+// and values), same population, same group count.
 func TestWindowBitIdenticalToReplay(t *testing.T) {
 	for seed := uint64(1); seed <= 25; seed++ {
 		g := testkit.NewGen(seed)
 		n := g.R.IntRange(20, 300)
 		capacity := g.R.IntRange(3, 80)
 		events := g.Events(streamGroups, n)
-		w, err := NewWindow(streamSchema(), []string{"G"}, 10, capacity)
-		if err != nil {
-			t.Fatal(err)
-		}
+		watch := streamWatch(t, capacity, 0)
+		w := watch.window
 		for i, ev := range events {
-			applyToWindow(t, w, ev)
+			applyKit(t, watch, ev)
 			if i%17 != 16 && i != len(events)-1 {
 				continue
 			}
@@ -116,16 +129,14 @@ func TestWholeStreamWindowEqualsUnbounded(t *testing.T) {
 		g := testkit.NewGen(seed)
 		n := g.R.IntRange(10, 200)
 		events := g.Events(streamGroups, n)
-		w, err := NewWindow(streamSchema(), []string{"G"}, 10, n+1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		watch := streamWatch(t, n+1, 0)
+		w := watch.window
 		m, err := monitor.New(streamSchema(), []string{"G"}, 10, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, ev := range events {
-			applyToWindow(t, w, ev)
+			applyKit(t, watch, ev)
 			var merr error
 			switch ev.Kind {
 			case testkit.EventJoin:
@@ -159,22 +170,10 @@ func TestDecayMatchesOracle(t *testing.T) {
 		n := g.R.IntRange(10, 300)
 		halfLife := g.R.FloatRange(5, 200)
 		events := g.Events(streamGroups, n)
-		d, err := NewDecay(streamSchema(), []string{"G"}, 10, halfLife)
-		if err != nil {
-			t.Fatal(err)
-		}
+		watch := streamWatch(t, 0, halfLife)
+		d := watch.decay
 		for i, ev := range events {
-			switch ev.Kind {
-			case testkit.EventJoin:
-				err = d.Join(ev.ID, groupAttrMaps[ev.Group], ev.Score)
-			case testkit.EventLeave:
-				err = d.Leave(ev.ID)
-			case testkit.EventRescore:
-				err = d.Rescore(ev.ID, ev.Score)
-			}
-			if err != nil {
-				t.Fatalf("seed %d event %d: %v", seed, i, err)
-			}
+			applyKit(t, watch, ev)
 			if i%23 != 22 && i != len(events)-1 {
 				continue
 			}
@@ -197,23 +196,11 @@ func TestDecayIncrementalMatchesRecompute(t *testing.T) {
 	rescales := 0
 	for seed := uint64(1); seed <= 12; seed++ {
 		events := testkit.NewGen(seed).Events(streamGroups, 2500)
-		d, err := NewDecay(streamSchema(), []string{"G"}, 10, 1.5)
-		if err != nil {
-			t.Fatal(err)
-		}
+		watch := streamWatch(t, 0, 1.5)
+		d := watch.decay
 		for i, ev := range events {
 			weight := d.weight
-			switch ev.Kind {
-			case testkit.EventJoin:
-				err = d.Join(ev.ID, groupAttrMaps[ev.Group], ev.Score)
-			case testkit.EventLeave:
-				err = d.Leave(ev.ID)
-			case testkit.EventRescore:
-				err = d.Rescore(ev.ID, ev.Score)
-			}
-			if err != nil {
-				t.Fatalf("seed %d event %d: %v", seed, i, err)
-			}
+			applyKit(t, watch, ev)
 			if d.weight < weight {
 				rescales++
 			}
@@ -237,24 +224,30 @@ func TestDecayIncrementalMatchesRecompute(t *testing.T) {
 // with every score, so rescales never decay its mass away.
 func TestDecayBinsLikeMonitor(t *testing.T) {
 	for _, bins := range []int{10, 100} {
-		d, err := NewDecay(streamSchema(), []string{"G"}, bins, 10)
+		watch, err := NewWatch(streamSchema(), Spec{ID: "bins", Dataset: "bins", Attributes: []string{"G"},
+			Weights: map[string]float64{"Score": 1}, Bins: bins, HalfLife: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
+		d := watch.decay
 		m, err := monitor.New(streamSchema(), []string{"G"}, bins, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, join := range []func(string, map[string]any, float64) error{d.Join, m.Join} {
-			if err := join("anchor", groupAttrMaps[1], 0); err != nil {
+		for _, id := range []string{"anchor", "w"} {
+			prot := groupAttrMaps[0]
+			if id == "anchor" {
+				prot = groupAttrMaps[1]
+			}
+			if _, err := watch.Apply(Event{Type: EventJoin, Worker: id, Protected: prot}); err != nil {
 				t.Fatal(err)
 			}
-			if err := join("w", groupAttrMaps[0], 0); err != nil {
+			if err := m.Join(id, prot, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
-		anchor, _ := d.tab.lookup("anchor")
-		slot, _ := d.tab.lookup("w")
+		anchor, _ := watch.tab.lookup("anchor")
+		slot, _ := watch.tab.lookup("w")
 		for k := 0; k <= 1_000_000; k++ {
 			score := float64(k) / 1e6
 			d.rescore(anchor, 0)
@@ -273,46 +266,45 @@ func TestDecayBinsLikeMonitor(t *testing.T) {
 // one: an aged-out worker's Rescore re-enters it as a Join, its Leave
 // admits nothing, and a retracted Join tombstones its whole span.
 func TestWindowAgedOutSemantics(t *testing.T) {
-	w, err := NewWindow(streamSchema(), []string{"G"}, 10, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	watch := streamWatch(t, 2, 0)
+	w := watch.window
+	join, leave, rescore := watchEvents(t, watch)
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	must(w.Join("a", groupAttrMaps[0], 0.1))
-	must(w.Join("b", groupAttrMaps[1], 0.2))
-	must(w.Join("c", groupAttrMaps[2], 0.3)) // retracts a's span
+	must(join("a", groupAttrMaps[0], 0.1))
+	must(join("b", groupAttrMaps[1], 0.2))
+	must(join("c", groupAttrMaps[2], 0.3)) // retracts a's span
 	if w.Workers() != 2 {
 		t.Fatalf("after retraction: %d workers, want 2", w.Workers())
 	}
 	// a is off the window but still on the platform: its rescore re-joins.
-	must(w.Rescore("a", 0.5)) // retracts b's span
+	must(rescore("a", 0.5)) // retracts b's span
 	if w.Workers() != 2 {
 		t.Fatalf("after rescore re-admission: %d workers, want 2", w.Workers())
 	}
 	// b's span aged out: its leave admits nothing and changes nothing.
 	live := w.Live()
-	must(w.Leave("b"))
+	must(leave("b"))
 	if w.Live() != live || w.Workers() != 2 {
 		t.Fatalf("aged-out leave mutated the window: live %d→%d workers %d",
 			live, w.Live(), w.Workers())
 	}
 	// A worker never seen at all is still an error.
-	if err := w.Leave("ghost"); err == nil {
+	if err := leave("ghost"); err == nil {
 		t.Fatal("leave of unknown worker succeeded")
 	}
-	if err := w.Rescore("ghost", 0.4); err == nil {
+	if err := rescore("ghost", 0.4); err == nil {
 		t.Fatal("rescore of unknown worker succeeded")
 	}
 	// A live leave closes the span: retracting its Join later must not
 	// double-remove the worker.
-	must(w.Leave("c"))                       // c live → effective leave admitted
-	must(w.Join("d", groupAttrMaps[3], 0.7)) // forces retractions
-	must(w.Join("e", groupAttrMaps[0], 0.9))
+	must(leave("c"))                       // c live → effective leave admitted
+	must(join("d", groupAttrMaps[3], 0.7)) // forces retractions
+	must(join("e", groupAttrMaps[0], 0.9))
 	ref := replayContents(t, w)
 	if w.Workers() != ref.Workers() {
 		t.Fatalf("population %d != replay %d", w.Workers(), ref.Workers())
@@ -320,4 +312,21 @@ func TestWindowAgedOutSemantics(t *testing.T) {
 	if a, b := w.Unfairness(), ref.Unfairness(); a != b {
 		t.Fatalf("window %v != replay %v", a, b)
 	}
+}
+
+// watchEvents returns w's event path as join, leave and rescore calls by
+// worker id.
+func watchEvents(t *testing.T, w *Watch) (join func(string, map[string]any, float64) error, leave func(string) error, rescore func(string, float64) error) {
+	apply := func(ev Event) error {
+		_, err := w.Apply(ev)
+		return err
+	}
+	join = func(id string, prot map[string]any, score float64) error {
+		return apply(Event{Type: EventJoin, Worker: id, Protected: prot, Score: score})
+	}
+	leave = func(id string) error { return apply(Event{Type: EventLeave, Worker: id}) }
+	rescore = func(id string, score float64) error {
+		return apply(Event{Type: EventRescore, Worker: id, Score: score})
+	}
+	return join, leave, rescore
 }

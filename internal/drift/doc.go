@@ -12,10 +12,11 @@
 // bookkeeping, one delta update per event — for unbounded streams where
 // "recent" should fade smoothly rather than fall off a cliff.
 //
-// Watch drives both (plus the unbounded monitor) from one event stream
-// and evaluates named alarm rules after every event: "threshold" (fixed
-// level), "delta-over-window" (rise against the estimate Lookback events
-// ago) and "window-vs-baseline" (divergence from a sealed baseline).
+// Watch is their one front: it drives both (plus the unbounded monitor)
+// from one event stream, through one worker table, and evaluates named
+// alarm rules after every event: "threshold" (fixed level),
+// "delta-over-window" (rise against the estimate Lookback events ago)
+// and "window-vs-baseline" (divergence from a sealed baseline).
 // Hysteresis, cooldown and warmup make the alarm lifecycle
 // flap-resistant; AlarmState round-trips through the server's WAL so a
 // restart neither loses nor re-fires an active alarm. Transitions are

@@ -4,8 +4,7 @@ import "fairrank/internal/monitor"
 
 // worker is one row of a worker table: the worker's partition cell and
 // each estimator's state for it. A Watch keeps one table for all of its
-// estimators, so an event costs one id lookup however many it feeds; a
-// standalone Window or Decay keeps its own and uses its fields only.
+// estimators, so an event costs one id lookup however many it feeds.
 type worker struct {
 	cell int
 	// total, window and decay are the worker's states in the unbounded

@@ -6,13 +6,15 @@ import (
 
 	"fairrank/internal/dataset"
 	"fairrank/internal/monitor"
+	"fairrank/internal/scoring"
 )
 
 // Watch is one live continuous audit: the configured estimators (sliding
 // window, exponential decay, and always the unbounded-history monitor)
 // fed in lockstep from one event stream, with the alarm rules evaluated
-// after every event. It is the engine behind a server-side monitor; the
-// CLIs drive it directly. Not safe for concurrent use.
+// after every event. It is the one front of the window and the decay —
+// the engine behind a server-side monitor, fairbench -drift and fairaudit's
+// continuous readout. Not safe for concurrent use.
 type Watch struct {
 	spec Spec
 	// cells and tab are shared by every estimator: an event costs one
@@ -71,9 +73,6 @@ func NewWatch(schema *dataset.Schema, spec Spec) (*Watch, error) {
 // Spec returns the watch's (normalized) spec.
 func (w *Watch) Spec() Spec { return w.spec }
 
-// Events returns how many events the watch has processed.
-func (w *Watch) Events() int64 { return w.events }
-
 // Apply feeds one event through every estimator and then evaluates the
 // alarm rules, returning any transitions. The event is rejected — and
 // counts for nothing — if the unbounded monitor rejects it (duplicate
@@ -104,6 +103,45 @@ func (w *Watch) Apply(ev Event) ([]AlarmEvent, error) {
 // from a dataset of n rows holds exactly n worker rows.
 func (w *Watch) Reserve(n int) { w.tab.reserve(n) }
 
+// SeedDataset seeds w with every row of ds as a join event, through Seed:
+// the worker's id is the row's, its protected values are the row's values
+// of the spec's attributes (a categorical's label, a numeric's raw value),
+// and its score is the row's under the linear function of the spec's
+// weights. each, when not nil, is called after every row with the number
+// of rows seeded so far.
+func SeedDataset(w *Watch, ds *dataset.Dataset, each func(n int)) error {
+	f, err := scoring.NewLinear(w.spec.ID, w.spec.Weights)
+	if err != nil {
+		return err
+	}
+	schema := ds.Schema()
+	attrs := make([]int, len(w.spec.Attributes))
+	for i, name := range w.spec.Attributes {
+		if attrs[i] = schema.ProtectedIndex(name); attrs[i] < 0 {
+			return fmt.Errorf("%q is not a protected attribute", name)
+		}
+	}
+	w.Reserve(ds.N())
+	for i := 0; i < ds.N(); i++ {
+		prot := make(map[string]any, len(attrs))
+		for _, a := range attrs {
+			if def := schema.Protected[a]; def.Kind == dataset.Categorical {
+				prot[def.Name] = ds.ProtectedLabel(a, i)
+			} else {
+				prot[def.Name] = ds.RawProtected(a, i)
+			}
+		}
+		ev := Event{Type: EventJoin, Worker: ds.ID(i), Protected: prot, Score: f.Score(ds, i)}
+		if err := w.Seed(ev); err != nil {
+			return fmt.Errorf("seed row %d: %w", i, err)
+		}
+		if each != nil {
+			each(i + 1)
+		}
+	}
+	return nil
+}
+
 // Seed applies one event to the estimators WITHOUT evaluating alarm
 // rules. Seeding is reconstruction, not observation: when a watch is
 // (re)built from a population snapshot, the replay must bring the
@@ -116,10 +154,11 @@ func (w *Watch) Seed(ev Event) error {
 	return w.applyEstimators(ev)
 }
 
-// applyEstimators validates and applies one event to every estimator.
-// The worker table and the unbounded monitor are the strictest view —
-// they go first so a rejected event mutates nothing else; the error texts
-// are the monitor's own.
+// applyEstimators validates and applies one event to every estimator. It
+// is the one place a worker id becomes estimator state: one lookup in the
+// shared worker table, the duplicate and unknown checks, and a join's cell
+// resolution serve all three estimators. The checks go first, so a
+// rejected event mutates nothing; the error texts are the monitor's own.
 func (w *Watch) applyEstimators(ev Event) error {
 	if err := ev.Validate(); err != nil {
 		return err
@@ -368,6 +407,3 @@ func (w *Watch) ActiveAlarms() int {
 	}
 	return n
 }
-
-// Total returns the unbounded-history monitor.
-func (w *Watch) Total() *monitor.Monitor { return w.total }

@@ -1,12 +1,6 @@
 package drift
 
-import (
-	"errors"
-	"fmt"
-
-	"fairrank/internal/dataset"
-	"fairrank/internal/monitor"
-)
+import "fairrank/internal/monitor"
 
 // entryKind discriminates the effective events held in the window ring.
 type entryKind uint8
@@ -64,10 +58,10 @@ type entry struct {
 // keeps. Replaying that map keys to the same cell, so the window's
 // contents replay exactly.
 //
-// Window is not safe for concurrent use.
+// A Watch owns its window and feeds it every event by worker slot. It is
+// not safe for concurrent use.
 type Window struct {
 	mon      *monitor.Monitor
-	cells    *monitor.Cells
 	capacity int
 	// ring is a power-of-two buffer indexed by seq & (len(ring)-1); seqs
 	// are monotonic, head..tail is the occupied span. Tombstoned entries
@@ -77,34 +71,21 @@ type Window struct {
 	head, tail  int
 	live        int // non-dead entries in [head, tail)
 	retractions int64
-	// tab is the worker table: a standalone window's own, or the table of
-	// the Watch that built it, which then feeds it every event.
+	// tab is the worker table of the Watch that owns the window.
 	tab *workerTable
 	// cellAttrs holds the one attribute map per partition cell, by cell
 	// index, so an aged-out worker's Rescore can re-enter it.
 	cellAttrs []map[string]any
 }
 
-// NewWindow creates a sliding-window estimator over the partitioning
-// induced by the named protected attributes, holding the last capacity
-// effective events. bins defaults to 10 when <= 0.
-func NewWindow(schema *dataset.Schema, attrs []string, bins, capacity int) (*Window, error) {
-	if capacity < 1 {
-		return nil, errors.New("drift: window capacity must be positive")
-	}
-	cells, err := monitor.NewCells(schema, attrs)
-	if err != nil {
-		return nil, err
-	}
-	return newWindow(cells, newWorkerTable(), bins, capacity)
-}
-
+// newWindow creates a window over cells, holding the last capacity
+// effective events of the workers in tab.
 func newWindow(cells *monitor.Cells, tab *workerTable, bins, capacity int) (*Window, error) {
 	m, err := monitor.NewWithCells(cells, bins, 0)
 	if err != nil {
 		return nil, err
 	}
-	return &Window{mon: m, cells: cells, capacity: capacity, ring: make([]entry, 16), tab: tab}, nil
+	return &Window{mon: m, capacity: capacity, ring: make([]entry, 16), tab: tab}, nil
 }
 
 func (w *Window) slot(seq int) *entry { return &w.ring[seq&(len(w.ring)-1)] }
@@ -169,52 +150,10 @@ func (w *Window) trim() {
 	}
 }
 
-// Join records a worker arriving with the given protected attributes and
-// score. The caller must not mutate protected afterwards: if it is the
-// first map seen for its partition cell, the window keeps it for replay
-// and re-admission of every worker in that cell.
-func (w *Window) Join(id string, protected map[string]any, score float64) error {
-	if _, on := w.tab.lookup(id); on {
-		return fmt.Errorf("drift: worker %q already present", id)
-	}
-	if id == "" {
-		return errors.New("monitor: empty worker id")
-	}
-	cell, err := w.cells.Cell(protected)
-	if err != nil {
-		return err
-	}
-	w.join(w.tab.add(id, cell), id, protected, score)
-	return nil
-}
-
-// Leave records a worker departing the platform. If the worker's span
-// already aged out of the window, the departure is already reflected and
-// admits nothing. Either way the worker is forgotten: a later Leave or
-// Rescore for it is an unknown worker.
-func (w *Window) Leave(id string) error {
-	slot, on := w.tab.lookup(id)
-	if !on {
-		return fmt.Errorf("drift: unknown worker %q", id)
-	}
-	w.leave(slot, id)
-	w.tab.remove(id, slot)
-	return nil
-}
-
-// Rescore updates a worker's score. If the worker's span aged out of the
-// window it re-enters as a Join with its cell's protected attributes —
-// the rescore proves the worker is still on the platform.
-func (w *Window) Rescore(id string, score float64) error {
-	slot, on := w.tab.lookup(id)
-	if !on {
-		return fmt.Errorf("drift: unknown worker %q", id)
-	}
-	w.rescore(slot, id, score)
-	return nil
-}
-
-// join admits a worker just added to the table at slot.
+// join admits a worker just added to the table at slot. The window keeps
+// protected if it is the first map seen for the worker's cell, to replay
+// and re-admit every worker of that cell with, so the caller must not
+// mutate it afterwards.
 func (w *Window) join(slot int, id string, protected map[string]any, score float64) {
 	cell := w.tab.rows[slot].cell
 	for len(w.cellAttrs) <= cell {
@@ -236,7 +175,8 @@ func (w *Window) admit(slot int, id string, score float64) {
 }
 
 // leave records the departure of the worker at slot; the caller frees the
-// slot.
+// slot. If the worker's span already aged out of the window, the
+// departure is already reflected and admits nothing.
 func (w *Window) leave(slot int, id string) {
 	r := &w.tab.rows[slot]
 	if r.tail < 0 {
@@ -249,6 +189,9 @@ func (w *Window) leave(slot int, id string) {
 	w.trim()
 }
 
+// rescore updates the score of the worker at slot. If its span aged out
+// of the window it re-enters as a Join with its cell's protected
+// attributes: the rescore proves the worker is still on the platform.
 func (w *Window) rescore(slot int, id string, score float64) {
 	r := &w.tab.rows[slot]
 	if r.tail < 0 {

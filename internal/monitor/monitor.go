@@ -68,9 +68,6 @@ type Monitor struct {
 	// minWorkers suppresses alerts until the population is large enough
 	// for the unfairness estimate to be more than sampling noise.
 	minWorkers int
-	// met holds telemetry handles (see SetMetrics); its zero value is the
-	// disabled state and costs a few predicted branches per event.
-	met monitorMetrics
 }
 
 // group is one partition cell with live workers: the weight its workers
@@ -184,14 +181,6 @@ func (c *Cells) Cell(protected map[string]any) (int, error) {
 // Key returns a cell's key; keys order the groups of every estimator.
 func (c *Cells) Key(cell int) string { return c.keys[cell] }
 
-func (c *Cells) clone() *Cells {
-	out := &Cells{schema: c.schema, attrs: c.attrs, index: make(map[string]int, len(c.index)), keys: append([]string(nil), c.keys...)}
-	for k, i := range c.index {
-		out.index[k] = i
-	}
-	return out
-}
-
 func (c *Cells) appendKey(dst []byte, protected map[string]any) ([]byte, error) {
 	for _, a := range c.attrs {
 		attr := c.schema.Protected[a]
@@ -287,10 +276,6 @@ func (m *Monitor) touch(g *group) {
 		m.tri[slot] = d
 		m.sum.set(slot, d)
 	}
-	if k > 1 {
-		m.met.distUpdates.Add(int64(k - 1))
-		m.met.treeUpdates.Add(int64(k - 1))
-	}
 }
 
 // rebuild re-derives order indices, the triangle and the sum tree after a
@@ -317,7 +302,6 @@ func (m *Monitor) rebuild(oldK int, oldTri []float64, oldIdx []int) {
 		}
 	}
 	m.sum = newSumTree(m.tri)
-	m.met.rebuilds.Inc()
 }
 
 // insertGroup adds a new empty group for cell at its sorted position. Its
@@ -426,8 +410,6 @@ func (m *Monitor) JoinCell(w *Worker, cell int, score, weight float64) {
 	m.touch(g)
 	*w = Worker{g: g, bin: bin}
 	m.n++
-	m.met.joins.Inc()
-	m.met.sync(m)
 }
 
 // LeaveWorker records the departure of the worker whose state JoinCell
@@ -444,8 +426,6 @@ func (m *Monitor) LeaveWorker(w *Worker, weight float64) {
 	}
 	*w = Worker{}
 	m.n--
-	m.met.leaves.Inc()
-	m.met.sync(m)
 }
 
 // RescoreWorker replaces the observation of the worker whose state is w,
@@ -460,8 +440,6 @@ func (m *Monitor) RescoreWorker(w *Worker, old, score, weight float64) {
 	w.bin = m.grid.BinIndex(score)
 	g.mass[w.bin] += weight
 	m.touch(g)
-	m.met.rescores.Inc()
-	m.met.sync(m)
 }
 
 // subtract takes weight out of bin, clamping float dust at zero.
@@ -528,47 +506,6 @@ func (m *Monitor) Recompute() float64 {
 		}
 	}
 	return newSumTree(tri).root() / float64(len(tri))
-}
-
-// Clone returns a deep copy of the monitor: the cell index, groups,
-// masses, the distance triangle, the sum tree and the worker table are
-// all duplicated, so events applied to either side never affect the
-// other. It is for monitors fed through Join, Leave and Rescore: workers a
-// caller tracks in its own table have no id here to clone. Tests use it
-// to checkpoint state without replaying the stream. Telemetry handles are NOT copied — the clone
-// starts with metrics disabled (attach its own registry via SetMetrics if
-// needed) so counters never double-count a forked monitor.
-func (m *Monitor) Clone() *Monitor {
-	c := &Monitor{
-		cells:      m.cells.clone(),
-		bins:       m.bins,
-		threshold:  m.threshold,
-		unit:       m.unit,
-		grid:       m.grid,
-		minWorkers: m.minWorkers,
-		n:          m.n,
-		byCell:     make([]*group, len(m.byCell)),
-		workers:    make(map[string]Worker, len(m.workers)),
-		order:      make([]*group, 0, len(m.order)),
-	}
-	for _, g := range m.order {
-		ng := *g
-		ng.mass = append([]float64(nil), g.mass...)
-		ng.pmf = append([]float64(nil), g.pmf...)
-		c.byCell[ng.cell] = &ng
-		c.order = append(c.order, &ng)
-	}
-	c.tri = append([]float64(nil), m.tri...)
-	if m.sum != nil {
-		// Same leaf count ⇒ same tree shape ⇒ bit-identical root (the
-		// sumTree reduction order is a pure function of the leaf count).
-		c.sum = newSumTree(c.tri)
-	}
-	for id, w := range m.workers {
-		w.g = c.byCell[w.g.cell]
-		c.workers[id] = w
-	}
-	return c
 }
 
 // SetMinWorkers sets a warm-up guard: Alert never reports a breach while

@@ -3,6 +3,7 @@ package monitor
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"fairrank/internal/core"
@@ -282,5 +283,34 @@ func TestLeaveRestoresState(t *testing.T) {
 	after := m.Unfairness()
 	if math.Abs(before-after) > 1e-12 {
 		t.Fatalf("join+leave not idempotent: %v vs %v", before, after)
+	}
+}
+
+// TestEventErrorsNameWorker is the regression test for the Join, Leave
+// and Rescore error paths: a rejected event must name the worker, so
+// failures in long streams are attributable. A departure or re-score
+// takes back the stored bin and weight and cannot fail, so what is left
+// is a duplicate arrival and an event for a worker not on the platform.
+func TestEventErrorsNameWorker(t *testing.T) {
+	m := newMonitor(t, []string{"Gender"}, 1)
+	if err := m.Join("victim-42", maleAttrs(), 0.1); err != nil {
+		t.Fatal(err)
+	}
+	errs := map[string]error{"join": m.Join("victim-42", maleAttrs(), 0.3)}
+	if err := m.Leave("victim-42"); err != nil {
+		t.Fatal(err)
+	}
+	errs["leave"] = m.Leave("victim-42")
+	errs["rescore"] = m.Rescore("victim-42", 0.2)
+	for op, err := range errs {
+		if err == nil {
+			t.Fatalf("%s: event for worker %q accepted", op, "victim-42")
+		}
+		if !strings.Contains(err.Error(), `"victim-42"`) {
+			t.Fatalf("%s error does not name the worker: %v", op, err)
+		}
+	}
+	if m.Workers() != 0 || m.Groups() != 0 {
+		t.Fatalf("rejected events left %d workers in %d groups", m.Workers(), m.Groups())
 	}
 }

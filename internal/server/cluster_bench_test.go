@@ -108,16 +108,21 @@ func benchDrain(b *testing.B, servers []*Server, submitURLs []string, seedBase u
 	}
 }
 
+// BenchmarkClusterJobs runs the cells above. The gated pair, cluster=off
+// and cluster=solo, runs in ABBA order, as BenchmarkDriftAlarm's arms do,
+// so each pairing is adjacent in time and each arm runs first as often
+// as second.
 func BenchmarkClusterJobs(b *testing.B) {
-	b.Run("cluster=off", func(b *testing.B) {
-		s, ts := benchNode(b)
+	// Each arm submits its b.N jobs in one burst: queue headroom for all
+	// of them keeps a stalled worker from turning the burst into 429s.
+	off := func(b *testing.B) {
+		s, ts := benchNode(b, WithJobQueueLimit(b.N+64))
 		benchUpload(b, ts, "demo", 40)
 		b.ResetTimer()
 		benchDrain(b, []*Server{s}, []string{ts.URL}, 10_000)
-	})
-
-	b.Run("cluster=solo", func(b *testing.B) {
-		s, ts := benchNode(b)
+	}
+	solo := func(b *testing.B) {
+		s, ts := benchNode(b, WithJobQueueLimit(b.N+64))
 		benchUpload(b, ts, "demo", 40)
 		if err := s.EnableCluster(cluster.Config{
 			Self:      ts.URL,
@@ -128,7 +133,11 @@ func BenchmarkClusterJobs(b *testing.B) {
 		}
 		b.ResetTimer()
 		benchDrain(b, []*Server{s}, []string{ts.URL}, 20_000)
-	})
+	}
+	b.Run("order=ab/cluster=off", off)
+	b.Run("order=ab/cluster=solo", solo)
+	b.Run("order=ba/cluster=solo", solo)
+	b.Run("order=ba/cluster=off", off)
 
 	b.Run("cluster=three", func(b *testing.B) {
 		// Every node's executor blocks on release until the backlog is in

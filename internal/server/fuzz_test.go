@@ -78,7 +78,7 @@ func newFuzzServer() (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := seedWatch(w, ds, spec); err != nil {
+	if err := drift.SeedDataset(w, ds, nil); err != nil {
 		return nil, err
 	}
 	s.monitors[spec.ID] = &serverMonitor{watch: w, hub: drift.NewHub()}

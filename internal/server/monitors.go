@@ -7,17 +7,15 @@ import (
 	"sort"
 	"sync"
 
-	"fairrank/internal/dataset"
 	"fairrank/internal/drift"
-	"fairrank/internal/scoring"
 )
 
 // This file is the continuous-audit surface: named drift monitors
 // attached to live datasets. A monitor is created from a drift.Spec,
 // seeded with the dataset's current rows scored by the spec's linear
-// weights (so its estimators start from the real population, not from
-// empty), and then fed incrementally via POST .../events. Alarm
-// transitions stream over SSE at GET .../events.
+// weights (drift.SeedDataset, so its estimators start from the real
+// population, not from empty), and then fed incrementally via POST
+// .../events. Alarm transitions stream over SSE at GET .../events.
 //
 // Persistence contract: the WAL stores each monitor's spec and alarm
 // states — NOT its event stream. On boot the watch is rebuilt, alarm
@@ -44,46 +42,6 @@ type serverMonitor struct {
 	mu    sync.Mutex
 	watch *drift.Watch
 	hub   *drift.Hub
-}
-
-// seedWatch replays the dataset's rows into a fresh watch as join
-// events: worker ids are the dataset ids, protected values come from the
-// monitored attributes' columns, and scores from the spec's linear
-// weights. Seeding goes through Watch.Seed, so it can never emit alarm
-// transitions — rules only ever interpret live events.
-func seedWatch(w *drift.Watch, ds *dataset.Dataset, spec drift.Spec) error {
-	f, err := scoring.NewLinear(spec.ID, spec.Weights)
-	if err != nil {
-		return err
-	}
-	attrs := make([]int, len(spec.Attributes))
-	for i, name := range spec.Attributes {
-		if attrs[i] = ds.Schema().ProtectedIndex(name); attrs[i] < 0 {
-			return fmt.Errorf("%q is not a protected attribute", name)
-		}
-	}
-	w.Reserve(ds.N())
-	for i := 0; i < ds.N(); i++ {
-		prot := make(map[string]any, len(attrs))
-		for _, a := range attrs {
-			def := ds.Schema().Protected[a]
-			if def.Kind == dataset.Categorical {
-				prot[def.Name] = ds.ProtectedLabel(a, i)
-			} else {
-				prot[def.Name] = ds.RawProtected(a, i)
-			}
-		}
-		ev := drift.Event{
-			Type:      drift.EventJoin,
-			Worker:    ds.ID(i),
-			Protected: prot,
-			Score:     f.Score(ds, i),
-		}
-		if err := w.Seed(ev); err != nil {
-			return fmt.Errorf("seed row %d: %w", i, err)
-		}
-	}
-	return nil
 }
 
 // persistMonitor writes the monitor's current spec + alarm states.
@@ -118,9 +76,10 @@ func (s *Server) reloadMonitors() error {
 		}
 		w.SetMetrics(s.metrics)
 		// Restore before seeding: active alarms stay active through the
-		// seed replay (which cannot emit transitions — see seedWatch).
+		// seed replay, which goes through Watch.Seed and so cannot emit
+		// transitions.
 		w.RestoreAlarms(rec.Alarms)
-		if err := seedWatch(w, ds, rec.Spec); err != nil {
+		if err := drift.SeedDataset(w, ds, nil); err != nil {
 			return fmt.Errorf("monitor %q: %w", id, err)
 		}
 		s.monitors[id] = &serverMonitor{watch: w, hub: drift.NewHub()}
@@ -149,15 +108,14 @@ func (s *Server) handleCreateMonitor(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.monitors[spec.ID]; dup {
-		writeErr(w, http.StatusConflict, fmt.Errorf("monitor %q already exists", spec.ID))
-		return
-	}
-	ds, ok := s.datasets[spec.Dataset]
-	if !ok {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("dataset %q not found", spec.Dataset))
+	// Seed without the server lock: a seed is O(rows) and every dataset
+	// lookup takes that lock. The checks are repeated under it below.
+	s.mu.RLock()
+	code, err := s.refuseMonitor(spec)
+	ds := s.datasets[spec.Dataset]
+	s.mu.RUnlock()
+	if err != nil {
+		writeErr(w, code, err)
 		return
 	}
 	watch, err := drift.NewWatch(ds.Schema(), spec)
@@ -166,11 +124,19 @@ func (s *Server) handleCreateMonitor(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	watch.SetMetrics(s.metrics)
-	if err := seedWatch(watch, ds, spec); err != nil {
+	if err := drift.SeedDataset(watch, ds, s.seedEach); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	m := &serverMonitor{watch: watch, hub: drift.NewHub()}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// Another create may have taken the id meanwhile, or a delete the
+	// dataset, which the delete guard allows while no monitor names it.
+	if code, err := s.refuseMonitor(spec); err != nil {
+		writeErr(w, code, err)
+		return
+	}
 	if err := s.persistMonitor(m); err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
@@ -178,6 +144,19 @@ func (s *Server) handleCreateMonitor(w http.ResponseWriter, r *http.Request) {
 	s.monitors[spec.ID] = m
 	s.syncMonitorGauge()
 	writeJSON(w, http.StatusCreated, monitorStatus{Status: watch.Status(), Dataset: spec.Dataset})
+}
+
+// refuseMonitor returns the status and error that refuse a create of
+// spec: 409 while a monitor holds its id, 404 while its dataset is
+// missing. Callers hold s.mu.
+func (s *Server) refuseMonitor(spec drift.Spec) (int, error) {
+	if _, dup := s.monitors[spec.ID]; dup {
+		return http.StatusConflict, fmt.Errorf("monitor %q already exists", spec.ID)
+	}
+	if _, ok := s.datasets[spec.Dataset]; !ok {
+		return http.StatusNotFound, fmt.Errorf("dataset %q not found", spec.Dataset)
+	}
+	return 0, nil
 }
 
 func (s *Server) handleListMonitors(w http.ResponseWriter, r *http.Request) {

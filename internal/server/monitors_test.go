@@ -2,12 +2,15 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -189,6 +192,101 @@ func TestMonitorLifecycle(t *testing.T) {
 	if resp, err := http.DefaultClient.Do(req); err != nil || resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("dataset delete after monitor removed: %v %d", err, resp.StatusCode)
 	}
+}
+
+// TestMonitorSeedOutsideLock holds a monitor create inside its dataset
+// seed and checks that the server keeps answering meanwhile: a dataset
+// lookup, another create of the same id and a dataset delete all go
+// through, and the held create then answers 409 for the taken id, or
+// 404 for the deleted dataset.
+func TestMonitorSeedOutsideLock(t *testing.T) {
+	db, err := store.Open(filepath.Join(t.TempDir(), "srv.db"), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	var hold atomic.Bool
+	seeding, release := make(chan struct{}), make(chan struct{})
+	s, err := New(db, func(s *Server) {
+		s.seedEach = func(n int) {
+			if n == 1 && hold.CompareAndSwap(true, false) {
+				seeding <- struct{}{}
+				<-release
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	t.Cleanup(func() { // before ts.Close, which waits for a held create
+		select {
+		case release <- struct{}{}:
+		default:
+		}
+	})
+	uploadDataset(t, ts, "workers", 120)
+	client := &http.Client{Timeout: 10 * time.Second}
+
+	// heldCreate starts a create of id that stops after its first seeded
+	// row, and returns the channel its status arrives on.
+	heldCreate := func(id string) <-chan int {
+		raw, err := json.Marshal(e2eMonitorSpec(id, "workers"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hold.Store(true)
+		status := make(chan int, 1)
+		go func() {
+			resp, err := client.Post(ts.URL+"/v1/monitors", "application/json", bytes.NewReader(raw))
+			if err != nil {
+				status <- -1
+				return
+			}
+			resp.Body.Close()
+			status <- resp.StatusCode
+		}()
+		<-seeding
+		return status
+	}
+	do := func(method, path string, want int) {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s while a create seeds: %v", method, path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("%s %s while a create seeds: status %d, want %d", method, path, resp.StatusCode, want)
+		}
+	}
+
+	first := heldCreate("held")
+	do(http.MethodGet, "/v1/datasets", http.StatusOK)
+	createMonitor(t, ts, e2eMonitorSpec("held", "workers"))
+	select {
+	case code := <-first:
+		t.Fatalf("held create answered %d before its seed was released", code)
+	default:
+	}
+	release <- struct{}{}
+	if code := <-first; code != http.StatusConflict {
+		t.Fatalf("held create after another took its id: status %d, want 409", code)
+	}
+
+	second := heldCreate("orphan")
+	do(http.MethodDelete, "/v1/monitors/held", http.StatusNoContent)
+	do(http.MethodDelete, "/v1/datasets/workers", http.StatusNoContent)
+	release <- struct{}{}
+	if code := <-second; code != http.StatusNotFound {
+		t.Fatalf("held create after its dataset was deleted: status %d, want 404", code)
+	}
+	do(http.MethodGet, "/v1/monitors/orphan", http.StatusNotFound)
 }
 
 func TestMonitorCreateValidation(t *testing.T) {

@@ -112,6 +112,10 @@ type Server struct {
 	// jobExecWrap, when non-nil, wraps the job executor — a seam for
 	// crash/recovery tests to gate or observe runs.
 	jobExecWrap func(jobs.Executor) jobs.Executor
+	// seedEach, when non-nil, is called after each row a new monitor's
+	// seed joins (drift.SeedDataset's each) — a seam for tests to hold a
+	// create mid-seed.
+	seedEach func(n int)
 
 	// snaps owns the columnar snapshot files backing every registered
 	// dataset, named by content digest; the WAL holds only name refs (see
