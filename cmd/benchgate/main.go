@@ -48,6 +48,8 @@ type gate struct {
 var gates = []gate{
 	// The always-on metrics path within 5% of no telemetry; span tracing,
 	// whose per-span cost the small audit magnifies, within 30% (DESIGN §7).
+	// The three arms run as off, metrics, trace, trace, metrics, off in
+	// every round: ABBA order for each pair.
 	{"telemetry-metrics", run{"./internal/core", "BenchmarkTelemetryOverhead", "2000x", 7}, "telemetry=off", "telemetry=metrics", 5},
 	{"telemetry-trace", run{"./internal/core", "BenchmarkTelemetryOverhead", "2000x", 7}, "telemetry=off", "telemetry=trace", 30},
 	// The exact average at least 10x faster than the pair fill (§9).

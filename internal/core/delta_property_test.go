@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -29,7 +30,7 @@ func quickDataset(n int, seed uint64) (*dataset.Dataset, error) {
 // configurations (binned and Exact, serial and parallel, with and without
 // the min-size guard), the incrementally maintained average of every
 // intermediate state — balanced probes, unbalanced groupings, and
-// replaceFirst merges — agrees with a from-scratch AvgPairwise evaluation
+// merged groups — agrees with a from-scratch AvgPairwise evaluation
 // of its parts, mapped back to worker rows, to 1e-12.
 func TestQuickIncrementalDelta(t *testing.T) {
 	prop := func(seed uint64, exact bool, minSize uint8) bool {
@@ -52,7 +53,7 @@ func TestQuickIncrementalDelta(t *testing.T) {
 			return false
 		}
 		close := func(got, want float64) bool { return math.Abs(got-want) <= 1e-12 }
-		ref := func(s *matState) float64 { return refAvg(refEval, e.rows.workerParts(s.parts)) }
+		ref := func(s *matState) float64 { return refAvg(refEval, e.workerParts(s.parts)) }
 
 		r := rng.New(seed ^ 0x9E3779B9)
 		attrs := e.Attrs()
@@ -80,8 +81,8 @@ func TestQuickIncrementalDelta(t *testing.T) {
 			if !close(children.avg, ref(children)) {
 				return false
 			}
-			merged := g.replaceFirst(children)
-			if !close(merged.avg, ref(merged)) {
+			merged := &matState{e: e, parts: append(slices.Clone(children.parts), g.parts[1:]...)}
+			if !close(g.mergedAvg(children), ref(merged)) {
 				return false
 			}
 		}

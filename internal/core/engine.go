@@ -10,13 +10,18 @@ import (
 
 // This file implements the search states of the partitioning algorithms.
 // A matState is one partitioning under evaluation: its parts, their
-// representations (reps), and its average pairwise distance. Every
-// search step is a scatter (scatterAll: split every part
-// on a candidate attribute, deriving the children's representations in
-// the same single pass over the parent's rows, partition.SplitCodes over
-// the row space of rows.go) followed by one average of the new state
-// (average.go). The unbalanced recursion builds its current and merged
-// groups as part lists (group, replaceFirst) and averages each.
+// representations (reps), and its average pairwise distance. A search
+// step with one candidate is a scatter (scatterAll: split every part on
+// an attribute, deriving the children's representations in the same
+// single pass over the parent's rows, partition.SplitCodes over the row
+// space of rows.go) followed by one average of the new state (average.go).
+// The greedy choice scores each candidate attribute in binned mode by
+// counting instead (countAll: per-value bin counts and sizes, no index
+// lists); the state it returns has the reps and the average of its best
+// split, and builds its parts only when the search keeps it (built). The
+// unbalanced recursion regroups a state around one part (group) and
+// averages a group with its first part replaced by that part's children
+// (mergedAvg).
 //
 // A state keeps no distances. Its average depends only on its reps (and,
 // on the pair path, their order), so it is the same at every
@@ -26,6 +31,9 @@ type matState struct {
 	parts []*partition.Partition
 	reps  []*rep
 	avg   float64
+	// pending, when non-nil, is the counted split the state stands for:
+	// parts is nil until built scatters it.
+	pending *countedSplit
 	// ctx, when non-nil, lets long evaluation loops stop early on
 	// cancellation. Derived states inherit it. A cancelled probe returns a
 	// state whose numbers must not be consulted; the algorithm layer checks
@@ -140,6 +148,135 @@ func (e *Evaluator) scatterSplit(r *rep, p *partition.Partition, attr int) ([]*p
 	return children, reps
 }
 
+// A countedSplit is a split of every part of a binned state on attr,
+// counted but not scattered: the reps and the average the scattered state
+// would have, in its part order. kids[i] is the number of children
+// parents[i] splits into, 0 when a MinPartitionSize keep-whole leaves it
+// as it is.
+type countedSplit struct {
+	attr    int
+	parents []*partition.Partition
+	kids    []int32
+	reps    []*rep
+	avg     float64
+}
+
+// countAll counts the split of every part of a binned state on attr (one
+// probe): a pass over each part's rows adds their weights into per-value
+// bin counts and sizes, and the keep-whole and single-value rules of
+// scatterSplit are decided from those sizes. The children get the reps
+// scatterSplit would build, from the same integer counts, and a part that
+// keeps its content keeps its rep. No index list or Partition is built;
+// the state of the split that is kept builds them (built). ctx carries
+// the caller's span.
+func (s *matState) countAll(ctx context.Context, attr int) *countedSplit {
+	e := s.e
+	e.tel.probes.Inc()
+	_, ssp := telemetry.StartSpan(ctx, "split")
+	defer ssp.End()
+	rs, bins, minSize := e.rows, e.cfg.Bins, int32(e.cfg.MinPartitionSize)
+	card := e.ds.Schema().Protected[attr].Cardinality()
+	codes := rs.codes[attr]
+	// Row v of tab counts one part's rows of value v: bins bin counts,
+	// then the value's size. A row is cleared after each part where the
+	// value occurs.
+	stride := bins + 1
+	tab := make([]int32, card*stride)
+	// A part has at most min(card, rows) children.
+	most := 0
+	for _, p := range s.parts {
+		most += min(card, len(p.Indices))
+	}
+	c := &countedSplit{attr: attr, parents: s.parts, kids: make([]int32, len(s.parts)), reps: make([]*rep, 0, most)}
+	counts := make([]float64, 0, most*bins) // the new children's bin counts
+	slots := make([]int, 0, most)           // the new children's indices in c.reps
+	for i, p := range s.parts {
+		if rs.weight == nil {
+			bin := e.bin
+			for _, r := range p.Indices {
+				row := tab[int(codes[r])*stride:]
+				row[bin[r]]++
+				row[bins]++
+			}
+		} else {
+			bin, weight := rs.bin, rs.weight
+			for _, r := range p.Indices {
+				row, w := tab[int(codes[r])*stride:], weight[r]
+				row[bin[r]] += w
+				row[bins] += w
+			}
+		}
+		occurring, small := 0, false
+		for v := bins; v < len(tab); v += stride {
+			if n := tab[v]; n > 0 {
+				occurring++
+				small = small || n < minSize
+			}
+		}
+		keep := small || occurring == 1
+		if keep {
+			// A keep-whole, or a single occurring value: the content is
+			// the parent's.
+			c.reps = append(c.reps, s.reps[i])
+		}
+		if !small {
+			c.kids[i] = int32(occurring)
+		}
+		for lo := 0; lo < len(tab); lo += stride {
+			row := tab[lo : lo+stride]
+			if row[bins] == 0 {
+				continue
+			}
+			if !keep {
+				for _, x := range row[:bins] {
+					counts = append(counts, float64(x))
+				}
+				slots = append(slots, len(c.reps))
+				c.reps = append(c.reps, nil)
+			}
+			clear(row)
+		}
+	}
+	fresh := make([]rep, len(slots))
+	first := e.reps.Add(uint32(len(slots))) - uint32(len(slots))
+	for j, at := range slots {
+		fresh[j] = rep{id: first + uint32(j), data: e.payload(counts[j*bins : (j+1)*bins : (j+1)*bins])}
+		c.reps[at] = &fresh[j]
+	}
+	ssp.SetInt("parents", int64(len(s.parts)))
+	ssp.SetInt("parts", int64(len(c.reps)))
+	return c
+}
+
+// counted returns the state of c: its reps and average, with its parts
+// left to built.
+func (s *matState) counted(c *countedSplit) *matState {
+	return &matState{e: s.e, reps: c.reps, avg: c.avg, ctx: s.ctx, pending: c}
+}
+
+// built returns s with its parts: a counted state scatters its split once,
+// every part with children split on the counted attribute by
+// partition.SplitCodes, whose children come in the counted order,
+// ascending value, and a kept-whole part kept as it is. Any other state
+// is returned as it is.
+func (s *matState) built() *matState {
+	c := s.pending
+	if c == nil {
+		return s
+	}
+	card := s.e.ds.Schema().Protected[c.attr].Cardinality()
+	s.parts = make([]*partition.Partition, 0, len(c.reps))
+	for i, p := range c.parents {
+		if c.kids[i] == 0 {
+			s.parts = append(s.parts, p)
+			continue
+		}
+		s.parts = append(s.parts, partition.SplitCodes(s.e.rows.codes[c.attr], card, p, c.attr, nil)...)
+	}
+	s.pending = nil
+	return s
+}
+
 // startProbe opens a candidate's "probe" span under ctx, the parent of its
 // split and emd spans.
 func startProbe(ctx context.Context, attr int) (context.Context, *telemetry.Span) {
@@ -191,8 +328,10 @@ func (s *matState) single(x int) *matState {
 }
 
 // group reorders the state to put part x first — the grouping a child
-// node of the unbalanced recursion evaluates against its local siblings —
-// and averages it in that order.
+// node of the unbalanced recursion evaluates against its local siblings.
+// Under the exact identity the average depends only on the multiset of
+// reps, which the reordering keeps, so it is s's own; the pair path sums
+// in pair order and averages the group again.
 func (s *matState) group(x int) *matState {
 	k := len(s.parts)
 	ns := &matState{
@@ -203,23 +342,20 @@ func (s *matState) group(x int) *matState {
 	}
 	ns.parts = append(append(append(ns.parts, s.parts[x]), s.parts[:x]...), s.parts[x+1:]...)
 	ns.reps = append(append(append(ns.reps, s.reps[x]), s.reps[:x]...), s.reps[x+1:]...)
-	ns.avg = s.e.average(s.ctx, ns.reps, s.e.cfg.Parallelism)
+	if s.e.ident {
+		ns.avg = s.avg
+	} else {
+		ns.avg = s.e.average(s.ctx, ns.reps, s.e.cfg.Parallelism)
+	}
 	return ns
 }
 
-// replaceFirst evaluates replacing part 0 of the group with the given
-// children state (as produced by probing part 0 alone): the result is
-// ordered [children..., siblings...] and averaged in that order.
-func (s *matState) replaceFirst(children *matState) *matState {
-	nk := len(children.parts) + len(s.parts) - 1
-	ns := &matState{
-		e:     s.e,
-		parts: make([]*partition.Partition, 0, nk),
-		reps:  make([]*rep, 0, nk),
-		ctx:   s.ctx,
-	}
-	ns.parts = append(append(ns.parts, children.parts...), s.parts[1:]...)
-	ns.reps = append(append(ns.reps, children.reps...), s.reps[1:]...)
-	ns.avg = s.e.average(s.ctx, ns.reps, s.e.cfg.Parallelism)
-	return ns
+// mergedAvg is the average of the group with part 0 replaced by the given
+// children (as produced by choosing a split of part 0 alone): the reps
+// ordered [children..., siblings...] and averaged in that order. It needs
+// the children's reps only, not their parts.
+func (s *matState) mergedAvg(children *matState) float64 {
+	reps := make([]*rep, 0, len(children.reps)+len(s.reps)-1)
+	reps = append(append(reps, children.reps...), s.reps[1:]...)
+	return s.e.average(s.ctx, reps, s.e.cfg.Parallelism)
 }

@@ -36,12 +36,18 @@ type Config struct {
 	// Metric selects the histogram distance; MetricEMD (the paper's
 	// choice) by default. Non-EMD metrics ignore Ground.
 	Metric emd.Metric
-	// Parallelism bounds the goroutines used for candidate-attribute
-	// scans and large pairwise-distance computations. Defaults to
-	// GOMAXPROCS. 1 forces serial evaluation. Results are bit-identical
-	// at every parallelism level: the exact average has no order, and the
+	// Parallelism bounds the goroutines used for the per-worker passes
+	// (NewEvaluator's scoring and binning, and the count behind the
+	// collapsed rows), candidate-attribute scans and large
+	// pairwise-distance computations.
+	// Defaults to GOMAXPROCS. 1 forces serial evaluation. Results are
+	// bit-identical at every parallelism level: each per-worker pass
+	// splits the workers into contiguous blocks that write only their own
+	// slots or integer counts, the exact average has no order, and the
 	// pair path computes distances concurrently but always reduces them
-	// in canonical pair order.
+	// in canonical pair order. Only a scoring.BlockScorer is called from
+	// several goroutines; any other scoring function is called from one,
+	// in worker order.
 	Parallelism int
 	// MinPartitionSize blocks splits that would create a partition with
 	// fewer workers than this, both to protect against sampling noise in
@@ -110,18 +116,25 @@ type Evaluator struct {
 }
 
 // scoreBlock is the number of workers a binned NewEvaluator scores per
-// pass into its one reused buffer: 32 KB, so each block is binned while
-// it is still in the first-level cache.
+// pass into a reused buffer: 32 KB, so each block is binned while it is
+// still in the first-level cache. The per-worker passes split the workers
+// into runs of whole blocks, one run per goroutine (parRuns).
 const scoreBlock = 4096
+
+// minRun is the fewest workers a per-worker pass gives a goroutine of its
+// own. Scoring 8,192 workers in two runs took longer than in one, and
+// 32,768 in two runs 0.8 of one, on a 2-vCPU host (BenchmarkIngest's
+// population).
+const minRun = 4 * scoreBlock
 
 // NewEvaluator scores every worker once under f and returns an Evaluator.
 // In binned mode it keeps only each worker's histogram bin, scoring block
-// by block into one buffer; the float score column is built again on
-// first use of Scores or Histogram. Exact mode keeps the score column.
-// The scoring function must return values in [0,1]; finite out-of-range
-// values are clamped into the edge bins by the histogram, and a NaN or
-// ±Inf score is an error naming the lowest-index such worker, in every
-// mode.
+// by block into a buffer per goroutine; the float score column is built
+// again on first use of Scores or Histogram. Exact mode keeps the score
+// column. The scoring function must return values in [0,1]; finite
+// out-of-range values are clamped into the edge bins by the histogram,
+// and a NaN or ±Inf score is an error naming the lowest-index such worker,
+// in every mode and at every parallelism.
 func NewEvaluator(ds *dataset.Dataset, f scoring.Func, cfg Config) (*Evaluator, error) {
 	if ds == nil || ds.N() == 0 {
 		return nil, fmt.Errorf("core: empty dataset")
@@ -136,24 +149,37 @@ func NewEvaluator(ds *dataset.Dataset, f scoring.Func, cfg Config) (*Evaluator, 
 		cfg: cfg,
 		tel: newEngineMetrics(cfg.Metrics),
 	}
+	n := ds.N()
+	workers := cfg.Parallelism
+	if _, ok := f.(scoring.BlockScorer); !ok {
+		workers = 1
+	}
+	var err error
 	if cfg.Exact {
-		e.scores = scoring.Scores(ds, f)
-		if err := checkFinite(ds, f, 0, e.scores); err != nil {
-			return nil, err
-		}
-	} else {
-		n := ds.N()
-		e.bin = make([]int32, n)
-		buf := make([]float64, min(n, scoreBlock))
-		h := histogram.MustNew(cfg.Bins, 0, 1)
-		for lo := 0; lo < n; lo += len(buf) {
-			blk := buf[:min(len(buf), n-lo)]
+		e.scores = make([]float64, n)
+		err = parRuns(n, minRun, workers, func(_, lo, hi int) error {
+			blk := e.scores[lo:hi]
 			scoring.ScoreInto(ds, f, lo, blk)
-			if err := checkFinite(ds, f, lo, blk); err != nil {
-				return nil, err
+			return checkFinite(ds, f, lo, blk)
+		})
+	} else {
+		e.bin = make([]int32, n)
+		h := histogram.MustNew(cfg.Bins, 0, 1)
+		err = parRuns(n, minRun, workers, func(_, lo, hi int) error {
+			buf := make([]float64, min(hi-lo, scoreBlock))
+			for ; lo < hi; lo += len(buf) {
+				blk := buf[:min(len(buf), hi-lo)]
+				scoring.ScoreInto(ds, f, lo, blk)
+				if err := checkFinite(ds, f, lo, blk); err != nil {
+					return err
+				}
+				h.BinIndices(blk, e.bin[lo:])
 			}
-			h.BinIndices(blk, e.bin[lo:])
-		}
+			return nil
+		})
+	}
+	if err != nil {
+		return nil, err
 	}
 	switch cfg.Ground {
 	case emd.GroundIndex:
@@ -165,6 +191,39 @@ func NewEvaluator(ds *dataset.Dataset, f scoring.Func, cfg Config) (*Evaluator, 
 	}
 	e.den, e.ident = identityDenominator(cfg)
 	return e, nil
+}
+
+// parRuns splits [0, n) into runs of whole scoring blocks, at most
+// workers of them and each at least least long, runs fn(run, lo, hi) on
+// each and returns the error of the lowest run that failed. Run 0 runs on
+// the calling goroutine, every other run in a goroutine of its own; one
+// run is fn(0, 0, n). The runs are contiguous and ascending, so a pass
+// whose runs each stop at their first failure reports the failure of the
+// lowest index, as a serial pass would.
+func parRuns(n, least, workers int, fn func(run, lo, hi int) error) error {
+	runs := max(1, min(workers, n/least))
+	if runs == 1 {
+		return fn(0, 0, n)
+	}
+	blocks := (n + scoreBlock - 1) / scoreBlock
+	bound := func(r int) int { return min(n, r*blocks/runs*scoreBlock) }
+	errs := make([]error, runs)
+	var wg sync.WaitGroup
+	for r := 1; r < runs; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[r] = fn(r, bound(r), bound(r+1))
+		}()
+	}
+	errs[0] = fn(0, 0, bound(1))
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // checkFinite returns an error naming the lowest-index worker of the

@@ -94,7 +94,7 @@ func exhaustiveWith(ctx context.Context, e *Evaluator, attrs []int, budget int, 
 	}
 	return &Result{
 		Algorithm:    name,
-		Partitioning: &partition.Partitioning{Parts: e.rows.workerParts(sp.kept())},
+		Partitioning: &partition.Partitioning{Parts: e.workerParts(sp.kept())},
 		Unfairness:   best,
 		Elapsed:      time.Since(start),
 	}, nil

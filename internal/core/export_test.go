@@ -42,7 +42,7 @@ func EachCandidate(ctx context.Context, e *Evaluator, name string, attrs []int, 
 	}
 	sp.each(func([]*rep) bool {
 		sp.keep()
-		return ctx.Err() == nil && visit(&partition.Partitioning{Parts: e.rows.workerParts(slices.Clone(sp.kept()))})
+		return ctx.Err() == nil && visit(&partition.Partitioning{Parts: e.workerParts(slices.Clone(sp.kept()))})
 	})
 	return ctx.Err()
 }

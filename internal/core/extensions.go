@@ -88,7 +88,7 @@ func Beam(e *Evaluator, attrs []int, width int) (*Result, error) {
 		}
 		frontier = next
 	}
-	res.Partitioning = &partition.Partitioning{Parts: e.rows.workerParts(best.st.parts)}
+	res.Partitioning = &partition.Partitioning{Parts: e.workerParts(best.st.parts)}
 	res.Unfairness = best.st.avg
 	res.Elapsed = time.Since(start)
 	return res, nil

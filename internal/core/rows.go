@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"fairrank/internal/dataset"
 	"fairrank/internal/partition"
 )
@@ -59,7 +61,7 @@ func (e *Evaluator) searchRows() *rowSpace {
 		switch {
 		case e.rows != nil:
 		case !e.cfg.Exact && e.ds.Cells().N() < e.ds.N():
-			e.rows = collapsedRows(e.ds.Cells(), e.bin, e.cfg.Bins)
+			e.rows = collapsedRows(e.ds.Cells(), e.bin, e.cfg.Bins, e.cfg.Parallelism)
 		default:
 			e.rows = workerRows(e.ds)
 		}
@@ -90,12 +92,13 @@ func workerRows(ds *dataset.Dataset) *rowSpace {
 // collapsedRows groups each cell's workers by histogram bin into weighted
 // rows, laid out cell by cell, in O(N) time and memory. When the dense
 // cells×bins count table has no more entries than there are workers, one
-// pass in worker order fills it (countRows); otherwise each cell's workers
-// are gathered through the cell index (gatherRows).
-func collapsedRows(cells *dataset.Cells, bin []int32, bins int) *rowSpace {
+// pass in worker order fills it (countRows, across up to workers
+// goroutines); otherwise each cell's workers are gathered through the cell
+// index (gatherRows).
+func collapsedRows(cells *dataset.Cells, bin []int32, bins, workers int) *rowSpace {
 	var rs *rowSpace
 	if cells.N() <= len(bin)/bins {
-		rs = countRows(cells.Of, cells.N(), bin, bins)
+		rs = countRows(cells.Of, cells.N(), bin, bins, workers)
 	} else {
 		rs = gatherRows(cells, bin, bins)
 	}
@@ -113,11 +116,24 @@ func collapsedRows(cells *dataset.Cells, bin []int32, bins int) *rowSpace {
 
 // countRows counts workers per (cell, bin) in a dense table filled in
 // worker order — sequential reads of both columns — and emits each cell's
-// occupied bins in ascending order.
-func countRows(of []int32, nc int, bin []int32, bins int) *rowSpace {
-	table := make([]int32, nc*bins)
-	for i, c := range of {
-		table[int(c)*bins+int(bin[i])]++
+// occupied bins in ascending order. Up to workers goroutines each count a
+// run of the workers into a table of their own, at least as many workers
+// as the table has entries, and the tables are summed as integers.
+func countRows(of []int32, nc int, bin []int32, bins, workers int) *rowSpace {
+	tables := make([][]int32, max(1, workers))
+	parRuns(len(of), max(minRun, nc*bins), workers, func(run, lo, hi int) error {
+		t := make([]int32, nc*bins)
+		for i, c := range of[lo:hi] {
+			t[int(c)*bins+int(bin[lo+i])]++
+		}
+		tables[run] = t
+		return nil
+	})
+	table := tables[0]
+	for _, t := range tables[1:] {
+		for x, w := range t {
+			table[x] += w
+		}
 	}
 	n := 0
 	for _, w := range table {
@@ -192,48 +208,128 @@ func (rs *rowSpace) size(p *partition.Partition) int {
 	return n
 }
 
-// workerParts maps disjoint search parts back to worker rows in one O(N)
-// pass: each part keeps its constraints and name and lists its workers in
+// workerParts maps disjoint search parts back to worker rows in O(N):
+// each part keeps its constraints and name and lists its workers in
 // ascending order, all parts carved from one exactly sized backing array
 // and each capacity-capped at its own end, as partition.SplitObserve
 // builds children. Parts over worker rows are returned as they are.
-func (rs *rowSpace) workerParts(parts []*partition.Partition) []*partition.Partition {
+//
+// A part of at most mergeWays cells merges its cells' ascending worker
+// lists from the cell index (a part of one cell copies its list): reads
+// and writes in order, where placing every worker into ~1,800 parts'
+// slots took ~9 ns a worker at 1M, mostly address-translation misses.
+// The workers of the other parts are placed by one pass over the workers
+// in order. Both run on the calling goroutine: on two vCPUs, merges split
+// across two goroutines took as long, and a pass split into runs took
+// longer than one pass once it had to count each run's workers first.
+func (e *Evaluator) workerParts(parts []*partition.Partition) []*partition.Partition {
+	rs := e.rows
 	if rs.cell == nil {
 		return parts
 	}
-	cell, weight := rs.cell, rs.weight
-	partOf := make([]int32, rs.cells.N())
+	cell, weight, cells := rs.cell, rs.weight, rs.cells
+	// start[k] is part k's first slot, start[len(parts)] the total;
+	// lists[first[k]:first[k+1]] are part k's cells when it merges them,
+	// and partOf[c] is the part of cell c when the pass places it, -1
+	// otherwise.
+	start := make([]int, len(parts)+1)
+	first := make([]int, len(parts)+1)
+	lists := make([]int32, 0, min(cells.N(), (mergeWays+1)*len(parts)))
+	partOf := make([]int32, cells.N())
 	for c := range partOf {
 		partOf[c] = -1
 	}
-	// end[k] counts part k's workers, then becomes its next free slot.
-	end := make([]int, len(parts))
+	placed := false
 	for k, p := range parts {
-		size := 0
+		size, n := 0, 0
 		for _, r := range p.Indices {
-			partOf[cell[r]] = int32(k)
 			size += int(weight[r])
+			c := cell[r]
+			partOf[c] = int32(k)
+			// A part's rows come cell by cell, as the row space lays them
+			// out; listing stops past mergeWays cells.
+			if n <= mergeWays && (n == 0 || lists[len(lists)-1] != c) {
+				lists = append(lists, c)
+				n++
+			}
 		}
-		end[k] = size
+		start[k+1] = start[k] + size
+		if n <= mergeWays && cellsHold(cells, lists[first[k]:], size) {
+			for _, c := range lists[first[k]:] {
+				partOf[c] = -1
+			}
+		} else {
+			lists, placed = lists[:first[k]], true
+		}
+		first[k+1] = len(lists)
 	}
-	total := 0
-	for k, size := range end {
-		end[k] = total
-		total += size
+	backing := make([]int, start[len(parts)])
+	for k := range parts {
+		if first[k] < first[k+1] {
+			mergeCells(backing[start[k]:start[k+1]], cells, lists[first[k]:first[k+1]])
+		}
 	}
-	backing := make([]int, total)
-	for i, c := range rs.cells.Of {
-		if k := partOf[c]; k >= 0 {
-			backing[end[k]] = i
-			end[k]++
+	if placed {
+		next := slices.Clone(start)
+		for i, c := range cells.Of {
+			if k := partOf[c]; k >= 0 {
+				backing[next[k]] = i
+				next[k]++
+			}
 		}
 	}
 	out := make([]*partition.Partition, len(parts))
-	lo := 0
 	for k, p := range parts {
-		hi := end[k]
+		lo, hi := start[k], start[k+1]
 		out[k] = &partition.Partition{Constraints: p.Constraints, Name: p.Name, Indices: backing[lo:hi:hi]}
-		lo = hi
 	}
 	return out
+}
+
+// cellsHold reports whether the cells hold size workers between them: so
+// they do when each of a part's cells was listed once. A part whose rows
+// did not come cell by cell lists a cell twice and is left to the pass.
+func cellsHold(cells *dataset.Cells, cs []int32, size int) bool {
+	n := 0
+	for _, c := range cs {
+		n += int(cells.Start[c+1] - cells.Start[c])
+	}
+	return n == size
+}
+
+// mergeWays is the most cells a part may have for workerParts to merge
+// their lists: each of its workers costs a scan of the lists' heads,
+// against the pass over every worker that places the other parts.
+const mergeWays = 16
+
+// mergeCells writes the workers of the given cells, at most mergeWays of
+// them, into dst in ascending order, merging the cells' ascending lists
+// from the cell index.
+func mergeCells(dst []int, cells *dataset.Cells, lists []int32) {
+	var next, end [mergeWays]int32
+	for j, c := range lists {
+		next[j], end[j] = cells.Start[c], cells.Start[c+1]
+	}
+	rows, ways := cells.Rows, len(lists)
+	for i := 0; i < len(dst); i++ {
+		if ways == 1 {
+			// One list left: the rest of dst is its rest.
+			for j, w := range rows[next[0]:end[0]] {
+				dst[i+j] = int(w)
+			}
+			return
+		}
+		best := 0
+		for j := 1; j < ways; j++ {
+			if rows[next[j]] < rows[next[best]] {
+				best = j
+			}
+		}
+		dst[i] = int(rows[next[best]])
+		if next[best]++; next[best] == end[best] {
+			// The list is spent: the last one takes its place.
+			ways--
+			next[best], end[best] = next[ways], end[ways]
+		}
+	}
 }

@@ -35,7 +35,7 @@ func rowScatter(e *Evaluator) *Evaluator {
 // the engine would search workers (every worker its own cell), so the
 // differential exercises the collapse on that population too.
 func forceCollapse(e *Evaluator) *Evaluator {
-	e.rows = collapsedRows(e.ds.Cells(), e.bin, e.cfg.Bins)
+	e.rows = collapsedRows(e.ds.Cells(), e.bin, e.cfg.Bins, e.cfg.Parallelism)
 	return e
 }
 
@@ -429,10 +429,10 @@ func TestCollapsedRowsMatchOracle(t *testing.T) {
 			want := rowTuples(collapsedRowsOracle(cells, binIdx, bins))
 			dense := cells.N() <= pop.ds.N()/bins
 			selected[dense]++
-			rs := collapsedRows(cells, e.bin, bins)
+			rs := collapsedRows(cells, e.bin, bins, e.cfg.Parallelism)
 			builds := map[string]*rowSpace{"selected": rs, "gather": gatherRows(cells, e.bin, bins)}
 			if cells.N()*bins <= 1<<20 {
-				builds["count"] = countRows(cells.Of, cells.N(), e.bin, bins)
+				builds["count"] = countRows(cells.Of, cells.N(), e.bin, bins, e.cfg.Parallelism)
 			}
 			for name, b := range builds {
 				if got := rowTuples(b); !slices.Equal(got, want) {
@@ -523,11 +523,14 @@ func BenchmarkDistinctCells(b *testing.B) {
 	}
 }
 
-// BenchmarkIngest measures what a fresh binned audit pays before its first
-// probe: scoring every worker into its bin (NewEvaluator) and building the
-// collapsed rows, over a population with the paper's 1800 protected cells
-// at paper scale and at 1M workers. The cell grouping is cached on the
-// dataset, as it is on a served one, so it is built before the clock.
+// BenchmarkIngest measures a fresh binned audit, over a random population
+// of the paper's protected schema at paper scale and at 1M workers. The
+// rows arms time what the audit pays before its first probe: scoring every
+// worker into its bin (NewEvaluator) and, with rows=true, building the
+// collapsed rows. The a= arms time the whole audit of each heuristic
+// through Run: the evaluator, the search and the map back to worker rows.
+// The cell grouping is cached on the dataset, as it is on a served one, so
+// it is built before the clock.
 func BenchmarkIngest(b *testing.B) {
 	schema := &dataset.Schema{
 		Protected: []dataset.Attribute{
@@ -565,6 +568,7 @@ func BenchmarkIngest(b *testing.B) {
 		ds.Cells()
 		for _, rows := range []bool{false, true} {
 			b.Run(fmt.Sprintf("n=%d/rows=%v", n, rows), func(b *testing.B) {
+				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					e, err := NewEvaluator(ds, f, Config{Bins: 10})
 					if err != nil {
@@ -572,6 +576,16 @@ func BenchmarkIngest(b *testing.B) {
 					}
 					if rows {
 						e.searchRows()
+					}
+				}
+			})
+		}
+		for _, alg := range []string{"balanced", "all-attributes", "unbalanced"} {
+			b.Run(fmt.Sprintf("n=%d/a=%s", n, alg), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := Run(context.Background(), Spec{Algorithm: alg, Dataset: ds, Func: f, Config: Config{Bins: 10}}); err != nil {
+						b.Fatal(err)
 					}
 				}
 			})

@@ -181,6 +181,12 @@ func TestTelemetryIdenticalResults(t *testing.T) {
 //     -telemetry-json diagnostic path. Spans cost two clock reads and a
 //     few allocations each, which a deliberately tiny benchmark audit
 //     makes visible; gated loosely to catch regressions only.
+//
+// The arms run in the order off, metrics, trace, trace, metrics, off: the
+// ABBA order of BenchmarkDriftAlarm for each gated pair, so the k-th off
+// run and the k-th run of either candidate are paired with each arm first
+// as often as second, and an advantage for whichever runs later cancels
+// instead of biasing the ratio.
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	ds := randomDataset(b, 4000, 21)
 	audit := func(b *testing.B, reg *telemetry.Registry, trace bool) {
@@ -201,7 +207,13 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			tr.Finish()
 		}
 	}
-	b.Run("telemetry=off", func(b *testing.B) { audit(b, nil, false) })
-	b.Run("telemetry=metrics", func(b *testing.B) { audit(b, telemetry.NewRegistry(), false) })
-	b.Run("telemetry=trace", func(b *testing.B) { audit(b, telemetry.NewRegistry(), true) })
+	off := func(b *testing.B) { audit(b, nil, false) }
+	metrics := func(b *testing.B) { audit(b, telemetry.NewRegistry(), false) }
+	trace := func(b *testing.B) { audit(b, telemetry.NewRegistry(), true) }
+	b.Run("order=abc/telemetry=off", off)
+	b.Run("order=abc/telemetry=metrics", metrics)
+	b.Run("order=abc/telemetry=trace", trace)
+	b.Run("order=cba/telemetry=trace", trace)
+	b.Run("order=cba/telemetry=metrics", metrics)
+	b.Run("order=cba/telemetry=off", off)
 }

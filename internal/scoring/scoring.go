@@ -149,7 +149,11 @@ func (l *Linear) ScoreColumn(ds *dataset.Dataset) []float64 {
 // block directly (for snapshot-backed datasets these are the mapped
 // blocks — no per-row accessor, no copy). Per row it accumulates terms in
 // the same sorted order and with the same rounding as Score, so the
-// result is bit-identical to calling Score for every worker.
+// result is bit-identical to calling Score for every worker: normalize
+// and clamp01 written out, with the range's width computed once per
+// attribute. A term over an empty range adds +0, which changes no sum of
+// these non-negative terms, so it is skipped. ScoreBlock writes only out,
+// so it is safe to call concurrently on disjoint blocks.
 func (l *Linear) ScoreBlock(ds *dataset.Dataset, lo int, out []float64) {
 	clear(out)
 	schema := ds.Schema()
@@ -162,13 +166,28 @@ func (l *Linear) ScoreBlock(ds *dataset.Dataset, lo int, out []float64) {
 			continue
 		}
 		def := schema.Observed[a]
+		if !(def.Max > def.Min) {
+			continue
+		}
+		min, width, w := def.Min, def.Max-def.Min, t.w
 		col := ds.ObservedColumn(a)[lo : lo+len(out)]
+		out := out[:len(col)]
 		for i, v := range col {
-			out[i] += float64(t.w * normalize(v, def.Min, def.Max))
+			x := (v - min) / width
+			if !(x >= 0) { // NaN too
+				x = 0
+			} else if x > 1 {
+				x = 1
+			}
+			out[i] += float64(w * x)
 		}
 	}
 	for i, v := range out {
-		out[i] = clamp01(v)
+		if !(v >= 0) {
+			out[i] = 0
+		} else if v > 1 {
+			out[i] = 1
+		}
 	}
 }
 
@@ -206,8 +225,11 @@ func clamp01(v float64) float64 {
 
 // BlockScorer is implemented by scoring functions that can score a
 // contiguous block of workers in fused columnar passes. Implementations
-// must be bit-identical to row-at-a-time Score evaluation; ScoreInto
-// prefers this path when available.
+// must be bit-identical to row-at-a-time Score evaluation, and safe to
+// call concurrently on disjoint blocks: the engine scores a large
+// population's blocks on several goroutines at once (core.Config's
+// Parallelism), while it calls any other Func from one goroutine, in
+// worker order. ScoreInto prefers this path when available.
 type BlockScorer interface {
 	ScoreBlock(ds *dataset.Dataset, lo int, out []float64)
 }

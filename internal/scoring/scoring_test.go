@@ -327,3 +327,51 @@ func TestScoreIntoMatchesScore(t *testing.T) {
 		}
 	}
 }
+
+// ScoreBlock gives Score's bits at the edges of each attribute's range:
+// values exactly at Min and Max, one ulp inside and outside, far outside,
+// and −0 where Min is 0, in blocks that split them unevenly.
+func TestScoreBlockRangeEdges(t *testing.T) {
+	schema := &dataset.Schema{
+		Protected: []dataset.Attribute{dataset.Cat("Gender", "Male", "Female")},
+		Observed: []dataset.Attribute{
+			dataset.Num("Unit", 0, 1, 1), dataset.Num("Rate", 25, 100, 1), dataset.Num("Shifted", -3, 7.5, 1),
+		},
+	}
+	var vals [][3]float64
+	for _, a := range schema.Observed {
+		for _, v := range []float64{a.Min, a.Max, math.Nextafter(a.Min, math.Inf(1)), math.Nextafter(a.Min, math.Inf(-1)),
+			math.Nextafter(a.Max, math.Inf(1)), math.Nextafter(a.Max, math.Inf(-1)), a.Min - 1e6, a.Max + 1e6, (a.Min + a.Max) / 3} {
+			vals = append(vals, [3]float64{v, v, v})
+		}
+	}
+	vals = append(vals, [3]float64{math.Copysign(0, -1), 25, -3})
+	b := dataset.NewBuilder(schema)
+	for i, v := range vals {
+		b.Add(fmt.Sprintf("w%d", i), map[string]any{"Gender": "Male"}, map[string]any{"Unit": v[0], "Rate": v[1], "Shifted": v[2]})
+	}
+	ds, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, weights := range []map[string]float64{
+		{"Unit": 1}, {"Rate": 0.4, "Shifted": 0.6}, {"Unit": 0.2, "Rate": 0.3, "Shifted": 0.5},
+	} {
+		linear, err := NewLinear("edges", weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, size := range []int{1, 4, len(vals)} {
+			out := make([]float64, size)
+			for lo := 0; lo < ds.N(); lo += size {
+				blk := out[:min(size, ds.N()-lo)]
+				linear.ScoreBlock(ds, lo, blk)
+				for k, s := range blk {
+					if want := linear.Score(ds, lo+k); math.Float64bits(s) != math.Float64bits(want) {
+						t.Fatalf("%v, blocks of %d: worker %d scored %v, Score %v", weights, size, lo+k, s, want)
+					}
+				}
+			}
+		}
+	}
+}

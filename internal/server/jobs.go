@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 
@@ -335,5 +336,66 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	defer sub.Close()
 	serveSSE(w, r, sub, func(ev jobs.Event) (int64, string) {
 		return int64(ev.Seq), string(ev.Type)
-	})
+	}, appendJobEvent)
+}
+
+// appendJobEvent appends ev as encoding/json encodes a jobs.Event, without
+// reflection: the fields in declaration order, the empty ones left out,
+// strings escaped as encoding/json escapes them and AvgDistance in its
+// float format. Like encoding/json it refuses a NaN or infinite distance.
+func appendJobEvent(dst []byte, ev jobs.Event) ([]byte, error) {
+	dst = strconv.AppendInt(append(dst, `{"seq":`...), int64(ev.Seq), 10)
+	dst = appendJSONString(append(dst, `,"type":`...), string(ev.Type))
+	if ev.State != "" {
+		dst = appendJSONString(append(dst, `,"state":`...), string(ev.State))
+	}
+	if ev.Attempt != 0 {
+		dst = strconv.AppendInt(append(dst, `,"attempt":`...), int64(ev.Attempt), 10)
+	}
+	if ev.Error != "" {
+		dst = appendJSONString(append(dst, `,"error":`...), ev.Error)
+	}
+	if st := ev.Step; st != nil {
+		d := st.AvgDistance
+		if math.IsNaN(d) || math.IsInf(d, 0) {
+			return dst, fmt.Errorf("server: cannot encode the distance %v", d)
+		}
+		dst = strconv.AppendInt(append(dst, `,"step":{"Attribute":`...), int64(st.Attribute), 10)
+		dst = appendJSONFloat(append(dst, `,"AvgDistance":`...), d)
+		dst = strconv.AppendInt(append(dst, `,"Partitions":`...), int64(st.Partitions), 10)
+		dst = strconv.AppendBool(append(dst, `,"Accepted":`...), st.Accepted)
+		dst = append(dst, '}')
+	}
+	return append(dst, '}'), nil
+}
+
+// appendJSONString appends s quoted as encoding/json quotes it: as it is
+// when it holds only printable ASCII that needs no escape, through
+// jsonString otherwise.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return append(append(append(dst, '"'), jsonString(s)...), '"')
+		}
+	}
+	return append(append(append(dst, '"'), s...), '"')
+}
+
+// appendJSONFloat appends a finite f in encoding/json's float64 format:
+// the shortest representation, in exponent form below 1e-6 and from 1e21
+// on, with a one-digit negative exponent unpadded.
+func appendJSONFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		// e-09 becomes e-9.
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst
 }

@@ -311,5 +311,5 @@ func (s *Server) handleMonitorEventStream(w http.ResponseWriter, r *http.Request
 	defer sub.Close()
 	serveSSE(w, r, sub, func(ev drift.AlarmEvent) (int64, string) {
 		return ev.Seq, ev.Type
-	})
+	}, jsonData[drift.AlarmEvent])
 }

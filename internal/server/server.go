@@ -446,17 +446,18 @@ const sseFlushEvery = 5 * time.Millisecond
 // serveSSE streams a subscription as server-sent events: the replayed
 // history first, then live events until the log ends, a write fails or
 // the client goes away. Each event is framed as id/event/data, with frame
-// supplying the id and event name. Every pending event goes out in one
-// write and one flush: the first batch at once, later ones at most every
-// sseFlushEvery, and the batch that ends the stream at once.
-func serveSSE[E any](w http.ResponseWriter, r *http.Request, sub *eventlog.Sub[E], frame func(E) (id int64, event string)) {
+// supplying the id and event name and data appending the event's JSON
+// encoding. Every pending event goes out in one write and one flush: the
+// first batch at once, later ones at most every sseFlushEvery, and the
+// batch that ends the stream at once.
+func serveSSE[E any](w http.ResponseWriter, r *http.Request, sub *eventlog.Sub[E], frame func(E) (id int64, event string), data func([]byte, E) ([]byte, error)) {
 	rc := http.NewResponseController(w)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 	var (
-		buf     bytes.Buffer
-		enc     = json.NewEncoder(&buf)
+		buf     []byte
+		err     error
 		evs     []E
 		done    bool
 		last    time.Time // of the last flush; zero sends the first batch at once
@@ -469,19 +470,17 @@ func serveSSE[E any](w http.ResponseWriter, r *http.Request, sub *eventlog.Sub[E
 		evs, done = sub.Read(evs)
 		switch {
 		case done || pending == nil && (len(evs) > 0 || last.IsZero()) && time.Since(last) >= sseFlushEvery:
-			buf.Reset()
+			buf = buf[:0]
 			for _, ev := range evs {
 				id, event := frame(ev)
-				b := append(buf.AvailableBuffer(), "id: "...)
-				b = strconv.AppendInt(b, id, 10)
-				b = append(append(append(b, "\nevent: "...), event...), "\ndata: "...)
-				buf.Write(b)
-				if enc.Encode(ev) != nil { // Encode ends the data line
+				buf = strconv.AppendInt(append(buf, "id: "...), id, 10)
+				buf = append(append(append(buf, "\nevent: "...), event...), "\ndata: "...)
+				if buf, err = data(buf, ev); err != nil {
 					return
 				}
-				buf.WriteByte('\n')
+				buf = append(buf, "\n\n"...)
 			}
-			if _, err := w.Write(buf.Bytes()); err != nil || rc.Flush() != nil || done {
+			if _, err := w.Write(buf); err != nil || rc.Flush() != nil || done {
 				return
 			}
 			evs, last = evs[:0], time.Now()
@@ -497,6 +496,13 @@ func serveSSE[E any](w http.ResponseWriter, r *http.Request, sub *eventlog.Sub[E
 			return
 		}
 	}
+}
+
+// jsonData appends ev as encoding/json encodes it: the data of an event
+// whose shape has no hand-written encoder.
+func jsonData[E any](dst []byte, ev E) ([]byte, error) {
+	b, err := json.Marshal(ev)
+	return append(dst, b...), err
 }
 
 // Request body bounds; the peer protocol's is cluster.MaxMessageBytes. A

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -238,7 +239,7 @@ func TestSSETerminalFlushWaitsNot(t *testing.T) {
 		rec := newFlushRecorder()
 		served := make(chan struct{})
 		go func() {
-			serveSSE(rec, httptest.NewRequest(http.MethodGet, "/", nil), sub, frame)
+			serveSSE(rec, httptest.NewRequest(http.MethodGet, "/", nil), sub, frame, jsonData[event])
 			close(served)
 		}()
 		<-rec.flushed // the headers, at once
@@ -257,4 +258,79 @@ func TestSSETerminalFlushWaitsNot(t *testing.T) {
 		}
 	}
 	t.Fatalf("the last flush came %v after the one before", gaps)
+}
+
+// TestJobEventDataMatchesEncoder: appendJobEvent writes json.Encoder's
+// bytes, newline aside, for every event of a real job of each heuristic
+// over the paper's 7,300 workers, and for distances and strings at the
+// edges of encoding/json's formats; a distance encoding/json refuses is
+// refused.
+func TestJobEventDataMatchesEncoder(t *testing.T) {
+	s, ts, release := gatedServer(t)
+	var subs []*eventlog.Sub[jobs.Event]
+	for _, alg := range []string{"balanced", "all-attributes", "unbalanced"} {
+		resp, body := postJSON(t, ts.URL+"/v1/jobs", map[string]any{
+			"dataset": "paper", "algorithm": alg, "seed": 7,
+			"weights": map[string]float64{"LanguageTest": 0.6, "ApprovalRate": 0.4},
+		})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s: submit status %d (%s)", alg, resp.StatusCode, body)
+		}
+		var j apiJob
+		if err := json.Unmarshal(body, &j); err != nil {
+			t.Fatal(err)
+		}
+		sub, err := s.jobs.Subscribe(j.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs = append(subs, sub)
+	}
+	close(release)
+	var evs []jobs.Event
+	for _, sub := range subs {
+		for {
+			var done bool
+			if evs, done = sub.Read(evs); done {
+				break
+			}
+			<-sub.Wake()
+		}
+		sub.Close()
+	}
+	if steps := len(evs); steps < 1000 {
+		t.Fatalf("three jobs streamed %d events", steps)
+	}
+	step := func(d float64) *core.TraceStep {
+		return &core.TraceStep{Attribute: -1, AvgDistance: d, Partitions: 3}
+	}
+	for _, d := range []float64{0, math.Copysign(0, -1), 1e-7, 1e-6, 9.99e-7, 5e-324, 0.1, 1, 123456.789,
+		1e20, 1e21, 1.5e300, math.MaxFloat64, -2.5e-8} {
+		evs = append(evs, jobs.Event{Seq: 9, Type: jobs.EventProgress, Attempt: 1, Step: step(d)})
+	}
+	for _, msg := range []string{`a "quoted" <tag> & more`, "line\u2028sep\u2029", "ctl\x01\t\n", "bad \xff utf-8", "é ✓"} {
+		evs = append(evs, jobs.Event{Seq: 10, Type: jobs.EventState, State: jobs.StateFailed, Attempt: 2, Error: msg})
+	}
+	evs = append(evs, jobs.Event{}, jobs.Event{Type: "x<y", State: "a&b"})
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	for _, ev := range evs {
+		want.Reset()
+		if err := enc.Encode(ev); err != nil {
+			t.Fatal(err)
+		}
+		got, err := appendJobEvent([]byte("data: "), ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := string(got)+"\n", "data: "+want.String(); g != w {
+			t.Fatalf("appendJobEvent wrote %q, encoding/json %q", g, w)
+		}
+	}
+	for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		ev := jobs.Event{Type: jobs.EventProgress, Step: step(d)}
+		if _, err := appendJobEvent(nil, ev); err == nil || enc.Encode(ev) == nil {
+			t.Fatalf("distance %v: appendJobEvent error %v; encoding/json must refuse it too", d, err)
+		}
+	}
 }
