@@ -17,9 +17,8 @@ const continuousGoldenPath = "testdata/continuous_golden.txt"
 // continuousGolden lists the readouts pinned byte for byte: windows that
 // retract and re-admit, a window of one, decays that rescale (a half-life
 // of 0.5 events passes the rescale bound every ~330 events), a numeric
-// attribute and a bin count other than 10. The long case, every protected
-// attribute over 7,300 workers (~1,800 groups), takes about a minute, and
-// minutes under -race; it runs outside -short and -race builds.
+// attribute, a bin count other than 10, and every protected attribute over
+// 7,300 workers (~1,800 groups, born and dying as the window moves).
 var continuousGolden = []struct {
 	args     string
 	gen      int
@@ -27,13 +26,12 @@ var continuousGolden = []struct {
 	attrs    string
 	window   int
 	halfLife float64
-	long     bool
 }{
-	{"-gen 500 -window 100 -half-life 250", 500, 10, "", 100, 250, false},
-	{"-gen 7300 -window 1000", 7300, 10, "", 1000, 0, true},
-	{"-gen 2000 -half-life 50 -attrs Gender,YearOfBirth -bins 20", 2000, 20, "Gender,YearOfBirth", 0, 50, false},
-	{"-gen 1000 -window 1 -half-life 0.5", 1000, 10, "", 1, 0.5, false},
-	{"-gen 300 -window 40 -half-life 7 -attrs Country -bins 5", 300, 5, "Country", 40, 7, false},
+	{"-gen 500 -window 100 -half-life 250", 500, 10, "", 100, 250},
+	{"-gen 7300 -window 1000", 7300, 10, "", 1000, 0},
+	{"-gen 2000 -half-life 50 -attrs Gender,YearOfBirth -bins 20", 2000, 20, "Gender,YearOfBirth", 0, 50},
+	{"-gen 1000 -window 1 -half-life 0.5", 1000, 10, "", 1, 0.5},
+	{"-gen 300 -window 40 -half-life 7 -attrs Country -bins 5", 300, 5, "Country", 40, 7},
 }
 
 // TestContinuousGolden pins the -window/-half-life readout byte for byte
@@ -57,10 +55,6 @@ func TestContinuousGolden(t *testing.T) {
 		}
 	}
 	for _, c := range continuousGolden {
-		if c.long && !*updateGolden && (testing.Short() || raceEnabled) {
-			t.Logf("skipping %s under -short or -race", c.args)
-			continue
-		}
 		var b bytes.Buffer
 		if err := runContinuousCmd(&b, "", "", c.gen, 42, 0.5, "", c.bins, c.attrs, c.window, c.halfLife); err != nil {
 			t.Fatalf("%s: %v", c.args, err)

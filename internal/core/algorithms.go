@@ -57,13 +57,10 @@ const inlineRows = 2048
 // least inlineRows rows; leftover parallelism goes to each probe's pair
 // fill) and keep the one whose split yields the highest average pairwise
 // distance. Ties break toward the earliest attribute in attrs, making runs
-// deterministic regardless of scan order. In binned mode a probe counts
-// its split (countAll), and the state returned builds its parts only when
-// the search keeps it; Exact mode, whose reps are sorted samples,
-// scatters every candidate.
+// deterministic regardless of scan order. The state returned builds its
+// parts only when the search keeps it.
 func worstAttribute(s *matState, attrs []int) (int, *matState) {
-	e := s.e
-	p := e.cfg.Parallelism
+	p := s.e.cfg.Parallelism
 	outer := min(p, len(attrs))
 	rows := 0
 	for _, part := range s.parts {
@@ -82,24 +79,9 @@ func worstAttribute(s *matState, attrs []int) (int, *matState) {
 	defer sp.End()
 	sp.SetInt("attrs", int64(len(attrs)))
 	sp.SetInt("parts", int64(len(s.parts)))
-	avgs := make([]float64, len(attrs))
-	scattered := make([]*matState, len(attrs)) // Exact mode
-	counted := make([]*countedSplit, len(attrs))
+	probes := make([]*matState, len(attrs))
 	parforeach(len(attrs), outer, func(x int) {
-		if s.canceled() {
-			return
-		}
-		pctx, psp := startProbe(sctx, attrs[x])
-		defer psp.End()
-		if e.cfg.Exact {
-			c := s.scatterAll(pctx, attrs[x])
-			c.avg = e.average(pctx, c.reps, inner)
-			scattered[x], avgs[x] = c, c.avg
-			return
-		}
-		c := s.countAll(pctx, attrs[x])
-		c.avg = e.average(pctx, c.reps, inner)
-		counted[x], avgs[x] = c, c.avg
+		probes[x] = s.probe(sctx, attrs[x], inner)
 	})
 	if s.canceled() {
 		// Structurally valid return; the algorithm layer sees ctx.Err()
@@ -107,15 +89,12 @@ func worstAttribute(s *matState, attrs []int) (int, *matState) {
 		return attrs[0], s
 	}
 	best := 0
-	for x, avg := range avgs {
-		if avg > avgs[best] {
+	for x, c := range probes {
+		if c.avg > probes[best].avg {
 			best = x
 		}
 	}
-	if e.cfg.Exact {
-		return attrs[best], scattered[best]
-	}
-	return attrs[best], s.counted(counted[best])
+	return attrs[best], probes[best]
 }
 
 // randomAttribute is the baseline choice used by r-balanced and
@@ -123,7 +102,7 @@ func worstAttribute(s *matState, attrs []int) (int, *matState) {
 func randomAttribute(r *rng.RNG) chooser {
 	return func(s *matState, attrs []int) (int, *matState) {
 		a := attrs[r.Intn(len(attrs))]
-		return a, s.probe(a, s.e.cfg.Parallelism)
+		return a, s.probe(s.ctx, a, s.e.cfg.Parallelism)
 	}
 }
 
@@ -321,10 +300,10 @@ func allAttributesCtx(ctx context.Context, e *Evaluator, attrs []int, progress f
 			return nil, err
 		}
 		// Every split is unconditional, so intermediate averages are never
-		// consulted: the probes only scatter, and the final parts are
+		// consulted: the probes only split, and the final parts are
 		// averaged once at the end.
 		pctx, psp := startProbe(ctx, a)
-		state = state.scatterAll(pctx, a)
+		state = state.split(pctx, a).built()
 		psp.End()
 		step := TraceStep{Attribute: a, Partitions: len(state.parts), Accepted: true}
 		res.Steps = append(res.Steps, step)

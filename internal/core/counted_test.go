@@ -8,15 +8,16 @@ import (
 
 	"fairrank/internal/dataset"
 	"fairrank/internal/emd"
+	"fairrank/internal/partition"
 	"fairrank/internal/rng"
 	"fairrank/internal/testkit"
 )
 
-// Tests for count-scored candidates (countAll, built) and for the
-// unbalanced recursion's regrouping (group).
+// Tests for counted splits (countAll, built) and for the unbalanced
+// recursion's regrouping (group).
 
 // randomStates returns states an evaluator's searches can reach: the root,
-// and the states of random chains of up to three scatters from it.
+// and the states of random chains of up to three splits from it.
 func randomStates(e *Evaluator, r *rng.RNG) []*matState {
 	states := []*matState{e.rootState(nil)}
 	for chain := 0; chain < 3; chain++ {
@@ -24,19 +25,21 @@ func randomStates(e *Evaluator, r *rng.RNG) []*matState {
 		attrs := e.Attrs()
 		r.Shuffle(len(attrs), func(i, j int) { attrs[i], attrs[j] = attrs[j], attrs[i] })
 		for _, a := range attrs[:min(len(attrs), 1+chain)] {
-			s = s.probe(a, 1)
+			s = s.probe(nil, a, 1).built()
 			states = append(states, s)
 		}
 	}
 	return states
 }
 
-// TestCountedSplitMatchesScatter: counting a split and scattering only the
-// kept one gives scatterAll's state: the same parts (keys and rows, in
-// order, carved apart), the same reps bit for bit, the same average, and
-// as many reps built. It runs over random, distinct-cell and single-value
-// populations, worker and collapsed rows, a MinPartitionSize guard, and an
-// identity metric and a pair-path one.
+// TestCountedSplitMatchesScatter: a probe's counted split, built, is the
+// worker-row reference's split of the state's parts (splitAll, refData,
+// refAvg): the same parts (keys and worker rows, in order, each carved
+// apart in the row space), the same reps bit for bit, the same average,
+// and one new rep for each child of a part the split changes, none for a
+// part that keeps its content. It runs over random, distinct-cell and
+// single-value populations, worker and collapsed rows, a MinPartitionSize
+// guard, an identity metric, pair-path ones and Exact mode.
 func TestCountedSplitMatchesScatter(t *testing.T) {
 	var pops []*dataset.Dataset
 	for seed := uint64(1); seed <= 3; seed++ {
@@ -53,6 +56,7 @@ func TestCountedSplitMatchesScatter(t *testing.T) {
 		{Bins: 3, Parallelism: 1, MinPartitionSize: 12},
 		{Bins: 10, Parallelism: 1, Metric: emd.MetricL1},
 		{Bins: 10, Parallelism: 1, Metric: emd.MetricKS},
+		{Exact: true, Parallelism: 1, MinPartitionSize: 5},
 	}
 	rows := map[string]func(*Evaluator) *Evaluator{
 		"default": func(e *Evaluator) *Evaluator { return e }, "workers": rowScatter, "collapsed": forceCollapse,
@@ -60,39 +64,46 @@ func TestCountedSplitMatchesScatter(t *testing.T) {
 	for pi, ds := range pops {
 		for ci, cfg := range configs {
 			for name, use := range rows {
+				if cfg.Exact && name == "collapsed" {
+					continue // Exact mode's rows are the workers
+				}
 				e := use(mustEvalFunc(t, ds, cfg))
 				e.searchRows()
 				r := rng.New(uint64(pi*10 + ci))
 				for si, s := range randomStates(e, r) {
 					for _, a := range e.Attrs() {
 						label := fmt.Sprintf("pop %d/config %d/%s/state %d/attr %d", pi, ci, name, si, a)
+						parents := e.workerParts(s.parts)
+						want := e.splitAll(parents, a)
+						fresh := 0
+						for _, p := range parents {
+							if kids := e.splitAll([]*partition.Partition{p}, a); len(kids) > 1 {
+								fresh += len(kids)
+							}
+						}
 						reps0 := e.reps.Load()
-						want := s.scatterAll(nil, a)
-						want.avg = e.average(nil, want.reps, 1)
-						reps1 := e.reps.Load()
-						c := s.countAll(nil, a)
-						c.avg = e.average(nil, c.reps, 1)
-						got := s.counted(c)
+						got := s.probe(nil, a, 1)
 						if got.parts != nil {
 							t.Fatalf("%s: a counted state holds its parts before it is built", label)
 						}
 						got = got.built()
-						if built := e.reps.Load() - reps1; built != reps1-reps0 {
-							t.Fatalf("%s: counted split built %d reps, scatterAll %d", label, built, reps1-reps0)
+						if built := int(e.reps.Load() - reps0); built != fresh {
+							t.Fatalf("%s: counted split built %d reps, the reference split has %d new parts", label, built, fresh)
 						}
-						if math.Float64bits(got.avg) != math.Float64bits(want.avg) {
-							t.Fatalf("%s: average %v, scatterAll %v", label, got.avg, want.avg)
+						if ref := refAvg(e, want); math.Float64bits(got.avg) != math.Float64bits(ref) {
+							t.Fatalf("%s: average %v, reference %v", label, got.avg, ref)
 						}
-						if len(got.parts) != len(want.parts) || len(got.reps) != len(want.parts) {
-							t.Fatalf("%s: %d parts and %d reps, scatterAll %d", label, len(got.parts), len(got.reps), len(want.parts))
+						if len(got.parts) != len(want) || len(got.reps) != len(want) {
+							t.Fatalf("%s: %d parts and %d reps, reference %d", label, len(got.parts), len(got.reps), len(want))
 						}
+						workers := e.workerParts(got.parts)
 						for k, p := range got.parts {
-							w := want.parts[k]
-							if p.Key() != w.Key() || !slices.Equal(p.Indices, w.Indices) || cap(p.Indices) != len(p.Indices) {
-								t.Fatalf("%s: part %d is %s over %v, scatterAll %s over %v", label, k, p.Key(), p.Indices, w.Key(), w.Indices)
+							w := want[k]
+							if p.Key() != w.Key() || !slices.Equal(workers[k].Indices, w.Indices) || cap(p.Indices) != len(p.Indices) {
+								t.Fatalf("%s: part %d is %s over %v, reference %s over %v", label, k, p.Key(), workers[k].Indices, w.Key(), w.Indices)
 							}
-							if !equalBits(got.reps[k].data, want.reps[k].data) {
-								t.Fatalf("%s: part %d rep %v, scatterAll %v", label, k, got.reps[k].data, want.reps[k].data)
+							if ref := refData(e, w); !equalBits(got.reps[k].data, ref) {
+								t.Fatalf("%s: part %d rep %v, reference %v", label, k, got.reps[k].data, ref)
 							}
 						}
 					}

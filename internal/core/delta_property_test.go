@@ -63,7 +63,7 @@ func TestQuickIncrementalDelta(t *testing.T) {
 		// the running average at every step.
 		s := e.rootState(nil)
 		for _, a := range attrs {
-			s = s.probe(a, e.cfg.Parallelism)
+			s = s.probe(nil, a, e.cfg.Parallelism).built()
 			if !close(s.avg, ref(s)) {
 				return false
 			}
@@ -71,13 +71,13 @@ func TestQuickIncrementalDelta(t *testing.T) {
 
 		// Unbalanced-style delta: from a first split, regroup around a
 		// random part, locally split it, and merge against the siblings.
-		s = e.rootState(nil).probe(attrs[0], e.cfg.Parallelism)
+		s = e.rootState(nil).probe(nil, attrs[0], e.cfg.Parallelism).built()
 		if len(s.parts) > 1 && len(attrs) > 1 {
 			g := s.group(r.Intn(len(s.parts)))
 			if !close(g.avg, ref(g)) {
 				return false
 			}
-			children := g.single(0).probe(attrs[1], e.cfg.Parallelism)
+			children := g.single(0).probe(nil, attrs[1], e.cfg.Parallelism).built()
 			if !close(children.avg, ref(children)) {
 				return false
 			}

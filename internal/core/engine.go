@@ -10,18 +10,17 @@ import (
 
 // This file implements the search states of the partitioning algorithms.
 // A matState is one partitioning under evaluation: its parts, their
-// representations (reps), and its average pairwise distance. A search
-// step with one candidate is a scatter (scatterAll: split every part on
-// an attribute, deriving the children's representations in the same
-// single pass over the parent's rows, partition.SplitCodes over the row
-// space of rows.go) followed by one average of the new state (average.go).
-// The greedy choice scores each candidate attribute in binned mode by
-// counting instead (countAll: per-value bin counts and sizes, no index
-// lists); the state it returns has the reps and the average of its best
-// split, and builds its parts only when the search keeps it (built). The
-// unbalanced recursion regroups a state around one part (group) and
-// averages a group with its first part replaced by that part's children
-// (mergedAvg).
+// representations (reps), and its average pairwise distance. Every search
+// step splits parts the same way: countAll counts the split of every part
+// on an attribute in one pass over the parts' rows (rows of the row space
+// of rows.go) and builds the children's reps from what it gathered, with
+// no index list; a probe averages that state (average.go); and the state
+// builds its parts (built: partition.SplitCodes, once per part) only when
+// the search keeps it. So a candidate the greedy choice rejects, a Beam
+// state past the beam's width and a split an unbalanced node declines
+// scatter nothing. The unbalanced recursion regroups a state around one
+// part (group) and averages a group with its first part replaced by that
+// part's children (mergedAvg).
 //
 // A state keeps no distances. Its average depends only on its reps (and,
 // on the pair path, their order), so it is the same at every
@@ -33,7 +32,7 @@ type matState struct {
 	avg   float64
 	// pending, when non-nil, is the counted split the state stands for:
 	// parts is nil until built scatters it.
-	pending *countedSplit
+	pending *pendingSplit
 	// ctx, when non-nil, lets long evaluation loops stop early on
 	// cancellation. Derived states inherit it. A cancelled probe returns a
 	// state whose numbers must not be consulted; the algorithm layer checks
@@ -55,17 +54,13 @@ const ctxCheckStride = 64
 // rep is the representation of one partition's score distribution: a
 // handle plus the payload the configured mode compares — the binned
 // column in binned mode (Evaluator.payload), the sorted score sample in
-// Exact mode. Reps are immutable once built. newRep gives a rep a handle
-// unique within its evaluator, which the tree space's pair-path memo keys
-// on (exhaustive.go); the cell space numbers its blocks per run instead.
+// Exact mode. Reps are immutable once built. Each gets a handle unique
+// within its evaluator (the row space root's, or one of the block countAll
+// takes), which the tree space's pair-path memo keys on (exhaustive.go);
+// the cell space numbers its blocks per run instead.
 type rep struct {
 	id   uint32
 	data []float64
-}
-
-// newRep hands out the next handle of the evaluator for a rep of data.
-func (e *Evaluator) newRep(data []float64) *rep {
-	return &rep{id: e.reps.Add(1) - 1, data: data}
 }
 
 // rootState is where every search starts: the root of the evaluator's row
@@ -75,108 +70,35 @@ func (e *Evaluator) rootState(ctx context.Context) *matState {
 	return &matState{e: e, parts: []*partition.Partition{e.searchRoot()}, reps: []*rep{rs.root}, ctx: ctx}
 }
 
-// scatterSplit splits p on attr in a single pass over its rows, deriving
-// each child's representation from the same scan that builds its index
-// slice: binned rows add their weights into per-child bin counts (a worker
-// row weighs one), Exact rows append their scores. p's Indices are rows of
-// the evaluator's row space (rows.go). Each child gets a new rep, built
-// from what the scan gathered. A split that leaves the content unchanged
-// (single occurring value, or a MinPartitionSize keep-whole) keeps the
-// parent's rep.
-func (e *Evaluator) scatterSplit(r *rep, p *partition.Partition, attr int) ([]*partition.Partition, []*rep) {
-	rs := e.rows
-	card := e.ds.Schema().Protected[attr].Cardinality()
-	var (
-		counts  [][]float64 // binned mode: per-value count rows
-		vals    [][]float64 // exact mode: per-value score samples
-		observe func(v, row int)
-	)
-	if e.cfg.Exact {
-		vals = make([][]float64, card)
-		observe = func(v, row int) {
-			vals[v] = append(vals[v], e.scores[row])
-		}
-	} else if rs.weight == nil {
-		// Worker rows: each row is one worker in bin bin[row].
-		counts = make([][]float64, card)
-		bins, bin := e.cfg.Bins, e.bin
-		observe = func(v, row int) {
-			c := counts[v]
-			if c == nil {
-				c = make([]float64, bins)
-				counts[v] = c
-			}
-			c[bin[row]]++
-		}
-	} else {
-		counts = make([][]float64, card)
-		bins, bin, weight := e.cfg.Bins, rs.bin, rs.weight
-		observe = func(v, row int) {
-			c := counts[v]
-			if c == nil {
-				c = make([]float64, bins)
-				counts[v] = c
-			}
-			c[bin[row]] += float64(weight[row])
-		}
-	}
-	children := partition.SplitCodes(rs.codes[attr], card, p, attr, observe)
-	if e.cfg.MinPartitionSize > 1 {
-		// A split that would create a child with too few workers keeps
-		// the parent whole.
-		for _, c := range children {
-			if rs.size(c) < e.cfg.MinPartitionSize {
-				return []*partition.Partition{p}, []*rep{r}
-			}
-		}
-	}
-	if len(children) == 1 {
-		// Single occurring value: the child is the parent's content under
-		// one more constraint.
-		return children, []*rep{r}
-	}
-	reps := make([]*rep, len(children))
-	for ci, c := range children {
-		v := c.Constraints[len(c.Constraints)-1].Value
-		if e.cfg.Exact {
-			sort.Float64s(vals[v])
-			reps[ci] = e.newRep(vals[v])
-		} else {
-			reps[ci] = e.newRep(e.payload(counts[v]))
-		}
-	}
-	return children, reps
-}
-
-// A countedSplit is a split of every part of a binned state on attr,
-// counted but not scattered: the reps and the average the scattered state
-// would have, in its part order. kids[i] is the number of children
-// parents[i] splits into, 0 when a MinPartitionSize keep-whole leaves it
-// as it is.
-type countedSplit struct {
+// A pendingSplit is the split a counted state stands for: every part of
+// parents split on attr, except the parts whole marks, which keep their
+// rows as they are.
+type pendingSplit struct {
 	attr    int
 	parents []*partition.Partition
-	kids    []int32
-	reps    []*rep
-	avg     float64
+	whole   []bool
 }
 
-// countAll counts the split of every part of a binned state on attr (one
-// probe): a pass over each part's rows adds their weights into per-value
-// bin counts and sizes, and the keep-whole and single-value rules of
-// scatterSplit are decided from those sizes. The children get the reps
-// scatterSplit would build, from the same integer counts, and a part that
-// keeps its content keeps its rep. No index list or Partition is built;
-// the state of the split that is kept builds them (built). ctx carries
-// the caller's span.
-func (s *matState) countAll(ctx context.Context, attr int) *countedSplit {
+// countAll counts the split of every part of s on attr in one pass over
+// each part's rows, and returns the state it stands for: its reps, in part
+// order, with its parts left to built and no average. Binned rows add
+// their weights into per-value bin counts and sizes (a worker row weighs
+// one); Exact rows append their scores to per-value samples. A part keeps
+// its content, and its rep, when a child would hold fewer than
+// Config.MinPartitionSize workers (it stays whole) or when one value
+// occurs (its one child carries one more constraint). Every other child
+// gets a new rep, built from what the pass gathered: the payload of its
+// integer bin counts, or its sorted sample. No index list or Partition is
+// built.
+func (s *matState) countAll(attr int) *matState {
 	e := s.e
-	e.tel.probes.Inc()
-	_, ssp := telemetry.StartSpan(ctx, "split")
-	defer ssp.End()
-	rs, bins, minSize := e.rows, e.cfg.Bins, int32(e.cfg.MinPartitionSize)
+	rs, exact, bins, minSize := e.rows, e.cfg.Exact, e.cfg.Bins, int32(e.cfg.MinPartitionSize)
 	card := e.ds.Schema().Protected[attr].Cardinality()
 	codes := rs.codes[attr]
+	var vals [][]float64 // Exact mode: per-value score samples
+	if exact {
+		bins, vals = 0, make([][]float64, card)
+	}
 	// Row v of tab counts one part's rows of value v: bins bin counts,
 	// then the value's size. A row is cleared after each part where the
 	// value occurs.
@@ -187,18 +109,27 @@ func (s *matState) countAll(ctx context.Context, attr int) *countedSplit {
 	for _, p := range s.parts {
 		most += min(card, len(p.Indices))
 	}
-	c := &countedSplit{attr: attr, parents: s.parts, kids: make([]int32, len(s.parts)), reps: make([]*rep, 0, most)}
+	pend := &pendingSplit{attr: attr, parents: s.parts, whole: make([]bool, len(s.parts))}
+	ns := &matState{e: e, reps: make([]*rep, 0, most), ctx: s.ctx, pending: pend}
+	fresh := make([]rep, 0, most)           // the new children's reps; never regrown
 	counts := make([]float64, 0, most*bins) // the new children's bin counts
-	slots := make([]int, 0, most)           // the new children's indices in c.reps
 	for i, p := range s.parts {
-		if rs.weight == nil {
+		switch {
+		case exact:
+			scores := e.scores
+			for _, r := range p.Indices {
+				v := codes[r]
+				tab[v]++
+				vals[v] = append(vals[v], scores[r])
+			}
+		case rs.weight == nil:
 			bin := e.bin
 			for _, r := range p.Indices {
 				row := tab[int(codes[r])*stride:]
 				row[bin[r]]++
 				row[bins]++
 			}
-		} else {
+		default:
 			bin, weight := rs.bin, rs.weight
 			for _, r := range p.Indices {
 				row, w := tab[int(codes[r])*stride:], weight[r]
@@ -215,66 +146,91 @@ func (s *matState) countAll(ctx context.Context, attr int) *countedSplit {
 		}
 		keep := small || occurring == 1
 		if keep {
-			// A keep-whole, or a single occurring value: the content is
-			// the parent's.
-			c.reps = append(c.reps, s.reps[i])
+			ns.reps = append(ns.reps, s.reps[i])
 		}
-		if !small {
-			c.kids[i] = int32(occurring)
-		}
-		for lo := 0; lo < len(tab); lo += stride {
-			row := tab[lo : lo+stride]
+		pend.whole[i] = small
+		for v := 0; v < card; v++ {
+			row := tab[v*stride : (v+1)*stride]
 			if row[bins] == 0 {
 				continue
 			}
 			if !keep {
-				for _, x := range row[:bins] {
-					counts = append(counts, float64(x))
+				var data []float64
+				if exact {
+					data = vals[v]
+					sort.Float64s(data)
+				} else {
+					lo := len(counts)
+					for _, x := range row[:bins] {
+						counts = append(counts, float64(x))
+					}
+					data = e.payload(counts[lo:len(counts):len(counts)])
 				}
-				slots = append(slots, len(c.reps))
-				c.reps = append(c.reps, nil)
+				fresh = append(fresh, rep{data: data})
+				ns.reps = append(ns.reps, &fresh[len(fresh)-1])
 			}
 			clear(row)
+			if exact {
+				vals[v] = nil
+			}
 		}
 	}
-	fresh := make([]rep, len(slots))
-	first := e.reps.Add(uint32(len(slots))) - uint32(len(slots))
-	for j, at := range slots {
-		fresh[j] = rep{id: first + uint32(j), data: e.payload(counts[j*bins : (j+1)*bins : (j+1)*bins])}
-		c.reps[at] = &fresh[j]
+	first := e.reps.Add(uint32(len(fresh))) - uint32(len(fresh))
+	for j := range fresh {
+		fresh[j].id = first + uint32(j)
 	}
-	ssp.SetInt("parents", int64(len(s.parts)))
-	ssp.SetInt("parts", int64(len(c.reps)))
-	return c
-}
-
-// counted returns the state of c: its reps and average, with its parts
-// left to built.
-func (s *matState) counted(c *countedSplit) *matState {
-	return &matState{e: s.e, reps: c.reps, avg: c.avg, ctx: s.ctx, pending: c}
+	return ns
 }
 
 // built returns s with its parts: a counted state scatters its split once,
-// every part with children split on the counted attribute by
+// every part not kept whole split on the counted attribute by
 // partition.SplitCodes, whose children come in the counted order,
-// ascending value, and a kept-whole part kept as it is. Any other state
-// is returned as it is.
+// ascending value. Any other state is returned as it is.
 func (s *matState) built() *matState {
 	c := s.pending
 	if c == nil {
 		return s
 	}
 	card := s.e.ds.Schema().Protected[c.attr].Cardinality()
-	s.parts = make([]*partition.Partition, 0, len(c.reps))
+	s.parts = make([]*partition.Partition, 0, len(s.reps))
 	for i, p := range c.parents {
-		if c.kids[i] == 0 {
+		if c.whole[i] {
 			s.parts = append(s.parts, p)
 			continue
 		}
-		s.parts = append(s.parts, partition.SplitCodes(s.e.rows.codes[c.attr], card, p, c.attr, nil)...)
+		s.parts = append(s.parts, partition.SplitCodes(s.e.rows.codes[c.attr], card, p, c.attr)...)
 	}
 	s.pending = nil
 	return s
+}
+
+// split is countAll as one probe of the search: it counts on the probe
+// counter, under a "split" span of ctx.
+func (s *matState) split(ctx context.Context, attr int) *matState {
+	s.e.tel.probes.Inc()
+	_, sp := telemetry.StartSpan(ctx, "split")
+	defer sp.End()
+	ns := s.countAll(attr)
+	sp.SetInt("parents", int64(len(s.parts)))
+	sp.SetInt("parts", int64(len(ns.reps)))
+	return ns
+}
+
+// probe evaluates replacing every part with its children under attr, under
+// a "probe" span of ctx: split, then average. The state it returns builds
+// its parts only when the search keeps it (built). workers bounds the pair
+// path's concurrent fill.
+func (s *matState) probe(ctx context.Context, attr, workers int) *matState {
+	if s.canceled() {
+		// Return a structurally valid state; the caller sees ctx.Err() and
+		// discards it.
+		return s
+	}
+	pctx, psp := startProbe(ctx, attr)
+	defer psp.End()
+	ns := s.split(pctx, attr)
+	ns.avg = s.e.average(pctx, ns.reps, workers)
+	return ns
 }
 
 // startProbe opens a candidate's "probe" span under ctx, the parent of its
@@ -283,42 +239,6 @@ func startProbe(ctx context.Context, attr int) (context.Context, *telemetry.Span
 	pctx, psp := telemetry.StartSpan(ctx, "probe")
 	psp.SetInt("attribute", int64(attr))
 	return pctx, psp
-}
-
-// scatterAll splits every part on attr (scatterSplit) and builds the child
-// state, its parts and reps in parent order, without averaging it. Each
-// call counts as one probe. ctx carries the caller's span; the child
-// inherits s's context.
-func (s *matState) scatterAll(ctx context.Context, attr int) *matState {
-	e := s.e
-	e.tel.probes.Inc()
-	_, ssp := telemetry.StartSpan(ctx, "split")
-	defer ssp.End()
-	ns := &matState{e: e, ctx: s.ctx}
-	for i := range s.parts {
-		children, reps := e.scatterSplit(s.reps[i], s.parts[i], attr)
-		ns.parts = append(ns.parts, children...)
-		ns.reps = append(ns.reps, reps...)
-	}
-	ssp.SetInt("parents", int64(len(s.parts)))
-	ssp.SetInt("parts", int64(len(ns.parts)))
-	return ns
-}
-
-// probe evaluates replacing every part with its children under attr — the
-// balanced-round and random-choice operation: scatterAll, then average.
-// workers bounds the pair path's concurrent fill.
-func (s *matState) probe(attr, workers int) *matState {
-	if s.canceled() {
-		// Return a structurally valid state; the caller sees ctx.Err() and
-		// discards it.
-		return s
-	}
-	pctx, psp := startProbe(s.ctx, attr)
-	defer psp.End()
-	ns := s.scatterAll(pctx, attr)
-	ns.avg = s.e.average(pctx, ns.reps, workers)
-	return ns
 }
 
 // single extracts part x as a standalone one-part state, the starting

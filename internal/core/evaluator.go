@@ -109,7 +109,7 @@ type Evaluator struct {
 	ident bool
 	den   uint64
 
-	// rows is the row space the searching algorithms scatter (rows.go),
+	// rows is the row space the searching algorithms split (rows.go),
 	// built by the first search; rowsOnce guards it.
 	rowsOnce sync.Once
 	rows     *rowSpace

@@ -16,9 +16,9 @@ import (
 //   - exhaustive, the tree space: every partitioning reachable by
 //     hierarchical splits, each part either kept or split on an attribute
 //     not yet used on its path (the space balanced and unbalanced
-//     navigate). A tree node's children are what scatterSplit returns, so
-//     a split that would make a part under Config.MinPartitionSize keeps
-//     the node whole, as in the searches.
+//     navigate). A tree node's children are its part's split, counted and
+//     built as the searches split (countAll), so a split that would make a
+//     part under Config.MinPartitionSize keeps the node whole.
 //   - exhaustive-cells, the cell space: every grouping of the cells — the
 //     parts all-attributes returns — into blocks, a superset of the tree
 //     space.
@@ -154,7 +154,7 @@ func satMul(a, b, limit uint64) uint64 {
 
 // treeNode is one node of the tree space: a part of the row space
 // reached by a path of splits, and the attributes its path has not used.
-// kids[x] are its children on rest[x], as scatterSplit returns them.
+// kids[x] are its children on rest[x]: its one-part split, built.
 type treeNode struct {
 	part *partition.Partition
 	rep  *rep
@@ -200,7 +200,7 @@ func newTreeSpace(ctx context.Context, e *Evaluator, attrs []int, budget int) (s
 }
 
 // shared returns the run's one rep for p's constraint set: r, the rep
-// scatterSplit just built for p, the first time a split order reaches the
+// the split just built for p, the first time a split order reaches the
 // set, and that first rep every later time. So the pair-path memo, keyed
 // by handles, computes each distance once.
 func (t *treeSpace) shared(p *partition.Partition, r *rep) *rep {
@@ -221,13 +221,14 @@ func (t *treeSpace) count(n *treeNode) uint64 {
 	}
 	total := uint64(1)
 	n.kids = make([][]*treeNode, len(n.rest))
+	one := &matState{e: t.e, parts: []*partition.Partition{n.part}, reps: []*rep{n.rep}}
 	for x, a := range n.rest {
-		parts, reps := t.e.scatterSplit(n.rep, n.part, a)
+		split := one.countAll(a).built()
 		rest := remove(n.rest, a)
-		kids := make([]*treeNode, len(parts))
+		kids := make([]*treeNode, len(split.parts))
 		prod := uint64(1)
-		for c, p := range parts {
-			kids[c] = &treeNode{part: p, rep: t.shared(p, reps[c]), rest: rest}
+		for c, p := range split.parts {
+			kids[c] = &treeNode{part: p, rep: t.shared(p, split.reps[c]), rest: rest}
 		}
 		n.kids[x] = kids
 		for _, k := range kids {
@@ -316,7 +317,7 @@ func newCellSpace(ctx context.Context, e *Evaluator, attrs []int, budget int) (s
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		state = state.scatterAll(ctx, a)
+		state = state.split(ctx, a).built()
 	}
 	n := len(state.parts)
 	if bell(n, limit) >= limit {

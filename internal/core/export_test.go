@@ -22,6 +22,14 @@ func AveragePaths(e *Evaluator, parts []*partition.Partition) (identity, pairs f
 		func() float64 { return e.finalAvg(context.Background(), reps, 1, finalBlock) }
 }
 
+// Work returns the evaluator's running counts behind RunStats: the reps
+// it built, the pair distances it computed and those an exhaustive memo
+// served. Run reports them as per-run deltas; Beam, which Run does not
+// drive, is measured from them directly.
+func Work(e *Evaluator) (reps, computed, served int) {
+	return int(e.reps.Load()), int(e.computed.Load()), int(e.served.Load())
+}
+
 // EachCandidate streams the candidates of the exhaustive solver name
 // ("exhaustive" or "exhaustive-cells") over attrs (nil for all) within
 // budget, in the solver's order, each as the worker partitions the solver

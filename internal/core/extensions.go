@@ -38,7 +38,8 @@ func Beam(e *Evaluator, attrs []int, width int) (*Result, error) {
 		// expansions are independent probes, so they fan out across
 		// Config.Parallelism; results land at fixed slots and every probe's
 		// average is the same at any parallelism, keeping the search
-		// identical to a serial run.
+		// identical to a serial run. Only the states the beam keeps build
+		// their parts.
 		type task struct {
 			st   *matState
 			a    int
@@ -60,7 +61,7 @@ func Beam(e *Evaluator, attrs []int, width int) (*Result, error) {
 		}
 		probes := make([]*matState, len(tasks))
 		parforeach(len(tasks), p, func(i int) {
-			probes[i] = tasks[i].st.probe(tasks[i].a, inner)
+			probes[i] = tasks[i].st.probe(nil, tasks[i].a, inner)
 		})
 		next := make([]state, len(tasks))
 		for i, t := range tasks {
@@ -72,6 +73,7 @@ func Beam(e *Evaluator, attrs []int, width int) (*Result, error) {
 		}
 		improved := false
 		for _, s := range next {
+			s.st.built()
 			if s.st.avg > best.st.avg {
 				best = s
 				improved = true

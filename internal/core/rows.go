@@ -7,7 +7,7 @@ import (
 	"fairrank/internal/partition"
 )
 
-// This file defines the row space every algorithm scatters: balanced,
+// This file defines the row space every algorithm splits: balanced,
 // unbalanced, their random baselines, all-attributes, Beam and the
 // exhaustive solvers. A search partition's Indices are rows of this space,
 // not workers; each algorithm maps its final parts back to worker rows
@@ -22,9 +22,9 @@ import (
 // part's payload is computed from integer bin counts, and integer sums
 // are exact in float64 whatever order or grouping produced them — so
 // every payload, distance, trace average and final unfairness equals the
-// worker-row scan's bit for bit, while a probe scatters at most
-// cells×bins rows instead of N workers (the paper's population has 1800
-// occupied cells: 18 000 rows at 10 bins, whatever N is).
+// worker-row scan's bit for bit, while a probe counts at most cells×bins
+// rows instead of N workers (the paper's population has 1800 occupied
+// cells: 18 000 rows at 10 bins, whatever N is).
 //
 // The searches use the workers themselves as rows in Exact mode, whose
 // payload is each part's sorted score sample (which a weight cannot stand
@@ -65,7 +65,7 @@ func (e *Evaluator) searchRows() *rowSpace {
 		default:
 			e.rows = workerRows(e.ds)
 		}
-		e.rows.root = e.newRep(e.rowData(e.searchRoot().Indices))
+		e.rows.root = &rep{id: e.reps.Add(1) - 1, data: e.rowData(e.searchRoot().Indices)}
 	})
 	return e.rows
 }
@@ -211,7 +211,7 @@ func (rs *rowSpace) size(p *partition.Partition) int {
 // workerParts maps disjoint search parts back to worker rows in O(N):
 // each part keeps its constraints and name and lists its workers in
 // ascending order, all parts carved from one exactly sized backing array
-// and each capacity-capped at its own end, as partition.SplitObserve
+// and each capacity-capped at its own end, as partition.SplitCodes
 // builds children. Parts over worker rows are returned as they are.
 //
 // A part of at most mergeWays cells merges its cells' ascending worker

@@ -70,11 +70,10 @@ func (s Spec) budget() int {
 // reused across runs.
 type RunStats struct {
 	// RepsInterned is how many reps this run built: one for each child
-	// of every split it scattered or, in the greedy choice of binned mode,
-	// counted (a split that keeps a part's content keeps its rep; the
-	// split a counted probe keeps reuses the reps its count built), plus
-	// the row space's root on an evaluator's first search. An
-	// exhaustive-cells block is not counted.
+	// of every split it counted (a split that keeps a part's content
+	// keeps its rep; a split the search keeps reuses the reps its count
+	// built), plus the row space's root on an evaluator's first search.
+	// An exhaustive-cells block is not counted.
 	RepsInterned int
 	// PairsComputed is how many pairwise distances the pair path (Exact
 	// mode; the KS, JS, χ² and Hellinger metrics) computed in this run.

@@ -80,7 +80,7 @@ func TestNormalizeCountsMatchesOraclePMF(t *testing.T) {
 
 // Merge-then-split identity: histogramming a population in one pass equals
 // histogramming two halves and merging — the invariant the engine's
-// single-pass SplitObserve scatter depends on.
+// counted splits depend on, which sum per-value bin counts part by part.
 func TestMergeEqualsSinglePass(t *testing.T) {
 	for seed := uint64(1); seed <= 100; seed++ {
 		g := testkit.NewGen(seed)

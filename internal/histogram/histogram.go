@@ -102,10 +102,9 @@ func (h *Histogram) BinIndices(vs []float64, out []int32) {
 }
 
 // NormalizeCounts converts one raw count row — as accumulated by a
-// single-pass scatter split — into the PMF that a Histogram holding the
-// same counts would return: counts/total, or uniform when the row holds
-// no mass. Shared so scatter-built child PMFs are bit-identical to
-// Histogram.PMF.
+// counted split — into the PMF that a Histogram holding the same counts
+// would return: counts/total, or uniform when the row holds no mass.
+// Shared so split-built child PMFs are bit-identical to Histogram.PMF.
 func NormalizeCounts(counts []float64) []float64 {
 	out := make([]float64, len(counts))
 	total := 0.0

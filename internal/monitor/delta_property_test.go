@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -126,4 +127,48 @@ func TestStructuralRebuild(t *testing.T) {
 	check()
 	m.Rescore("d", 0.1)
 	check()
+}
+
+// TestBirthsLayOutOnce: k groups born one after another and then one read
+// lay the distance triangle out once. What seeding them allocates stays
+// within a few triangles and their sum tree, where laying one out per
+// birth allocates about k/3 triangles' worth (~150 MB at k = 300). The
+// read matches Recompute bit for bit, and so does a read after half of
+// the groups die.
+func TestBirthsLayOutOnce(t *testing.T) {
+	const k = 300
+	m, err := New(benchSchema(k), []string{"Group"}, 10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(5)
+	ids := make([]string, k)
+	prots := make([]map[string]any, k)
+	for g := range ids {
+		ids[g], prots[g] = fmt.Sprintf("w%d", g), map[string]any{"Group": fmt.Sprintf("g%02d", g)}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for g, id := range ids {
+		if err := m.Join(id, prots[g], r.Float64()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	u := m.Unfairness()
+	runtime.ReadMemStats(&after)
+	triangle := uint64(k * (k - 1) / 2 * 8)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8*triangle {
+		t.Errorf("seeding %d groups allocated %d KB, over 8 triangles (%d KB)", k, grew>>10, 8*triangle>>10)
+	}
+	if want := m.Recompute(); u != want {
+		t.Fatalf("after the births: incremental %v != recompute %v", u, want)
+	}
+	for _, id := range ids[:k/2] {
+		if err := m.Leave(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := m.Unfairness(), m.Recompute(); got != want || m.Groups() != k-k/2 {
+		t.Fatalf("after the deaths: incremental %v != recompute %v over %d groups", got, want, m.Groups())
+	}
 }

@@ -2,14 +2,18 @@
 // marketplace. The paper audits a static snapshot of workers; on a real
 // platform workers join, leave, and are re-scored constantly. Monitor
 // maintains the per-group score histograms of a fixed partitioning
-// incrementally and, like the core engine, keeps the flat upper triangle
-// of pairwise EMDs alive across events: a stream event touches exactly one
-// group, so only the k-1 distances involving that group are recomputed
-// (O(k·bins) work) and a segment sum tree over the triangle refreshes the
-// running total in O(k·log k) — instead of the old O(k²·bins) rebuild.
-// Unfairness is therefore cheap enough to re-evaluate after every event at
-// marketplace traffic rates, and the monitor raises an alert when it
-// drifts past a threshold.
+// incrementally and keeps the flat upper triangle of pairwise EMDs alive
+// across events: a stream event touches exactly one group, so only the k-1
+// distances involving that group are recomputed (O(k·bins) work) and a
+// segment sum tree over the triangle refreshes the running total in
+// O(k·log k) — instead of the old O(k²·bins) rebuild. A group's birth or
+// death only edits the key-ordered group list; the next read lays the
+// triangle out once over the groups it then finds, copying the distances
+// it still holds and computing the rest, so seeding k groups computes each
+// of their O(k²) distances once instead of laying out a triangle per
+// birth. Unfairness is therefore cheap enough to re-evaluate after every
+// event at marketplace traffic rates, and the monitor raises an alert when
+// it drifts past a threshold.
 //
 // Every observation carries a weight: 1 on Join and Rescore, the
 // caller's on JoinCell and RescoreWorker. A group's histogram sums its
@@ -23,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -47,13 +52,18 @@ type Monitor struct {
 	// byCell holds each interned cell's group, nil while the cell is
 	// empty, so an event finds its group by index.
 	byCell []*group
-	// order holds the non-empty groups sorted by key; a group's index in
-	// order addresses its rows in the distance triangle.
+	// order holds the non-empty groups sorted by key.
 	order []*group
-	// tri is the flat upper triangle of pairwise EMDs over order: the
-	// distance between groups i < j lives at tri(k, i, j). Stream events
-	// rewrite only the changed group's row.
-	tri []float64
+	// tri is the flat upper triangle of pairwise EMDs over the laid groups
+	// of the last layout: the distance between the groups at positions
+	// i < j of that layout lives at tri(laid, i, j). Stream events rewrite
+	// only the changed group's row.
+	tri  []float64
+	laid int
+	// stale reports a group birth or death since the last layout: order
+	// no longer lists the laid groups, and the next read lays tri out
+	// again (layout).
+	stale bool
 	// sum reduces tri; its root divided by the pair count is the current
 	// unfairness. The tree gives O(log) exact updates with a reduction
 	// order fixed by the leaf count, so the incremental value is
@@ -77,10 +87,14 @@ type Monitor struct {
 type group struct {
 	key  string
 	cell int // index in the monitor's Cells
-	idx  int // position in Monitor.order
-	live int
-	mass []float64
-	pmf  []float64
+	// idx is the group's position in the last layout of the triangle, -1
+	// for a group born since; touched marks a group whose masses changed
+	// while the monitor was stale, so its distances are computed afresh.
+	idx     int
+	touched bool
+	live    int
+	mass    []float64
+	pmf     []float64
 }
 
 // Worker is one tracked worker's state in a Monitor: the group it counts
@@ -257,11 +271,16 @@ func (g *group) normalize(dst []float64) {
 	}
 }
 
-// touch refreshes g's cached PMF and the k-1 triangle entries involving g
-// after its masses changed — the O(k) delta path every non-structural
-// stream event takes.
+// touch refreshes g's cached PMF after its masses changed and, while the
+// triangle is laid out over the current groups, the k-1 entries involving
+// g — the O(k) delta path every non-structural stream event takes. On a
+// stale monitor it marks g for the next layout instead.
 func (m *Monitor) touch(g *group) {
 	g.normalize(g.pmf)
+	if m.stale {
+		g.touched = true
+		return
+	}
 	k := len(m.order)
 	for _, o := range m.order {
 		if o == g {
@@ -278,77 +297,56 @@ func (m *Monitor) touch(g *group) {
 	}
 }
 
-// rebuild re-derives order indices, the triangle and the sum tree after a
-// structural change (group born or died), copying every surviving distance
-// from the old triangle via oldIdx (a new position's previous index, -1
-// for a new group whose row the caller fills via touch). Structural events
-// are O(k²) but rare — the steady-state group set of a marketplace is
-// fixed; per-worker events take the O(k) touch path.
-func (m *Monitor) rebuild(oldK int, oldTri []float64, oldIdx []int) {
+// layout lays the triangle out over the current groups after births or
+// deaths, and builds the sum tree over it. A distance between two groups
+// that were both laid last time and untouched since is copied; every
+// other is computed. Either way each entry is the PMFDistance of its
+// groups' current PMFs, as touch keeps it between layouts, so the root
+// is the one Recompute builds.
+func (m *Monitor) layout() {
 	k := len(m.order)
-	for i, g := range m.order {
-		g.idx = i
-	}
-	m.tri = make([]float64, k*(k-1)/2)
-	for i := 0; i < k; i++ {
-		if oldIdx[i] < 0 {
-			continue
-		}
-		for j := i + 1; j < k; j++ {
-			if oldIdx[j] < 0 {
-				continue
+	tri := make([]float64, k*(k-1)/2)
+	s := 0
+	for i, a := range m.order {
+		for _, b := range m.order[i+1:] {
+			if a.idx >= 0 && b.idx >= 0 && !a.touched && !b.touched {
+				// Both keep their key order, so a.idx < b.idx.
+				tri[s] = m.tri[triSlot(m.laid, a.idx, b.idx)]
+			} else {
+				tri[s] = emd.PMFDistance(a.pmf, b.pmf, m.unit)
 			}
-			m.tri[triSlot(k, i, j)] = oldTri[triSlot(oldK, oldIdx[i], oldIdx[j])]
+			s++
 		}
 	}
-	m.sum = newSumTree(m.tri)
+	for i, g := range m.order {
+		g.idx, g.touched = i, false
+	}
+	m.tri, m.laid, m.sum, m.stale = tri, k, newSumTree(tri), false
 }
 
-// insertGroup adds a new empty group for cell at its sorted position. Its
-// triangle row is left zero; the caller must touch it after adding the
-// first score.
+// insertGroup adds a new empty group for cell at its sorted position and
+// leaves the triangle to the next layout. The caller touches the group
+// after adding the first score.
 func (m *Monitor) insertGroup(cell int) *group {
 	key := m.cells.Key(cell)
-	g := &group{key: key, cell: cell, mass: make([]float64, m.bins), pmf: make([]float64, m.bins)}
+	g := &group{key: key, cell: cell, idx: -1, mass: make([]float64, m.bins), pmf: make([]float64, m.bins)}
 	for len(m.byCell) <= cell {
 		m.byCell = append(m.byCell, nil)
 	}
 	m.byCell[cell] = g
 	pos := sort.Search(len(m.order), func(i int) bool { return m.order[i].key >= key })
-	oldK, oldTri := len(m.order), m.tri
-	m.order = append(m.order, nil)
-	copy(m.order[pos+1:], m.order[pos:])
-	m.order[pos] = g
-	oldIdx := make([]int, len(m.order))
-	for i := range oldIdx {
-		switch {
-		case i < pos:
-			oldIdx[i] = i
-		case i == pos:
-			oldIdx[i] = -1
-		default:
-			oldIdx[i] = i - 1
-		}
-	}
-	m.rebuild(oldK, oldTri, oldIdx)
+	m.order = slices.Insert(m.order, pos, g)
+	m.stale = true
 	return g
 }
 
-// removeGroup drops an emptied group, compacting the triangle.
+// removeGroup drops an emptied group and leaves the triangle to the next
+// layout.
 func (m *Monitor) removeGroup(g *group) {
 	m.byCell[g.cell] = nil
-	pos := g.idx
-	oldK, oldTri := len(m.order), m.tri
-	m.order = append(m.order[:pos], m.order[pos+1:]...)
-	oldIdx := make([]int, len(m.order))
-	for i := range oldIdx {
-		if i < pos {
-			oldIdx[i] = i
-		} else {
-			oldIdx[i] = i + 1
-		}
-	}
-	m.rebuild(oldK, oldTri, oldIdx)
+	pos := slices.Index(m.order, g)
+	m.order = slices.Delete(m.order, pos, pos+1)
+	m.stale = true
 }
 
 // Join records a worker arriving (or being hired onto) the platform with
@@ -474,8 +472,13 @@ func (m *Monitor) Groups() int { return len(m.order) }
 
 // Unfairness returns the current average pairwise EMD between the
 // non-empty groups' score histograms, read off the incrementally
-// maintained triangle in O(1); 0 with fewer than two groups.
+// maintained triangle in O(1) once it is laid out over the current groups
+// (after a group birth or death, the read lays it out first); 0 with
+// fewer than two groups.
 func (m *Monitor) Unfairness() float64 {
+	if m.stale {
+		m.layout()
+	}
 	if len(m.order) < 2 {
 		return 0
 	}

@@ -92,40 +92,29 @@ func (p *Partition) Label(schema *dataset.Schema) string {
 }
 
 // Split divides p into one child per value of protected attribute attr that
-// actually occurs among p's workers. Children inherit p's constraints plus
-// the new one. Empty children are not returned; the union of the children
-// is exactly p.
+// actually occurs among p's workers, in ascending value order. Children
+// inherit p's constraints plus the new one. Empty children are not
+// returned; the union of the children is exactly p.
 func Split(ds *dataset.Dataset, p *Partition, attr int) []*Partition {
-	return SplitObserve(ds, p, attr, nil)
-}
-
-// SplitObserve is Split with a single-pass scatter hook: when observe is
-// non-nil it is invoked as observe(v, i) for every row i of p while the
-// row is bucketed under attribute value v, letting callers accumulate
-// per-child state (score histograms, running sums) in the same scan that
-// builds the child index slices, instead of re-walking each child
-// afterwards. The returned children are exactly Split's: one per value of
-// attr that occurs in p, in ascending value order, empty children elided.
-//
-// The children's index slices are carved from one backing array of
-// exactly p.Size() rows: a counting pass sizes each value's range, and the
-// scatter writes every row straight into place, so no child grows by
-// append. Each child is capacity-capped at its own end, so an append to
-// one child reallocates instead of writing into its sibling.
-func SplitObserve(ds *dataset.Dataset, p *Partition, attr int, observe func(value, row int)) []*Partition {
 	// One column fetch, then pure slice indexing: the scans read the
 	// attribute's code block directly (mapped bytes for snapshot-backed
 	// datasets) instead of paying a per-row accessor call.
-	return SplitCodes(ds.CodeColumn(attr), ds.Schema().Protected[attr].Cardinality(), p, attr, observe)
+	return SplitCodes(ds.CodeColumn(attr), ds.Schema().Protected[attr].Cardinality(), p, attr)
 }
 
-// SplitCodes is SplitObserve over an explicit code column: p's Indices
-// are rows of codes, row i is bucketed under codes[i] (which must be
-// below card), and the children are constrained on attr. It lets callers
-// split row spaces other than a dataset's workers — the engine's weighted
-// (cell, bin) rows — with the same scatter, child order and backing
-// layout.
-func SplitCodes(codes []uint16, card int, p *Partition, attr int, observe func(value, row int)) []*Partition {
+// SplitCodes is Split over an explicit code column: p's Indices are rows
+// of codes, row i is bucketed under codes[i] (which must be below card),
+// and the children are constrained on attr. It lets callers split row
+// spaces other than a dataset's workers — the engine's weighted (cell,
+// bin) rows — with the same child order and layout.
+//
+// The children's index slices are carved from one backing array of
+// exactly len(p.Indices) rows: a counting pass sizes each value's range,
+// and the scatter writes every row straight into place, in p's order, so
+// no child grows by append. Each child is capacity-capped at its own end,
+// so an append to one child reallocates instead of writing into its
+// sibling.
+func SplitCodes(codes []uint16, card int, p *Partition, attr int) []*Partition {
 	// end[v] is value v's next free slot: it starts at the range's first
 	// slot and, once the scatter is done, sits at the range's end.
 	end := make([]int, card)
@@ -138,19 +127,10 @@ func SplitCodes(codes []uint16, card int, p *Partition, attr int, observe func(v
 		start += n
 	}
 	backing := make([]int, len(p.Indices))
-	if observe == nil {
-		for _, i := range p.Indices {
-			c := codes[i]
-			backing[end[c]] = i
-			end[c]++
-		}
-	} else {
-		for _, i := range p.Indices {
-			c := int(codes[i])
-			backing[end[c]] = i
-			end[c]++
-			observe(c, i)
-		}
+	for _, i := range p.Indices {
+		c := codes[i]
+		backing[end[c]] = i
+		end[c]++
 	}
 	var out []*Partition
 	lo := 0

@@ -231,45 +231,3 @@ func TestCountTreesExplodes(t *testing.T) {
 		t.Fatalf("paper-sized space suspiciously small: %v", got)
 	}
 }
-
-func TestSplitObserve(t *testing.T) {
-	ds := buildRandom(t, 200, 9)
-	root := Root(ds)
-
-	// The observe hook must see every row exactly once, under the value the
-	// row lands in, in the parent's iteration order — and must not change
-	// the children relative to a plain Split.
-	var seen []int
-	perValue := map[int]int{}
-	observed := SplitObserve(ds, root, 1, func(value, row int) {
-		if got := ds.Code(1, row); got != value {
-			t.Fatalf("row %d observed under value %d, has code %d", row, value, got)
-		}
-		seen = append(seen, row)
-		perValue[value]++
-	})
-	if len(seen) != root.Size() {
-		t.Fatalf("observed %d rows, want %d", len(seen), root.Size())
-	}
-	for i, row := range seen {
-		if row != root.Indices[i] {
-			t.Fatalf("observation %d saw row %d, want parent order %d", i, row, root.Indices[i])
-		}
-	}
-	plain := Split(ds, root, 1)
-	if len(observed) != len(plain) {
-		t.Fatalf("%d children with observer, %d without", len(observed), len(plain))
-	}
-	for i := range plain {
-		if observed[i].Key() != plain[i].Key() {
-			t.Errorf("child %d key %q != %q", i, observed[i].Key(), plain[i].Key())
-		}
-		if len(observed[i].Indices) != len(plain[i].Indices) {
-			t.Errorf("child %d size %d != %d", i, len(observed[i].Indices), len(plain[i].Indices))
-		}
-		v := plain[i].Constraints[len(plain[i].Constraints)-1].Value
-		if perValue[v] != len(plain[i].Indices) {
-			t.Errorf("value %d observed %d times, child holds %d rows", v, perValue[v], len(plain[i].Indices))
-		}
-	}
-}

@@ -9,19 +9,16 @@ import (
 	"fairrank/internal/rng"
 )
 
-// appendSplitObserve is SplitObserve as it was before children were carved
-// from one exactly sized array: every child grows its own slice by append.
-// It is kept as the oracle for TestSplitObserveMatchesAppendOracle.
-func appendSplitObserve(ds *dataset.Dataset, p *Partition, attr int, observe func(value, row int)) []*Partition {
+// appendSplit is Split as it was before children were carved from one
+// exactly sized array: every child grows its own slice by append. It is
+// kept as the oracle for TestSplitMatchesAppendOracle.
+func appendSplit(ds *dataset.Dataset, p *Partition, attr int) []*Partition {
 	card := ds.Schema().Protected[attr].Cardinality()
 	buckets := make([][]int, card)
 	codes := ds.CodeColumn(attr)
 	for _, i := range p.Indices {
 		c := int(codes[i])
 		buckets[c] = append(buckets[c], i)
-		if observe != nil {
-			observe(c, i)
-		}
 	}
 	var out []*Partition
 	for v, idx := range buckets {
@@ -78,8 +75,6 @@ func splitFixture(t *testing.T, r *rng.RNG) *dataset.Dataset {
 	return ds
 }
 
-type observation struct{ value, row int }
-
 // sameChildren fails unless got and want are the same children: same
 // constraints and the same rows in the same order.
 func sameChildren(t *testing.T, label string, got, want []*Partition) {
@@ -97,15 +92,14 @@ func sameChildren(t *testing.T, label string, got, want []*Partition) {
 	}
 }
 
-// TestSplitObserveMatchesAppendOracle: over random populations, split
-// trees grown the way the engine grows them — every part split on the
-// next attribute, a split kept whole when a child falls below a minimum
-// partition size — SplitObserve returns the oracle's children, in the
-// oracle's order, and makes the oracle's observe calls. Parents deep in
-// the tree are themselves carved sub-slices, so each level also splits
-// views of a shared array. An append to one child never shows in a
-// sibling or in the parent.
-func TestSplitObserveMatchesAppendOracle(t *testing.T) {
+// TestSplitMatchesAppendOracle: over random populations, split trees
+// grown the way the engine grows them — every part split on the next
+// attribute, a split kept whole when a child falls below a minimum
+// partition size — Split returns the oracle's children, in the oracle's
+// order. Parents deep in the tree are themselves carved sub-slices, so
+// each level also splits views of a shared array. An append to one child
+// never shows in a sibling or in the parent.
+func TestSplitMatchesAppendOracle(t *testing.T) {
 	r := rng.New(41)
 	for round := 0; round < 150; round++ {
 		ds := splitFixture(t, r)
@@ -122,14 +116,9 @@ func TestSplitObserveMatchesAppendOracle(t *testing.T) {
 			var next []*Partition
 			for pi, p := range parts {
 				label := fmt.Sprintf("round %d depth %d part %d attr %d", round, depth, pi, attr)
-				var gotObs, wantObs []observation
-				got := SplitObserve(ds, p, attr, func(v, row int) { gotObs = append(gotObs, observation{v, row}) })
-				want := appendSplitObserve(ds, p, attr, func(v, row int) { wantObs = append(wantObs, observation{v, row}) })
+				got := Split(ds, p, attr)
+				want := appendSplit(ds, p, attr)
 				sameChildren(t, label, got, want)
-				if !slices.Equal(gotObs, wantObs) {
-					t.Fatalf("%s: observe calls differ from the oracle's", label)
-				}
-				sameChildren(t, label+" (no observer)", Split(ds, p, attr), want)
 
 				// Append to one child: siblings and the parent keep
 				// their rows.

@@ -22,9 +22,6 @@ var RandomAlphas = map[string]float64{
 // RandomFunctionNames lists f1..f5 in table order.
 var RandomFunctionNames = []string{"f1", "f2", "f3", "f4", "f5"}
 
-// BiasedFunctionNames lists f6..f9 in table order.
-var BiasedFunctionNames = []string{"f6", "f7", "f8", "f9"}
-
 // RandomFunctions builds f1–f5.
 func RandomFunctions() ([]scoring.Func, error) {
 	out := make([]scoring.Func, 0, len(RandomFunctionNames))

@@ -1,6 +1,6 @@
 // Package testkit is the differential-testing substrate for fairrank's
 // optimized evaluation paths. Every fast path in the engine — the closed-form
-// 1-D EMD, the incremental pairwise triangle, the single-pass scatter splits,
+// 1-D EMD, the incremental pairwise triangle, the counted splits,
 // the streaming monitor, the exhaustive enumerators — has a slow, obviously
 // correct counterpart here, exported behind the stable Oracle API, plus
 // deterministic input generators (Gen, seeded by internal/rng) and a
