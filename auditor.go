@@ -182,8 +182,12 @@ func (a *Auditor) Explain(ds *Dataset, f ScoringFunc) ([]AttributeImportance, er
 }
 
 // Unfairness measures unfairness(P, f) for an explicit partitioning —
-// Definition 2 of the paper.
+// Definition 2 of the paper. pt must be a full disjoint partitioning of
+// ds.
 func (a *Auditor) Unfairness(ds *Dataset, f ScoringFunc, pt *Partitioning) (float64, error) {
+	if err := pt.Validate(ds); err != nil {
+		return 0, err
+	}
 	e, err := core.NewEvaluator(ds, f, a.cfg)
 	if err != nil {
 		return 0, err
@@ -213,7 +217,11 @@ func GroupBy(ds *Dataset, attrs ...string) (*Partitioning, error) {
 // work): every partition's score distribution is pulled toward the global
 // distribution. amount=1 fully equalizes; within-partition ranking is
 // preserved. Returns the repaired score column, indexed like the dataset.
+// pt must be a full disjoint partitioning of ds.
 func (a *Auditor) RepairedScores(ds *Dataset, f ScoringFunc, pt *Partitioning, amount float64) ([]float64, error) {
+	if err := pt.Validate(ds); err != nil {
+		return nil, err
+	}
 	e, err := core.NewEvaluator(ds, f, a.cfg)
 	if err != nil {
 		return nil, err
@@ -224,13 +232,11 @@ func (a *Auditor) RepairedScores(ds *Dataset, f ScoringFunc, pt *Partitioning, a
 // ScoreUnfairness measures unfairness(P, f) of an arbitrary score column
 // over a partitioning of ds, e.g. to compare before/after repair:
 // scores[i] is worker i's score. It honours the auditor's configuration
-// (bins, metric, ground distance, Exact), as Unfairness does.
+// (bins, metric, ground distance, Exact), and validates pt, as Unfairness
+// does.
 func (a *Auditor) ScoreUnfairness(ds *Dataset, scores []float64, pt *Partitioning) (float64, error) {
 	if ds == nil || len(scores) != ds.N() {
 		return 0, errors.New("fairrank: ScoreUnfairness needs one score per worker of the dataset")
-	}
-	if err := pt.Validate(ds); err != nil {
-		return 0, err
 	}
 	column := scoring.ScoreFunc{FuncName: "scores", Fn: func(_ *Dataset, i int) float64 { return scores[i] }}
 	return a.Unfairness(ds, column, pt)

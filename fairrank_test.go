@@ -254,6 +254,38 @@ func TestScoreUnfairnessValidation(t *testing.T) {
 	}
 }
 
+// everyWorker lists the workers of ds in order.
+func everyWorker(ds *fairrank.Dataset) []int {
+	all := make([]int, ds.N())
+	for i := range all {
+		all[i] = i
+	}
+	return all
+}
+
+// TestUnfairnessRefusesOutOfRangeWorker: Unfairness panicked on a
+// partitioning that lists a worker past the dataset's end.
+func TestUnfairnessRefusesOutOfRangeWorker(t *testing.T) {
+	ds := workers(t, 50, 1)
+	all := everyWorker(ds)
+	oob := &fairrank.Partitioning{Parts: []*fairrank.Partition{{Indices: all[:25]}, {Indices: append(all[25:49:49], 99)}}}
+	if _, err := fairrank.NewAuditor().Unfairness(ds, linear(t, "f", 0.5), oob); err == nil {
+		t.Error("worker 99 of 50 accepted")
+	}
+}
+
+// TestRepairedScoresRefusesRepeatedWorker: RepairedScores took a
+// partitioning that lists worker 0 twice and leaves worker 1 out, and
+// left worker 1 unrepaired.
+func TestRepairedScoresRefusesRepeatedWorker(t *testing.T) {
+	ds := workers(t, 50, 1)
+	twice := append([]int{0, 0}, everyWorker(ds)[2:]...)
+	repeated := &fairrank.Partitioning{Parts: []*fairrank.Partition{{Indices: twice[:25]}, {Indices: twice[25:]}}}
+	if _, err := fairrank.NewAuditor().RepairedScores(ds, linear(t, "f", 0.5), repeated, 1); err == nil {
+		t.Error("worker 0 twice and worker 1 missing accepted")
+	}
+}
+
 func TestCustomSchemaEndToEnd(t *testing.T) {
 	schema := &fairrank.Schema{
 		Protected: []fairrank.Attribute{

@@ -13,17 +13,35 @@ import (
 type Result struct {
 	// Algorithm is the canonical algorithm name (e.g. "balanced").
 	Algorithm string
-	// Partitioning is the most unfair partitioning found.
+	// Parts lists the parts of the most unfair partitioning found: each
+	// part's constraints (or name) and its worker count.
+	Parts []Part
+	// Partitioning is that partitioning, each part listing its workers,
+	// in the order of Parts. Run and the exported algorithm functions
+	// set it; a Search result has none.
 	Partitioning *partition.Partitioning
-	// Unfairness is the average pairwise distance of Partitioning.
+	// Unfairness is the average pairwise distance of the parts.
 	Unfairness float64
-	// Elapsed is the wall-clock time the algorithm took.
+	// Elapsed is the wall-clock time the algorithm took, not counting
+	// the mapping of its parts back to workers.
 	Elapsed time.Duration
 	// Steps traces the splitting decisions for explainability.
 	Steps []TraceStep
 	// Stats reports the engine work this run performed; populated by
-	// Run, zero when an algorithm function is called directly.
+	// Search and Run, zero when an algorithm function is called directly.
 	Stats RunStats
+
+	// rows holds the parts over the evaluator's row space (rows.go), as
+	// an algorithm returns them, until sized and, for Run, mapped back.
+	rows []*partition.Partition
+}
+
+// Part is one part of a result: its constraints, or the name of a named
+// union, and the number of workers it holds.
+type Part struct {
+	Constraints []partition.Constraint
+	Name        string
+	Size        int
 }
 
 // TraceStep records one splitting decision.
@@ -122,16 +140,17 @@ func remove(attrs []int, a int) []int {
 // distance no longer improves. attrs nil means all protected attributes.
 //
 // Balanced, Unbalanced and the other exported algorithm functions are the
-// uncancellable direct entry points; session consumers go through Run,
-// which adds context cancellation, progress callbacks and per-run stats.
+// uncancellable direct entry points; session consumers go through Search
+// or Run, which add context cancellation, progress callbacks and per-run
+// stats. Like Run, each maps its parts back to workers.
 func Balanced(e *Evaluator, attrs []int) *Result {
-	res, _ := balancedWith(context.Background(), e, attrs, worstAttribute, "balanced", nil)
+	res, _ := e.done(balancedWith(context.Background(), e, attrs, worstAttribute, "balanced", nil))
 	return res
 }
 
 // RBalanced is Balanced with random attribute choice (baseline).
 func RBalanced(e *Evaluator, attrs []int, r *rng.RNG) *Result {
-	res, _ := balancedWith(context.Background(), e, attrs, randomAttribute(r), "r-balanced", nil)
+	res, _ := e.done(balancedWith(context.Background(), e, attrs, randomAttribute(r), "r-balanced", nil))
 	return res
 }
 
@@ -149,7 +168,7 @@ func balancedWith(ctx context.Context, e *Evaluator, attrs []int, choose chooser
 	}
 	state := e.rootState(ctx)
 	if len(attrs) == 0 {
-		res.Partitioning = &partition.Partitioning{Parts: e.workerParts(state.parts)}
+		res.rows = state.parts
 		res.Elapsed = time.Since(start)
 		return res, nil
 	}
@@ -178,7 +197,7 @@ func balancedWith(ctx context.Context, e *Evaluator, attrs []int, choose chooser
 		emit(step)
 		state = children.built()
 	}
-	res.Partitioning = &partition.Partitioning{Parts: e.workerParts(state.parts)}
+	res.rows = state.parts
 	res.Unfairness = state.avg
 	res.Elapsed = time.Since(start)
 	return res, nil
@@ -190,13 +209,13 @@ func balancedWith(ctx context.Context, e *Evaluator, attrs []int, choose chooser
 // pairwise distance against its siblings. attrs nil means all protected
 // attributes.
 func Unbalanced(e *Evaluator, attrs []int) *Result {
-	res, _ := unbalancedWith(context.Background(), e, attrs, worstAttribute, "unbalanced", nil)
+	res, _ := e.done(unbalancedWith(context.Background(), e, attrs, worstAttribute, "unbalanced", nil))
 	return res
 }
 
 // RUnbalanced is Unbalanced with random attribute choice (baseline).
 func RUnbalanced(e *Evaluator, attrs []int, r *rng.RNG) *Result {
-	res, _ := unbalancedWith(context.Background(), e, attrs, randomAttribute(r), "r-unbalanced", nil)
+	res, _ := e.done(unbalancedWith(context.Background(), e, attrs, randomAttribute(r), "r-unbalanced", nil))
 	return res
 }
 
@@ -212,13 +231,14 @@ func unbalancedWith(ctx context.Context, e *Evaluator, attrs []int, choose choos
 			progress(step)
 		}
 	}
+	root := e.rootState(ctx)
 	if len(attrs) == 0 {
-		res.Partitioning = &partition.Partitioning{Parts: []*partition.Partition{partition.Root(e.ds)}}
+		res.rows = root.parts
 		res.Elapsed = time.Since(start)
 		return res, nil
 	}
 
-	a, parts := choose(e.rootState(ctx), attrs)
+	a, parts := choose(root, attrs)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -276,7 +296,7 @@ func unbalancedWith(ctx context.Context, e *Evaluator, attrs []int, choose choos
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	res.Partitioning = &partition.Partitioning{Parts: e.workerParts(output)}
+	res.rows = output
 	res.Elapsed = time.Since(start)
 	return res, nil
 }
@@ -284,7 +304,7 @@ func unbalancedWith(ctx context.Context, e *Evaluator, attrs []int, choose choos
 // AllAttributes is the full-partitioning baseline: split on every protected
 // attribute unconditionally.
 func AllAttributes(e *Evaluator, attrs []int) *Result {
-	res, _ := allAttributesCtx(context.Background(), e, attrs, nil)
+	res, _ := e.done(allAttributesCtx(context.Background(), e, attrs, nil))
 	return res
 }
 
@@ -315,7 +335,7 @@ func allAttributesCtx(ctx context.Context, e *Evaluator, attrs []int, progress f
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	res.Partitioning = &partition.Partitioning{Parts: e.workerParts(state.parts)}
+	res.rows = state.parts
 	if len(res.Steps) > 0 {
 		res.Steps[len(res.Steps)-1].AvgDistance = res.Unfairness
 	}

@@ -27,7 +27,7 @@ import (
 // with partition.ErrBudgetExceeded before it averages any candidate. It
 // then streams the candidates in a fixed order, averages each once
 // (candidateAverage) and keeps the earliest most unfair one; only that
-// winner becomes worker partitions.
+// winner's parts are returned.
 
 // ExhaustiveCells solves the optimization problem exactly over the full
 // set-partition space: every grouping of the cells of the attribute
@@ -37,7 +37,7 @@ import (
 // on tiny instances; it exists to quantify how much optimum the tree-shaped
 // formulations leave on the table.
 func ExhaustiveCells(e *Evaluator, attrs []int, budget int) (*Result, error) {
-	return exhaustiveWith(context.Background(), e, attrs, budget, "exhaustive-cells", newCellSpace)
+	return e.done(exhaustiveWith(context.Background(), e, attrs, budget, "exhaustive-cells", newCellSpace))
 }
 
 // Exhaustive solves the optimization problem exactly by enumerating every
@@ -46,7 +46,7 @@ func ExhaustiveCells(e *Evaluator, attrs []int, budget int) (*Result, error) {
 // the expected outcome at realistic attribute counts, mirroring the paper's
 // brute-force solver that "failed to terminate after running for two days".
 func Exhaustive(e *Evaluator, attrs []int, budget int) (*Result, error) {
-	return exhaustiveWith(context.Background(), e, attrs, budget, "exhaustive", newTreeSpace)
+	return e.done(exhaustiveWith(context.Background(), e, attrs, budget, "exhaustive", newTreeSpace))
 }
 
 // space streams the candidates of one exhaustive solver.
@@ -92,12 +92,7 @@ func exhaustiveWith(ctx context.Context, e *Evaluator, attrs []int, budget int, 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return &Result{
-		Algorithm:    name,
-		Partitioning: &partition.Partitioning{Parts: e.workerParts(sp.kept())},
-		Unfairness:   best,
-		Elapsed:      time.Since(start),
-	}, nil
+	return &Result{Algorithm: name, rows: sp.kept(), Unfairness: best, Elapsed: time.Since(start)}, nil
 }
 
 // candidateAverage returns the average one exhaustive run gives each

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -90,10 +92,10 @@ func Beam(e *Evaluator, attrs []int, width int) (*Result, error) {
 		}
 		frontier = next
 	}
-	res.Partitioning = &partition.Partitioning{Parts: e.workerParts(best.st.parts)}
+	res.rows = best.st.parts
 	res.Unfairness = best.st.avg
 	res.Elapsed = time.Since(start)
-	return res, nil
+	return e.done(res, nil)
 }
 
 // Significance runs a permutation test of the hypothesis that the observed
@@ -103,53 +105,107 @@ func Beam(e *Evaluator, attrs []int, width int) (*Result, error) {
 // shuffles at least as unfair as the observation (with the +1 correction,
 // so the p-value is never exactly 0). A small p-value means the disparity
 // is not explainable by sampling noise — a check the paper's point
-// estimates do not provide. It polls ctx every round and returns ctx.Err()
-// once ctx is done.
+// estimates do not provide. It validates the partitioning, measures its
+// unfairness and hands the group sizes to PValue, which polls ctx every
+// round and returns ctx.Err() once ctx is done.
 func Significance(ctx context.Context, e *Evaluator, pt *partition.Partitioning, rounds int, seed uint64) (pValue, observed float64, err error) {
 	if pt == nil || len(pt.Parts) == 0 {
 		return 0, 0, errors.New("core: empty partitioning")
 	}
-	if rounds < 1 {
-		return 0, 0, errors.New("core: need at least one permutation round")
-	}
 	if err := pt.Validate(e.ds); err != nil {
 		return 0, 0, err
 	}
-	observed = e.Unfairness(pt)
-
-	// Flatten group sizes; under the null, scores are exchangeable, so we
-	// shuffle the worker order and re-slice it into the same group sizes.
-	// Each group is built and compared the way the observed partitions are
-	// (payload, or a sorted sample in Exact mode), so the two sides of the
-	// test measure the same quantity.
 	sizes := make([]int, len(pt.Parts))
 	for i, p := range pt.Parts {
 		sizes[i] = p.Size()
 	}
-	perm := make([]int, e.ds.N())
-	for i := range perm {
-		perm[i] = i
+	observed = e.Unfairness(pt)
+	if pValue, err = PValue(ctx, e, sizes, observed, rounds, seed); err != nil {
+		return 0, 0, err
+	}
+	return pValue, observed, nil
+}
+
+// PValue is Significance's permutation test over the group sizes of a
+// partitioning whose unfairness is observed; the sizes must sum to the
+// evaluator's worker count. A Search result's Parts and Unfairness give
+// both, so a caller of Search tests its result without listing a worker.
+//
+// Under the null the scores are exchangeable, so each round shuffles the
+// worker order and cuts it into groups of the given sizes, in order. The
+// shuffle acts on a copy of the bin column (Exact mode: the score column)
+// itself, with the draws rng.Shuffle makes for a shuffle of worker ids,
+// so the values a group's slice holds are the bins (scores) of the
+// workers the shuffled ids would have given it. Each group is built and
+// compared the way the observed partitions are (payload, or a sorted
+// sample in Exact mode), so the two sides of the test measure the same
+// quantity.
+func PValue(ctx context.Context, e *Evaluator, sizes []int, observed float64, rounds int, seed uint64) (float64, error) {
+	if rounds < 1 {
+		return 0, errors.New("core: need at least one permutation round")
+	}
+	total := 0
+	for _, n := range sizes {
+		if n < 0 {
+			return 0, fmt.Errorf("core: a group of %d workers", n)
+		}
+		total += n
+	}
+	if len(sizes) == 0 || total != e.ds.N() {
+		return 0, fmt.Errorf("core: %d groups of %d workers in all, for %d workers", len(sizes), total, e.ds.N())
 	}
 	reps := make([]*rep, len(sizes))
+	for g := range reps {
+		reps[g] = &rep{}
+	}
+	// swap shuffles the column; fill builds each group's payload from its
+	// slice of the shuffled column, into buffers reused every round.
+	var swap func(i, j int)
+	var fill func()
+	if e.cfg.Exact {
+		col, sample := slices.Clone(e.scores), make([]float64, e.ds.N())
+		swap = func(i, j int) { col[i], col[j] = col[j], col[i] }
+		fill = func() {
+			copy(sample, col)
+			off := 0
+			for g, n := range sizes {
+				s := sample[off : off+n]
+				sort.Float64s(s)
+				reps[g].data = s
+				off += n
+			}
+		}
+	} else {
+		bins := e.cfg.Bins
+		col, counts := slices.Clone(e.bin), make([]float64, len(sizes)*bins)
+		swap = func(i, j int) { col[i], col[j] = col[j], col[i] }
+		fill = func() {
+			clear(counts)
+			off := 0
+			for g, n := range sizes {
+				c := counts[g*bins : (g+1)*bins]
+				for _, b := range col[off : off+n] {
+					c[b]++
+				}
+				reps[g].data = e.payload(c)
+				off += n
+			}
+		}
+	}
 	r := rng.New(seed)
 	extreme := 0
 	for round := 0; round < rounds; round++ {
 		if err := ctx.Err(); err != nil {
-			return 0, 0, err
+			return 0, err
 		}
-		r.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		off := 0
-		for g, n := range sizes {
-			reps[g] = &rep{data: e.buildData(perm[off : off+n])}
-			off += n
-		}
+		r.Shuffle(e.ds.N(), swap)
+		fill()
 		if e.average(ctx, reps, e.cfg.Parallelism) >= observed {
 			extreme++
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	pValue = (float64(extreme) + 1) / (float64(rounds) + 1)
-	return pValue, observed, nil
+	return (float64(extreme) + 1) / (float64(rounds) + 1), nil
 }

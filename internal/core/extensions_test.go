@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fairrank/internal/dataset"
+	"fairrank/internal/emd"
 	"fairrank/internal/partition"
 	"fairrank/internal/rng"
 	"fairrank/internal/scoring"
@@ -142,6 +143,96 @@ func TestSignificanceValidation(t *testing.T) {
 	good := &partition.Partitioning{Parts: partition.Split(ds, partition.Root(ds), 0)}
 	if _, _, err := Significance(context.Background(), e, good, 0, 1); err == nil {
 		t.Error("zero rounds accepted")
+	}
+}
+
+// shuffledAverages is the permutation test's rounds as first written:
+// each round shuffles worker ids and builds every group's payload from
+// its slice of them (buildData). It returns each round's average.
+func shuffledAverages(e *Evaluator, sizes []int, rounds int, seed uint64) []float64 {
+	perm := make([]int, e.ds.N())
+	for i := range perm {
+		perm[i] = i
+	}
+	reps := make([]*rep, len(sizes))
+	r := rng.New(seed)
+	out := make([]float64, rounds)
+	for round := range out {
+		r.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+		off := 0
+		for g, n := range sizes {
+			reps[g] = &rep{data: e.buildData(perm[off : off+n])}
+			off += n
+		}
+		out[round] = e.average(context.Background(), reps, e.cfg.Parallelism)
+	}
+	return out
+}
+
+// TestPValueMatchesWorkerShuffle: shuffling the bin (score) column gives
+// the rounds that shuffling worker ids gave, bit for bit. Every round's
+// average under the worker shuffle serves once as the observed value, so
+// a round whose average moved by one ulp changes a p-value. The grid: the
+// results of balanced, unbalanced and all-attributes (one with an empty
+// group added), seeds 1–3 and 1, 3 and 8 rounds, under binned EMD, Bins 7
+// with GroundIndex, KS and Exact mode.
+func TestPValueMatchesWorkerShuffle(t *testing.T) {
+	ds := randomDataset(t, 400, 17)
+	for _, cfg := range []Config{{}, {Bins: 7, Ground: emd.GroundIndex}, {Metric: emd.MetricKS}, {Exact: true}} {
+		e := mustEval(t, ds, cfg)
+		for _, alg := range []string{"balanced", "unbalanced", "all-attributes"} {
+			res, err := Search(context.Background(), Spec{Algorithm: alg, Evaluator: e})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sizes := make([]int, len(res.Parts))
+			for k, p := range res.Parts {
+				sizes[k] = p.Size
+			}
+			if alg == "all-attributes" {
+				sizes = append(sizes, 0)
+			}
+			for seed := uint64(1); seed <= 3; seed++ {
+				for _, rounds := range []int{1, 3, 8} {
+					ref := shuffledAverages(e, sizes, rounds, seed)
+					for _, observed := range append(ref, res.Unfairness) {
+						extreme := 0
+						for _, avg := range ref {
+							if avg >= observed {
+								extreme++
+							}
+						}
+						want := (float64(extreme) + 1) / (float64(rounds) + 1)
+						got, err := PValue(context.Background(), e, sizes, observed, rounds, seed)
+						if err != nil || got != want {
+							t.Fatalf("%+v %s seed %d, %d rounds, observed %v: p = %v (%v), worker shuffle %v",
+								cfg, alg, seed, rounds, observed, got, err, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPValueValidation: PValue refuses no rounds, no groups, a negative
+// group and sizes that do not sum to the worker count.
+func TestPValueValidation(t *testing.T) {
+	ds := randomDataset(t, 50, 95)
+	e := mustEval(t, ds, Config{})
+	for _, c := range []struct {
+		sizes  []int
+		rounds int
+	}{
+		{[]int{50}, 0},
+		{nil, 10},
+		{[]int{51, -1}, 10},
+		{[]int{20, 20}, 10},
+		{[]int{40, 20}, 10},
+	} {
+		if _, err := PValue(context.Background(), e, c.sizes, 0, c.rounds, 1); err == nil {
+			t.Errorf("sizes %v, %d rounds accepted", c.sizes, c.rounds)
+		}
 	}
 }
 

@@ -529,6 +529,8 @@ func BenchmarkDistinctCells(b *testing.B) {
 // worker into its bin (NewEvaluator) and, with rows=true, building the
 // collapsed rows. The a= arms time the whole audit of each heuristic
 // through Run: the evaluator, the search and the map back to worker rows.
+// At 1M workers each has a search arm beside it, the same audit through
+// Search, which stops at the row space: the two arms differ by the map.
 // The cell grouping is cached on the dataset, as it is on a served one, so
 // it is built before the clock.
 func BenchmarkIngest(b *testing.B) {
@@ -581,14 +583,24 @@ func BenchmarkIngest(b *testing.B) {
 			})
 		}
 		for _, alg := range []string{"balanced", "all-attributes", "unbalanced"} {
-			b.Run(fmt.Sprintf("n=%d/a=%s", n, alg), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := Run(context.Background(), Spec{Algorithm: alg, Dataset: ds, Func: f, Config: Config{Bins: 10}}); err != nil {
-						b.Fatal(err)
-					}
+			ends := []string{""}
+			if n == 1_000_000 {
+				ends = append(ends, "/search")
+			}
+			for _, end := range ends {
+				run := Run
+				if end != "" {
+					run = Search
 				}
-			})
+				b.Run(fmt.Sprintf("n=%d/a=%s%s", n, alg, end), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if _, err := run(context.Background(), Spec{Algorithm: alg, Dataset: ds, Func: f, Config: Config{Bins: 10}}); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"fairrank/internal/dataset"
+	"fairrank/internal/partition"
 	"fairrank/internal/rng"
 	"fairrank/internal/scoring"
 	"fairrank/internal/telemetry"
@@ -15,10 +16,10 @@ import (
 
 // This file is the session layer: the single entry point every consumer of
 // the engine goes through. A Spec names a registered algorithm and its
-// inputs; Run resolves the algorithm, honors the caller's context
+// inputs; Search and Run resolve the algorithm, honor the caller's context
 // (cancellation and deadlines propagate into the parallel attribute scan
-// and the refinement loops), streams TraceSteps to an optional progress
-// callback, and attaches per-run engine statistics to the result. The
+// and the refinement loops), stream TraceSteps to an optional progress
+// callback, and attach per-run engine statistics to the result. The
 // registry replaces the per-algorithm switch blocks that used to be
 // duplicated in every consumer above this package.
 
@@ -94,8 +95,10 @@ type RunStats struct {
 	Rounds int
 }
 
-// RunFunc executes one registered algorithm against an evaluator. It must
-// return ctx.Err() when the context is cancelled mid-run.
+// RunFunc executes one registered algorithm against an evaluator and
+// returns its result with the parts over the evaluator's row space, which
+// Search sizes and Run maps back to workers. It must return ctx.Err() when
+// the context is cancelled mid-run.
 type RunFunc func(ctx context.Context, e *Evaluator, spec Spec) (*Result, error)
 
 var registry = struct {
@@ -144,12 +147,38 @@ func Algorithms() []string {
 	return out
 }
 
-// Run executes one audit: it resolves the algorithm from the registry,
+// Search executes one audit: it resolves the algorithm from the registry,
 // builds (or reuses) the evaluator, and runs under ctx — cancellation and
 // deadlines abort the parallel attribute scan and every refinement loop
-// promptly, returning ctx.Err(). On success the result carries per-run
-// engine statistics.
+// promptly, returning ctx.Err(). The result stops at the row space the
+// algorithms split (rows.go): Parts gives each part's constraints (or
+// name) and its worker count, summed from the row weights, and there is
+// no Partitioning, so no worker list is built. On success the result
+// carries per-run engine statistics.
+func Search(ctx context.Context, spec Spec) (*Result, error) {
+	res, e, err := search(ctx, spec)
+	if err != nil {
+		return nil, err
+	}
+	e.sized(res)
+	res.rows = nil
+	return res, nil
+}
+
+// Run is Search with the parts mapped back to workers: the result's
+// Partitioning lists each part's workers in ascending order, at an O(N)
+// cost Search does not pay.
 func Run(ctx context.Context, spec Spec) (*Result, error) {
+	res, e, err := search(ctx, spec)
+	if err != nil {
+		return nil, err
+	}
+	return e.done(res, nil)
+}
+
+// search runs spec's algorithm for Search and Run, leaving the result's
+// parts over the evaluator's row space.
+func search(ctx context.Context, spec Spec) (*Result, *Evaluator, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -159,16 +188,16 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	}
 	fn, err := Lookup(name)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	e := spec.Evaluator
 	if e == nil {
 		if e, err = NewEvaluator(spec.Dataset, spec.Func, spec.Config); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	reps0, computed0, served0 := e.reps.Load(), e.computed.Load(), e.served.Load()
 	// The root "run" span parents every scan/probe/split/emd span the
@@ -179,7 +208,7 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	rsp.End()
 	e.tel.runs.Inc()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res.Stats = RunStats{
 		RepsInterned:  int(e.reps.Load() - reps0),
@@ -187,6 +216,26 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		CacheHits:     int(e.served.Load() - served0),
 		Rounds:        len(res.Steps),
 	}
+	return res, e, nil
+}
+
+// sized fills res.Parts from the parts res holds over the row space.
+func (e *Evaluator) sized(res *Result) {
+	res.Parts = make([]Part, len(res.rows))
+	for k, p := range res.rows {
+		res.Parts[k] = Part{Constraints: p.Constraints, Name: p.Name, Size: e.rows.size(p)}
+	}
+}
+
+// done completes an algorithm's result as Run returns it, unless err is
+// set: its Parts, and its Partitioning of the same parts over workers.
+func (e *Evaluator) done(res *Result, err error) (*Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	e.sized(res)
+	res.Partitioning = &partition.Partitioning{Parts: e.workerParts(res.rows)}
+	res.rows = nil
 	return res, nil
 }
 

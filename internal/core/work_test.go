@@ -28,9 +28,11 @@ func (p workPin) String() string {
 	return fmt.Sprintf("{%q, %d, %d, %d, %d, %d, %d, %#x},", p.run, p.probes, p.reps, p.pairs, p.hits, p.parts, p.steps, p.bits)
 }
 
-// workRun runs one algorithm on a fresh evaluator and reads its work.
-// width > 0 runs Beam of that width, which Run does not drive.
-func workRun(t *testing.T, ds *dataset.Dataset, f scoring.Func, cfg core.Config, alg string, width int, attrs []int) workPin {
+// workRun runs one algorithm on a fresh evaluator and reads its work,
+// through Run, or through Search when search is set. width > 0 runs Beam
+// of that width, which neither drives; with search set, Beam's parts are
+// counted from its Parts, as Search's are.
+func workRun(t *testing.T, ds *dataset.Dataset, f scoring.Func, cfg core.Config, alg string, width int, attrs []int, search bool) workPin {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	cfg.Metrics = reg
@@ -46,13 +48,23 @@ func workRun(t *testing.T, ds *dataset.Dataset, f scoring.Func, cfg core.Config,
 		}
 		reps, pairs, hits := core.Work(e)
 		res.Stats = core.RunStats{RepsInterned: reps - reps0, PairsComputed: pairs - pairs0, CacheHits: hits - hits0}
-	} else if res, err = core.Run(context.Background(), core.Spec{Algorithm: alg, Evaluator: e, Attrs: attrs, Seed: 3}); err != nil {
-		t.Fatal(err)
+	} else {
+		run := core.Run
+		if search {
+			run = core.Search
+		}
+		if res, err = run(context.Background(), core.Spec{Algorithm: alg, Evaluator: e, Attrs: attrs, Seed: 3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parts := len(res.Parts)
+	if !search {
+		parts = res.Partitioning.Size()
 	}
 	return workPin{
 		probes: int(reg.Snapshot().Counters[core.MetricProbes]),
 		reps:   res.Stats.RepsInterned, pairs: res.Stats.PairsComputed, hits: res.Stats.CacheHits,
-		parts: res.Partitioning.Size(), steps: len(res.Steps), bits: math.Float64bits(res.Unfairness),
+		parts: parts, steps: len(res.Steps), bits: math.Float64bits(res.Unfairness),
 	}
 }
 
@@ -61,10 +73,11 @@ func workRun(t *testing.T, ds *dataset.Dataset, f scoring.Func, cfg core.Config,
 // populations of the paper's schema (one whose workers are each their own
 // cell, so binned mode searches worker rows) under binned EMD, KS, Exact
 // mode and a MinPartitionSize guard, and both exhaustive solvers over
-// attribute subsets in binned and Exact mode. The values were recorded
-// before the searches shared one split; a change that moves one changes
-// what the engine computes or how much, and re-recording is for an
-// intended change only.
+// attribute subsets in binned and Exact mode. Every run goes through Run
+// and again through Search, which must match the same pin. The values
+// were recorded before the searches shared one split; a change that moves
+// one changes what the engine computes or how much, and re-recording is
+// for an intended change only.
 func TestEngineWorkPinned(t *testing.T) {
 	want := map[string]workPin{}
 	for _, p := range workPins {
@@ -94,15 +107,16 @@ func TestEngineWorkPinned(t *testing.T) {
 		{"min40", core.Config{Parallelism: 2, MinPartitionSize: 40}},
 	}
 	heuristics := []string{"balanced", "unbalanced", "r-balanced", "r-unbalanced", "all-attributes"}
-	check := func(got workPin) {
+	seen := map[string]bool{}
+	check := func(got workPin, search bool) {
 		t.Helper()
 		w, ok := want[got.run]
 		if !ok {
 			t.Errorf("no pin for %s; measured %v", got.run, got)
 		} else if got != w {
-			t.Errorf("%s: measured %v\n\tpinned %v", got.run, got, w)
+			t.Errorf("%s (search %v): measured %v\n\tpinned %v", got.run, search, got, w)
 		}
-		delete(want, got.run)
+		seen[got.run] = true
 	}
 	for _, pop := range pops {
 		ds, err := simulate.PaperWorkers(pop.n, pop.seed)
@@ -113,15 +127,17 @@ func TestEngineWorkPinned(t *testing.T) {
 			t.Fatalf("population %s: %d cells for %d workers", pop.name, ds.Cells().N(), ds.N())
 		}
 		for _, c := range configs {
-			for _, alg := range heuristics {
-				got := workRun(t, ds, pop.f, c.cfg, alg, 0, nil)
-				got.run = pop.name + "/" + c.name + "/" + alg
-				check(got)
-			}
-			for _, width := range []int{1, 3} {
-				got := workRun(t, ds, pop.f, c.cfg, "", width, nil)
-				got.run = fmt.Sprintf("%s/%s/beam-%d", pop.name, c.name, width)
-				check(got)
+			for _, search := range []bool{false, true} {
+				for _, alg := range heuristics {
+					got := workRun(t, ds, pop.f, c.cfg, alg, 0, nil, search)
+					got.run = pop.name + "/" + c.name + "/" + alg
+					check(got, search)
+				}
+				for _, width := range []int{1, 3} {
+					got := workRun(t, ds, pop.f, c.cfg, "", width, nil, search)
+					got.run = fmt.Sprintf("%s/%s/beam-%d", pop.name, c.name, width)
+					check(got, search)
+				}
 			}
 		}
 		// Gender × Country × Language for the tree space (at most 4,684
@@ -138,14 +154,18 @@ func TestEngineWorkPinned(t *testing.T) {
 				{"exhaustive", []int{0, 1, 3}},
 				{"exhaustive-cells", []int{0, 1}},
 			} {
-				got := workRun(t, ds, pop.f, c.cfg, x.alg, 0, x.attrs)
-				got.run = fmt.Sprintf("%s/%s/%s%v", pop.name, c.name, x.alg, x.attrs)
-				check(got)
+				for _, search := range []bool{false, true} {
+					got := workRun(t, ds, pop.f, c.cfg, x.alg, 0, x.attrs, search)
+					got.run = fmt.Sprintf("%s/%s/%s%v", pop.name, c.name, x.alg, x.attrs)
+					check(got, search)
+				}
 			}
 		}
 	}
 	for run := range want {
-		t.Errorf("pin %s names no run", run)
+		if !seen[run] {
+			t.Errorf("pin %s names no run", run)
+		}
 	}
 }
 

@@ -35,11 +35,16 @@ func Scores(scores []float64, pt *partition.Partitioning, amount float64) ([]flo
 		return nil, fmt.Errorf("repair: amount %v outside [0,1]", amount)
 	}
 	covered := 0
+	seen := make([]bool, len(scores))
 	for _, p := range pt.Parts {
 		for _, i := range p.Indices {
 			if i < 0 || i >= len(scores) {
 				return nil, fmt.Errorf("repair: partition index %d out of range", i)
 			}
+			if seen[i] {
+				return nil, fmt.Errorf("repair: worker %d appears twice", i)
+			}
+			seen[i] = true
 			covered++
 		}
 	}

@@ -70,6 +70,22 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// TestRepeatedWorkerRefused: a partitioning that lists one worker twice
+// and leaves another out covers as many indices as there are workers, but
+// would leave the missing worker unrepaired.
+func TestRepeatedWorkerRefused(t *testing.T) {
+	scores, _ := biasedSetup(t, 50, 1)
+	idx := make([]int, len(scores))
+	for i := range idx {
+		idx[i] = i
+	}
+	idx[1] = 0
+	pt := &partition.Partitioning{Parts: []*partition.Partition{{Indices: idx[:25]}, {Indices: idx[25:]}}}
+	if _, err := Scores(scores, pt, 1); err == nil {
+		t.Error("worker 0 twice and worker 1 missing accepted")
+	}
+}
+
 func TestAmountZeroIsIdentity(t *testing.T) {
 	scores, pt := biasedSetup(t, 100, 2)
 	out, err := Scores(scores, pt, 0)

@@ -175,36 +175,48 @@ func (s *Server) decodeJob(raw []byte) (jobs.Spec, string, error) {
 }
 
 // execJob is the queue's executor: resolve the spec on its pinned
-// content, drive the engine (and the permutation test, when asked) under
-// the job's context, and encode the deterministic result as a record.
-// The record carries no wall-clock fields (the job's started_at and
-// finished_at hold those): crash recovery re-runs interrupted jobs and
-// promises a bit-identical result, so it is a pure function of the spec.
+// content and run it (runAudit).
 func (s *Server) execJob(ctx context.Context, j jobs.Job, progress func(core.TraceStep)) ([]byte, error) {
 	spec, err := s.resolveJobSpec(j.Spec)
 	if err != nil {
 		return nil, err
 	}
+	spec.Progress = progress
+	return runAudit(ctx, spec, j.Spec.Dataset, j.Spec.SignificanceRounds, j.Spec.Seed)
+}
+
+// runAudit drives the engine (and the permutation test, when rounds > 0)
+// under the job's context, and encodes the deterministic result as the
+// record of the dataset name. The search stops at the row space: the
+// record and the permutation test need each part's label and size, not
+// its workers. The record carries no wall-clock fields (the job's
+// started_at and finished_at hold those): crash recovery re-runs
+// interrupted jobs and promises a bit-identical result, so it is a pure
+// function of the spec.
+func runAudit(ctx context.Context, spec core.Spec, name string, rounds int, seed uint64) ([]byte, error) {
 	// One evaluator serves both the search and the permutation test.
 	e, err := core.NewEvaluator(spec.Dataset, spec.Func, spec.Config)
 	if err != nil {
 		return nil, err
 	}
 	spec.Evaluator = e
-	spec.Progress = progress
-	res, err := core.Run(ctx, spec)
+	res, err := core.Search(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
 	var pValue *float64
-	if n := j.Spec.SignificanceRounds; n > 0 {
-		p, _, err := core.Significance(ctx, e, res.Partitioning, n, j.Spec.Seed)
+	if rounds > 0 {
+		sizes := make([]int, len(res.Parts))
+		for k, p := range res.Parts {
+			sizes[k] = p.Size
+		}
+		p, err := core.PValue(ctx, e, sizes, res.Unfairness, rounds, seed)
 		if err != nil {
 			return nil, err
 		}
 		pValue = &p
 	}
-	return encodeResult(j.Spec.Dataset, res, spec.Dataset.Schema(), pValue)
+	return encodeResult(name, res, spec.Dataset.Schema(), pValue)
 }
 
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {

@@ -59,9 +59,9 @@ type resultSummary struct {
 }
 
 // encodeResult builds the record of a finished audit of the dataset the
-// job names, whose partitions res holds over schema. The partitions go in
-// label order. Like encoding/json, it refuses a non-finite unfairness or
-// p-value.
+// job names, whose parts res holds over schema (Result.Parts: labels and
+// sizes, so a Search result serves). The partitions go in label order.
+// Like encoding/json, it refuses a non-finite unfairness or p-value.
 func encodeResult(name string, res *core.Result, schema *dataset.Schema, pValue *float64) ([]byte, error) {
 	if !finite(res.Unfairness) {
 		return nil, fmt.Errorf("server: cannot store unfairness %v", res.Unfairness)
@@ -69,7 +69,7 @@ func encodeResult(name string, res *core.Result, schema *dataset.Schema, pValue 
 	if pValue != nil && !finite(*pValue) {
 		return nil, fmt.Errorf("server: cannot store p-value %v", *pValue)
 	}
-	parts := res.Partitioning.Parts
+	parts := res.Parts
 	n := 0
 	for _, p := range parts {
 		n += max(len(p.Constraints), 1)
@@ -93,7 +93,7 @@ func encodeResult(name string, res *core.Result, schema *dataset.Schema, pValue 
 				idx = append(idx, pt.constraint(c))
 			}
 		}
-		size += uvarintLen(len(idx)-int(bounds[len(bounds)-1])) + uvarintLen(p.Size())
+		size += uvarintLen(len(idx)-int(bounds[len(bounds)-1])) + uvarintLen(p.Size)
 		bounds = append(bounds, int32(len(idx)))
 	}
 	for _, s := range pt.pieces {
@@ -121,7 +121,7 @@ func encodeResult(name string, res *core.Result, schema *dataset.Schema, pValue 
 		for _, i := range pieces {
 			out = binary.AppendUvarint(out, uint64(i))
 		}
-		out = binary.AppendUvarint(out, uint64(parts[k].Size()))
+		out = binary.AppendUvarint(out, uint64(parts[k].Size))
 	}
 	return out, nil
 }

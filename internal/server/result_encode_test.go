@@ -267,7 +267,7 @@ func TestEncodeResultMatchesHeadWideKeys(t *testing.T) {
 			}
 			res.Partitioning.Parts = append(res.Partitioning.Parts, p)
 		}
-		checkHeadBytes(t, first, res, schema, nil)
+		checkHeadBytes(t, first, withParts(res), schema, nil)
 	}
 }
 
@@ -344,7 +344,7 @@ func TestEncodeResultAllocsFlat(t *testing.T) {
 			}
 			res.Partitioning.Parts = append(res.Partitioning.Parts, p)
 		}
-		return res
+		return withParts(res)
 	}
 	// Without "New" no piece is another's proper prefix.
 	for _, cities := range [][]int{{1, 2}, {0, 1, 2}} {

@@ -80,9 +80,19 @@ func resultFrom(data []byte) (string, *core.Result, *dataset.Schema, *float64) {
 	res.Unfairness = src.float()
 	if src.next()%2 == 1 {
 		p := src.float()
-		return name, res, schema, &p
+		return name, withParts(res), schema, &p
 	}
-	return name, res, schema, nil
+	return name, withParts(res), schema, nil
+}
+
+// withParts gives a result a test built the Parts that Run gives its
+// Partitioning: each part's constraints, name and size.
+func withParts(res *core.Result) *core.Result {
+	res.Parts = make([]core.Part, len(res.Partitioning.Parts))
+	for k, p := range res.Partitioning.Parts {
+		res.Parts[k] = core.Part{Constraints: p.Constraints, Name: p.Name, Size: p.Size()}
+	}
+	return res
 }
 
 // checkRecord encodes a result and requires its rendering and summary to
@@ -149,7 +159,7 @@ func TestResultRecordMatchesOracle(t *testing.T) {
 			part(2, partition.Constraint{Attr: 0, Value: 7}), part(8, partition.Constraint{Attr: 1, Value: 1})}, tiny, &tiny},
 	}
 	for _, c := range cases {
-		checkRecord(t, c.name, &core.Result{Algorithm: "balanced", Unfairness: c.u, Partitioning: &partition.Partitioning{Parts: c.parts}}, schema, c.pValue)
+		checkRecord(t, c.name, withParts(&core.Result{Algorithm: "balanced", Unfairness: c.u, Partitioning: &partition.Partitioning{Parts: c.parts}}), schema, c.pValue)
 	}
 	// The label order's edges: a value that is another's prefix followed
 	// by a space, by a byte below 0x20, or by the separator itself, whose
@@ -167,7 +177,7 @@ func TestResultRecordMatchesOracle(t *testing.T) {
 		{part(1, age(2)), part(2, age(0)), part(3, age(2)), part(4, age(0), city(1)), part(5, age(2)), part(6, age(0))},
 		{part(1, city(4), age(3)), part(2, city(0), age(3)), part(3, city(4)), part(4, city(0))},
 	} {
-		res := &core.Result{Algorithm: "balanced", Partitioning: &partition.Partitioning{Parts: parts}}
+		res := withParts(&core.Result{Algorithm: "balanced", Partitioning: &partition.Partitioning{Parts: parts}})
 		checkRecord(t, fmt.Sprint("edges", i), res, edges, nil)
 		checkHeadBytes(t, fmt.Sprint("edges", i), res, edges, nil)
 	}
@@ -189,10 +199,10 @@ func TestResultRecordMatchesOracle(t *testing.T) {
 // to an error and appends nothing.
 func TestMalformedRecordsFail(t *testing.T) {
 	schema := &dataset.Schema{Protected: []dataset.Attribute{dataset.Cat("G", "a", "b")}}
-	res := &core.Result{Algorithm: "balanced", Unfairness: 0.25, Partitioning: &partition.Partitioning{Parts: []*partition.Partition{
+	res := withParts(&core.Result{Algorithm: "balanced", Unfairness: 0.25, Partitioning: &partition.Partitioning{Parts: []*partition.Partition{
 		{Constraints: []partition.Constraint{{Attr: 0, Value: 0}}, Indices: make([]int, 2)},
 		{Constraints: []partition.Constraint{{Attr: 0, Value: 1}}, Indices: make([]int, 3)},
-	}}}
+	}}})
 	good, err := encodeResult("d", res, schema, nil)
 	if err != nil {
 		t.Fatal(err)
