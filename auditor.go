@@ -46,7 +46,7 @@ var Algorithms = []Algorithm{
 	AlgoUnbalanced, AlgoRUnbalanced, AlgoBalanced, AlgoRBalanced, AlgoAllAttributes,
 }
 
-// RegisteredAlgorithms returns every algorithm name the engine registry
+// RegisteredAlgorithms returns every algorithm name the engine's table
 // knows, sorted — the authoritative set Audit accepts (a superset of
 // Algorithms that includes the exact solvers).
 func RegisteredAlgorithms() []string { return core.Algorithms() }
@@ -168,7 +168,18 @@ func (a *Auditor) Significance(ds *Dataset, f ScoringFunc, pt *Partitioning, rou
 	if err != nil {
 		return 0, 0, err
 	}
-	return core.Significance(context.Background(), e, pt, rounds, a.seed)
+	if err := pt.Validate(ds); err != nil {
+		return 0, 0, err
+	}
+	sizes := make([]int, len(pt.Parts))
+	for i, p := range pt.Parts {
+		sizes[i] = p.Size()
+	}
+	observed = e.Unfairness(pt)
+	if pValue, err = core.PValue(context.Background(), e, sizes, observed, rounds, a.seed); err != nil {
+		return 0, 0, err
+	}
+	return pValue, observed, nil
 }
 
 // Explain computes per-attribute importances for the scoring function's

@@ -182,12 +182,12 @@ func run(w io.Writer, dataFile, snapFile string, gen int, seed uint64, algo stri
 		}
 	}
 	if sigRounds > 0 {
-		p, obs, err := core.Significance(ctx, e, res.Partitioning, sigRounds, seed)
+		p, err := core.PValue(ctx, e, core.PartSizes(res.Parts), res.Unfairness, sigRounds, seed)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "\npermutation test (%d rounds): observed %.4f, p = %.4f\n",
-			sigRounds, obs, p)
+			sigRounds, res.Unfairness, p)
 		if p <= 0.05 {
 			fmt.Fprintln(w, "the disparity is unlikely to be sampling noise (p <= 0.05)")
 		} else {

@@ -338,7 +338,7 @@ func runSweep(w io.Writer, ds *dataset.Dataset, workers int, seed uint64, bins, 
 		if err != nil {
 			return err
 		}
-		res, err := core.Run(bt.context(), core.Spec{Evaluator: e})
+		res, err := core.Search(bt.context(), core.Spec{Evaluator: e})
 		if err != nil {
 			return err
 		}

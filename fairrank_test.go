@@ -423,6 +423,28 @@ func TestSignificancePublicAPI(t *testing.T) {
 	}
 }
 
+// TestSignificanceValidation: Significance refuses no partitioning, one
+// that leaves workers out, and zero rounds.
+func TestSignificanceValidation(t *testing.T) {
+	ds := workers(t, 50, 95)
+	a := fairrank.NewAuditor()
+	f := genderBiased(t, 95)
+	if _, _, err := a.Significance(ds, f, nil, 10); err == nil {
+		t.Error("nil partitioning accepted")
+	}
+	bad := &fairrank.Partitioning{Parts: []*fairrank.Partition{{Indices: []int{0}}}}
+	if _, _, err := a.Significance(ds, f, bad, 10); err == nil {
+		t.Error("incomplete partitioning accepted")
+	}
+	good, err := fairrank.GroupBy(ds, "Gender")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := a.Significance(ds, f, good, 0); err == nil {
+		t.Error("zero rounds accepted")
+	}
+}
+
 func TestMinPartitionSizePublicAPI(t *testing.T) {
 	ds := workers(t, 300, 13)
 	a := fairrank.NewAuditor(fairrank.WithConfig(fairrank.Config{MinPartitionSize: 20}))

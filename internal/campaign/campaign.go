@@ -135,7 +135,7 @@ func auditOne(ctx context.Context, ds *dataset.Dataset, f scoring.Func, opts Opt
 	if err != nil {
 		return FunctionAudit{}, err
 	}
-	p, _, err := core.Significance(ctx, e, res.Partitioning, opts.Rounds, seed)
+	p, err := core.PValue(ctx, e, core.PartSizes(res.Parts), res.Unfairness, opts.Rounds, seed)
 	if err != nil {
 		return FunctionAudit{}, err
 	}

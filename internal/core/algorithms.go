@@ -17,8 +17,8 @@ type Result struct {
 	// part's constraints (or name) and its worker count.
 	Parts []Part
 	// Partitioning is that partitioning, each part listing its workers,
-	// in the order of Parts. Run and the exported algorithm functions
-	// set it; a Search result has none.
+	// in the order of Parts. Run and Beam set it; a Search result has
+	// none.
 	Partitioning *partition.Partitioning
 	// Unfairness is the average pairwise distance of the parts.
 	Unfairness float64
@@ -28,7 +28,7 @@ type Result struct {
 	// Steps traces the splitting decisions for explainability.
 	Steps []TraceStep
 	// Stats reports the engine work this run performed; populated by
-	// Search and Run, zero when an algorithm function is called directly.
+	// Search and Run, zero from Beam.
 	Stats RunStats
 
 	// rows holds the parts over the evaluator's row space (rows.go), as
@@ -42,6 +42,16 @@ type Part struct {
 	Constraints []partition.Constraint
 	Name        string
 	Size        int
+}
+
+// PartSizes returns each part's worker count, in order: with the result's
+// Unfairness, the input of PValue.
+func PartSizes(parts []Part) []int {
+	sizes := make([]int, len(parts))
+	for k, p := range parts {
+		sizes[k] = p.Size
+	}
+	return sizes
 }
 
 // TraceStep records one splitting decision.
@@ -135,25 +145,10 @@ func remove(attrs []int, a int) []int {
 	return out
 }
 
-// Balanced runs Algorithm 1: repeatedly split every current partition on
-// the worst remaining attribute, stopping when the average pairwise
-// distance no longer improves. attrs nil means all protected attributes.
-//
-// Balanced, Unbalanced and the other exported algorithm functions are the
-// uncancellable direct entry points; session consumers go through Search
-// or Run, which add context cancellation, progress callbacks and per-run
-// stats. Like Run, each maps its parts back to workers.
-func Balanced(e *Evaluator, attrs []int) *Result {
-	res, _ := e.done(balancedWith(context.Background(), e, attrs, worstAttribute, "balanced", nil))
-	return res
-}
-
-// RBalanced is Balanced with random attribute choice (baseline).
-func RBalanced(e *Evaluator, attrs []int, r *rng.RNG) *Result {
-	res, _ := e.done(balancedWith(context.Background(), e, attrs, randomAttribute(r), "r-balanced", nil))
-	return res
-}
-
+// balancedWith runs Algorithm 1 ("balanced", and "r-balanced" with a
+// random chooser): repeatedly split every current partition on the worst
+// remaining attribute, stopping when the average pairwise distance no
+// longer improves. attrs nil means all protected attributes.
 func balancedWith(ctx context.Context, e *Evaluator, attrs []int, choose chooser, name string, progress func(TraceStep)) (*Result, error) {
 	start := time.Now()
 	if attrs == nil {
@@ -203,22 +198,12 @@ func balancedWith(ctx context.Context, e *Evaluator, attrs []int, choose chooser
 	return res, nil
 }
 
-// Unbalanced runs Algorithm 2: after an initial split on the worst
-// attribute, each partition locally decides whether replacing itself by its
-// children (split on its locally worst attribute) increases the average
-// pairwise distance against its siblings. attrs nil means all protected
+// unbalancedWith runs Algorithm 2 ("unbalanced", and "r-unbalanced" with
+// a random chooser): after an initial split on the worst attribute, each
+// partition locally decides whether replacing itself by its children
+// (split on its locally worst attribute) increases the average pairwise
+// distance against its siblings. attrs nil means all protected
 // attributes.
-func Unbalanced(e *Evaluator, attrs []int) *Result {
-	res, _ := e.done(unbalancedWith(context.Background(), e, attrs, worstAttribute, "unbalanced", nil))
-	return res
-}
-
-// RUnbalanced is Unbalanced with random attribute choice (baseline).
-func RUnbalanced(e *Evaluator, attrs []int, r *rng.RNG) *Result {
-	res, _ := e.done(unbalancedWith(context.Background(), e, attrs, randomAttribute(r), "r-unbalanced", nil))
-	return res
-}
-
 func unbalancedWith(ctx context.Context, e *Evaluator, attrs []int, choose chooser, name string, progress func(TraceStep)) (*Result, error) {
 	start := time.Now()
 	if attrs == nil {
@@ -301,13 +286,8 @@ func unbalancedWith(ctx context.Context, e *Evaluator, attrs []int, choose choos
 	return res, nil
 }
 
-// AllAttributes is the full-partitioning baseline: split on every protected
-// attribute unconditionally.
-func AllAttributes(e *Evaluator, attrs []int) *Result {
-	res, _ := e.done(allAttributesCtx(context.Background(), e, attrs, nil))
-	return res
-}
-
+// allAttributesCtx is the full-partitioning baseline ("all-attributes"):
+// split on every protected attribute unconditionally.
 func allAttributesCtx(ctx context.Context, e *Evaluator, attrs []int, progress func(TraceStep)) (*Result, error) {
 	start := time.Now()
 	if attrs == nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"sort"
 	"strings"
@@ -47,10 +48,23 @@ func labelsOf(pt *partition.Partitioning, s *dataset.Schema) []string {
 	return out
 }
 
+// heuristics names the searches that need no budget.
+var heuristics = []string{"balanced", "unbalanced", "r-balanced", "r-unbalanced", "all-attributes"}
+
+// mustRun runs spec through Run, failing t on an error.
+func mustRun(t testing.TB, spec Spec) *Result {
+	t.Helper()
+	res, err := Run(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("%s: %v", spec.Algorithm, err)
+	}
+	return res
+}
+
 func TestFigure1UnbalancedFindsOptimum(t *testing.T) {
 	ds := figure1Dataset(t)
 	e := mustEval(t, ds, Config{Bins: 10})
-	res := Unbalanced(e, nil)
+	res := mustRun(t, Spec{Algorithm: "unbalanced", Evaluator: e})
 	want := []string{
 		"Gender=Female",
 		"Gender=Male ∧ Language=English",
@@ -72,15 +86,12 @@ func TestFigure1UnbalancedFindsOptimum(t *testing.T) {
 func TestFigure1ExhaustiveAgrees(t *testing.T) {
 	ds := figure1Dataset(t)
 	e := mustEval(t, ds, Config{Bins: 10})
-	ex, err := Exhaustive(e, nil, 10000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := mustRun(t, Spec{Algorithm: "exhaustive", Evaluator: e, Budget: 10000})
 	if math.Abs(ex.Unfairness-0.5) > 1e-9 {
 		t.Fatalf("exhaustive optimum = %v, want 0.5", ex.Unfairness)
 	}
 	// The heuristic must match the exact optimum on this instance.
-	ub := Unbalanced(e, nil)
+	ub := mustRun(t, Spec{Algorithm: "unbalanced", Evaluator: e})
 	if math.Abs(ub.Unfairness-ex.Unfairness) > 1e-9 {
 		t.Fatalf("unbalanced %v != exhaustive %v", ub.Unfairness, ex.Unfairness)
 	}
@@ -92,7 +103,7 @@ func TestFigure1BalancedStopsAtGender(t *testing.T) {
 	// stop, because also splitting Language lowers the average to 0.36.
 	ds := figure1Dataset(t)
 	e := mustEval(t, ds, Config{Bins: 10})
-	res := Balanced(e, nil)
+	res := mustRun(t, Spec{Algorithm: "balanced", Evaluator: e})
 	got := labelsOf(res.Partitioning, ds.Schema())
 	want := []string{"Gender=Female", "Gender=Male"}
 	if strings.Join(got, ";") != strings.Join(want, ";") {
@@ -139,7 +150,7 @@ func TestBalancedRecoversDesignedBias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Balanced(e, nil)
+	res := mustRun(t, Spec{Algorithm: "balanced", Evaluator: e})
 	used := res.Partitioning.AttributesUsed()
 	if len(used) != 1 || used[0] != 0 {
 		t.Fatalf("balanced used attributes %v, want only Gender", used)
@@ -157,9 +168,9 @@ func TestBalancedBeatsRandomOnBias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bal := Balanced(e, nil)
-	all := AllAttributes(e, nil)
-	rb := RBalanced(e, nil, rng.New(99))
+	bal := mustRun(t, Spec{Algorithm: "balanced", Evaluator: e})
+	all := mustRun(t, Spec{Algorithm: "all-attributes", Evaluator: e})
+	rb := mustRun(t, Spec{Algorithm: "r-balanced", Evaluator: e, Seed: 98})
 	if bal.Unfairness < all.Unfairness-1e-9 {
 		t.Errorf("balanced %v < all-attributes %v", bal.Unfairness, all.Unfairness)
 	}
@@ -171,7 +182,7 @@ func TestBalancedBeatsRandomOnBias(t *testing.T) {
 func TestAllAttributesFullSplit(t *testing.T) {
 	ds := randomDataset(t, 200, 31)
 	e := mustEval(t, ds, Config{})
-	res := AllAttributes(e, nil)
+	res := mustRun(t, Spec{Algorithm: "all-attributes", Evaluator: e})
 	if err := res.Partitioning.Validate(ds); err != nil {
 		t.Fatal(err)
 	}
@@ -189,16 +200,9 @@ func TestAllAttributesFullSplit(t *testing.T) {
 func TestAllResultsValid(t *testing.T) {
 	ds := randomDataset(t, 300, 37)
 	e := mustEval(t, ds, Config{})
-	r := rng.New(5)
-	results := []*Result{
-		Balanced(e, nil),
-		Unbalanced(e, nil),
-		RBalanced(e, nil, r),
-		RUnbalanced(e, nil, r),
-		AllAttributes(e, nil),
-	}
 	names := map[string]bool{}
-	for _, res := range results {
+	for _, alg := range heuristics {
+		res := mustRun(t, Spec{Algorithm: alg, Evaluator: e, Seed: 5})
 		if err := res.Partitioning.Validate(ds); err != nil {
 			t.Errorf("%s: invalid partitioning: %v", res.Algorithm, err)
 		}
@@ -210,7 +214,7 @@ func TestAllResultsValid(t *testing.T) {
 		}
 		names[res.Algorithm] = true
 	}
-	for _, want := range []string{"balanced", "unbalanced", "r-balanced", "r-unbalanced", "all-attributes"} {
+	for _, want := range heuristics {
 		if !names[want] {
 			t.Errorf("missing algorithm %q", want)
 		}
@@ -221,7 +225,8 @@ func TestUnfairnessMatchesReportedResult(t *testing.T) {
 	// Result.Unfairness must equal re-evaluating the partitioning.
 	ds := randomDataset(t, 250, 41)
 	e := mustEval(t, ds, Config{})
-	for _, res := range []*Result{Balanced(e, nil), Unbalanced(e, nil), AllAttributes(e, nil)} {
+	for _, alg := range []string{"balanced", "unbalanced", "all-attributes"} {
+		res := mustRun(t, Spec{Algorithm: alg, Evaluator: e})
 		if got := e.Unfairness(res.Partitioning); math.Abs(got-res.Unfairness) > 1e-12 {
 			t.Errorf("%s: reported %v, re-evaluated %v", res.Algorithm, res.Unfairness, got)
 		}
@@ -232,9 +237,9 @@ func TestEmptyAttributeSet(t *testing.T) {
 	ds := randomDataset(t, 50, 43)
 	e := mustEval(t, ds, Config{})
 	for _, res := range []*Result{
-		Balanced(e, []int{}),
-		Unbalanced(e, []int{}),
-		AllAttributes(e, []int{}),
+		mustRun(t, Spec{Algorithm: "balanced", Evaluator: e, Attrs: []int{}}),
+		mustRun(t, Spec{Algorithm: "unbalanced", Evaluator: e, Attrs: []int{}}),
+		mustRun(t, Spec{Algorithm: "all-attributes", Evaluator: e, Attrs: []int{}}),
 	} {
 		if res.Partitioning.Size() != 1 || res.Unfairness != 0 {
 			t.Errorf("%s with no attrs: size=%d unfairness=%v",
@@ -249,11 +254,11 @@ func TestEmptyAttributeSet(t *testing.T) {
 func TestSingleAttribute(t *testing.T) {
 	ds := randomDataset(t, 100, 47)
 	e := mustEval(t, ds, Config{})
-	res := Balanced(e, []int{0})
+	res := mustRun(t, Spec{Algorithm: "balanced", Evaluator: e, Attrs: []int{0}})
 	if got := len(res.Partitioning.AttributesUsed()); got != 1 {
 		t.Fatalf("used %d attributes, want 1", got)
 	}
-	res2 := Unbalanced(e, []int{0})
+	res2 := mustRun(t, Spec{Algorithm: "unbalanced", Evaluator: e, Attrs: []int{0}})
 	if err := res2.Partitioning.Validate(ds); err != nil {
 		t.Fatal(err)
 	}
@@ -263,13 +268,13 @@ func TestDeterminism(t *testing.T) {
 	ds := randomDataset(t, 200, 53)
 	e1 := mustEval(t, ds, Config{})
 	e2 := mustEval(t, ds, Config{})
-	a := Balanced(e1, nil)
-	b := Balanced(e2, nil)
+	a := mustRun(t, Spec{Algorithm: "balanced", Evaluator: e1})
+	b := mustRun(t, Spec{Algorithm: "balanced", Evaluator: e2})
 	if a.Unfairness != b.Unfairness || a.Partitioning.Size() != b.Partitioning.Size() {
 		t.Fatal("balanced is not deterministic")
 	}
-	ra := RBalanced(e1, nil, rng.New(7))
-	rb := RBalanced(e2, nil, rng.New(7))
+	ra := mustRun(t, Spec{Algorithm: "r-balanced", Evaluator: e1, Seed: 6})
+	rb := mustRun(t, Spec{Algorithm: "r-balanced", Evaluator: e2, Seed: 6})
 	if ra.Unfairness != rb.Unfairness {
 		t.Fatal("r-balanced with equal seeds differs")
 	}
@@ -278,7 +283,7 @@ func TestDeterminism(t *testing.T) {
 func TestExhaustiveBudget(t *testing.T) {
 	ds := randomDataset(t, 50, 59)
 	e := mustEval(t, ds, Config{})
-	if _, err := Exhaustive(e, nil, 2); err != partition.ErrBudgetExceeded {
+	if _, err := Run(context.Background(), Spec{Algorithm: "exhaustive", Evaluator: e, Budget: 2}); err != partition.ErrBudgetExceeded {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
 }
@@ -289,15 +294,9 @@ func TestExhaustiveDominatesHeuristics(t *testing.T) {
 	for seed := uint64(0); seed < 5; seed++ {
 		ds := randomDataset(t, 60, 100+seed)
 		e := mustEval(t, ds, Config{})
-		ex, err := Exhaustive(e, nil, 100000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := rng.New(seed)
-		for _, res := range []*Result{
-			Balanced(e, nil), Unbalanced(e, nil),
-			RBalanced(e, nil, r), RUnbalanced(e, nil, r), AllAttributes(e, nil),
-		} {
+		ex := mustRun(t, Spec{Algorithm: "exhaustive", Evaluator: e, Budget: 100000})
+		for _, alg := range heuristics {
+			res := mustRun(t, Spec{Algorithm: alg, Evaluator: e, Seed: seed})
 			if res.Unfairness > ex.Unfairness+1e-9 {
 				t.Errorf("seed %d: %s (%v) beat exhaustive (%v)",
 					seed, res.Algorithm, res.Unfairness, ex.Unfairness)
@@ -309,7 +308,7 @@ func TestExhaustiveDominatesHeuristics(t *testing.T) {
 func TestTraceSteps(t *testing.T) {
 	ds := randomDataset(t, 150, 61)
 	e := mustEval(t, ds, Config{})
-	res := Balanced(e, nil)
+	res := mustRun(t, Spec{Algorithm: "balanced", Evaluator: e})
 	if len(res.Steps) == 0 {
 		t.Fatal("no trace steps")
 	}

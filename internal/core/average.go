@@ -14,7 +14,7 @@ import (
 
 // This file computes Definition 2 — the average pairwise distance over a
 // partitioning's parts — for every caller of the engine: the searches, the
-// exhaustive solvers, Unfairness and AvgPairwise, and Significance.
+// exhaustive solvers, Unfairness and AvgPairwise, and PValue.
 //
 // In binned mode under EMD, L1 and TV the average is exact (identityAvg).
 // Over equally spaced bins, EMD(P, Q) = unit·Σ_b |F_b − G_b| over the two

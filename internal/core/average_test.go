@@ -255,7 +255,7 @@ func TestUnbalancedRejectsExactTie(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Unbalanced(mustEval(t, ds, Config{Bins: 10}), nil)
+	res := mustRun(t, Spec{Algorithm: "unbalanced", Evaluator: mustEval(t, ds, Config{Bins: 10})})
 	if len(res.Steps) < 2 {
 		t.Fatalf("steps %+v", res.Steps)
 	}

@@ -29,26 +29,6 @@ import (
 // (candidateAverage) and keeps the earliest most unfair one; only that
 // winner's parts are returned.
 
-// ExhaustiveCells solves the optimization problem exactly over the full
-// set-partition space: every grouping of the cells of the attribute
-// cross-product, a strict superset of the hierarchical tree space
-// Exhaustive searches (and of everything the heuristics can return). The
-// space size is the Bell number of the cell count, so this is only usable
-// on tiny instances; it exists to quantify how much optimum the tree-shaped
-// formulations leave on the table.
-func ExhaustiveCells(e *Evaluator, attrs []int, budget int) (*Result, error) {
-	return e.done(exhaustiveWith(context.Background(), e, attrs, budget, "exhaustive-cells", newCellSpace))
-}
-
-// Exhaustive solves the optimization problem exactly by enumerating every
-// hierarchical split partitioning, subject to a budget on the number of
-// partitionings. It returns partition.ErrBudgetExceeded beyond the budget —
-// the expected outcome at realistic attribute counts, mirroring the paper's
-// brute-force solver that "failed to terminate after running for two days".
-func Exhaustive(e *Evaluator, attrs []int, budget int) (*Result, error) {
-	return e.done(exhaustiveWith(context.Background(), e, attrs, budget, "exhaustive", newTreeSpace))
-}
-
 // space streams the candidates of one exhaustive solver.
 type space interface {
 	// each calls yield with every candidate's reps, in the space's order,
@@ -65,9 +45,23 @@ type space interface {
 // or ctx.Err() once ctx is done.
 type spaceFunc func(ctx context.Context, e *Evaluator, attrs []int, budget int) (space, error)
 
-// exhaustiveWith averages every candidate of the space build returns and
-// keeps the most unfair one (the earliest on a tie), under the given
-// algorithm name. It checks ctx before every candidate.
+// exhaustiveWith solves the optimization problem exactly: it averages
+// every candidate of the space build returns and keeps the most unfair one
+// (the earliest on a tie), under the given algorithm name. It checks ctx
+// before every candidate.
+//
+// "exhaustive" enumerates every hierarchical split partitioning (the tree
+// space). Beyond the budget it returns partition.ErrBudgetExceeded — the
+// expected outcome at realistic attribute counts, mirroring the paper's
+// brute-force solver that "failed to terminate after running for two
+// days".
+//
+// "exhaustive-cells" enumerates the full set-partition space: every
+// grouping of the cells of the attribute cross-product, a strict superset
+// of the tree space (and of everything the heuristics can return). The
+// space size is the Bell number of the cell count, so it is only usable on
+// tiny instances; it exists to quantify how much optimum the tree-shaped
+// formulations leave on the table.
 func exhaustiveWith(ctx context.Context, e *Evaluator, attrs []int, budget int, name string, build spaceFunc) (*Result, error) {
 	start := time.Now()
 	if attrs == nil {

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"time"
 
-	"fairrank/internal/partition"
 	"fairrank/internal/rng"
 )
 
@@ -16,7 +15,7 @@ import (
 // committing to the single worst attribute each round, it keeps the `width`
 // best frontier partitionings and expands each with every remaining
 // attribute, returning the best partitioning ever seen. width = 1 explores
-// the same path as Balanced (it may still return an earlier, better
+// the same path as balanced (it may still return an earlier, better
 // frontier). This is an extension beyond the paper, motivated by its
 // observation that the greedy stopping condition can trap the search.
 func Beam(e *Evaluator, attrs []int, width int) (*Result, error) {
@@ -95,41 +94,21 @@ func Beam(e *Evaluator, attrs []int, width int) (*Result, error) {
 	res.rows = best.st.parts
 	res.Unfairness = best.st.avg
 	res.Elapsed = time.Since(start)
-	return e.done(res, nil)
+	return e.done(res), nil
 }
 
-// Significance runs a permutation test of the hypothesis that the observed
+// PValue runs a permutation test of the hypothesis that the observed
 // unfairness of a partitioning could arise with exchangeable scores: it
-// shuffles the score column `rounds` times, recomputes the average pairwise
-// distance over the same group sizes each time, and reports the fraction of
-// shuffles at least as unfair as the observation (with the +1 correction,
-// so the p-value is never exactly 0). A small p-value means the disparity
-// is not explainable by sampling noise — a check the paper's point
-// estimates do not provide. It validates the partitioning, measures its
-// unfairness and hands the group sizes to PValue, which polls ctx every
-// round and returns ctx.Err() once ctx is done.
-func Significance(ctx context.Context, e *Evaluator, pt *partition.Partitioning, rounds int, seed uint64) (pValue, observed float64, err error) {
-	if pt == nil || len(pt.Parts) == 0 {
-		return 0, 0, errors.New("core: empty partitioning")
-	}
-	if err := pt.Validate(e.ds); err != nil {
-		return 0, 0, err
-	}
-	sizes := make([]int, len(pt.Parts))
-	for i, p := range pt.Parts {
-		sizes[i] = p.Size()
-	}
-	observed = e.Unfairness(pt)
-	if pValue, err = PValue(ctx, e, sizes, observed, rounds, seed); err != nil {
-		return 0, 0, err
-	}
-	return pValue, observed, nil
-}
-
-// PValue is Significance's permutation test over the group sizes of a
-// partitioning whose unfairness is observed; the sizes must sum to the
-// evaluator's worker count. A Search result's Parts and Unfairness give
-// both, so a caller of Search tests its result without listing a worker.
+// shuffles the score column `rounds` times, recomputes the average
+// pairwise distance over the same group sizes each time, and reports the
+// fraction of shuffles at least as unfair as the observation (with the +1
+// correction, so the p-value is never exactly 0). A small p-value means
+// the disparity is not explainable by sampling noise — a check the paper's
+// point estimates do not provide. The sizes must sum to the evaluator's
+// worker count; a Search or Run result gives them (PartSizes) and its
+// Unfairness is the observed value, so a caller tests its result without
+// listing a worker. It polls ctx every round and returns ctx.Err() once
+// ctx is done.
 //
 // Under the null the scores are exchangeable, so each round shuffles the
 // worker order and cuts it into groups of the given sizes, in order. The

@@ -23,7 +23,7 @@ func TestBeamValidAndAtLeastBalanced(t *testing.T) {
 	for seed := uint64(0); seed < 4; seed++ {
 		ds := randomDataset(t, 120, 200+seed)
 		e := mustEval(t, ds, Config{})
-		bal := Balanced(e, nil)
+		bal := mustRun(t, Spec{Algorithm: "balanced", Evaluator: e})
 		beam, err := Beam(e, nil, 3)
 		if err != nil {
 			t.Fatal(err)
@@ -42,10 +42,7 @@ func TestBeamValidAndAtLeastBalanced(t *testing.T) {
 func TestBeamBoundedByExhaustive(t *testing.T) {
 	ds := randomDataset(t, 60, 77)
 	e := mustEval(t, ds, Config{})
-	ex, err := Exhaustive(e, nil, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := mustRun(t, Spec{Algorithm: "exhaustive", Evaluator: e, Budget: 100000})
 	beam, err := Beam(e, nil, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -73,13 +70,16 @@ func TestSignificanceDetectsDesignedBias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Balanced(e, nil)
-	p, obs, err := Significance(context.Background(), e, res.Partitioning, 200, 5)
+	res, err := Search(context.Background(), Spec{Evaluator: e})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if obs < 0.7 {
-		t.Fatalf("observed = %v", obs)
+	if res.Unfairness < 0.7 {
+		t.Fatalf("observed = %v", res.Unfairness)
+	}
+	p, err := PValue(context.Background(), e, PartSizes(res.Parts), res.Unfairness, 200, 5)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if p > 0.01 {
 		t.Fatalf("p = %v for designed bias, want < 0.01", p)
@@ -92,13 +92,8 @@ func TestSignificanceNullNotSignificant(t *testing.T) {
 	// distribution is that same noise).
 	ds := randomDataset(t, 300, 93)
 	e := mustEval(t, ds, Config{})
-	parts := partition.Split(ds, partition.Root(ds), 0)
-	pt := &partition.Partitioning{Parts: parts}
-	p, _, err := Significance(context.Background(), e, pt, 200, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p < 0.02 {
+	pt := &partition.Partitioning{Parts: partition.Split(ds, partition.Root(ds), 0)}
+	if p, _ := pValueOf(t, e, pt, 200, 7); p < 0.02 {
 		t.Fatalf("null p = %v, suspiciously significant", p)
 	}
 }
@@ -120,30 +115,26 @@ func TestSignificanceExactModeNull(t *testing.T) {
 	}
 	pt := &partition.Partitioning{Parts: partition.Split(ds, partition.Root(ds), 0)}
 	for _, exact := range []bool{false, true} {
-		p, obs, err := Significance(context.Background(), mustEval(t, ds, Config{Exact: exact}), pt, 200, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p < 0.02 {
+		if p, obs := pValueOf(t, mustEval(t, ds, Config{Exact: exact}), pt, 200, 7); p < 0.02 {
 			t.Errorf("Exact=%v: p = %v (observed %v) for random labels, want not significant", exact, p, obs)
 		}
 	}
 }
 
-func TestSignificanceValidation(t *testing.T) {
-	ds := randomDataset(t, 50, 95)
-	e := mustEval(t, ds, Config{})
-	if _, _, err := Significance(context.Background(), e, nil, 10, 1); err == nil {
-		t.Error("nil partitioning accepted")
+// pValueOf runs PValue over pt's part sizes, with pt's unfairness as the
+// observed value.
+func pValueOf(t *testing.T, e *Evaluator, pt *partition.Partitioning, rounds int, seed uint64) (p, observed float64) {
+	t.Helper()
+	sizes := make([]int, len(pt.Parts))
+	for i, part := range pt.Parts {
+		sizes[i] = part.Size()
 	}
-	bad := &partition.Partitioning{Parts: []*partition.Partition{{Indices: []int{0}}}}
-	if _, _, err := Significance(context.Background(), e, bad, 10, 1); err == nil {
-		t.Error("incomplete partitioning accepted")
+	observed = e.Unfairness(pt)
+	p, err := PValue(context.Background(), e, sizes, observed, rounds, seed)
+	if err != nil {
+		t.Fatal(err)
 	}
-	good := &partition.Partitioning{Parts: partition.Split(ds, partition.Root(ds), 0)}
-	if _, _, err := Significance(context.Background(), e, good, 0, 1); err == nil {
-		t.Error("zero rounds accepted")
-	}
+	return p, observed
 }
 
 // shuffledAverages is the permutation test's rounds as first written:
@@ -185,10 +176,7 @@ func TestPValueMatchesWorkerShuffle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sizes := make([]int, len(res.Parts))
-			for k, p := range res.Parts {
-				sizes[k] = p.Size
-			}
+			sizes := PartSizes(res.Parts)
 			if alg == "all-attributes" {
 				sizes = append(sizes, 0)
 			}
@@ -269,7 +257,7 @@ func TestExactModeAlgorithmsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Balanced(e, nil)
+	res := mustRun(t, Spec{Algorithm: "balanced", Evaluator: e})
 	if err := res.Partitioning.Validate(ds); err != nil {
 		t.Fatal(err)
 	}
@@ -316,14 +304,8 @@ func TestExhaustiveCellsDominatesTreeExhaustive(t *testing.T) {
 	// both see the designed optimum.
 	ds := figure1Dataset(t)
 	e := mustEval(t, ds, Config{Bins: 10})
-	tree, err := Exhaustive(e, nil, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells, err := ExhaustiveCells(e, nil, 1000000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree := mustRun(t, Spec{Algorithm: "exhaustive", Evaluator: e, Budget: 100000})
+	cells := mustRun(t, Spec{Algorithm: "exhaustive-cells", Evaluator: e, Budget: 1000000})
 	if cells.Unfairness < tree.Unfairness-1e-9 {
 		t.Fatalf("cell optimum %v below tree optimum %v", cells.Unfairness, tree.Unfairness)
 	}
@@ -337,7 +319,7 @@ func TestExhaustiveCellsBudget(t *testing.T) {
 	e := mustEval(t, ds, Config{})
 	// Gender×Language = 6 cells → Bell(6) = 203 groupings; budget 10 must
 	// trip.
-	if _, err := ExhaustiveCells(e, []int{0, 1}, 10); err != partition.ErrBudgetExceeded {
+	if _, err := Run(context.Background(), Spec{Algorithm: "exhaustive-cells", Evaluator: e, Attrs: []int{0, 1}, Budget: 10}); err != partition.ErrBudgetExceeded {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
 }
@@ -346,15 +328,9 @@ func TestMinPartitionSizeGuard(t *testing.T) {
 	ds := randomDataset(t, 100, 97)
 	// every runs each algorithm, the exhaustive solvers included.
 	every := func(e *Evaluator) []*Result {
-		tree, err := Exhaustive(e, nil, 100000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cells, err := ExhaustiveCells(e, nil, 100000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return []*Result{Balanced(e, nil), Unbalanced(e, nil), AllAttributes(e, nil), tree, cells}
+		tree := mustRun(t, Spec{Algorithm: "exhaustive", Evaluator: e, Budget: 100000})
+		cells := mustRun(t, Spec{Algorithm: "exhaustive-cells", Evaluator: e, Budget: 100000})
+		return []*Result{mustRun(t, Spec{Algorithm: "balanced", Evaluator: e}), mustRun(t, Spec{Algorithm: "unbalanced", Evaluator: e}), mustRun(t, Spec{Algorithm: "all-attributes", Evaluator: e}), tree, cells}
 	}
 	// With a huge minimum, nothing can ever be split: every algorithm
 	// returns the root partitioning.
@@ -380,7 +356,7 @@ func TestMinPartitionSizeGuard(t *testing.T) {
 	// Default (0 → 1) reproduces unguarded behavior.
 	e3 := mustEval(t, ds, Config{})
 	e4 := mustEval(t, ds, Config{MinPartitionSize: 1})
-	if Balanced(e3, nil).Unfairness != Balanced(e4, nil).Unfairness {
+	if mustRun(t, Spec{Algorithm: "balanced", Evaluator: e3}).Unfairness != mustRun(t, Spec{Algorithm: "balanced", Evaluator: e4}).Unfairness {
 		t.Error("MinPartitionSize default changed behavior")
 	}
 }

@@ -40,7 +40,7 @@ func TestBalancedTraceMonotoneProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res := Balanced(e, nil)
+		res := mustRun(t, Spec{Algorithm: "balanced", Evaluator: e})
 		prev := -1.0
 		for _, s := range res.Steps {
 			if !s.Accepted {
@@ -72,14 +72,8 @@ func TestAlgorithmsAlwaysValidProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		results := []*Result{
-			Balanced(e, nil),
-			Unbalanced(e, nil),
-			RBalanced(e, nil, r),
-			RUnbalanced(e, nil, r),
-			AllAttributes(e, nil),
-		}
-		for _, res := range results {
+		for _, alg := range heuristics {
+			res := mustRun(t, Spec{Algorithm: alg, Evaluator: e, Seed: seed})
 			if res.Partitioning.Validate(ds) != nil {
 				return false
 			}
@@ -107,7 +101,8 @@ func TestMinSizeGuardProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, res := range []*Result{Balanced(e, nil), Unbalanced(e, nil), AllAttributes(e, nil)} {
+		for _, alg := range []string{"balanced", "unbalanced", "all-attributes"} {
+			res := mustRun(t, Spec{Algorithm: alg, Evaluator: e})
 			for _, p := range res.Partitioning.Parts {
 				if p.Size() < min && p.Size() != n {
 					// The root itself may be smaller than min only if

@@ -282,23 +282,21 @@ func TestEngineMatchesReference(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
 				ds := randomDataset(t, 300, seed)
-				run := func(name string, engine func(e *Evaluator) *Result, ref func(e *Evaluator) *Result) {
-					e := mustEval(t, ds, tc.cfg)
-					re := mustEval(t, ds, tc.cfg)
-					compareResults(t, name, engine(e), ref(re))
+				run := func(spec Spec, ref func(e *Evaluator) *Result) {
+					spec.Evaluator = mustEval(t, ds, tc.cfg)
+					compareResults(t, spec.Algorithm, mustRun(t, spec), ref(mustEval(t, ds, tc.cfg)))
 				}
-				run("balanced", func(e *Evaluator) *Result { return Balanced(e, nil) },
-					func(e *Evaluator) *Result { return refBalanced(e, e.Attrs(), refWorst) })
-				run("unbalanced", func(e *Evaluator) *Result { return Unbalanced(e, nil) },
-					func(e *Evaluator) *Result { return refUnbalanced(e, e.Attrs(), refWorst) })
-				run("r-balanced", func(e *Evaluator) *Result { return RBalanced(e, nil, rng.New(seed)) },
+				run(Spec{Algorithm: "balanced"}, func(e *Evaluator) *Result { return refBalanced(e, e.Attrs(), refWorst) })
+				run(Spec{Algorithm: "unbalanced"}, func(e *Evaluator) *Result { return refUnbalanced(e, e.Attrs(), refWorst) })
+				// r-balanced draws from Seed+1, r-unbalanced from Seed+2.
+				run(Spec{Algorithm: "r-balanced", Seed: seed - 1},
 					func(e *Evaluator) *Result { return refBalanced(e, e.Attrs(), refRandom(rng.New(seed))) })
-				run("r-unbalanced", func(e *Evaluator) *Result { return RUnbalanced(e, nil, rng.New(seed)) },
+				run(Spec{Algorithm: "r-unbalanced", Seed: seed - 2},
 					func(e *Evaluator) *Result { return refUnbalanced(e, e.Attrs(), refRandom(rng.New(seed))) })
-				run("all-attributes", func(e *Evaluator) *Result { return AllAttributes(e, nil) },
-					func(e *Evaluator) *Result { return refAllAttributes(e, e.Attrs()) })
-				run("beam", func(e *Evaluator) *Result { r, _ := Beam(e, nil, 2); return r },
-					func(e *Evaluator) *Result { return refBeam(e, e.Attrs(), 2) })
+				run(Spec{Algorithm: "all-attributes"}, func(e *Evaluator) *Result { return refAllAttributes(e, e.Attrs()) })
+				beam, _ := Beam(mustEval(t, ds, tc.cfg), nil, 2)
+				re := mustEval(t, ds, tc.cfg)
+				compareResults(t, "beam", beam, refBeam(re, re.Attrs(), 2))
 			}
 		})
 	}

@@ -12,10 +12,9 @@ import (
 // exhaustive solvers. A search partition's Indices are rows of this space,
 // not workers, and every algorithm ends here: Search sizes its final parts
 // from the row weights (rowSpace.size) and lists no worker. Only Run and
-// the exported algorithm functions map the parts back to worker rows
-// (workerParts), so a Result.Partitioning, where there is one, lists
-// workers. The public AvgPairwise, Unfairness and Histogram read worker
-// rows directly.
+// Beam map the parts back to worker rows (workerParts), so a
+// Result.Partitioning, where there is one, lists workers. The public
+// AvgPairwise, Unfairness and Histogram read worker rows directly.
 //
 // In binned mode the rows are collapsed: one row per occupied (protected
 // cell, score bin) pair, weighted by the number of workers it stands for.

@@ -609,7 +609,7 @@ func BenchmarkIngest(b *testing.B) {
 // once and agree with a serial run; run under -race.
 func TestConcurrentSearchesShareRows(t *testing.T) {
 	ds := randomDataset(t, 800, 6)
-	want := Balanced(mustEval(t, ds, Config{Bins: 10}), nil)
+	want := mustRun(t, Spec{Algorithm: "balanced", Evaluator: mustEval(t, ds, Config{Bins: 10})})
 	e := mustEval(t, ds, Config{Bins: 10})
 	algs := []string{"balanced", "unbalanced", "all-attributes", "r-balanced", "balanced", "unbalanced"}
 	results := make([]*Result, len(algs))

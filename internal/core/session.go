@@ -3,9 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"fairrank/internal/dataset"
 	"fairrank/internal/partition"
@@ -15,13 +15,13 @@ import (
 )
 
 // This file is the session layer: the single entry point every consumer of
-// the engine goes through. A Spec names a registered algorithm and its
-// inputs; Search and Run resolve the algorithm, honor the caller's context
-// (cancellation and deadlines propagate into the parallel attribute scan
-// and the refinement loops), stream TraceSteps to an optional progress
-// callback, and attach per-run engine statistics to the result. The
-// registry replaces the per-algorithm switch blocks that used to be
-// duplicated in every consumer above this package.
+// the engine goes through. A Spec names an algorithm and its inputs;
+// Search and Run resolve the algorithm in one fixed table, honor the
+// caller's context (cancellation and deadlines propagate into the
+// parallel attribute scan and the refinement loops), stream TraceSteps to
+// an optional progress callback, and attach per-run engine statistics to
+// the result. The table replaces the per-algorithm switch blocks that
+// used to be duplicated in every consumer above this package.
 
 // DefaultExhaustiveBudget caps how many partitionings the exhaustive
 // solvers may enumerate when Spec.Budget is unset.
@@ -29,7 +29,7 @@ const DefaultExhaustiveBudget = 100000
 
 // Spec describes one audit run for Run.
 type Spec struct {
-	// Algorithm is a registered algorithm name (see Algorithms). Empty
+	// Algorithm is an algorithm name (see Algorithms). Empty
 	// selects "balanced", the paper's primary algorithm.
 	Algorithm string
 	// Evaluator, when non-nil, runs the audit against an existing
@@ -95,59 +95,67 @@ type RunStats struct {
 	Rounds int
 }
 
-// RunFunc executes one registered algorithm against an evaluator and
+// RunFunc executes one algorithm of the table against an evaluator and
 // returns its result with the parts over the evaluator's row space, which
 // Search sizes and Run maps back to workers. It must return ctx.Err() when
 // the context is cancelled mid-run.
 type RunFunc func(ctx context.Context, e *Evaluator, spec Spec) (*Result, error)
 
-var registry = struct {
-	sync.RWMutex
-	m map[string]RunFunc
-}{m: map[string]RunFunc{}}
-
-// Register adds an algorithm to the registry under a canonical name.
-// It panics on an empty name, a nil function, or a duplicate registration:
-// all three are programming errors, not runtime conditions.
-func Register(name string, fn RunFunc) {
-	if name == "" || fn == nil {
-		panic("core: Register requires a name and a run function")
-	}
-	registry.Lock()
-	defer registry.Unlock()
-	if _, dup := registry.m[name]; dup {
-		panic(fmt.Sprintf("core: algorithm %q already registered", name))
-	}
-	registry.m[name] = fn
+// algorithms maps each algorithm name to its run function: the paper's
+// searches, their random-attribute baselines, the full split and the
+// exact solvers. It is fixed at initialisation and only read after, so
+// it needs no lock.
+var algorithms = map[string]RunFunc{
+	"balanced": func(ctx context.Context, e *Evaluator, spec Spec) (*Result, error) {
+		return balancedWith(ctx, e, spec.Attrs, worstAttribute, "balanced", spec.Progress)
+	},
+	"r-balanced": func(ctx context.Context, e *Evaluator, spec Spec) (*Result, error) {
+		return balancedWith(ctx, e, spec.Attrs, randomAttribute(rng.New(spec.Seed+1)), "r-balanced", spec.Progress)
+	},
+	"unbalanced": func(ctx context.Context, e *Evaluator, spec Spec) (*Result, error) {
+		return unbalancedWith(ctx, e, spec.Attrs, worstAttribute, "unbalanced", spec.Progress)
+	},
+	"r-unbalanced": func(ctx context.Context, e *Evaluator, spec Spec) (*Result, error) {
+		return unbalancedWith(ctx, e, spec.Attrs, randomAttribute(rng.New(spec.Seed+2)), "r-unbalanced", spec.Progress)
+	},
+	"all-attributes": func(ctx context.Context, e *Evaluator, spec Spec) (*Result, error) {
+		return allAttributesCtx(ctx, e, spec.Attrs, spec.Progress)
+	},
+	"exhaustive": func(ctx context.Context, e *Evaluator, spec Spec) (*Result, error) {
+		return exhaustiveWith(ctx, e, spec.Attrs, spec.budget(), "exhaustive", newTreeSpace)
+	},
+	"exhaustive-cells": func(ctx context.Context, e *Evaluator, spec Spec) (*Result, error) {
+		return exhaustiveWith(ctx, e, spec.Attrs, spec.budget(), "exhaustive-cells", newCellSpace)
+	},
 }
 
-// Lookup resolves a registered algorithm by name. The error lists the
-// registered names, so callers (e.g. HTTP handlers) can surface it
-// directly without rebuilding the list.
+// algorithmNames holds algorithms' names, sorted.
+var algorithmNames = func() []string {
+	out := make([]string, 0, len(algorithms))
+	for name := range algorithms {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
+}()
+
+// Lookup resolves an algorithm by name. The error lists the algorithm
+// names, so callers (e.g. HTTP handlers) can surface it directly without
+// rebuilding the list.
 func Lookup(name string) (RunFunc, error) {
-	registry.RLock()
-	fn, ok := registry.m[name]
-	registry.RUnlock()
+	fn, ok := algorithms[name]
 	if !ok {
 		return nil, fmt.Errorf("core: unknown algorithm %q (registered: %s)",
-			name, strings.Join(Algorithms(), ", "))
+			name, strings.Join(algorithmNames, ", "))
 	}
 	return fn, nil
 }
 
-// Algorithms returns the registered algorithm names, sorted.
-func Algorithms() []string {
-	registry.RLock()
-	out := make([]string, 0, len(registry.m))
-	for name := range registry.m {
-		out = append(out, name)
-	}
-	registry.RUnlock()
-	sort.Strings(out)
-	return out
-}
+// Algorithms returns the algorithm names, sorted, in a slice the caller
+// may keep and modify.
+func Algorithms() []string { return slices.Clone(algorithmNames) }
 
-// Search executes one audit: it resolves the algorithm from the registry,
+// Search executes one audit: it resolves the algorithm from the table,
 // builds (or reuses) the evaluator, and runs under ctx — cancellation and
 // deadlines abort the parallel attribute scan and every refinement loop
 // promptly, returning ctx.Err(). The result stops at the row space the
@@ -173,7 +181,7 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.done(res, nil)
+	return e.done(res), nil
 }
 
 // search runs spec's algorithm for Search and Run, leaving the result's
@@ -227,38 +235,11 @@ func (e *Evaluator) sized(res *Result) {
 	}
 }
 
-// done completes an algorithm's result as Run returns it, unless err is
-// set: its Parts, and its Partitioning of the same parts over workers.
-func (e *Evaluator) done(res *Result, err error) (*Result, error) {
-	if err != nil {
-		return nil, err
-	}
+// done completes an algorithm's result as Run returns it: its Parts, and
+// its Partitioning of the same parts over workers.
+func (e *Evaluator) done(res *Result) *Result {
 	e.sized(res)
 	res.Partitioning = &partition.Partitioning{Parts: e.workerParts(res.rows)}
 	res.rows = nil
-	return res, nil
-}
-
-func init() {
-	Register("balanced", func(ctx context.Context, e *Evaluator, spec Spec) (*Result, error) {
-		return balancedWith(ctx, e, spec.Attrs, worstAttribute, "balanced", spec.Progress)
-	})
-	Register("r-balanced", func(ctx context.Context, e *Evaluator, spec Spec) (*Result, error) {
-		return balancedWith(ctx, e, spec.Attrs, randomAttribute(rng.New(spec.Seed+1)), "r-balanced", spec.Progress)
-	})
-	Register("unbalanced", func(ctx context.Context, e *Evaluator, spec Spec) (*Result, error) {
-		return unbalancedWith(ctx, e, spec.Attrs, worstAttribute, "unbalanced", spec.Progress)
-	})
-	Register("r-unbalanced", func(ctx context.Context, e *Evaluator, spec Spec) (*Result, error) {
-		return unbalancedWith(ctx, e, spec.Attrs, randomAttribute(rng.New(spec.Seed+2)), "r-unbalanced", spec.Progress)
-	})
-	Register("all-attributes", func(ctx context.Context, e *Evaluator, spec Spec) (*Result, error) {
-		return allAttributesCtx(ctx, e, spec.Attrs, spec.Progress)
-	})
-	Register("exhaustive", func(ctx context.Context, e *Evaluator, spec Spec) (*Result, error) {
-		return exhaustiveWith(ctx, e, spec.Attrs, spec.budget(), "exhaustive", newTreeSpace)
-	})
-	Register("exhaustive-cells", func(ctx context.Context, e *Evaluator, spec Spec) (*Result, error) {
-		return exhaustiveWith(ctx, e, spec.Attrs, spec.budget(), "exhaustive-cells", newCellSpace)
-	})
+	return res
 }

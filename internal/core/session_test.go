@@ -49,57 +49,6 @@ func TestLookupUnknownListsRegistered(t *testing.T) {
 	}
 }
 
-func TestRegisterPanics(t *testing.T) {
-	mustPanic := func(name string, fn RunFunc) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("Register(%q) did not panic", name)
-			}
-		}()
-		Register(name, fn)
-	}
-	noop := func(context.Context, *Evaluator, Spec) (*Result, error) { return nil, nil }
-	mustPanic("", noop)
-	mustPanic("x", nil)
-	mustPanic("balanced", noop) // duplicate
-}
-
-// TestRunMatchesDirect pins the registry dispatch to the direct entry
-// points, including the documented seed derivations for the random
-// baselines (r-balanced from Seed+1, r-unbalanced from Seed+2).
-func TestRunMatchesDirect(t *testing.T) {
-	ds := randomDataset(t, 300, 5)
-	direct := map[string]func(e *Evaluator) *Result{
-		"balanced":       func(e *Evaluator) *Result { return Balanced(e, nil) },
-		"unbalanced":     func(e *Evaluator) *Result { return Unbalanced(e, nil) },
-		"all-attributes": func(e *Evaluator) *Result { return AllAttributes(e, nil) },
-		"r-balanced":     func(e *Evaluator) *Result { return RBalanced(e, nil, rng.New(8)) },
-		"r-unbalanced":   func(e *Evaluator) *Result { return RUnbalanced(e, nil, rng.New(9)) },
-	}
-	for name, run := range direct {
-		want := run(mustEval(t, ds, Config{}))
-		got, err := Run(context.Background(), Spec{
-			Algorithm: name,
-			Evaluator: mustEval(t, ds, Config{}),
-			Seed:      7, // r-balanced reads 7+1, r-unbalanced 7+2
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got.Unfairness != want.Unfairness {
-			t.Errorf("%s: Run %v != direct %v", name, got.Unfairness, want.Unfairness)
-		}
-		if got.Partitioning.Size() != want.Partitioning.Size() {
-			t.Errorf("%s: Run found %d parts, direct %d",
-				name, got.Partitioning.Size(), want.Partitioning.Size())
-		}
-		if got.Algorithm != want.Algorithm {
-			t.Errorf("%s: algorithm label %q != %q", name, got.Algorithm, want.Algorithm)
-		}
-	}
-}
-
 func TestRunDefaults(t *testing.T) {
 	ds := randomDataset(t, 100, 2)
 	// Empty algorithm selects balanced; nil ctx is Background; the
@@ -111,7 +60,7 @@ func TestRunDefaults(t *testing.T) {
 	if res.Algorithm != "balanced" {
 		t.Errorf("default algorithm = %q, want balanced", res.Algorithm)
 	}
-	want := Balanced(mustEval(t, ds, Config{Bins: 10}), nil)
+	want := mustRun(t, Spec{Algorithm: "balanced", Evaluator: mustEval(t, ds, Config{Bins: 10})})
 	if res.Unfairness != want.Unfairness {
 		t.Errorf("built-evaluator run %v != direct %v", res.Unfairness, want.Unfairness)
 	}

@@ -287,19 +287,3 @@ func (a *alarm) transition(eventIdx int64) (kind string, ok bool) {
 	a.fired++
 	return AlarmFired, true
 }
-
-// observe feeds one event's estimator value through the state machine
-// and reports a transition, if any. eventIdx is the watch's 1-based
-// event index. Unit-test entry point; Watch.evaluate drives step and
-// transition directly.
-func (a *alarm) observe(v float64, eventIdx int64) (kind string, signal, limit float64, ok bool) {
-	signal, crossed := a.step(v)
-	if !crossed {
-		return "", 0, 0, false
-	}
-	kind, ok = a.transition(eventIdx)
-	if !ok {
-		return "", 0, 0, false
-	}
-	return kind, signal, a.limit, true
-}

@@ -8,13 +8,17 @@ import (
 // event index a watch would pass, 1-based from the alarm's creation.
 var observed = map[*alarm]int64{}
 
-// observeAll feeds a value sequence through an alarm, returning the
-// transition kinds in order.
+// observeAll feeds a value sequence through an alarm as Watch.evaluate
+// does — step, then transition on a crossing — returning the transition
+// kinds in order.
 func observeAll(a *alarm, values []float64) []string {
 	var out []string
 	for _, v := range values {
 		observed[a]++
-		if kind, _, _, ok := a.observe(v, observed[a]); ok {
+		if _, crossed := a.step(v); !crossed {
+			continue
+		}
+		if kind, ok := a.transition(observed[a]); ok {
 			out = append(out, kind)
 		}
 	}

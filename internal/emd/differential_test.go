@@ -2,6 +2,7 @@ package emd
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"fairrank/internal/testkit"
@@ -15,17 +16,20 @@ func TestPMFDistanceMetamorphic(t *testing.T) {
 	testkit.CheckEMDProperties(t, "PMFDistance", PMFDistance, 300)
 }
 
-// Exact1D (CDF sweep) against the oracle's explicit monotone coupling.
+// Exact1DSorted (CDF sweep) against the oracle's explicit monotone
+// coupling.
 func TestExact1DMatchesWpFlow(t *testing.T) {
 	var o testkit.Oracle
 	for seed := uint64(1); seed <= 300; seed++ {
 		g := testkit.NewGen(seed)
 		xs := g.Scores(g.R.IntRange(1, 40))
 		ys := g.Scores(g.R.IntRange(1, 40))
-		got := Exact1D(xs, ys)
+		sort.Float64s(xs)
+		sort.Float64s(ys)
+		got := Exact1DSorted(xs, ys)
 		want := o.WpFlow(xs, ys, 1)
 		if math.Abs(got-want) > testkit.Tol {
-			t.Fatalf("seed %d: Exact1D = %v, flow oracle = %v (|xs|=%d |ys|=%d)",
+			t.Fatalf("seed %d: Exact1DSorted = %v, flow oracle = %v (|xs|=%d |ys|=%d)",
 				seed, got, want, len(xs), len(ys))
 		}
 	}

@@ -3,9 +3,10 @@
 // with its bin-free limit between score samples (exact.go) and a family of
 // alternative histogram distances the paper lists as future-work metrics
 // (metrics.go). The average over a partitioning's pairs (Definition 2) is
-// the audit engine's (internal/core).
+// the audit engine's (internal/core), and so is the choice of a distance
+// by Metric: this package holds only the distances themselves.
 //
-// All distances operate on normalized histograms (probability mass
+// The binned distances operate on normalized histograms (probability mass
 // functions). For one-dimensional histograms with equally spaced bins the
 // EMD has the classic closed form
 //
@@ -17,12 +18,7 @@
 // EMD of about 0.8 — matching the values reported in Table 3 of the paper.
 package emd
 
-import (
-	"errors"
-	"math"
-
-	"fairrank/internal/histogram"
-)
+import "math"
 
 // Ground selects how the ground distance between bins is measured.
 type Ground int
@@ -35,36 +31,6 @@ const (
 	// d(i,j) = |i-j| / (bins-1), so the maximum possible EMD is exactly 1.
 	GroundIndex
 )
-
-// ErrIncompatible is returned when two histograms cannot be compared.
-var ErrIncompatible = errors.New("emd: incompatible histograms")
-
-// Distance computes the 1-D EMD between two compatible fixed-bin histograms
-// using the closed form, with the GroundScore ground distance.
-func Distance(a, b *histogram.Histogram) (float64, error) {
-	return DistanceGround(a, b, GroundScore)
-}
-
-// DistanceGround computes the 1-D EMD with an explicit ground distance.
-func DistanceGround(a, b *histogram.Histogram, g Ground) (float64, error) {
-	if a == nil || b == nil || !a.Compatible(b) {
-		return 0, ErrIncompatible
-	}
-	w := unitDistance(a, g)
-	return PMFDistance(a.PMF(), b.PMF(), w), nil
-}
-
-func unitDistance(h *histogram.Histogram, g Ground) float64 {
-	switch g {
-	case GroundIndex:
-		if h.Bins() <= 1 {
-			return 0
-		}
-		return 1 / float64(h.Bins()-1)
-	default:
-		return h.BinWidth()
-	}
-}
 
 // PMFDistance computes the closed-form 1-D EMD between two PMFs over
 // equally spaced bins with ground distance `unit` between adjacent bins.

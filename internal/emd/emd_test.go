@@ -15,26 +15,22 @@ func hist(bins int, vals ...float64) *histogram.Histogram {
 	return h
 }
 
+// dist is the closed-form EMD of two histograms over the same bins, in
+// score units.
+func dist(a, b *histogram.Histogram) float64 {
+	return PMFDistance(a.PMF(), b.PMF(), a.BinWidth())
+}
+
 func TestDistanceIdentical(t *testing.T) {
 	a := hist(10, 0.1, 0.5, 0.9)
-	d, err := Distance(a, a.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 0 {
+	if d := dist(a, a.Clone()); d != 0 {
 		t.Fatalf("EMD(a,a) = %v, want 0", d)
 	}
 }
 
 func TestDistanceKnownShift(t *testing.T) {
 	// All mass in bin 0 vs all mass in bin 9: EMD = 9 bins * 0.1 = 0.9.
-	a := hist(10, 0.05)
-	b := hist(10, 0.95)
-	d, err := Distance(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(d-0.9) > 1e-12 {
+	if d := dist(hist(10, 0.05), hist(10, 0.95)); math.Abs(d-0.9) > 1e-12 {
 		t.Fatalf("EMD = %v, want 0.9", d)
 	}
 }
@@ -50,48 +46,24 @@ func TestDistanceGenderBiasCalibration(t *testing.T) {
 		male.Add(r.FloatRange(0.8, 1.0))
 		female.Add(r.FloatRange(0, 0.2))
 	}
-	d, err := Distance(male, female)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(d-0.8) > 0.01 {
+	if d := dist(male, female); math.Abs(d-0.8) > 0.01 {
 		t.Fatalf("gender-bias EMD = %v, want ~0.8", d)
 	}
 }
 
 func TestDistanceGroundIndex(t *testing.T) {
-	// Extremes under index ground distance: exactly 1.
+	// Extremes under index ground distance, 1/(bins-1) between adjacent
+	// bins: exactly 1.
 	a := hist(10, 0.0)
 	b := hist(10, 0.9999)
-	d, err := DistanceGround(a, b, GroundIndex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(d-1) > 1e-12 {
+	if d := PMFDistance(a.PMF(), b.PMF(), 1/9.0); math.Abs(d-1) > 1e-12 {
 		t.Fatalf("index-ground EMD = %v, want 1", d)
-	}
-}
-
-func TestDistanceIncompatible(t *testing.T) {
-	a := hist(10, 0.5)
-	b := histogram.MustNew(5, 0, 1)
-	if _, err := Distance(a, b); err != ErrIncompatible {
-		t.Fatalf("err = %v, want ErrIncompatible", err)
-	}
-	if _, err := Distance(nil, a); err != ErrIncompatible {
-		t.Fatalf("nil err = %v, want ErrIncompatible", err)
 	}
 }
 
 func TestDistanceEmptyHistogramsUniform(t *testing.T) {
 	// Two empty histograms both present as uniform: distance 0.
-	a := histogram.MustNew(10, 0, 1)
-	b := histogram.MustNew(10, 0, 1)
-	d, err := Distance(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 0 {
+	if d := dist(histogram.MustNew(10, 0, 1), histogram.MustNew(10, 0, 1)); d != 0 {
 		t.Fatalf("EMD(empty,empty) = %v", d)
 	}
 }

@@ -1,29 +1,16 @@
 package emd
 
-import "sort"
-
-// Exact1D computes the exact Earth Mover's Distance between the empirical
-// distributions of two 1-D samples, without histogram binning: it is the
-// L1 distance between the two empirical CDFs, computed in O(n log n) by a
-// sweep over the merged sorted samples. Each sample is treated as a uniform
-// distribution over its points.
+// Exact1DSorted computes the exact Earth Mover's Distance between the
+// empirical distributions of two 1-D samples, each sorted ascending,
+// without histogram binning: it is the L1 distance between the two
+// empirical CDFs, computed in one sweep over the merged samples. Each
+// sample is treated as a uniform distribution over its points. It neither
+// copies nor modifies the samples.
 //
-// The paper quantifies unfairness on binned histograms; Exact1D is the
+// The paper quantifies unfairness on binned histograms; this is the
 // bin-free limit, which measures what the binning approximation costs.
-// The evaluator's Exact mode keeps its samples sorted and calls
-// Exact1DSorted directly.
-func Exact1D(xs, ys []float64) float64 {
-	if len(xs) == 0 || len(ys) == 0 {
-		return 0
-	}
-	a := append([]float64(nil), xs...)
-	b := append([]float64(nil), ys...)
-	sort.Float64s(a)
-	sort.Float64s(b)
-	return Exact1DSorted(a, b)
-}
-
-// Exact1DSorted is Exact1D for already-sorted samples; it does not copy.
+// The evaluator's Exact mode keeps each part's sample sorted.
+//
 // It returns on any input: each step of the sweep consumes the sample
 // point it reads, so a NaN, which equals nothing, cannot stall it.
 // Samples are meant to be finite; with a NaN or ±Inf the sum is no

@@ -2,6 +2,7 @@ package emd
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"fairrank/internal/testkit"
@@ -63,9 +64,9 @@ func FuzzPMFDistance(f *testing.F) {
 	})
 }
 
-// FuzzExactEMD checks Exact1D against the oracle's monotone-coupling flow.
-// Layout: data[0] splits the remaining bytes into the two samples; values
-// decode through SpecialFloats. The flow oracle is defined on finite
+// FuzzExactEMD checks Exact1DSorted against the oracle's monotone-coupling
+// flow. Layout: data[0] splits the remaining bytes into the two samples,
+// each sorted before the sweep; values decode through SpecialFloats. The flow oracle is defined on finite
 // samples only: a pair holding NaN or ±Inf must still return, with a sum
 // that is not negative.
 func FuzzExactEMD(f *testing.F) {
@@ -82,18 +83,20 @@ func FuzzExactEMD(f *testing.F) {
 		if len(xs) == 0 || len(ys) == 0 {
 			return
 		}
-		ex := Exact1D(xs, ys)
+		sort.Float64s(xs)
+		sort.Float64s(ys)
+		ex := Exact1DSorted(xs, ys)
 		for _, v := range vals {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				if ex < 0 {
-					t.Fatalf("Exact1D = %v (xs=%v ys=%v)", ex, xs, ys)
+					t.Fatalf("Exact1DSorted = %v (xs=%v ys=%v)", ex, xs, ys)
 				}
 				return
 			}
 		}
 		var o testkit.Oracle
 		if want := o.WpFlow(xs, ys, 1); math.Abs(ex-want) > testkit.Tol {
-			t.Fatalf("Exact1D = %v, flow oracle = %v (xs=%v ys=%v)", ex, want, xs, ys)
+			t.Fatalf("Exact1DSorted = %v, flow oracle = %v (xs=%v ys=%v)", ex, want, xs, ys)
 		}
 	})
 }

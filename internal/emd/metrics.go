@@ -3,8 +3,6 @@ package emd
 import (
 	"fmt"
 	"math"
-
-	"fairrank/internal/histogram"
 )
 
 // Metric identifies a histogram distance. The paper uses EMD and names the
@@ -71,33 +69,6 @@ func ParseMetric(name string) (Metric, error) {
 		return MetricHellinger, nil
 	default:
 		return 0, fmt.Errorf("emd: unknown metric %q", name)
-	}
-}
-
-// Compare computes the chosen distance between two compatible histograms.
-// For MetricEMD the GroundScore ground distance is used.
-func Compare(a, b *histogram.Histogram, m Metric) (float64, error) {
-	if a == nil || b == nil || !a.Compatible(b) {
-		return 0, ErrIncompatible
-	}
-	p, q := a.PMF(), b.PMF()
-	switch m {
-	case MetricEMD:
-		return PMFDistance(p, q, a.BinWidth()), nil
-	case MetricL1:
-		return L1(p, q), nil
-	case MetricTV:
-		return L1(p, q) / 2, nil
-	case MetricChiSquare:
-		return ChiSquare(p, q), nil
-	case MetricJS:
-		return JensenShannon(p, q), nil
-	case MetricKS:
-		return KolmogorovSmirnov(p, q), nil
-	case MetricHellinger:
-		return Hellinger(p, q), nil
-	default:
-		return 0, fmt.Errorf("emd: unknown metric %v", m)
 	}
 }
 

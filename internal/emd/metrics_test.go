@@ -26,58 +26,49 @@ func TestMetricStringRoundTrip(t *testing.T) {
 
 func TestCompareKnownValues(t *testing.T) {
 	// p = all mass bin 0, q = all mass bin 1 (of 2 bins, width 0.5).
-	p := hist(2, 0.1)
-	q := hist(2, 0.9)
-	cases := []struct {
-		m    Metric
-		want float64
+	p := []float64{1, 0}
+	q := []float64{0, 1}
+	for _, c := range []struct {
+		name      string
+		got, want float64
 	}{
-		{MetricEMD, 0.5}, // one-bin shift * width 0.5
-		{MetricL1, 2},
-		{MetricTV, 1},
-		{MetricChiSquare, 2},
-		{MetricJS, 1},
-		{MetricKS, 1},
-		{MetricHellinger, 1},
-	}
-	for _, c := range cases {
-		got, err := Compare(p, q, c.m)
-		if err != nil {
-			t.Fatalf("%v: %v", c.m, err)
-		}
-		if math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("%v = %v, want %v", c.m, got, c.want)
+		{"emd", PMFDistance(p, q, 0.5), 0.5}, // one-bin shift * width 0.5
+		{"l1", L1(p, q), 2},
+		{"chi2", ChiSquare(p, q), 2},
+		{"js", JensenShannon(p, q), 1},
+		{"ks", KolmogorovSmirnov(p, q), 1},
+		{"hellinger", Hellinger(p, q), 1},
+	} {
+		if math.Abs(c.got-c.want) > 1e-12 {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
 		}
 	}
+}
+
+// distances lists the binned distances, EMD over bins of width 0.1.
+var distances = []struct {
+	name string
+	fn   func(p, q []float64) float64
+}{
+	{"emd", func(p, q []float64) float64 { return PMFDistance(p, q, 0.1) }},
+	{"l1", L1},
+	{"chi2", ChiSquare},
+	{"js", JensenShannon},
+	{"ks", KolmogorovSmirnov},
+	{"hellinger", Hellinger},
 }
 
 func TestCompareIdenticalZero(t *testing.T) {
-	h := hist(10, 0.1, 0.4, 0.8)
-	for _, m := range []Metric{MetricEMD, MetricL1, MetricTV, MetricChiSquare, MetricJS, MetricKS, MetricHellinger} {
-		got, err := Compare(h, h.Clone(), m)
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
+	p := hist(10, 0.1, 0.4, 0.8).PMF()
+	for _, d := range distances {
+		if got := d.fn(p, p); got != 0 {
+			t.Errorf("%s(p,p) = %v, want 0", d.name, got)
 		}
-		if got != 0 {
-			t.Errorf("%v(h,h) = %v, want 0", m, got)
-		}
-	}
-}
-
-func TestCompareErrors(t *testing.T) {
-	a := hist(10, 0.5)
-	b := histogram.MustNew(4, 0, 1)
-	if _, err := Compare(a, b, MetricL1); err != ErrIncompatible {
-		t.Errorf("incompatible err = %v", err)
-	}
-	if _, err := Compare(a, a, Metric(99)); err == nil {
-		t.Error("unknown metric accepted by Compare")
 	}
 }
 
 // All metrics must be symmetric and non-negative on random PMF pairs.
 func TestMetricsSymmetryProperty(t *testing.T) {
-	metrics := []Metric{MetricEMD, MetricL1, MetricTV, MetricChiSquare, MetricJS, MetricKS, MetricHellinger}
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		a := histogram.MustNew(10, 0, 1)
@@ -86,12 +77,9 @@ func TestMetricsSymmetryProperty(t *testing.T) {
 			a.Add(r.Float64())
 			b.Add(r.Float64())
 		}
-		for _, m := range metrics {
-			ab, err1 := Compare(a, b, m)
-			ba, err2 := Compare(b, a, m)
-			if err1 != nil || err2 != nil {
-				return false
-			}
+		p, q := a.PMF(), b.PMF()
+		for _, d := range distances {
+			ab, ba := d.fn(p, q), d.fn(q, p)
 			if ab < 0 || math.Abs(ab-ba) > 1e-12 {
 				return false
 			}

@@ -39,7 +39,8 @@ type Spec struct {
 	// Budget caps exhaustive enumeration (0 = engine default).
 	Budget int `json:"budget,omitempty"`
 	// SignificanceRounds > 0 adds a permutation-test p-value
-	// (core.Significance, seeded by Seed) to the result.
+	// (core.PValue over the result's part sizes, seeded by Seed) to the
+	// result.
 	SignificanceRounds int `json:"significance_rounds,omitempty"`
 	// Priority orders dispatch in [MinPriority, MaxPriority]; higher runs
 	// first. 0 is the default service class.

@@ -18,10 +18,10 @@ func miniResult(t *testing.T) *simulate.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := simulate.Run(simulate.Spec{
+	res, err := simulate.RunParallel(simulate.Spec{
 		Name: "mini", Workers: 80, Seed: 1, Funcs: funcs[:2],
 		Algorithms: []simulate.AlgorithmID{simulate.AlgoBalanced, simulate.AlgoAllAttributes},
-	})
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,12 +34,6 @@ import (
 // det-greedy can violate a ceiling with four or more (the differential
 // suite pins the ≤3-group guarantee and documents the relaxation).
 
-func init() {
-	Register("det-greedy", detReranker(detGreedy))
-	Register("det-cons", detReranker(detCons))
-	Register("det-relaxed", detReranker(detRelaxed))
-}
-
 type detVariant int
 
 const (

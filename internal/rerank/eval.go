@@ -18,7 +18,7 @@ import (
 
 // Outcome is one re-ranker's two-axis evaluation of a page.
 type Outcome struct {
-	// Algorithm is the registry name ("" for the unmitigated baseline).
+	// Algorithm is the re-ranker name ("" for the unmitigated baseline).
 	Algorithm string `json:"algorithm"`
 	// Unfairness is the core engine's audit of the page: the most unfair
 	// partitioning of the page members' position-bias exposure.
@@ -81,7 +81,7 @@ func AuditPage(ctx context.Context, ds *dataset.Dataset, page []marketplace.Rank
 	if err != nil {
 		return 0, err
 	}
-	res, err := core.Run(ctx, core.Spec{Algorithm: "balanced", Evaluator: e, Attrs: attrs})
+	res, err := core.Search(ctx, core.Spec{Algorithm: "balanced", Evaluator: e, Attrs: attrs})
 	if err != nil {
 		return 0, err
 	}

@@ -49,11 +49,7 @@ var ErrInfeasible = errors.New("rerank: fairness constraints infeasible for this
 // conservative, never less fair).
 const adjustMaxK = 512
 
-func init() {
-	Register("fair-topk", FairTopK)
-}
-
-// FairTopK is the registry entry point for FA*IR: re-rank pool into a
+// FairTopK is the "fair-topk" re-ranker, FA*IR: re-rank pool into a
 // page of min(k, len(pool)) candidates satisfying the per-group
 // minimum-count tables at significance p.Alpha (DefaultAlpha when 0).
 func FairTopK(ds *dataset.Dataset, attr int, pool []marketplace.RankedWorker, k int, p Params) ([]marketplace.RankedWorker, error) {

@@ -53,10 +53,6 @@ import (
 // noise spans ±5% of the pool's score range.
 const DefaultSpread = 0.1
 
-func init() {
-	Register("randomized", Randomized)
-}
-
 // Randomized re-ranks by seeded bounded score perturbation. attr and the
 // dataset's protected columns are deliberately ignored — see the file
 // comment — so it works even when attr < 0 (no protected attribute

@@ -2,9 +2,9 @@ package rerank
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"fairrank/internal/dataset"
@@ -14,7 +14,7 @@ import (
 
 // Params carries the per-algorithm knobs of a re-rank request. Every
 // re-ranker reads only the fields it understands and ignores the rest,
-// so one JSON body shape serves the whole registry (POST /v1/rank).
+// so one JSON body shape serves every re-ranker (POST /v1/rank).
 type Params struct {
 	// Epsilon is exposure-parity's score-sacrifice bound (see Options).
 	Epsilon float64 `json:"epsilon,omitempty"`
@@ -34,57 +34,50 @@ type Params struct {
 // matching the FA*IR paper's running example.
 const DefaultAlpha = 0.1
 
-// Func is one registered re-ranker: given the full candidate pool (every
+// Func is one re-ranker: given the full candidate pool (every
 // Worker a row of ds, in any order), it returns a fairness-constrained
 // page of min(k, len(pool)) candidates with fresh ranks 1..n (k <= 0
 // selects the whole pool). Implementations must be deterministic: two
 // identical calls return identical pages.
 type Func func(ds *dataset.Dataset, attr int, pool []marketplace.RankedWorker, k int, p Params) ([]marketplace.RankedWorker, error)
 
-var registry = struct {
-	sync.RWMutex
-	m map[string]Func
-}{m: map[string]Func{}}
-
-// Register adds a re-ranker under a canonical name, mirroring
-// core.Register's contract: empty names, nil funcs and duplicates are
-// programming errors and panic.
-func Register(name string, fn Func) {
-	if name == "" || fn == nil {
-		panic("rerank: Register requires a name and a rerank function")
-	}
-	registry.Lock()
-	defer registry.Unlock()
-	if _, dup := registry.m[name]; dup {
-		panic(fmt.Sprintf("rerank: re-ranker %q already registered", name))
-	}
-	registry.m[name] = fn
+// rerankers maps each re-ranker name to its function. It is fixed at
+// initialisation and only read after, so it needs no lock.
+var rerankers = map[string]Func{
+	"det-cons":    detReranker(detCons),
+	"det-greedy":  detReranker(detGreedy),
+	"det-relaxed": detReranker(detRelaxed),
+	"exposure-parity": func(ds *dataset.Dataset, attr int, pool []marketplace.RankedWorker, k int, p Params) ([]marketplace.RankedWorker, error) {
+		return exposureParity(ds, attr, pool, pageSize(k, len(pool)), Options{Epsilon: p.Epsilon})
+	},
+	"fair-topk":  FairTopK,
+	"randomized": Randomized,
 }
 
-// Lookup resolves a registered re-ranker by name; the error lists the
-// registered names so HTTP handlers can surface it directly.
+// rerankerNames holds rerankers' names, sorted.
+var rerankerNames = func() []string {
+	out := make([]string, 0, len(rerankers))
+	for name := range rerankers {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
+}()
+
+// Lookup resolves a re-ranker by name; the error lists the re-ranker
+// names so HTTP handlers can surface it directly.
 func Lookup(name string) (Func, error) {
-	registry.RLock()
-	fn, ok := registry.m[name]
-	registry.RUnlock()
+	fn, ok := rerankers[name]
 	if !ok {
 		return nil, fmt.Errorf("rerank: unknown re-ranker %q (registered: %s)",
-			name, strings.Join(Rerankers(), ", "))
+			name, strings.Join(rerankerNames, ", "))
 	}
 	return fn, nil
 }
 
-// Rerankers returns the registered re-ranker names, sorted.
-func Rerankers() []string {
-	registry.RLock()
-	out := make([]string, 0, len(registry.m))
-	for name := range registry.m {
-		out = append(out, name)
-	}
-	registry.RUnlock()
-	sort.Strings(out)
-	return out
-}
+// Rerankers returns the re-ranker names, sorted, in a slice the caller may
+// keep and modify.
+func Rerankers() []string { return slices.Clone(rerankerNames) }
 
 // Telemetry series exposed by Serve.
 const (

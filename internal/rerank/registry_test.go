@@ -23,21 +23,6 @@ func TestRegistryHasAllFamilies(t *testing.T) {
 	}
 }
 
-func TestRegisterPanics(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		fn()
-	}
-	mustPanic("empty name", func() { Register("", FairTopK) })
-	mustPanic("nil func", func() { Register("x", nil) })
-	mustPanic("duplicate", func() { Register("fair-topk", FairTopK) })
-}
-
 func TestLookupErrorListsNames(t *testing.T) {
 	_, err := Lookup("nope")
 	if err == nil {

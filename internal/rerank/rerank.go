@@ -43,12 +43,6 @@ type Options struct {
 	Epsilon float64
 }
 
-func init() {
-	Register("exposure-parity", func(ds *dataset.Dataset, attr int, pool []marketplace.RankedWorker, k int, p Params) ([]marketplace.RankedWorker, error) {
-		return exposureParity(ds, attr, pool, pageSize(k, len(pool)), Options{Epsilon: p.Epsilon})
-	})
-}
-
 // ExposureParity re-ranks the given candidates. ranked must be the
 // candidates to place (e.g. a top-k page, or the full population); Worker
 // indices refer to rows of ds; attr is the protected attribute (by index
@@ -61,7 +55,7 @@ func ExposureParity(ds *dataset.Dataset, attr int, ranked []marketplace.RankedWo
 }
 
 // exposureParity places the first n positions of ExposureParity's
-// re-ranking, which is all the registry's page needs: each placement
+// re-ranking, which is all a served page needs: each placement
 // reads only the positions before it, so the page is the whole
 // re-ranking's n-prefix, at O(len(ranked)·log n + n·groups).
 func exposureParity(ds *dataset.Dataset, attr int, ranked []marketplace.RankedWorker, n int, opts Options) ([]marketplace.RankedWorker, error) {

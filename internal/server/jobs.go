@@ -206,11 +206,7 @@ func runAudit(ctx context.Context, spec core.Spec, name string, rounds int, seed
 	}
 	var pValue *float64
 	if rounds > 0 {
-		sizes := make([]int, len(res.Parts))
-		for k, p := range res.Parts {
-			sizes[k] = p.Size
-		}
-		p, err := core.PValue(ctx, e, sizes, res.Unfairness, rounds, seed)
+		p, err := core.PValue(ctx, e, core.PartSizes(res.Parts), res.Unfairness, rounds, seed)
 		if err != nil {
 			return nil, err
 		}

@@ -16,6 +16,7 @@ import (
 	"fairrank/internal/core"
 	"fairrank/internal/dataset"
 	"fairrank/internal/jobs"
+	"fairrank/internal/partition"
 	"fairrank/internal/simulate"
 )
 
@@ -84,13 +85,24 @@ func (s *Server) oracleExec(ctx context.Context, j jobs.Job) ([]byte, error) {
 	}
 	var pValue *float64
 	if n := j.Spec.SignificanceRounds; n > 0 {
-		p, _, err := core.Significance(context.Background(), e, res.Partitioning, n, j.Spec.Seed)
+		p, err := workerPValue(context.Background(), e, res.Partitioning, n, j.Spec.Seed)
 		if err != nil {
 			return nil, err
 		}
 		pValue = &p
 	}
 	return oracleResult(j.Spec.Dataset, res, spec.Dataset.Schema(), pValue)
+}
+
+// workerPValue is the permutation test over a partitioning of workers:
+// PValue over its parts' worker counts, with the unfairness of its worker
+// lists as the observed value.
+func workerPValue(ctx context.Context, e *core.Evaluator, pt *partition.Partitioning, rounds int, seed uint64) (float64, error) {
+	sizes := make([]int, len(pt.Parts))
+	for i, p := range pt.Parts {
+		sizes[i] = p.Size()
+	}
+	return core.PValue(ctx, e, sizes, e.Unfairness(pt), rounds, seed)
 }
 
 // apiJob is a job as GET /v1/jobs/{id} serves it: jobs.Job's fields and

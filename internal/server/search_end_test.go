@@ -17,8 +17,8 @@ import (
 
 // TestSearchEndMatchesRunEnd holds the job path, which stops at the row
 // space (core.Search, then core.PValue over its part sizes), to the
-// worker-list path (core.Run, then core.Significance over Run's
-// partitioning). It covers every registered algorithm over three
+// worker-list path (core.Run, then core.PValue over the sizes and
+// unfairness of Run's partitioning). It covers every algorithm over three
 // populations of the paper's schema (in the first every worker is its own
 // cell, so binned mode searches worker rows) under nine measurement
 // configurations; the exhaustive solvers search Gender × Country ×
@@ -27,7 +27,7 @@ import (
 //   - its unfairness bits, steps and stats equal Run's, and Unfairness of
 //     Run's partitioning has the same bits;
 //   - the record runAudit stores equals encodeResult of Run's result byte
-//     for byte, with no p-value and with Significance's over Run's
+//     for byte, with no p-value and with workerPValue's over Run's
 //     partitioning.
 func TestSearchEndMatchesRunEnd(t *testing.T) {
 	funcs, err := simulate.RandomFunctions()
@@ -112,7 +112,7 @@ func TestSearchEndMatchesRunEnd(t *testing.T) {
 				for _, rounds := range []int{0, 3} {
 					var pValue *float64
 					if rounds > 0 {
-						p, _, err := core.Significance(ctx, e, run.Partitioning, rounds, spec.Seed)
+						p, err := workerPValue(ctx, e, run.Partitioning, rounds, spec.Seed)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -700,6 +700,37 @@ func TestExplainEndpoint(t *testing.T) {
 	}
 }
 
+// TestNameListsAreCopies: core.Algorithms and rerank.Rerankers return a
+// fresh copy of their sorted names on every call, so a caller that edits
+// one changes neither the next call nor what GET /v1/algorithms and
+// GET /v1/rerankers serve.
+func TestNameListsAreCopies(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	for _, c := range []struct {
+		path  string
+		names func() []string
+	}{
+		{"/v1/algorithms", core.Algorithms},
+		{"/v1/rerankers", rerank.Rerankers},
+	} {
+		want := append([]string(nil), c.names()...)
+		edited := c.names()
+		for i := range edited {
+			edited[i] = "edited"
+		}
+		if got := c.names(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: names after an edit = %v, want %v", c.path, got, want)
+		}
+		var served []string
+		if code := getJSON(t, ts.URL+c.path, &served); code != http.StatusOK {
+			t.Fatalf("%s = %d", c.path, code)
+		}
+		if !reflect.DeepEqual(served, want) {
+			t.Errorf("%s serves %v, want %v", c.path, served, want)
+		}
+	}
+}
+
 func TestAlgorithmsEndpoint(t *testing.T) {
 	_, ts, _ := newTestServer(t)
 	var names []string

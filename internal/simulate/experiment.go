@@ -88,14 +88,11 @@ type Result struct {
 	Rows    []Row
 }
 
-// Run executes the experiment: it generates the worker population once and
-// runs every algorithm on every scoring function. Runs are deterministic in
-// the Spec.
-func Run(spec Spec) (*Result, error) { return RunParallel(spec, 1) }
-
-// RunParallel is Run with the (function, algorithm) cells executed
-// concurrently by at most `workers` goroutines; workers <= 1 runs them
-// inline. Results are identical either way — each cell gets its own
+// RunParallel executes the experiment: it generates the worker population
+// once and runs every algorithm on every scoring function, the (function,
+// algorithm) cells executed concurrently by at most `workers` goroutines;
+// workers <= 1 runs them inline. Runs are deterministic in the Spec, and
+// results are identical at every worker count — each cell gets its own
 // evaluator and a seed derived only from the spec — but wall-clock time
 // drops roughly by the worker count; only the per-cell Elapsed values may
 // differ (they measure the same work under scheduler contention). On

@@ -196,12 +196,12 @@ func TestBiasedFunctionsShapes(t *testing.T) {
 
 func TestRunExperimentSmall(t *testing.T) {
 	funcs, _ := RandomFunctions()
-	res, err := Run(Spec{
+	res, err := RunParallel(Spec{
 		Name:    "mini",
 		Workers: 120,
 		Seed:    3,
 		Funcs:   funcs[:2],
-	})
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,11 +226,11 @@ func TestRunExperimentSmall(t *testing.T) {
 func TestRunExperimentDeterministic(t *testing.T) {
 	funcs, _ := RandomFunctions()
 	spec := Spec{Name: "det", Workers: 100, Seed: 5, Funcs: funcs[:1]}
-	a, err := Run(spec)
+	a, err := RunParallel(spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(spec)
+	b, err := RunParallel(spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestRunExperimentDeterministic(t *testing.T) {
 func TestRunParallelMatchesSequential(t *testing.T) {
 	funcs, _ := RandomFunctions()
 	spec := Spec{Name: "par", Workers: 150, Seed: 9, Funcs: funcs[:3]}
-	seq, err := Run(spec)
+	seq, err := RunParallel(spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,19 +265,6 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 				t.Fatalf("cell %d/%d differs: %+v vs %+v", i, j, s, p)
 			}
 		}
-	}
-}
-
-func TestRunParallelDegeneratesToRun(t *testing.T) {
-	funcs, _ := RandomFunctions()
-	spec := Spec{Name: "one", Workers: 80, Seed: 2, Funcs: funcs[:1],
-		Algorithms: []AlgorithmID{AlgoBalanced}}
-	res, err := RunParallel(spec, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 || len(res.Rows[0].Cells) != 1 {
-		t.Fatalf("rows = %v", res.Rows)
 	}
 }
 
@@ -361,15 +348,15 @@ func TestRunSeedsValidation(t *testing.T) {
 }
 
 func TestRunExperimentValidation(t *testing.T) {
-	if _, err := Run(Spec{Name: "x", Workers: 10}); err == nil {
+	if _, err := RunParallel(Spec{Name: "x", Workers: 10}, 1); err == nil {
 		t.Error("no functions accepted")
 	}
 	funcs, _ := RandomFunctions()
-	if _, err := Run(Spec{Name: "x", Workers: 0, Funcs: funcs}); err == nil {
+	if _, err := RunParallel(Spec{Name: "x", Workers: 0, Funcs: funcs}, 1); err == nil {
 		t.Error("zero workers accepted")
 	}
-	if _, err := Run(Spec{Name: "x", Workers: 10, Funcs: funcs,
-		Algorithms: []AlgorithmID{"nope"}}); err == nil {
+	if _, err := RunParallel(Spec{Name: "x", Workers: 10, Funcs: funcs,
+		Algorithms: []AlgorithmID{"nope"}}, 1); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
 }
@@ -394,8 +381,8 @@ func TestTableSpecs(t *testing.T) {
 // exhibit the highest unfairness among f1–f5 for the greedy algorithms.
 func TestTable1ShapeAtReducedScale(t *testing.T) {
 	funcs, _ := RandomFunctions()
-	res, err := Run(Spec{Name: "t1-small", Workers: 500, Seed: 17, Funcs: funcs,
-		Algorithms: []AlgorithmID{AlgoBalanced, AlgoUnbalanced}})
+	res, err := RunParallel(Spec{Name: "t1-small", Workers: 500, Seed: 17, Funcs: funcs,
+		Algorithms: []AlgorithmID{AlgoBalanced, AlgoUnbalanced}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +410,7 @@ func TestBiasedBeatsRandomUnfairness(t *testing.T) {
 	spec := Spec{Name: "mix", Workers: 500, Seed: 19,
 		Funcs:      append(rf[:1], bf[0]),
 		Algorithms: []AlgorithmID{AlgoBalanced}}
-	res, err := Run(spec)
+	res, err := RunParallel(spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@
 // measurements: per-seed summaries of table cells, the Gini coefficient of
 // marketplace earnings, and Benjamini-Hochberg control of the false
 // discovery rate across an audit campaign's p-values. The permutation test
-// behind those p-values is core.Significance.
+// behind those p-values is core.PValue.
 package stats
 
 import (

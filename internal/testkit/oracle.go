@@ -140,7 +140,7 @@ func (o Oracle) Unfairness(scores []float64, parts [][]int, bins int) float64 {
 // ExactUnfairness is Unfairness in bin-free Exact mode: each part is a
 // uniform empirical distribution over its scores and pairs are compared
 // with WpFlow at p = 1. Empty parts contribute distance 0 against
-// everything, matching emd.Exact1D's empty-sample convention.
+// everything, matching emd.Exact1DSorted's empty-sample convention.
 func (o Oracle) ExactUnfairness(scores []float64, parts [][]int) float64 {
 	k := len(parts)
 	if k < 2 {
@@ -167,7 +167,7 @@ func (o Oracle) ExactUnfairness(scores []float64, parts [][]int) float64 {
 // distributions of two samples by materializing the monotone coupling
 // explicitly: both samples sorted, two mass pointers, each matched chunk
 // contributing mass·|x−y|ᵖ. For p = 1 it is the flow-built counterpart of
-// emd.Exact1D's CDF sweep. Either sample empty yields 0.
+// emd.Exact1DSorted's CDF sweep. Either sample empty yields 0.
 func (Oracle) WpFlow(xs, ys []float64, p float64) float64 {
 	if len(xs) == 0 || len(ys) == 0 {
 		return 0
